@@ -5,6 +5,8 @@ counts and bytes per deployment, and the payoff of the Unify diff-based
 config exchange versus shipping full virtualizer trees.
 """
 
+import itertools
+import statistics
 import time
 
 import pytest
@@ -240,6 +242,73 @@ def test_bench_repeated_deploys(benchmark):
         escape.teardown("svc999")
 
     benchmark(_deploy_teardown)
+
+
+def test_bench_push_vs_resident_services(benchmark):
+    """CP-4: what the *last* deploy costs against the number of chains
+    already installed — push ms, FlowMods and control messages at 3 /
+    12 / 24 resident 2-NF chains on the Fig. 1 testbed.
+
+    Southbound programming is O(change): the same request (sap3 ->
+    sap2, which the mapper places in the cloud at every level), deployed
+    last, must send exactly the same FlowMods and control messages
+    whatever is resident — an established chain's rules are not sent
+    again — and its push may take at most twice as long at 24 resident
+    as at 3 (what is left that grows: slicing the domain's install view
+    out of the DoV and comparing it with the acknowledged one).  Each
+    level reports the median of five deploys of the request.
+    """
+    pairs = list(itertools.permutations(("sap1", "sap2", "sap3"), 2))
+
+    def resident(index: int):
+        src, dst = pairs[index % len(pairs)]
+        prefix = f"res{index}"
+        return (ServiceRequestBuilder(prefix).sap(src).sap(dst)
+                .nf(f"{prefix}-fw", "firewall").nf(f"{prefix}-nat", "nat")
+                .chain(src, f"{prefix}-fw", f"{prefix}-nat", dst,
+                       bandwidth=1.0 + index % 8,
+                       flowclass=f"tp_dst={10000 + index}").build())
+
+    def last():
+        return (ServiceRequestBuilder("last").sap("sap3").sap("sap2")
+                .nf("last-fw", "firewall").nf("last-nat", "nat")
+                .chain("sap3", "last-fw", "last-nat", "sap2", bandwidth=2.0,
+                       flowclass="tp_dst=9999").build())
+
+    def measure(level: int):
+        testbed = build_reference_multidomain()
+        adapters = testbed.escape.cal.adapters
+        endpoints = [testbed.sdn.pox.endpoint, testbed.cloud.odl.endpoint,
+                     adapters["emu"].orchestrator.controller,
+                     adapters["un"].orchestrator.controller]
+        for index in range(level):
+            report = testbed.service_layer.submit(resident(index))
+            assert report.success, report.error
+        samples = []
+        for _ in range(5):
+            mods = sum(endpoint.flow_mods_sent for endpoint in endpoints)
+            report = testbed.service_layer.submit(last())
+            assert report.success, report.error
+            samples.append((
+                report.push_time_s * 1e3,
+                sum(e.flow_mods_sent for e in endpoints) - mods,
+                report.control_messages))
+            testbed.service_layer.terminate("last")
+        testbed.escape.cal.dispatcher.shutdown()
+        assert len({sample[1:] for sample in samples}) == 1, samples
+        return {"resident": level,
+                "push_ms": statistics.median(s[0] for s in samples),
+                "flow_mods": samples[0][1],
+                "control_messages": samples[0][2]}
+
+    rows = [measure(level) for level in (3, 12, 24)]
+    emit("CP-4: last-deploy push cost vs resident chains", rows,
+         group="control_plane")
+    low, _, high = rows
+    assert len({row["flow_mods"] for row in rows}) == 1, rows
+    assert len({row["control_messages"] for row in rows}) == 1, rows
+    assert high["push_ms"] <= 2.0 * low["push_ms"], rows
+    benchmark(lambda: measure(3))
 
 
 def test_bench_recovery_vs_cold_redeploy(benchmark):

@@ -23,15 +23,21 @@ from repro.cloud.nova import (
     flavor_for,
 )
 from repro.cloud.odl import OdlController
+from repro.infra.flowprog import Flow, PortKey, install_rules
 from repro.infra.nfswitch import NFHostingSwitch
+from repro.infra.orchestrator import LocalOrchestrator
 from repro.infra.tags import vlan_for_hop
-from repro.netconf.messages import UNIFY_CAPABILITY
-from repro.netconf.server import NetconfServer
 from repro.netem.network import Network
 from repro.netem.node import Host
-from repro.nffg.graph import NFFG
-from repro.nffg.model import DomainType, InfraType, ResourceVector
-from repro.nffg.serialize import nffg_from_dict
+from repro.nffg.graph import NFFG, NodeObj
+from repro.nffg.model import (
+    DomainType,
+    Flowrule,
+    InfraType,
+    NodeInfra,
+    NodeNF,
+    ResourceVector,
+)
 from repro.openflow.switch import OpenFlowSwitch
 
 
@@ -167,7 +173,7 @@ class CloudDomain:
         return view
 
 
-class CloudLocalOrchestrator(NetconfServer):
+class CloudLocalOrchestrator(LocalOrchestrator):
     """UNIFY-conform local orchestrator on top of the cloud domain.
 
     Accepts a single-BiS-BiS install-NFFG over NETCONF and realizes it
@@ -177,35 +183,34 @@ class CloudLocalOrchestrator(NetconfServer):
     """
 
     def __init__(self, domain: CloudDomain):
-        super().__init__(f"{domain.name}-lo", capabilities=[UNIFY_CAPABILITY])
+        super().__init__(f"{domain.name}-lo")
         self.domain = domain
         self._nf_vms: dict[str, VMInstance] = {}
         self._nf_attach: dict[str, str] = {}   # nf_id -> compute dpid
-        self._path_cookies: set[str] = set()
-        self.deploy_count = 0
-        self.on_apply(self._apply_config)
+        #: fabric-internal VLAN of each path, by port id and flow rule
+        #: key — the rule's identity, so no other rule's coming or going
+        #: renumbers it — and the pool they are drawn from
+        self._transport_vlans: dict[str, dict[str, int]] = {}
+        self._free_vlans = list(range(4094, 1, -1))
         self.register_rpc("list-vms", lambda params: [
             {"id": vm.id, "name": vm.name, "state": vm.state.value,
              "host": vm.host} for vm in self.domain.nova.list_instances()])
 
     # -- NETCONF hooks -----------------------------------------------------------
 
-    def validate_config(self, config: Any) -> list[str]:
-        if config is None:
-            return []
-        try:
-            install = nffg_from_dict(config["nffg"])
-        except Exception as exc:  # noqa: BLE001
-            return [f"config is not a valid NFFG: {exc}"]
+    def _check_nodes(self, new: list[NodeObj],
+                     old: list[NodeObj]) -> list[str]:
         problems = []
-        for infra in install.infras:
-            if infra.id != self.domain.bisbis_id:
+        for node in new:
+            if (isinstance(node, NodeInfra)
+                    and node.id != self.domain.bisbis_id):
                 problems.append(
-                    f"unknown BiS-BiS {infra.id!r} (expected "
+                    f"unknown BiS-BiS {node.id!r} (expected "
                     f"{self.domain.bisbis_id!r})")
-        for nf in install.nfs:
-            if f"img-{nf.functional_type}" not in self.domain.nova.images:
-                problems.append(f"no image for NF type {nf.functional_type!r}")
+            elif (isinstance(node, NodeNF) and f"img-{node.functional_type}"
+                    not in self.domain.nova.images):
+                problems.append(
+                    f"no image for NF type {node.functional_type!r}")
         return problems
 
     def state_data(self) -> dict[str, Any]:
@@ -217,24 +222,24 @@ class CloudLocalOrchestrator(NetconfServer):
 
     # -- reconciliation -------------------------------------------------------------
 
-    def _apply_config(self, config: Any) -> None:
-        if config is None:
-            self._teardown_all()
-            return
-        install = nffg_from_dict(config["nffg"])
-        self.deploy_count += 1
-        self._reconcile_vms(install)
-        self._reprogram_paths(install)
-        self.notify("deploy-finished", {"nffg": install.id})
-
-    def _reconcile_vms(self, install: NFFG) -> None:
-        wanted = {nf.id: nf for nf in install.nfs
-                  if install.host_of(nf.id) == self.domain.bisbis_id}
-        for nf_id in list(self._nf_vms):
+    def _reconcile(self, nodes: Optional[set[str]],
+                   ports: Optional[list[PortKey]]) -> None:
+        scope, placed = self._placements(nodes, self._nf_vms)
+        wanted = {nf_id: nf for nf_id, (host, nf) in placed.items()
+                  if host == self.domain.bisbis_id}
+        flows = self.domain.odl.flows
+        for nf_id in scope:
+            vm = self._nf_vms.get(nf_id)
+            if vm is None:
+                continue
             nf = wanted.get(nf_id)
-            if nf is None or (self._nf_vms[nf_id].image.functional_type
-                              != nf.functional_type):
+            if nf is None or vm.image.functional_type != nf.functional_type:
                 self._destroy_vm(nf_id)
+                if nf is not None:
+                    # same ports, maybe another host: every path that
+                    # ends at them has to be routed again
+                    flows.invalidate()
+                    ports = None
         for nf_id, nf in wanted.items():
             if nf_id in self._nf_vms:
                 continue
@@ -250,6 +255,21 @@ class CloudLocalOrchestrator(NetconfServer):
             nf_ports = sorted(int(p) for p in nf.ports) or [1, 2]
             vm.on_active(lambda active_vm, nf_id=nf_id, ports=nf_ports:
                          self._attach_vm(nf_id, active_vm, ports))
+        rules = install_rules(self.install, ports)
+        flows.sync(rules, self._path_flows, full=ports is None)
+        # a path that went gives its VLAN back, for later commits only:
+        # within this one its old entries were still up while new paths
+        # were added
+        vlans = self._transport_vlans
+        for port_id in (list(vlans) if ports is None
+                        else [port_id for _, port_id in ports]):
+            held = vlans.get(port_id, {})
+            members = rules.get((self.domain.bisbis_id, port_id), {})
+            for key in [key for key in held if key not in members]:
+                self._free_vlans.append(held.pop(key))
+            if not held:
+                vlans.pop(port_id, None)
+        self.notify("deploy-finished", {"nffg": self.install.id})
 
     def _attach_vm(self, nf_id: str, vm: VMInstance, nf_ports: list[int]) -> None:
         vswitch = self.domain.compute_switches[vm.host]
@@ -271,7 +291,7 @@ class CloudLocalOrchestrator(NetconfServer):
 
     # -- fabric steering ---------------------------------------------------------------
 
-    def _resolve_port(self, install: NFFG, port_id: str) -> tuple[str, str]:
+    def _resolve_port(self, port_id: str) -> tuple[str, str]:
         """BiS-BiS port id -> (fabric dpid, dataplane port)."""
         if port_id.startswith("sap-"):
             return self.domain.handoff(port_id[len("sap-"):])
@@ -282,49 +302,44 @@ class CloudLocalOrchestrator(NetconfServer):
             raise KeyError(f"port {port_id!r}: NF {nf_id!r} has no VM")
         return vm.host, port_id
 
-    def _reprogram_paths(self, install: NFFG) -> None:
-        for cookie in self._path_cookies:
-            self.domain.odl.remove_by_cookie(cookie)
-        self._path_cookies.clear()
-        if not install.has_node(self.domain.bisbis_id):
-            return
-        infra = install.infra(self.domain.bisbis_id)
-        entry_seq = 0
-        for port, rule in infra.iter_flowrules():
-            entry_seq += 1
-            match_fields = rule.match_fields()
-            action_fields = rule.action_fields()
-            out_port = action_fields.get("output", "")
-            try:
-                ingress_dpid, ingress_port = self._resolve_port(install, port.id)
-                egress_dpid, egress_port = self._resolve_port(install, out_port)
-            except KeyError as exc:
-                self.notify("path-error", {"error": str(exc)})
-                continue
-            match_vlan = (vlan_for_hop(match_fields["tag"])
-                          if "tag" in match_fields else None)
-            if "tag" in action_fields:
-                egress_vlan: Optional[int] = vlan_for_hop(action_fields["tag"])
-            elif "untag" in action_fields:
-                egress_vlan = None
-            else:
-                egress_vlan = match_vlan
-            cookie = rule.hop_id or f"fe{entry_seq}"
-            transport = vlan_for_hop(f"transport:{cookie}:{entry_seq}")
-            self.domain.odl.install_path(
-                ingress_dpid=ingress_dpid, ingress_port=ingress_port,
-                egress_dpid=egress_dpid, egress_port=egress_port,
-                flowclass=match_fields.get("flowclass", ""),
-                transport_vlan=transport, match_vlan=match_vlan,
-                egress_vlan=egress_vlan, cookie=cookie)
-            self._path_cookies.add(cookie)
+    def _path_flows(self, port: PortKey, key: str,
+                    rule: Flowrule) -> list[Flow]:
+        """The fabric path one BiS-BiS flow rule becomes (none, with a
+        ``path-error`` notification, when an end of it has no place)."""
+        match_fields = rule.match_fields()
+        action_fields = rule.action_fields()
+        try:
+            ingress_dpid, ingress_port = self._resolve_port(port[1])
+            egress_dpid, egress_port = self._resolve_port(
+                action_fields.get("output", ""))
+        except KeyError as exc:
+            self.notify("path-error", {"error": str(exc)})
+            return []
+        match_vlan = (vlan_for_hop(match_fields["tag"])
+                      if "tag" in match_fields else None)
+        if "tag" in action_fields:
+            egress_vlan: Optional[int] = vlan_for_hop(action_fields["tag"])
+        elif "untag" in action_fields:
+            egress_vlan = None
+        else:
+            egress_vlan = match_vlan
+        held = self._transport_vlans.setdefault(port[1], {})
+        if key not in held:
+            held[key] = self._free_vlans.pop()
+        return self.domain.odl.path_flows({
+            "ingress_dpid": ingress_dpid, "ingress_port": ingress_port,
+            "egress_dpid": egress_dpid, "egress_port": egress_port,
+            "flowclass": match_fields.get("flowclass", ""),
+            "transport_vlan": held[key], "match_vlan": match_vlan,
+            "egress_vlan": egress_vlan}, cookie=rule.hop_id or key)
 
     def _teardown_all(self) -> None:
         for nf_id in list(self._nf_vms):
             self._destroy_vm(nf_id)
-        for cookie in self._path_cookies:
-            self.domain.odl.remove_by_cookie(cookie)
-        self._path_cookies.clear()
+        self.domain.odl.flows.sync({}, self._path_flows, full=True)
+        for held in self._transport_vlans.values():
+            self._free_vlans.extend(held.values())
+        self._transport_vlans.clear()
 
     # -- helpers ------------------------------------------------------------------------
 

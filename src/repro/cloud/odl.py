@@ -9,10 +9,11 @@ topology graph, like the POX controller but DC-flavoured.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import networkx as nx
 
+from repro.infra.flowprog import Flow, FlowProgrammer
 from repro.openflow.controller import ControllerEndpoint
 from repro.openflow.messages import (
     Action,
@@ -32,6 +33,8 @@ class OdlController:
         self.name = name
         self.endpoint = ControllerEndpoint(name, simulator=simulator)
         self.graph = nx.DiGraph()
+        #: keyed path records: what is on the fabric, and its only writer
+        self.flows = FlowProgrammer(self.endpoint)
         self.paths_installed = 0
 
     def connect(self, switch: OpenFlowSwitch) -> None:
@@ -45,14 +48,27 @@ class OdlController:
         self.graph.add_edge(dst_dpid, src_dpid, src_port=dst_port,
                             dst_port=src_port)
 
-    def install_path(self, *, ingress_dpid: str, ingress_port: str,
-                     egress_dpid: str, egress_port: str,
-                     flowclass: str = "", transport_vlan: Optional[int] = None,
-                     match_vlan: Optional[int] = None,
-                     egress_vlan: Optional[int] = None,
-                     cookie: str = "") -> list[str]:
-        """Install a unidirectional flow path across the fabric.
+    def install_path(self, *, cookie: str = "", **spec: Any) -> list[str]:
+        """Install one more unidirectional flow path (see
+        :meth:`path_flows` for the arguments) under ``cookie``; returns
+        the switches it crosses."""
+        flows = self.path_flows(spec, cookie)
+        paths = self.flows.sources(cookie)
+        paths[f"path{len(paths)}"] = spec
+        self.flows.sync({cookie: paths}, lambda *_: flows)
+        return [flow.dpid for flow in flows]
 
+    def remove_by_cookie(self, cookie: str) -> None:
+        """Remove the paths installed under ``cookie``: per entry, and
+        only on the switches that carry one."""
+        self.flows.sync({cookie: {}}, lambda *_: ())
+
+    def path_flows(self, spec: dict[str, Any], cookie: str = "") -> list[Flow]:
+        """The entries of one path across the fabric, ingress first.
+        ``spec`` holds
+
+        - ``ingress_dpid``/``ingress_port``/``egress_dpid``/
+          ``egress_port`` and an optional ``flowclass``;
         - ``match_vlan``: VLAN the traffic carries when entering the
           domain (matched at the ingress switch; e.g. the inter-domain
           chain tag), or None for untagged ingress;
@@ -66,9 +82,16 @@ class OdlController:
         VLAN tags are single-level (push overwrites, pop clears), which
         matches the single-tag steering the prototype uses.
         """
+        ingress_dpid, egress_dpid = spec["ingress_dpid"], spec["egress_dpid"]
+        egress_port = spec["egress_port"]
+        flowclass = spec.get("flowclass", "")
+        transport_vlan = spec.get("transport_vlan")
+        match_vlan = spec.get("match_vlan")
+        egress_vlan = spec.get("egress_vlan")
+        flows: list[Flow] = []
         path = nx.shortest_path(self.graph, ingress_dpid, egress_dpid)
         single = len(path) == 1
-        in_port = ingress_port
+        in_port = spec["ingress_port"]
         for index, dpid in enumerate(path):
             first = index == 0
             last = index == len(path) - 1
@@ -92,17 +115,12 @@ class OdlController:
                 elif egress_vlan is not None and egress_vlan != carried:
                     actions.append(ActionPushVlan(egress_vlan))
             actions.append(ActionOutput(out_port))
-            self.endpoint.send_flow_mod(
-                dpid, match=match, actions=actions,
-                priority=300 if first else 250, cookie=cookie)
+            flows.append(Flow(dpid, match, tuple(actions),
+                              300 if first else 250, cookie))
             if not last:
                 in_port = self.graph.edges[dpid, path[index + 1]]["dst_port"]
         self.paths_installed += 1
-        return path
-
-    def remove_by_cookie(self, cookie: str) -> None:
-        for dpid in self.endpoint.connected_dpids():
-            self.endpoint.delete_flows(dpid, cookie=cookie)
+        return flows
 
     def flow_mods_sent(self) -> int:
         return self.endpoint.flow_mods_sent

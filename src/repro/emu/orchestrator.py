@@ -1,62 +1,67 @@
 """Domain-local orchestrator of the emulated domain.
 
 A NETCONF server whose configuration datastore holds the domain's
-install-NFFG.  Committing a new configuration reconciles the dataplane:
-Click NFs are started/stopped on their BiS-BiS switches and steering
-flow rules are (re)programmed through an internal OpenFlow controller —
-the "NETCONF and OpenFlow control channels" of the prototype.
+install-NFFG.  Committing a change reconciles the dataplane: Click NFs
+are started/stopped on their BiS-BiS switches and the steering flow
+rules that changed are programmed through an internal OpenFlow
+controller — the "NETCONF and OpenFlow control channels" of the
+prototype.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.click.catalog import NF_CATALOG, make_nf_process
 from repro.emu.domain import EmulatedDomain
-from repro.infra.flowprog import program_infra_flows
-from repro.netconf.messages import UNIFY_CAPABILITY
-from repro.netconf.server import NetconfServer
-from repro.nffg.graph import NFFG
-from repro.nffg.serialize import nffg_from_dict, nffg_to_dict
+from repro.infra.flowprog import (
+    FlowProgrammer,
+    PortKey,
+    install_rules,
+    port_flows,
+)
+from repro.infra.orchestrator import LocalOrchestrator
+from repro.nffg.graph import NFFG, NodeObj
+from repro.nffg.model import NodeInfra, NodeNF
+from repro.nffg.serialize import nffg_to_dict
 from repro.openflow.controller import ControllerEndpoint
 
 
-class EmuDomainOrchestrator(NetconfServer):
+class EmuDomainOrchestrator(LocalOrchestrator):
     """NETCONF-managed local orchestrator for :class:`EmulatedDomain`."""
 
     def __init__(self, domain: EmulatedDomain):
-        super().__init__(f"{domain.name}-orchestrator",
-                         capabilities=[UNIFY_CAPABILITY])
+        super().__init__(f"{domain.name}-orchestrator")
         self.domain = domain
         self.controller = ControllerEndpoint(
             f"{domain.name}-ctl", simulator=domain.network.simulator)
         for switch in domain.switches.values():
             self.controller.connect_switch(switch)
+        #: the steering entries on the switches; only _reconcile and
+        #: _teardown_all write it
+        self.flows = FlowProgrammer(self.controller)
         #: nf_id -> (switch id, functional type)
         self._deployed_nfs: dict[str, tuple[str, str]] = {}
-        self.deploy_count = 0
-        self.on_apply(self._apply_config)
         self.register_rpc("get-topology",
                           lambda params: nffg_to_dict(self.domain.domain_view()))
         self.register_rpc("get-nf-status", self._rpc_nf_status)
 
     # -- NETCONF integration -------------------------------------------------
 
-    def validate_config(self, config: Any) -> list[str]:
-        if config is None:
-            return []
-        try:
-            install = nffg_from_dict(config["nffg"])
-        except Exception as exc:  # noqa: BLE001 - report, don't crash session
-            return [f"config is not a valid NFFG: {exc}"]
-        problems = install.validate()
-        for infra in install.infras:
-            if infra.id not in self.domain.switches:
-                problems.append(f"unknown switch {infra.id!r}")
-        for nf in install.nfs:
-            if nf.functional_type not in NF_CATALOG:
+    def _check_install(self, install: NFFG) -> list[str]:
+        return install.validate()
+
+    def _check_nodes(self, new: list[NodeObj],
+                     old: list[NodeObj]) -> list[str]:
+        problems = []
+        for node in new:
+            if (isinstance(node, NodeInfra)
+                    and node.id not in self.domain.switches):
+                problems.append(f"unknown switch {node.id!r}")
+            elif (isinstance(node, NodeNF)
+                    and node.functional_type not in NF_CATALOG):
                 problems.append(
-                    f"NF type {nf.functional_type!r} not deployable here")
+                    f"NF type {node.functional_type!r} not deployable here")
         return problems
 
     def state_data(self) -> dict[str, Any]:
@@ -80,46 +85,30 @@ class EmuDomainOrchestrator(NetconfServer):
 
     # -- reconciliation ------------------------------------------------------------
 
-    def _apply_config(self, config: Any) -> None:
-        if config is None:
-            self._teardown_all()
-            return
-        install = nffg_from_dict(config["nffg"])
-        self.deploy_count += 1
-        self._reconcile_nfs(install)
-        self._reprogram_flows(install)
-        self.notify("deploy-finished", {"nffg": install.id,
-                                        "nfs": sorted(self._deployed_nfs)})
-
-    def _reconcile_nfs(self, install: NFFG) -> None:
-        wanted: dict[str, tuple[str, str]] = {}
-        for nf in install.nfs:
-            host = install.host_of(nf.id)
-            if host is not None:
-                wanted[nf.id] = (host, nf.functional_type)
-        for nf_id, (switch_id, functional_type) in list(
-                self._deployed_nfs.items()):
-            if wanted.get(nf_id) != (switch_id, functional_type):
-                self.domain.switches[switch_id].detach_nf(nf_id)
+    def _reconcile(self, nodes: Optional[set[str]],
+                   ports: Optional[list[PortKey]]) -> None:
+        scope, placed = self._placements(nodes, self._deployed_nfs)
+        wanted = {nf_id: (host, nf.functional_type)
+                  for nf_id, (host, nf) in placed.items()}
+        for nf_id in scope:
+            deployed = self._deployed_nfs.get(nf_id)
+            if deployed is not None and wanted.get(nf_id) != deployed:
+                self.domain.switches[deployed[0]].detach_nf(nf_id)
                 del self._deployed_nfs[nf_id]
                 self.notify("vnf-stopped", {"id": nf_id})
         for nf_id, (switch_id, functional_type) in wanted.items():
             if nf_id in self._deployed_nfs:
                 continue
-            nf = install.nf(nf_id)
             process = make_nf_process(nf_id, functional_type)
-            switch = self.domain.switches[switch_id]
-            nf_ports = sorted(int(p) for p in nf.ports) or [1, 2]
-            switch.attach_nf(nf_id, process, nf_ports=nf_ports)
+            nf_ports = sorted(int(p) for p in placed[nf_id][1].ports) or [1, 2]
+            self.domain.switches[switch_id].attach_nf(nf_id, process,
+                                                      nf_ports=nf_ports)
             self._deployed_nfs[nf_id] = (switch_id, functional_type)
             self.notify("vnf-started", {"id": nf_id, "host": switch_id})
-
-    def _reprogram_flows(self, install: NFFG) -> None:
-        for infra in install.infras:
-            dpid = infra.id
-            self.controller.delete_flows(dpid)
-            program_infra_flows(self.controller, dpid, infra)
-            self.controller.barrier(dpid)
+        self.flows.sync(install_rules(self.install, ports), port_flows,
+                        full=ports is None)
+        self.notify("deploy-finished", {"nffg": self.install.id,
+                                        "nfs": sorted(self._deployed_nfs)})
 
     def _teardown_all(self) -> None:
         for nf_id, (switch_id, _) in list(self._deployed_nfs.items()):
@@ -127,6 +116,7 @@ class EmuDomainOrchestrator(NetconfServer):
         self._deployed_nfs.clear()
         for dpid in self.domain.switches:
             self.controller.delete_flows(dpid)
+        self.flows.clear()
 
     # -- direct access (used by the adapter when co-located) ---------------------------
 

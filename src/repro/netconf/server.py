@@ -1,10 +1,11 @@
 """NETCONF server: datastores + RPC dispatch.
 
 The server owns a *running* and a *candidate* datastore (arbitrary
-JSON-compatible configs — in practice virtualizer dicts or diff entry
-lists).  Domain orchestrators subclass or register apply-callbacks: a
-successful ``commit`` hands the new running config to the callback,
-which reconfigures the domain.
+JSON-compatible configs — in practice virtualizer dicts or install
+configs).  Domain orchestrators subclass or register apply-callbacks: a
+successful ``commit`` hands the committed change to the callback — the
+edit script when the candidate was a patch of running, the new running
+config otherwise — which reconfigures the domain.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from repro.netconf.messages import (
     RpcRequest,
 )
 from repro.openflow.channel import ControlChannel
-from repro.yang.config import config_digest, config_to_tree, tree_to_config
-from repro.yang.data import ValidationError
-from repro.yang.diff import DiffEntry, apply_patch
+from repro.yang.config import config_to_tree, tree_to_config
+from repro.yang.data import DataNode, ValidationError
+from repro.yang.diff import DiffEntry, apply_patch, find
 
 _SESSION_ID = itertools.count(1)
 
@@ -33,14 +34,74 @@ RpcHandler = Callable[[dict], Any]
 
 
 class Datastore:
-    """One named configuration datastore."""
+    """One named configuration datastore.
+
+    The content is any JSON value.  An install config (``{"nffg":
+    ...}``) is held as its yang tree plus the tree's digest: an edit
+    script applies to the tree in place and moves the digest by what it
+    changed, so a delta commit neither copies nor re-encodes the store.
+    The JSON form of such a store is kept from the last :meth:`set` and
+    otherwise rebuilt on demand.
+    """
 
     def __init__(self, name: str, config: Any = None):
         self.name = name
-        self.config = config
+        self.set(config)
+
+    def set(self, config: Any) -> None:
+        """Replace the content with ``config``, which the store keeps
+        (callers hand over a private value)."""
+        self._json = config
+        self.tree: Optional[DataNode] = None
+        #: of :attr:`tree`; None without one, or when a failed patch or
+        #: apply left the content in doubt — no edit script matches then
+        self.digest: Optional[int] = None
+        if isinstance(config, dict) and set(config) == {"nffg"}:
+            try:
+                self.tree = config_to_tree(config)
+            except ValidationError:
+                return  # not an install config after all: stays plain
+            self.digest = self.tree.digest()
+
+    @property
+    def config(self) -> Any:
+        """The content in JSON form (shared: not to be mutated)."""
+        if self._json is None and self.tree is not None:
+            self._json = tree_to_config(self.tree)
+        return self._json
 
     def snapshot(self) -> Any:
         return copy.deepcopy(self.config)
+
+    def take(self, other: "Datastore") -> None:
+        """Become a copy of ``other``."""
+        self._json = other._json
+        self.tree = other.tree.copy() if other.tree is not None else None
+        self.digest = other.digest
+
+    def patch(self, entries: list[DiffEntry],
+              digest: Optional[int] = None) -> None:
+        """Apply an edit script to the tree in place.  The digest follows
+        entry by entry — unless the caller knows what the script leads
+        to, having applied it to a store equal to this one.  A script
+        that does not apply leaves the digest unset."""
+        if self.tree is None:
+            raise ValidationError(f"{self.name} holds no install config")
+        before, self.digest, self._json = self.digest, None, None
+        if digest is None:
+            digest = before
+            for entry in entries:
+                digest ^= _digest_at(self.tree, entry.path)
+                apply_patch(self.tree, [entry])
+                digest ^= _digest_at(self.tree, entry.path)
+        else:
+            apply_patch(self.tree, entries)
+        self.digest = digest
+
+
+def _digest_at(tree: DataNode, path: str) -> int:
+    node = find(tree, path)
+    return 0 if node is None else node.measure(path)[0]
 
 
 class NetconfServer:
@@ -51,8 +112,11 @@ class NetconfServer:
         self.name = name
         self.capabilities = list(capabilities or []) + BASE_CAPABILITIES
         self.running = Datastore("running", initial_config)
-        self.candidate = Datastore("candidate",
-                                   copy.deepcopy(initial_config))
+        self.candidate = Datastore("candidate")
+        self.candidate.take(self.running)
+        #: the edit script that made the candidate out of a copy of
+        #: running; None once the candidate was edited any other way
+        self._pending: Optional[list[DiffEntry]] = []
         self.session_id = 0
         self.channel: Optional[ControlChannel] = None
         self._apply_callbacks: list[ApplyCallback] = []
@@ -68,8 +132,9 @@ class NetconfServer:
         channel.bind_b(self._on_message)
 
     def on_apply(self, callback: ApplyCallback) -> None:
-        """Called with the new running config after each commit or
-        successful edit of the running store."""
+        """Called after each commit or successful edit of the running
+        store with the change: the list of :class:`DiffEntry` when
+        running was patched, else the new running config."""
         self._apply_callbacks.append(callback)
 
     def register_rpc(self, op: str, handler: RpcHandler) -> None:
@@ -118,11 +183,12 @@ class NetconfServer:
         if op == "commit":
             return self._commit()
         if op == "discard-changes":
-            self.candidate.config = self.running.snapshot()
+            self.candidate.take(self.running)
+            self._pending = []
             return {"ok": True}
         if op == "validate":
-            problems = self.validate_config(
-                self._store(params.get("source", "candidate")).snapshot())
+            problems = self._problems(
+                self._store(params.get("source", "candidate")))
             if problems:
                 raise NetconfServerError("invalid-value", "; ".join(problems))
             return {"ok": True}
@@ -155,22 +221,26 @@ class NetconfServer:
         target = self._store(params.get("target", "candidate"))
         operation = params.get("operation", "merge")
         config = params.get("config")
+        entries = None
         if operation == "replace":
-            target.config = copy.deepcopy(config)
+            target.set(copy.deepcopy(config))
         elif operation == "merge":
-            target.config = _merge(target.snapshot(), config)
+            target.set(_merge(target.config, config))
         elif operation == "delete":
-            target.config = None
+            target.set(None)
         elif operation == "patch":
-            target.config = self._patched_config(config)
+            entries = self._patch(target, config)
         else:
             raise NetconfServerError("bad-attribute",
                                      f"unknown operation {operation!r}")
         if target is self.running:
-            self._apply(self.running.snapshot())
+            self._pending = None
+            self._apply(entries)
+        else:
+            self._pending = entries
         return {"ok": True}
 
-    def _patched_config(self, patch: Any) -> Any:
+    def _patch(self, target: Datastore, patch: Any) -> list[DiffEntry]:
         """Apply a delta edit script on top of the *running* config.
 
         The patch carries the digest of the base the client diffed
@@ -182,42 +252,68 @@ class NetconfServer:
         if not isinstance(patch, dict) or "entries" not in patch:
             raise NetconfServerError("bad-element",
                                      "patch config needs 'entries'")
-        base = self.running.snapshot()
-        if base is None:
+        digest = self.running.digest
+        if digest is None:
             raise NetconfServerError("delta-mismatch",
                                      "no running config to patch")
-        digest = config_digest(base)
-        if digest != patch.get("base_digest"):
+        if f"{digest:016x}" != patch.get("base_digest"):
             raise NetconfServerError(
                 "delta-mismatch",
-                f"patch base {patch.get('base_digest')!r} != running {digest!r}")
-        tree = config_to_tree(base)
+                f"patch base {patch.get('base_digest')!r} != running "
+                f"{digest:016x}")
         entries = [DiffEntry.from_dict(entry) for entry in patch["entries"]]
+        if target is self.candidate and self._pending != []:
+            target.take(self.running)  # drop whatever was staged
         try:
-            apply_patch(tree, entries)
+            target.patch(entries)
         except ValidationError as exc:
+            self._pending = None
             raise NetconfServerError("delta-mismatch",
                                      f"patch does not apply: {exc}") from exc
-        return tree_to_config(tree)
+        return entries
+
+    def _problems(self, store: Datastore) -> list[str]:
+        if store is self.candidate and self._pending:
+            return self.validate_patch(self._pending)
+        return self.validate_config(store.config)
 
     def _commit(self) -> Any:
-        problems = self.validate_config(self.candidate.snapshot())
+        problems = self._problems(self.candidate)
         if problems:
             raise NetconfServerError("invalid-value",
                                      "validation failed: " + "; ".join(problems))
-        self.running.config = self.candidate.snapshot()
-        self._apply(self.running.snapshot())
+        entries, self._pending = self._pending or None, []
+        if entries:
+            self.running.patch(entries, self.candidate.digest)
+        else:
+            self.running.take(self.candidate)
+        self._apply(entries)
         return {"ok": True}
 
-    def _apply(self, config: Any) -> None:
-        for callback in self._apply_callbacks:
-            callback(config)
+    def _apply(self, entries: Optional[list[DiffEntry]]) -> None:
+        """Hand the committed change to the callbacks.  One that raises
+        leaves the domain in doubt, so the digest is unset: every later
+        patch is refused until a replace resyncs the domain in full."""
+        change = entries if entries else self.running.snapshot()
+        try:
+            for callback in self._apply_callbacks:
+                callback(change)
+        except BaseException:
+            self.running.digest = None
+            raise
 
     # -- extension points -----------------------------------------------------------
 
     def validate_config(self, config: Any) -> list[str]:
         """Override for model-aware validation; [] means valid."""
         return []
+
+    def validate_patch(self, entries: list[DiffEntry]) -> list[str]:
+        """Validate the candidate given the edit script that made it out
+        of running (already applied to ``candidate.tree``).  Override to
+        check only what the entries name; the default validates the
+        whole candidate."""
+        return self.validate_config(self.candidate.config)
 
     def state_data(self) -> dict[str, Any]:
         """Override to expose operational state in <get>."""

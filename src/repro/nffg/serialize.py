@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.nffg.graph import NFFG, NFFGError
+from repro.nffg.graph import NFFG, EdgeObj, NFFGError, NodeObj
 from repro.nffg.model import (
     EdgeLink,
     EdgeReq,
@@ -40,27 +40,35 @@ def nffg_to_dict(nffg: NFFG) -> dict[str, Any]:
     }
 
 
+def node_from_dict(data: dict[str, Any]) -> NodeObj:
+    """Rebuild one node from its ``to_dict`` form."""
+    loader = _NODE_LOADERS.get(data.get("type"))
+    if loader is None:
+        raise NFFGError(f"unknown node type {data.get('type')!r}")
+    return loader(data)
+
+
+def edge_from_dict(data: dict[str, Any]) -> EdgeObj:
+    """Rebuild one edge from its ``to_dict`` form."""
+    edge_type = data.get("type", "STATIC")
+    if edge_type in (LinkType.STATIC.value, LinkType.DYNAMIC.value):
+        return EdgeLink.from_dict(data)
+    if edge_type == LinkType.SG.value:
+        return EdgeSGHop.from_dict(data)
+    if edge_type == LinkType.REQUIREMENT.value:
+        return EdgeReq.from_dict(data)
+    raise NFFGError(f"unknown edge type {edge_type!r}")
+
+
 def nffg_from_dict(data: dict[str, Any]) -> NFFG:
     """Rebuild an NFFG from :func:`nffg_to_dict` output."""
     nffg = NFFG(id=data.get("id", "NFFG"), name=data.get("name", ""),
                 version=data.get("version", "1.0"))
     nffg.metadata.update(data.get("metadata", {}))
     for node_data in data.get("nodes", []):
-        node_type = node_data.get("type")
-        loader = _NODE_LOADERS.get(node_type)
-        if loader is None:
-            raise NFFGError(f"unknown node type {node_type!r}")
-        nffg.add_node_copy(loader(node_data))
+        nffg.add_node_copy(node_from_dict(node_data))
     for edge_data in data.get("edges", []):
-        edge_type = edge_data.get("type", "STATIC")
-        if edge_type in (LinkType.STATIC.value, LinkType.DYNAMIC.value):
-            nffg.add_edge_copy(EdgeLink.from_dict(edge_data))
-        elif edge_type == LinkType.SG.value:
-            nffg.add_edge_copy(EdgeSGHop.from_dict(edge_data))
-        elif edge_type == LinkType.REQUIREMENT.value:
-            nffg.add_edge_copy(EdgeReq.from_dict(edge_data))
-        else:
-            raise NFFGError(f"unknown edge type {edge_type!r}")
+        nffg.add_edge_copy(edge_from_dict(edge_data))
     return nffg
 
 

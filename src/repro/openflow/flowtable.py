@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,8 +63,8 @@ class FlowTable:
             self._entries = [e for e in self._entries
                              if not (e.match == msg.match
                                      and e.priority == msg.priority)]
-            self._entries.append(entry)
-            self._entries.sort(key=lambda e: (-e.priority, e.installed_at))
+            insort(self._entries, entry,
+                   key=lambda e: (-e.priority, e.installed_at))
         elif msg.command == FlowModCommand.MODIFY:
             for entry in self._entries:
                 if entry.match == msg.match:

@@ -27,7 +27,7 @@ from typing import Any, Optional
 from repro.cloud.domain import CloudDomain, CloudLocalOrchestrator
 from repro.emu.domain import EmulatedDomain
 from repro.emu.orchestrator import EmuDomainOrchestrator
-from repro.infra.flowprog import program_infra_flows
+from repro.infra.flowprog import FlowProgrammer, install_rules, port_flows
 from repro.netconf.client import NetconfClient, NetconfError
 from repro.netconf.messages import DELTA_CAPABILITY
 from repro.netconf.server import NetconfServer
@@ -41,9 +41,9 @@ from repro.resilience.retry import RetryPolicy
 from repro import obs, sanitize
 from repro.sdnnet.domain import SDNDomain
 from repro.un.domain import UniversalNodeDomain, UNLocalOrchestrator
-from repro.yang.config import config_digest, config_to_tree
+from repro.yang.config import config_to_tree
 from repro.yang.data import DataNode
-from repro.yang.diff import diff_trees, patch_size_bytes
+from repro.yang.diff import DiffEntry, diff_trees, find, patch_size_bytes
 
 #: library-default retry budget applied when an adapter has no policy
 #: of its own: 3 attempts, exponential seeded-jitter backoff, transient
@@ -226,18 +226,36 @@ def _payload_bytes(config: Any) -> int:
     return len(json.dumps(config, sort_keys=True, default=str).encode())
 
 
+def _patch_effect(old: DataNode, new: DataNode,
+                  entries: list[DiffEntry]) -> tuple[int, int]:
+    """What the edit script between two trees does to the digest (an XOR
+    mask) and to the payload size (bytes of leaf values), read off the
+    subtrees the entries address and nothing else."""
+    mask = growth = 0
+    for entry in entries:
+        for tree, sign in ((old, -1), (new, 1)):
+            node = find(tree, entry.path)
+            if node is not None:
+                digest, size = node.measure(entry.path)
+                mask ^= digest
+                growth += sign * size
+    return mask, growth
+
+
 class _NetconfAdapter(DomainAdapter):
     """Shared NETCONF client plumbing for NETCONF-managed domains.
 
     Delta pushes: the adapter remembers the last *acknowledged* config
-    (the install that made it through commit) as an install-config tree
-    plus digest, tagged with a monotonically increasing
-    ``delta_generation``.  Subsequent installs diff against that tree
-    and ship a digest-guarded edit-config patch; a full replace goes out
-    on first contact, when the caller forces it (reconcile, half-open
-    probes, pushes after a failure), or when the server rejects the
-    patch base.  Any exception mid-push leaves the server state unknown,
-    so the acknowledged config is dropped and the next attempt is full.
+    (the install that made it through commit) with its digest and
+    payload size, tagged with a monotonically increasing
+    ``delta_generation``.  Subsequent installs diff against it — the
+    new tree re-uses every member of the acknowledged one that did not
+    change — and ship a digest-guarded edit-config patch; digest and
+    size move by what the patch changed, they are not recomputed.  A full replace goes out on first contact,
+    when the caller forces it (reconcile, half-open probes, pushes after
+    a failure), or when the server rejects the patch base.  Any
+    exception mid-push leaves the server state unknown, so the
+    acknowledged config is dropped and the next attempt is full.
     """
 
     def __init__(self, name: str, domain_type: DomainType,
@@ -247,25 +265,28 @@ class _NetconfAdapter(DomainAdapter):
         server.bind(self.channel)
         self.client = NetconfClient(f"{name}-client", self.channel)
         self.client.hello()
+        self._acked_config: Optional[dict] = None
         self._acked_tree: Optional[DataNode] = None
-        self._acked_digest: Optional[str] = None
+        self._acked_digest: Optional[int] = None
+        #: payload bytes of the acknowledged config (accounting only)
+        self._acked_bytes = 0
         #: bumped on every acknowledged push; the generation the acked
         #: config belongs to (0 = never pushed / state forgotten)
         self.delta_generation = 0
-        #: payload bytes of the most recent full push (accounting only)
-        self._last_push_bytes = 0
 
     def reset_delta_state(self) -> None:
-        self._acked_tree = None
+        self._acked_config = self._acked_tree = None
         self._acked_digest = None
 
-    def _ack(self, config: Any, tree: Optional[DataNode]) -> None:
-        self._acked_tree = tree if tree is not None else config_to_tree(config)
-        self._acked_digest = config_digest(config)
+    def _ack(self, config: dict, tree: DataNode, digest: int,
+             size: int) -> None:
+        self._acked_config = config
+        self._acked_tree = tree
+        self._acked_digest = digest
+        self._acked_bytes = size
         self.delta_generation += 1
 
     def _push_full(self, config: Any) -> None:
-        self._last_push_bytes = _payload_bytes(config)
         try:
             self.client.edit_config(config, target="candidate",
                                     operation="replace")
@@ -274,7 +295,8 @@ class _NetconfAdapter(DomainAdapter):
         except BaseException:
             self.reset_delta_state()
             raise
-        self._ack(config, tree=None)
+        tree = config_to_tree(config)
+        self._ack(config, tree, tree.digest(), _payload_bytes(config))
 
     def _push(self, install: NFFG) -> None:
         """Full-config replace; re-establishes the delta base.  Also the
@@ -284,44 +306,53 @@ class _NetconfAdapter(DomainAdapter):
 
     def _do_push(self, install: NFFG,
                  force_full: bool = False) -> Optional[PushProfile]:
-        use_delta = (not force_full and self._acked_tree is not None
-                     and self.client.has_capability(DELTA_CAPABILITY))
-        if not use_delta:
-            self._last_push_bytes = 0
-            self._push(install)
-            return PushProfile(messages=3, bytes=self._last_push_bytes)
+        messages = 3
+        if (not force_full and self._acked_config is not None
+                and self.client.has_capability(DELTA_CAPABILITY)):
+            profile = self._push_delta(install)
+            if profile is not None:
+                return profile
+            messages = 4  # the refused patch, then the resync
+        self.reset_delta_state()
+        self._push(install)
+        # a _push override may bypass _push_full and acknowledge nothing
+        return PushProfile(messages=messages,
+                           bytes=self._acked_bytes if self._acked_config else 0)
+
+    def _push_delta(self, install: NFFG) -> Optional[PushProfile]:
+        """Ship the edit script from the acknowledged config to
+        ``install``; None when the server refused the patch base."""
         config = {"nffg": nffg_to_dict(install)}
-        new_tree = config_to_tree(config)
-        entries = diff_trees(self._acked_tree, new_tree)
+        old_tree = self._acked_tree
+        new_tree = config_to_tree(config, reuse=(self._acked_config, old_tree))
+        entries = diff_trees(old_tree, new_tree)
         if not entries:
             # already acknowledged: the domain runs this exact config
             return PushProfile(delta=True, noop=True,
-                               bytes_saved=_payload_bytes(config))
-        delta_bytes = patch_size_bytes(entries)
+                               bytes_saved=self._acked_bytes)
+        patch = [entry.to_dict() for entry in entries]
+        mask, growth = _patch_effect(old_tree, new_tree, entries)
         try:
             try:
-                self.client.edit_config_delta(
-                    self._acked_digest,
-                    [entry.to_dict() for entry in entries])
+                self.client.edit_config_delta(f"{self._acked_digest:016x}",
+                                              patch)
             except NetconfError as exc:
                 if exc.tag != "delta-mismatch":
                     raise
                 # base drifted (server restart, foreign writer): resync
                 counters.incr("push.delta_fallback")
                 obs.event("push.fallback", domain=self.name)
-                self.reset_delta_state()
-                self._last_push_bytes = 0
-                self._push(install)
-                return PushProfile(messages=4, bytes=self._last_push_bytes)
+                return None
             self.client.validate("candidate")
             self.client.commit()
         except BaseException:
             self.reset_delta_state()
             raise
-        self._ack(config, tree=new_tree)
+        self._ack(config, new_tree, self._acked_digest ^ mask,
+                  self._acked_bytes + growth)
+        delta_bytes = patch_size_bytes(entries)
         return PushProfile(messages=3, bytes=delta_bytes, delta=True,
-                           bytes_saved=max(0, _payload_bytes(config)
-                                           - delta_bytes))
+                           bytes_saved=max(0, self._acked_bytes - delta_bytes))
 
     def control_stats(self) -> tuple[int, int]:
         return self.channel.stats.messages, self.channel.stats.bytes
@@ -362,22 +393,17 @@ class SdnDomainAdapter(DomainAdapter):
     def __init__(self, name: str, domain: SDNDomain):
         super().__init__(name, DomainType.SDN)
         self.domain = domain
-        self._installed_dpids: set[str] = set()
+        #: what this adapter installed on the switches; only _push writes
+        self.flows = FlowProgrammer(domain.pox.endpoint)
 
     def get_view(self) -> NFFG:
         return self.domain.domain_view()
 
     def _push(self, install: NFFG) -> None:
-        endpoint = self.domain.pox.endpoint
-        for dpid in self._installed_dpids:
-            endpoint.delete_flows(dpid)
-        self._installed_dpids.clear()
         for infra in install.infras:
             if infra.id not in self.domain.switches:
                 raise KeyError(f"unknown SDN switch {infra.id!r}")
-            program_infra_flows(endpoint, infra.id, infra)
-            endpoint.barrier(infra.id)
-            self._installed_dpids.add(infra.id)
+        self.flows.sync(install_rules(install), port_flows, full=True)
 
     def control_stats(self) -> tuple[int, int]:
         stats = self.domain.pox.endpoint.total_stats()

@@ -17,6 +17,7 @@ from typing import Any, Callable, Optional
 
 import networkx as nx
 
+from repro.infra.flowprog import Flow, FlowProgrammer
 from repro.netem.packet import Packet
 from repro.openflow.controller import ControllerEndpoint
 from repro.openflow.messages import (
@@ -181,14 +182,19 @@ class PathPusherComponent(Component):
         self.priority = priority
         self.paths_installed = 0
 
+    def launch(self, controller: POXController) -> None:
+        super().launch(controller)
+        #: cookie -> the entries pushed under it, per switch
+        self.flows = FlowProgrammer(controller.endpoint)
+
     def push_path(self, *, ingress_dpid: str, ingress_port: str,
                   egress_dpid: str, egress_port: str,
                   match_vlan: Optional[int] = None,
                   flowclass: str = "", cookie: str = "",
                   strip_vlan_at_egress: bool = False) -> list[str]:
         """Returns the dpid path; raises ``networkx.NetworkXNoPath``."""
-        endpoint = self.controller.endpoint
         path = self.topology.shortest_path(ingress_dpid, egress_dpid)
+        flows: list[Flow] = []
         in_port = ingress_port
         for index, dpid in enumerate(path):
             if index < len(path) - 1:
@@ -203,13 +209,17 @@ class PathPusherComponent(Component):
                     and match_vlan is not None):
                 actions.append(ActionPopVlan())
             actions.append(ActionOutput(out_port))
-            endpoint.send_flow_mod(dpid, match=base, actions=actions,
-                                   priority=self.priority, cookie=cookie)
+            flows.append(Flow(dpid, base, tuple(actions), self.priority,
+                              cookie))
             if index < len(path) - 1:
                 in_port = self.topology.ingress_port(dpid, path[index + 1])
+        pushed = self.flows.sources(cookie)
+        pushed[f"path{len(pushed)}"] = tuple(flows)
+        self.flows.sync({cookie: pushed}, lambda _, __, flows: flows)
         self.paths_installed += 1
         return path
 
     def remove_by_cookie(self, cookie: str) -> None:
-        for dpid in self.controller.endpoint.connected_dpids():
-            self.controller.endpoint.delete_flows(dpid, cookie=cookie)
+        """Remove what was pushed under ``cookie``: per entry, and only
+        on the switches that carry one."""
+        self.flows.sync({cookie: {}}, lambda *_: ())

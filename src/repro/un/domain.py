@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.click.catalog import supported_functional_types
-from repro.infra.flowprog import program_infra_flows
+from repro.infra.flowprog import (
+    FlowProgrammer,
+    PortKey,
+    install_rules,
+    rule_flow,
+)
 from repro.infra.nfswitch import NFHostingSwitch
-from repro.netconf.messages import UNIFY_CAPABILITY
-from repro.netconf.server import NetconfServer
+from repro.infra.orchestrator import LocalOrchestrator
 from repro.netem.network import Network
 from repro.netem.node import Host
-from repro.nffg.graph import NFFG
-from repro.nffg.model import DomainType, InfraType, ResourceVector
-from repro.nffg.serialize import nffg_from_dict
+from repro.nffg.graph import NFFG, NodeObj
+from repro.nffg.model import (
+    DomainType,
+    InfraType,
+    NodeInfra,
+    NodeNF,
+    ResourceVector,
+)
 from repro.openflow.controller import ControllerEndpoint
-from repro.un.containers import Container, ContainerRuntime
+from repro.un.containers import Container, ContainerRuntime, ContainerState
 
 
 class LogicalSwitchInstance(NFHostingSwitch):
@@ -104,37 +113,38 @@ class UniversalNodeDomain:
         return view
 
 
-class UNLocalOrchestrator(NetconfServer):
+class UNLocalOrchestrator(LocalOrchestrator):
     """UN local orchestrator: containers + LSI flow control."""
 
     def __init__(self, domain: UniversalNodeDomain):
-        super().__init__(f"{domain.name}-lo", capabilities=[UNIFY_CAPABILITY])
+        super().__init__(f"{domain.name}-lo")
         self.domain = domain
         self.controller = ControllerEndpoint(
             f"{domain.name}-ctl", simulator=domain.network.simulator)
         self.controller.connect_switch(domain.lsi)
+        #: the steering entries on the LSI; only _reconcile and
+        #: _teardown_all write it
+        self.flows = FlowProgrammer(self.controller)
         self._nf_containers: dict[str, Container] = {}
-        self.deploy_count = 0
-        self.on_apply(self._apply_config)
         self.register_rpc("list-containers", lambda params: [
             {"id": c.id, "name": c.name, "image": c.image,
              "state": c.state.value} for c in self.domain.runtime.running()])
 
     # -- NETCONF hooks ------------------------------------------------------------
 
-    def validate_config(self, config: Any) -> list[str]:
-        if config is None:
-            return []
-        try:
-            install = nffg_from_dict(config["nffg"])
-        except Exception as exc:  # noqa: BLE001
-            return [f"config is not a valid NFFG: {exc}"]
-        problems = []
-        for infra in install.infras:
-            if infra.id != self.domain.bisbis_id:
-                problems.append(f"unknown BiS-BiS {infra.id!r}")
-        demand_cpu = sum(nf.resources.cpu for nf in install.nfs)
-        if demand_cpu > self.domain.runtime.cpu_capacity:
+    @staticmethod
+    def _cpu(nodes: list[NodeObj]) -> float:
+        return sum(node.resources.cpu for node in nodes
+                   if isinstance(node, NodeNF))
+
+    def _check_nodes(self, new: list[NodeObj],
+                     old: list[NodeObj]) -> list[str]:
+        problems = [f"unknown BiS-BiS {node.id!r}" for node in new
+                    if isinstance(node, NodeInfra)
+                    and node.id != self.domain.bisbis_id]
+        demand_cpu = (self._cpu(self.install.nodes) - self._cpu(old)
+                      + self._cpu(new))
+        if demand_cpu > self.domain.runtime.cpu_capacity + 1e-9:
             problems.append(
                 f"cpu demand {demand_cpu} exceeds UN capacity "
                 f"{self.domain.runtime.cpu_capacity}")
@@ -150,21 +160,15 @@ class UNLocalOrchestrator(NetconfServer):
 
     # -- reconciliation -----------------------------------------------------------------
 
-    def _apply_config(self, config: Any) -> None:
-        if config is None:
-            self._teardown_all()
-            return
-        install = nffg_from_dict(config["nffg"])
-        self.deploy_count += 1
-        self._reconcile_containers(install)
-        self._reprogram_lsi(install)
-        self.notify("deploy-finished", {"nffg": install.id})
-
-    def _reconcile_containers(self, install: NFFG) -> None:
-        wanted = {nf.id: nf for nf in install.nfs
-                  if install.host_of(nf.id) == self.domain.bisbis_id}
-        for nf_id in list(self._nf_containers):
-            container = self._nf_containers[nf_id]
+    def _reconcile(self, nodes: Optional[set[str]],
+                   ports: Optional[list[PortKey]]) -> None:
+        scope, placed = self._placements(nodes, self._nf_containers)
+        wanted = {nf_id: nf for nf_id, (host, nf) in placed.items()
+                  if host == self.domain.bisbis_id}
+        for nf_id in scope:
+            container = self._nf_containers.get(nf_id)
+            if container is None:
+                continue
             nf = wanted.get(nf_id)
             if nf is None or nf.functional_type != container.image:
                 del self._nf_containers[nf_id]
@@ -182,6 +186,12 @@ class UNLocalOrchestrator(NetconfServer):
             container.on_running(
                 lambda ctr, nf_id=nf_id, ports=nf_ports:
                 self._attach_container(nf_id, ctr, ports))
+        dpid = self.domain.lsi.dpid
+        self.flows.sync(
+            install_rules(self.install, ports),
+            lambda port, _, rule: (rule_flow(dpid, port[1], rule),),
+            full=ports is None)
+        self.notify("deploy-finished", {"nffg": self.install.id})
 
     def _attach_container(self, nf_id: str, container: Container,
                           nf_ports: list[int]) -> None:
@@ -189,24 +199,16 @@ class UNLocalOrchestrator(NetconfServer):
         self.domain.lsi.attach_nf(nf_id, container.process, nf_ports=nf_ports)
         self.notify("vnf-started", {"id": nf_id, "container": container.id})
 
-    def _reprogram_lsi(self, install: NFFG) -> None:
-        dpid = self.domain.lsi.dpid
-        self.controller.delete_flows(dpid)
-        if install.has_node(self.domain.bisbis_id):
-            infra = install.infra(self.domain.bisbis_id)
-            program_infra_flows(self.controller, dpid, infra)
-        self.controller.barrier(dpid)
-
     def _teardown_all(self) -> None:
         for nf_id, container in list(self._nf_containers.items()):
             self.domain.lsi.detach_nf(nf_id)
             self.domain.runtime.stop(container.id)
         self._nf_containers.clear()
         self.controller.delete_flows(self.domain.lsi.dpid)
+        self.flows.clear()
 
     # -- helpers -----------------------------------------------------------------------
 
     def all_containers_running(self) -> bool:
-        from repro.un.containers import ContainerState
         return all(c.state == ContainerState.RUNNING
                    for c in self._nf_containers.values())

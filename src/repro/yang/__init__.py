@@ -22,8 +22,6 @@ from repro.yang.schema import (
 from repro.yang.data import DataNode, ValidationError, data_from_dict
 from repro.yang.diff import DiffEntry, DiffOp, apply_patch, diff_trees
 from repro.yang.config import (
-    canonical_config,
-    config_digest,
     config_to_tree,
     install_config_schema,
     tree_to_config,
@@ -42,8 +40,6 @@ __all__ = [
     "DiffOp",
     "apply_patch",
     "diff_trees",
-    "canonical_config",
-    "config_digest",
     "config_to_tree",
     "install_config_schema",
     "tree_to_config",

@@ -28,15 +28,19 @@ the domain orchestrators parse.
 Because list instances are keyed, reconstructing a config from a tree
 yields nodes/edges/ports in canonical (key-sorted) order rather than
 graph insertion order.  Equality across push modes is therefore defined
-over :func:`canonical_config` / :func:`config_digest`, which sort
-members the same way on both sides.
+over the tree: :meth:`~repro.yang.data.DataNode.digest` does not depend
+on member order, and both ends of a push hold the tree anyway.
+
+A domain orchestrator does not re-read a whole tree after a delta
+commit: :func:`touched_elements` names the nodes, infra ports and edges
+an edit script addresses, and :func:`node_config` / :func:`port_config`
+/ :func:`edge_config` decode just those.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from typing import Any
+from typing import Any, Iterable, Optional
 
 from repro.yang.data import DataNode, ValidationError
 from repro.yang.schema import Container, Leaf, YangList
@@ -45,8 +49,10 @@ __all__ = [
     "install_config_schema",
     "config_to_tree",
     "tree_to_config",
-    "canonical_config",
-    "config_digest",
+    "touched_elements",
+    "node_config",
+    "port_config",
+    "edge_config",
 ]
 
 
@@ -141,11 +147,31 @@ def _splittable_flowrules(port: dict[str, Any]) -> bool:
     return _splittable(port, "flowrules", _flowrule_key)
 
 
-def config_to_tree(config: dict[str, Any]) -> DataNode:
+def _keyed(member: Optional[dict[str, Any]], field: str,
+           keyer) -> dict[str, dict[str, Any]]:
+    """``member[field]`` by list key when it is split into instances."""
+    if member is None or not _splittable(member, field, keyer):
+        return {}
+    return {keyer(item): item for item in member[field]}
+
+
+def config_to_tree(config: dict[str, Any],
+                   reuse: Optional[tuple[dict[str, Any], DataNode]] = None,
+                   ) -> DataNode:
     """Project an adapter config (``{"nffg": nffg_to_dict(...)}``) onto
-    the install-config schema."""
+    the install-config schema.
+
+    ``reuse`` is an earlier config and the tree built from it: a list
+    instance (node, port, flow rule, edge) that the earlier config holds
+    equal, at the same place, is moved over from that tree instead of
+    being encoded again — one dict comparison, so a tree costs what
+    changed since the one before it.  The earlier tree still lists the
+    moved instances and stays good to diff against and to read.
+    """
     try:
         nffg = config["nffg"]
+        other, donor = ({}, None) if reuse is None else (
+            reuse[0]["nffg"], reuse[1])
     except (TypeError, KeyError):
         raise ValidationError(
             f"install config must be {{'nffg': ...}}-shaped, got {config!r}"
@@ -156,21 +182,43 @@ def config_to_tree(config: dict[str, Any]) -> DataNode:
     tree.set_leaf("version", str(nffg.get("version", "")))
     tree.set_leaf("metadata", _canonical_json(nffg.get("metadata", {})))
     node_holder = tree.list_node("node")
+    other_nodes = {_node_key(m): m for m in other.get("nodes", [])}
+    donor_nodes = donor and donor.child("node")
     for member in nffg.get("nodes", []):
-        instance = node_holder.add_instance(_node_key(member))
+        key = _node_key(member)
+        other_member = other_nodes.get(key)
+        if other_member == member:
+            node_holder.adopt(donor_nodes.instance(key))
+            continue
+        instance = node_holder.add_instance(key)
         if _splittable_ports(member):
             attrs = {name: value for name, value in member.items()
                      if name != "ports"}
             port_holder = instance.list_node("port")
+            other_ports = _keyed(other_member, "ports", _port_key)
+            donor_ports = other_ports and donor_nodes.instance(key).child("port")
             for port in member["ports"]:
-                port_instance = port_holder.add_instance(_port_key(port))
+                port_key = _port_key(port)
+                other_port = other_ports.get(port_key)
+                if other_port == port:
+                    port_holder.adopt(donor_ports.instance(port_key))
+                    continue
+                port_instance = port_holder.add_instance(port_key)
                 if _splittable_flowrules(port):
                     port_attrs = {name: value for name, value in port.items()
                                   if name != "flowrules"}
                     rule_holder = port_instance.list_node("flowrule")
+                    other_rules = _keyed(other_port, "flowrules",
+                                         _flowrule_key)
+                    donor_rules = other_rules and donor_ports.instance(
+                        port_key).child("flowrule")
                     for flowrule in port["flowrules"]:
-                        rule_holder.add_instance(_flowrule_key(flowrule)) \
-                            .set_leaf("body", _canonical_json(flowrule))
+                        rule_key = _flowrule_key(flowrule)
+                        if other_rules.get(rule_key) == flowrule:
+                            rule_holder.adopt(donor_rules.instance(rule_key))
+                        else:
+                            rule_holder.add_instance(rule_key).set_leaf(
+                                "body", _canonical_json(flowrule))
                 else:
                     port_attrs = port
                 port_instance.set_leaf("attrs", _canonical_json(port_attrs))
@@ -178,10 +226,42 @@ def config_to_tree(config: dict[str, Any]) -> DataNode:
             attrs = member
         instance.set_leaf("attrs", _canonical_json(attrs))
     edge_holder = tree.list_node("edge")
+    other_edges = {_edge_key(m): m for m in other.get("edges", [])}
+    donor_edges = donor and donor.child("edge")
     for member in nffg.get("edges", []):
-        edge_holder.add_instance(_edge_key(member)) \
-            .set_leaf("body", _canonical_json(member))
+        key = _edge_key(member)
+        if other_edges.get(key) == member:
+            edge_holder.adopt(donor_edges.instance(key))
+        else:
+            edge_holder.add_instance(key).set_leaf(
+                "body", _canonical_json(member))
     return tree
+
+
+def _port_member(instance: DataNode) -> dict[str, Any]:
+    port = json.loads(instance.get("attrs", "null"))
+    if instance.has_child("flowrule"):
+        holder = instance.child("flowrule")
+        flowrules = [json.loads(holder.instance(key).get("body", "null"))
+                     for key in sorted(holder.instance_keys())]
+        if flowrules:
+            port["flowrules"] = flowrules
+    return port
+
+
+def _node_member(instance: DataNode) -> dict[str, Any]:
+    member = json.loads(instance.get("attrs", "null"))
+    if instance.has_child("port"):
+        holder = instance.child("port")
+        ports = [_port_member(holder.instance(key))
+                 for key in sorted(holder.instance_keys())]
+        if ports:
+            member["ports"] = ports
+    return member
+
+
+def _edge_member(instance: DataNode) -> dict[str, Any]:
+    return json.loads(instance.get("body", "null"))
 
 
 def tree_to_config(tree: DataNode) -> dict[str, Any]:
@@ -189,34 +269,11 @@ def tree_to_config(tree: DataNode) -> dict[str, Any]:
     tree.  Nodes, edges and ports come back in canonical (key-sorted)
     order."""
 
-    def port_member(instance: DataNode) -> dict[str, Any]:
-        port = json.loads(instance.get("attrs", "null"))
-        if instance.has_child("flowrule"):
-            holder = instance.child("flowrule")
-            flowrules = [json.loads(holder.instance(key).get("body", "null"))
-                         for key in sorted(holder.instance_keys())]
-            if flowrules:
-                port["flowrules"] = flowrules
-        return port
-
-    def node_member(instance: DataNode) -> dict[str, Any]:
-        member = json.loads(instance.get("attrs", "null"))
-        if instance.has_child("port"):
-            holder = instance.child("port")
-            ports = [port_member(holder.instance(key))
-                     for key in sorted(holder.instance_keys())]
-            if ports:
-                member["ports"] = ports
-        return member
-
-    def members(list_name: str) -> list[dict[str, Any]]:
+    def members(list_name: str, decode) -> list[dict[str, Any]]:
         if not tree.has_child(list_name):
             return []
         holder = tree.child(list_name)
-        if list_name == "node":
-            return [node_member(holder.instance(key))
-                    for key in sorted(holder.instance_keys())]
-        return [json.loads(holder.instance(key).get("body", "null"))
+        return [decode(holder.instance(key))
                 for key in sorted(holder.instance_keys())]
 
     return {"nffg": {
@@ -224,53 +281,53 @@ def tree_to_config(tree: DataNode) -> dict[str, Any]:
         "name": tree.get("name", ""),
         "version": tree.get("version", ""),
         "metadata": json.loads(tree.get("metadata", "{}")),
-        "nodes": members("node"),
-        "edges": members("edge"),
+        "nodes": members("node", _node_member),
+        "edges": members("edge", _edge_member),
     }}
 
 
-def canonical_config(config: dict[str, Any]) -> dict[str, Any]:
-    """The config with nodes/edges sorted by their list keys, each
-    node's ports by port id and each port's flow rules by hop id — the
-    mode-independent form both digest and equality checks use."""
-
-    def canonical_port(port: dict[str, Any]) -> dict[str, Any]:
-        if not _splittable_flowrules(port):
-            return port
-        canonical = dict(port)
-        canonical["flowrules"] = sorted(port["flowrules"], key=_flowrule_key)
-        return canonical
-
-    def canonical_node(member: dict[str, Any]) -> dict[str, Any]:
-        if not _splittable_ports(member):
-            return member
-        canonical = dict(member)
-        canonical["ports"] = sorted(
-            (canonical_port(port) for port in member["ports"]),
-            key=_port_key)
-        return canonical
-
-    nffg = config.get("nffg") if isinstance(config, dict) else None
-    if not isinstance(nffg, dict):
-        return config
-    canonical = dict(nffg)
-    canonical["nodes"] = sorted(
-        (canonical_node(member) for member in nffg.get("nodes", [])),
-        key=_node_key)
-    canonical["edges"] = sorted(nffg.get("edges", []), key=_edge_key)
-    result = dict(config)
-    result["nffg"] = canonical
-    return result
+def node_config(tree: DataNode, key: str) -> Optional[dict[str, Any]]:
+    """The config dict of node ``key`` (ports included), None if absent."""
+    instance = tree.find(f"node[{key}]")
+    return None if instance is None else _node_member(instance)
 
 
-def config_digest(config: dict[str, Any]) -> str:
-    """Short hex digest over the canonical JSON form of ``config``.
+def port_config(tree: DataNode, node_key: str,
+                port_key: str) -> Optional[dict[str, Any]]:
+    """The config dict of one port (flow rules included), None if absent."""
+    instance = tree.find(f"node[{node_key}]/port[{port_key}]")
+    return None if instance is None else _port_member(instance)
 
-    Both ends derive it locally: the client stamps its last acknowledged
-    config, the server its running config.  A delta push carries the
-    client's digest as the expected base; any drift (restart, missed
-    commit, concurrent writer) surfaces as a mismatch and forces a full
-    resync instead of silently corrupting domain state.
+
+def edge_config(tree: DataNode, key: str) -> Optional[dict[str, Any]]:
+    """The config dict of edge ``key`` (``<type>|<id>``), None if absent."""
+    instance = tree.find(f"edge[{key}]")
+    return None if instance is None else _edge_member(instance)
+
+
+def touched_elements(paths: Iterable[str],
+                     ) -> tuple[set[str], set[tuple[str, str]], set[str]]:
+    """What the entry ``paths`` of an install-config edit script address:
+    ``(node keys, (node key, port key) pairs, edge keys)``.
+
+    A node is named when it was created, deleted or changed outside its
+    ports (such a node is re-read whole, so its ports are not listed);
+    a port when anything at or below it changed.  Top-level leaves (id,
+    name, version, metadata) name nothing.
     """
-    payload = _canonical_json(canonical_config(config))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    nodes: set[str] = set()
+    ports: set[tuple[str, str]] = set()
+    edges: set[str] = set()
+    for path in paths:
+        tokens = path.strip("/").split("/")[1:]
+        name, _, rest = tokens[0].partition("[") if tokens else ("", "", "")
+        key = rest.rstrip("]")
+        if name == "edge" and rest:
+            edges.add(key)
+        elif name == "node" and rest:
+            port = tokens[1] if len(tokens) > 1 else ""
+            if port.startswith("port["):
+                ports.add((key, port[len("port["):].rstrip("]")))
+            else:
+                nodes.add(key)
+    return nodes, {pair for pair in ports if pair[0] not in nodes}, edges

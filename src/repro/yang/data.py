@@ -9,6 +9,7 @@ a canonicalized value.  Paths use the compact form
 from __future__ import annotations
 
 import json
+from hashlib import blake2b
 from typing import Any, Iterator, Optional
 
 from repro.yang.schema import Container, Leaf, SchemaNode, YangList
@@ -18,8 +19,17 @@ class ValidationError(ValueError):
     """Raised when data does not conform to its schema."""
 
 
+#: what a leaf has for children and instances: a leaf is most of a tree,
+#: trees are kept for as long as a config is installed, and every dict of
+#: its own is one more object for each full garbage collection to visit
+_NO_MEMBERS: dict[str, "DataNode"] = {}
+
+
 class DataNode:
     """One node of a data tree, bound to its schema node."""
+
+    __slots__ = ("schema", "key_value", "parent", "value", "_children",
+                 "_instances")
 
     def __init__(self, schema: SchemaNode, key_value: Optional[str] = None):
         self.schema = schema
@@ -27,8 +37,11 @@ class DataNode:
         self.key_value = key_value
         self.parent: Optional[DataNode] = None
         self.value: Any = None                      # leaves only
-        self._children: dict[str, DataNode] = {}    # containers & instances
-        self._instances: dict[str, DataNode] = {}   # list nodes only
+        leaf = isinstance(schema, Leaf)
+        #: containers & instances
+        self._children: dict[str, DataNode] = _NO_MEMBERS if leaf else {}
+        #: list nodes only
+        self._instances: dict[str, DataNode] = _NO_MEMBERS if leaf else {}
 
     # -- classification ---------------------------------------------------
 
@@ -101,6 +114,15 @@ class DataNode:
         self._instances[key_value] = instance
         return instance
 
+    def adopt(self, instance: "DataNode") -> None:
+        """Take over a finished instance of this list from another tree
+        (which keeps listing it, but is no longer its parent)."""
+        if instance.key_value in self._instances:
+            raise ValidationError(
+                f"duplicate list key {instance.key_value!r} at {self.path()}")
+        instance.parent = self
+        self._instances[instance.key_value] = instance
+
     def instance(self, key_value: str) -> "DataNode":
         try:
             return self._instances[str(key_value)]
@@ -171,6 +193,19 @@ class DataNode:
                 node = node.parent
         return "/" + "/".join(reversed(parts))
 
+    def find(self, path: str) -> Optional["DataNode"]:
+        """The node at a path relative to this node, or None; unlike
+        :meth:`resolve` a miss neither raises nor creates anything."""
+        node: Optional[DataNode] = self
+        for token in [t for t in path.strip("/").split("/") if t]:
+            name, _, rest = token.partition("[")
+            node = node._children.get(name)
+            if node is not None and rest:
+                node = node._instances.get(rest.rstrip("]"))
+            if node is None:
+                return None
+        return node
+
     def resolve(self, path: str) -> "DataNode":
         """Resolve a path relative to this node ('' or '/' = self)."""
         node: DataNode = self
@@ -210,6 +245,41 @@ class DataNode:
                     problems.append(f"{self.path()}/{name}: mandatory leaf missing")
         for child in self._children.values():
             child._validate_into(problems)
+
+    # -- digest ---------------------------------------------------------------------
+
+    def digest(self) -> int:
+        """Order-independent 64-bit content hash (see :meth:`measure`)."""
+        return self.measure()[0]
+
+    def measure(self, path: Optional[str] = None) -> tuple[int, int]:
+        """``(hash, size)`` of this subtree: the XOR of one 64-bit hash
+        per set leaf, taken over the leaf's path and value, and the
+        summed length of the values.
+
+        Neither depends on member order, and both move incrementally —
+        replacing a subtree changes the whole tree's hash by ``old ^
+        new`` and its size by ``new - old`` — which is how both ends of
+        a delta push keep the digest of a config that neither of them
+        re-encodes."""
+        if path is None:
+            path = self.path()
+        if self.is_leaf:
+            if self.value is None:
+                return 0, 0
+            text = f"{path}={self.value}"
+            return int.from_bytes(blake2b(text.encode(), digest_size=8)
+                                  .digest(), "big"), len(text) - len(path)
+        members = ((f"{path}[{key}]", node)
+                   for key, node in self._instances.items()) \
+            if self.is_list else ((f"{path}/{name}", node)
+                                  for name, node in self._children.items())
+        digest = size = 0
+        for member_path, node in members:
+            part, length = node.measure(member_path)
+            digest ^= part
+            size += length
+        return digest, size
 
     # -- copy / serialization ------------------------------------------------------
 

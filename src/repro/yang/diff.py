@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.yang.data import DataNode, ValidationError, _fill_from_dict
 
@@ -51,6 +51,8 @@ def diff_trees(old: DataNode, new: DataNode) -> list[DiffEntry]:
 
 
 def _diff_node(old: DataNode, new: DataNode, entries: list[DiffEntry]) -> None:
+    if old is new:  # a subtree both trees share
+        return
     if old.is_leaf:
         if old.value != new.value:
             if new.value is None:
@@ -127,6 +129,11 @@ def apply_patch(tree: DataNode, entries: list[DiffEntry]) -> DataNode:
         else:  # pragma: no cover - enum is exhaustive
             raise ValidationError(f"unknown diff op {entry.op}")
     return tree
+
+
+def find(tree: DataNode, path: str) -> Optional[DataNode]:
+    """The node an entry path addresses in ``tree``, or None."""
+    return tree.find(_strip_root(path, tree.schema.name))
 
 
 def _resolve_creating(tree: DataNode, path: str) -> DataNode:

@@ -73,6 +73,55 @@ class TestAdapterFaultIsolation:
         assert third.control_messages == 0
 
 
+class TestDeltaResync:
+    def _emu(self):
+        net = Network()
+        domain = EmulatedDomain("emu", net, node_ids=["bb0"])
+        domain.add_sap("sap1", "bb0")
+        domain.add_sap("sap2", "bb0")
+        return domain, EmuDomainAdapter("emu", domain)
+
+    def _install(self, domain, hops):
+        install = domain.domain_view()
+        for hop_id in hops:
+            install.infra("bb0").port("sap-sap1").add_flowrule(
+                f"in_port=sap-sap1;flowclass=tp_dst={hop_id[1:]}",
+                "output=sap-sap2", hop_id=hop_id)
+        return install
+
+    def test_failed_apply_makes_the_next_push_a_full_resync(self):
+        domain, adapter = self._emu()
+        orchestrator = adapter.orchestrator
+        assert adapter.install(self._install(domain, ["h1"])).success
+        reconcile = orchestrator._reconcile
+        orchestrator._reconcile = lambda nodes, ports: 1 / 0
+        failed = adapter.install(self._install(domain, ["h1", "h2"]))
+        assert not failed.success and "ZeroDivisionError" in failed.error
+        orchestrator._reconcile = reconcile
+        # the patch had reached the datastore but not the switch: only a
+        # full push (diffed against what *is* installed) brings h2
+        resync = adapter.install(self._install(domain, ["h1", "h2"]))
+        assert resync.success and not resync.delta
+        assert domain.switches["bb0"].flow_count() == 2
+        after = adapter.install(self._install(domain, ["h2"]))
+        assert after.success and after.delta
+        assert [e.cookie for e in domain.switches["bb0"].table.entries()] \
+            == ["h2"]
+
+    def test_drifted_server_is_resynced_through_the_fallback(self):
+        domain, adapter = self._emu()
+        assert adapter.install(self._install(domain, ["h1"])).success
+        # the domain orchestrator restarted with an empty datastore
+        adapter.client.edit_config(None, operation="delete")
+        adapter.client.commit()
+        assert domain.switches["bb0"].flow_count() == 0
+        report = adapter.install(self._install(domain, ["h1", "h2"]))
+        assert report.success and not report.delta
+        assert report.messages == 4  # refused patch + replace/validate/commit
+        assert domain.switches["bb0"].flow_count() == 2
+        assert adapter.install(self._install(domain, ["h1", "h2"])).delta
+
+
 class TestSdnAdapter:
     def _setup(self):
         net = Network()
@@ -112,8 +161,11 @@ class TestSdnAdapter:
         install.infra("sw0").port("sap-a").add_flowrule(
             "in_port=sap-a", "output=to-sw1", hop_id="h1")
         adapter.install(install)
+        sent = domain.pox.endpoint.flow_mods_sent
         adapter.install(install)
         assert domain.switches["sw0"].flow_count() == 1
+        # nothing changed: nothing was sent, not even to delete and re-add
+        assert domain.pox.endpoint.flow_mods_sent == sent
 
     def test_teardown_clears(self):
         net, domain, adapter = self._setup()

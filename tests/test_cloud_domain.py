@@ -228,3 +228,59 @@ class TestCloudDomain:
         state = client.get()["state"]
         assert state["deploys"] == 1
         assert "fw" in state["vms"]
+
+
+class TestTransportVlans:
+    def _collide(self):
+        """Hop ids whose transport VLANs, as they used to be derived
+        (from the hop id and the rule's position in the config), are
+        equal for the first and the second rule."""
+        from repro.infra.tags import vlan_for_hop
+        first = {vlan_for_hop(f"transport:a{n}:1"): f"a{n}"
+                 for n in range(200)}
+        for n in range(200):
+            vlan = vlan_for_hop(f"transport:b{n}:2")
+            if vlan in first:
+                return first[vlan], f"b{n}"
+        raise AssertionError("no collision among 200 x 200 hop ids")
+
+    def _push(self, cloud, rules):
+        net, domain, orchestrator, client = cloud
+        view = domain.domain_view()
+        port = view.infra(domain.bisbis_id).port("sap-in")
+        for hop_id, tp_dst, out in rules:
+            port.add_flowrule(f"in_port=sap-in;flowclass=tp_dst={tp_dst}",
+                              f"output=sap-{out}", hop_id=hop_id)
+        client.edit_config({"nffg": nffg_to_dict(view)}, operation="replace")
+        client.commit()
+
+    def test_colliding_hop_ids_get_distinct_fabric_vlans(self, cloud):
+        """Two paths through one spine port, to different egress ports:
+        with one transport VLAN between them the later path's entries
+        replaced the earlier one's and its traffic left the wrong way."""
+        net, domain, orchestrator, client = cloud
+        domain.add_sap("out2", leaf_index=1)
+        hop_a, hop_b = self._collide()
+        self._push(cloud, [(hop_a, 80, "out"), (hop_b, 81, "out2")])
+        vlans = orchestrator._transport_vlans["sap-in"]
+        assert vlans[hop_a] != vlans[hop_b]
+        h_in = domain.sap_hosts["in"]
+        for tp_dst in (80, 81):
+            h_in.send(tcp_packet(h_in.ip, domain.sap_hosts["out"].ip,
+                                 tp_dst=tp_dst))
+        net.run()
+        assert [p.tp_dst for p in domain.sap_hosts["out"].received] == [80]
+        assert [p.tp_dst for p in domain.sap_hosts["out2"].received] == [81]
+
+    def test_vlan_survives_neighbours_and_returns_to_the_pool(self, cloud):
+        net, domain, orchestrator, client = cloud
+        self._push(cloud, [("h1", 80, "out"), ("h2", 81, "out")])
+        vlan = orchestrator._transport_vlans["sap-in"]["h2"]
+        free = len(orchestrator._free_vlans)
+        mods = domain.odl.endpoint.flow_mods_sent
+        # h1 goes: h2, now first in the config, keeps its VLAN and its
+        # entries; only h1's three entries are deleted
+        self._push(cloud, [("h2", 81, "out")])
+        assert orchestrator._transport_vlans == {"sap-in": {"h2": vlan}}
+        assert len(orchestrator._free_vlans) == free + 1
+        assert domain.odl.endpoint.flow_mods_sent == mods + 3

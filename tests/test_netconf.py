@@ -165,3 +165,118 @@ class TestErrorsAndExtensions:
         client.get_config()
         assert channel.stats.bytes > before
         assert channel.stats.messages_to_b >= 2
+
+
+# -- install configs: patched in place, guarded by the digest -------------------
+
+
+def _install_config(flowrules):
+    """A one-switch install config with ``flowrules`` (hop ids) on p1."""
+    from repro.nffg import NFFG
+    from repro.nffg.serialize import nffg_to_dict
+    nffg = NFFG(id="install")
+    infra = nffg.add_infra("bb")
+    port = infra.add_port("p1")
+    infra.add_port("p2")
+    for hop_id in flowrules:
+        port.add_flowrule(f"in_port=p1;flowclass=tp_dst={hop_id[1:]}",
+                          "output=p2", hop_id=hop_id)
+    return {"nffg": nffg_to_dict(nffg)}
+
+
+def _patch_between(old, new):
+    from repro.yang import config_to_tree, diff_trees
+    old_tree = config_to_tree(old)
+    entries = diff_trees(old_tree, config_to_tree(new))
+    return f"{old_tree.digest():016x}", [e.to_dict() for e in entries]
+
+
+@pytest.fixture
+def install_session(session):
+    client, server, _ = session
+    base = _install_config(["h1"])
+    client.edit_config(base, operation="replace")
+    client.commit()
+    return client, server, base
+
+
+class TestInstallConfigPatches:
+    def test_patch_commits_in_place_and_moves_the_digest(self, install_session):
+        client, server, base = install_session
+        from repro.yang import config_to_tree
+        applied = []
+        server.on_apply(applied.append)
+        tree = server.running.tree
+        new = _install_config(["h1", "h2"])
+        client.edit_config_delta(*_patch_between(base, new))
+        client.commit()
+        assert server.running.tree is tree  # patched, not rebuilt
+        assert server.running.digest == config_to_tree(new).digest()
+        assert client.get_config() == client.get_config("candidate")
+        # the callback got the edit script, not the config
+        (entries,) = applied
+        assert [e.path for e in entries] == [
+            "/install-config/node[bb]/port[p1]/flowrule[h2]"]
+
+    def test_patch_on_a_drifted_base_is_refused(self, install_session):
+        client, server, base = install_session
+        new = _install_config(["h1", "h2"])
+        digest, entries = _patch_between(base, new)
+        # another writer got there first
+        client.edit_config(_install_config(["h9"]), operation="replace")
+        client.commit()
+        running = client.get_config()
+        with pytest.raises(NetconfError) as err:
+            client.edit_config_delta(digest, entries)
+        assert err.value.tag == "delta-mismatch"
+        assert client.get_config() == running
+        # and a patch that names the right base but does not apply
+        digest, _ = _patch_between(_install_config(["h9"]), new)
+        with pytest.raises(NetconfError) as err:
+            client.edit_config_delta(digest, [
+                {"op": "delete", "value": None,
+                 "path": "/install-config/node[bb]/port[p1]/flowrule[h1]"}])
+        assert err.value.tag == "delta-mismatch"
+        assert client.get_config() == running
+
+    def test_discard_after_a_patch_leaves_running_and_domain(self, install_session):
+        client, server, base = install_session
+        applied = []
+        server.on_apply(applied.append)
+        running, digest = client.get_config(), server.running.digest
+        client.edit_config_delta(
+            *_patch_between(base, _install_config(["h1", "h2"])))
+        assert client.get_config("candidate") != running
+        client.discard_changes()
+        assert client.get_config("candidate") == running
+        assert client.get_config() == running
+        assert server.running.digest == digest
+        client.commit()  # nothing staged: nothing new reaches the domain
+        assert [e for e in applied if isinstance(e, list)] == []
+        assert client.get_config() == running
+
+    def test_failed_apply_unsets_the_digest(self, install_session):
+        """The domain is in doubt after a callback raised: no patch base
+        matches until a full replace resyncs it."""
+        client, server, base = install_session
+        new = _install_config(["h1", "h2"])
+
+        def explode(change):
+            raise RuntimeError("switch on fire")
+
+        server.on_apply(explode)
+        client.edit_config_delta(*_patch_between(base, new))
+        with pytest.raises(NetconfError) as err:
+            client.commit()
+        assert "switch on fire" in str(err.value)
+        server._apply_callbacks.remove(explode)
+        for config in (base, new):
+            with pytest.raises(NetconfError) as err:
+                client.edit_config_delta(
+                    *_patch_between(config, _install_config(["h3"])))
+            assert err.value.tag == "delta-mismatch"
+        client.edit_config(new, operation="replace")
+        client.commit()
+        client.edit_config_delta(
+            *_patch_between(new, _install_config(["h3"])))
+        client.commit()

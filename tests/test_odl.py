@@ -107,6 +107,34 @@ def test_remove_by_cookie(fabric):
     assert all(switch.flow_count() == 0 for switch in switches.values())
 
 
+def test_remove_by_cookie_contacts_only_the_path(fabric):
+    """One strict delete per installed entry, on the switch that holds
+    it — not a cookie-wide delete broadcast to every switch."""
+    net, odl, switches, h_in, h_out = fabric
+    net.connect("h-out", "1", "leaf0", "edge-out2")
+    odl.install_path(
+        ingress_dpid="leaf0", ingress_port="edge-in",
+        egress_dpid="leaf0", egress_port="edge-out2",
+        transport_vlan=500, cookie="local")
+    odl.install_path(
+        ingress_dpid="leaf0", ingress_port="edge-in",
+        egress_dpid="leaf1", egress_port="edge-out",
+        transport_vlan=501, flowclass="tp_dst=80", cookie="far")
+    before = {dpid: odl.endpoint.channel_stats(dpid).messages_to_b
+              for dpid in switches}
+    mods = odl.endpoint.flow_mods_sent
+    odl.remove_by_cookie("local")
+    assert odl.endpoint.flow_mods_sent == mods + 1
+    after = {dpid: odl.endpoint.channel_stats(dpid).messages_to_b
+             for dpid in switches}
+    assert after["spine"] == before["spine"]
+    assert after["leaf1"] == before["leaf1"]
+    assert after["leaf0"] == before["leaf0"] + 2  # the delete, a barrier
+    assert [s.flow_count() for s in switches.values()] == [1, 1, 1]
+    odl.remove_by_cookie("far")
+    assert all(switch.flow_count() == 0 for switch in switches.values())
+
+
 def test_flowclass_restriction(fabric):
     net, odl, switches, h_in, h_out = fabric
     odl.install_path(

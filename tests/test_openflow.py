@@ -103,6 +103,18 @@ class TestFlowTable:
         entry = table.lookup(tcp_packet("1.1.1.1", "2.2.2.2", tp_dst=22), "1")
         assert entry.actions[0].port == "default"
 
+    def test_inserts_keep_priority_then_install_order(self):
+        """Entries arrive one at a time, in any order: the table stays
+        sorted by descending priority, ties oldest first."""
+        table = FlowTable()
+        arrivals = [(100, 1, 0.0), (300, 2, 0.0), (100, 3, 0.0),
+                    (200, 4, 1.0), (300, 5, 1.0), (100, 6, 2.0)]
+        for priority, tp_dst, now in arrivals:
+            table.apply_flow_mod(self._mod(match=Match(tp_dst=tp_dst),
+                                           priority=priority), now=now)
+        assert [(e.priority, e.match.tp_dst) for e in table.entries()] == [
+            (300, 2), (300, 5), (200, 4), (100, 1), (100, 3), (100, 6)]
+
     def test_add_replaces_same_match_priority(self):
         table = FlowTable()
         table.apply_flow_mod(self._mod(actions=[ActionOutput("a")]))

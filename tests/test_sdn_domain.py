@@ -115,6 +115,18 @@ class TestTopologyAndPathPusher:
         assert all(switch.flow_count() == 0
                    for switch in dom.switches.values())
 
+    def test_remove_by_cookie_contacts_only_the_path(self, sdn):
+        net, dom = sdn
+        dom.path_pusher.push_path(
+            ingress_dpid="sw0", ingress_port="sap-a",
+            egress_dpid="sw1", egress_port="to-sw2", cookie="short")
+        endpoint = dom.pox.endpoint
+        far = endpoint.channel_stats("sw2").messages_to_b
+        mods = endpoint.flow_mods_sent
+        dom.path_pusher.remove_by_cookie("short")
+        assert endpoint.flow_mods_sent == mods + 2  # one per entry
+        assert endpoint.channel_stats("sw2").messages_to_b == far
+
 
 class TestDomainView:
     def test_switches_are_forwarding_only(self, sdn):
