@@ -59,9 +59,11 @@ def test_bench_full_vs_delta_push(benchmark):
 
     The first deploy is first contact — both modes ship the full
     config.  From the second deploy on, delta mode diffs against the
-    acknowledged config and ships a patch; full mode keeps today's
-    replace behavior, byte-identical to the pre-delta code path (the
-    acked-config digests of both runs must agree).  The table reports
+    acknowledged config and ships a patch; the full-mode run forgets
+    the acknowledged configs (``reset_delta_state()``) right before the
+    measured deploy, so that one goes out as a full replace,
+    byte-identical to the pre-delta code path (the acked-config digests
+    of both runs must agree).  The table reports
     the deploy of one more service with ``WARM_SERVICES`` already
     installed: full mode re-ships every installed service's state plus
     the substrate, the delta stays proportional to the one new service.
@@ -70,11 +72,12 @@ def test_bench_full_vs_delta_push(benchmark):
 
     def run(force_full: bool):
         testbed = build_reference_multidomain()
-        for adapter in testbed.escape.cal.adapters.values():
-            adapter.force_full_push = force_full
         for index in range(WARM_SERVICES):
             warm = testbed.service_layer.submit(_request(f"warm{index}"))
             assert warm.success, warm.error
+        if force_full:
+            for adapter in testbed.escape.cal.adapters.values():
+                adapter.reset_delta_state()
         steady = testbed.service_layer.submit(_request("steady"))
         assert steady.success, steady.error
         return testbed, steady

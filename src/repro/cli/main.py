@@ -176,8 +176,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _sanitizer_smoke():
     """Exercise the instrumented control plane under a fresh sanitizer
-    state: concurrent deploys, a teardown and a reconcile drive every
-    tracked lock, then the state's report is the verdict."""
+    state: concurrent deploys, a reconcile and a teardown drive every
+    tracked lock, ``cal.verify()`` checks the derived state they left,
+    then the state's report is the verdict."""
     from repro import sanitize
     from repro.service import ServiceRequestBuilder
 
@@ -197,8 +198,11 @@ def _sanitizer_smoke():
             report = testbed.service_layer.submit(request)
             if not report.success:
                 raise RuntimeError(f"smoke deploy failed: {report.error}")
-        testbed.escape.teardown("check0")
         testbed.escape.cal.reconcile()
+        testbed.escape.teardown("check0")
+        problems = testbed.escape.cal.verify()
+        if problems:
+            raise RuntimeError(f"derived state drifted: {problems}")
     finally:
         sanitize.disable()
         sanitize.restore(previous)

@@ -166,10 +166,3 @@ class ElasticityController:
                             level_before=state.level,
                             level_after=state.level,
                             observed_pps=pps, error=report.error)
-
-    def run_periodically(self, interval_ms: float = 1000.0,
-                         rounds: int = 10) -> None:
-        """Schedule ``rounds`` polls on the virtual clock."""
-        for index in range(1, rounds + 1):
-            self.simulator.schedule(index * interval_ms,
-                                    lambda: self.poll())

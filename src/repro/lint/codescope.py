@@ -169,14 +169,6 @@ def self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def iter_body_calls(nodes: list[ast.stmt]) -> Iterator[ast.Call]:
-    """Every Call in the given statements, skipping nested function and
-    lambda bodies (those run later, outside the enclosing context)."""
-    for node in iter_body_nodes(nodes):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 def iter_body_nodes(nodes: list[ast.stmt]) -> Iterator[ast.AST]:
     """Every AST node lexically inside the statements, excluding nested
     function/lambda/class bodies."""

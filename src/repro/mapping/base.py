@@ -3,7 +3,10 @@
 :class:`ResourceLedger` tracks tentative allocations against a resource
 view without mutating it — embedders allocate/release while searching
 and only :meth:`MappingContext.commit` materializes the winning solution
-(NF placements, link reservations, flow rules) into a mapped NFFG copy.
+into a mapped NFFG copy.  :func:`apply_mapping` is the one writer of a
+mapping (NF placements, link reservations, flow rules, carried service
+edges) into any graph — the context's copy and the CAL's live DoV both
+go through it — and :func:`remove_mapping` its exact inverse.
 """
 
 from __future__ import annotations
@@ -278,7 +281,6 @@ def build_sap_attachments(resource: NFFG) -> dict[str, tuple[str, str]]:
 
     Primary source is sap-tagged infra ports (``sap_bindings``); SAP
     nodes directly linked to an infra are accepted as a fallback.
-    Shared by :class:`MappingContext` and the CAL's in-place DoV apply.
     """
     attach: dict[str, tuple[str, str]] = dict(resource.sap_bindings())
     for sap in resource.saps:
@@ -304,9 +306,7 @@ def install_hop_flowrules(mapped: NFFG, hop: EdgeSGHop, route: HopRoute,
 
     ``in_port`` is the infra-side ingress port on the first infra of the
     route, ``out_port_final`` the egress port on the last.  Returns the
-    ``(infra_id, port_id)`` pairs that received a rule so callers can
-    later remove exactly those (incremental DoV teardown).  Shared by
-    :meth:`MappingContext.commit` and the CAL's in-place DoV apply.
+    ``(infra_id, port_id)`` pairs that received a rule.
     """
     touched: list[tuple[str, str]] = []
     path = route.infra_path
@@ -338,6 +338,125 @@ def install_hop_flowrules(mapped: NFFG, hop: EdgeSGHop, route: HopRoute,
             assert isinstance(link, EdgeLink)
             in_port = link.dst_port
     return touched
+
+
+def touched_infra_ids(placement: dict[str, str],
+                      routes: dict[str, HopRoute]) -> set[str]:
+    """The substrate infras a mapping writes to: NF hosts plus every
+    BiS-BiS traversed by a route."""
+    ids = set(placement.values())
+    for route in routes.values():
+        ids.update(route.infra_path)
+    return ids
+
+
+@dataclass
+class ServiceDelta:
+    """Everything one :func:`apply_mapping` added to a graph (the
+    inverse record :func:`remove_mapping` undoes exactly)."""
+
+    #: NF node ids added (removal also drops their dynamic links)
+    nf_ids: list[str] = field(default_factory=list)
+    #: infra-side ports created by ``place_nf``: (infra_id, port_id)
+    nf_ports: list[tuple[str, str]] = field(default_factory=list)
+    #: SAP nodes this apply introduced (shared SAPs are only removed
+    #: once no other service's edges still touch them)
+    sap_ids: list[str] = field(default_factory=list)
+    #: SG hop + requirement edge ids added
+    edge_ids: list[str] = field(default_factory=list)
+    #: bandwidth reservations: (link_ids, bandwidth)
+    reservations: list[tuple[tuple[str, ...], float]] = field(default_factory=list)
+    #: ports that received flow rules: (infra_id, port_id)
+    flow_ports: list[tuple[str, str]] = field(default_factory=list)
+    #: hop ids whose flow rules must go on removal
+    hop_ids: set[str] = field(default_factory=set)
+
+
+def apply_mapping(graph: NFFG, service: NFFG, placement: dict[str, str],
+                  routes: dict[str, HopRoute],
+                  sap_attach: dict[str, tuple[str, str]]) -> ServiceDelta:
+    """Write a mapping into ``graph`` in place: NF placements, link
+    reservations, one flow rule per hop and traversed BiS-BiS, and the
+    service's SAPs, SG hops and requirements (carried for teardown and
+    audit).  ``sap_attach`` is the graph's SAP attachment table
+    (:func:`build_sap_attachments`, or the substrate index's per-epoch
+    copy of it).  Returns the record that undoes exactly this apply."""
+    delta = ServiceDelta()
+    for nf_id, infra_id in placement.items():
+        if not graph.has_node(nf_id):
+            graph.add_node_copy(service.nf(nf_id))
+            delta.nf_ids.append(nf_id)
+        for link in graph.place_nf(nf_id, infra_id):
+            delta.nf_ports.append((link.dst_node, link.dst_port))
+        graph.nf(nf_id).status = "deployed"
+    for route in routes.values():
+        if route.bandwidth > 1e-9 and route.link_ids:
+            for link_id in route.link_ids:
+                graph.edge(link_id).reserved += route.bandwidth
+            delta.reservations.append(
+                (tuple(route.link_ids), route.bandwidth))
+
+    def endpoint_port(node_id: str, port_id: str) -> str:
+        """The infra-side port where a service endpoint attaches."""
+        if isinstance(service.node(node_id), NodeNF):
+            bound = graph.infra_port_of_nf(node_id, port_id)
+            if bound is None:
+                raise MappingError(
+                    f"NF {node_id!r} not bound in {graph.id!r}")
+            return bound[1]
+        if node_id not in sap_attach:
+            raise MappingError(
+                f"service SAP {node_id!r} has no attachment point in "
+                f"{graph.id!r}")
+        return sap_attach[node_id][1]
+
+    for hop in service.sg_hops:
+        route = routes.get(hop.id)
+        if route is None:
+            continue
+        delta.flow_ports.extend(install_hop_flowrules(
+            graph, hop, route,
+            endpoint_port(hop.src_node, hop.src_port),
+            endpoint_port(hop.dst_node, hop.dst_port)))
+        delta.hop_ids.add(hop.id)
+    for sap in service.saps:
+        if not graph.has_node(sap.id):
+            graph.add_node_copy(sap)
+            delta.sap_ids.append(sap.id)
+    for edge in (*service.sg_hops, *service.requirements):
+        if not graph.has_edge(edge.id):
+            graph.add_edge_copy(edge)
+            delta.edge_ids.append(edge.id)
+    return delta
+
+
+def remove_mapping(graph: NFFG, delta: ServiceDelta) -> None:
+    """Undo exactly what :func:`apply_mapping` recorded in ``delta``."""
+    for infra_id, port_id in set(delta.flow_ports):
+        if not graph.has_node(infra_id):
+            continue
+        port = graph.infra(infra_id).ports.get(port_id)
+        if port is not None:
+            port.flowrules = [rule for rule in port.flowrules
+                              if rule.hop_id not in delta.hop_ids]
+    for link_ids, bandwidth in delta.reservations:
+        for link_id in link_ids:
+            if graph.has_edge(link_id):
+                link = graph.edge(link_id)
+                link.reserved = max(0.0, link.reserved - bandwidth)
+    for edge_id in delta.edge_ids:
+        if graph.has_edge(edge_id):
+            graph.remove_edge(edge_id)
+    for nf_id in delta.nf_ids:
+        if graph.has_node(nf_id):
+            graph.remove_node(nf_id)  # also drops its dynamic links
+    for infra_id, port_id in delta.nf_ports:
+        if graph.has_node(infra_id):
+            graph.infra(infra_id).ports.pop(port_id, None)
+    for sap_id in delta.sap_ids:
+        if graph.has_node(sap_id) \
+                and next(graph.edges_of(sap_id), None) is None:
+            graph.remove_node(sap_id)
 
 
 class MappingContext:
@@ -378,7 +497,7 @@ class MappingContext:
             self._delay_from = index.delay_memo
         else:
             self.ledger = ResourceLedger(resource)
-            self._sap_attach = self._build_sap_attachments()
+            self._sap_attach = build_sap_attachments(resource)
             self._adjacency: Optional[dict[str, list[EdgeLink]]] = None
             self._node_delays: Optional[dict[str, float]] = None
             self._delay_from: dict[str, dict[str, float]] = {}
@@ -513,10 +632,6 @@ class MappingContext:
 
     # -- sap handling -----------------------------------------------------
 
-    def _build_sap_attachments(self) -> dict[str, tuple[str, str]]:
-        """SAP id -> (infra_id, infra_port_id) in the resource view."""
-        return build_sap_attachments(self.resource)
-
     def sap_attachment(self, sap_id: str) -> tuple[str, str]:
         try:
             return self._sap_attach[sap_id]
@@ -591,14 +706,6 @@ class MappingContext:
             cost += route.bandwidth * len(route.link_ids) * 0.01
         return cost
 
-    def touched_infra_ids(self) -> set[str]:
-        """The substrate infras this mapping writes to: NF hosts plus
-        every BiS-BiS traversed by a route."""
-        ids = set(self.placement.values())
-        for route in self.routes.values():
-            ids.update(route.infra_path)
-        return ids
-
     def commit(self, mapped_id: Optional[str] = None, *,
                touched_only: bool = False) -> NFFG:
         """Write placements, reservations and flow rules into a copy of
@@ -611,58 +718,13 @@ class MappingContext:
         if touched_only:
             mapped = self.resource.copy_subgraph(
                 mapped_id or f"{self.resource.id}-mapped",
-                self.touched_infra_ids())
+                touched_infra_ids(self.placement, self.routes))
         else:
             mapped = self.resource.copy(
                 mapped_id or f"{self.resource.id}-mapped")
-        for nf_id, infra_id in self.placement.items():
-            nf = self.service.nf(nf_id)
-            if not mapped.has_node(nf_id):
-                mapped.add_node_copy(nf)
-            mapped.place_nf(nf_id, infra_id)
-            mapped.nf(nf_id).status = "deployed"
-        for link in mapped.links:
-            free_now = self.ledger.link_free(link.id)
-            original = self.resource.edge(link.id)
-            assert isinstance(original, EdgeLink)
-            newly_reserved = original.available_bandwidth - free_now
-            if newly_reserved > 1e-9:
-                link.reserved += newly_reserved
-        for hop in self.service.sg_hops:
-            route = self.routes.get(hop.id)
-            if route is not None:
-                self._install_flowrules(mapped, hop, route)
-        # carry the SG hops and requirements for later teardown/audit
-        for node in self.service.saps:
-            if not mapped.has_node(node.id):
-                mapped.add_node_copy(node)
-        for hop in self.service.sg_hops:
-            if not mapped.has_edge(hop.id):
-                mapped.add_edge_copy(hop)
-        for req in self.service.requirements:
-            if not mapped.has_edge(req.id):
-                mapped.add_edge_copy(req)
+        apply_mapping(mapped, self.service, self.placement, self.routes,
+                      self._sap_attach)
         return mapped
-
-    def _endpoint_ports(self, mapped: NFFG, node_id: str, port_id: str,
-                        infra_id: str) -> str:
-        """The infra-side port where a service endpoint attaches."""
-        node = self.service.node(node_id)
-        if isinstance(node, NodeNF):
-            bound = mapped.infra_port_of_nf(node_id, port_id)
-            if bound is None:
-                raise MappingError(f"NF {node_id!r} not bound on {infra_id!r}")
-            return bound[1]
-        return self.sap_attachment(node_id)[1]
-
-    def _install_flowrules(self, mapped: NFFG, hop: EdgeSGHop,
-                           route: HopRoute) -> None:
-        """Install one flow rule per traversed BiS-BiS for this hop."""
-        path = route.infra_path
-        in_port = self._endpoint_ports(mapped, hop.src_node, hop.src_port, path[0])
-        out_port_final = self._endpoint_ports(mapped, hop.dst_node, hop.dst_port,
-                                              path[-1])
-        install_hop_flowrules(mapped, hop, route, in_port, out_port_final)
 
     def to_result(self, success: bool, runtime_s: float,
                   failure_reason: str = "",

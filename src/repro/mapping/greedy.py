@@ -16,7 +16,7 @@ acceptance.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.mapping.base import (Embedder, MappingContext, MappingError,
                                 placement_allowed)
@@ -54,18 +54,6 @@ def service_order(service: NFFG) -> list[str]:
         if nf.id not in seen:
             order.append(nf.id)
     return order
-
-
-def hops_ready(service: NFFG, ctx: MappingContext,
-               routed: set[str]) -> Iterable:
-    """SG hops whose both endpoints are resolvable and not yet routed."""
-    for hop in ctx.sg_hop_list():
-        if hop.id in routed:
-            continue
-        src = ctx.endpoint_infra(hop.src_node)
-        dst = ctx.endpoint_infra(hop.dst_node)
-        if src is not None and dst is not None:
-            yield hop, src, dst
 
 
 def hop_delay_budget(service: NFFG, ctx: MappingContext, hop_id: str) -> float:

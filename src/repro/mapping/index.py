@@ -21,15 +21,15 @@ of that out of the run and keeps it alive across requests:
   across mapping runs (it depends on topology only, never on the
   ledger).
 
-The index is owned by the CAL next to its incremental remaining-capacity
-view and follows the same lifecycle: :meth:`sync` is called with the
-current view and ``topology_generation`` exactly like
-``PathCache.sync()`` (any epoch or identity change triggers a full
-:meth:`rebuild`), and :meth:`apply_mapping` folds deploy/teardown/heal
-deltas in place using the *same clamped arithmetic* as the CAL's
-``_update_remaining`` so the two never drift.  :meth:`verify` is the
-rebuild-and-compare escape hatch; any detected inconsistency marks the
-index stale and the next sync rebuilds it.
+The index is owned by the CAL and bound to its remaining-capacity view:
+:meth:`sync` is called with the current view and the CAL's
+``topology_generation`` exactly like ``PathCache.sync()`` (any epoch or
+identity change triggers a full :meth:`rebuild`), and :meth:`fold` is
+the single writer of residual capacities — it nets a deploy/teardown
+delta out of the index maps *and* the bound view in one pass.  An id
+that no longer resolves marks the index stale and tells the caller to
+drop the view; ``ControllerAdaptationLayer.verify()`` rebuilds both
+from scratch and compares :meth:`facts`.
 
 Thread-safety: like the CAL's cached remaining view, the index is only
 mutated on the orchestrator thread (commits/removals/rebuilds happen
@@ -190,23 +190,32 @@ class SubstrateIndex:
 
     # -- incremental maintenance -------------------------------------------
 
-    def apply_mapping(self, service: NFFG, result, sign: float) -> None:
+    def fold(self, service: NFFG, result, sign: float) -> bool:
         """Fold a mapping deployed to (``sign=1``) or removed from
-        (``sign=-1``) the view into the index, mirroring the CAL's
-        ``_update_remaining`` clamped arithmetic exactly.  Any id that
-        no longer resolves marks the index stale (next sync rebuilds)."""
-        if self.resource is None or self._stale:
-            return
+        (``sign=-1``) the substrate into the free maps, buckets and
+        totals *and* into the capacities of the bound view — the one
+        place residuals are computed, so view and index cannot drift
+        apart.  Touches only the placed infras and routed links.
+        Returns False, with the index marked stale, when an id no
+        longer resolves: the caller must drop the view with it."""
+        view = self.resource
+        if view is None or self._stale:
+            return False
+
+        def net(free: ResourceVector, demand: ResourceVector):
+            return ResourceVector(
+                cpu=max(free.cpu - sign * demand.cpu, 0.0),
+                mem=max(free.mem - sign * demand.mem, 0.0),
+                storage=max(free.storage - sign * demand.storage, 0.0),
+                bandwidth=free.bandwidth, delay=free.delay)
+
         try:
             for nf_id, infra_id in result.nf_placement.items():
                 demand = service.nf(nf_id).resources
+                infra = view.infra(infra_id)
+                infra.resources = net(infra.resources, demand)
                 free = self.free[infra_id]
-                updated = ResourceVector(
-                    cpu=max(free.cpu - sign * demand.cpu, 0.0),
-                    mem=max(free.mem - sign * demand.mem, 0.0),
-                    storage=max(free.storage - sign * demand.storage, 0.0),
-                    bandwidth=free.bandwidth, delay=free.delay)
-                self.free[infra_id] = updated
+                updated = self.free[infra_id] = net(free, demand)
                 if infra_id in self._bucket_of:
                     for dim in _DIMS:
                         self.free_totals[dim] += (getattr(updated, dim)
@@ -216,14 +225,18 @@ class SubstrateIndex:
                         self._bucket_add(infra_id)
             for route in result.hop_routes.values():
                 for link_id in route.link_ids:
+                    link = view.edge(link_id)
+                    link.bandwidth = max(
+                        link.bandwidth - sign * route.bandwidth, 0.0)
                     self.link_free[link_id] = max(
                         self.link_free[link_id] - sign * route.bandwidth, 0.0)
         except (KeyError, NFFGError):
             self.mark_stale()
             counters.incr("mapping.index.stale")
-            return
+            return False
         self.applies += 1
         counters.incr("mapping.index.apply")
+        return True
 
     # -- ledger seeding ----------------------------------------------------
 
@@ -340,43 +353,24 @@ class SubstrateIndex:
                     visited.add(neighbour)
                     frontier.append(neighbour)
 
-    # -- escape hatch ------------------------------------------------------
-
-    def verify(self, resource: NFFG) -> list[str]:
-        """Rebuild-and-compare: derive a fresh index from the view and
-        diff it against the live one.  Any mismatch marks this index
-        stale (forcing a rebuild on the next sync) and is returned for
-        the caller to log/assert on."""
-        counters.incr("mapping.index.verify")
-        fresh = SubstrateIndex()
-        fresh.rebuild(resource)
-        problems: list[str] = []
-        for infra_id, expected in fresh.free.items():
-            got = self.free.get(infra_id)
-            if got is None:
-                problems.append(f"missing infra {infra_id!r}")
-            elif any(abs(getattr(got, dim) - getattr(expected, dim)) > 1e-6
-                     for dim in ("cpu", "mem", "storage")):
-                problems.append(
-                    f"free drift on {infra_id!r}: {got} != {expected}")
-        for infra_id in self.free:
-            if infra_id not in fresh.free:
-                problems.append(f"ghost infra {infra_id!r}")
-        for link_id, expected_bw in fresh.link_free.items():
-            got_bw = self.link_free.get(link_id)
-            if got_bw is None or abs(got_bw - expected_bw) > 1e-6:
-                problems.append(
-                    f"link drift on {link_id!r}: {got_bw} != {expected_bw}")
-        for link_id in self.link_free:
-            if link_id not in fresh.link_free:
-                problems.append(f"ghost link {link_id!r}")
-        if (self._by_type != fresh._by_type
-                or self._wildcard != fresh._wildcard):
-            problems.append("candidate type sets drifted")
-        if problems:
-            self.mark_stale()
-            counters.incr("mapping.index.verify_failed")
-        return problems
+    def facts(self) -> dict[str, object]:
+        """Everything the index claims, as flat named facts — what the
+        CAL's ``verify()`` diffs against a from-scratch rebuild."""
+        facts: dict[str, object] = {
+            "index candidate types": {
+                functional_type: sorted(members)
+                for functional_type, members in self._by_type.items()},
+            "index wildcard hosts": sorted(self._wildcard),
+            "index free totals": tuple(self.free_totals[dim]
+                                       for dim in _DIMS)}
+        for infra_id, free in self.free.items():
+            facts[f"index free capacity of {infra_id}"] = tuple(
+                getattr(free, dim) for dim in _DIMS)
+        for infra_id, cls in self._bucket_of.items():
+            facts[f"index cpu class of {infra_id}"] = cls
+        for link_id, bandwidth in self.link_free.items():
+            facts[f"index free bandwidth of {link_id}"] = bandwidth
+        return facts
 
     def stats(self) -> dict[str, int]:
         return {"infras": len(self.free), "links": len(self.link_free),

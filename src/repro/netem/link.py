@@ -75,9 +75,6 @@ class Link:
         bits = packet.size_bytes * 8
         return bits / (self.bandwidth_mbps * 1000.0)  # Mbit/s -> bits/ms
 
-    def utilization_bytes(self) -> int:
-        return self.tx_bytes
-
     def __repr__(self) -> str:
         return (f"<Link {self.node_a.id}.{self.port_a} <-> "
                 f"{self.node_b.id}.{self.port_b} {self.bandwidth_mbps}Mbps "

@@ -426,10 +426,6 @@ class NodeInfra(_NodeBase):
         self._clone_base_into(node)
         return node
 
-    @property
-    def is_bisbis(self) -> bool:
-        return self.infra_type == InfraType.BISBIS
-
     def supports(self, functional_type: str) -> bool:
         if self.infra_type == InfraType.SDN_SWITCH:
             return False

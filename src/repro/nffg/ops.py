@@ -8,7 +8,9 @@
 - :func:`available_resources` / :func:`remaining_nffg` compute what is
   left of a resource view after the currently placed NFs and reserved
   SG hops are subtracted — this is what a virtualizer advertises
-  northbound.
+  northbound;
+- :func:`nffg_facts` flattens a graph into named facts, the
+  order-independent form two graphs are compared in.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.nffg.model import (
     DomainType,
     EdgeLink,
     LinkType,
+    NodeInfra,
     NodeNF,
     ResourceVector,
 )
@@ -214,3 +217,29 @@ def _port_used(view: NFFG, node_id: str, port_id: str) -> bool:
                 or (edge.dst_node == node_id and edge.dst_port == port_id)):
             return True
     return False
+
+
+def nffg_facts(what: str, graph: NFFG) -> dict[str, object]:
+    """A graph as flat named facts — elements, infra capacities, flow
+    rules per port, link bandwidth and reservation — each keyed by a
+    readable name prefixed with ``what``.  Two graphs agree exactly when
+    their fact maps do, whatever order their elements were inserted in
+    (``ControllerAdaptationLayer.verify`` diffs them)."""
+    facts: dict[str, object] = {}
+    for node in graph.nodes:
+        facts[f"{what} node {node.id}"] = type(node).__name__
+        if isinstance(node, NodeInfra):
+            free = node.resources
+            facts[f"{what} capacity of {node.id}"] = (
+                free.cpu, free.mem, free.storage)
+            for port in node.ports.values():
+                facts[f"{what} flow rules on {node.id}.{port.id}"] = sorted(
+                    (rule.hop_id, rule.match, rule.action, rule.bandwidth)
+                    for rule in port.flowrules)
+    for edge in graph.edges:
+        facts[f"{what} edge {edge.id}"] = (edge.src_node, edge.src_port,
+                                           edge.dst_node, edge.dst_port)
+        if isinstance(edge, EdgeLink):
+            facts[f"{what} bandwidth of {edge.id}"] = (edge.bandwidth,
+                                                       edge.reserved)
+    return facts

@@ -139,8 +139,5 @@ class OpenFlowSwitch(NetworkNode):
         self.packet_ins_sent += 1
         self.channel.send_to_a(message)
 
-    def release_buffer(self, xid: int) -> Optional[tuple[Packet, str]]:
-        return self._buffered.pop(xid, None)
-
     def flow_count(self) -> int:
         return len(self.table)

@@ -89,24 +89,10 @@ class DomainAdapter(abc.ABC):
         self.name = name
         self.domain_type = domain_type
         self.installs = 0
-        #: operational escape hatch (A/B benchmarks, distrusted
-        #: domains): every install goes out as a full-config replace
-        #: even when a delta patch would be legal
-        self.force_full_push = False
 
     @abc.abstractmethod
     def get_view(self) -> NFFG:
         """The domain's pristine resource view (capacity, topology)."""
-
-    def own_infra_ids(self) -> frozenset[str]:
-        """The ids of the infras this adapter owns.
-
-        The CAL asks for this on every install slice; the default
-        derives it from :meth:`get_view`, adapters that hold a live
-        view override it to skip the full-graph copy ``get_view``
-        usually implies.
-        """
-        return frozenset(infra.id for infra in self.get_view().infras)
 
     @abc.abstractmethod
     def _push(self, install: NFFG) -> None:
@@ -140,8 +126,7 @@ class DomainAdapter(abc.ABC):
             nfs_requested=len(install.nfs),
             flowrules_requested=install.summary()["flowrules"])
         outcome = self._effective_policy().run(
-            lambda: self._do_push(install,
-                                  force_full or self.force_full_push))
+            lambda: self._do_push(install, force_full))
         report.attempts = outcome.attempts
         report.backoff_s = outcome.backoff_s
         if outcome.success:
@@ -476,10 +461,6 @@ class DirectDomainAdapter(DomainAdapter):
 
     def get_view(self) -> NFFG:
         return self._view.copy()
-
-    def own_infra_ids(self) -> frozenset[str]:
-        # the live view is at hand: no need for the get_view() copy
-        return frozenset(infra.id for infra in self._view.infras)
 
     def _push(self, install: NFFG) -> None:
         self.installed.append(install)

@@ -2,110 +2,81 @@
 
 Owns the registered domain adapters, builds the **Domain Virtualizer's
 global view (DoV)** by merging the per-domain views (inter-domain
-sap-tagged ports become stitched links), keeps the DoV up to date as
+sap-tagged ports become stitched links), keeps it up to date as
 services are deployed/torn down, and fans mapped configurations out to
 the adapters.
 
-DoV maintenance is **incremental**: the merged view is kept alive and
-per-service mapping deltas are applied/removed in place instead of
-re-merging every domain view on each change.  Each apply records a
-:class:`_ServiceDelta` — the exact set of nodes, ports, edges, flow
-rules and bandwidth reservations it introduced — so teardown is the
-exact inverse.  ``generation`` counts DoV content versions;
-``topology_generation`` counts substrate topology versions (adapter
-registration, :meth:`mark_stale` after link failures) and drives
-path-cache invalidation upstream.  :meth:`rebuild` is the explicit
-escape hatch back to a from-scratch merge.
+Two things are *state*: the adapters' views and ``_deployed``, the
+journaled books ``service id -> (service graph, mapping)``.  Everything
+else is **derived**, with one writer and one place it is dropped each
+(table in ``docs/architecture.md``):
 
-The registry is **sharded**: adapters are partitioned into
-:class:`CALShard` buckets (explicit shard map, else a stable hash of
-the adapter name), each shard caches its own merged sub-view with a
-per-shard generation counter, and the global DoV is a lazy stitched
-view — a rebuild refetches only the shards marked stale and re-merges
-the cached sub-views of the rest, so view maintenance is proportional
-to what actually changed, not to the number of registered domains.
-Sub-views are merged *unstitched*; sap-tag pairs are only fused at the
-final shard-of-shards stitch (a pair may span two shards).
+- **shard sub-views + ownership map** — adapters are partitioned into
+  :class:`CALShard` buckets (explicit shard map, else a stable hash of
+  the name); ``_refresh_shards`` refetches only stale shards, merges
+  each sub-view *unstitched* (sap-tag pairs are fused once, at the
+  global stitch — a pair may span two shards) and records which
+  adapter contributed which infra;
+- **live DoV + inverse records, remaining view + substrate index** —
+  ``_derive`` replays the books onto a fresh stitch; afterwards
+  ``commit_mapping``/``remove_service``/``restore_service`` fold one
+  ``(service, mapping, +-1)`` at a time through the same two writers:
+  :func:`~repro.mapping.base.apply_mapping` (or its recorded inverse)
+  on the DoV, :meth:`SubstrateIndex.fold` on index + remaining view.
+  ``_invalidate`` is the only place they are dropped;
+- **dirty set** — the folds record the domains a mapping touches and
+  :meth:`push_planned`, the one fan-out, consumes it (:meth:`push_all`
+  dirties everything first, :meth:`reconcile` replays queued domains);
+- ``topology_generation`` is the only epoch: it moves when the substrate
+  topology may have and is what ``PathCache.sync`` and
+  ``SubstrateIndex.sync`` take.
 
-Push fan-out is **planned**: ``commit_mapping``/``remove_service``/
-``restore_service`` record the touched-domain set of the mapping they
-applied, and :meth:`push_planned` submits dispatcher ops only for
-those domains (plus any queued reconciliations whose breaker admits a
-push again) — per-deploy push work is proportional to the domains a
-service touches.  :meth:`push_all` keeps the full fan-out for
-operator-driven reconciliation and remains the idempotent baseline.
+:meth:`verify` re-derives all of it from the cached sub-views plus the
+books — no adapter I/O — and names every difference.
 
-Adapter fan-out is **concurrent**: ``push_all``/``push_planned``/
-``reconcile``/``pristine_view`` hand their per-adapter operations to a
-:class:`~repro.orchestration.dispatch.DomainDispatcher`, which runs
-distinct domains in parallel while keeping per-domain operations
-strictly serial (one in-flight op per adapter).  Shared bookkeeping
-(the per-shard reconciliation queues, perf counters, fault plans) is
-locked; breakers and adapter delta state are only ever touched by
-their own domain's single in-flight operation.
+Fan-out is **concurrent**: pushes and view fetches go through a
+:class:`~repro.orchestration.dispatch.DomainDispatcher` (distinct
+domains in parallel, one in-flight op per domain).  Shared bookkeeping
+(per-shard reconciliation queues, perf counters, fault plans) is
+locked; breakers and adapter delta state are only touched by their own
+domain's in-flight operation; derived state is only written on the
+orchestrator's thread, before any fan-out starts.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro import obs
 from repro.mapping.base import (
     MappingResult,
-    build_sap_attachments,
-    install_hop_flowrules,
+    ServiceDelta,
+    apply_mapping,
+    remove_mapping,
+    touched_infra_ids,
 )
 from repro.mapping.index import SubstrateIndex
 from repro.nffg.graph import NFFG, NFFGError
-from repro.nffg.model import DomainType, NodeNF, NodeSAP, ResourceVector
+from repro.nffg.model import DomainType, NodeSAP
 from repro.orchestration.adapters import DomainAdapter
-from repro.nffg.ops import merge_nffgs, remaining_nffg
+from repro.nffg.ops import merge_nffgs, nffg_facts, remaining_nffg
 from repro.orchestration.dispatch import DEFAULT_MAX_WORKERS, DomainDispatcher
 from repro.orchestration.report import AdapterReport
 from repro.perf import counters, observe, set_gauge
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.sanitize import make_lock
 
-#: debug escape hatch: rebuild-and-compare the substrate index against
-#: the remaining view on every resource_view() call
-_INDEX_VERIFY = bool(os.environ.get("REPRO_INDEX_VERIFY"))
-
-
-@dataclass
-class _ServiceDelta:
-    """Everything one service's apply added to the DoV (for exact undo)."""
-
-    #: NF node ids added (removal also drops their dynamic links)
-    nf_ids: list[str] = field(default_factory=list)
-    #: infra-side ports created by ``place_nf``: (infra_id, port_id)
-    nf_ports: list[tuple[str, str]] = field(default_factory=list)
-    #: SAP nodes this apply introduced (shared SAPs are only removed
-    #: once no other service's edges still touch them)
-    sap_ids: list[str] = field(default_factory=list)
-    #: SG hop + requirement edge ids added
-    edge_ids: list[str] = field(default_factory=list)
-    #: bandwidth reservations: (link_ids, bandwidth)
-    reservations: list[tuple[tuple[str, ...], float]] = field(default_factory=list)
-    #: ports that received flow rules: (infra_id, port_id)
-    flow_ports: list[tuple[str, str]] = field(default_factory=list)
-    #: hop ids whose flow rules must go on removal
-    hop_ids: set[str] = field(default_factory=set)
-
 
 class CALShard:
     """One partition of the adapter registry.
 
     Holds the shard's member adapters (registration order), its cached
-    merged sub-view (*unstitched*: sap-tag pairs stay open until the
-    global stitch — a pair may span two shards) and the per-shard
-    resilience bookkeeping.  ``generation`` counts sub-view refreshes;
-    ``stale`` marks the sub-view for a refetch at the next stitch.
-    Only complete sub-views are cached: a shard whose fetch lost a
-    member stays stale so every later stitch retries the domain.
+    merged, *unstitched* sub-view and the per-shard resilience
+    bookkeeping.  ``stale`` marks the sub-view for a refetch at the next
+    stitch.  Only complete sub-views are cached: a shard whose fetch
+    lost a member stays stale so every later stitch retries the domain.
     """
 
     def __init__(self, index: int) -> None:
@@ -115,15 +86,11 @@ class CALShard:
         #: cached merged sub-view (None until first refresh, or when
         #: every member view was unavailable)
         self.view: Optional[NFFG] = None
-        #: sub-view version: bumped on every refresh
-        self.generation = 0
         #: the cached sub-view no longer reflects the member domains
         self.stale = True
         #: members excluded from the cached sub-view (breaker open, or
         #: fetch failed after retries)
         self.view_failures: set[str] = set()
-        #: infra id -> owning member adapter, from the latest refresh
-        self.owners: dict[str, str] = {}
         #: members holding stale configuration (push skipped/failed),
         #: replayed by reconcile; mutated by concurrent ``_push_one``
         #: calls on dispatcher workers, hence the per-shard lock
@@ -149,9 +116,7 @@ class ControllerAdaptationLayer:
         #: to strictly serial pushes on the caller's thread
         self.dispatcher = DomainDispatcher(push_workers,
                                            serial=push_workers <= 1)
-        #: adapter partition; ``shard_map`` pins adapter names to shard
-        #: indexes, everything else hashes on the name (stable across
-        #: runs and registration orders)
+        #: adapter partition: ``shard_map`` pins names, the rest hash
         count = max(1, int(shards))
         if shard_map:
             count = max(count, max(shard_map.values()) + 1)
@@ -159,7 +124,6 @@ class ControllerAdaptationLayer:
         self._shard_map = dict(shard_map or {})
         self._shard_of: dict[str, CALShard] = {}
         #: adapters grouped by DomainType, maintained at register time
-        #: so ``adapters_for`` never scans the registry
         self._adapters_by_type: dict[DomainType, list[DomainAdapter]] = {}
         self._dov: Optional[NFFG] = None
         #: deployed services: service id -> (service graph, mapping
@@ -170,22 +134,18 @@ class ControllerAdaptationLayer:
         self._deployed: dict[str, tuple[NFFG, MappingResult]] = (
             {}  # journaled: commit_mapping remove_service restore_service
         )
-        #: per-service inverse records, valid for the *live* ``_dov`` only
-        self._deltas: dict[str, _ServiceDelta] = {}
-        #: cached northbound remaining-capacity view, maintained
-        #: incrementally by commit/remove; generation-tagged so any
-        #: unmaintained DoV mutation forces a re-derivation
+        #: per-service inverse records, valid for the *live* ``_dov``
+        #: only; None marks a booking whose replay was deferred
+        self._deltas: dict[str, Optional[ServiceDelta]] = {}
+        #: northbound remaining-capacity view: derived together with
+        #: the DoV, then maintained by the index's fold
         self._remaining: Optional[NFFG] = None
-        self._remaining_generation = -1
-        #: persistent mapping-layer index over the remaining view:
-        #: candidate sets, capacity buckets, ledger seed maps and
-        #: topology tables, kept in lock-step with ``_remaining`` (see
-        #: :class:`repro.mapping.index.SubstrateIndex`); handed to the
-        #: RO so embedders skip their per-run O(substrate) rescans
+        #: mapping-layer index bound to ``_remaining`` (candidate sets,
+        #: capacity buckets, ledger seed maps, topology tables); handed
+        #: to the RO so embedders skip their O(substrate) rescans
         self.substrate_index = SubstrateIndex()
-        #: DoV content version: bumped on every apply/remove/rebuild
-        self.generation = 0
-        #: substrate topology version: bumped when domain views change
+        #: substrate topology version, the only epoch: bumped whenever
+        #: the domain views may have changed
         self.topology_generation = 0
         #: per-adapter circuit breakers (created on register)
         self.breakers: dict[str, CircuitBreaker] = {}
@@ -193,22 +153,16 @@ class ControllerAdaptationLayer:
         self.breaker_recovery_s = breaker_recovery_s
         self.breaker_clock = breaker_clock
         #: domains whose cumulative configuration changed since the
-        #: last planned push; consumed by :meth:`push_planned`.  Only
-        #: mutated on the orchestrator's thread (commit/remove/restore
-        #: and rebuilds happen before any fan-out starts).
+        #: last planned push; consumed by :meth:`push_planned`, written
+        #: on the orchestrator's thread only (before any fan-out starts)
         self._dirty: set[str] = set()
-        #: per-adapter own-infra-id cache for ``_install_for``, valid
-        #: for one substrate topology generation
-        self._own_infra_cache: dict[str, tuple[int, frozenset[str]]] = {}
+        #: infra id -> owning adapter name and its inverse (adapter ->
+        #: its infra ids in view order), written by ``_refresh_shards``
+        self._owner: dict[str, str] = {}
+        self._owned: dict[str, list[str]] = {}
         #: domains whose view could not enter the latest pristine merge
         #: (breaker open, or fetch failed after retries)
         self.last_view_failures: set[str] = set()
-        #: the live DoV was rebuilt while some domain view was missing;
-        #: push_all/reconcile re-merge before fanning out so a returned
-        #: domain's substrate (and stranded services) re-enter the view
-        self._degraded_view = False
-        #: infra id -> owning adapter name, from the latest merge
-        self._infra_owner: dict[str, str] = {}
 
     # -- adapter registry ---------------------------------------------------
 
@@ -261,17 +215,17 @@ class ControllerAdaptationLayer:
         sub-views (sap-tag pairs fused here, and only here).
 
         With ``refresh`` (the default) every shard is marked stale
-        first: callers asking for the pristine view directly —
-        ``heal()`` probing for outages — expect current domain truth,
-        not caches.  The incremental-DoV rebuild path passes
+        first: direct callers — ``heal()`` probing for outages — expect
+        current domain truth, not caches; the rebuild path passes
         ``refresh=False`` and pays only for shards something
-        invalidated.
+        invalidated.  A refetch that returns other nodes or edges than
+        the cached sub-view drops the derived state and moves
+        ``topology_generation``.
 
         Degrades gracefully: a domain whose breaker is open is not even
-        asked (it is quarantined), and a domain whose view fetch fails
-        after retries is excluded from the merge.  Both are recorded in
-        :attr:`last_view_failures` so ``heal()`` can evacuate their
-        services.
+        asked, one whose fetch fails after retries is left out of the
+        merge; both land in :attr:`last_view_failures` so ``heal()``
+        can evacuate their services.
         """
         if refresh:
             for shard in self.shards:
@@ -283,16 +237,14 @@ class ControllerAdaptationLayer:
         if len(populated) > len(stale):
             counters.incr("cal.shard.reuse", len(populated) - len(stale))
         self._refresh_shards(stale)
-        views: list[NFFG] = []
-        owners: dict[str, str] = {}
-        failures: set[str] = set()
-        for shard in populated:
-            if shard.view is not None:
-                views.append(shard.view)
-            owners.update(shard.owners)
-            failures |= shard.view_failures
-        self.last_view_failures = failures
-        self._infra_owner = owners
+        self.last_view_failures = set().union(
+            *(shard.view_failures for shard in populated))
+        return self._stitch()
+
+    def _stitch(self) -> NFFG:
+        """The global pristine view fused from the cached sub-views."""
+        views = [shard.view for shard in self.shards
+                 if shard.view is not None]
         if not views:
             return NFFG(id="dov-empty")
         started = time.perf_counter()
@@ -304,20 +256,17 @@ class ControllerAdaptationLayer:
     def _fetch_view(self, adapter: DomainAdapter) -> Optional[NFFG]:
         """One domain's view fetch with breaker quarantine/probing."""
         with obs.span(f"view/{adapter.name}", domain=adapter.name):
-            breaker = self.breakers.get(adapter.name)
-            if breaker is not None and \
-                    breaker.state is BreakerState.OPEN:
+            breaker = self.breakers[adapter.name]
+            if breaker.state is BreakerState.OPEN:
                 counters.incr("resilience.view.quarantined")
                 return None
             try:
                 view = adapter.fetch_view()
             except Exception:  # noqa: BLE001 - degrade, don't abort
                 counters.incr("resilience.view.unreachable")
-                if breaker is not None:
-                    breaker.record_failure()
+                breaker.record_failure()
                 return None
-            if breaker is not None and \
-                    breaker.state is BreakerState.HALF_OPEN:
+            if breaker.state is BreakerState.HALF_OPEN:
                 # the fetch was the probe: the domain answered
                 breaker.record_success()
             return view
@@ -325,189 +274,148 @@ class ControllerAdaptationLayer:
     def _refresh_shards(self, shards: list[CALShard]) -> None:
         """Refetch the member views of the given shards (one dispatcher
         batch spanning all of them, so distinct domains still fan out
-        in parallel) and re-merge each sub-view.  A shard that lost a
-        member stays stale — only complete sub-views are cached, so
-        the next stitch retries the missing domain."""
-        pairs = [(shard, self.adapters[name])
-                 for shard in shards for name in shard.adapter_names]
-        if not pairs:
-            for shard in shards:
-                shard.stale = False  # nothing to fetch
-            return
-        fetched = self.dispatcher.run(
-            (adapter.name,
-             lambda adapter=adapter: self._fetch_view(adapter))
-            for _, adapter in pairs)
-        by_shard: dict[int, list[tuple[DomainAdapter, Optional[NFFG]]]] = {}
-        for (shard, adapter), view in zip(pairs, fetched):
-            by_shard.setdefault(shard.index, []).append((adapter, view))
+        in parallel), re-merge each sub-view and rewrite the members'
+        ownership entries.  A shard that lost a member stays stale —
+        only complete sub-views are cached, so the next stitch retries
+        the missing domain."""
+        names = [name for shard in shards for name in shard.adapter_names]
+        fetched = dict(zip(names, self.dispatcher.run(
+            (name, lambda adapter=self.adapters[name]:
+             self._fetch_view(adapter)) for name in names)))
+        moved = False
         for shard in shards:
             with obs.span(f"merge/shard{shard.index}", shard=shard.index):
                 views: list[NFFG] = []
-                shard.owners = {}
                 shard.view_failures = set()
-                for adapter, view in by_shard.get(shard.index, []):
+                for name in shard.adapter_names:
+                    for infra_id in self._owned.pop(name, ()):
+                        self._owner.pop(infra_id, None)
+                    view = fetched[name]
                     if view is None:
-                        shard.view_failures.add(adapter.name)
+                        shard.view_failures.add(name)
                         continue
-                    for infra in view.infras:
-                        shard.owners[infra.id] = adapter.name
+                    owned = self._owned[name] = [
+                        infra.id for infra in view.infras]
+                    self._owner.update(dict.fromkeys(owned, name))
                     views.append(view)
-                # unstitched: tag pairs may span shards, the global
-                # stitch in pristine_view fuses them exactly once
+                previous = shard.view
                 shard.view = merge_nffgs(
                     views, merged_id=f"dov-shard{shard.index}",
                     stitch=False) if views else None
-            shard.generation += 1
+            moved = moved or not _same_elements(previous, shard.view)
             shard.stale = bool(shard.view_failures)
+        if moved:
+            # the live DoV was built from sub-views that no longer exist
+            self._invalidate()
+            self.topology_generation += 1
 
     @property
     def dov(self) -> NFFG:
         """The global view including everything deployed so far."""
         if self._dov is None:
-            self._dov = self._rebuild_dov()
+            self._rebuild_dov()
         return self._dov
 
     def mark_stale(self, domains: Optional[Iterable[str]] = None) -> None:
         """Declare the substrate topology changed (adapter added, link
-        failure observed): drop the live DoV and its deltas so the next
-        access re-merges fresh domain views.
+        failure observed): drop the derived state so the next access
+        re-merges fresh domain views.
 
         ``domains`` narrows the refetch to the shards owning the named
-        domains — the other shards' cached sub-views are reused at the
-        next stitch.  ``None`` (the location of the change is unknown)
-        stales every shard.  An *empty* iterable invalidates the DoV,
-        deltas and path caches without staling any shard: used when
-        the domain views were just refetched and only the derived
-        state must go.
+        domains (the other cached sub-views are reused at the next
+        stitch); ``None`` — location unknown — stales every shard.
         """
-        if domains is None:
-            for shard in self.shards:
-                shard.stale = True
-        else:
-            for name in domains:
-                shard = self._shard_of.get(name)
-                if shard is not None:
-                    shard.stale = True
-        self._dov = None
-        self._deltas.clear()
-        self._remaining = None
-        self.generation += 1
+        names = self.adapters if domains is None else domains
+        self._invalidate(self._shard_of[name] for name in names
+                         if name in self._shard_of)
         self.topology_generation += 1
 
     def rebuild(self) -> NFFG:
-        """Explicit escape hatch: force a from-scratch re-merge now."""
-        for shard in self.shards:
+        """Force a from-scratch re-merge (every shard refetched) now."""
+        self._invalidate(self.shards)
+        return self.dov
+
+    def _invalidate(self, shards: Iterable[CALShard] = ()) -> None:
+        """The one place derived state is dropped: live DoV, inverse
+        records and remaining view (the index unbinds with it) go
+        together; ``shards`` are marked for a refetch first."""
+        for shard in shards:
             shard.stale = True
         self._dov = None
         self._deltas.clear()
         self._remaining = None
-        self.generation += 1
-        return self.dov
 
-    def _rebuild_dov(self) -> NFFG:
+    def _derive(self, dov: NFFG,
+                index: SubstrateIndex) -> tuple[NFFG, dict]:
+        """Turn a pristine stitch into the DoV by replaying the books
+        onto it; derive the remaining view next to it and bind ``index``
+        to that.  Returns (remaining view, inverse records) and writes
+        nothing on ``self`` — the rebuild and :meth:`verify` share it."""
+        remaining = remaining_nffg(dov, new_id="dov-remaining",
+                                   include_deployed=False)
+        index.sync(remaining, epoch=self.topology_generation)
+        return remaining, {
+            service_id: _replay(dov, index, service, result)
+            for service_id, (service, result) in self._deployed.items()}
+
+    def _rebuild_dov(self) -> None:
         counters.incr("dov.rebuild")
         started = time.perf_counter()
         with obs.span("dov/rebuild"):
             dov = self.pristine_view(refresh=False)
-            self._degraded_view = bool(self.last_view_failures)
-            self._deltas = {}
-            for service_id, (service, result) in self._deployed.items():
-                if not _replayable(dov, result):
-                    # its substrate vanished from the merge (domain
-                    # quarantined or unreachable): keep the booking but
-                    # leave the service out of the degraded view —
-                    # heal() evacuates it, or a later refresh
-                    # re-applies it
-                    self._deltas[service_id] = None
-                    counters.incr("dov.replay_skipped")
-                    continue
-                self._deltas[service_id] = _apply_inplace(
-                    dov, service, result)
-        # after a rebuild the per-domain desired configs may all have
-        # shifted (deferred replays re-entered, substrate came back):
-        # the planner falls back to a full fan-out once
+            self._remaining, self._deltas = self._derive(
+                dov, self.substrate_index)
+            self._dov = dov
+        # a None delta: the service's substrate vanished from the merge
+        # (domain quarantined or unreachable) — booked, but left out of
+        # the view until heal() evacuates it or a refresh re-applies it
+        skipped = sum(delta is None for delta in self._deltas.values())
+        if skipped:
+            counters.incr("dov.replay_skipped", skipped)
+        # every domain's desired config may have shifted (deferred
+        # replays re-entered, substrate came back): full fan-out once
         self._dirty.update(self.adapters)
         observe("dov.rebuild_s", time.perf_counter() - started)
-        return dov
 
-    def _needs_refresh(self) -> bool:
-        """The live DoV is known to under-represent reality (degraded
-        merge, or bookings whose replay was skipped) and a re-merge
-        could improve it."""
-        return self._dov is not None and (
-            self._degraded_view
-            or any(delta is None for delta in self._deltas.values()))
-
-    def resource_view(self, *, copy: bool = True) -> NFFG:
+    def resource_view(self) -> NFFG:
         """What the RO should map against: the substrate with remaining
         resources.  Deployed NFs are netted out of the capacities but
         not advertised themselves — the northbound view stays
         substrate-sized no matter how much is deployed.
 
-        The view is cached between calls and maintained incrementally:
-        commits and removals adjust only the touched infras and route
-        links (O(service), not O(substrate)); every other DoV mutation
-        falls back to a full re-derivation via the generation tag.
-        ``copy=False`` hands out the live cached view — the deploy hot
-        loop uses it to stay O(touched); such callers must treat the
-        graph as read-only (embedders do: reservations live in the
-        mapping ledger, never in the input view)."""
-        dov = self.dov   # may rebuild and bump the generation: read first
-        if self._remaining is None \
-                or self._remaining_generation != self.generation:
-            self._remaining = remaining_nffg(dov, new_id="dov-remaining",
-                                             include_deployed=False)
-            self._remaining_generation = self.generation
-            counters.incr("cal.remaining.rebuild")
-        else:
-            counters.incr("cal.remaining.reuse")
-        # keep the mapping index bound to the live remaining view;
-        # identity/epoch drift triggers its full rebuild (PathCache
-        # sync idiom), everything else is a no-op
-        self.substrate_index.sync(self._remaining,
-                                  epoch=self.topology_generation)
-        if _INDEX_VERIFY:
-            problems = self.substrate_index.verify(self._remaining)
-            assert not problems, f"substrate index drifted: {problems}"
-        if copy:
-            return self._remaining.copy("dov-remaining")
+        This is the live view the substrate index is bound to, kept
+        current by the commit/remove folds at O(service) cost: treat it
+        as read-only (embedders do: reservations live in the mapping
+        ledger) and copy it for anyone who might not."""
+        if self._dov is None:
+            self._rebuild_dov()
         return self._remaining
 
-    def _update_remaining(self, service: NFFG, result: MappingResult,
-                          sign: float) -> None:
-        """Fold a mapping just applied to (``sign=1``) or removed from
-        (``sign=-1``) the DoV into the cached remaining view, touching
-        only the placed infras and routed links.  Call *after* bumping
-        ``generation``; any inconsistency drops the cache instead of
-        serving a wrong capacity."""
-        remaining = self._remaining
-        if remaining is None:
-            return
-        try:
-            for nf_id, infra_id in result.nf_placement.items():
-                infra = remaining.infra(infra_id)
-                demand = service.nf(nf_id).resources
-                free = infra.resources
-                infra.resources = ResourceVector(
-                    cpu=max(free.cpu - sign * demand.cpu, 0.0),
-                    mem=max(free.mem - sign * demand.mem, 0.0),
-                    storage=max(free.storage - sign * demand.storage, 0.0),
-                    bandwidth=free.bandwidth, delay=free.delay)
-            for route in result.hop_routes.values():
-                for link_id in route.link_ids:
-                    link = remaining.edge(link_id)
-                    link.bandwidth = max(
-                        link.bandwidth - sign * route.bandwidth, 0.0)
-        except (KeyError, NFFGError):
-            # a placement or route no longer resolves in the cached
-            # substrate (topology moved underneath): re-derive lazily
-            self._remaining = None
-            return
-        self._remaining_generation = self.generation
-        # mirror the delta into the mapping index (same clamped
-        # arithmetic); it marks itself stale on any inconsistency
-        self.substrate_index.apply_mapping(service, result, sign)
+    def verify(self) -> list[str]:
+        """Re-derive every derived store — DoV, remaining view,
+        substrate index, ownership — from the cached shard sub-views
+        plus the books and name each difference from the live one
+        (empty = consistent).  No adapter I/O and no repair; a dropped
+        (not yet re-derived) DoV has nothing to compare."""
+        by_inverse = {infra_id: name for name, ids in self._owned.items()
+                      for infra_id in ids}
+        problems = ([] if by_inverse == self._owner else
+                    ["ownership map and its inverse disagree"])
+        problems += _differences(
+            {f"owner of {infra_id}": self._shard_of[name].index
+             for infra_id, name in self._owner.items()},
+            {f"owner of {infra.id}": shard.index for shard in self.shards
+             if shard.view is not None for infra in shard.view.infras})
+        if self._dov is None:
+            return problems
+        dov, index = self._stitch(), SubstrateIndex()
+        remaining, _ = self._derive(dov, index)
+        return problems + _differences(
+            {**nffg_facts("DoV", self._dov),
+             **nffg_facts("remaining view", self._remaining),
+             **self.substrate_index.facts()},
+            {**nffg_facts("DoV", dov),
+             **nffg_facts("remaining view", remaining), **index.facts()})
 
     # -- deployment ---------------------------------------------------------------------
 
@@ -522,41 +430,33 @@ class ControllerAdaptationLayer:
     def commit_mapping(self, service_id: str, service: NFFG,
                        result: MappingResult) -> None:
         """Record a successful mapping into the DoV (in place)."""
-        dov = self.dov
-        self._deltas[service_id] = _apply_inplace(dov, service, result)
+        delta = _replay(self.dov, self.substrate_index, service, result)
+        if delta is None:
+            raise NFFGError(f"mapping of {service_id!r} references "
+                            "substrate missing from the DoV")
+        self._deltas[service_id] = delta
         self._deployed[service_id] = (service, result)
         self._mark_dirty(result)
-        self.generation += 1
-        self._update_remaining(service, result, 1.0)
         counters.incr("dov.apply_inplace")
-        set_gauge("cal.services_deployed", len(self._deployed))
+        self._settle()
 
     def remove_service(self, service_id: str) -> bool:
         if service_id not in self._deployed:
             return False
-        removed_service, removed_result = self._deployed[service_id]
-        self._mark_dirty(removed_result)
-        del self._deployed[service_id]
-        had_delta = service_id in self._deltas
-        delta = self._deltas.pop(service_id, None)
-        self.generation += 1
-        if had_delta and delta is None:
-            # replay was skipped: never entered the live view, so the
-            # cached remaining capacities are untouched
-            if self._remaining is not None:
-                self._remaining_generation = self.generation
-        elif self._dov is not None and delta is not None:
-            _remove_inplace(self._dov, delta)
-            self._update_remaining(removed_service, removed_result, -1.0)
-            counters.incr("dov.remove_inplace")
+        service, result = self._deployed.pop(service_id)
+        self._mark_dirty(result)
+        if service_id in self._deltas:  # only a live DoV has records
+            delta = self._deltas.pop(service_id)
+            # None: its replay was deferred, it never entered the view
+            if delta is not None:
+                remove_mapping(self._dov, delta)
+                self.substrate_index.fold(service, result, -1.0)
+                counters.incr("dov.remove_inplace")
         else:
-            # no live view (or no delta for it): fall back to a lazy
-            # from-scratch rebuild on next access
-            self._dov = None
-            self._deltas.clear()
-            self._remaining = None
+            # no live view (or no record for it): rebuild on next access
+            self._invalidate()
             counters.incr("dov.fallback")
-        set_gauge("cal.services_deployed", len(self._deployed))
+        self._settle()
         return True
 
     def snapshot_service(self, service_id: str) -> tuple[NFFG, MappingResult]:
@@ -568,22 +468,21 @@ class ControllerAdaptationLayer:
         """Put a previously snapshotted service back (rollback path)."""
         self._deployed[service_id] = snapshot
         self._mark_dirty(snapshot[1])
-        self.generation += 1
         if self._dov is not None:
-            service, result = snapshot
-            if _replayable(self._dov, result):
-                self._deltas[service_id] = _apply_inplace(
-                    self._dov, service, result)
-                self._update_remaining(service, result, 1.0)
-                counters.incr("dov.apply_inplace")
-            else:
-                # restoring onto a degraded view whose substrate is
-                # gone: book it, defer the replay to the next refresh
-                # (the cached remaining capacities are untouched)
-                self._deltas[service_id] = None
-                if self._remaining is not None:
-                    self._remaining_generation = self.generation
-                counters.incr("dov.replay_skipped")
+            # None: its substrate is gone from a degraded view — booked,
+            # the replay deferred to the next refresh
+            delta = self._deltas[service_id] = _replay(
+                self._dov, self.substrate_index, *snapshot)
+            counters.incr("dov.apply_inplace" if delta is not None
+                          else "dov.replay_skipped")
+        self._settle()
+
+    def _settle(self) -> None:
+        """After a fold: an id that no longer resolved left the index
+        stale — drop it with everything derived alongside instead of
+        serving a wrong capacity."""
+        if not self.substrate_index.covers(self._remaining):
+            self._invalidate()
         set_gauge("cal.services_deployed", len(self._deployed))
 
     def deployed_services(self) -> list[str]:
@@ -594,81 +493,72 @@ class ControllerAdaptationLayer:
 
         Domain orchestrators reconcile against the full config, so the
         push is idempotent and also serves teardown (a domain that no
-        longer appears gets an empty graph).
-
-        A domain whose circuit breaker is open is skipped — its report
-        carries ``skipped=True`` and its configuration joins the
-        reconciliation queue, replayed by :meth:`reconcile` (or by the
-        next :meth:`push_all` once the breaker half-opens).
-
-        Pushes toward distinct domains run concurrently through the
-        dispatcher; the report list keeps registration order.  The
-        service lifecycle uses the planned variant
-        (:meth:`push_planned`); the full fan-out stays the baseline for
-        operator-driven reconciliation, rollback and state import.
+        longer appears gets an empty graph).  :meth:`push_planned` with
+        every domain marked dirty: what rollback, state import and
+        recovery use.
         """
-        self._prepare_push()
-        self._dirty.clear()  # the full fan-out covers every planned target
-        return self.dispatcher.run(
-            (adapter.name, lambda adapter=adapter: self._push_one(adapter))
-            for adapter in self.adapters.values())
+        self._dirty.update(self.adapters)
+        return self.push_planned()
 
     def push_planned(self) -> list[AdapterReport]:
-        """Push only the domains whose configuration may have changed.
+        """Push the domains whose configuration may have changed.
 
         The planner unions the touched-domain sets recorded by
         ``commit_mapping``/``remove_service``/``restore_service`` since
         the last push with the queued reconciliations whose breaker
         admits a push again, and submits dispatcher ops for exactly
         those domains — per-deploy push work is proportional to the
-        domains a service touches, not to the number registered.  An
-        untouched domain is not contacted at all: its cumulative
-        configuration cannot have changed, so a push could only confirm
-        a no-op.
+        domains a service touches, not to the number registered.
 
-        Reports come back in registration order, like :meth:`push_all`,
-        but cover only the planned domains.
+        A domain whose circuit breaker is open is skipped — its report
+        carries ``skipped=True`` and its configuration joins the
+        reconciliation queue, replayed by :meth:`reconcile` or the next
+        planned push after the breaker half-opens.  Distinct domains
+        are pushed concurrently; reports keep registration order.
         """
-        self._prepare_push()  # a forced rebuild marks every domain dirty
-        targets = set(self._dirty)
-        for shard in self.shards:
-            with shard.lock:
-                queued = set(shard.pending)
-            for name in queued:
-                breaker = self.breakers.get(name)
-                if breaker is None or breaker.allow():
-                    targets.add(name)
-        planned = [adapter for name, adapter in self.adapters.items()
-                   if name in targets]
-        counters.incr("cal.push.planned", len(planned))
-        skipped = len(self.adapters) - len(planned)
-        if skipped:
-            counters.incr("cal.push.skipped", skipped)
-        self._dirty.difference_update(adapter.name for adapter in planned)
-        if not planned:
-            return []
+        self._prepare_push()  # a rebuild marks every domain dirty
+        targets = self._dirty | self._admitted(self.pending_reconciliation())
+        counters.incr("cal.push.planned", len(targets))
+        if len(targets) < len(self.adapters):
+            counters.incr("cal.push.skipped",
+                          len(self.adapters) - len(targets))
+        return self._fan_out(targets)
+
+    def _admitted(self, names: Iterable[str]) -> set[str]:
+        """The named domains whose breaker lets a push through."""
+        return {name for name in names if self.breakers[name].allow()}
+
+    def _fan_out(self, targets: set[str], *,
+                 force_full: bool = False) -> list[AdapterReport]:
+        """The one push loop: one dispatcher op per target domain,
+        reports in registration order."""
+        self._dirty -= targets
         return self.dispatcher.run(
-            (adapter.name, lambda adapter=adapter: self._push_one(adapter))
-            for adapter in planned)
+            (name, lambda adapter=adapter: self._push_one(
+                adapter, force_full=force_full))
+            for name, adapter in self.adapters.items() if name in targets)
 
     def _prepare_push(self) -> None:
         """Materialize (and, when degraded, refresh) the DoV on the
         caller's thread before any fan-out: ``_install_for`` runs on
-        dispatcher workers and must only *read* the live view — a lazy
-        rebuild there would re-enter the dispatcher while the worker
-        holds its domain's FIFO mutex."""
-        if self._needs_refresh():
-            self.rebuild()
-        elif self._dov is None:
-            self._dov = self._rebuild_dov()
+        dispatcher workers and must only *read* it — a lazy rebuild
+        there would re-enter the dispatcher under a domain's mutex."""
+        if self._dov is not None and (
+                self.last_view_failures or None in self._deltas.values()):
+            # merged without some domain, or a booking's replay was
+            # deferred: re-merge, so a returned domain's substrate and
+            # its stranded services re-enter the view
+            self._invalidate(self.shards)
+        if self._dov is None:
+            self._rebuild_dov()
 
     def _push_one(self, adapter: DomainAdapter, *,
                   force_full: bool = False) -> AdapterReport:
         """One domain's push, traced: the ``push/<domain>`` span covers
-        the whole attempt *including* the breaker bookkeeping, so a
+        the attempt *including* the breaker bookkeeping, so a
         ``breaker.trip`` event carries the span id of the push that
-        tripped it.  Runs on a dispatcher worker thread under the
-        domain's FIFO mutex (context copied over when tracing is on)."""
+        tripped it.  Runs on a dispatcher worker, under the domain's
+        FIFO mutex."""
         with obs.span(f"push/{adapter.name}",
                       domain=adapter.name) as span:
             report = self._push_one_traced(adapter, force_full=force_full)
@@ -687,35 +577,35 @@ class ControllerAdaptationLayer:
     def _push_one_traced(self, adapter: DomainAdapter, *,
                          force_full: bool = False) -> AdapterReport:
         shard = self._shard_of[adapter.name]
-        breaker = self.breakers.get(adapter.name)
-        if breaker is not None and not breaker.allow():
+        breaker = self.breakers[adapter.name]
+        with shard.lock:
+            was_pending = adapter.name in shard.pending
+        if not breaker.allow():
             counters.incr("resilience.breaker.skip")
-            with shard.lock:
-                shard.pending.add(adapter.name)
-            set_gauge("cal.pending_reconcile", self._pending_total())
-            return AdapterReport(
+            report = AdapterReport(
                 domain=adapter.name, success=False, skipped=True,
                 error=(f"circuit open after "
                        f"{breaker.consecutive_failures} consecutive "
                        "failures; push queued for reconciliation"))
-        with shard.lock:
-            was_pending = adapter.name in shard.pending
-        # delta pushes need an agreed base: after a skipped/failed push
-        # or on a breaker's half-open probe the domain's state is not
-        # trusted, so the cumulative config goes out in full
-        force_full = (force_full or was_pending
-                      or (breaker is not None
-                          and breaker.state is BreakerState.HALF_OPEN))
-        try:
-            install = self._install_for(adapter)
-        except Exception as exc:  # noqa: BLE001 - slicing needs the view
-            report = AdapterReport(
-                domain=adapter.name, success=False,
-                error=f"{type(exc).__name__}: {exc}")
         else:
-            report = adapter.install(install, force_full=force_full)
-        if breaker is not None:
+            # delta pushes need an agreed base: after a skipped/failed
+            # push or on a breaker's half-open probe the domain's state
+            # is not trusted, so the cumulative config goes out in full
+            force_full = (force_full or was_pending
+                          or breaker.state is BreakerState.HALF_OPEN)
+            try:
+                install = self._install_for(adapter)
+            except Exception as exc:  # noqa: BLE001 - slicing needs the view
+                report = AdapterReport(
+                    domain=adapter.name, success=False,
+                    error=f"{type(exc).__name__}: {exc}")
+            else:
+                report = adapter.install(install, force_full=force_full)
             breaker.record(report.success)
+            if not report.success:
+                # server state unknown: never diff against it again
+                # until a full push re-establishes the base
+                adapter.reset_delta_state()
         with shard.lock:
             if report.success:
                 shard.pending.discard(adapter.name)
@@ -724,16 +614,11 @@ class ControllerAdaptationLayer:
             else:
                 shard.pending.add(adapter.name)
         set_gauge("cal.pending_reconcile", self._pending_total())
-        if not report.success:
-            # server state unknown: never diff against it again until a
-            # full push re-establishes the base
-            adapter.reset_delta_state()
         return report
 
     def _pending_total(self) -> int:
-        """Advisory queue depth for the gauge; per-shard sizes are read
-        without the shard locks (a len() is atomic, and the gauge may
-        lag a concurrent settle by one push anyway)."""
+        """Advisory queue depth for the gauge, read without the shard
+        locks (len() is atomic; the gauge may lag by one push anyway)."""
         return sum(len(shard.pending) for shard in self.shards)
 
     def reconcile(self, *, force_probe: bool = False) -> list[AdapterReport]:
@@ -744,39 +629,20 @@ class ControllerAdaptationLayer:
         first (operator signal: "the domain is back, try it"); without
         it only domains whose breaker already admits a push are tried.
 
-        Reconciliation is also the convergence point for a degraded
-        DoV: if the live view was last merged while some domain was
-        unreachable, it is re-merged first — so a returned domain's
-        substrate and any deferred service replays are back in the
-        view before its cumulative configuration is re-pushed.
+        A DoV last merged while some domain was unreachable is
+        re-merged first, so a returned domain's substrate and deferred
+        service replays are back in the view before its cumulative
+        configuration is re-pushed.
         """
         if force_probe:
             # a breaker can be open purely from view-fetch failures
-            # (nothing pending), so probe every open breaker, not just
-            # the queued domains — the refresh below is the probe
+            # (nothing pending): probe all — the refresh is the probe
             for breaker in self.breakers.values():
                 breaker.force_half_open()
         self._prepare_push()
-        # snapshot the queues before iterating: _push_one (possibly on
-        # a dispatcher worker) mutates the live sets as pushes settle
-        pending = sorted(self.pending_reconciliation())
-        if not pending:
-            return []
-        ops = []
-        for name in pending:
-            adapter = self.adapters.get(name)
-            if adapter is None:
-                for shard in self.shards:
-                    with shard.lock:
-                        shard.pending.discard(name)
-                continue
-            breaker = self.breakers.get(name)
-            if breaker is not None and not breaker.allow():
-                continue
-            # replays re-establish the delta base with a full push
-            ops.append((name, lambda adapter=adapter: self._push_one(
-                adapter, force_full=True)))
-        return self.dispatcher.run(ops)
+        # replays re-establish the delta base with a full push
+        return self._fan_out(self._admitted(self.pending_reconciliation()),
+                             force_full=True)
 
     def pending_reconciliation(self) -> set[str]:
         """Domains holding stale configuration (push skipped/failed)."""
@@ -835,22 +701,14 @@ class ControllerAdaptationLayer:
     def adapter_names_for(self, result: MappingResult) -> set[str]:
         """The adapters whose substrate a mapping actually touches
         (placements + route hops), per the latest merged ownership."""
-        infras = set(result.nf_placement.values())
-        for route in result.hop_routes.values():
-            infras.update(route.infra_path)
-        return {self._infra_owner[infra_id] for infra_id in infras
-                if infra_id in self._infra_owner}
+        touched = touched_infra_ids(result.nf_placement, result.hop_routes)
+        return {self._owner[infra_id] for infra_id in touched
+                if infra_id in self._owner}
 
-    def _own_infra_ids(self, adapter: DomainAdapter) -> frozenset[str]:
-        """The adapter's own infra ids, cached per substrate topology
-        generation — ``_install_for`` runs on every push and must not
-        pay for a full ``get_view()`` copy each time."""
-        cached = self._own_infra_cache.get(adapter.name)
-        if cached is not None and cached[0] == self.topology_generation:
-            return cached[1]
-        ids = adapter.own_infra_ids()
-        self._own_infra_cache[adapter.name] = (self.topology_generation, ids)
-        return ids
+    def owned_infras(self, adapter_name: str) -> list[str]:
+        """The infra ids the named adapter contributed to the latest
+        merge, in its view's order (empty when its view was missing)."""
+        return list(self._owned.get(adapter_name, ()))
 
     def _install_for(self, adapter: DomainAdapter) -> NFFG:
         """The adapter's install slice, computed directly from the DoV.
@@ -859,20 +717,14 @@ class ControllerAdaptationLayer:
         and the SAPs attached via its own sap-tagged ports; links
         survive exactly when both endpoints are members, so
         inter-domain stitches, SG hops and requirements never enter an
-        install view.  Unlike a whole-view ``split_per_domain`` pass
-        this costs one id-membership sweep plus O(domain) node copies
-        per push — not a full per-type materialization of the global
-        view on every fan-out.
-
-        The install graph id is deterministic per adapter so the delta
-        machinery diffs against a stable base: ``<dov>@<type>`` for a
-        DomainType with one adapter, suffixed ``@<name>`` when the type
-        is shared.
+        install view: O(domain) per push.  The graph id is
+        deterministic per adapter so the delta machinery diffs against a
+        stable base — ``<dov>@<type>``, suffixed ``@<name>`` when the
+        DomainType is shared.
         """
         dov = self.dov
-        own_nodes = self._own_infra_ids(adapter)
-        own_present = [infra.id for infra in dov.infras
-                       if infra.id in own_nodes]
+        own_present = [infra_id for infra_id in self._owned.get(adapter.name, ())
+                       if dov.has_node(infra_id)]
         if not own_present:
             return NFFG(id=f"{adapter.name}-empty")
         members: list[str] = list(own_present)
@@ -900,122 +752,49 @@ class ControllerAdaptationLayer:
     def ready(self) -> bool:
         return all(adapter.ready() for adapter in self.adapters.values())
 
-    def control_totals(self) -> tuple[int, int]:
-        messages = octets = 0
-        for adapter in self.adapters.values():
-            m, b = adapter.control_stats()
-            messages += m
-            octets += b
-        return messages, octets
 
-
-def _endpoint_port(dov: NFFG, service: NFFG,
-                   attach: dict[str, tuple[str, str]],
-                   node_id: str, port_id: str) -> str:
-    """The infra-side port where a service endpoint attaches in the DoV."""
-    node = service.node(node_id)
-    if isinstance(node, NodeNF):
-        bound = dov.infra_port_of_nf(node_id, port_id)
-        if bound is None:
-            raise KeyError(f"NF {node_id!r} not bound in the DoV")
-        return bound[1]
-    try:
-        return attach[node_id][1]
-    except KeyError:
-        raise KeyError(f"service SAP {node_id!r} has no attachment point "
-                       f"in the DoV") from None
-
-
-def _replayable(dov: NFFG, result: MappingResult) -> bool:
-    """Is all the substrate a mapping references present in ``dov``?
-
-    False means the owning domain is missing from a degraded merge —
-    applying the mapping would reference vanished nodes/links.
-    """
-    if any(not dov.has_node(infra_id)
-           for infra_id in result.nf_placement.values()):
-        return False
-    for route in result.hop_routes.values():
-        if any(not dov.has_node(node_id) for node_id in route.infra_path):
-            return False
-        if any(not dov.has_edge(link_id) for link_id in route.link_ids):
-            return False
-    return True
-
-
-def _apply_inplace(dov: NFFG, service: NFFG,
-                   result: MappingResult) -> _ServiceDelta:
-    """Apply a mapping's placements/routes/flowrules to the DoV in place.
-
-    Mirrors :meth:`MappingContext.commit` minus the full-view copy and
-    returns the delta needed to undo it exactly.
-    """
-    delta = _ServiceDelta()
-    for nf_id, infra_id in result.nf_placement.items():
-        if not dov.has_node(nf_id):
-            dov.add_node_copy(service.nf(nf_id))
-            delta.nf_ids.append(nf_id)
-        created = dov.place_nf(nf_id, infra_id)
-        for link in created:
-            delta.nf_ports.append((link.dst_node, link.dst_port))
-        dov.nf(nf_id).status = "deployed"
-    for route in result.hop_routes.values():
-        if route.bandwidth > 1e-9 and route.link_ids:
-            for link_id in route.link_ids:
-                dov.edge(link_id).reserved += route.bandwidth
-            delta.reservations.append(
-                (tuple(route.link_ids), route.bandwidth))
-    attach = build_sap_attachments(dov)
-    for hop in service.sg_hops:
-        route = result.hop_routes.get(hop.id)
-        if route is None:
-            continue
-        in_port = _endpoint_port(dov, service, attach,
-                                 hop.src_node, hop.src_port)
-        out_port = _endpoint_port(dov, service, attach,
-                                  hop.dst_node, hop.dst_port)
-        delta.flow_ports.extend(
-            install_hop_flowrules(dov, hop, route, in_port, out_port))
-        delta.hop_ids.add(hop.id)
-    # carry the SG hops and requirements for later teardown/audit
-    for sap in service.saps:
-        if not dov.has_node(sap.id):
-            dov.add_node_copy(sap)
-            delta.sap_ids.append(sap.id)
-    for hop in service.sg_hops:
-        if not dov.has_edge(hop.id):
-            dov.add_edge_copy(hop)
-            delta.edge_ids.append(hop.id)
-    for req in service.requirements:
-        if not dov.has_edge(req.id):
-            dov.add_edge_copy(req)
-            delta.edge_ids.append(req.id)
+def _replay(dov: NFFG, index: SubstrateIndex, service: NFFG,
+            result: MappingResult) -> Optional[ServiceDelta]:
+    """Fold one booked mapping into derived state: placements,
+    reservations and flow rules into ``dov``, its demands out of
+    ``index`` and the remaining view bound to it.  Returns the inverse
+    record, or None — nothing written — when substrate the mapping
+    references is absent from ``dov`` (its domain is missing from a
+    degraded merge)."""
+    touched = touched_infra_ids(result.nf_placement, result.hop_routes)
+    if not (all(map(dov.has_node, touched)) and all(
+            dov.has_edge(link_id) for route in result.hop_routes.values()
+            for link_id in route.link_ids)):
+        return None
+    delta = apply_mapping(dov, service, result.nf_placement,
+                          result.hop_routes, index.sap_attachments())
+    index.fold(service, result, 1.0)
     return delta
 
 
-def _remove_inplace(dov: NFFG, delta: _ServiceDelta) -> None:
-    """Undo exactly what :func:`_apply_inplace` recorded in ``delta``."""
-    for infra_id, port_id in set(delta.flow_ports):
-        if not dov.has_node(infra_id):
-            continue
-        port = dov.infra(infra_id).ports.get(port_id)
-        if port is not None:
-            port.flowrules = [rule for rule in port.flowrules
-                              if rule.hop_id not in delta.hop_ids]
-    for link_ids, bandwidth in delta.reservations:
-        for link_id in link_ids:
-            if dov.has_edge(link_id):
-                link = dov.edge(link_id)
-                link.reserved = max(0.0, link.reserved - bandwidth)
-    for edge_id in delta.edge_ids:
-        if dov.has_edge(edge_id):
-            dov.remove_edge(edge_id)
-    for nf_id in delta.nf_ids:
-        if dov.has_node(nf_id):
-            dov.remove_node(nf_id)  # also drops its dynamic links
-    for infra_id, port_id in delta.nf_ports:
-        if dov.has_node(infra_id):
-            dov.infra(infra_id).ports.pop(port_id, None)
-    for sap_id in delta.sap_ids:
-        if dov.has_node(sap_id) and not dov.edges_of(sap_id):
-            dov.remove_node(sap_id)
+def _same_elements(old: Optional[NFFG], new: Optional[NFFG]) -> bool:
+    """Do two fetches of a sub-view hold the same node and edge ids?"""
+    if old is None or new is None:
+        return old is new
+    return ({node.id for node in old.nodes} == {node.id for node in new.nodes}
+            and {edge.id for edge in old.edges}
+            == {edge.id for edge in new.edges})
+
+
+def _differences(live: dict[str, object],
+                 rebuilt: dict[str, object]) -> list[str]:
+    """Name every fact two fact maps disagree on (floats within 1e-6:
+    a fold and its inverse do not cancel to the last bit)."""
+    def close(a, b) -> bool:
+        if isinstance(a, float) and isinstance(b, float):
+            return abs(a - b) <= 1e-6
+        if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+            return len(a) == len(b) and all(map(close, a, b))
+        return a == b
+
+    return sorted(
+        [f"ghost {name} (live only)" for name in live.keys() - rebuilt.keys()]
+        + [f"missing {name}" for name in rebuilt.keys() - live.keys()]
+        + [f"{name}: live {live[name]!r} != rebuilt {rebuilt[name]!r}"
+           for name in live.keys() & rebuilt.keys()
+           if not close(live[name], rebuilt[name])])

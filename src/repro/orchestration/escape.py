@@ -16,12 +16,13 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.lint import DiagnosticList, Severity, lint_nffg
-from repro.mapping.base import Embedder
+from repro.mapping.base import Embedder, touched_infra_ids
 from repro.mapping.decomposition import DecompositionLibrary
 from repro.mapping.pathcache import PathCache
 from repro.nffg.graph import NFFG
 from repro.orchestration.cal import ControllerAdaptationLayer
 from repro.orchestration.adapters import DomainAdapter
+from repro.orchestration.dispatch import DEFAULT_MAX_WORKERS
 from repro.orchestration.report import DeployReport
 from repro.orchestration.ro import ResourceOrchestrator
 from repro.perf import counters, observe
@@ -37,8 +38,8 @@ class EscapeOrchestrator:
                  decomposition_library: Optional[DecompositionLibrary] = None,
                  simulator: Optional[Simulator] = None,
                  lint_gate: Optional[Severity] = Severity.ERROR,
-                 push_workers: Optional[int] = None,
-                 cal_shards: Optional[int] = None,
+                 push_workers: int = DEFAULT_MAX_WORKERS,
+                 cal_shards: int = 1,
                  cal_shard_map: Optional[dict[str, int]] = None,
                  journal: Optional[IntentJournal] = None,
                  journal_path: Optional[str] = None):
@@ -49,14 +50,9 @@ class EscapeOrchestrator:
         # 1 (or 0) forces strictly serial pushes on the caller's thread.
         # cal_shards/cal_shard_map partition the adapter registry so
         # view refreshes touch only the shards something invalidated.
-        cal_kwargs: dict = {}
-        if push_workers is not None:
-            cal_kwargs["push_workers"] = push_workers
-        if cal_shards is not None:
-            cal_kwargs["shards"] = cal_shards
-        if cal_shard_map is not None:
-            cal_kwargs["shard_map"] = cal_shard_map
-        self.cal = ControllerAdaptationLayer(**cal_kwargs)
+        self.cal = ControllerAdaptationLayer(
+            push_workers=push_workers, shards=cal_shards,
+            shard_map=cal_shard_map)
         #: substrate path memo shared across all mapping requests;
         #: invalidated whenever the CAL's topology generation moves
         self.path_cache = PathCache()
@@ -83,7 +79,9 @@ class EscapeOrchestrator:
         return self.cal.dov
 
     def resource_view(self) -> NFFG:
-        return self.cal.resource_view()
+        """A private copy of the remaining-capacity view for northbound
+        consumers (the CAL's own is live and read-only)."""
+        return self.cal.resource_view().copy("dov-remaining")
 
     def _orchestrate(self, service: NFFG, view: NFFG):
         """Run the RO with the shared path cache and the CAL's
@@ -109,9 +107,12 @@ class EscapeOrchestrator:
         event; end-to-end latency always feeds the ``deploy.latency_s``
         histogram.
         """
+        report = DeployReport(service_id=service.id, success=False)
         with obs.span("deploy", service=service.id) as root:
-            report = self._deploy(service, wait_activation=wait_activation,
-                                  max_activation_ms=max_activation_ms)
+            started = time.perf_counter()
+            self._deploy(service, report, wait_activation, max_activation_ms)
+            report.total_time_s = time.perf_counter() - started
+            self.reports[service.id] = report
             root.set(outcome=report.resolved_outcome())
             obs.event("deploy", service=service.id,
                       outcome=report.resolved_outcome(), error=report.error,
@@ -119,15 +120,13 @@ class EscapeOrchestrator:
         observe("deploy.latency_s", report.total_time_s)
         return report
 
-    def _deploy(self, service: NFFG, *, wait_activation: bool,
-                max_activation_ms: float) -> DeployReport:
-        started = time.perf_counter()
-        report = DeployReport(service_id=service.id, success=False)
+    def _deploy(self, service: NFFG, report: DeployReport,
+                wait_activation: bool, max_activation_ms: float) -> None:
+        """Run the deploy pipeline, filling ``report``; returns early
+        with ``report.error`` set at the first stage that refuses."""
         if service.id in self.cal.deployed_services():
             report.error = f"service {service.id!r} already deployed"
-            report.total_time_s = time.perf_counter() - started
-            self.reports[service.id] = report
-            return report
+            return
 
         lint_started = time.perf_counter()
         with obs.span("deploy/lint"):
@@ -137,9 +136,7 @@ class EscapeOrchestrator:
             report.error = ("lint gate rejected service graph: "
                            + "; ".join(f"{d.rule_id}: {d.message}"
                                        for d in blocking))
-            report.total_time_s = time.perf_counter() - started
-            self.reports[service.id] = report
-            return report
+            return
 
         conflicts = ([nf.id for nf in service.nfs
                       if self.cal.dov.has_node(nf.id)]
@@ -149,14 +146,12 @@ class EscapeOrchestrator:
             report.error = ("service element ids collide with deployed "
                             f"state: {sorted(set(conflicts))} — NF and edge "
                             "ids must be unique across services")
-            report.total_time_s = time.perf_counter() - started
-            self.reports[service.id] = report
-            return report
+            return
 
         view_started = time.perf_counter()
         with obs.span("deploy/view"):
-            # the live cached view: embedders never mutate their input
-            view = self.cal.resource_view(copy=False)
+            # the live view: embedders never mutate their input
+            view = self.cal.resource_view()
         report.view_time_s = time.perf_counter() - view_started
 
         from repro.nffg.serialize import nffg_to_dict
@@ -171,9 +166,7 @@ class EscapeOrchestrator:
             if not result.success:
                 report.error = f"mapping failed: {result.failure_reason}"
                 intent.abort(report.error)
-                report.total_time_s = time.perf_counter() - started
-                self.reports[service.id] = report
-                return report
+                return
 
             effective_service = result.service if result.service is not None \
                 else service
@@ -186,24 +179,14 @@ class EscapeOrchestrator:
             report.push_time_s = time.perf_counter() - push_started
             report.adapters = adapter_reports
             intent.record_pushes(adapter_reports)
-            report.domains_touched = len(
-                {self.cal.dov.infra(infra_id).domain
-                 for infra_id in result.nf_placement.values()})
+            report.domains_touched = len(self.cal.adapter_names_for(result))
             failures = [r for r in adapter_reports
                         if not r.success and not r.skipped]
             if failures:
-                self._rollback(service.id, report, intent)
                 report.error = "; ".join(f"{r.domain}: {r.error}"
                                          for r in failures)
-                rollback_failed = report.rollback_failures()
-                if rollback_failed:
-                    report.error += ("; rollback incomplete: "
-                                     + "; ".join(f"{r.domain}: {r.error}"
-                                                 for r in rollback_failed))
-                intent.abort(report.error)
-                report.total_time_s = time.perf_counter() - started
-                self.reports[service.id] = report
-                return report
+                self._rollback(service.id, report, intent)
+                return
 
             if wait_activation:
                 activation_started = time.perf_counter()
@@ -215,28 +198,33 @@ class EscapeOrchestrator:
             report.success = True
             report.outcome = self._classify_push(result, adapter_reports)
             intent.commit({service.id: self._service_record(service.id)})
-        report.total_time_s = time.perf_counter() - started
-        self.reports[service.id] = report
-        return report
 
     def _rollback(self, service_id: str, report: DeployReport,
-                  intent: Optional[IntentScope] = None) -> None:
-        """Undo a half-deployed service and record how the
-        reconciliation pushes went (satellite of the failure model:
-        silently diverging rollbacks are themselves failures)."""
+                  intent: IntentScope,
+                  snapshot: Optional[tuple] = None) -> None:
+        """Undo a half-pushed service — putting ``snapshot``, the
+        version it replaced, back when there is one — reconcile every
+        domain, record how those pushes went (silently diverging
+        rollbacks are themselves failures) and abort the intent with
+        ``report.error``."""
         rollback_started = time.perf_counter()
         with obs.span("deploy/rollback", service=service_id):
             self.cal.remove_service(service_id)
+            if snapshot is not None:
+                self.cal.restore_service(service_id, snapshot)
             report.rollback = self.cal.push_all()
-        if intent is not None:
-            intent.record_pushes(report.rollback, stage="rollback")
+        intent.record_pushes(report.rollback, stage="rollback")
         report.rollback_time_s = time.perf_counter() - rollback_started
         report.outcome = "failed"
         failed = report.rollback_failures()
         if failed:
             counters.incr("resilience.rollback.failures", len(failed))
+            report.error += ("; rollback incomplete: "
+                             + "; ".join(f"{r.domain}: {r.error}"
+                                         for r in failed))
         obs.event("rollback", service=service_id,
                   pushes=len(report.rollback), failures=len(failed))
+        intent.abort(report.error)
 
     def _classify_push(self, result, adapter_reports) -> str:
         """``success`` when every domain the service touches took its
@@ -369,7 +357,7 @@ class EscapeOrchestrator:
             # live DoV
             self.cal.mark_stale()
             self.cal.remove_service(service.id)
-            view = self.cal.resource_view(copy=False)
+            view = self.cal.resource_view()
             result = self._orchestrate(service, view)
             if not result.success:
                 self.cal.restore_service(service.id, snapshot)
@@ -389,37 +377,21 @@ class EscapeOrchestrator:
                         if not r.success and not r.skipped]
             if failures:
                 # swap back to the previous version and reconcile
-                rollback_started = time.perf_counter()
                 report = DeployReport(
-                    service_id=service.id, success=False, outcome="failed",
+                    service_id=service.id, success=False,
                     mapping=result, adapters=adapter_reports,
                     error=("update push failed, previous version restored: "
                            + "; ".join(f"{r.domain}: {r.error}"
                                        for r in failures)))
-                with obs.span("deploy/rollback", service=service.id):
-                    self.cal.remove_service(service.id)
-                    self.cal.restore_service(service.id, snapshot)
-                    report.rollback = self.cal.push_all()
-                intent.record_pushes(report.rollback, stage="rollback")
-                report.rollback_time_s = (time.perf_counter()
-                                          - rollback_started)
-                failed_rollback = report.rollback_failures()
-                if failed_rollback:
-                    counters.incr("resilience.rollback.failures",
-                                  len(failed_rollback))
-                    report.error += ("; rollback incomplete: "
-                                     + "; ".join(f"{r.domain}: {r.error}"
-                                                 for r in failed_rollback))
-                obs.event("rollback", service=service.id,
-                          pushes=len(report.rollback),
-                          failures=len(failed_rollback))
-                intent.abort(report.error)
+                self._rollback(service.id, report, intent, snapshot)
                 self.reports[service.id] = report
                 return report
             if self.simulator is not None:
                 self._wait_activation(60_000.0)
-            report = DeployReport(service_id=service.id, success=True,
-                                  mapping=result, adapters=adapter_reports)
+            report = DeployReport(
+                service_id=service.id, success=True, mapping=result,
+                adapters=adapter_reports,
+                domains_touched=len(self.cal.adapter_names_for(result)))
             report.outcome = self._classify_push(result, adapter_reports)
             intent.commit({service.id: self._service_record(service.id)})
         self.reports[service.id] = report
@@ -458,12 +430,8 @@ class EscapeOrchestrator:
                 not fresh.has_edge(link_id)
                 for route in result.hop_routes.values()
                 for link_id in route.link_ids)
-            stranded = any(
-                not fresh.has_node(infra_id)
-                for infra_id in result.nf_placement.values()) or any(
-                not fresh.has_node(node_id)
-                for route in result.hop_routes.values()
-                for node_id in route.infra_path)
+            stranded = not all(map(fresh.has_node, touched_infra_ids(
+                result.nf_placement, result.hop_routes)))
             if uses_missing or stranded:
                 broken.append(service_id)
                 if stranded:
@@ -476,20 +444,16 @@ class EscapeOrchestrator:
                 "heal", None, payload={"services": sorted(broken)}) as intent:
             snapshots = {service_id: self.cal.snapshot_service(service_id)
                          for service_id in broken}
-            # the substrate topology changed under us: invalidate the
-            # live DoV (and, via topology generation, the path cache)
-            # *before* removing services.  The pristine_view() above
-            # already refetched every shard, so only the derived state
-            # must go — domains=() keeps the fresh sub-views instead of
-            # fetching the whole substrate a second time.
-            self.cal.mark_stale(domains=())
+            # the pristine_view() above already dropped the live DoV
+            # and moved the topology generation (path cache) if the
+            # substrate changed under us
             for service_id in broken:
                 self.cal.remove_service(service_id)
             for service_id in broken:
                 original_service, _ = snapshots[service_id]
                 with obs.span("heal/evacuate", service=service_id):
-                    view = self.cal.resource_view(copy=False)
-                    result = self._orchestrate(original_service, view)
+                    result = self._orchestrate(original_service,
+                                               self.cal.resource_view())
                 if result.success:
                     effective = (result.service if result.service is not None
                                  else original_service)
@@ -507,6 +471,7 @@ class EscapeOrchestrator:
                 if not report.success:
                     continue  # never pushed: no adapter reports apply
                 relevant = self.cal.adapter_names_for(report.mapping)
+                report.domains_touched = len(relevant)
                 report.adapters = [by_domain[name]
                                    for name in sorted(relevant)
                                    if name in by_domain]

@@ -72,6 +72,8 @@ class DeployReport:
     total_time_s: float = 0.0
     #: virtual milliseconds until all NFs were up (boot latency)
     activation_virtual_ms: float = 0.0
+    #: domains whose substrate the mapping uses (NF hosts + routed
+    #: BiS-BiSes) — the ones the planner had to push
     domains_touched: int = 0
 
     def stage_timings(self) -> dict[str, float]:
@@ -119,8 +121,10 @@ class DeployReport:
                                        if not r.success)))
         placement = (len(self.mapping.nf_placement)
                      if self.mapping is not None else 0)
+        domains = (f"{self.domains_touched} "
+                   f"domain{'' if self.domains_touched == 1 else 's'}")
         return (f"{self.service_id}: OK — {placement} NFs over "
-                f"{self.domains_touched} domains, map {self.mapping_time_s * 1e3:.1f} ms, "
+                f"{domains}, map {self.mapping_time_s * 1e3:.1f} ms, "
                 f"push {self.push_time_s * 1e3:.1f} ms, "
                 f"{self.control_messages} ctrl msgs / {self.control_bytes} B, "
                 f"activation {self.activation_virtual_ms:.0f} vms")

@@ -29,14 +29,12 @@ class ResourceOrchestrator:
 
     def __init__(self, embedder: Optional[Union[Embedder, str]] = None,
                  decomposition_library: Optional[DecompositionLibrary] = None,
-                 max_decomposition_options: int = 16,
-                 verify: bool = True):
+                 max_decomposition_options: int = 16):
         if isinstance(embedder, str):
             embedder = make_embedder(embedder)
         self.embedder = embedder or GreedyEmbedder()
         self.decomposition_library = decomposition_library
         self.max_decomposition_options = max_decomposition_options
-        self.verify = verify
         self.mappings_attempted = 0
         self.mappings_succeeded = 0
 
@@ -71,7 +69,7 @@ class ResourceOrchestrator:
                 if index is not None:
                     kwargs["index"] = index
                 result = self.embedder.map(service, resource_view, **kwargs)
-        if result.success and self.verify:
+        if result.success:
             effective_service = result.service if result.service is not None \
                 else service
             with obs.span("map/validate"):

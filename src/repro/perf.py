@@ -45,10 +45,6 @@ Sharded-CAL counters (scale-aware view maintenance + push planning)::
     cal.push.planned         domain pushes submitted by the push planner
     cal.push.skipped         registered domains the planner did not
                              contact (their config cannot have changed)
-    cal.remaining.rebuild    northbound remaining-capacity views derived
-                             from scratch off the DoV
-    cal.remaining.reuse      resource_view() calls served from the
-                             incrementally maintained cache
 
 Mapping-index counters (the CAL-owned :class:`SubstrateIndex` that
 seeds embedding runs — candidate sets, capacity buckets, copy-on-write
@@ -59,15 +55,13 @@ ledger bases; see :mod:`repro.mapping.index`)::
     mapping.index.skip       an index was offered but covered a different
                              view object (full per-run rescan fallback)
     mapping.index.apply      deploy/teardown deltas folded into the index
-                             in place (mirrors cal.remaining maintenance)
+                             and its bound remaining view in place
     mapping.index.rebuild    full index rebuilds from a resource view
     mapping.index.stale      inconsistencies that marked the index stale
                              (next sync rebuilds)
     mapping.index.candidates candidate-set queries served by the index
     mapping.index.fallback   pruned candidate scans that found no feasible
                              host and widened to the full supporting set
-    mapping.index.verify     rebuild-and-compare verification passes
-    mapping.index.verify_failed  verifications that found a divergence
 
 Resilience counters (all zero on a fault-free run)::
 

@@ -353,11 +353,6 @@ class IntentJournal:
     # loading an existing log
 
     @classmethod
-    def from_env(cls, **kwargs) -> "IntentJournal":
-        """Journal at ``REPRO_JOURNAL`` (file-backed) or in-memory."""
-        return cls(os.environ.get("REPRO_JOURNAL") or None, **kwargs)
-
-    @classmethod
     def load(cls, path: str | os.PathLike,
              *, checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
              ) -> "IntentJournal":

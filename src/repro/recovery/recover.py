@@ -193,28 +193,21 @@ def _diff_domains(escape, inflight_domains: set[str]) -> dict[str, DomainDiff]:
     against the recovered desired state."""
     cal = escape.cal
     live = cal.pristine_view()
-    desired_by_domain: dict[str, set[str]] = {
-        nm: set() for nm in cal.adapters}
-    all_desired: set[str] = set()
-    for service_id in cal.deployed_services():
-        _, result = cal.snapshot_service(service_id)
-        for nf_id, infra_id in result.nf_placement.items():
-            all_desired.add(nf_id)
-            owner = cal._infra_owner.get(infra_id)
-            if owner is not None:
-                desired_by_domain.setdefault(owner, set()).add(nf_id)
+    placed = {nf_id: infra_id
+              for service_id in cal.deployed_services()
+              for nf_id, infra_id in cal.snapshot_service(
+                  service_id)[1].nf_placement.items()}
     diffs: dict[str, DomainDiff] = {}
     for nm in cal.adapters:
-        observed: set[str] = set()
-        for infra_id, owner in cal._infra_owner.items():
-            if owner != nm or not live.has_node(infra_id):
-                continue
-            observed |= {nf.id for nf in live.nfs_on(infra_id)}
+        owned = set(cal.owned_infras(nm))
+        observed = {nf.id for infra_id in owned if live.has_node(infra_id)
+                    for nf in live.nfs_on(infra_id)}
         diffs[nm] = DomainDiff(
             domain=nm,
-            desired_nfs=sorted(desired_by_domain.get(nm, ())),
+            desired_nfs=sorted(nf_id for nf_id, infra_id in placed.items()
+                               if infra_id in owned),
             observed_nfs=sorted(observed),
-            orphaned_nfs=sorted(observed - all_desired),
+            orphaned_nfs=sorted(observed - placed.keys()),
             touched_by_inflight=nm in inflight_domains,
             reachable=nm not in cal.last_view_failures)
     return diffs

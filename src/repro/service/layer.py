@@ -63,9 +63,6 @@ class ServiceLayer:
         request = self.requests.get(request_id)
         return request.state if request is not None else None
 
-    def list_requests(self) -> list[ServiceRequest]:
-        return list(self.requests.values())
-
     def active_requests(self) -> list[ServiceRequest]:
         return [request for request in self.requests.values()
                 if request.state == ServiceState.DEPLOYED]

@@ -261,12 +261,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_until_idle(self, settle: float = 0.0) -> None:
-        """Run to queue exhaustion; optionally advance time by ``settle``."""
-        self.run()
-        if settle:
-            self.now += settle
-
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""

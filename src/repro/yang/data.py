@@ -57,10 +57,6 @@ class DataNode:
     def is_list_instance(self) -> bool:
         return isinstance(self.schema, YangList) and self.key_value is not None
 
-    @property
-    def is_container(self) -> bool:
-        return isinstance(self.schema, Container)
-
     # -- structure building -------------------------------------------------
 
     def set_leaf(self, name: str, value: Any) -> "DataNode":

@@ -135,8 +135,3 @@ class YangList(_ParentNode):
     def add(self, child: SchemaNode) -> SchemaNode:
         super().add(child)
         return child
-
-    def validate_key(self) -> None:
-        key_node = self.children.get(self.key)
-        if not isinstance(key_node, Leaf):
-            raise SchemaError(f"list {self.path()}: key {self.key!r} is not a leaf")

@@ -225,3 +225,17 @@ class TestControlPlaneAccounting:
     def test_summary_line_renders(self, testbed):
         report = testbed.service_layer.submit(_chain_request("line"))
         assert "OK" in report.summary_line()
+
+    def test_domains_touched_counts_routed_domains_too(self, testbed):
+        testbed.service_layer.submit(_chain_request("warm"))  # full fan-out
+        report = testbed.service_layer.submit(_chain_request("count"))
+        assert report.success
+        # fault-free, the planner pushes exactly the touched domains
+        assert report.domains_touched == len(report.adapters)
+        hosting = {testbed.escape.global_view().infra(infra_id).domain
+                   for infra_id in report.mapping.nf_placement.values()}
+        assert report.domains_touched > len(hosting)
+        assert (f"over {report.domains_touched} domains,"
+                in report.summary_line())
+        report.domains_touched = 1
+        assert "over 1 domain," in report.summary_line()

@@ -10,7 +10,8 @@ passed through at a commit boundary:
 1. the recovered desired state equals some committed prefix state of
    the clean run (no torn intents survive, no committed intent is
    lost);
-2. the recovered DoV equals a from-scratch rebuild;
+2. the recovered derived state equals a from-scratch re-derivation
+   (``cal.verify()``);
 3. the domain holds exactly the recovered services' footprint — the
    anti-entropy push swept every half-landed NF and flowrule.
 
@@ -30,7 +31,6 @@ from repro.orchestration import DirectDomainAdapter, EscapeOrchestrator
 from repro.recovery import CrashPlan, IntentJournal, OrchestratorCrash, recover
 
 from tests.property.test_chaos_soak import _chain_service
-from tests.property.test_incremental_dov import canonical
 
 #: deploy / teardown / update / redeploy — every intent kind the
 #: orchestrator journals, over overlapping service lifetimes
@@ -85,8 +85,8 @@ def _assert_recovered_invariants(report, inner, committed_states, label):
     assert _services_fingerprint(successor) in committed_states, (
         f"{label}: recovered state is not any committed prefix state")
     cal = successor.cal
-    assert canonical(cal.dov) == canonical(cal.rebuild()), (
-        f"{label}: recovered DoV diverges from a flat rebuild")
+    assert cal.verify() == [], (
+        f"{label}: recovered derived state diverges from a rebuild")
     booked = {nf_id
               for service_id in cal.deployed_services()
               for nf_id in cal.snapshot_service(service_id)[1].nf_placement}

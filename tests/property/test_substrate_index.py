@@ -70,6 +70,7 @@ def test_index_matches_full_rescan_after_churn(ops):
     failed = set()
     for op, slot, nf_type in ops:
         service_id = f"svc{slot}"
+        assert escape.cal.verify() == []
         if op == "deploy" and service_id not in escape.deployed_services():
             escape.deploy(_chain(service_id, nf_type))
         elif op == "teardown" and service_id in escape.deployed_services():
@@ -82,14 +83,14 @@ def test_index_matches_full_rescan_after_churn(ops):
                 net.fail_link(*link)
                 failed.add(link)
                 escape.heal()
+                assert escape.cal.verify() == []
                 net.restore_link(*link)
                 failed.discard(link)
                 escape.heal()
-    escape.resource_view()  # forces a sync against the current epoch
+    view = escape.cal.resource_view()
+    assert escape.cal.verify() == []
     index = escape.cal.substrate_index
-    assert index.resource is not None
-    problems = index.verify(index.resource)
-    assert problems == [], problems
+    assert index.resource is view
     for functional_type in NF_TYPES:
         assert set(index.candidate_ids(functional_type)) == \
             _full_scan_supporters(index.resource, functional_type)
@@ -171,7 +172,7 @@ def _acceptance(embedder_name: str, services) -> int:
         result = make_embedder(embedder_name).map(service, substrate,
                                                   index=index)
         if result.success:
-            index.apply_mapping(service, result, 1.0)
+            index.fold(service, result, 1.0)
             accepted += 1
     return accepted
 

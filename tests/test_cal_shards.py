@@ -1,6 +1,7 @@
 """Tests for the sharded CAL: registry partitioning, per-shard
-staleness/refresh, two-level stitching, touched-set push planning and
-the per-adapter install caches that keep pushes O(domain)."""
+staleness/refresh, two-level stitching, touched-set push planning, the
+ownership map that keeps pushes O(domain), and ``verify()`` — the one
+check of every derived store."""
 
 import zlib
 
@@ -12,6 +13,7 @@ from repro.orchestration.adapters import DirectDomainAdapter
 from repro.orchestration.cal import ControllerAdaptationLayer
 from repro.orchestration.escape import EscapeOrchestrator
 from repro.perf import counters
+from repro.resilience import BreakerState, FaultPlan, FaultyAdapter
 from repro.resilience.retry import RetryPolicy
 from repro.service import ServiceRequestBuilder
 
@@ -36,23 +38,18 @@ def domain_view(name, *, peer_tag=None):
 
 
 class CountingAdapter(DirectDomainAdapter):
-    """Counts view fetches and own-infra lookups; optionally breakable."""
+    """Counts view fetches; optionally breakable."""
 
     retry_policy = RetryPolicy(max_attempts=1)
 
     def __init__(self, name, view):
         super().__init__(name, view)
         self.view_fetches = 0
-        self.own_id_calls = 0
         self.broken = False
 
     def get_view(self):
         self.view_fetches += 1
         return super().get_view()
-
-    def own_infra_ids(self):
-        self.own_id_calls += 1
-        return super().own_infra_ids()
 
     def _push(self, install):
         if self.broken:
@@ -261,6 +258,33 @@ class TestPushPlanning:
         reports = escape.cal.push_all()
         assert {r.domain for r in reports} == {"dom-a", "dom-b"}
 
+    def test_push_all_with_an_open_breaker_and_a_pending_domain(self):
+        """Pinned on the separate ``push_all`` body this fan-out
+        replaced: every domain reported in registration order, the
+        open breaker skipped and kept pending, the pending domain with
+        a closed breaker pushed and settled."""
+        cal, adapters = _cal(["a", "b", "c"], breaker_failure_threshold=2,
+                             breaker_clock=lambda: 0.0)
+        cal.push_all()
+        adapters["b"].broken = True
+        cal.push_all()
+        cal.push_all()                        # second failure: b opens
+        adapters["c"].broken = True
+        cal.push_all()                        # c fails once: pending only
+        adapters["c"].broken = False
+        assert cal.breakers["b"].state is BreakerState.OPEN
+        assert cal.pending_reconciliation() == {"b", "c"}
+        installs = {n: len(a.installed) for n, a in adapters.items()}
+
+        reports = cal.push_all()
+        assert [(r.domain, r.success, r.skipped) for r in reports] == [
+            ("a", True, False), ("b", False, True), ("c", True, False)]
+        assert cal.pending_reconciliation() == {"b"}
+        assert {n: len(a.installed) - installs[n]
+                for n, a in adapters.items()} == {"a": 1, "b": 0, "c": 1}
+        assert cal.breakers["b"].state is BreakerState.OPEN
+        assert cal.breakers["c"].state is BreakerState.CLOSED
+
 
 class TestInstallCaches:
     def test_adapters_for_uses_the_type_index(self):
@@ -274,14 +298,31 @@ class TestInstallCaches:
         assert cal.adapters_for(DomainType.SDN) == [sdn]
         assert cal.adapters_for(DomainType.UNIFY) == []
 
-    def test_own_infra_ids_cached_per_topology_generation(self):
+    def test_push_never_fetches_a_view(self):
+        """Slicing reads the ownership map the merge wrote: the only
+        ``get_view()`` calls are the merges themselves."""
         cal, adapters = _cal(["a"])
+        cal.dov                               # the merge: one fetch
         cal.push_all()
         cal.push_all()
-        assert adapters["a"].own_id_calls == 1
+        assert adapters["a"].view_fetches == 1
+        assert cal.owned_infras("a") == ["a-bb0"]
         cal.mark_stale(domains=["a"])         # topology bump
+        cal.dov                               # re-merge: one more
         cal.push_all()
-        assert adapters["a"].own_id_calls == 2
+        assert adapters["a"].view_fetches == 2
+
+    def test_push_leaves_a_get_view_fault_unconsumed(self):
+        plan = FaultPlan(seed=1)
+        cal = ControllerAdaptationLayer()
+        inner = CountingAdapter("a", domain_view("a"))
+        cal.register(FaultyAdapter(inner, plan))
+        cal.dov
+        plan.add("a", "get_view", message="view down")
+        reports = cal.push_all()
+        assert [r.success for r in reports] == [True]
+        assert plan.history == []             # the fault is still armed
+        assert not plan.exhausted()
 
     def test_install_slices_carry_only_own_nodes(self):
         escape, adapters = self._escape_pair()
@@ -299,3 +340,107 @@ class TestInstallCaches:
             adapters[name] = CountingAdapter(name, domain_view(name))
             escape.add_domain(adapters[name])
         return escape, adapters
+
+
+class TestVerify:
+    """``verify()`` names each seeded drift — and nothing else."""
+
+    def _deployed(self):
+        escape = EscapeOrchestrator("verify", cal_shards=2,
+                                    cal_shard_map={"dom-a": 0, "dom-b": 1})
+        for name in ("dom-a", "dom-b"):
+            escape.add_domain(CountingAdapter(name, domain_view(name)))
+        for index, name in enumerate(("dom-a", "dom-b")):
+            assert escape.deploy(_pinned_service(index, name),
+                                 wait_activation=False)
+        cal = escape.cal
+        assert cal.verify() == []
+        return cal
+
+    def test_clean_after_teardown_and_without_io(self):
+        cal = self._deployed()
+        fetches = [a.view_fetches for a in cal.adapters.values()]
+        cal.remove_service("s0")
+        assert cal.verify() == []
+        assert [a.view_fetches for a in cal.adapters.values()] == fetches
+        cal.mark_stale()                      # nothing live to compare
+        assert cal.verify() == []
+
+    def test_names_a_link_residual_tampered_in_the_view_only(self):
+        cal = self._deployed()
+        link = cal.resource_view().links[0]
+        link.bandwidth -= 5.0
+        assert cal.verify() == [
+            f"remaining view bandwidth of {link.id}: live "
+            f"({link.bandwidth}, 0.0) != rebuilt ({link.bandwidth + 5.0}, 0.0)"]
+
+    def test_names_a_link_residual_tampered_in_the_index_only(self):
+        cal = self._deployed()
+        link_id = cal.resource_view().links[0].id
+        cal.substrate_index.link_free[link_id] -= 5.0
+        problems = cal.verify()
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            f"index free bandwidth of {link_id}: live ")
+
+    def test_names_a_ghost_nf_left_in_the_dov(self):
+        cal = self._deployed()
+        cal.dov.add_nf("ghost-nf", "firewall")
+        assert cal.verify() == ["ghost DoV node ghost-nf (live only)"]
+
+    def test_names_a_missing_flow_rule(self):
+        cal = self._deployed()
+        port = cal.dov.infra("dom-a-bb0").ports["to-dom-a-sap1"]
+        assert port.flowrules
+        port.flowrules.clear()
+        problems = cal.verify()
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "DoV flow rules on dom-a-bb0.to-dom-a-sap1: live [] != rebuilt")
+
+    def test_names_a_stale_ownership_entry(self):
+        cal = self._deployed()
+        cal._owner["gone-bb0"] = "dom-a"
+        assert cal.verify() == ["ownership map and its inverse disagree",
+                                "ghost owner of gone-bb0 (live only)"]
+
+
+class TestDerivedStateFollowsItsSources:
+    def test_remaining_view_carries_no_deployment_ports(self):
+        """A re-derived remaining view used to inherit the NF ports of
+        every deployed service from the DoV, so the same ids could not
+        be deployed again after a teardown."""
+        escape = EscapeOrchestrator("redeploy")
+        escape.add_domain(CountingAdapter("d", domain_view("d")))
+        assert escape.deploy(_pinned_service(0, "d"), wait_activation=False)
+        escape.cal.rebuild()                  # re-derive with s0 deployed
+        assert set(escape.cal.resource_view().infra("d-bb0").ports) \
+            == {"to-d-sap1", "to-d-sap2"}
+        assert escape.teardown("s0")
+        again = escape.deploy(_pinned_service(0, "d"), wait_activation=False)
+        assert again, again.error
+
+    def test_a_refresh_that_moved_drops_the_live_dov(self):
+        """``heal()`` on a failed link no service uses re-embeds nothing,
+        but the dead link must still leave the DoV (and come back)."""
+        view = domain_view("d")
+        spare = view.add_infra("d-bb1", supported_types=["firewall"])
+        view.add_link("d-bb0", view.infra("d-bb0").add_port("to-bb1").id,
+                      "d-bb1", spare.add_port("to-bb0").id, id="d-spare")
+        adapter = CountingAdapter("d", view)
+        escape = EscapeOrchestrator("moved")
+        escape.add_domain(adapter)
+        assert escape.deploy(_pinned_service(0, "d"), wait_activation=False)
+        epoch = escape.cal.topology_generation
+
+        full, adapter._view = adapter._view, domain_view("d")
+        assert escape.heal() == {}
+        assert not escape.cal.dov.has_edge("d-spare")
+        assert escape.cal.topology_generation > epoch
+        assert escape.cal.verify() == []
+
+        adapter._view = full
+        assert escape.heal() == {}
+        assert escape.cal.dov.has_edge("d-spare")
+        assert escape.cal.verify() == []
+

@@ -76,6 +76,7 @@ class TestHealing:
         net.fail_link("bb0", "bb1")
         reports = escape.heal()
         assert reports["svc"].success
+        assert reports["svc"].domains_touched == 1
         h1.send(tcp_packet(h1.ip, h2.ip, tp_dst=80))
         net.run()
         assert len(h2.received) == 1
@@ -122,6 +123,7 @@ class TestUpdate:
         escape.deploy(_service("svc", "firewall"))
         report = escape.update(_service("svc", "nat"))
         assert report.success
+        assert report.domains_touched == 1
         h1, h2 = emu.sap_hosts["sap1"], emu.sap_hosts["sap2"]
         h1.send(tcp_packet(h1.ip, h2.ip, tp_dst=80))
         net.run()

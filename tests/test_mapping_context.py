@@ -166,3 +166,28 @@ class TestMappingContext:
                                   link_ids=[link.id], delay=1.0,
                                   bandwidth=10.0))
         assert ctx.total_cost() > cost_placement_only
+
+
+class TestApplyRemove:
+    def test_remove_mapping_undoes_apply_exactly(self, case):
+        """Also when the view advertises its SAPs only as tagged ports:
+        the SAP nodes the service carried in must leave with it."""
+        from repro.mapping import GreedyEmbedder
+        from repro.mapping.base import (apply_mapping,
+                                        build_sap_attachments,
+                                        remove_mapping)
+        from repro.nffg import nffg_to_dict
+
+        service, substrate = case
+        for sap in substrate.saps:
+            substrate.remove_node(sap.id)
+        result = GreedyEmbedder().map(service, substrate)
+        assert result.success, result.failure_reason
+        before = nffg_to_dict(substrate)
+        delta = apply_mapping(substrate, service, result.nf_placement,
+                              result.hop_routes,
+                              build_sap_attachments(substrate))
+        assert delta.sap_ids == ["sap1", "sap2"]
+        assert substrate.nfs and nffg_to_dict(substrate) != before
+        remove_mapping(substrate, delta)
+        assert nffg_to_dict(substrate) == before

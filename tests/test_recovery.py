@@ -357,8 +357,6 @@ class TestRecoverEndToEnd:
         assert sorted(replay.state["services"]) == ["r0"]
 
     def test_recovered_dov_matches_rebuild(self):
-        from tests.property.test_incremental_dov import canonical
-
         escape, _ = _direct_escape()
         for index in range(3):
             assert escape.deploy(_chain_service(index),
@@ -367,7 +365,7 @@ class TestRecoverEndToEnd:
         report = recover(escape.journal,
                          list(escape.cal.adapters.values()))
         cal = report.orchestrator.cal
-        assert canonical(cal.dov) == canonical(cal.rebuild())
+        assert cal.dov.nfs and cal.verify() == []
 
 
 def journal_kinds(journal):

@@ -3,9 +3,10 @@ index-backed allocators (PR 10).
 
 The deeper equivalence/acceptance properties live in
 ``tests/property/test_substrate_index.py``; these tests pin the
-individual mechanisms: bucket maintenance, incremental apply vs the
-escape-hatch verify, copy-on-write ledger seeding, candidate pruning,
-and registry plumbing.
+individual mechanisms: bucket maintenance, the residual fold (index and
+bound view move together; ``cal.verify()`` is the drift check and is
+tested in ``tests/test_cal_shards.py``), copy-on-write ledger seeding,
+candidate pruning, and registry plumbing.
 """
 
 import types
@@ -52,6 +53,14 @@ def _synced(substrate, epoch=1):
     index = SubstrateIndex()
     index.sync(substrate, epoch=epoch)
     return index
+
+
+def _matches_rescan(index, substrate):
+    """The live index states exactly what a fresh one over the same
+    view would (up to float noise in the capacities)."""
+    fresh, live = _synced(substrate).facts(), index.facts()
+    return fresh.keys() == live.keys() and all(
+        fresh[name] == pytest.approx(live[name]) for name in fresh)
 
 
 class TestCpuClass:
@@ -123,35 +132,24 @@ class TestApplyAndVerify:
         service = _chain()
         result = GreedyEmbedder().map(service, substrate, index=index)
         assert result.success, result.failure_reason
-        index.apply_mapping(service, result, 1.0)
+        assert index.fold(service, result, 1.0)
         host = result.nf_placement[f"svc-nf0"]
         assert index.free[host].cpu < before[host].cpu
-        index.apply_mapping(service, result, -1.0)
+        # the fold writes the bound view in the same pass
+        assert substrate.infra(host).resources == index.free[host]
+        assert _matches_rescan(index, substrate)
+        assert index.fold(service, result, -1.0)
         for infra_id, expected in before.items():
             assert index.free[infra_id].cpu == \
                 pytest.approx(expected.cpu)
-        assert index.verify(substrate) == []
-
-    def test_verify_detects_drift_and_marks_stale(self):
-        substrate = _substrate()
-        index = _synced(substrate)
-        service = _chain()
-        result = GreedyEmbedder().map(service, substrate, index=index)
-        assert result.success
-        # deploy folded into the index but NOT into the view: drift
-        index.apply_mapping(service, result, 1.0)
-        problems = index.verify(substrate)
-        assert problems
-        assert not index.covers(substrate)
-        index.sync(substrate)  # next sync rebuilds
-        assert index.verify(substrate) == []
+        assert _matches_rescan(index, substrate)
 
     def test_unresolvable_id_marks_stale(self):
         substrate = _substrate()
         index = _synced(substrate)
         ghost = types.SimpleNamespace(
             nf_placement={"svc-nf0": "no-such-infra"}, hop_routes={})
-        index.apply_mapping(_chain(), ghost, 1.0)
+        assert not index.fold(_chain(), ghost, 1.0)
         assert not index.covers(substrate)
         assert index.applies == 0
 
@@ -162,9 +160,10 @@ class TestApplyAndVerify:
         result = GreedyEmbedder().map(service, substrate, index=index)
         assert result.success
         host = result.nf_placement["svc-nf0"]
-        index.apply_mapping(service, result, 1.0)
+        index.fold(service, result, 1.0)
         assert index._bucket_of[host] == cpu_class(16.0 - 12.0)
-        assert index.verify(substrate) != []  # view untouched, as above
+        assert substrate.infra(host).resources.cpu == 4.0
+        assert _matches_rescan(index, substrate)
 
 
 class TestCandidates:
@@ -212,7 +211,7 @@ class TestCandidates:
         ctx.ledger.alloc_nf(nf, host.id)
         assert ctx.ledger.free(host.id).cpu < index.free[host.id].cpu
         assert index.free[host.id].cpu == host.resources.cpu
-        assert index.verify(substrate) == []
+        assert _matches_rescan(index, substrate)
 
 
 class TestRegistry:
