@@ -4,7 +4,10 @@
 The harness stacks 1..4 ESCAPE levels above one physical emulated
 domain, deploys the same chain through the top of each stack and
 reports per-level overhead (deploy latency, Unify control bytes),
-verifying the chain end to end at the bottom every time.
+verifying the chain end to end at the bottom every time.  A second row
+deploys the same request last, through three levels, beside 2 / 4 / 8
+resident chains: what an edit costs must not depend on what is
+installed.
 """
 
 import time
@@ -48,10 +51,11 @@ def _stack(levels: int):
     return net, domain, top, adapters
 
 
-def _service(service_id: str):
+def _service(service_id: str, tp_dst: int = 0):
     return (NFFGBuilder(service_id).sap("sap1").sap("sap2")
             .nf(f"{service_id}-fw", "firewall")
-            .chain("sap1", f"{service_id}-fw", "sap2", bandwidth=5.0)
+            .chain("sap1", f"{service_id}-fw", "sap2", bandwidth=5.0,
+                   flowclass=f"tp_dst={tp_dst}" if tp_dst else "")
             .build())
 
 
@@ -103,6 +107,66 @@ def test_bench_recursion_overhead_table(benchmark):
                for a, b in zip(rows, rows[1:]))
     net, domain, top, _ = _stack(2)
     benchmark(top.resource_view)
+
+
+def test_bench_last_deploy_vs_resident_chains(benchmark):
+    """DEMO-iii(a), second row: the *last* deploy through three levels
+    against the number of chains already installed (2 / 4 / 8).
+
+    Every level reconciles per client service and ships edit scripts, so
+    the same request sends the same FlowMods to the bottom switches and
+    the same control messages at every resident level, and the bytes on
+    the Unify channels stay flat (gate: at most 1.5x the 2-resident
+    reading — each agent's notification names the parts it kept).
+    """
+
+    def measure(resident: int):
+        net, domain, top, adapters = _stack(3)
+        bottom = adapters[0].agent.orchestrator
+        emu = bottom.cal.adapters["emu"]
+        for index in range(resident):
+            report = top.deploy(_service(f"res{index}", 10000 + index))
+            assert report.success, report.error
+
+        def counts():
+            """(bottom FlowMods, control messages at every level, bytes
+            on the Unify channels) so far."""
+            return (emu.orchestrator.controller.flow_mods_sent,
+                    emu.control_stats()[0] + sum(
+                        adapter.control_stats()[0] for adapter in adapters),
+                    sum(adapter.channel.stats.bytes for adapter in adapters))
+
+        samples = []
+        for _ in range(3):
+            before_deploy = counts()
+            started = time.perf_counter()
+            report = top.deploy(_service("last", 9999))
+            elapsed_ms = (time.perf_counter() - started) * 1e3
+            assert report.success, report.error
+            samples.append((elapsed_ms, *(
+                after - before
+                for after, before in zip(counts(), before_deploy))))
+            h1, h2 = domain.sap_hosts["sap1"], domain.sap_hosts["sap2"]
+            before = len(h2.received)
+            h1.send(tcp_packet(h1.ip, h2.ip, tp_dst=9999))
+            net.run()
+            assert len(h2.received) == before + 1
+            assert top.teardown("last").success
+        assert len({sample[1:3] for sample in samples}) == 1, samples
+        return {"resident": resident,
+                "deploy_ms": sorted(s[0] for s in samples)[1],
+                "flow_mods": samples[0][1],
+                "control_messages": samples[0][2],
+                "unify_ctrl_bytes": sorted(s[3] for s in samples)[1]}
+
+    rows = [measure(resident) for resident in (2, 4, 8)]
+    emit("DEMO-iii(a): last deploy through 3 levels vs resident chains",
+         rows, group="control_plane")
+    low = rows[0]
+    for row in rows[1:]:
+        for column in ("flow_mods", "control_messages", "unify_ctrl_bytes"):
+            assert row[column] <= 1.5 * low[column], rows
+    benchmark(lambda: measure(2))
 
 
 def test_bench_view_propagation_depth(benchmark):

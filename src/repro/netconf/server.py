@@ -37,7 +37,8 @@ class Datastore:
     """One named configuration datastore.
 
     The content is any JSON value.  An install config (``{"nffg":
-    ...}``) is held as its yang tree plus the tree's digest: an edit
+    ...}``) or a Unify one (``{"virtualizer": ...}``) is held as its
+    yang tree plus the tree's digest: an edit
     script applies to the tree in place and moves the digest by what it
     changed, so a delta commit neither copies nor re-encodes the store.
     The JSON form of such a store is kept from the last :meth:`set` and
@@ -56,7 +57,8 @@ class Datastore:
         #: of :attr:`tree`; None without one, or when a failed patch or
         #: apply left the content in doubt — no edit script matches then
         self.digest: Optional[int] = None
-        if isinstance(config, dict) and set(config) == {"nffg"}:
+        if isinstance(config, dict) and set(config) in ({"nffg"},
+                                                        {"virtualizer"}):
             try:
                 self.tree = config_to_tree(config)
             except ValidationError:
@@ -86,7 +88,7 @@ class Datastore:
         to, having applied it to a store equal to this one.  A script
         that does not apply leaves the digest unset."""
         if self.tree is None:
-            raise ValidationError(f"{self.name} holds no install config")
+            raise ValidationError(f"{self.name} holds no config tree")
         before, self.digest, self._json = self.digest, None, None
         if digest is None:
             digest = before
@@ -266,7 +268,7 @@ class NetconfServer:
             target.take(self.running)  # drop whatever was staged
         try:
             target.patch(entries)
-        except ValidationError as exc:
+        except ValueError as exc:  # ValidationError, or a leaf's SchemaError
             self._pending = None
             raise NetconfServerError("delta-mismatch",
                                      f"patch does not apply: {exc}") from exc

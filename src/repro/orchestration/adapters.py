@@ -41,7 +41,7 @@ from repro.resilience.retry import RetryPolicy
 from repro import obs, sanitize
 from repro.sdnnet.domain import SDNDomain
 from repro.un.domain import UniversalNodeDomain, UNLocalOrchestrator
-from repro.yang.config import config_to_tree
+from repro.yang.config import config_to_tree, tree_to_config
 from repro.yang.data import DataNode
 from repro.yang.diff import DiffEntry, diff_trees, find, patch_size_bytes
 
@@ -232,13 +232,13 @@ class _NetconfAdapter(DomainAdapter):
 
     Delta pushes: the adapter remembers the last *acknowledged* config
     (the install that made it through commit) with its digest and
-    payload size, tagged with a monotonically increasing
-    ``delta_generation``.  Subsequent installs diff against it — the
-    new tree re-uses every member of the acknowledged one that did not
-    change — and ship a digest-guarded edit-config patch; digest and
-    size move by what the patch changed, they are not recomputed.  A full replace goes out on first contact,
-    when the caller forces it (reconcile, half-open probes, pushes after
-    a failure), or when the server rejects the patch base.  Any
+    payload size.  Subsequent installs diff against it — the new tree
+    re-uses every member of the acknowledged one that did not change —
+    and ship a digest-guarded edit-config patch; digest and size move by
+    what the patch changed, they are not recomputed.  A full replace
+    goes out on first contact, when the caller forces it (reconcile,
+    half-open probes, pushes after a failure), or when the server
+    rejects the patch base.  Any
     exception mid-push leaves the server state unknown, so the
     acknowledged config is dropped and the next attempt is full.
     """
@@ -255,44 +255,47 @@ class _NetconfAdapter(DomainAdapter):
         self._acked_digest: Optional[int] = None
         #: payload bytes of the acknowledged config (accounting only)
         self._acked_bytes = 0
-        #: bumped on every acknowledged push; the generation the acked
-        #: config belongs to (0 = never pushed / state forgotten)
-        self.delta_generation = 0
 
     def reset_delta_state(self) -> None:
         self._acked_config = self._acked_tree = None
         self._acked_digest = None
 
-    def _ack(self, config: dict, tree: DataNode, digest: int,
+    def _ack(self, config: Optional[dict], tree: DataNode, digest: int,
              size: int) -> None:
         self._acked_config = config
         self._acked_tree = tree
         self._acked_digest = digest
         self._acked_bytes = size
-        self.delta_generation += 1
 
-    def _push_full(self, config: Any) -> None:
+    def _encode(self, install: NFFG) -> tuple[Optional[dict], DataNode]:
+        """``install`` as the config a full replace carries and as the
+        yang tree pushes are diffed by, built over the acknowledged one.
+        No config: the tree's own :func:`tree_to_config` is the config."""
+        config = {"nffg": nffg_to_dict(install)}
+        return config, config_to_tree(
+            config, reuse=self._acked_tree and (self._acked_config,
+                                                self._acked_tree))
+
+    def _push(self, install: NFFG) -> None:
+        """Full-config replace; re-establishes the delta base.  Also the
+        override point for tests/subclasses — the delta path falls back
+        here whenever a patch cannot go out."""
+        config, tree = self._encode(install)
+        wire = config or tree_to_config(tree)
         try:
-            self.client.edit_config(config, target="candidate",
+            self.client.edit_config(wire, target="candidate",
                                     operation="replace")
             self.client.validate("candidate")
             self.client.commit()
         except BaseException:
             self.reset_delta_state()
             raise
-        tree = config_to_tree(config)
-        self._ack(config, tree, tree.digest(), _payload_bytes(config))
-
-    def _push(self, install: NFFG) -> None:
-        """Full-config replace; re-establishes the delta base.  Also the
-        override point for tests/subclasses — the delta path falls back
-        here whenever a patch cannot go out."""
-        self._push_full({"nffg": nffg_to_dict(install)})
+        self._ack(config, tree, tree.digest(), _payload_bytes(wire))
 
     def _do_push(self, install: NFFG,
                  force_full: bool = False) -> Optional[PushProfile]:
         messages = 3
-        if (not force_full and self._acked_config is not None
+        if (not force_full and self._acked_tree is not None
                 and self.client.has_capability(DELTA_CAPABILITY)):
             profile = self._push_delta(install)
             if profile is not None:
@@ -300,16 +303,15 @@ class _NetconfAdapter(DomainAdapter):
             messages = 4  # the refused patch, then the resync
         self.reset_delta_state()
         self._push(install)
-        # a _push override may bypass _push_full and acknowledge nothing
+        # a _push override may acknowledge nothing
         return PushProfile(messages=messages,
-                           bytes=self._acked_bytes if self._acked_config else 0)
+                           bytes=self._acked_bytes if self._acked_tree else 0)
 
     def _push_delta(self, install: NFFG) -> Optional[PushProfile]:
         """Ship the edit script from the acknowledged config to
         ``install``; None when the server refused the patch base."""
-        config = {"nffg": nffg_to_dict(install)}
         old_tree = self._acked_tree
-        new_tree = config_to_tree(config, reuse=(self._acked_config, old_tree))
+        config, new_tree = self._encode(install)
         entries = diff_trees(old_tree, new_tree)
         if not entries:
             # already acknowledged: the domain runs this exact config

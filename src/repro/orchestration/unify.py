@@ -8,99 +8,146 @@ interface."
 North side (:class:`UnifyAgent`): a NETCONF server in front of an
 :class:`~repro.orchestration.escape.EscapeOrchestrator`.  It advertises
 a virtual view (by default a single BiS-BiS) as a virtualizer tree and
-accepts edited virtualizer configurations, which it re-maps onto its
-own domains.
+accepts edits of it, which it reads as a set of independent client
+services — *parts* — and reconciles against the parts it deployed last
+time: one chain added at the top is one ``deploy`` at every level below.
 
 South side (:class:`UnifyDomainAdapter`): makes a whole child
 orchestrator look like one more technology domain to its parent — the
 parent places NFs on the child's advertised BiS-BiS and edits its
-flowtable exactly as it would for any other domain.
+flowtable exactly as it would for any other domain, edit scripts and all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import re
+from typing import Any, Iterable, Optional
 
-from repro.netconf.client import NetconfClient
 from repro.netconf.messages import UNIFY_CAPABILITY
 from repro.netconf.server import NetconfServer
 from repro.nffg.graph import NFFG
-from repro.nffg.model import DomainType
-from repro.openflow.channel import ControlChannel
-from repro.orchestration.adapters import DomainAdapter
+from repro.nffg.model import DomainType, Flowrule, NodeNF
+from repro.orchestration.adapters import _NetconfAdapter
 from repro.orchestration.escape import EscapeOrchestrator
-from repro.virtualizer.convert import nffg_to_virtualizer, virtualizer_to_nffg
+from repro.virtualizer.convert import (
+    flowrule_from_entry,
+    nf_from_instance,
+    nffg_to_virtualizer,
+    virtualizer_to_nffg,
+)
 from repro.virtualizer.model import Virtualizer
 from repro.virtualizer.views import SingleBiSBiSView, ViewPolicy
+from repro.yang.data import DataNode
+from repro.yang.diff import DiffEntry, find
+
+#: an SG hop as flow rules spell it: (src, dst, flowclass, bandwidth,
+#: delay), an end being (node id, port id) with port None at a SAP
+Hop = tuple[tuple, tuple, str, float, float]
+
+
+def _hops(rules: Iterable[tuple[str, Flowrule]], nf_ids) -> dict[str, Hop]:
+    """The SG hops behind ``(ingress port, flow rule)`` pairs, by id.
+
+    Flow rules carry their SG hop id, bandwidth and delay budget.  A hop
+    routed across several virtual nodes leaves one rule per node; its
+    ends are the edge (SAP/NF) ports of its first and last rule."""
+
+    def classify(port_id: str) -> Optional[tuple[str, Optional[str]]]:
+        # SAP and NF attachment ports; None for transit/unknown ports
+        if port_id.startswith("sap-"):
+            return port_id[len("sap-"):], None
+        nf_id, _, nf_port = port_id.rpartition("-")
+        return (nf_id, nf_port) if nf_id in nf_ids else None
+
+    found: dict[str, list] = {}
+    for port_id, rule in rules:
+        match_fields = rule.match_fields()
+        in_port = match_fields.get("in_port", port_id)
+        out_port = rule.action_fields().get("output", "")
+        hop = found.setdefault(rule.hop_id or f"hop-{in_port}-{out_port}",
+                               [None, None, "", 0.0, 0.0])
+        hop[0] = hop[0] or classify(in_port)
+        hop[1] = classify(out_port) or hop[1]
+        hop[2] = match_fields.get("flowclass") or hop[2]
+        hop[3] = max(hop[3], rule.bandwidth)
+        hop[4] = max(hop[4], rule.delay)
+    # an end still missing: pure transit of a hop terminating elsewhere
+    return {hop_id: tuple(hop) for hop_id, hop in found.items()
+            if hop[0] and hop[1]}
+
+
+def _service(service_id: str, nfs: Iterable[NodeNF],
+             hops: dict[str, Hop]) -> NFFG:
+    """The SAP/NF-level service graph of some NFs and hops, which the
+    child can re-map freely onto its own resources."""
+    service = NFFG(id=service_id)
+    for nf in nfs:
+        service.add_node_copy(nf)
+    for hop_id, (src, dst, flowclass, bandwidth, delay) in sorted(hops.items()):
+        ends: list[str] = []
+        for node_id, port_id in (src, dst):
+            if port_id is None:
+                if not service.has_node(node_id):
+                    service.add_sap(node_id)
+                port_id = next(iter(service.sap(node_id).ports))
+            ends += [node_id, port_id]
+        service.add_sg_hop(*ends, id=hop_id, flowclass=flowclass,
+                           bandwidth=bandwidth, delay=delay)
+    return service
 
 
 def service_from_virtual_install(install: NFFG,
                                  service_id: str = "unify-client") -> NFFG:
-    """Reconstruct a service graph from an edited virtual view.
-
-    The parent expressed the service as (i) NF instances on virtual
-    BiS-BiS nodes and (ii) flow entries steering between SAP ports and
-    NF ports.  Flow rules carry their SG hop id, bandwidth and delay
-    budget, which is exactly enough to rebuild the SAP/NF-level service
-    graph the child can re-map freely onto its own resources.
-    """
-    service = NFFG(id=service_id, name=f"reconstructed from {install.id}")
-    for nf in install.nfs:
-        service.add_node_copy(nf)
-    # hop id -> ordered flowrule endpoints
-    sap_tags: set[str] = set()
-    for infra in install.infras:
-        for port in infra.ports.values():
-            if port.sap_tag is not None:
-                sap_tags.add(port.sap_tag)
-
-    def classify(port_id: str) -> Optional[tuple[str, str]]:
-        """Virtual BiS-BiS port -> (service node, service port) for SAP
-        and NF attachment ports; None for transit/unknown ports."""
-        if port_id.startswith("sap-"):
-            tag = port_id[len("sap-"):]
-            if not service.has_node(tag):
-                service.add_sap(tag)
-            return tag, list(service.sap(tag).ports)[0]
-        nf_id, _, nf_port = port_id.rpartition("-")
-        if service.has_node(nf_id):
-            return nf_id, nf_port
-        return None
-
-    # A hop routed across several virtual nodes leaves one rule per
-    # node; its service-level endpoints are the edge (SAP/NF) ports of
-    # its first and last rule.  Collect per hop id, then rebuild.
-    hops: dict[str, dict[str, Any]] = {}
-    for infra in install.infras:
-        for port, rule in infra.iter_flowrules():
-            match_fields = rule.match_fields()
-            action_fields = rule.action_fields()
-            in_port = match_fields.get("in_port", port.id)
-            out_port = action_fields.get("output", "")
-            hop_id = rule.hop_id or f"{service_id}-{in_port}-{out_port}"
-            record = hops.setdefault(hop_id, {
-                "src": None, "dst": None, "flowclass": "",
-                "bandwidth": 0.0, "delay": 0.0})
-            src = classify(in_port)
-            if src is not None and record["src"] is None:
-                record["src"] = src
-            dst = classify(out_port)
-            if dst is not None:
-                record["dst"] = dst
-            if match_fields.get("flowclass"):
-                record["flowclass"] = match_fields["flowclass"]
-            record["bandwidth"] = max(record["bandwidth"], rule.bandwidth)
-            record["delay"] = max(record["delay"], rule.delay)
-    for hop_id, record in sorted(hops.items()):
-        if record["src"] is None or record["dst"] is None:
-            continue  # pure transit of a hop terminating elsewhere
-        src_node, src_port = record["src"]
-        dst_node, dst_port = record["dst"]
-        service.add_sg_hop(src_node, src_port, dst_node, dst_port,
-                           id=hop_id, flowclass=record["flowclass"],
-                           bandwidth=record["bandwidth"],
-                           delay=record["delay"])
+    """Reconstruct a service graph from an edited virtual view: the
+    parent expressed it as NF instances on virtual BiS-BiS nodes and
+    flow entries steering between SAP ports and NF ports."""
+    nfs = {nf.id: nf for nf in install.nfs}
+    rules = ((port.id, rule) for infra in install.infras
+             for port, rule in infra.iter_flowrules())
+    service = _service(service_id, nfs.values(), _hops(rules, nfs))
+    service.name = f"reconstructed from {install.id}"
     return service
+
+
+def _split(nfs: dict[str, NodeNF], hops: dict[str, Hop],
+           ) -> dict[str, tuple[list[NodeNF], dict[str, Hop]]]:
+    """Independent client services: the connected components of NFs and
+    hops (a SAP joins nothing: two chains between the same SAPs stay
+    two).  A part is named after its smallest hop id — its smallest NF
+    id without hops — so it keeps its name while its content changes."""
+    leader = {nf_id: nf_id for nf_id in nfs}
+
+    def find_leader(member: str) -> str:
+        while leader[member] != member:
+            member = leader[member]
+        return member
+
+    for src, dst, *_ in hops.values():
+        ends = [find_leader(node_id) for node_id, _ in (src, dst)
+                if node_id in leader]
+        if ends:
+            leader[ends[0]] = ends[-1]
+    groups: dict[str, tuple[list[NodeNF], dict[str, Hop]]] = {}
+    for nf_id in sorted(nfs):
+        groups.setdefault(find_leader(nf_id), ([], {}))[0].append(nfs[nf_id])
+    for hop_id, hop in hops.items():
+        home = next((find_leader(node_id) for node_id, _ in hop[:2]
+                     if node_id in leader), hop_id)  # SAP to SAP: alone
+        groups.setdefault(home, ([], {}))[1][hop_id] = hop
+    return {min(part_hops, default=part_nfs and part_nfs[0].id): (
+        part_nfs, part_hops) for part_nfs, part_hops in groups.values()}
+
+
+#: what an edit-script path names of what the agent reads of a
+#: virtualizer: the virtual node, list (kind) and key of one NF instance
+#: or flow entry — or, without them, a node or list that came or went
+#: whole.  Paths to ports, resources and capabilities do not match.
+_NAMED = re.compile(
+    r"/virtualizer/nodes/node\[([^\]]*)\]"
+    r"/(NF_instances/node|flowtable/flowentry)\[([^\]]*)\]"
+    r"|/virtualizer/nodes(/node\[[^\]]*\](/NF_instances|/flowtable)?)?$")
+_DECODE = {"NF_instances/node": nf_from_instance,
+           "flowtable/flowentry": flowrule_from_entry}
 
 
 class UnifyAgent(NetconfServer):
@@ -113,8 +160,15 @@ class UnifyAgent(NetconfServer):
         self.orchestrator = orchestrator
         self.view_policy = view_policy or SingleBiSBiSView(
             bisbis_id=f"{orchestrator.name}-bisbis")
-        self._client_service_id = f"{orchestrator.name}-client-svc"
         self.edits_applied = 0
+        #: the running config, decoded: kind -> (virtual node, key) ->
+        #: NF / (ingress port, flow rule); only :meth:`_fold` writes it
+        self._decoded: dict[str, dict[tuple[str, str], Any]] = {
+            kind: {} for kind in _DECODE}
+        #: part id -> content of the client services deployed below
+        self._parts: dict[str, tuple] = {}
+        #: what the last edit did: verb -> part ids
+        self.last_edit: dict[str, list[str]] = {}
         self.on_apply(self._apply_config)
         self.register_rpc("get-virtualizer",
                           lambda params: self.current_virtualizer().to_dict())
@@ -144,51 +198,96 @@ class UnifyAgent(NetconfServer):
     # -- configuration hooks ------------------------------------------------------
 
     def validate_config(self, config: Any) -> list[str]:
+        """The store parsed ``config`` when it took it (leaf types,
+        unknown members); what is left to check is mandatory leaves."""
         if config is None:
             return []
-        try:
-            Virtualizer.from_dict(config["virtualizer"])
-        except Exception as exc:  # noqa: BLE001
-            return [f"config is not a valid virtualizer: {exc}"]
-        return []
+        tree = (self.candidate if config is self.candidate.config
+                else self.running).tree
+        if tree is None or tree.schema.name != "virtualizer":
+            return ["config is not a valid virtualizer"]
+        return tree.validate()
+
+    def validate_patch(self, entries: list[DiffEntry]) -> list[str]:
+        nodes = (find(self.candidate.tree, entry.path) for entry in entries)
+        return [problem for node in nodes if node is not None
+                for problem in node.validate()]
 
     def state_data(self) -> dict[str, Any]:
         return {"deployed_services": self.orchestrator.deployed_services(),
-                "edits": self.edits_applied}
+                "edits": self.edits_applied, "last_edit": self.last_edit}
 
-    def _apply_config(self, config: Any) -> None:
-        if config is None:
-            self.orchestrator.teardown(self._client_service_id)
-            return
-        virt = Virtualizer.from_dict(config["virtualizer"])
-        install = virtualizer_to_nffg(virt)
-        service = service_from_virtual_install(install,
-                                               service_id=self._client_service_id)
+    def _fold(self, change: Any) -> None:
+        """Bring :attr:`_decoded` up to the running tree by re-reading
+        what the committed ``change`` names: the NF instances and flow
+        entries of an edit script; all there are after a replace, or
+        when a script moved a whole node or list."""
+        tree = self.running.tree
+        if isinstance(change, list):
+            named = [match for entry in change
+                     if (match := _NAMED.match(entry.path))]
+            if all(match[2] for match in named):
+                for node_id, kind, key in dict.fromkeys(
+                        match.group(1, 2, 3) for match in named):
+                    instance = tree.find(f"nodes/node[{node_id}]/{kind}[{key}]")
+                    if instance is None:
+                        self._decoded[kind].pop((node_id, key), None)
+                    else:
+                        self._decoded[kind][node_id, key] = \
+                            _DECODE[kind](instance)
+                return
+        nodes = tree.find("nodes/node") if tree is not None else None
+        for kind, table in self._decoded.items():
+            table.clear()
+            for node in nodes.instances() if nodes is not None else ():
+                holder = node.find(kind)
+                for instance in holder.instances() if holder is not None else ():
+                    table[node.key_value, instance.key_value] = \
+                        _DECODE[kind](instance)
+
+    def _apply_config(self, change: Any) -> None:
+        """Reconcile the parts the orchestrator below runs with the ones
+        the committed config holds: a vanished part is one teardown, a
+        new one one deploy, a changed one one update, and an unchanged
+        one is not touched.  A part the orchestrator refuses raises — it
+        is not recorded, and every other part stays as it was."""
+        self._fold(change)
+        nfs = {nf.id: nf for nf in self._decoded["NF_instances/node"].values()}
+        wanted = {
+            f"{self.orchestrator.name}-client-{key}": part for key, part in
+            _split(nfs, _hops(self._decoded["flowtable/flowentry"].values(),
+                              nfs)).items()}
         self.edits_applied += 1
-        # reconciliation at client-service granularity: replace the
-        # previous client configuration with the new one
-        if self._client_service_id in self.orchestrator.deployed_services():
-            self.orchestrator.teardown(self._client_service_id)
-        if not service.nfs and not service.sg_hops:
-            self.notify("deploy-finished", {"service": service.id,
-                                            "empty": True})
-            return
-        report = self.orchestrator.deploy(service)
-        if not report.success:
-            raise RuntimeError(f"child mapping failed: {report.error}")
-        self.notify("deploy-finished", {"service": service.id})
+        self.last_edit = edit = {"removed": [], "updated": [], "deployed": [],
+                                 "kept": []}
+        try:
+            for part_id in [p for p in self._parts if p not in wanted]:
+                self.orchestrator.teardown(part_id)
+                del self._parts[part_id]
+                edit["removed"].append(part_id)
+            for part_id, (part_nfs, hops) in sorted(wanted.items()):
+                content = ([nf.to_dict() for nf in part_nfs], hops)
+                known = part_id in self._parts
+                if known and self._parts[part_id] == content:
+                    edit["kept"].append(part_id)
+                    continue
+                # update() is a deploy for a service the books do not hold
+                report = self.orchestrator.update(
+                    _service(part_id, part_nfs, hops))
+                if not report.success:
+                    raise RuntimeError(f"child mapping failed: {report.error}")
+                self._parts[part_id] = content
+                edit["updated" if known else "deployed"].append(part_id)
+        finally:
+            self.notify("deploy-finished", edit)
 
 
-class UnifyDomainAdapter(DomainAdapter):
+class UnifyDomainAdapter(_NetconfAdapter):
     """South-side: a child Unify domain as seen by the parent."""
 
     def __init__(self, name: str, agent: UnifyAgent):
-        super().__init__(name, DomainType.UNIFY)
+        super().__init__(name, DomainType.UNIFY, agent)
         self.agent = agent
-        self.channel = ControlChannel(f"{name}-unify")
-        agent.bind(self.channel)
-        self.client = NetconfClient(f"{name}-parent", self.channel)
-        self.client.hello()
         if UNIFY_CAPABILITY not in self.client.server_capabilities:
             raise RuntimeError(f"{name}: peer does not speak Unify")
 
@@ -199,15 +298,8 @@ class UnifyDomainAdapter(DomainAdapter):
             infra.domain = DomainType.UNIFY
         return view
 
-    def _push(self, install: NFFG) -> None:
-        virt = nffg_to_virtualizer(install, virtualizer_id=install.id)
-        self.client.edit_config({"virtualizer": virt.to_dict()},
-                                target="candidate", operation="replace")
-        self.client.validate("candidate")
-        self.client.commit()
-
-    def control_stats(self) -> tuple[int, int]:
-        return self.channel.stats.messages, self.channel.stats.bytes
+    def _encode(self, install: NFFG) -> tuple[None, DataNode]:
+        return None, nffg_to_virtualizer(install, install.id).tree
 
     def ready(self) -> bool:
         return self.agent.orchestrator.cal.ready()

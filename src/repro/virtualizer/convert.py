@@ -13,10 +13,13 @@ from __future__ import annotations
 from repro.nffg.graph import NFFG
 from repro.nffg.model import (
     DomainType,
+    Flowrule,
     InfraType,
+    NodeNF,
     ResourceVector,
 )
 from repro.virtualizer.model import Virtualizer
+from repro.yang.data import DataNode
 
 
 def nffg_to_virtualizer(nffg: NFFG, virtualizer_id: str | None = None) -> Virtualizer:
@@ -45,12 +48,13 @@ def nffg_to_virtualizer(nffg: NFFG, virtualizer_id: str | None = None) -> Virtua
                 bound = nffg.infra_port_of_nf(nf.id, nf_port.id)
                 Virtualizer.add_port(instance, nf_port.id,
                                      name=bound[1] if bound else nf_port.name)
-        entry_seq = 0
-        for port, rule in infra.iter_flowrules():
-            entry_seq += 1
+        for entry_seq, (port, rule) in enumerate(infra.iter_flowrules(), 1):
             out_port = rule.action_fields().get("output", "")
+            # keyed by what it is: removing a rule renames no other
+            entry_id = (f"{port.id}:{rule.hop_id}" if rule.hop_id
+                        else f"{infra.id}-fe{entry_seq}")
             virt.add_flowentry(
-                infra.id, f"{infra.id}-fe{entry_seq}", port=port.id,
+                infra.id, entry_id, port=port.id,
                 out=out_port, match=rule.match, action=rule.action,
                 bandwidth=rule.bandwidth, delay=rule.delay,
                 hop_id=rule.hop_id or "")
@@ -87,15 +91,9 @@ def virtualizer_to_nffg(virt: Virtualizer) -> NFFG:
             infra.add_port(port.get("id"), name=port.get("name", ""),
                            sap_tag=port.get("sap"))
         for instance in virt.nf_instances(infra.id):
-            nf = nffg.add_nf(
-                instance.get("id"), instance.get("type"),
-                name=instance.get("name", ""),
-                deployment_type=instance.get("deployment_type", ""),
-                resources=_read_resources(instance))
-            nf.status = instance.get("status", "initialized")
+            nf = nffg.add_node_copy(nf_from_instance(instance))
             port_pairs = []
             for nf_port in Virtualizer.ports(instance):
-                nf.add_port(nf_port.get("id"))
                 infra_port_id = nf_port.get("name") or f"{nf.id}-{nf_port.get('id')}"
                 if not infra.has_port(infra_port_id):
                     infra.add_port(infra_port_id)
@@ -103,16 +101,9 @@ def virtualizer_to_nffg(virt: Virtualizer) -> NFFG:
             if port_pairs:
                 nffg.place_nf(nf.id, infra.id, port_pairs=port_pairs)
         for entry in virt.flowentries(infra.id):
-            in_port = entry.get("port")
+            in_port, rule = flowrule_from_entry(entry)
             if in_port and infra.has_port(in_port):
-                resources = entry.container("resources") \
-                    if entry.has_child("resources") else None
-                infra.port(in_port).add_flowrule(
-                    match=entry.get("match", "") or f"in_port={in_port}",
-                    action=entry.get("action", "") or f"output={entry.get('out', '')}",
-                    bandwidth=resources.get("bandwidth", 0.0) if resources else 0.0,
-                    delay=resources.get("delay", 0.0) if resources else 0.0,
-                    hop_id=entry.get("hop_id") or None)
+                infra.port(in_port).flowrules.append(rule)
     # SAP nodes from port-sap ports
     for node in virt.nodes():
         for port in Virtualizer.ports(node):
@@ -133,6 +124,31 @@ def virtualizer_to_nffg(virt: Virtualizer) -> NFFG:
                       delay=resources.get("delay", 0.0) if resources else 0.0,
                       bandwidth=resources.get("bandwidth", 0.0) if resources else 0.0)
     return nffg
+
+
+def nf_from_instance(instance: DataNode) -> NodeNF:
+    """Decode one ``NF_instances/node`` entry (ports included)."""
+    nf = NodeNF(instance.get("id"), instance.get("type"),
+                name=instance.get("name", ""),
+                deployment_type=instance.get("deployment_type", ""),
+                resources=_read_resources(instance))
+    nf.status = instance.get("status", "initialized")
+    for nf_port in Virtualizer.ports(instance):
+        nf.add_port(nf_port.get("id"))
+    return nf
+
+
+def flowrule_from_entry(entry: DataNode) -> tuple[str, Flowrule]:
+    """Decode one ``flowtable/flowentry`` into (ingress port, rule)."""
+    in_port = entry.get("port")
+    resources = entry.child("resources") if entry.has_child("resources") \
+        else None
+    return in_port, Flowrule(
+        match=entry.get("match", "") or f"in_port={in_port}",
+        action=entry.get("action", "") or f"output={entry.get('out', '')}",
+        bandwidth=resources.get("bandwidth", 0.0) if resources else 0.0,
+        delay=resources.get("delay", 0.0) if resources else 0.0,
+        hop_id=entry.get("hop_id") or None)
 
 
 def _read_resources(node) -> ResourceVector:

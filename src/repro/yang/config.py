@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Optional
 
-from repro.yang.data import DataNode, ValidationError
+from repro.yang.data import DataNode, ValidationError, data_from_dict
 from repro.yang.schema import Container, Leaf, YangList
 
 __all__ = [
@@ -166,8 +166,17 @@ def config_to_tree(config: dict[str, Any],
     equal, at the same place, is moved over from that tree instead of
     being encoded again — one dict comparison, so a tree costs what
     changed since the one before it.  The earlier tree still lists the
-    moved instances and stays good to diff against and to read.
+    moved instances and stays good to diff against and to read.  A
+    Unify config (``{"virtualizer": Virtualizer.to_dict()}``) is a yang
+    tree already and binds to the virtualizer schema as it is.
     """
+    if isinstance(config, dict) and set(config) == {"virtualizer"}:
+        from repro.virtualizer.model import virtualizer_schema  # imports us
+
+        try:
+            return data_from_dict(virtualizer_schema(), config["virtualizer"])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"not a virtualizer: {exc}") from None
     try:
         nffg = config["nffg"]
         other, donor = ({}, None) if reuse is None else (
@@ -267,7 +276,9 @@ def _edge_member(instance: DataNode) -> dict[str, Any]:
 def tree_to_config(tree: DataNode) -> dict[str, Any]:
     """Rebuild the ``{"nffg": ...}`` config dict from an install-config
     tree.  Nodes, edges and ports come back in canonical (key-sorted)
-    order."""
+    order.  A virtualizer tree gives its ``{"virtualizer": ...}``."""
+    if tree.schema is not _SCHEMA:
+        return {tree.schema.name: tree.to_dict()}
 
     def members(list_name: str, decode) -> list[dict[str, Any]]:
         if not tree.has_child(list_name):

@@ -96,7 +96,9 @@ class TestTwoLevel:
         net, domain, child, parent = two_level
         report = parent.deploy(_service())
         assert report.success, report.error
-        assert child.deployed_services() == ["child-client-svc"]
+        # one client service per independent chain, named after its
+        # first hop
+        assert child.deployed_services() == ["child-client-rsvc-hop1"]
         # NF physically running in the child's domain
         attached = [nf for switch in domain.switches.values()
                     for nf in switch.attached_nfs()]
@@ -129,6 +131,47 @@ class TestTwoLevel:
         report = parent.deploy(_service())
         assert not report.success
         assert parent.deployed_services() == []
+
+    def test_child_failure_leaves_resident_chain_alone(self, two_level):
+        """A chain the child refuses must not cost its neighbour a
+        packet, a flow entry or its client service."""
+        net, domain, child, parent = two_level
+        assert parent.deploy(_service("res")).success
+        h1, h2 = domain.sap_hosts["sap1"], domain.sap_hosts["sap2"]
+
+        def probe(count):
+            h1.send_burst([tcp_packet(h1.ip, h2.ip, tp_dst=80)
+                           for _ in range(count)], interval=1.0)
+
+        def entries():
+            return [id(entry) for switch in domain.switches.values()
+                    for entry in switch.table.entries()]
+
+        probe(5)
+        net.run()
+        assert len(h2.received) == 5
+        before = entries()
+        services = child.deployed_services()
+        # the parent's one big switch hides the 1000 Mbit/s link between
+        # the child's two: only the child can refuse this chain
+        greedy = (NFFGBuilder("big").sap("sap1").sap("sap2")
+                  .nf("big-fw", "firewall")
+                  .chain("sap1", "big-fw", "sap2", bandwidth=5000.0).build())
+        probe(20)  # in flight while the deploy fails and rolls back
+        report = parent.deploy(greedy)
+        assert not report.success and "child mapping failed" in report.error
+        assert not report.rollback_failures()
+        net.run()
+        assert len(h2.received) == 25
+        assert child.deployed_services() == services
+        assert entries() == before
+        assert [nf for switch in domain.switches.values()
+                for nf in switch.attached_nfs()] == ["res-fw"]
+        probe(5)
+        net.run()
+        assert len(h2.received) == 30
+        # and the stack still takes a chain it can map
+        assert parent.deploy(_service("next")).success
 
     def test_parent_resource_view_tracks_child_consumption(self, two_level):
         _, _, _, parent = two_level
@@ -175,6 +218,97 @@ class TestUpdateThroughRecursion:
         h1.send(tcp_packet(h1.ip, h2.ip, tp_dst=80))
         net.run()
         assert len(h2.received) == 1
+
+
+class TestEditScripts:
+    """The south side ships digest-guarded virtualizer edit scripts; a
+    full replace goes out on first contact, after a refused patch base
+    and after anything that left the child's state in doubt."""
+
+    @staticmethod
+    def _adapter(parent):
+        return parent.cal.adapters["child-dom"]
+
+    def test_second_push_is_a_patch(self, two_level):
+        _, _, child, parent = two_level
+        first = parent.deploy(_service("a")).adapters[0]
+        second = parent.deploy(_service("b")).adapters[0]
+        assert not first.delta and second.delta
+        assert second.messages == 3 and second.bytes < first.bytes
+        assert len(child.deployed_services()) == 2
+
+    def test_unchanged_install_is_a_noop(self, two_level):
+        _, _, _, parent = two_level
+        assert parent.deploy(_service("a")).success
+        agent = self._adapter(parent).agent
+        edits = agent.edits_applied
+        (report,) = parent.cal.push_all()
+        assert report.success and report.delta and report.messages == 0
+        assert agent.edits_applied == edits
+
+    def test_drifted_base_resyncs_with_one_full_replace(self, two_level):
+        from repro import perf
+        _, _, child, parent = two_level
+        assert parent.deploy(_service("a")).success
+        agent = self._adapter(parent).agent
+        agent.running.digest ^= 1  # another writer got in
+        perf.reset("push.")
+        report = parent.deploy(_service("b")).adapters[0]
+        assert report.success and not report.delta
+        assert report.messages == 4  # the refused patch, then the resync
+        assert perf.snapshot("push.")["push.delta_fallback"] == 1
+        # the replace redeployed nothing that was there already
+        assert agent.last_edit["kept"] == ["child-client-a-hop1"]
+        assert agent.last_edit["deployed"] == ["child-client-b-hop1"]
+        assert parent.deploy(_service("c")).adapters[0].delta
+
+    def test_reset_delta_state_forces_a_full_push(self, two_level):
+        _, _, _, parent = two_level
+        assert parent.deploy(_service("a")).success
+        self._adapter(parent).reset_delta_state()
+        assert not parent.deploy(_service("b")).adapters[0].delta
+        assert parent.deploy(_service("c")).adapters[0].delta
+
+    def test_raising_child_apply_forces_a_full_push(self, two_level):
+        _, _, child, parent = two_level
+        assert parent.deploy(_service("a")).success
+        greedy = (NFFGBuilder("big").sap("sap1").sap("sap2")
+                  .nf("big-fw", "firewall")
+                  .chain("sap1", "big-fw", "sap2", bandwidth=5000.0).build())
+        report = parent.deploy(greedy)
+        assert not report.success
+        # the failed apply unset the child's digest: only a replace
+        # resyncs, and the rollback was one
+        (rollback,) = report.rollback
+        assert rollback.success and not rollback.delta
+        assert self._adapter(parent).agent.running.digest is not None
+        assert child.deployed_services() == ["child-client-a-hop1"]
+        assert parent.deploy(_service("b")).adapters[0].delta
+
+    def test_agent_names_what_an_edit_did(self, two_level):
+        _, _, child, parent = two_level
+        adapter = self._adapter(parent)
+        part_a, part_b = "child-client-a-hop1", "child-client-b-hop1"
+        assert parent.deploy(_service("a")).success
+        assert parent.deploy(_service("b")).success
+        assert adapter.agent.last_edit == {
+            "removed": [], "updated": [], "deployed": [part_b],
+            "kept": [part_a]}
+        new_version = (NFFGBuilder("a").sap("sap1").sap("sap2")
+                       .nf("a-nat", "nat")
+                       .chain("sap1", "a-nat", "sap2", bandwidth=5.0).build())
+        assert parent.update(new_version).success
+        assert adapter.agent.last_edit == {
+            "removed": [], "updated": [part_a], "deployed": [],
+            "kept": [part_b]}
+        assert parent.teardown("b")
+        edit = {"removed": [part_b], "updated": [], "deployed": [],
+                "kept": [part_a]}
+        assert adapter.client.get()["state"]["last_edit"] == edit
+        notification = adapter.client.notifications[-1]
+        assert (notification.event, notification.data) == (
+            "deploy-finished", edit)
+        assert child.deployed_services() == [part_a]
 
 
 class TestAbstractNFAdvertisement:
