@@ -314,6 +314,128 @@ def test_bench_push_vs_resident_services(benchmark):
     benchmark(lambda: measure(3))
 
 
+def _grid_domain(index: int, count: int, side: int):
+    """Domain ``index`` of a ring federation: a ``side`` x ``side`` grid
+    of BiS-BiS.  Its SAP and both ring hand-offs sit on the same three
+    corner nodes whatever the side, so one request routes alike."""
+    from repro.nffg import NFFG, ResourceVector
+
+    name = f"d{index}"
+    view = NFFG(id=name)
+    for number in range(side * side):
+        view.add_infra(
+            f"{name}-n{number}",
+            resources=ResourceVector(cpu=8.0, mem=8192.0, storage=64.0,
+                                     bandwidth=10_000.0, delay=0.05),
+            supported_types=["firewall", "nat"])
+    for row in range(side):
+        for col in range(side):
+            here = view.infra(f"{name}-n{row * side + col}")
+            for port, back, (r2, c2) in (("e", "w", (row, col + 1)),
+                                         ("s", "n", (row + 1, col))):
+                if r2 < side and c2 < side:
+                    there = view.infra(f"{name}-n{r2 * side + c2}")
+                    view.add_link(here.id, here.add_port(port).id,
+                                  there.id, there.add_port(back).id,
+                                  id=f"{here.id}-{port}",
+                                  bandwidth=1000.0, delay=0.2)
+    sap = view.add_sap(f"{name}-sap")
+    port = view.infra(f"{name}-n0").add_port("to-sap", sap_tag=sap.id)
+    view.add_link(sap.id, next(iter(sap.ports)), f"{name}-n0", port.id,
+                  bandwidth=1000.0, delay=0.0)
+    view.infra(f"{name}-n1").add_port(
+        "ho-out", sap_tag=f"ring-{index}-{(index + 1) % count}")
+    view.infra(f"{name}-n{side}").add_port(
+        "ho-in", sap_tag=f"ring-{(index - 1) % count}-{index}")
+    return view
+
+
+def test_bench_push_vs_domain_size_and_resident_chains(benchmark):
+    """CP-5: what the *last* deploy's push costs the CAL against the
+    size of the domains it lands in and the chains already installed
+    there — push ms, its ``push.slice`` share and the elements cloned
+    (``NFFG.copy`` + ``copy_subgraph``) during the deploy, on a ring of
+    static-view domains at 16 / 64 / 256 BiS-BiS per domain (8 chains
+    resident) and at 8 / 64 resident chains (64 BiS-BiS per domain).
+
+    The hand-off above the adapters is O(change): the request (d0's SAP
+    to d1's, NFs pinned to d0's corner) is pushed to the same two
+    domains at every level, from install views the CAL keeps and edits
+    in place, so nothing is cloned for the push and every reading stays
+    within 1.5x of the smallest.  Each level reports the median of nine
+    deploys of the request.
+    """
+    import gc
+
+    from repro.nffg.graph import NFFG
+
+    count = 4 if SMOKE else 8
+
+    def chain(prefix: str, src: int, dst: int, pin=None):
+        builder = (ServiceRequestBuilder(prefix)
+                   .sap(f"d{src}-sap").sap(f"d{dst}-sap"))
+        for kind in ("firewall", "nat"):
+            builder.nf(f"{prefix}-{kind}", kind, cpu=0.05, mem=8.0,
+                       pin_to=pin)
+        return builder.chain(f"d{src}-sap", f"{prefix}-firewall",
+                             f"{prefix}-nat", f"d{dst}-sap",
+                             bandwidth=1.0).build().sg
+
+    cloned = [0]
+    clone_subgraph, clone_graph = NFFG.copy_subgraph, NFFG.copy
+
+    def counting(clone):
+        def wrapper(self, *args, **kwargs):
+            graph = clone(self, *args, **kwargs)
+            cloned[0] += len(graph._nodes) + len(graph._edges)
+            return graph
+        return wrapper
+
+    def measure(side: int, resident: int):
+        escape = EscapeOrchestrator(f"cp5-{side}-{resident}")
+        for index in range(count):
+            escape.add_domain(DirectDomainAdapter(
+                f"d{index}", _grid_domain(index, count, side)))
+        for index in range(resident):
+            report = escape.deploy(
+                chain(f"res{index}", index % count, (index + 1) % count),
+                wait_activation=False)
+            assert report.success, report.error
+        samples = []
+        gc.collect()
+        for _ in range(9):
+            cloned[0] = 0
+            report = escape.deploy(chain("last", 0, 1, pin="d0-n0"),
+                                   wait_activation=False)
+            assert report.success, report.error
+            assert [r.domain for r in report.adapters] == ["d0", "d1"]
+            samples.append((report.push_time_s * 1e3,
+                            report.stage_timings()["push.slice"] * 1e3,
+                            cloned[0]))
+            assert escape.teardown("last").success
+        escape.cal.dispatcher.shutdown()
+        assert escape.cal.verify() == []
+        return {"bisbis_per_domain": side * side, "resident": resident,
+                "push_ms": statistics.median(s[0] for s in samples),
+                "push_slice_ms": statistics.median(s[1] for s in samples),
+                "elements_cloned": statistics.median(s[2] for s in samples)}
+
+    NFFG.copy_subgraph = counting(clone_subgraph)
+    NFFG.copy = counting(clone_graph)
+    try:
+        rows = [measure(side, resident) for side, resident
+                in ((4, 8), (8, 8), (16, 8), (8, 64))]
+    finally:
+        NFFG.copy_subgraph, NFFG.copy = clone_subgraph, clone_graph
+    emit("CP-5: last-deploy push cost vs domain size and resident chains",
+         rows, group="control_plane")
+    for column in ("push_ms", "elements_cloned"):
+        smallest = min(row[column] for row in rows)
+        assert all(row[column] <= 1.5 * smallest for row in rows), (
+            column, rows)
+    benchmark(lambda: measure(4, 8))
+
+
 def test_bench_recovery_vs_cold_redeploy(benchmark):
     """RC-1: journal recovery of N committed services vs redeploying
     them cold.

@@ -125,14 +125,18 @@ def _check_capacities(service: NFFG, resource: NFFG,
 def _check_routes(service: NFFG, resource: NFFG,
                   result: MappingResult) -> list[Diagnostic]:
     problems = []
+    # one scan of the view's ports for all SAP-terminated hops
+    bindings = resource.sap_bindings()
     for hop in service.sg_hops:
         route = result.hop_routes.get(hop.id)
         if route is None:
             problems.append(_diag(MP_ROUTE, f"hop {hop.id!r} unrouted",
                                   edge=hop.id))
             continue
-        expected_src = _endpoint_infra(service, resource, result, hop.src_node)
-        expected_dst = _endpoint_infra(service, resource, result, hop.dst_node)
+        expected_src = _endpoint_infra(service, resource, result, bindings,
+                                       hop.src_node)
+        expected_dst = _endpoint_infra(service, resource, result, bindings,
+                                       hop.dst_node)
         if expected_src is not None and route.infra_path[0] != expected_src:
             problems.append(_diag(
                 MP_ROUTE,
@@ -233,11 +237,10 @@ def _check_flowrules(service: NFFG,
 
 
 def _endpoint_infra(service: NFFG, resource: NFFG, result: MappingResult,
-                    node_id: str):
+                    bindings: dict[str, tuple[str, str]], node_id: str):
     node = service.node(node_id)
     if node.type.value == "NF":
         return result.nf_placement.get(node_id)
-    bindings = resource.sap_bindings()
     if node_id in bindings:
         return bindings[node_id][0]
     for edge in resource.edges_of(node_id):

@@ -437,7 +437,9 @@ class NFFG:
         SG hops and requirement edges are dropped: the result is a
         deployment-only view — exactly what ``split_per_domain`` hands
         to a domain adapter.  Same direct-fill fast path as
-        :meth:`copy`.
+        :meth:`copy`; the links are found by walking the kept nodes'
+        adjacency, so the clone costs the subgraph and not this graph
+        (edges come out in that walk's order).
         """
         clone = NFFG(id=new_id, name=name or new_id, version=self.version)
         clone._id_seq = self._id_seq
@@ -451,21 +453,21 @@ class NFFG:
             succ[node_id] = {}
             pred[node_id] = {}
         edges = clone._edges
-        for edge_id, edge in self._edges.items():
-            if not isinstance(edge, EdgeLink):
-                continue
-            if edge.src_node not in nodes or edge.dst_node not in nodes:
-                continue
-            cloned_edge = edge.clone()
-            edges[edge_id] = cloned_edge
-            src, dst = cloned_edge.src_node, cloned_edge.dst_node
-            keydict = succ[src].get(dst)
-            if keydict is None:
-                keydict = {}
-                succ[src][dst] = keydict
-                pred[dst][src] = keydict
-            keydict[edge_id] = {"obj": cloned_edge,
-                                "link_type": cloned_edge.link_type}
+        own_succ = self._graph._succ
+        for src in nodes:
+            for dst, own_keydict in own_succ[src].items():
+                if dst not in nodes:
+                    continue
+                keydict = None
+                for edge_id, data in own_keydict.items():
+                    edge = data["obj"]
+                    if not isinstance(edge, EdgeLink):
+                        continue
+                    if keydict is None:
+                        keydict = succ[src][dst] = pred[dst][src] = {}
+                    cloned_edge = edges[edge_id] = edge.clone()
+                    keydict[edge_id] = {"obj": cloned_edge,
+                                        "link_type": cloned_edge.link_type}
         return clone
 
     def placed_nfs(self) -> list[tuple[str, NodeNF]]:

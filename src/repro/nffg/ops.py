@@ -10,11 +10,15 @@
   SG hops are subtracted — this is what a virtualizer advertises
   northbound;
 - :func:`nffg_facts` flattens a graph into named facts, the
-  order-independent form two graphs are compared in.
+  order-independent form two graphs are compared in;
+- :func:`refresh_members` re-reads the members a :class:`Touched` set
+  names from one graph into another — how an install view follows the
+  DoV at the cost of an edit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.nffg.graph import NFFG, NFFGError
@@ -217,6 +221,65 @@ def _port_used(view: NFFG, node_id: str, port_id: str) -> bool:
                 or (edge.dst_node == node_id and edge.dst_port == port_id)):
             return True
     return False
+
+
+@dataclass
+class Touched:
+    """The members of an install graph an edit wrote, by id: whole nodes
+    (NFs and SAPs come and go with their links), single infra ports
+    (flow rules, NF attachment ports) and links (reservations).  On the
+    named ports, flow rules came or went under the ``hops`` ids only."""
+
+    nodes: set[str] = field(default_factory=set)
+    ports: set[tuple[str, str]] = field(default_factory=set)
+    hops: set[str] = field(default_factory=set)
+    edges: set[str] = field(default_factory=set)
+
+    def __bool__(self) -> bool:
+        return bool(self.nodes or self.ports or self.edges)
+
+
+def refresh_members(target: NFFG, source: NFFG, touched: Touched) -> set[str]:
+    """Re-read the members ``touched`` names from ``source`` into
+    ``target``, in place and as copies; a member ``source`` does not
+    have leaves ``target``.  A re-read node brings the links that join
+    it to nodes ``target`` holds, and an NF goes where its host is: one
+    hosted outside ``target`` leaves it too.  Returns the ids of the
+    links that left or entered with a node."""
+    for node_id, port_id in touched.ports:
+        if not target.has_node(node_id):
+            continue
+        fresh = (source.node(node_id).ports.get(port_id)
+                 if source.has_node(node_id) else None)
+        if fresh is None:
+            target.node(node_id).ports.pop(port_id, None)
+        else:
+            target.node(node_id).ports[port_id] = fresh.clone()
+
+    def reread_link(edge: object) -> bool:
+        if (isinstance(edge, EdgeLink) and edge.src_node in target
+                and edge.dst_node in target
+                and not target.has_edge(edge.id)):
+            target.add_edge_copy(edge)
+            return True
+        return False
+
+    moved: set[str] = set()
+    for node_id in touched.nodes:
+        if target.has_node(node_id):
+            moved.update(edge.id for edge in target.edges_of(node_id))
+            target.remove_node(node_id)
+        host = source.host_of(node_id)
+        if source.has_node(node_id) and (host is None or host in target):
+            target.add_node_copy(source.node(node_id))
+            moved.update(edge.id for edge in source.edges_of(node_id)
+                         if reread_link(edge))
+    for edge_id in touched.edges - moved:
+        if target.has_edge(edge_id):
+            target.remove_edge(edge_id)
+        if source.has_edge(edge_id):
+            reread_link(source.edge(edge_id))
+    return moved
 
 
 def nffg_facts(what: str, graph: NFFG) -> dict[str, object]:

@@ -33,6 +33,7 @@ from repro.netconf.messages import DELTA_CAPABILITY
 from repro.netconf.server import NetconfServer
 from repro.nffg.graph import NFFG
 from repro.nffg.model import DomainType
+from repro.nffg.ops import Touched, refresh_members
 from repro.nffg.serialize import nffg_to_dict
 from repro.openflow.channel import ControlChannel
 from repro.orchestration.report import AdapterReport
@@ -41,7 +42,7 @@ from repro.resilience.retry import RetryPolicy
 from repro import obs, sanitize
 from repro.sdnnet.domain import SDNDomain
 from repro.un.domain import UniversalNodeDomain, UNLocalOrchestrator
-from repro.yang.config import config_to_tree, tree_to_config
+from repro.yang.config import config_to_tree, patch_tree, tree_to_config
 from repro.yang.data import DataNode
 from repro.yang.diff import DiffEntry, diff_trees, find, patch_size_bytes
 
@@ -98,11 +99,12 @@ class DomainAdapter(abc.ABC):
     def _push(self, install: NFFG) -> None:
         """Push a (cumulative) install graph in full; raise on failure."""
 
-    def _do_push(self, install: NFFG,
+    def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
                  force_full: bool = False) -> Optional[PushProfile]:
-        """One push attempt; delta-capable adapters override this to
-        pick between a full replace and an edit-config patch.  Returning
-        ``None`` means the adapter keeps no wire-level accounting."""
+        """One push attempt; adapters that can apply an edit override
+        this to pick between a full push and one of the ``touched``
+        members only.  Returning ``None`` means the adapter keeps no
+        wire-level accounting."""
         self._push(install)
         return None
 
@@ -114,19 +116,22 @@ class DomainAdapter(abc.ABC):
         return self.retry_policy if self.retry_policy is not None \
             else DEFAULT_RETRY_POLICY
 
-    def install(self, install: NFFG, *,
+    def install(self, install: NFFG, touched: Optional[Touched] = None, *,
                 force_full: bool = False) -> AdapterReport:
+        """Bring the domain to ``install``, the cumulative configuration
+        the CAL keeps for it (read it, never keep or write it: the CAL
+        edits it in place).  ``touched`` names the members that differ
+        from the graph of this adapter's last successful install; None —
+        first contact, a re-derived graph, a push after a failed one —
+        means any member may."""
         # adapter I/O may block on the domain; it must never run while
         # the caller holds a shared-state lock
         sanitize.note_blocking(f"adapter.install({self.name})")
         started = time.perf_counter()
         baseline_msgs, baseline_bytes = self.control_stats()
-        report = AdapterReport(
-            domain=self.name, success=True,
-            nfs_requested=len(install.nfs),
-            flowrules_requested=install.summary()["flowrules"])
+        report = AdapterReport(domain=self.name, success=True)
         outcome = self._effective_policy().run(
-            lambda: self._do_push(install, force_full))
+            lambda: self._do_push(install, touched, force_full))
         report.attempts = outcome.attempts
         report.backoff_s = outcome.backoff_s
         if outcome.success:
@@ -250,37 +255,52 @@ class _NetconfAdapter(DomainAdapter):
         server.bind(self.channel)
         self.client = NetconfClient(f"{name}-client", self.channel)
         self.client.hello()
-        self._acked_config: Optional[dict] = None
         self._acked_tree: Optional[DataNode] = None
         self._acked_digest: Optional[int] = None
         #: payload bytes of the acknowledged config (accounting only)
         self._acked_bytes = 0
 
     def reset_delta_state(self) -> None:
-        self._acked_config = self._acked_tree = None
-        self._acked_digest = None
+        self._acked_tree = self._acked_digest = None
 
-    def _ack(self, config: Optional[dict], tree: DataNode, digest: int,
-             size: int) -> None:
-        self._acked_config = config
+    def _ack(self, tree: DataNode, digest: int, size: int) -> None:
         self._acked_tree = tree
         self._acked_digest = digest
         self._acked_bytes = size
 
-    def _encode(self, install: NFFG) -> tuple[Optional[dict], DataNode]:
+    def _encode(self, install: NFFG, touched: Optional[Touched],
+                ) -> tuple[Optional[dict], DataNode]:
         """``install`` as the config a full replace carries and as the
-        yang tree pushes are diffed by, built over the acknowledged one.
-        No config: the tree's own :func:`tree_to_config` is the config."""
-        config = {"nffg": nffg_to_dict(install)}
-        return config, config_to_tree(
-            config, reuse=self._acked_tree and (self._acked_config,
-                                                self._acked_tree))
+        yang tree pushes are diffed by: the acknowledged tree with the
+        ``touched`` members encoded anew, or — nothing acknowledged, or
+        no telling what changed — all of it.  No config: the tree's own
+        :func:`tree_to_config` is the config."""
+        if touched is None or self._acked_tree is None:
+            config = {"nffg": nffg_to_dict(install)}
+            return config, config_to_tree(config)
+        if not touched:
+            return None, self._acked_tree
+        nodes = {node_id: install.node(node_id).to_dict()
+                 if install.has_node(node_id) else None
+                 for node_id in touched.nodes}
+        ports = {}
+        for node_id, port_id in touched.ports:
+            if node_id not in nodes and install.has_node(node_id):
+                port = install.node(node_id).ports.get(port_id)
+                ports[node_id, port_id] = port and port.to_dict()
+        edges = {edge_id: install.edge(edge_id).to_dict()
+                 if install.has_edge(edge_id) else None
+                 for edge_id in touched.edges}
+        header = {"id": install.id, "name": install.name,
+                  "version": install.version, "metadata": install.metadata}
+        return None, patch_tree(self._acked_tree, header, nodes, ports,
+                                touched.hops, edges)
 
     def _push(self, install: NFFG) -> None:
         """Full-config replace; re-establishes the delta base.  Also the
         override point for tests/subclasses — the delta path falls back
         here whenever a patch cannot go out."""
-        config, tree = self._encode(install)
+        config, tree = self._encode(install, None)
         wire = config or tree_to_config(tree)
         try:
             self.client.edit_config(wire, target="candidate",
@@ -290,14 +310,14 @@ class _NetconfAdapter(DomainAdapter):
         except BaseException:
             self.reset_delta_state()
             raise
-        self._ack(config, tree, tree.digest(), _payload_bytes(wire))
+        self._ack(tree, tree.digest(), _payload_bytes(wire))
 
-    def _do_push(self, install: NFFG,
+    def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
                  force_full: bool = False) -> Optional[PushProfile]:
         messages = 3
         if (not force_full and self._acked_tree is not None
                 and self.client.has_capability(DELTA_CAPABILITY)):
-            profile = self._push_delta(install)
+            profile = self._push_delta(install, touched)
             if profile is not None:
                 return profile
             messages = 4  # the refused patch, then the resync
@@ -307,11 +327,12 @@ class _NetconfAdapter(DomainAdapter):
         return PushProfile(messages=messages,
                            bytes=self._acked_bytes if self._acked_tree else 0)
 
-    def _push_delta(self, install: NFFG) -> Optional[PushProfile]:
+    def _push_delta(self, install: NFFG,
+                    touched: Optional[Touched]) -> Optional[PushProfile]:
         """Ship the edit script from the acknowledged config to
         ``install``; None when the server refused the patch base."""
         old_tree = self._acked_tree
-        config, new_tree = self._encode(install)
+        _, new_tree = self._encode(install, touched)
         entries = diff_trees(old_tree, new_tree)
         if not entries:
             # already acknowledged: the domain runs this exact config
@@ -335,7 +356,7 @@ class _NetconfAdapter(DomainAdapter):
         except BaseException:
             self.reset_delta_state()
             raise
-        self._ack(config, new_tree, self._acked_digest ^ mask,
+        self._ack(new_tree, self._acked_digest ^ mask,
                   self._acked_bytes + growth)
         delta_bytes = patch_size_bytes(entries)
         return PushProfile(messages=3, bytes=delta_bytes, delta=True,
@@ -459,10 +480,20 @@ class DirectDomainAdapter(DomainAdapter):
                  domain_type: DomainType = DomainType.INTERNAL):
         super().__init__(name, domain_type)
         self._view = view
-        self.installed: list[NFFG] = []
+        #: what the domain was given: this adapter's own copy of the
+        #: last install, kept current by folding each push's touched
+        #: members into it (None until the first push)
+        self.installed: Optional[NFFG] = None
 
     def get_view(self) -> NFFG:
         return self._view.copy()
 
-    def _push(self, install: NFFG) -> None:
-        self.installed.append(install)
+    def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
+                 force_full: bool = False) -> None:
+        self._push(install, None if force_full else touched)
+
+    def _push(self, install: NFFG, touched: Optional[Touched] = None) -> None:
+        if touched is None or self.installed is None:
+            self.installed = install.copy()
+        else:
+            refresh_members(self.installed, install, touched)

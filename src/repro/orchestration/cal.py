@@ -27,6 +27,11 @@ else is **derived**, with one writer and one place it is dropped each
 - **dirty set** — the folds record the domains a mapping touches and
   :meth:`push_planned`, the one fan-out, consumes it (:meth:`push_all`
   dirties everything first, :meth:`reconcile` replays queued domains);
+- **install views + touched sets** — one graph per adapter, sliced out
+  of the DoV by ``_install_for`` at the adapter's first push of a
+  topology epoch; the folds record which of its members they wrote
+  and ``_current_view`` re-reads exactly those before each later push,
+  handing the adapter the view and the ids;
 - ``topology_generation`` is the only epoch: it moves when the substrate
   topology may have and is what ``PathCache.sync`` and
   ``SubstrateIndex.sync`` take.
@@ -38,15 +43,17 @@ Fan-out is **concurrent**: pushes and view fetches go through a
 :class:`~repro.orchestration.dispatch.DomainDispatcher` (distinct
 domains in parallel, one in-flight op per domain).  Shared bookkeeping
 (per-shard reconciliation queues, perf counters, fault plans) is
-locked; breakers and adapter delta state are only touched by their own
-domain's in-flight operation; derived state is only written on the
-orchestrator's thread, before any fan-out starts.
+locked; breakers, adapter delta state and a domain's install view are
+only touched by that domain's in-flight operation; all other derived
+state is only written on the orchestrator's thread, before any fan-out
+starts.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro import obs
@@ -59,9 +66,15 @@ from repro.mapping.base import (
 )
 from repro.mapping.index import SubstrateIndex
 from repro.nffg.graph import NFFG, NFFGError
-from repro.nffg.model import DomainType, NodeSAP
+from repro.nffg.model import DomainType, NodeNF, NodeSAP
 from repro.orchestration.adapters import DomainAdapter
-from repro.nffg.ops import merge_nffgs, nffg_facts, remaining_nffg
+from repro.nffg.ops import (
+    Touched,
+    merge_nffgs,
+    nffg_facts,
+    refresh_members,
+    remaining_nffg,
+)
 from repro.orchestration.dispatch import DEFAULT_MAX_WORKERS, DomainDispatcher
 from repro.orchestration.report import AdapterReport
 from repro.perf import counters, observe, set_gauge
@@ -163,6 +176,17 @@ class ControllerAdaptationLayer:
         #: domains whose view could not enter the latest pristine merge
         #: (breaker open, or fetch failed after retries)
         self.last_view_failures: set[str] = set()
+        #: adapter name -> its install view: what ``_install_for``
+        #: slices out of the DoV, made at the adapter's first push of a
+        #: topology epoch and edited in place from then on.  An entry is
+        #: written by ``_current_view`` under that domain's dispatcher
+        #: mutex and nowhere else; ``_invalidate`` drops them all
+        self._views: dict[str, _InstallView] = {}
+        #: adapter name -> the members of its install view the folds
+        #: wrote since ``_current_view`` last brought it up to date;
+        #: written by the folds on the orchestrator's thread, taken by
+        #: ``_current_view`` (no fold runs during a fan-out)
+        self._touched: dict[str, Touched] = {}
 
     # -- adapter registry ---------------------------------------------------
 
@@ -337,13 +361,16 @@ class ControllerAdaptationLayer:
 
     def _invalidate(self, shards: Iterable[CALShard] = ()) -> None:
         """The one place derived state is dropped: live DoV, inverse
-        records and remaining view (the index unbinds with it) go
-        together; ``shards`` are marked for a refetch first."""
+        records, remaining view (the index unbinds with it) and the
+        install views go together; ``shards`` are marked for a refetch
+        first."""
         for shard in shards:
             shard.stale = True
         self._dov = None
         self._deltas.clear()
         self._remaining = None
+        self._views.clear()
+        self._touched.clear()
 
     def _derive(self, dov: NFFG,
                 index: SubstrateIndex) -> tuple[NFFG, dict]:
@@ -393,10 +420,12 @@ class ControllerAdaptationLayer:
 
     def verify(self) -> list[str]:
         """Re-derive every derived store — DoV, remaining view,
-        substrate index, ownership — from the cached shard sub-views
-        plus the books and name each difference from the live one
-        (empty = consistent).  No adapter I/O and no repair; a dropped
-        (not yet re-derived) DoV has nothing to compare."""
+        substrate index, ownership, install views — from the cached
+        shard sub-views plus the books and name each difference from
+        the live one (empty = consistent).  An install view is held
+        against a fresh slice of the live DoV, after a copy of it took
+        the re-reads still owed to it.  No adapter I/O and no repair; a
+        dropped (not yet re-derived) DoV has nothing to compare."""
         by_inverse = {infra_id: name for name, ids in self._owned.items()
                       for infra_id in ids}
         problems = ([] if by_inverse == self._owner else
@@ -410,6 +439,19 @@ class ControllerAdaptationLayer:
             return problems
         dov, index = self._stitch(), SubstrateIndex()
         remaining, _ = self._derive(dov, index)
+        for name, held in self._views.items():
+            view, owed = held.graph, self._touched.get(name)
+            what = f"install view of {name}"
+            counted = {f"{what} NF count": held.nfs,
+                       f"{what} flow rule count": held.flowrules}
+            recounted = dict(zip(counted, _requested(view, None)))
+            if owed:
+                view = view.copy()
+                refresh_members(view, self._dov, owed)
+            problems += _differences(
+                {**counted, **nffg_facts(what, view)},
+                {**recounted, **nffg_facts(what, self._install_for(
+                    self.adapters[name], dov))})
         return problems + _differences(
             {**nffg_facts("DoV", self._dov),
              **nffg_facts("remaining view", self._remaining),
@@ -419,13 +461,38 @@ class ControllerAdaptationLayer:
 
     # -- deployment ---------------------------------------------------------------------
 
-    def _mark_dirty(self, result: MappingResult) -> None:
+    def _mark_dirty(self, result: MappingResult,
+                    delta: Optional[ServiceDelta] = None) -> None:
         """Record a mapping's touched domains for the push planner; a
         mapping whose owners cannot be resolved (ownership map not
         built yet, foreign replay) dirties everything — correctness
-        over planning."""
+        over planning.  With the ``delta`` a fold wrote into (or took
+        out of) the live DoV, also record which members of which
+        domain's install view that was: its NFs and SAPs, the infra
+        ports that gained or lost an NF attachment or a flow rule (and
+        under which hop ids), the links whose reservation moved."""
         touched = self.adapter_names_for(result)
         self._dirty.update(touched if touched else self.adapters)
+        if delta is None:
+            return
+        attach = self.substrate_index.sap_attachments()
+        for infra_id, kind, member in (
+                *((host, "nodes", nf_id)
+                  for nf_id, host in result.nf_placement.items()),
+                *((attach[sap_id][0], "nodes", sap_id)
+                  for sap_id in delta.sap_ids if sap_id in attach),
+                *((port[0], "ports", port)
+                  for port in (*delta.nf_ports, *delta.flow_ports)),
+                *((self._dov.edge(link_id).src_node, "edges", link_id)
+                  for link_ids, _ in delta.reservations
+                  for link_id in link_ids)):
+            name = self._owner.get(infra_id)
+            if name is not None:
+                getattr(self._touched.setdefault(name, Touched()),
+                        kind).add(member)
+        for name in {self._owner.get(port[0]) for port in delta.flow_ports}:
+            if name is not None:
+                self._touched[name].hops |= delta.hop_ids
 
     def commit_mapping(self, service_id: str, service: NFFG,
                        result: MappingResult) -> None:
@@ -436,7 +503,7 @@ class ControllerAdaptationLayer:
                             "substrate missing from the DoV")
         self._deltas[service_id] = delta
         self._deployed[service_id] = (service, result)
-        self._mark_dirty(result)
+        self._mark_dirty(result, delta)
         counters.incr("dov.apply_inplace")
         self._settle()
 
@@ -444,7 +511,7 @@ class ControllerAdaptationLayer:
         if service_id not in self._deployed:
             return False
         service, result = self._deployed.pop(service_id)
-        self._mark_dirty(result)
+        self._mark_dirty(result, self._deltas.get(service_id))
         if service_id in self._deltas:  # only a live DoV has records
             delta = self._deltas.pop(service_id)
             # None: its replay was deferred, it never entered the view
@@ -467,7 +534,7 @@ class ControllerAdaptationLayer:
                         snapshot: tuple[NFFG, MappingResult]) -> None:
         """Put a previously snapshotted service back (rollback path)."""
         self._deployed[service_id] = snapshot
-        self._mark_dirty(snapshot[1])
+        delta = None
         if self._dov is not None:
             # None: its substrate is gone from a degraded view — booked,
             # the replay deferred to the next refresh
@@ -475,6 +542,7 @@ class ControllerAdaptationLayer:
                 self._dov, self.substrate_index, *snapshot)
             counters.incr("dov.apply_inplace" if delta is not None
                           else "dov.replay_skipped")
+        self._mark_dirty(snapshot[1], delta)
         self._settle()
 
     def _settle(self) -> None:
@@ -540,7 +608,7 @@ class ControllerAdaptationLayer:
 
     def _prepare_push(self) -> None:
         """Materialize (and, when degraded, refresh) the DoV on the
-        caller's thread before any fan-out: ``_install_for`` runs on
+        caller's thread before any fan-out: ``_current_view`` runs on
         dispatcher workers and must only *read* it — a lazy rebuild
         there would re-enter the dispatcher under a domain's mutex."""
         if self._dov is not None and (
@@ -593,14 +661,23 @@ class ControllerAdaptationLayer:
             # is not trusted, so the cumulative config goes out in full
             force_full = (force_full or was_pending
                           or breaker.state is BreakerState.HALF_OPEN)
+            started = time.perf_counter()
             try:
-                install = self._install_for(adapter)
+                held, touched = self._current_view(adapter)
             except Exception as exc:  # noqa: BLE001 - slicing needs the view
                 report = AdapterReport(
                     domain=adapter.name, success=False,
                     error=f"{type(exc).__name__}: {exc}")
             else:
-                report = adapter.install(install, force_full=force_full)
+                sliced = time.perf_counter()
+                # a full push re-establishes the base: every member is
+                # in doubt, not just the ones written since
+                report = adapter.install(
+                    held.graph, None if force_full else touched,
+                    force_full=force_full)
+                report.slice_time_s = sliced - started
+                report.nfs_requested = held.nfs
+                report.flowrules_requested = held.flowrules
             breaker.record(report.success)
             if not report.success:
                 # server state unknown: never diff against it again
@@ -710,8 +787,36 @@ class ControllerAdaptationLayer:
         merge, in its view's order (empty when its view was missing)."""
         return list(self._owned.get(adapter_name, ()))
 
-    def _install_for(self, adapter: DomainAdapter) -> NFFG:
-        """The adapter's install slice, computed directly from the DoV.
+    def _current_view(self, adapter: DomainAdapter,
+                      ) -> tuple["_InstallView", Optional[Touched]]:
+        """The adapter's install view brought up to date with the DoV,
+        and what that changed in it since the view was last handed out:
+        the members the folds recorded plus the links that came and went
+        with them — or None when the view was only just sliced.  Runs
+        under the domain's dispatcher mutex, which is what makes this
+        the single writer of the adapter's ``_views`` entry."""
+        name = adapter.name
+        touched = self._touched.pop(name, None) or Touched()
+        held = self._views.get(name)
+        if held is None:
+            counters.incr("cal.view.slice")
+            graph = self._install_for(adapter)
+            self._views[name] = held = _InstallView(
+                graph, *_requested(graph, None))
+            return held, None
+        counters.incr("cal.view.refresh")
+        before = _requested(held.graph, touched)
+        touched.edges |= refresh_members(held.graph, self._dov, touched)
+        after = _requested(held.graph, touched)
+        held.nfs += after[0] - before[0]
+        held.flowrules += after[1] - before[1]
+        return held, touched
+
+    def _install_for(self, adapter: DomainAdapter,
+                     dov: Optional[NFFG] = None) -> NFFG:
+        """The adapter's install slice, computed directly from the DoV
+        (``dov``: from a re-derived one): what its install view starts
+        as and is checked against.
 
         Members are the adapter's own infras, the NFs placed on them
         and the SAPs attached via its own sap-tagged ports; links
@@ -722,7 +827,7 @@ class ControllerAdaptationLayer:
         stable base — ``<dov>@<type>``, suffixed ``@<name>`` when the
         DomainType is shared.
         """
-        dov = self.dov
+        dov = dov or self.dov
         own_present = [infra_id for infra_id in self._owned.get(adapter.name, ())
                        if dov.has_node(infra_id)]
         if not own_present:
@@ -751,6 +856,32 @@ class ControllerAdaptationLayer:
 
     def ready(self) -> bool:
         return all(adapter.ready() for adapter in self.adapters.values())
+
+
+@dataclass
+class _InstallView:
+    """One adapter's install graph and the count of what it asks of the
+    domain (what ``AdapterReport`` carries), kept as the graph is edited."""
+
+    graph: NFFG
+    nfs: int
+    flowrules: int
+
+
+def _requested(graph: NFFG, touched: Optional[Touched]) -> tuple[int, int]:
+    """(NFs, flow rules) among the ``touched`` members ``graph`` holds
+    (None: in all of it)."""
+    if touched is None:
+        nodes = graph.nodes
+        ports = (port for infra in graph.infras
+                 for port in infra.ports.values())
+    else:
+        nodes = map(graph.node, filter(graph.has_node, touched.nodes))
+        ports = (graph.node(node_id).ports.get(port_id)
+                 for node_id, port_id in touched.ports
+                 if graph.has_node(node_id))
+    return (sum(isinstance(node, NodeNF) for node in nodes),
+            sum(len(port.flowrules) for port in ports if port is not None))
 
 
 def _replay(dov: NFFG, index: SubstrateIndex, service: NFFG,

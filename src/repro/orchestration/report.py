@@ -19,8 +19,15 @@ class AdapterReport:
     error: str = ""
     #: wall-clock seconds spent in the adapter call
     push_time_s: float = 0.0
+    #: wall-clock seconds the CAL spent before that call bringing the
+    #: domain's install view up to date (first slice, or re-reading
+    #: the touched members)
+    slice_time_s: float = 0.0
     control_messages: int = 0
     control_bytes: int = 0
+    #: NFs / flow rules in the domain's cumulative configuration, by
+    #: the count the CAL keeps with the install view (0 when the adapter
+    #: was driven without one)
     nfs_requested: int = 0
     flowrules_requested: int = 0
     #: push attempts made (1 = first try succeeded; >1 = retried)
@@ -78,12 +85,15 @@ class DeployReport:
 
     def stage_timings(self) -> dict[str, float]:
         """Per-stage wall-clock seconds, in pipeline order (rollback
-        last: it only runs on the failed path, after the push)."""
+        last: it only runs on the failed path, after the push).
+        ``push.slice`` is the part of ``push`` the CAL spent on the
+        domains' install views, summed over the pushed domains."""
         return {
             "lint": self.lint_time_s,
             "view": self.view_time_s,
             "map": self.mapping_time_s,
             "push": self.push_time_s,
+            "push.slice": sum(r.slice_time_s for r in self.adapters),
             "activate": self.activation_time_s,
             "rollback": self.rollback_time_s,
         }

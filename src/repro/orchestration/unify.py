@@ -298,7 +298,8 @@ class UnifyDomainAdapter(_NetconfAdapter):
             infra.domain = DomainType.UNIFY
         return view
 
-    def _encode(self, install: NFFG) -> tuple[None, DataNode]:
+    def _encode(self, install: NFFG, touched) -> tuple[None, DataNode]:
+        # the whole virtualizer every time: ``touched`` is not used yet
         return None, nffg_to_virtualizer(install, install.id).tree
 
     def ready(self) -> bool:

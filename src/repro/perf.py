@@ -45,6 +45,10 @@ Sharded-CAL counters (scale-aware view maintenance + push planning)::
     cal.push.planned         domain pushes submitted by the push planner
     cal.push.skipped         registered domains the planner did not
                              contact (their config cannot have changed)
+    cal.view.slice           install views sliced whole out of the DoV
+                             (a domain's first push of a topology epoch)
+    cal.view.refresh         pushes whose install view only re-read the
+                             members touched since the push before
 
 Mapping-index counters (the CAL-owned :class:`SubstrateIndex` that
 seeds embedding runs — candidate sets, capacity buckets, copy-on-write

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.nffg.graph import NFFG
+from repro.nffg.ops import Touched
 from repro.orchestration.adapters import DomainAdapter
 from repro.orchestration.report import AdapterReport
 from repro.perf import counters
@@ -258,19 +259,20 @@ class FaultyAdapter(DomainAdapter):
         self.plan.before(self.name, "push")
         self.inner._push(install)
 
-    def _do_push(self, install: NFFG, force_full: bool = False):
+    def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
+                 force_full: bool = False):
         # consult the plan first: a fault fires before any RPC reaches
         # the inner adapter, so its acknowledged-config state stays in
         # step with the (untouched) server
         self.plan.before(self.name, "push")
-        return self.inner._do_push(install, force_full)
+        return self.inner._do_push(install, touched, force_full)
 
     def reset_delta_state(self) -> None:
         self.inner.reset_delta_state()
 
-    def install(self, install: NFFG, *,
+    def install(self, install: NFFG, touched: Optional[Touched] = None, *,
                 force_full: bool = False) -> AdapterReport:
-        report = super().install(install, force_full=force_full)
+        report = super().install(install, touched, force_full=force_full)
         self.inner.installs = self.installs
         return report
 

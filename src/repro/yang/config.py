@@ -48,6 +48,7 @@ from repro.yang.schema import Container, Leaf, YangList
 __all__ = [
     "install_config_schema",
     "config_to_tree",
+    "patch_tree",
     "tree_to_config",
     "touched_elements",
     "node_config",
@@ -139,36 +140,60 @@ def _splittable(member: dict[str, Any], field: str, keyer) -> bool:
     return len(keys) == len(items)
 
 
-def _splittable_ports(member: dict[str, Any]) -> bool:
-    return _splittable(member, "ports", _port_key)
+def _encode_port(holder: DataNode, port: dict[str, Any],
+                 donor: Optional[DataNode] = None,
+                 fresh: Iterable[str] = ()) -> None:
+    """One port dict as an instance of the ``port`` list ``holder``.
+    ``donor`` is an earlier instance of the port: the flow rules it
+    holds under keys outside ``fresh`` are moved over, not encoded."""
+    instance = holder.add_instance(_port_key(port))
+    attrs = port
+    if _splittable(port, "flowrules", _flowrule_key):
+        attrs = {name: value for name, value in port.items()
+                 if name != "flowrules"}
+        rule_holder = instance.list_node("flowrule")
+        old_rules = donor.find("flowrule") if donor is not None else None
+        for flowrule in port["flowrules"]:
+            key = _flowrule_key(flowrule)
+            if (old_rules is not None and key not in fresh
+                    and old_rules.has_instance(key)):
+                rule_holder.adopt(old_rules.instance(key))
+            else:
+                rule_holder.add_instance(key).set_leaf(
+                    "body", _canonical_json(flowrule))
+    instance.set_leaf("attrs", _canonical_json(attrs))
 
 
-def _splittable_flowrules(port: dict[str, Any]) -> bool:
-    return _splittable(port, "flowrules", _flowrule_key)
+def _encode_node(holder: DataNode, member: dict[str, Any]) -> None:
+    """One node dict as an instance of the ``node`` list ``holder``."""
+    instance = holder.add_instance(_node_key(member))
+    attrs = member
+    if _splittable(member, "ports", _port_key):
+        attrs = {name: value for name, value in member.items()
+                 if name != "ports"}
+        port_holder = instance.list_node("port")
+        for port in member["ports"]:
+            _encode_port(port_holder, port)
+    instance.set_leaf("attrs", _canonical_json(attrs))
 
 
-def _keyed(member: Optional[dict[str, Any]], field: str,
-           keyer) -> dict[str, dict[str, Any]]:
-    """``member[field]`` by list key when it is split into instances."""
-    if member is None or not _splittable(member, field, keyer):
-        return {}
-    return {keyer(item): item for item in member[field]}
+def _encode_edge(holder: DataNode, member: dict[str, Any]) -> None:
+    holder.add_instance(_edge_key(member)).set_leaf(
+        "body", _canonical_json(member))
 
 
-def config_to_tree(config: dict[str, Any],
-                   reuse: Optional[tuple[dict[str, Any], DataNode]] = None,
-                   ) -> DataNode:
+def _header(tree: DataNode, nffg: dict[str, Any]) -> None:
+    tree.set_leaf("id", str(nffg.get("id", "")))
+    tree.set_leaf("name", str(nffg.get("name", "")))
+    tree.set_leaf("version", str(nffg.get("version", "")))
+    tree.set_leaf("metadata", _canonical_json(nffg.get("metadata", {})))
+
+
+def config_to_tree(config: dict[str, Any]) -> DataNode:
     """Project an adapter config (``{"nffg": nffg_to_dict(...)}``) onto
-    the install-config schema.
-
-    ``reuse`` is an earlier config and the tree built from it: a list
-    instance (node, port, flow rule, edge) that the earlier config holds
-    equal, at the same place, is moved over from that tree instead of
-    being encoded again — one dict comparison, so a tree costs what
-    changed since the one before it.  The earlier tree still lists the
-    moved instances and stays good to diff against and to read.  A
-    Unify config (``{"virtualizer": Virtualizer.to_dict()}``) is a yang
-    tree already and binds to the virtualizer schema as it is.
+    the install-config schema.  A Unify config (``{"virtualizer":
+    Virtualizer.to_dict()}``) is a yang tree already and binds to the
+    virtualizer schema as it is.
     """
     if isinstance(config, dict) and set(config) == {"virtualizer"}:
         from repro.virtualizer.model import virtualizer_schema  # imports us
@@ -179,71 +204,74 @@ def config_to_tree(config: dict[str, Any],
             raise ValidationError(f"not a virtualizer: {exc}") from None
     try:
         nffg = config["nffg"]
-        other, donor = ({}, None) if reuse is None else (
-            reuse[0]["nffg"], reuse[1])
     except (TypeError, KeyError):
         raise ValidationError(
             f"install config must be {{'nffg': ...}}-shaped, got {config!r}"
         ) from None
     tree = DataNode(_SCHEMA)
-    tree.set_leaf("id", str(nffg.get("id", "")))
-    tree.set_leaf("name", str(nffg.get("name", "")))
-    tree.set_leaf("version", str(nffg.get("version", "")))
-    tree.set_leaf("metadata", _canonical_json(nffg.get("metadata", {})))
+    _header(tree, nffg)
     node_holder = tree.list_node("node")
-    other_nodes = {_node_key(m): m for m in other.get("nodes", [])}
-    donor_nodes = donor and donor.child("node")
     for member in nffg.get("nodes", []):
-        key = _node_key(member)
-        other_member = other_nodes.get(key)
-        if other_member == member:
-            node_holder.adopt(donor_nodes.instance(key))
-            continue
-        instance = node_holder.add_instance(key)
-        if _splittable_ports(member):
-            attrs = {name: value for name, value in member.items()
-                     if name != "ports"}
-            port_holder = instance.list_node("port")
-            other_ports = _keyed(other_member, "ports", _port_key)
-            donor_ports = other_ports and donor_nodes.instance(key).child("port")
-            for port in member["ports"]:
-                port_key = _port_key(port)
-                other_port = other_ports.get(port_key)
-                if other_port == port:
-                    port_holder.adopt(donor_ports.instance(port_key))
-                    continue
-                port_instance = port_holder.add_instance(port_key)
-                if _splittable_flowrules(port):
-                    port_attrs = {name: value for name, value in port.items()
-                                  if name != "flowrules"}
-                    rule_holder = port_instance.list_node("flowrule")
-                    other_rules = _keyed(other_port, "flowrules",
-                                         _flowrule_key)
-                    donor_rules = other_rules and donor_ports.instance(
-                        port_key).child("flowrule")
-                    for flowrule in port["flowrules"]:
-                        rule_key = _flowrule_key(flowrule)
-                        if other_rules.get(rule_key) == flowrule:
-                            rule_holder.adopt(donor_rules.instance(rule_key))
-                        else:
-                            rule_holder.add_instance(rule_key).set_leaf(
-                                "body", _canonical_json(flowrule))
-                else:
-                    port_attrs = port
-                port_instance.set_leaf("attrs", _canonical_json(port_attrs))
-        else:
-            attrs = member
-        instance.set_leaf("attrs", _canonical_json(attrs))
+        _encode_node(node_holder, member)
     edge_holder = tree.list_node("edge")
-    other_edges = {_edge_key(m): m for m in other.get("edges", [])}
-    donor_edges = donor and donor.child("edge")
     for member in nffg.get("edges", []):
-        key = _edge_key(member)
-        if other_edges.get(key) == member:
-            edge_holder.adopt(donor_edges.instance(key))
-        else:
-            edge_holder.add_instance(key).set_leaf(
-                "body", _canonical_json(member))
+        _encode_edge(edge_holder, member)
+    return tree
+
+
+def _others(parent: DataNode, name: str, skip) -> list[DataNode]:
+    """The instances of ``parent``'s list ``name`` keyed outside ``skip``."""
+    holder = parent.find(name)
+    return [] if holder is None else [
+        instance for instance in holder.instances()
+        if instance.key_value not in skip]
+
+
+def patch_tree(base: DataNode, header: dict[str, Any],
+               nodes: dict[str, Optional[dict[str, Any]]],
+               ports: dict[tuple[str, str], Optional[dict[str, Any]]],
+               hops: Iterable[str],
+               edges: dict[str, Optional[dict[str, Any]]]) -> DataNode:
+    """The install-config tree of a config that differs from ``base``'s
+    in the named members only: ``nodes`` by node id, ``ports`` by (node
+    id, port id) on nodes ``base`` has and ``nodes`` does not name,
+    ``edges`` by edge id — each with its new dict, or None for "gone";
+    on the named ports, flow rules differ under the hop ids ``hops``
+    only; ``header`` carries the graph's id / name / version / metadata.
+    Only the named members are encoded, every other instance is moved
+    over from ``base`` (which still lists it and stays good to diff
+    against and to read), so the tree costs the edit.  Equal, leaf for
+    leaf, to :func:`config_to_tree` of the whole new config."""
+    tree = DataNode(_SCHEMA)
+    _header(tree, header)
+    by_node: dict[str, dict[str, Optional[dict[str, Any]]]] = {}
+    for (node_key, port_key), port in ports.items():
+        by_node.setdefault(node_key, {})[port_key] = port
+    node_holder = tree.list_node("node")
+    for kept in _others(base, "node", nodes.keys() | by_node.keys()):
+        node_holder.adopt(kept)
+    for member in filter(None, nodes.values()):
+        _encode_node(node_holder, member)
+    for node_key, own in by_node.items():
+        old = base.child("node").instance(node_key)
+        instance = node_holder.add_instance(node_key)
+        instance.set_leaf("attrs", old.get("attrs"))
+        kept_ports = _others(old, "port", own)
+        fresh = list(filter(None, own.values()))
+        if kept_ports or fresh:  # a node without ports has no port list
+            port_holder = instance.list_node("port")
+            for kept in kept_ports:
+                port_holder.adopt(kept)
+            for port in fresh:
+                _encode_port(port_holder, port,
+                             old.find(f"port[{_port_key(port)}]"), hops)
+    edge_holder = tree.list_node("edge")
+    for kept in _others(base, "edge", {
+            f"{kind}|{edge_id}" for edge_id in edges
+            for kind in ("STATIC", "DYNAMIC", "SG", "REQUIREMENT")}):
+        edge_holder.adopt(kept)
+    for member in filter(None, edges.values()):
+        _encode_edge(edge_holder, member)
     return tree
 
 

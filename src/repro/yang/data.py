@@ -9,6 +9,7 @@ a canonicalized value.  Paths use the compact form
 from __future__ import annotations
 
 import json
+import weakref
 from hashlib import blake2b
 from typing import Any, Iterator, Optional
 
@@ -28,20 +29,31 @@ _NO_MEMBERS: dict[str, "DataNode"] = {}
 class DataNode:
     """One node of a data tree, bound to its schema node."""
 
-    __slots__ = ("schema", "key_value", "parent", "value", "_children",
-                 "_instances")
+    __slots__ = ("schema", "key_value", "_parent", "value", "_children",
+                 "_instances", "__weakref__")
 
     def __init__(self, schema: SchemaNode, key_value: Optional[str] = None):
         self.schema = schema
         #: for list *instances*: the key value addressing this instance
         self.key_value = key_value
-        self.parent: Optional[DataNode] = None
+        self._parent: Optional[weakref.ref] = None
         self.value: Any = None                      # leaves only
         leaf = isinstance(schema, Leaf)
         #: containers & instances
         self._children: dict[str, DataNode] = _NO_MEMBERS if leaf else {}
         #: list nodes only
         self._instances: dict[str, DataNode] = _NO_MEMBERS if leaf else {}
+
+    @property
+    def parent(self) -> Optional["DataNode"]:
+        """The node holding this one.  Held weakly, so a subtree that
+        left its tree is freed with its last reference instead of
+        waiting, as a reference cycle, for a full collection."""
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, node: Optional["DataNode"]) -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
     # -- classification ---------------------------------------------------
 

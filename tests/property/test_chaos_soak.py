@@ -110,7 +110,7 @@ def test_chaos_soak_converges(operations, seed):
 
     # 2. the domain holds exactly the booked services' footprint...
     deployed = set(escape.cal.deployed_services())
-    last = inner.installed[-1] if inner.installed else None
+    last = inner.installed
     if last is not None:
         booked_nfs = {nf_id
                       for service_id in deployed
@@ -123,7 +123,7 @@ def test_chaos_soak_converges(operations, seed):
         report = escape.teardown(service_id)
         assert report, report.error
     if inner.installed:
-        final = inner.installed[-1]
+        final = inner.installed
         assert not final.nfs
         assert all(not rule_port.flowrules
                    for infra in final.infras
@@ -152,7 +152,7 @@ def test_chaos_soak_with_mid_storm_outage(operations, seed, crash_at):
                       for service_id in deployed
                       for nf_id in escape.cal.snapshot_service(
                           service_id)[1].nf_placement}
-        assert {nf.id for nf in inner.installed[-1].nfs} == booked_nfs
+        assert {nf.id for nf in inner.installed.nfs} == booked_nfs
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_CHAOS_CRASH"),
@@ -188,7 +188,7 @@ def test_chaos_soak_with_crash_recovery(operations, seed):
                       for service_id in deployed
                       for nf_id in successor.cal.snapshot_service(
                           service_id)[1].nf_placement}
-        assert {nf.id for nf in inner.installed[-1].nfs} == booked_nfs
+        assert {nf.id for nf in inner.installed.nfs} == booked_nfs
 
 
 def test_chaos_counters_record_the_storm():

@@ -90,7 +90,7 @@ def _assert_recovered_invariants(report, inner, committed_states, label):
     booked = {nf_id
               for service_id in cal.deployed_services()
               for nf_id in cal.snapshot_service(service_id)[1].nf_placement}
-    installed = ({nf.id for nf in inner.installed[-1].nfs}
+    installed = ({nf.id for nf in inner.installed.nfs}
                  if inner.installed else set())
     assert installed == booked, (
         f"{label}: domain holds {sorted(installed)} "

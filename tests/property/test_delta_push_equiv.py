@@ -66,11 +66,12 @@ class _StubNetconfAdapter(_NetconfAdapter):
     def get_view(self):
         return self._view.copy()
 
-    def _do_push(self, install, force_full=False):
+    def _do_push(self, install, touched=None, force_full=False):
         if self.fail_next > 0:
             self.fail_next -= 1
             raise RuntimeError("injected push failure")
-        return super()._do_push(install, force_full or self.force_full)
+        return super()._do_push(install, touched,
+                                force_full or self.force_full)
 
 
 def _chain_request(index: int, length: int):
@@ -312,7 +313,7 @@ def _trip_and_resync(escape, name: str) -> None:
     adapter = cal.adapters[name]
     original = adapter._do_push
 
-    def failing(install, force_full=False):
+    def failing(install, touched=None, force_full=False):
         raise RuntimeError("injected push failure")
 
     adapter._do_push = failing
@@ -326,8 +327,11 @@ def _trip_and_resync(escape, name: str) -> None:
     assert replays and all(report.success for report in replays)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_fig1_flow_tables_equal_wipe_and_reinstall_reference(seed):
+def _fig1_sequence(seed):
+    """A seeded deploy / update / teardown / heal / breaker-trip /
+    crash+recover sequence over Fig. 1 with the detour: yields
+    ``((step, kind), testbed, escape)`` once built and after every step
+    (``escape`` changes at the crash: the recovered successor)."""
     rng = random.Random(seed)
     testbed = _fig1_with_detour()
     escape = testbed.escape
@@ -339,6 +343,7 @@ def test_fig1_flow_tables_equal_wipe_and_reinstall_reference(seed):
     rng.shuffle(script)
     script = ["deploy"] * 3 + script
     try:
+        yield (-1, "built"), testbed, escape
         for step, kind in enumerate(script):
             if kind in ("update", "teardown") and not live:
                 kind = "deploy"
@@ -378,9 +383,15 @@ def test_fig1_flow_tables_equal_wipe_and_reinstall_reference(seed):
                 escape = report.orchestrator
             assert sorted(escape.deployed_services()) == [
                 f"svc{index}" for index in sorted(live)]
-            _assert_tables_match_reference(testbed, escape, (step, kind))
+            yield (step, kind), testbed, escape
     finally:
         escape.cal.dispatcher.shutdown()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fig1_flow_tables_equal_wipe_and_reinstall_reference(seed):
+    for step, testbed, escape in _fig1_sequence(seed):
+        _assert_tables_match_reference(testbed, escape, step)
 
 
 # -- Fig. 1: an established chain is never touched ------------------------------

@@ -14,7 +14,10 @@ from repro.nffg import (
     remaining_nffg,
     split_per_domain,
 )
-from repro.nffg.model import DomainType
+from repro.nffg.model import DomainType, EdgeLink
+from repro.nffg.ops import Touched, nffg_facts, refresh_members
+
+from tests.property.test_incremental_dov import canonical
 
 resources = st.builds(
     ResourceVector,
@@ -82,6 +85,90 @@ def test_copy_never_aliases(nffg):
     for node in clone.nodes:
         assert node is not nffg.node(node.id)
     assert clone.summary() == nffg.summary()
+
+
+def _copy_subgraph_by_edge_scan(graph, new_id, node_ids):
+    """``NFFG.copy_subgraph`` as it was before it walked the kept nodes'
+    adjacency: one pass over every edge of the source graph."""
+    clone = NFFG(id=new_id)
+    for node_id in node_ids:
+        clone.add_node_copy(graph.node(node_id))
+    for edge in graph.edges:
+        if (isinstance(edge, EdgeLink) and clone.has_node(edge.src_node)
+                and clone.has_node(edge.dst_node)):
+            clone.add_edge_copy(edge)
+    return clone
+
+
+@given(random_nffg(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_copy_subgraph_equals_the_edge_scan(nffg, data):
+    nfs = [nf.id for nf in nffg.nfs]
+    for index, (src, dst) in enumerate(zip(nfs, nfs[1:])):
+        nffg.add_sg_hop(src, "1", dst, "2", id=f"hop{index}")
+    kept = data.draw(st.lists(st.sampled_from([n.id for n in nffg.nodes]),
+                              unique=True))
+    walked = nffg.copy_subgraph("sub", kept)
+    scanned = _copy_subgraph_by_edge_scan(nffg, "sub", kept)
+    assert [node.id for node in walked.nodes] == kept
+    assert nffg_facts("", walked) == nffg_facts("", scanned)
+    assert ({edge.id: edge.to_dict() for edge in walked.edges}
+            == {edge.id: edge.to_dict() for edge in scanned.edges})
+    for node_id in kept:
+        assert walked.node(node_id) is not nffg.node(node_id)
+        assert walked.node(node_id).to_dict() == nffg.node(node_id).to_dict()
+        assert ({edge.id for edge in walked.edges_of(node_id)}
+                == {edge.id for edge in scanned.edges_of(node_id)})
+    assert all(edge is not nffg.edge(edge.id) for edge in walked.edges)
+    assert walked.validate() == []
+
+
+@given(random_nffg(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_refresh_members_follows_the_named_edits(nffg, data):
+    """A copy that re-reads exactly the members an edit wrote — NFs
+    that left or arrived with their ports, a flow rule, a reservation —
+    ends up equal to a new copy, and shares nothing with the source."""
+    follower = nffg.copy()
+    touched = Touched()
+    placed = [nf.id for nf in nffg.nfs if nffg.host_of(nf.id)]
+    for nf_id in data.draw(st.lists(st.sampled_from(placed), unique=True)
+                           if placed else st.just([])):
+        for link in list(nffg.edges_of(nf_id)):
+            infra_id, port_id = ((link.dst_node, link.dst_port)
+                                 if link.src_node == nf_id
+                                 else (link.src_node, link.src_port))
+            nffg.remove_edge(link.id)
+            nffg.infra(infra_id).ports.pop(port_id, None)
+            touched.ports.add((infra_id, port_id))
+        nffg.remove_node(nf_id)
+        touched.nodes.add(nf_id)
+    host = data.draw(st.sampled_from([infra.id for infra in nffg.infras]))
+    if data.draw(st.booleans()):
+        nffg.add_nf("arrival", "firewall", num_ports=2)
+        touched.nodes.add("arrival")
+        touched.ports.update((link.dst_node, link.dst_port)
+                             for link in nffg.place_nf("arrival", host))
+    ports = [(infra.id, port.id) for infra in nffg.infras
+             for port in infra.ports.values()]
+    if ports and data.draw(st.booleans()):
+        infra_id, port_id = data.draw(st.sampled_from(ports))
+        nffg.infra(infra_id).ports[port_id].add_flowrule(
+            f"in_port={port_id}", "output=1", hop_id="new-hop")
+        touched.ports.add((infra_id, port_id))
+        touched.hops.add("new-hop")
+    if nffg.links and data.draw(st.booleans()):
+        link = data.draw(st.sampled_from(nffg.links))
+        link.reserved += 1.0
+        touched.edges.add(link.id)
+    refresh_members(follower, nffg, touched)
+    assert nffg_facts("", follower) == nffg_facts("", nffg)
+    assert canonical(follower) == canonical(nffg)  # ports come in any order
+    assert follower.validate() == []
+    assert all(node is not nffg.node(node.id) for node in follower.nodes)
+    assert all(edge is not nffg.edge(edge.id) for edge in follower.edges)
+    assert all(port is not nffg.node(node.id).ports[port.id]
+               for node in follower.nodes for port in node.ports.values())
 
 
 @given(random_nffg())

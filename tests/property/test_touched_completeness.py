@@ -1,0 +1,343 @@
+"""The touched set handed to ``adapter.install`` is complete.
+
+An adapter brings its domain from the graph of its last successful
+install to the current one by looking at the ``touched`` members only,
+so a member that changed without being named is a silent divergence.
+Along the seeded sequences of ``test_incremental_dov``,
+``test_shard_equiv`` and ``test_delta_push_equiv`` every install is
+checked here: every member whose ``to_dict()`` differs from the
+previous successful install is named, each maintained view equals a
+fresh slice of the DoV, what the adapter holds afterwards (the direct
+adapter's record, the NETCONF adapter's acknowledged tree) equals the
+whole view encoded anew, and ``cal.verify()`` is empty.  After anything
+that leaves the domain's state in doubt — a raising adapter, an open
+breaker, dropped derived state — the next install gets ``None`` and a
+correct whole view.
+"""
+
+import json
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro import sanitize
+from repro.nffg.model import NodeInfra
+from repro.nffg.serialize import nffg_to_dict
+from repro.orchestration.escape import EscapeOrchestrator
+from repro.resilience import BreakerState, FaultPlan, FaultyAdapter
+from repro.resilience.retry import RetryPolicy
+from repro.yang.config import config_to_tree, install_config_schema
+
+from tests.property.test_delta_push_equiv import (
+    _fig1_sequence,
+    _Universe,
+)
+from tests.property.test_incremental_dov import (
+    _chain_request,
+    _fresh_cal,
+    canonical,
+    ops,
+)
+from tests.property.test_shard_equiv import _escape, _run_churn, churn
+from tests.test_cal_shards import CountingAdapter, _pinned_service, domain_view
+
+
+def _frozen(data) -> str:
+    return json.dumps(data, sort_keys=True)
+
+
+def _members(install) -> dict[tuple, str]:
+    """Every separately addressable member of an install graph, frozen:
+    nodes (an infra without its ports), infra ports (without their flow
+    rules), flow rules and edges."""
+    members = {}
+    for node in install.nodes:
+        data = node.to_dict()
+        if isinstance(node, NodeInfra):
+            data.pop("ports", None)
+            for port in node.ports.values():
+                port_data = port.to_dict()
+                for rule in port_data.pop("flowrules", ()):
+                    members["rule", node.id, port.id, rule.get("hop_id"),
+                            rule["match"]] = _frozen(rule)
+                members["port", node.id, port.id] = _frozen(port_data)
+        members["node", node.id] = _frozen(data)
+    for edge in install.edges:
+        members["edge", edge.id] = _frozen(edge.to_dict())
+    return members
+
+
+def _named(touched, key) -> bool:
+    kind, member_id = key[0], key[1]
+    if kind == "edge":
+        return member_id in touched.edges
+    if member_id in touched.nodes:      # the node, its ports, their rules
+        return True
+    if kind == "node" or key[1:3] not in touched.ports:
+        return False
+    return kind == "port" or key[3] in touched.hops
+
+
+class InstallWatch:
+    """Sits in front of one adapter's ``install`` and holds every
+    ``touched`` it receives against what really changed since the last
+    install that succeeded."""
+
+    def __init__(self, adapter):
+        self.adapter = adapter
+        self.base = None       # members at the last successful install
+        self.received = []     # the ``touched`` of every install
+        self._install = adapter.install
+        adapter.install = self
+
+    def __call__(self, install, touched=None, *, force_full=False):
+        now = _members(install)
+        self.received.append(touched)
+        if touched is not None:
+            assert self.base is not None, (
+                f"{self.adapter.name}: an edit over no agreed base")
+            changed = {key for key in now.keys() | self.base.keys()
+                       if now.get(key) != self.base.get(key)}
+            unnamed = sorted(key for key in changed
+                             if not _named(touched, key))
+            assert not unnamed, f"{self.adapter.name}: changed, not named"
+        report = self._install(install, touched, force_full=force_full)
+        self.base = now if report.success else None
+        if report.success:
+            self._holds(install)
+        return report
+
+    def _holds(self, install) -> None:
+        """What the adapter keeps of the push equals the whole view."""
+        inner = getattr(self.adapter, "inner", self.adapter)
+        record = getattr(inner, "installed", None)
+        if record is not None:
+            assert record is not install
+            assert canonical(record) == canonical(install)
+        tree = getattr(inner, "_acked_tree", None)
+        if tree is not None and tree.schema is install_config_schema():
+            whole = config_to_tree({"nffg": nffg_to_dict(install)})
+            assert tree.digest() == whole.digest()
+            assert tree.to_json() == whole.to_json()
+
+
+def _watch(cal) -> dict[str, InstallWatch]:
+    return {name: InstallWatch(adapter)
+            for name, adapter in cal.adapters.items()}
+
+
+def _assert_views_current(cal) -> None:
+    """Every maintained view, once it took what the folds still owe it,
+    is the slice ``_install_for`` would cut now."""
+    assert cal.verify() == []
+    for name, held in cal._views.items():
+        if not cal._touched.get(name):
+            assert canonical(held.graph) == canonical(
+                cal._install_for(cal.adapters[name])), name
+
+
+@given(ops)
+@settings(max_examples=25, deadline=None)
+def test_single_domain_deploy_update_teardown(operations):
+    from repro.orchestration.ro import ResourceOrchestrator
+
+    cal, ro = _fresh_cal(), ResourceOrchestrator()
+    watch = _watch(cal)["dom"]
+    for kind, index in operations:
+        service_id = f"p{index}"
+        deployed = service_id in cal.deployed_services()
+        if kind == "teardown":
+            cal.remove_service(service_id)
+        elif kind == "update" and deployed:
+            snapshot = cal.snapshot_service(service_id)
+            cal.remove_service(service_id)
+            result = ro.orchestrate(_chain_request(index, 2),
+                                    cal.resource_view())
+            if result.success:
+                cal.commit_mapping(service_id, result.service, result)
+            else:
+                cal.restore_service(service_id, snapshot)
+        elif not deployed:
+            result = ro.orchestrate(_chain_request(index, 1),
+                                    cal.resource_view())
+            if result.success:
+                cal.commit_mapping(service_id, result.service, result)
+        assert all(report.success for report in cal.push_planned())
+        _assert_views_current(cal)
+    # one slice at first contact, an edit ever after
+    assert watch.received[0] is None
+    assert None not in watch.received[1:]
+
+
+@given(churn)
+@settings(max_examples=15, deadline=None)
+def test_sharded_churn_with_heal(operations):
+    escape, _ = _escape(3)
+    _watch(escape.cal)
+    for operation in operations:
+        _run_churn(escape, [operation])
+        _assert_views_current(escape.cal)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fig1_deploy_update_teardown_heal_trip_crash(seed):
+    watches = None
+    for _, _, escape in _fig1_sequence(seed):
+        # the adapters, and the watches with them, outlive the crash
+        watches = watches or _watch(escape.cal)
+        _assert_views_current(escape.cal)
+    assert all(None in watch.received[1:] for watch in watches.values())
+
+
+def test_fig1_sequence_is_sanitizer_clean():
+    previous = sanitize.disable()
+    state = sanitize.enable(fresh=True)
+    try:
+        for _, _, escape in _fig1_sequence(1):
+            pass
+    finally:
+        sanitize.disable()
+        sanitize.restore(previous)
+    report = state.report()
+    assert report.acquisitions > 0
+    assert report.ok(), report.render_text()
+
+
+def test_nf_moving_between_domains_leaves_the_old_view():
+    escape, adapters, watches = _two_domains()
+    cal = escape.cal
+    cal.remove_service("s0")
+    result = escape.ro.orchestrate(_pinned_service(0, "b"),
+                                   cal.resource_view())
+    cal.commit_mapping("s0", result.service, result)
+    assert [report.domain for report in cal.push_planned()] == ["a", "b"]
+    assert "s0-fw" in watches["a"].received[-1].nodes
+    assert "s0-fw" in watches["b"].received[-1].nodes
+    assert not adapters["a"].installed.has_node("s0-fw")
+    assert escape.cal.dov.host_of("s0-fw") == "b-bb0"
+    assert adapters["b"].installed.host_of("s0-fw") == "b-bb0"
+    _assert_views_current(escape.cal)
+
+
+def test_reports_count_what_the_views_hold():
+    escape, adapters, _ = _two_domains()
+    for operation in (lambda: escape.deploy(_pinned_service(3, "a"),
+                                            wait_activation=False).adapters,
+                      lambda: escape.teardown("s0").adapters,
+                      escape.cal.push_all):
+        for pushed in operation():
+            record = adapters[pushed.domain].installed
+            assert pushed.nfs_requested == len(record.nfs) > 0
+            assert pushed.flowrules_requested == sum(
+                len(port.flowrules) for infra in record.infras
+                for port in infra.ports.values()) > 0
+
+
+# -- whatever leaves the domain's state in doubt -> None, whole view ---------
+
+
+def _two_domains():
+    escape = EscapeOrchestrator("doubt")
+    escape.cal.breaker_failure_threshold = 2
+    adapters = {name: escape.add_domain(
+        CountingAdapter(name, domain_view(name))) for name in ("a", "b")}
+    watches = _watch(escape.cal)
+    for index, name in enumerate(("a", "b", "a")):
+        assert escape.deploy(_pinned_service(index, name),
+                             wait_activation=False)
+    first, second = watches["a"].received
+    assert first is None and second.nodes == {"s2-fw"}
+    return escape, adapters, watches
+
+
+def _assert_next_is_whole(escape, watch, push) -> None:
+    sent = len(watch.received)
+    assert all(report.success for report in push())
+    assert watch.received[sent:] == [None]
+    name = watch.adapter.name
+    assert canonical(watch.adapter.installed) == canonical(
+        escape.cal._install_for(escape.cal.adapters[name]))
+    _assert_views_current(escape.cal)
+
+
+def test_raising_adapter_gets_the_whole_view_next():
+    escape, adapters, watches = _two_domains()
+    before = canonical(adapters["a"].installed)
+    adapters["a"].broken = True
+    assert not escape.teardown("s0")
+    assert canonical(adapters["a"].installed) == before
+    adapters["a"].broken = False
+    _assert_next_is_whole(escape, watches["a"], escape.cal.push_planned)
+    assert not adapters["a"].installed.has_node("s0-fw")
+
+
+def test_open_breaker_gets_the_whole_view_next():
+    escape, adapters, watches = _two_domains()
+    cal = escape.cal
+    adapters["a"].broken = True
+    for _ in range(cal.breaker_failure_threshold):
+        cal.push_all()
+    assert cal.breakers["a"].state is BreakerState.OPEN
+    adapters["a"].broken = False
+    before, sent = canonical(adapters["a"].installed), adapters["a"].installs
+    cal.remove_service("s0")
+    reports = {report.domain: report for report in cal.push_planned()}
+    assert reports["a"].skipped
+    # the skipped push reached neither the adapter nor its record
+    assert adapters["a"].installs == sent
+    assert canonical(adapters["a"].installed) == before
+    _assert_next_is_whole(escape, watches["a"],
+                          lambda: cal.reconcile(force_probe=True))
+    assert not adapters["a"].installed.has_node("s0-fw")
+
+
+def test_refused_push_leaves_the_record_alone():
+    escape = EscapeOrchestrator("refused")
+    plan = FaultPlan()
+    inner = CountingAdapter("a", domain_view("a"))
+    faulty = escape.add_domain(FaultyAdapter(inner, plan))
+    faulty.retry_policy = RetryPolicy(max_attempts=1)
+    watch = _watch(escape.cal)["a"]
+    assert escape.deploy(_pinned_service(0, "a"), wait_activation=False)
+    assert inner.installed is not escape.cal._views["a"].graph
+    before = canonical(inner.installed)
+    plan.add("a", "push", count=1)
+    assert not escape.deploy(_pinned_service(1, "a"), wait_activation=False)
+    assert canonical(inner.installed) == before
+    # the rollback push was the next one: whole view, service 1 gone
+    assert watch.received[-1] is None
+    assert canonical(inner.installed) == before
+    _assert_views_current(escape.cal)
+
+
+@pytest.mark.parametrize("drop", ["mark_stale", "rebuild"])
+def test_dropped_derived_state_gets_a_fresh_whole_view(drop):
+    escape, adapters, watches = _two_domains()
+    cal = escape.cal
+    held = cal._views["a"].graph
+    getattr(cal, drop)()
+    assert cal._views == {} and cal._touched == {}
+    cal.remove_service("s0")
+    _assert_next_is_whole(escape, watches["a"], cal.push_planned)
+    assert cal._views["a"].graph is not held
+    assert watches["b"].received[-1] is None
+
+
+def test_reset_delta_state_sends_the_whole_config_next():
+    universe = _Universe(force_full=False)
+    cal, adapter = universe.cal, universe.adapter
+    watch = _watch(cal)["dom"]
+    universe.apply("deploy", 0)
+    universe.push()
+    universe.apply("deploy", 1)
+    universe.push()
+    assert watch.received[1] is not None
+    adapter.reset_delta_state()
+    universe.apply("teardown", 0)
+    (report,) = cal.push_planned()
+    assert report.success and not report.delta
+    whole = config_to_tree({"nffg": nffg_to_dict(cal._install_for(adapter))})
+    assert adapter.server.running.tree.digest() == whole.digest()
+    assert adapter._acked_tree.digest() == whole.digest()
+    _assert_views_current(cal)

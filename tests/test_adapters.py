@@ -7,6 +7,7 @@ from repro.netem import Network
 from repro.nffg import NFFG
 from repro.nffg.builder import linear_substrate
 from repro.nffg.model import DomainType
+from repro.nffg.ops import nffg_facts
 from repro.orchestration import (
     DirectDomainAdapter,
     EmuDomainAdapter,
@@ -22,7 +23,8 @@ class TestDirectAdapter:
         report = adapter.install(install)
         assert report.success
         assert adapter.installs == 1
-        assert adapter.installed == [install]
+        assert adapter.installed is not install
+        assert nffg_facts("", adapter.installed) == nffg_facts("", install)
 
     def test_get_view_returns_copy(self):
         view = linear_substrate(2, id="d")
@@ -34,7 +36,7 @@ class TestDirectAdapter:
     def test_teardown_pushes_empty(self):
         adapter = DirectDomainAdapter("d", linear_substrate(2, id="d"))
         adapter.teardown()
-        assert adapter.installed[-1].summary()["infras"] == 0
+        assert adapter.installed.summary()["infras"] == 0
 
     def test_default_flow_stats_empty(self):
         adapter = DirectDomainAdapter("d", NFFG(id="v"))
@@ -44,7 +46,7 @@ class TestDirectAdapter:
 class TestAdapterFaultIsolation:
     def test_push_exception_becomes_failed_report(self):
         class ExplodingAdapter(DirectDomainAdapter):
-            def _push(self, install):
+            def _push(self, install, touched=None):
                 raise RuntimeError("boom")
 
         adapter = ExplodingAdapter("bad", NFFG(id="v"))

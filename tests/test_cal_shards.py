@@ -51,10 +51,10 @@ class CountingAdapter(DirectDomainAdapter):
         self.view_fetches += 1
         return super().get_view()
 
-    def _push(self, install):
+    def _push(self, install, touched=None):
         if self.broken:
             raise RuntimeError(f"{self.name} down")
-        super()._push(install)
+        super()._push(install, touched)
 
 
 def _cal(names, **kwargs):
@@ -211,14 +211,14 @@ class TestPushPlanning:
         assert first, first.error
         # first deploy rides a full rebuild: everything is dirty
         assert {r.domain for r in first.adapters} == {"dom-a", "dom-b"}
-        pushes_b = len(adapters["dom-b"].installed)
+        pushes_b = adapters["dom-b"].installs
 
         before = counters.snapshot("cal.push.")
         second = escape.deploy(_pinned_service(1, "dom-a"),
                                wait_activation=False)
         assert second, second.error
         assert [r.domain for r in second.adapters] == ["dom-a"]
-        assert len(adapters["dom-b"].installed) == pushes_b
+        assert adapters["dom-b"].installs == pushes_b
         after = counters.snapshot("cal.push.")
         assert after.get("cal.push.planned", 0) \
             - before.get("cal.push.planned", 0) == 1
@@ -229,11 +229,11 @@ class TestPushPlanning:
         escape, adapters = self._escape()
         escape.deploy(_pinned_service(0, "dom-a"), wait_activation=False)
         escape.deploy(_pinned_service(1, "dom-b"), wait_activation=False)
-        pushes_a = len(adapters["dom-a"].installed)
+        pushes_a = adapters["dom-a"].installs
         report = escape.teardown("s1")
         assert report, report.error
         assert [r.domain for r in report.adapters] == ["dom-b"]
-        assert len(adapters["dom-a"].installed) == pushes_a
+        assert adapters["dom-a"].installs == pushes_a
 
     def test_pending_domain_joins_the_next_planned_push(self):
         escape, adapters = self._escape()
@@ -274,13 +274,13 @@ class TestPushPlanning:
         adapters["c"].broken = False
         assert cal.breakers["b"].state is BreakerState.OPEN
         assert cal.pending_reconciliation() == {"b", "c"}
-        installs = {n: len(a.installed) for n, a in adapters.items()}
+        installs = {n: a.installs for n, a in adapters.items()}
 
         reports = cal.push_all()
         assert [(r.domain, r.success, r.skipped) for r in reports] == [
             ("a", True, False), ("b", False, True), ("c", True, False)]
         assert cal.pending_reconciliation() == {"b"}
-        assert {n: len(a.installed) - installs[n]
+        assert {n: a.installs - installs[n]
                 for n, a in adapters.items()} == {"a": 1, "b": 0, "c": 1}
         assert cal.breakers["b"].state is BreakerState.OPEN
         assert cal.breakers["c"].state is BreakerState.CLOSED
@@ -329,7 +329,7 @@ class TestInstallCaches:
         escape.deploy(_pinned_service(0, "dom-a"), wait_activation=False)
         escape.deploy(_pinned_service(1, "dom-b"), wait_activation=False)
         for name, adapter in adapters.items():
-            last = adapter.installed[-1]
+            last = adapter.installed
             assert {infra.id for infra in last.infras} == {f"{name}-bb0"}
             assert all(nf.id.endswith("-fw") for nf in last.nfs)
 
@@ -397,6 +397,36 @@ class TestVerify:
         assert len(problems) == 1
         assert problems[0].startswith(
             "DoV flow rules on dom-a-bb0.to-dom-a-sap1: live [] != rebuilt")
+
+    def test_names_a_stale_flow_rule_left_in_an_install_view(self):
+        cal = self._deployed()
+        infra = cal._views["dom-a"].graph.infra("dom-a-bb0")
+        infra.ports["to-dom-a-sap1"].add_flowrule(
+            "in_port=to-dom-a-sap1", "output=nowhere", hop_id="gone-hop")
+        count, rules = cal.verify()
+        assert count == ("install view of dom-a flow rule count: "
+                         "live 2 != rebuilt 3")
+        assert rules.startswith(
+            "install view of dom-a flow rules on dom-a-bb0.to-dom-a-sap1: "
+            "live [('gone-hop', ")
+
+    def test_names_an_nf_missing_from_an_install_view(self):
+        cal = self._deployed()
+        cal._views["dom-b"].graph.remove_node("s1-fw")
+        count, *missing = cal.verify()
+        assert count == "install view of dom-b NF count: live 1 != rebuilt 0"
+        assert "missing install view of dom-b node s1-fw" in missing
+        assert all(problem.startswith("missing install view of dom-b ")
+                   for problem in missing)  # the NF and its four links
+
+    def test_install_view_owed_a_reread_is_not_a_drift(self):
+        cal = self._deployed()
+        cal.remove_service("s0")              # folded, not pushed yet
+        assert cal._views["dom-a"].graph.has_node("s0-fw")
+        assert cal.verify() == []
+        cal.push_planned()
+        assert not cal._views["dom-a"].graph.has_node("s0-fw")
+        assert cal.verify() == []
 
     def test_names_a_stale_ownership_entry(self):
         cal = self._deployed()

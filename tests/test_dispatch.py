@@ -118,10 +118,10 @@ class _FlakyAdapter(DirectDomainAdapter):
         super().__init__(name, view)
         self.broken = False
 
-    def _push(self, install):
+    def _push(self, install, touched=None):
         if self.broken:
             raise RuntimeError(f"{self.name} down")
-        super()._push(install)
+        super()._push(install, touched)
 
 
 def _domain_view(name):

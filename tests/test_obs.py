@@ -468,6 +468,20 @@ class TestFailurePathObservability:
         assert "rollback" in rendered
         assert "stages:" in rendered
 
+    def test_push_slice_names_the_cals_share_of_the_push(self, obs_off):
+        from repro.cli.render import render_deploy_report
+
+        escape, _ = self._failing_escape()
+        report = escape.deploy(self._one_hop("a1", "sapA"),
+                               wait_activation=False)
+        stages = report.stage_timings()
+        assert list(stages).index("push.slice") \
+            == list(stages).index("push") + 1
+        assert all(r.slice_time_s > 0.0 for r in report.adapters)
+        assert stages["push.slice"] == sum(
+            r.slice_time_s for r in report.adapters)
+        assert "push.slice" in render_deploy_report(report)
+
     def test_failure_spans_and_events(self, scoped_obs):
         escape, plan = self._failing_escape()
         plan.add("dom-b", "push", kind=FaultKind.FATAL, count=1)

@@ -287,7 +287,7 @@ class TestRecoverEndToEnd:
         assert report.in_flight == []
         # the domain holds exactly the recovered service's NFs
         booked = set(successor.cal.snapshot_service("r1")[1].nf_placement)
-        assert {nf.id for nf in inner.installed[-1].nfs} == booked
+        assert {nf.id for nf in inner.installed.nfs} == booked
 
     def test_crash_mid_deploy_is_rolled_back_and_swept(self):
         escape, inner = _direct_escape()
@@ -299,7 +299,7 @@ class TestRecoverEndToEnd:
         escape.journal.crash_plan = CrashPlan(at=2)
         with pytest.raises(OrchestratorCrash):
             escape.deploy(_chain_service(1), wait_activation=False)
-        assert any(nf.id.startswith("r1") for nf in inner.installed[-1].nfs)
+        assert any(nf.id.startswith("r1") for nf in inner.installed.nfs)
 
         report = recover(escape.journal,
                          list(escape.cal.adapters.values()))
@@ -310,7 +310,7 @@ class TestRecoverEndToEnd:
         assert report.diffs["dom"].touched_by_inflight
         # anti-entropy swept the half-landed NFs off the domain
         booked = set(successor.cal.snapshot_service("r0")[1].nf_placement)
-        assert {nf.id for nf in inner.installed[-1].nfs} == booked
+        assert {nf.id for nf in inner.installed.nfs} == booked
 
     def test_crash_mid_teardown_finishes_on_recovery(self):
         escape, inner = _direct_escape()
@@ -326,12 +326,12 @@ class TestRecoverEndToEnd:
         assert report.orchestrator.deployed_services() == ["r0"]
         booked = set(
             report.orchestrator.cal.snapshot_service("r0")[1].nf_placement)
-        assert {nf.id for nf in inner.installed[-1].nfs} == booked
+        assert {nf.id for nf in inner.installed.nfs} == booked
 
     def test_dry_run_pushes_nothing_and_keeps_journal(self):
         escape, inner = _direct_escape()
         assert escape.deploy(_chain_service(0), wait_activation=False).success
-        installs = len(inner.installed)
+        installs = inner.installs
         records = journal_len = len(escape.journal)
 
         report = recover(escape.journal,
@@ -339,7 +339,7 @@ class TestRecoverEndToEnd:
         assert report.dry_run
         assert report.restored == ["r0"]
         assert report.pushes == []
-        assert len(inner.installed) == installs
+        assert inner.installs == installs
         assert len(escape.journal) == journal_len == records
         text = report.render_text()
         assert "dry run" in text
@@ -475,7 +475,7 @@ class TestImportReconcile:
                   for service_id in escape.deployed_services()
                   for nf_id in escape.cal.snapshot_service(
                       service_id)[1].nf_placement}
-        assert {nf.id for nf in inner.installed[-1].nfs} == booked
+        assert {nf.id for nf in inner.installed.nfs} == booked
 
     def test_reconcile_into_empty_equals_plain_import(self):
         escape, _ = _direct_escape()

@@ -420,7 +420,7 @@ class TestCircuitBreakerInCAL:
         assert escape.cal.breakers["dom-b"].state is BreakerState.CLOSED
         assert adapter_b.installs == installs_while_down + 1
         # the replayed cumulative config still contains the service
-        assert adapter_b.inner.installed[-1].nfs
+        assert adapter_b.inner.installed.nfs
 
     def test_reconcile_without_probe_respects_open_breaker(self):
         escape, plan, _, _ = _two_domain_escape(threshold=1)
@@ -493,7 +493,7 @@ class TestFailureReporting:
         assert report.rollback
         assert escape.deployed_services() == ["b1"]
         # the old single-NF version is back on the domain
-        assert [nf.id for nf in adapter_b.inner.installed[-1].nfs] \
+        assert [nf.id for nf in adapter_b.inner.installed.nfs] \
             == ["b1-nf"]
 
 
