@@ -5,7 +5,7 @@ The harness stacks 1..4 ESCAPE levels above one physical emulated
 domain, deploys the same chain through the top of each stack and
 reports per-level overhead (deploy latency, Unify control bytes),
 verifying the chain end to end at the bottom every time.  A second row
-deploys the same request last, through three levels, beside 2 / 4 / 8
+deploys the same request last, through three levels, beside 2 / 8 / 32
 resident chains: what an edit costs must not depend on what is
 installed.
 """
@@ -25,15 +25,17 @@ from repro.orchestration import (
     UnifyAgent,
     UnifyDomainAdapter,
 )
+from repro.yang.data import DataNode
 
 LEVELS = [1, 2, 3, 4]
 
 
-def _stack(levels: int):
+def _stack(levels: int, cpu_per_node: float = 8.0):
     """A physical emu domain under a tower of `levels` orchestrators."""
     net = Network()
     domain = EmulatedDomain("emu", net, node_ids=["emu-bb0", "emu-bb1"],
-                            links=[("emu-bb0", "emu-bb1")])
+                            links=[("emu-bb0", "emu-bb1")],
+                            cpu_per_node=cpu_per_node)
     domain.add_sap("sap1", "emu-bb0")
     domain.add_sap("sap2", "emu-bb1")
     bottom = EscapeOrchestrator("level0", simulator=net.simulator)
@@ -109,19 +111,37 @@ def test_bench_recursion_overhead_table(benchmark):
     benchmark(top.resource_view)
 
 
-def test_bench_last_deploy_vs_resident_chains(benchmark):
+def test_bench_last_deploy_vs_resident_chains(benchmark, monkeypatch):
     """DEMO-iii(a), second row: the *last* deploy through three levels
-    against the number of chains already installed (2 / 4 / 8).
+    against the number of chains already installed (2 / 8 / 32).
 
     Every level reconciles per client service and ships edit scripts, so
     the same request sends the same FlowMods to the bottom switches and
     the same control messages at every resident level, and the bytes on
     the Unify channels stay flat (gate: at most 1.5x the 2-resident
-    reading — each agent's notification names the parts it kept).
+    reading — each agent's notification names the parts it kept).  The
+    parent-side adapters patch the virtualizer they hold: the
+    ``DataNode``s they construct to encode the deploy (counted here,
+    around ``UnifyDomainAdapter._encode``) are the same at every level.
     """
+    built = [0]
+    construct, encode = DataNode.__init__, UnifyDomainAdapter._encode
+
+    def counted_construct(node, *args, **kwargs):
+        built[0] += 1
+        construct(node, *args, **kwargs)
+
+    def counted_encode(adapter, install, touched):
+        DataNode.__init__ = counted_construct
+        try:
+            return encode(adapter, install, touched)
+        finally:
+            DataNode.__init__ = construct
+
+    monkeypatch.setattr(UnifyDomainAdapter, "_encode", counted_encode)
 
     def measure(resident: int):
-        net, domain, top, adapters = _stack(3)
+        net, domain, top, adapters = _stack(3, cpu_per_node=64.0)
         bottom = adapters[0].agent.orchestrator
         emu = bottom.cal.adapters["emu"]
         for index in range(resident):
@@ -129,11 +149,13 @@ def test_bench_last_deploy_vs_resident_chains(benchmark):
             assert report.success, report.error
 
         def counts():
-            """(bottom FlowMods, control messages at every level, bytes
-            on the Unify channels) so far."""
+            """(bottom FlowMods, control messages at every level,
+            DataNodes the Unify adapters encoded, bytes on the Unify
+            channels) so far."""
             return (emu.orchestrator.controller.flow_mods_sent,
                     emu.control_stats()[0] + sum(
                         adapter.control_stats()[0] for adapter in adapters),
+                    built[0],
                     sum(adapter.channel.stats.bytes for adapter in adapters))
 
         samples = []
@@ -152,20 +174,22 @@ def test_bench_last_deploy_vs_resident_chains(benchmark):
             net.run()
             assert len(h2.received) == before + 1
             assert top.teardown("last").success
-        assert len({sample[1:3] for sample in samples}) == 1, samples
+        assert len({sample[1:4] for sample in samples}) == 1, samples
         return {"resident": resident,
                 "deploy_ms": sorted(s[0] for s in samples)[1],
                 "flow_mods": samples[0][1],
                 "control_messages": samples[0][2],
-                "unify_ctrl_bytes": sorted(s[3] for s in samples)[1]}
+                "datanodes_encoded": samples[0][3],
+                "unify_ctrl_bytes": sorted(s[4] for s in samples)[1]}
 
-    rows = [measure(resident) for resident in (2, 4, 8)]
+    rows = [measure(resident) for resident in (2, 8, 32)]
     emit("DEMO-iii(a): last deploy through 3 levels vs resident chains",
          rows, group="control_plane")
     low = rows[0]
     for row in rows[1:]:
         for column in ("flow_mods", "control_messages", "unify_ctrl_bytes"):
             assert row[column] <= 1.5 * low[column], rows
+        assert row["datanodes_encoded"] == low["datanodes_encoded"], rows
     benchmark(lambda: measure(2))
 
 

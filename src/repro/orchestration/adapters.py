@@ -61,13 +61,16 @@ class PushProfile:
     edit/validate/commit RPCs and the config payload), not channel-level
     framing; ``delta`` marks an edit-config patch, ``noop`` an install
     whose diff against the acknowledged config was empty and that was
-    therefore skipped entirely."""
+    therefore skipped entirely; ``encode_s``/``diff_s`` are what an edit
+    spent on this side building the new tree and the script."""
 
     messages: int = 0
     bytes: int = 0
     delta: bool = False
     noop: bool = False
     bytes_saved: int = 0
+    encode_s: float = 0.0
+    diff_s: float = 0.0
 
 
 class DomainUnreachable(RuntimeError):
@@ -141,6 +144,8 @@ class DomainAdapter(abc.ABC):
             report.messages = profile.messages
             report.bytes = profile.bytes
             report.delta = profile.delta
+            report.encode_time_s = profile.encode_s
+            report.diff_time_s = profile.diff_s
             counters.incr("push.delta" if profile.delta else "push.full")
             if profile.noop:
                 counters.incr("push.delta_noop")
@@ -236,16 +241,16 @@ class _NetconfAdapter(DomainAdapter):
     """Shared NETCONF client plumbing for NETCONF-managed domains.
 
     Delta pushes: the adapter remembers the last *acknowledged* config
-    (the install that made it through commit) with its digest and
-    payload size.  Subsequent installs diff against it — the new tree
-    re-uses every member of the acknowledged one that did not change —
-    and ship a digest-guarded edit-config patch; digest and size move by
-    what the patch changed, they are not recomputed.  A full replace
-    goes out on first contact, when the caller forces it (reconcile,
-    half-open probes, pushes after a failure), or when the server
-    rejects the patch base.  Any
-    exception mid-push leaves the server state unknown, so the
-    acknowledged config is dropped and the next attempt is full.
+    (the one that made it through commit) with its digest and payload
+    size.  Subsequent installs diff against it — ``_encode``, in the
+    subclass's tree shape (install config here, virtualizer south of a
+    Unify interface), encodes the ``touched`` members and takes every
+    other from the acknowledged tree — and ship a digest-guarded
+    edit-config patch; digest and size move by what it changed.  A full
+    replace goes out on first contact, when the caller forces it
+    (reconcile, half-open probes, pushes after a failure), or on a
+    refused patch base.  Any exception mid-push leaves the server state
+    unknown: the acknowledged config is dropped, the next attempt full.
     """
 
     def __init__(self, name: str, domain_type: DomainType,
@@ -332,12 +337,16 @@ class _NetconfAdapter(DomainAdapter):
         """Ship the edit script from the acknowledged config to
         ``install``; None when the server refused the patch base."""
         old_tree = self._acked_tree
+        started = time.perf_counter()
         _, new_tree = self._encode(install, touched)
+        encoded = time.perf_counter()
         entries = diff_trees(old_tree, new_tree)
+        spent = {"encode_s": encoded - started,
+                 "diff_s": time.perf_counter() - encoded}
         if not entries:
             # already acknowledged: the domain runs this exact config
             return PushProfile(delta=True, noop=True,
-                               bytes_saved=self._acked_bytes)
+                               bytes_saved=self._acked_bytes, **spent)
         patch = [entry.to_dict() for entry in entries]
         mask, growth = _patch_effect(old_tree, new_tree, entries)
         try:
@@ -360,7 +369,8 @@ class _NetconfAdapter(DomainAdapter):
                   self._acked_bytes + growth)
         delta_bytes = patch_size_bytes(entries)
         return PushProfile(messages=3, bytes=delta_bytes, delta=True,
-                           bytes_saved=max(0, self._acked_bytes - delta_bytes))
+                           bytes_saved=max(0, self._acked_bytes - delta_bytes),
+                           **spent)
 
     def control_stats(self) -> tuple[int, int]:
         return self.channel.stats.messages, self.channel.stats.bytes

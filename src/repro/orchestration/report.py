@@ -23,6 +23,9 @@ class AdapterReport:
     #: domain's install view up to date (first slice, or re-reading
     #: the touched members)
     slice_time_s: float = 0.0
+    #: of ``push_time_s``: an edit-config delta's client-side encode / diff
+    encode_time_s: float = 0.0
+    diff_time_s: float = 0.0
     control_messages: int = 0
     control_bytes: int = 0
     #: NFs / flow rules in the domain's cumulative configuration, by
@@ -86,14 +89,17 @@ class DeployReport:
     def stage_timings(self) -> dict[str, float]:
         """Per-stage wall-clock seconds, in pipeline order (rollback
         last: it only runs on the failed path, after the push).
-        ``push.slice`` is the part of ``push`` the CAL spent on the
-        domains' install views, summed over the pushed domains."""
+        Of ``push``, ``push.slice`` went to the CAL's install views and
+        ``push.encode`` / ``push.diff`` to the adapters' delta pushes,
+        each summed over the pushed domains."""
         return {
             "lint": self.lint_time_s,
             "view": self.view_time_s,
             "map": self.mapping_time_s,
             "push": self.push_time_s,
             "push.slice": sum(r.slice_time_s for r in self.adapters),
+            "push.encode": sum(r.encode_time_s for r in self.adapters),
+            "push.diff": sum(r.diff_time_s for r in self.adapters),
             "activate": self.activation_time_s,
             "rollback": self.rollback_time_s,
         }

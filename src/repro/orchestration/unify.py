@@ -33,6 +33,7 @@ from repro.virtualizer.convert import (
     flowrule_from_entry,
     nf_from_instance,
     nffg_to_virtualizer,
+    patch_virtualizer,
     virtualizer_to_nffg,
 )
 from repro.virtualizer.model import Virtualizer
@@ -299,8 +300,12 @@ class UnifyDomainAdapter(_NetconfAdapter):
         return view
 
     def _encode(self, install: NFFG, touched) -> tuple[None, DataNode]:
-        # the whole virtualizer every time: ``touched`` is not used yet
-        return None, nffg_to_virtualizer(install, install.id).tree
+        # as the base class; no config, a virtualizer is its own wire form
+        acked = self._acked_tree
+        if touched is None or acked is None:
+            return None, nffg_to_virtualizer(install, install.id).tree
+        return None, (patch_virtualizer(acked, install, touched)
+                      if touched else acked)
 
     def ready(self) -> bool:
         return self.agent.orchestrator.cal.ready()

@@ -10,15 +10,21 @@ supported NF sets, placed NF instances, flow entries, links, and SAPs
 
 from __future__ import annotations
 
-from repro.nffg.graph import NFFG
+from itertools import count, takewhile
+
+from repro.nffg.graph import NFFG, EdgeObj
 from repro.nffg.model import (
     DomainType,
     Flowrule,
     InfraType,
+    NodeInfra,
     NodeNF,
+    Port,
     ResourceVector,
 )
+from repro.nffg.ops import Touched
 from repro.virtualizer.model import Virtualizer
+from repro.yang.config import adopt_others
 from repro.yang.data import DataNode
 
 
@@ -33,47 +39,103 @@ def nffg_to_virtualizer(nffg: NFFG, virtualizer_id: str | None = None) -> Virtua
             storage=infra.resources.storage,
             bandwidth=infra.resources.bandwidth, delay=infra.resources.delay,
             cost_per_cpu=infra.cost_per_cpu)
-        for port in infra.ports.values():
-            Virtualizer.add_port(node, port.id, name=port.name,
-                                 sap=port.sap_tag)
         if infra.supported_types:
             virt.set_supported_nfs(infra.id, sorted(infra.supported_types))
+        for port in infra.ports.values():
+            _encode_port(virt, node, port)
         for nf in nffg.nfs_on(infra.id):
-            instance = virt.add_nf_instance(
-                infra.id, nf.id, type=nf.functional_type, name=nf.name,
-                deployment_type=nf.deployment_type, status=nf.status,
-                cpu=nf.resources.cpu, mem=nf.resources.mem,
-                storage=nf.resources.storage)
-            for nf_port in nf.ports.values():
-                bound = nffg.infra_port_of_nf(nf.id, nf_port.id)
-                Virtualizer.add_port(instance, nf_port.id,
-                                     name=bound[1] if bound else nf_port.name)
-        for entry_seq, (port, rule) in enumerate(infra.iter_flowrules(), 1):
-            out_port = rule.action_fields().get("output", "")
-            # keyed by what it is: removing a rule renames no other
-            entry_id = (f"{port.id}:{rule.hop_id}" if rule.hop_id
-                        else f"{infra.id}-fe{entry_seq}")
-            virt.add_flowentry(
-                infra.id, entry_id, port=port.id,
-                out=out_port, match=rule.match, action=rule.action,
-                bandwidth=rule.bandwidth, delay=rule.delay,
-                hop_id=rule.hop_id or "")
-    seen_pairs: set[frozenset[str]] = set()
+            _encode_nf(virt, nffg, infra.id, nf)
     for link in nffg.links:
-        if not (nffg.has_node(link.src_node) and nffg.has_node(link.dst_node)):
+        _encode_link(virt, nffg, link)
+    return virt
+
+
+def _encode_port(virt: Virtualizer, node: DataNode, port: Port,
+                 hops: set[str] | None = None) -> None:
+    """One port of the BiS-BiS ``node`` and the flow entries it is the
+    ingress of (given ``hops``, of those with a hop id only theirs).  An
+    entry is keyed by what it is, ``<port>:<hop id>`` or ``<port>#<place
+    among the port's rules without one>``: no edit elsewhere renames it."""
+    Virtualizer.add_port(node, port.id, name=port.name, sap=port.sap_tag)
+    hopless = 0
+    for rule in port.flowrules:
+        if rule.hop_id and hops is not None and rule.hop_id not in hops:
             continue
-        src, dst = nffg.node(link.src_node), nffg.node(link.dst_node)
-        if src.type.value != "INFRA" or dst.type.value != "INFRA":
-            continue  # SAP attachments are encoded as port-sap ports
-        pair = frozenset((f"{link.src_node}.{link.src_port}",
-                          f"{link.dst_node}.{link.dst_port}"))
-        if pair in seen_pairs:
-            continue  # reverse direction of a bidirectional link
-        seen_pairs.add(pair)
+        hopless += not rule.hop_id
+        virt.add_flowentry(
+            node.key_value, (f"{port.id}:{rule.hop_id}" if rule.hop_id
+                             else f"{port.id}#{hopless}"),
+            port=port.id, out=rule.action_fields().get("output", ""),
+            match=rule.match, action=rule.action, bandwidth=rule.bandwidth,
+            delay=rule.delay, hop_id=rule.hop_id or "")
+
+
+def _encode_nf(virt: Virtualizer, nffg: NFFG, infra_id: str, nf: NodeNF) -> None:
+    instance = virt.add_nf_instance(
+        infra_id, nf.id, type=nf.functional_type, name=nf.name,
+        deployment_type=nf.deployment_type, status=nf.status,
+        cpu=nf.resources.cpu, mem=nf.resources.mem,
+        storage=nf.resources.storage)
+    for nf_port in nf.ports.values():
+        bound = nffg.infra_port_of_nf(nf.id, nf_port.id)
+        Virtualizer.add_port(instance, nf_port.id,
+                             name=bound[1] if bound else nf_port.name)
+
+
+def _encode_link(virt: Virtualizer, nffg: NFFG, link: EdgeObj) -> None:
+    """A link between two BiS-BiS (SAP attachments are ``port-sap``
+    ports).  Of a bidirectional link's two directions the one with the
+    smaller id stands for both, wherever in the graph an edit left them."""
+    ends = {(link.src_node, link.src_port), (link.dst_node, link.dst_port)}
+    if all(isinstance(nffg.node(node_id), NodeInfra)
+           for node_id, _ in ends) and not any(
+            twin.id < link.id and ends == {(twin.src_node, twin.src_port),
+                                           (twin.dst_node, twin.dst_port)}
+            for twin in nffg.edges_of(link.src_node)):
         virt.add_link(link.id, src_node=link.src_node, src_port=link.src_port,
                       dst_node=link.dst_node, dst_port=link.dst_port,
                       delay=link.delay, bandwidth=link.bandwidth)
-    return virt
+
+
+def patch_virtualizer(base: DataNode, nffg: NFFG, touched: Touched) -> DataNode:
+    """``nffg_to_virtualizer(nffg).tree``, leaf for leaf, given the tree
+    ``base`` of a graph that differed in the ``touched`` members only.
+    Those are encoded anew — an NF on its current host (the attachment
+    ports it left name the old one), an (infra, port) pair as the port
+    and its flow entries under ``touched.hops`` or none, a link; every
+    other node, port, NF instance, flow entry and link is ``base``'s own
+    (:func:`adopt_others`), so the tree and its diff cost the edit."""
+    virt = Virtualizer(nffg.id, name=nffg.name)
+    opened: dict[str, tuple[set[str], list[str]]] = {}  # ports, NFs by infra
+    for node_id, port_id in touched.ports:
+        opened.setdefault(node_id, (set(), []))[0].add(port_id)
+    for nf_id in touched.nodes:
+        if host := nffg.host_of(nf_id):
+            opened.setdefault(host, (set(), []))[1].append(nf_id)
+    adopt_others(virt.tree, base, "nodes/node", opened)
+    for node_id, (port_ids, nf_ids) in opened.items():
+        infra, old = nffg.infra(node_id), base.resolve(f"nodes/node[{node_id}]")
+        node = virt.tree.container("nodes").list_node("node").add_instance(
+            node_id)
+        node.adopt(*(child for child in old.children() if child.schema.name
+                     not in ("id", "ports", "NF_instances", "flowtable")))
+        adopt_others(node, old, "ports/port", port_ids)
+        adopt_others(node, old, "NF_instances/node", touched.nodes)
+        gone = {f"{port_id}:{hop_id}" for port_id in port_ids
+                for hop_id in touched.hops}
+        for port_id in port_ids:  # and its entries without a hop id
+            gone.update(takewhile(
+                lambda key: old.find(f"flowtable/flowentry[{key}]"),
+                (f"{port_id}#{place}" for place in count(1))))
+        adopt_others(node, old, "flowtable/flowentry", gone)
+        for port_id in port_ids & infra.ports.keys():
+            _encode_port(virt, node, infra.ports[port_id], touched.hops)
+        for nf_id in nf_ids:
+            _encode_nf(virt, nffg, node_id, nffg.nf(nf_id))
+    adopt_others(virt.tree, base, "links/link", touched.edges)
+    for edge_id in filter(nffg.has_edge, touched.edges):
+        _encode_link(virt, nffg, nffg.edge(edge_id))
+    return virt.tree
 
 
 def virtualizer_to_nffg(virt: Virtualizer) -> NFFG:

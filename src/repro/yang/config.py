@@ -48,6 +48,7 @@ from repro.yang.schema import Container, Leaf, YangList
 __all__ = [
     "install_config_schema",
     "config_to_tree",
+    "adopt_others",
     "patch_tree",
     "tree_to_config",
     "touched_elements",
@@ -219,12 +220,20 @@ def config_to_tree(config: dict[str, Any]) -> DataNode:
     return tree
 
 
-def _others(parent: DataNode, name: str, skip) -> list[DataNode]:
-    """The instances of ``parent``'s list ``name`` keyed outside ``skip``."""
-    holder = parent.find(name)
-    return [] if holder is None else [
-        instance for instance in holder.instances()
-        if instance.key_value not in skip]
+def adopt_others(target: DataNode, base: DataNode, path: str, skip) -> None:
+    """Move into ``target``'s list at ``path`` — a list name behind the
+    containers that lead to it — every instance ``base`` holds there
+    under a key outside ``skip``; ``base`` still lists them and stays
+    good to diff against and to read.  What an edit does not name is
+    moved, not encoded, so a patched tree costs the edit."""
+    held = base.find(path)
+    kept = [] if held is None else [instance for instance in held.instances()
+                                    if instance.key_value not in skip]
+    if kept:  # a list nothing is kept of is not created
+        *containers, name = path.split("/")
+        for container in containers:
+            target = target.container(container)
+        target.list_node(name).adopt(*kept)
 
 
 def patch_tree(base: DataNode, header: dict[str, Any],
@@ -239,37 +248,29 @@ def patch_tree(base: DataNode, header: dict[str, Any],
     on the named ports, flow rules differ under the hop ids ``hops``
     only; ``header`` carries the graph's id / name / version / metadata.
     Only the named members are encoded, every other instance is moved
-    over from ``base`` (which still lists it and stays good to diff
-    against and to read), so the tree costs the edit.  Equal, leaf for
-    leaf, to :func:`config_to_tree` of the whole new config."""
+    over from ``base`` (:func:`adopt_others`).  Equal, leaf for leaf, to
+    :func:`config_to_tree` of the whole new config."""
     tree = DataNode(_SCHEMA)
     _header(tree, header)
     by_node: dict[str, dict[str, Optional[dict[str, Any]]]] = {}
     for (node_key, port_key), port in ports.items():
         by_node.setdefault(node_key, {})[port_key] = port
     node_holder = tree.list_node("node")
-    for kept in _others(base, "node", nodes.keys() | by_node.keys()):
-        node_holder.adopt(kept)
+    adopt_others(tree, base, "node", nodes.keys() | by_node.keys())
     for member in filter(None, nodes.values()):
         _encode_node(node_holder, member)
     for node_key, own in by_node.items():
         old = base.child("node").instance(node_key)
         instance = node_holder.add_instance(node_key)
         instance.set_leaf("attrs", old.get("attrs"))
-        kept_ports = _others(old, "port", own)
-        fresh = list(filter(None, own.values()))
-        if kept_ports or fresh:  # a node without ports has no port list
-            port_holder = instance.list_node("port")
-            for kept in kept_ports:
-                port_holder.adopt(kept)
-            for port in fresh:
-                _encode_port(port_holder, port,
-                             old.find(f"port[{_port_key(port)}]"), hops)
+        adopt_others(instance, old, "port", own)  # no ports, no port list
+        for port in filter(None, own.values()):
+            _encode_port(instance.list_node("port"), port,
+                         old.find(f"port[{_port_key(port)}]"), hops)
     edge_holder = tree.list_node("edge")
-    for kept in _others(base, "edge", {
-            f"{kind}|{edge_id}" for edge_id in edges
-            for kind in ("STATIC", "DYNAMIC", "SG", "REQUIREMENT")}):
-        edge_holder.adopt(kept)
+    adopt_others(tree, base, "edge", {
+        f"{kind}|{edge_id}" for edge_id in edges
+        for kind in ("STATIC", "DYNAMIC", "SG", "REQUIREMENT")})
     for member in filter(None, edges.values()):
         _encode_edge(edge_holder, member)
     return tree

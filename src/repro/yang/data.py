@@ -122,14 +122,18 @@ class DataNode:
         self._instances[key_value] = instance
         return instance
 
-    def adopt(self, instance: "DataNode") -> None:
-        """Take over a finished instance of this list from another tree
-        (which keeps listing it, but is no longer its parent)."""
-        if instance.key_value in self._instances:
-            raise ValidationError(
-                f"duplicate list key {instance.key_value!r} at {self.path()}")
-        instance.parent = self
-        self._instances[instance.key_value] = instance
+    def adopt(self, *members: "DataNode") -> None:
+        """Take over finished members — instances of this list, children
+        of this container or instance — from another tree (which keeps
+        listing them, but is no longer their parent)."""
+        keyed, parent = self.is_list, weakref.ref(self)
+        held = self._instances if keyed else self._children
+        for member in members:
+            key = member.key_value if keyed else member.schema.name
+            if key in held:
+                raise ValidationError(f"duplicate {key!r} at {self.path()}")
+            member._parent = parent
+            held[key] = member
 
     def instance(self, key_value: str) -> "DataNode":
         try:

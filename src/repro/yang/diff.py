@@ -51,6 +51,7 @@ def diff_trees(old: DataNode, new: DataNode) -> list[DiffEntry]:
 
 
 def _diff_node(old: DataNode, new: DataNode, entries: list[DiffEntry]) -> None:
+    # paths come off ``new``: ``old`` may have lent members to a dead tree
     if old is new:  # a subtree both trees share
         return
     if old.is_leaf:
@@ -61,24 +62,23 @@ def _diff_node(old: DataNode, new: DataNode, entries: list[DiffEntry]) -> None:
                 entries.append(DiffEntry(DiffOp.SET, new.path(), new.value))
         return
     if old.is_list and new.is_list:
-        old_keys = set(old.instance_keys())
-        new_keys = set(new.instance_keys())
-        for key in sorted(old_keys - new_keys):
+        was, now = old._instances, new._instances
+        for key in sorted(was.keys() - now.keys()):
             # the holder path already ends in the list name; the instance
             # path just appends its key selector
             entries.append(DiffEntry(DiffOp.DELETE, f"{new.path()}[{key}]"))
-        for key in sorted(new_keys - old_keys):
-            instance = new.instance(key)
-            entries.append(DiffEntry(DiffOp.CREATE, instance.path(),
-                                     instance.to_dict()))
-        for key in sorted(old_keys & new_keys):
-            _diff_node(old.instance(key), new.instance(key), entries)
+        for key in sorted(now.keys() - was.keys()):
+            entries.append(DiffEntry(DiffOp.CREATE, now[key].path(),
+                                     now[key].to_dict()))
+        for key in sorted(key for key, kept in now.items()
+                          if was.get(key, kept) is not kept):
+            _diff_node(was[key], now[key], entries)
         return
     # container or list instance
     old_children = {child.schema.name: child for child in old.children()}
     new_children = {child.schema.name: child for child in new.children()}
     for name in sorted(set(old_children) - set(new_children)):
-        entries.append(DiffEntry(DiffOp.DELETE, f"{old.path()}/{name}"))
+        entries.append(DiffEntry(DiffOp.DELETE, f"{new.path()}/{name}"))
     for name in sorted(set(new_children) - set(old_children)):
         child = new_children[name]
         if child.is_leaf:
@@ -97,7 +97,8 @@ def _emit_creates(node: DataNode, entries: list[DiffEntry]) -> None:
             entries.append(DiffEntry(DiffOp.SET, node.path(), node.value))
         return
     if node.is_list:
-        for instance in node.instances():
+        # by key, as everywhere: not in the order the tree was filled in
+        for instance in sorted(node.instances(), key=lambda i: i.key_value):
             entries.append(DiffEntry(DiffOp.CREATE, instance.path(),
                                      instance.to_dict()))
         return

@@ -8,11 +8,12 @@ Along the seeded sequences of ``test_incremental_dov``,
 checked here: every member whose ``to_dict()`` differs from the
 previous successful install is named, each maintained view equals a
 fresh slice of the DoV, what the adapter holds afterwards (the direct
-adapter's record, the NETCONF adapter's acknowledged tree) equals the
-whole view encoded anew, and ``cal.verify()`` is empty.  After anything
-that leaves the domain's state in doubt — a raising adapter, an open
-breaker, dropped derived state — the next install gets ``None`` and a
-correct whole view.
+adapter's record, the NETCONF adapter's acknowledged tree — install
+config or, on the south side of a Unify interface, virtualizer) equals
+the whole view encoded anew, and ``cal.verify()`` is empty.  After
+anything that leaves the domain's state in doubt — a raising adapter, an
+open breaker, dropped derived state, a refusing child, a drifted patch
+base — the next install gets ``None`` and a correct whole view.
 """
 
 import json
@@ -22,11 +23,20 @@ import pytest
 from hypothesis import given, settings
 
 from repro import sanitize
+from repro.emu import EmulatedDomain
+from repro.netem import Network
+from repro.nffg import NFFGBuilder
 from repro.nffg.model import NodeInfra
 from repro.nffg.serialize import nffg_to_dict
+from repro.orchestration import (
+    EmuDomainAdapter,
+    UnifyAgent,
+    UnifyDomainAdapter,
+)
 from repro.orchestration.escape import EscapeOrchestrator
-from repro.resilience import BreakerState, FaultPlan, FaultyAdapter
+from repro.resilience import BreakerState, FaultKind, FaultPlan, FaultyAdapter
 from repro.resilience.retry import RetryPolicy
+from repro.virtualizer import nffg_to_virtualizer
 from repro.yang.config import config_to_tree, install_config_schema
 
 from tests.property.test_delta_push_equiv import (
@@ -116,8 +126,10 @@ class InstallWatch:
             assert record is not install
             assert canonical(record) == canonical(install)
         tree = getattr(inner, "_acked_tree", None)
-        if tree is not None and tree.schema is install_config_schema():
-            whole = config_to_tree({"nffg": nffg_to_dict(install)})
+        if tree is not None:
+            whole = (config_to_tree({"nffg": nffg_to_dict(install)})
+                     if tree.schema is install_config_schema()
+                     else nffg_to_virtualizer(install, install.id).tree)
             assert tree.digest() == whole.digest()
             assert tree.to_json() == whole.to_json()
 
@@ -341,3 +353,86 @@ def test_reset_delta_state_sends_the_whole_config_next():
     assert adapter.server.running.tree.digest() == whole.digest()
     assert adapter._acked_tree.digest() == whole.digest()
     _assert_views_current(cal)
+
+
+# -- through the Unify interface ------------------------------------------------
+
+
+def _chain(service_id, kind="firewall"):
+    return (NFFGBuilder(service_id).sap("sap1").sap("sap2")
+            .nf(f"{service_id}-{kind}", kind)
+            .chain("sap1", f"{service_id}-{kind}", "sap2", bandwidth=2.0)
+            .build())
+
+
+def test_unify_boundary_deploy_update_teardown_refusal_resync():
+    """A parent above a child orchestrator: after every operation both
+    levels' acknowledged trees are their whole views encoded anew (the
+    watches), the agent left alone every part the edit did not name,
+    every level verifies — and no lock was held across any of it."""
+    previous = sanitize.disable()
+    state = sanitize.enable(fresh=True)
+    try:
+        net = Network()
+        domain = EmulatedDomain("emu", net, node_ids=["emu-bb0", "emu-bb1"],
+                                links=[("emu-bb0", "emu-bb1")])
+        domain.add_sap("sap1", "emu-bb0")
+        domain.add_sap("sap2", "emu-bb1")
+        child = EscapeOrchestrator("child", simulator=net.simulator)
+        plan = FaultPlan()
+        child.add_domain(FaultyAdapter(EmuDomainAdapter("emu", domain), plan)
+                         ).retry_policy = RetryPolicy(max_attempts=1)
+        agent = UnifyAgent(child)
+        parent = EscapeOrchestrator("parent", simulator=net.simulator)
+        south = parent.add_domain(UnifyDomainAdapter("child-dom", agent))
+        watches = {**_watch(child.cal), **_watch(parent.cal)}
+        live: set[str] = set()
+
+        def settled(subject, *, whole=False):
+            """``subject`` was just written; nothing else was touched."""
+            received = watches["child-dom"].received[-1]
+            assert (received is None) == whole
+            assert agent.last_edit["kept"] == sorted(
+                f"child-client-{name}-hop1" for name in live - {subject})
+            assert sorted(child.deployed_services()) == sorted(
+                f"child-client-{name}-hop1" for name in live)
+            assert south._acked_tree is not None
+            for escape in (parent, child):
+                _assert_views_current(escape.cal)
+
+        for name in ("a", "b", "c"):
+            assert parent.deploy(_chain(name)).success
+            live.add(name)
+            settled(name, whole=name == "a")  # first contact
+        assert parent.update(_chain("b", "nat")).success
+        settled("b", whole=True)  # update() re-derives every view
+        assert parent.teardown("a").success
+        live.discard("a")
+        settled("a")
+        # the child's domain refuses: the parent rolls back with a whole
+        # push, and the chains that were there never left
+        plan.add("emu", "push", kind=FaultKind.FATAL, count=1)
+        report = parent.deploy(_chain("d"))
+        assert not report.success and not report.rollback_failures()
+        settled("d", whole=True)
+        assert parent.deploy(_chain("d")).success
+        live.add("d")
+        settled("d")
+        south.reset_delta_state()
+        assert not parent.deploy(_chain("e")).adapters[0].delta
+        live.add("e")
+        settled("e")  # an edit was handed over; a replace went out
+        agent.running.digest ^= 1  # another writer got in: delta-mismatch
+        (pushed,) = parent.teardown("c").adapters
+        assert pushed.success and not pushed.delta and pushed.messages == 4
+        live.discard("c")
+        settled("c")
+        assert parent.teardown("b").adapters[0].delta
+        live.discard("b")
+        settled("b")
+    finally:
+        sanitize.disable()
+        sanitize.restore(previous)
+    report = state.report()
+    assert report.acquisitions > 0
+    assert report.ok(), report.render_text()

@@ -482,6 +482,43 @@ class TestFailurePathObservability:
             r.slice_time_s for r in report.adapters)
         assert "push.slice" in render_deploy_report(report)
 
+    def test_push_encode_and_diff_name_the_edits_client_side_time(
+            self, obs_off):
+        from repro.cli.render import render_deploy_report
+        from repro.orchestration import (
+            EscapeOrchestrator,
+            UnifyAgent,
+            UnifyDomainAdapter,
+        )
+        from repro.topo import build_emulated_testbed
+
+        bottom = build_emulated_testbed().escape
+        top = EscapeOrchestrator("obs-top")
+        top.add_domain(UnifyDomainAdapter("child", UnifyAgent(bottom)))
+
+        def chain(service_id):
+            return (NFFGBuilder(service_id).sap("sap1").sap("sap2")
+                    .nf(f"{service_id}-fw", "firewall")
+                    .chain("sap1", f"{service_id}-fw", "sap2").build())
+
+        first = top.deploy(chain("one"), wait_activation=False)
+        # first contact is a whole replace: nothing to diff against
+        assert first.success and not first.adapters[0].delta
+        assert first.stage_timings()["push.encode"] == 0.0
+        edit = top.deploy(chain("two"), wait_activation=False)
+        (pushed,) = edit.adapters
+        assert edit.success and pushed.delta
+        assert 0.0 < pushed.encode_time_s + pushed.diff_time_s \
+            < pushed.push_time_s
+        stages = edit.stage_timings()
+        assert list(stages)[3:7] == ["push", "push.slice", "push.encode",
+                                     "push.diff"]
+        assert (stages["push.encode"], stages["push.diff"]) == (
+            pushed.encode_time_s, pushed.diff_time_s)
+        # the child's own edit towards its domain is on the child's report
+        assert "push.encode" in render_deploy_report(edit)
+        assert "push.diff" in render_deploy_report(edit)
+
     def test_failure_spans_and_events(self, scoped_obs):
         escape, plan = self._failing_escape()
         plan.add("dom-b", "push", kind=FaultKind.FATAL, count=1)

@@ -128,6 +128,41 @@ class TestConversion:
         # reverse pairs collapsed: 2 infra-infra links stored once each
         assert len(link_ids) == 2
 
+    def test_a_reread_link_keeps_standing_for_its_pair(self, mapped_substrate):
+        before = nffg_to_virtualizer(mapped_substrate)
+        forward = next(link for link in mapped_substrate.links
+                       if not link.id.endswith("-back"))
+        # what refresh_members does to a touched link: last in the graph
+        mapped_substrate.remove_edge(forward.id)
+        mapped_substrate.add_edge_copy(forward)
+        after = nffg_to_virtualizer(mapped_substrate)
+        assert diff_trees(before.tree, after.tree) == []
+
+    def test_entry_without_hop_id_is_keyed_by_port_and_place(
+            self, mapped_substrate):
+        infra = mapped_substrate.infra("d-bb1")
+        infra.port("fw-2").add_flowrule("in_port=fw-2", "output=to-d-bb2")
+        infra.port("fw-2").add_flowrule("in_port=fw-2;flowclass=tp_dst=22",
+                                        "output=to-d-bb0")
+        virt = nffg_to_virtualizer(mapped_substrate)
+        assert sorted(entry.get("id") for entry in virt.flowentries("d-bb1")) \
+            == ["fw-1:h1", "fw-2#1", "fw-2#2"]
+        # (decoding get-or-creates empty containers in the tree it reads)
+        back = virtualizer_to_nffg(nffg_to_virtualizer(mapped_substrate))
+        assert [(rule.match, rule.action, rule.hop_id)
+                for rule in back.infra("d-bb1").port("fw-2").flowrules] == [
+            ("in_port=fw-2", "output=to-d-bb2", None),
+            ("in_port=fw-2;flowclass=tp_dst=22", "output=to-d-bb0", None)]
+        assert nffg_to_virtualizer(back).tree.to_json() == virt.tree.to_json()
+        # neighbours come and go: no entry is renamed
+        infra.port("fw-1").flowrules.clear()
+        infra.port("to-d-bb0").add_flowrule("in_port=to-d-bb0", "output=fw-1")
+        churned = nffg_to_virtualizer(mapped_substrate)
+        assert sorted((entry.op.value, entry.path.rpartition("/")[2])
+                      for entry in diff_trees(virt.tree, churned.tree)) == [
+            ("create", "flowentry[to-d-bb0#1]"),
+            ("delete", "flowentry[fw-1:h1]")]
+
     def test_infra_type_preserved(self):
         view = NFFG(id="v")
         view.add_infra("sw", infra_type=InfraType.SDN_SWITCH,
