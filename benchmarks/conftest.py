@@ -2,8 +2,10 @@
 
 Every benchmark prints the table rows it reproduces (run with ``-s`` to
 see them inline; they are also summarized in EXPERIMENTS.md).  When a
-``group`` is given, the rows are also appended to
-``benchmarks/BENCH_<group>.json`` so runs can be diffed across commits.
+``group`` is given, the rows also go to
+``benchmarks/BENCH_<group>.json`` — in place of the last run of the
+same experiment at the same sizes — so runs can be diffed across
+commits.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink problem sizes (CI smoke job).
 """
@@ -29,8 +31,8 @@ def bench_sizes(full: list[int], smoke: list[int]) -> list[int]:
 
 
 def emit(title: str, rows: list[dict], group: str | None = None) -> None:
-    """Print an experiment's result table; with ``group``, also append
-    it to ``benchmarks/BENCH_<group>.json``."""
+    """Print an experiment's result table; with ``group``, also record
+    it in ``benchmarks/BENCH_<group>.json``."""
     if not rows:
         return
     columns = list(rows[0])
@@ -43,10 +45,10 @@ def emit(title: str, rows: list[dict], group: str | None = None) -> None:
         print("  " + " | ".join(_fmt(row[c]).ljust(widths[c])
                                 for c in columns))
     if group is not None:
-        _append_json(group, title, rows)
+        _record_json(group, title, rows)
 
 
-def _append_json(group: str, title: str, rows: list[dict]) -> None:
+def _record_json(group: str, title: str, rows: list[dict]) -> None:
     path = _BENCH_DIR / f"BENCH_{group}.json"
     entries: list[dict] = []
     if path.exists():
@@ -54,6 +56,8 @@ def _append_json(group: str, title: str, rows: list[dict]) -> None:
             entries = json.loads(path.read_text())
         except (ValueError, OSError):
             entries = []
+    entries = [entry for entry in entries if (
+        entry.get("title"), entry.get("smoke")) != (title, SMOKE)]
     entries.append({
         "title": title,
         "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

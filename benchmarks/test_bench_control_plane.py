@@ -72,20 +72,20 @@ def test_bench_full_vs_delta_push(benchmark):
     """
     WARM_SERVICES = 4 if SMOKE else 6
 
-    def run(force_full: bool):
+    def run(full: bool):
         testbed = build_reference_multidomain()
         for index in range(WARM_SERVICES):
             warm = testbed.service_layer.submit(_request(f"warm{index}"))
             assert warm.success, warm.error
-        if force_full:
+        if full:
             for adapter in testbed.escape.cal.adapters.values():
                 adapter.reset_delta_state()
         steady = testbed.service_layer.submit(_request("steady"))
         assert steady.success, steady.error
         return testbed, steady
 
-    full_bed, full_report = run(force_full=True)
-    delta_bed, delta_report = run(force_full=False)
+    full_bed, full_report = run(full=True)
+    delta_bed, delta_report = run(full=False)
     full_by_domain = {r.domain: r for r in full_report.adapters}
     rows = []
     for report in delta_report.adapters:
@@ -118,7 +118,7 @@ def test_bench_full_vs_delta_push(benchmark):
         if digest is not None:
             delta_adapter = delta_bed.escape.cal.adapters[name]
             assert delta_adapter._acked_digest == digest, name
-    benchmark(lambda: run(force_full=False))
+    benchmark(lambda: run(full=False))
 
 
 def test_bench_parallel_vs_serial_push(benchmark):

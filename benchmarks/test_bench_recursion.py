@@ -25,6 +25,7 @@ from repro.orchestration import (
     UnifyAgent,
     UnifyDomainAdapter,
 )
+from repro.orchestration.adapters import _NetconfAdapter
 from repro.yang.data import DataNode
 
 LEVELS = [1, 2, 3, 4]
@@ -119,13 +120,14 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, monkeypatch):
     the same request sends the same FlowMods to the bottom switches and
     the same control messages at every resident level, and the bytes on
     the Unify channels stay flat (gate: at most 1.5x the 2-resident
-    reading — each agent's notification names the parts it kept).  The
-    parent-side adapters patch the virtualizer they hold: the
-    ``DataNode``s they construct to encode the deploy (counted here,
-    around ``UnifyDomainAdapter._encode``) are the same at every level.
+    reading — each agent's notification names the parts it kept).  Every
+    adapter of the stack — the two Unify ones and the emulated domain's,
+    one encoder — patches the virtualizer it holds: the ``DataNode``s
+    they construct to encode the deploy (counted here, around
+    ``_NetconfAdapter._encode``) are the same at every level.
     """
     built = [0]
-    construct, encode = DataNode.__init__, UnifyDomainAdapter._encode
+    construct, encode = DataNode.__init__, _NetconfAdapter._encode
 
     def counted_construct(node, *args, **kwargs):
         built[0] += 1
@@ -138,7 +140,7 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, monkeypatch):
         finally:
             DataNode.__init__ = construct
 
-    monkeypatch.setattr(UnifyDomainAdapter, "_encode", counted_encode)
+    monkeypatch.setattr(_NetconfAdapter, "_encode", counted_encode)
 
     def measure(resident: int):
         net, domain, top, adapters = _stack(3, cpu_per_node=64.0)
@@ -150,7 +152,7 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, monkeypatch):
 
         def counts():
             """(bottom FlowMods, control messages at every level,
-            DataNodes the Unify adapters encoded, bytes on the Unify
+            DataNodes the adapters encoded, bytes on the Unify
             channels) so far."""
             return (emu.orchestrator.controller.flow_mods_sent,
                     emu.control_stats()[0] + sum(

@@ -11,7 +11,7 @@ paths between gateway ports and VM vNIC ports.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.click.catalog import NF_CATALOG, make_nf_process, supported_functional_types
 from repro.cloud.nova import (
@@ -23,18 +23,17 @@ from repro.cloud.nova import (
     flavor_for,
 )
 from repro.cloud.odl import OdlController
-from repro.infra.flowprog import Flow, PortKey, install_rules
+from repro.infra.flowprog import Flow, PortKey
 from repro.infra.nfswitch import NFHostingSwitch
-from repro.infra.orchestrator import LocalOrchestrator
+from repro.infra.orchestrator import LocalOrchestrator, NFKey
 from repro.infra.tags import vlan_for_hop
 from repro.netem.network import Network
 from repro.netem.node import Host
-from repro.nffg.graph import NFFG, NodeObj
+from repro.nffg.graph import NFFG
 from repro.nffg.model import (
     DomainType,
     Flowrule,
     InfraType,
-    NodeInfra,
     NodeNF,
     ResourceVector,
 )
@@ -176,10 +175,11 @@ class CloudDomain:
 class CloudLocalOrchestrator(LocalOrchestrator):
     """UNIFY-conform local orchestrator on top of the cloud domain.
 
-    Accepts a single-BiS-BiS install-NFFG over NETCONF and realizes it
-    with Nova boots + ODL fabric paths.  VM boots are asynchronous on
-    the virtual clock; steering flows are installed immediately and
-    carry traffic as soon as the VM's Click process attaches.
+    Accepts a single-BiS-BiS virtualizer over NETCONF and realizes it
+    with Nova boots (its NF instances) + ODL fabric paths (its flow
+    entries).  VM boots are asynchronous on the virtual clock; steering
+    flows are installed immediately and carry traffic as soon as the
+    VM's Click process attaches.
     """
 
     def __init__(self, domain: CloudDomain):
@@ -187,7 +187,7 @@ class CloudLocalOrchestrator(LocalOrchestrator):
         self.domain = domain
         self._nf_vms: dict[str, VMInstance] = {}
         self._nf_attach: dict[str, str] = {}   # nf_id -> compute dpid
-        #: fabric-internal VLAN of each path, by port id and flow rule
+        #: fabric-internal VLAN of each path, by port id and flow entry
         #: key — the rule's identity, so no other rule's coming or going
         #: renumbers it — and the pool they are drawn from
         self._transport_vlans: dict[str, dict[str, int]] = {}
@@ -198,20 +198,14 @@ class CloudLocalOrchestrator(LocalOrchestrator):
 
     # -- NETCONF hooks -----------------------------------------------------------
 
-    def _check_nodes(self, new: list[NodeObj],
-                     old: list[NodeObj]) -> list[str]:
-        problems = []
-        for node in new:
-            if (isinstance(node, NodeInfra)
-                    and node.id != self.domain.bisbis_id):
-                problems.append(
-                    f"unknown BiS-BiS {node.id!r} (expected "
-                    f"{self.domain.bisbis_id!r})")
-            elif (isinstance(node, NodeNF) and f"img-{node.functional_type}"
-                    not in self.domain.nova.images):
-                problems.append(
-                    f"no image for NF type {node.functional_type!r}")
-        return problems
+    def _check(self, node_ids: Iterable[str], new: list[NodeNF],
+               old: list[NodeNF]) -> list[str]:
+        return ([f"unknown BiS-BiS {node_id!r} (expected "
+                 f"{self.domain.bisbis_id!r})" for node_id in node_ids
+                 if node_id != self.domain.bisbis_id]
+                + [f"no image for NF type {nf.functional_type!r}"
+                   for nf in new if f"img-{nf.functional_type}"
+                   not in self.domain.nova.images])
 
     def state_data(self) -> dict[str, Any]:
         return {
@@ -222,9 +216,9 @@ class CloudLocalOrchestrator(LocalOrchestrator):
 
     # -- reconciliation -------------------------------------------------------------
 
-    def _reconcile(self, nodes: Optional[set[str]],
-                   ports: Optional[list[PortKey]]) -> None:
-        scope, placed = self._placements(nodes, self._nf_vms)
+    def _reconcile(self, nfs: Optional[set[NFKey]],
+                   ports: Optional[set[PortKey]]) -> None:
+        scope, placed = self._placements(nfs, self._nf_vms)
         wanted = {nf_id: nf for nf_id, (host, nf) in placed.items()
                   if host == self.domain.bisbis_id}
         flows = self.domain.odl.flows
@@ -255,7 +249,7 @@ class CloudLocalOrchestrator(LocalOrchestrator):
             nf_ports = sorted(int(p) for p in nf.ports) or [1, 2]
             vm.on_active(lambda active_vm, nf_id=nf_id, ports=nf_ports:
                          self._attach_vm(nf_id, active_vm, ports))
-        rules = install_rules(self.install, ports)
+        rules = self._wanted_rules(ports)
         flows.sync(rules, self._path_flows, full=ports is None)
         # a path that went gives its VLAN back, for later commits only:
         # within this one its old entries were still up while new paths
@@ -269,7 +263,7 @@ class CloudLocalOrchestrator(LocalOrchestrator):
                 self._free_vlans.append(held.pop(key))
             if not held:
                 vlans.pop(port_id, None)
-        self.notify("deploy-finished", {"nffg": self.install.id})
+        self.notify("deploy-finished", {"nffg": self.running.tree.get("id")})
 
     def _attach_vm(self, nf_id: str, vm: VMInstance, nf_ports: list[int]) -> None:
         vswitch = self.domain.compute_switches[vm.host]

@@ -7,7 +7,7 @@ NFs are run as isolated Click processes."  This package provides:
 - :class:`EmulatedDomain` — a topology of NF-hosting switches (BiS-BiS
   nodes) and SAP hosts on the shared packet simulator;
 - :class:`EmuDomainOrchestrator` — the domain-local orchestrator: a
-  NETCONF server that accepts install-NFFGs, starts/stops Click NFs and
+  NETCONF server that accepts virtualizers, starts/stops Click NFs and
   programs steering flow rules through an internal OpenFlow controller.
 """
 

@@ -1,28 +1,23 @@
 """Domain-local orchestrator of the emulated domain.
 
 A NETCONF server whose configuration datastore holds the domain's
-install-NFFG.  Committing a change reconciles the dataplane: Click NFs
-are started/stopped on their BiS-BiS switches and the steering flow
-rules that changed are programmed through an internal OpenFlow
-controller — the "NETCONF and OpenFlow control channels" of the
+virtualizer, one BiS-BiS per switch.  Committing a change reconciles the
+dataplane: Click NFs are started/stopped on their BiS-BiS switches and
+the steering flow rules that changed are programmed through an internal
+OpenFlow controller — the "NETCONF and OpenFlow control channels" of the
 prototype.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.click.catalog import NF_CATALOG, make_nf_process
 from repro.emu.domain import EmulatedDomain
-from repro.infra.flowprog import (
-    FlowProgrammer,
-    PortKey,
-    install_rules,
-    port_flows,
-)
-from repro.infra.orchestrator import LocalOrchestrator
-from repro.nffg.graph import NFFG, NodeObj
-from repro.nffg.model import NodeInfra, NodeNF
+from repro.infra.flowprog import FlowProgrammer, PortKey, port_flows
+from repro.infra.orchestrator import LocalOrchestrator, NFKey
+from repro.nffg.graph import NFFG
+from repro.nffg.model import NodeNF
 from repro.nffg.serialize import nffg_to_dict
 from repro.openflow.controller import ControllerEndpoint
 
@@ -48,21 +43,12 @@ class EmuDomainOrchestrator(LocalOrchestrator):
 
     # -- NETCONF integration -------------------------------------------------
 
-    def _check_install(self, install: NFFG) -> list[str]:
-        return install.validate()
-
-    def _check_nodes(self, new: list[NodeObj],
-                     old: list[NodeObj]) -> list[str]:
-        problems = []
-        for node in new:
-            if (isinstance(node, NodeInfra)
-                    and node.id not in self.domain.switches):
-                problems.append(f"unknown switch {node.id!r}")
-            elif (isinstance(node, NodeNF)
-                    and node.functional_type not in NF_CATALOG):
-                problems.append(
-                    f"NF type {node.functional_type!r} not deployable here")
-        return problems
+    def _check(self, node_ids: Iterable[str], new: list[NodeNF],
+               old: list[NodeNF]) -> list[str]:
+        return ([f"unknown switch {node_id!r}" for node_id in node_ids
+                 if node_id not in self.domain.switches]
+                + [f"NF type {nf.functional_type!r} not deployable here"
+                   for nf in new if nf.functional_type not in NF_CATALOG])
 
     def state_data(self) -> dict[str, Any]:
         return {
@@ -85,9 +71,9 @@ class EmuDomainOrchestrator(LocalOrchestrator):
 
     # -- reconciliation ------------------------------------------------------------
 
-    def _reconcile(self, nodes: Optional[set[str]],
-                   ports: Optional[list[PortKey]]) -> None:
-        scope, placed = self._placements(nodes, self._deployed_nfs)
+    def _reconcile(self, nfs: Optional[set[NFKey]],
+                   ports: Optional[set[PortKey]]) -> None:
+        scope, placed = self._placements(nfs, self._deployed_nfs)
         wanted = {nf_id: (host, nf.functional_type)
                   for nf_id, (host, nf) in placed.items()}
         for nf_id in scope:
@@ -105,9 +91,9 @@ class EmuDomainOrchestrator(LocalOrchestrator):
                                                       nf_ports=nf_ports)
             self._deployed_nfs[nf_id] = (switch_id, functional_type)
             self.notify("vnf-started", {"id": nf_id, "host": switch_id})
-        self.flows.sync(install_rules(self.install, ports), port_flows,
+        self.flows.sync(self._wanted_rules(ports), port_flows,
                         full=ports is None)
-        self.notify("deploy-finished", {"nffg": self.install.id,
+        self.notify("deploy-finished", {"nffg": self.running.tree.get("id"),
                                         "nfs": sorted(self._deployed_nfs)})
 
     def _teardown_all(self) -> None:

@@ -4,7 +4,7 @@ Every domain orchestrator performs the same last-mile translation from
 the abstract BiS-BiS flow rules produced by the mapping layer
 (``in_port=...;flowclass=...;tag=...`` / ``output=...;tag|untag``) to
 concrete OpenFlow messages, and the same reconciliation of what the
-switches carry with what the install config wants; this module
+switches carry with what the config wants; this module
 centralizes both.  A :class:`FlowProgrammer` holds the record of what
 its owner installed and is the only writer of those table entries: a
 sync sends FlowMods for the rules that changed and for nothing else, so
@@ -15,7 +15,7 @@ neighbour's deploy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from repro.infra.tags import vlan_for_hop
 from repro.nffg.graph import NFFG
@@ -82,7 +82,7 @@ def rule_flow(dpid: str, port_id: str, rule: Flowrule,
                 cookie or (rule.hop_id or ""))
 
 
-#: an infra port of an install config: (infra id, port id)
+#: an infra port of a config: (infra id, port id)
 PortKey = tuple[str, str]
 
 
@@ -92,25 +92,18 @@ def port_flows(port: PortKey, key: str, rule: Flowrule) -> tuple[Flow, ...]:
     return (rule_flow(port[0], port[1], rule),)
 
 
-def install_rules(install: NFFG, ports: Optional[Iterable[PortKey]] = None,
-                  ) -> dict[PortKey, dict[str, Flowrule]]:
-    """The flow rules an install config wants on ``ports`` (default:
-    every infra port), keyed like the install-config tree: infra, port,
-    then the rule's hop id.  A port that is gone maps to no rules."""
-    if ports is None:
-        ports = [(infra.id, port_id) for infra in install.infras
-                 for port_id in infra.ports]
+def install_rules(install: NFFG) -> dict[PortKey, dict[str, Flowrule]]:
+    """The flow rules an install graph wants, for an adapter that
+    programs switches itself: by infra port, then the rule's hop id."""
     wanted: dict[PortKey, dict[str, Flowrule]] = {}
-    for infra_id, port_id in ports:
-        rules: dict[str, Flowrule] = {}
-        if install.has_node(infra_id):
-            port = install.node(infra_id).ports.get(port_id)
-            for index, rule in enumerate(port.flowrules if port else ()):
+    for infra in install.infras:
+        for port in infra.ports.values():
+            rules = wanted[infra.id, port.id] = {}
+            for index, rule in enumerate(port.flowrules):
                 key = rule.hop_id
                 if key is None or key in rules:
                     key = f"{key}#{index}"
                 rules[key] = rule
-        wanted[(infra_id, port_id)] = rules
     return wanted
 
 

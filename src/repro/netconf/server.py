@@ -1,8 +1,8 @@
 """NETCONF server: datastores + RPC dispatch.
 
 The server owns a *running* and a *candidate* datastore (arbitrary
-JSON-compatible configs — in practice virtualizer dicts or install
-configs).  Domain orchestrators subclass or register apply-callbacks: a
+JSON-compatible configs — in practice virtualizers).  Domain
+orchestrators subclass or register apply-callbacks: a
 successful ``commit`` hands the committed change to the callback — the
 edit script when the candidate was a patch of running, the new running
 config otherwise — which reconfigures the domain.
@@ -23,8 +23,8 @@ from repro.netconf.messages import (
     RpcRequest,
 )
 from repro.openflow.channel import ControlChannel
-from repro.yang.config import config_to_tree, tree_to_config
-from repro.yang.data import DataNode, ValidationError
+from repro.virtualizer.model import virtualizer_schema
+from repro.yang.data import DataNode, ValidationError, data_from_dict
 from repro.yang.diff import DiffEntry, apply_patch, find
 
 _SESSION_ID = itertools.count(1)
@@ -36,9 +36,8 @@ RpcHandler = Callable[[dict], Any]
 class Datastore:
     """One named configuration datastore.
 
-    The content is any JSON value.  An install config (``{"nffg":
-    ...}``) or a Unify one (``{"virtualizer": ...}``) is held as its
-    yang tree plus the tree's digest: an edit
+    The content is any JSON value.  A Unify config (``{"virtualizer":
+    ...}``) is held as its yang tree plus the tree's digest: an edit
     script applies to the tree in place and moves the digest by what it
     changed, so a delta commit neither copies nor re-encodes the store.
     The JSON form of such a store is kept from the last :meth:`set` and
@@ -57,19 +56,19 @@ class Datastore:
         #: of :attr:`tree`; None without one, or when a failed patch or
         #: apply left the content in doubt — no edit script matches then
         self.digest: Optional[int] = None
-        if isinstance(config, dict) and set(config) in ({"nffg"},
-                                                        {"virtualizer"}):
+        if isinstance(config, dict) and set(config) == {"virtualizer"}:
             try:
-                self.tree = config_to_tree(config)
-            except ValidationError:
-                return  # not an install config after all: stays plain
+                self.tree = data_from_dict(virtualizer_schema(),
+                                           config["virtualizer"])
+            except (AttributeError, TypeError, ValueError):
+                return  # not a virtualizer after all: stays plain
             self.digest = self.tree.digest()
 
     @property
     def config(self) -> Any:
         """The content in JSON form (shared: not to be mutated)."""
         if self._json is None and self.tree is not None:
-            self._json = tree_to_config(self.tree)
+            self._json = {"virtualizer": self.tree.to_dict()}
         return self._json
 
     def snapshot(self) -> Any:

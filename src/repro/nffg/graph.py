@@ -104,13 +104,6 @@ class NFFG:
         """Deep-copy a node object (with ports/flowrules) into this NFFG."""
         return self._register_node(node.clone())
 
-    def put_node(self, node: NodeObj) -> NodeObj:
-        """Add ``node`` itself (no copy), or swap it in for the node of
-        the same id — whose edges then attach to it."""
-        self._nodes[node.id] = node
-        self._graph.add_node(node.id, obj=node)
-        return node
-
     def remove_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
             raise NFFGError(f"unknown node {node_id!r}")

@@ -1,19 +1,20 @@
 """Controller adaptation layer: domain adapters.
 
 "At the infrastructure level, different technologies are supported and
-integrated with the framework" — each adapter translates the abstract
-install-NFFG of its domain into native control operations:
+integrated with the framework" — each adapter brings its domain to the
+install graph the CAL keeps for it.  The NETCONF ones all speak the
+Unify interface's one data model, the virtualizer
+(:class:`_NetconfAdapter`), toward a UNIFY-conform local orchestrator:
 
-- :class:`EmuDomainAdapter` — NETCONF edit-config/commit toward the
-  Mininet-like domain's local orchestrator;
-- :class:`SdnDomainAdapter` — "a POX controller and a corresponding
-  adapter module": programs legacy switches through POX;
-- :class:`CloudDomainAdapter` — NETCONF toward the UNIFY-conform local
-  orchestrator running on top of OpenStack+ODL;
-- :class:`UNDomainAdapter` — NETCONF toward the UN local orchestrator.
+- :class:`EmuDomainAdapter` — the Mininet-like domain's;
+- :class:`CloudDomainAdapter` — the one on top of OpenStack+ODL;
+- :class:`UNDomainAdapter` — the Universal Node's;
+- :class:`~repro.orchestration.unify.UnifyDomainAdapter` (the recursion
+  adapter, in :mod:`repro.orchestration.unify`) — a whole child
+  orchestrator's.
 
-(The recursion adapter, :class:`~repro.orchestration.unify.UnifyDomainAdapter`,
-lives in :mod:`repro.orchestration.unify`.)
+:class:`SdnDomainAdapter` — "a POX controller and a corresponding
+adapter module" — programs legacy switches through POX itself.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.netconf.server import NetconfServer
 from repro.nffg.graph import NFFG
 from repro.nffg.model import DomainType
 from repro.nffg.ops import Touched, refresh_members
-from repro.nffg.serialize import nffg_to_dict
 from repro.openflow.channel import ControlChannel
 from repro.orchestration.report import AdapterReport
 from repro.perf import counters
@@ -42,7 +42,7 @@ from repro.resilience.retry import RetryPolicy
 from repro import obs, sanitize
 from repro.sdnnet.domain import SDNDomain
 from repro.un.domain import UniversalNodeDomain, UNLocalOrchestrator
-from repro.yang.config import config_to_tree, patch_tree, tree_to_config
+from repro.virtualizer.convert import nffg_to_virtualizer, patch_virtualizer
 from repro.yang.data import DataNode
 from repro.yang.diff import DiffEntry, diff_trees, find, patch_size_bytes
 
@@ -103,7 +103,7 @@ class DomainAdapter(abc.ABC):
         """Push a (cumulative) install graph in full; raise on failure."""
 
     def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
-                 force_full: bool = False) -> Optional[PushProfile]:
+                 ) -> Optional[PushProfile]:
         """One push attempt; adapters that can apply an edit override
         this to pick between a full push and one of the ``touched``
         members only.  Returning ``None`` means the adapter keeps no
@@ -112,15 +112,16 @@ class DomainAdapter(abc.ABC):
         return None
 
     def reset_delta_state(self) -> None:
-        """Forget the acknowledged config; the next push goes out full.
-        No-op for adapters without a delta path."""
+        """Forget the acknowledged config — the domain's state is in
+        doubt — so the next push goes out full.  No-op for adapters
+        that keep no such base."""
 
     def _effective_policy(self) -> RetryPolicy:
         return self.retry_policy if self.retry_policy is not None \
             else DEFAULT_RETRY_POLICY
 
-    def install(self, install: NFFG, touched: Optional[Touched] = None, *,
-                force_full: bool = False) -> AdapterReport:
+    def install(self, install: NFFG,
+                touched: Optional[Touched] = None) -> AdapterReport:
         """Bring the domain to ``install``, the cumulative configuration
         the CAL keeps for it (read it, never keep or write it: the CAL
         edits it in place).  ``touched`` names the members that differ
@@ -134,7 +135,7 @@ class DomainAdapter(abc.ABC):
         baseline_msgs, baseline_bytes = self.control_stats()
         report = AdapterReport(domain=self.name, success=True)
         outcome = self._effective_policy().run(
-            lambda: self._do_push(install, touched, force_full))
+            lambda: self._do_push(install, touched))
         report.attempts = outcome.attempts
         report.backoff_s = outcome.backoff_s
         if outcome.success:
@@ -238,19 +239,21 @@ def _patch_effect(old: DataNode, new: DataNode,
 
 
 class _NetconfAdapter(DomainAdapter):
-    """Shared NETCONF client plumbing for NETCONF-managed domains.
+    """A domain programmed over NETCONF through the one tree the Unify
+    interface speaks, the virtualizer: an emulated, cloud or UN domain's
+    local orchestrator, or a whole child orchestrator.
 
-    Delta pushes: the adapter remembers the last *acknowledged* config
-    (the one that made it through commit) with its digest and payload
-    size.  Subsequent installs diff against it — ``_encode``, in the
-    subclass's tree shape (install config here, virtualizer south of a
-    Unify interface), encodes the ``touched`` members and takes every
-    other from the acknowledged tree — and ship a digest-guarded
-    edit-config patch; digest and size move by what it changed.  A full
-    replace goes out on first contact, when the caller forces it
-    (reconcile, half-open probes, pushes after a failure), or on a
-    refused patch base.  Any exception mid-push leaves the server state
-    unknown: the acknowledged config is dropped, the next attempt full.
+    Delta pushes: the adapter remembers the last *acknowledged*
+    virtualizer (the one that made it through commit) with its digest
+    and payload size.  Subsequent installs diff against it — ``_encode``
+    encodes the ``touched`` members and takes every other from the
+    acknowledged tree — and ship a digest-guarded edit-config patch;
+    digest and size move by what it changed.  A full replace goes out
+    when nothing is acknowledged — first contact, after
+    :meth:`reset_delta_state` (reconcile, half-open probes, pushes after
+    a failure) — or on a refused patch base.  Any exception mid-push
+    leaves the server state unknown: the acknowledged config is dropped,
+    the next attempt full.
     """
 
     def __init__(self, name: str, domain_type: DomainType,
@@ -273,40 +276,21 @@ class _NetconfAdapter(DomainAdapter):
         self._acked_digest = digest
         self._acked_bytes = size
 
-    def _encode(self, install: NFFG, touched: Optional[Touched],
-                ) -> tuple[Optional[dict], DataNode]:
-        """``install`` as the config a full replace carries and as the
-        yang tree pushes are diffed by: the acknowledged tree with the
-        ``touched`` members encoded anew, or — nothing acknowledged, or
-        no telling what changed — all of it.  No config: the tree's own
-        :func:`tree_to_config` is the config."""
-        if touched is None or self._acked_tree is None:
-            config = {"nffg": nffg_to_dict(install)}
-            return config, config_to_tree(config)
-        if not touched:
-            return None, self._acked_tree
-        nodes = {node_id: install.node(node_id).to_dict()
-                 if install.has_node(node_id) else None
-                 for node_id in touched.nodes}
-        ports = {}
-        for node_id, port_id in touched.ports:
-            if node_id not in nodes and install.has_node(node_id):
-                port = install.node(node_id).ports.get(port_id)
-                ports[node_id, port_id] = port and port.to_dict()
-        edges = {edge_id: install.edge(edge_id).to_dict()
-                 if install.has_edge(edge_id) else None
-                 for edge_id in touched.edges}
-        header = {"id": install.id, "name": install.name,
-                  "version": install.version, "metadata": install.metadata}
-        return None, patch_tree(self._acked_tree, header, nodes, ports,
-                                touched.hops, edges)
+    def _encode(self, install: NFFG, touched: Optional[Touched]) -> DataNode:
+        """``install`` as the virtualizer tree pushes are diffed by: the
+        acknowledged tree with the ``touched`` members encoded anew, or
+        — nothing acknowledged, or no telling what changed — all of it."""
+        acked = self._acked_tree
+        if touched is None or acked is None:
+            return nffg_to_virtualizer(install, install.id).tree
+        return patch_virtualizer(acked, install, touched) if touched else acked
 
     def _push(self, install: NFFG) -> None:
         """Full-config replace; re-establishes the delta base.  Also the
         override point for tests/subclasses — the delta path falls back
         here whenever a patch cannot go out."""
-        config, tree = self._encode(install, None)
-        wire = config or tree_to_config(tree)
+        tree = self._encode(install, None)
+        wire = {"virtualizer": tree.to_dict()}
         try:
             self.client.edit_config(wire, target="candidate",
                                     operation="replace")
@@ -318,9 +302,9 @@ class _NetconfAdapter(DomainAdapter):
         self._ack(tree, tree.digest(), _payload_bytes(wire))
 
     def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
-                 force_full: bool = False) -> Optional[PushProfile]:
+                 ) -> Optional[PushProfile]:
         messages = 3
-        if (not force_full and self._acked_tree is not None
+        if (self._acked_tree is not None
                 and self.client.has_capability(DELTA_CAPABILITY)):
             profile = self._push_delta(install, touched)
             if profile is not None:
@@ -338,7 +322,7 @@ class _NetconfAdapter(DomainAdapter):
         ``install``; None when the server refused the patch base."""
         old_tree = self._acked_tree
         started = time.perf_counter()
-        _, new_tree = self._encode(install, touched)
+        new_tree = self._encode(install, touched)
         encoded = time.perf_counter()
         entries = diff_trees(old_tree, new_tree)
         spent = {"encode_s": encoded - started,
@@ -498,9 +482,9 @@ class DirectDomainAdapter(DomainAdapter):
     def get_view(self) -> NFFG:
         return self._view.copy()
 
-    def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
-                 force_full: bool = False) -> None:
-        self._push(install, None if force_full else touched)
+    def _do_push(self, install: NFFG,
+                 touched: Optional[Touched] = None) -> None:
+        self._push(install, touched)
 
     def _push(self, install: NFFG, touched: Optional[Touched] = None) -> None:
         if touched is None or self.installed is None:

@@ -596,14 +596,12 @@ class ControllerAdaptationLayer:
         """The named domains whose breaker lets a push through."""
         return {name for name in names if self.breakers[name].allow()}
 
-    def _fan_out(self, targets: set[str], *,
-                 force_full: bool = False) -> list[AdapterReport]:
+    def _fan_out(self, targets: set[str]) -> list[AdapterReport]:
         """The one push loop: one dispatcher op per target domain,
         reports in registration order."""
         self._dirty -= targets
         return self.dispatcher.run(
-            (name, lambda adapter=adapter: self._push_one(
-                adapter, force_full=force_full))
+            (name, lambda adapter=adapter: self._push_one(adapter))
             for name, adapter in self.adapters.items() if name in targets)
 
     def _prepare_push(self) -> None:
@@ -620,8 +618,7 @@ class ControllerAdaptationLayer:
         if self._dov is None:
             self._rebuild_dov()
 
-    def _push_one(self, adapter: DomainAdapter, *,
-                  force_full: bool = False) -> AdapterReport:
+    def _push_one(self, adapter: DomainAdapter) -> AdapterReport:
         """One domain's push, traced: the ``push/<domain>`` span covers
         the attempt *including* the breaker bookkeeping, so a
         ``breaker.trip`` event carries the span id of the push that
@@ -629,7 +626,7 @@ class ControllerAdaptationLayer:
         FIFO mutex."""
         with obs.span(f"push/{adapter.name}",
                       domain=adapter.name) as span:
-            report = self._push_one_traced(adapter, force_full=force_full)
+            report = self._push_one_traced(adapter)
             span.set(outcome=("skipped" if report.skipped
                               else "ok" if report.success else "failed"),
                      delta=report.delta, attempts=report.attempts)
@@ -642,8 +639,7 @@ class ControllerAdaptationLayer:
                     domain=adapter.name)
         return report
 
-    def _push_one_traced(self, adapter: DomainAdapter, *,
-                         force_full: bool = False) -> AdapterReport:
+    def _push_one_traced(self, adapter: DomainAdapter) -> AdapterReport:
         shard = self._shard_of[adapter.name]
         breaker = self.breakers[adapter.name]
         with shard.lock:
@@ -657,10 +653,10 @@ class ControllerAdaptationLayer:
                        "failures; push queued for reconciliation"))
         else:
             # delta pushes need an agreed base: after a skipped/failed
-            # push or on a breaker's half-open probe the domain's state
-            # is not trusted, so the cumulative config goes out in full
-            force_full = (force_full or was_pending
-                          or breaker.state is BreakerState.HALF_OPEN)
+            # push (every reconcile target is one) or on a breaker's
+            # half-open probe the domain's state is not trusted, so the
+            # cumulative config goes out in full
+            in_doubt = was_pending or breaker.state is BreakerState.HALF_OPEN
             started = time.perf_counter()
             try:
                 held, touched = self._current_view(adapter)
@@ -670,11 +666,12 @@ class ControllerAdaptationLayer:
                     error=f"{type(exc).__name__}: {exc}")
             else:
                 sliced = time.perf_counter()
-                # a full push re-establishes the base: every member is
-                # in doubt, not just the ones written since
-                report = adapter.install(
-                    held.graph, None if force_full else touched,
-                    force_full=force_full)
+                if in_doubt:
+                    # a full push re-establishes the base: every member
+                    # is in doubt, not just the ones written since
+                    adapter.reset_delta_state()
+                    touched = None
+                report = adapter.install(held.graph, touched)
                 report.slice_time_s = sliced - started
                 report.nfs_requested = held.nfs
                 report.flowrules_requested = held.flowrules
@@ -717,9 +714,9 @@ class ControllerAdaptationLayer:
             for breaker in self.breakers.values():
                 breaker.force_half_open()
         self._prepare_push()
-        # replays re-establish the delta base with a full push
-        return self._fan_out(self._admitted(self.pending_reconciliation()),
-                             force_full=True)
+        # replays re-establish the delta base with a full push: their
+        # domains are pending
+        return self._fan_out(self._admitted(self.pending_reconciliation()))
 
     def pending_reconciliation(self) -> set[str]:
         """Domains holding stale configuration (push skipped/failed)."""

@@ -138,14 +138,8 @@ class EscapeOrchestrator:
                                        for d in blocking))
             return
 
-        conflicts = ([nf.id for nf in service.nfs
-                      if self.cal.dov.has_node(nf.id)]
-                     + [edge.id for edge in service.edges
-                        if self.cal.dov.has_edge(edge.id)])
-        if conflicts:
-            report.error = ("service element ids collide with deployed "
-                            f"state: {sorted(set(conflicts))} — NF and edge "
-                            "ids must be unique across services")
+        report.error = self._id_collisions(service)
+        if report.error:
             return
 
         view_started = time.perf_counter()
@@ -171,33 +165,60 @@ class EscapeOrchestrator:
             effective_service = result.service if result.service is not None \
                 else service
             self.cal.commit_mapping(service.id, effective_service, result)
-            push_started = time.perf_counter()
-            # planned push: only the domains the mapping touched (plus
-            # any queued reconciliations) are contacted
-            with obs.span("deploy/push"):
-                adapter_reports = self.cal.push_planned()
-            report.push_time_s = time.perf_counter() - push_started
-            report.adapters = adapter_reports
-            intent.record_pushes(adapter_reports)
-            report.domains_touched = len(self.cal.adapter_names_for(result))
-            failures = [r for r in adapter_reports
-                        if not r.success and not r.skipped]
-            if failures:
-                report.error = "; ".join(f"{r.domain}: {r.error}"
-                                         for r in failures)
-                self._rollback(service.id, report, intent)
-                return
+            self._push_and_commit(
+                service.id, result, report, intent,
+                wait_ms=max_activation_ms if wait_activation else None)
 
-            if wait_activation:
-                activation_started = time.perf_counter()
-                with obs.span("deploy/activate"):
-                    report.activation_virtual_ms = self._wait_activation(
-                        max_activation_ms)
-                report.activation_time_s = (time.perf_counter()
-                                            - activation_started)
-            report.success = True
-            report.outcome = self._classify_push(result, adapter_reports)
-            intent.commit({service.id: self._service_record(service.id)})
+    def _push_and_commit(self, service_id: str, result, report: DeployReport,
+                         intent: IntentScope, *,
+                         snapshot: Optional[tuple] = None,
+                         wait_ms: Optional[float] = 60_000.0) -> None:
+        """What deploy and update do with a mapping the books took: the
+        planned push — only the domains it touched (plus any queued
+        reconciliations) are contacted —, a rollback (to ``snapshot``,
+        the version an update replaced) if a domain refuses, else the
+        wait for activation (``wait_ms``; None: none) and the commit."""
+        push_started = time.perf_counter()
+        with obs.span("deploy/push"):
+            report.adapters = self.cal.push_planned()
+        report.push_time_s = time.perf_counter() - push_started
+        intent.record_pushes(report.adapters)
+        report.domains_touched = len(self.cal.adapter_names_for(result))
+        failures = [r for r in report.adapters
+                    if not r.success and not r.skipped]
+        if failures:
+            report.error = (
+                ("update push failed, previous version restored: "
+                 if snapshot is not None else "")
+                + "; ".join(f"{r.domain}: {r.error}" for r in failures))
+            self._rollback(service_id, report, intent, snapshot)
+            return
+        if wait_ms is not None:
+            activation_started = time.perf_counter()
+            with obs.span("deploy/activate"):
+                report.activation_virtual_ms = self._wait_activation(wait_ms)
+            report.activation_time_s = (time.perf_counter()
+                                        - activation_started)
+        report.success = True
+        report.outcome = self._classify_push(result, report.adapters)
+        intent.commit({service_id: self._service_record(service_id)})
+
+    def _id_collisions(self, service: NFFG,
+                       own: Optional[NFFG] = None) -> str:
+        """Why ``service`` cannot join the deployed state ('' when it
+        can): an NF or edge id of it is taken by something other than
+        ``own``, the version of it an update replaces."""
+        dov = self.cal.dov
+        taken = sorted(
+            {nf.id for nf in service.nfs if dov.has_node(nf.id)}
+            | {edge.id for edge in service.edges if dov.has_edge(edge.id)})
+        if own is not None:
+            taken = [member for member in taken
+                     if not (own.has_node(member) or own.has_edge(member))]
+        if not taken:
+            return ""
+        return ("service element ids collide with deployed state: "
+                f"{taken} — NF and edge ids must be unique across services")
 
     def _rollback(self, service_id: str, report: DeployReport,
                   intent: IntentScope,
@@ -329,23 +350,29 @@ class EscapeOrchestrator:
         """
         if service.id not in self.cal.deployed_services():
             return self.deploy(service)
+        report = DeployReport(service_id=service.id, success=False)
         with obs.span("update", service=service.id) as root:
-            report = self._update(service)
+            started = time.perf_counter()
+            self._update(service, report)
+            report.total_time_s = time.perf_counter() - started
+            self.reports[service.id] = report
             root.set(outcome=report.resolved_outcome())
             obs.event("update", service=service.id,
                       outcome=report.resolved_outcome(), error=report.error)
         return report
 
-    def _update(self, service: NFFG) -> DeployReport:
-        report = DeployReport(service_id=service.id, success=False)
+    def _update(self, service: NFFG, report: DeployReport) -> None:
+        """Run the update pipeline, filling ``report``; whatever stage
+        refuses before the push, the previous version is kept."""
+        lint_started = time.perf_counter()
         blocking = self._verify_service(service, report)
+        report.lint_time_s = time.perf_counter() - lint_started
         if blocking:
             report.error = ("update rejected by lint gate, previous "
                             "version kept: "
                             + "; ".join(f"{d.rule_id}: {d.message}"
                                         for d in blocking))
-            self.reports[service.id] = report
-            return report
+            return
         from repro.nffg.serialize import nffg_to_dict
 
         with self.journal.intent(
@@ -355,47 +382,40 @@ class EscapeOrchestrator:
             # an update is a reconciliation point: re-fetch the domain
             # views (capacity may have drifted) instead of trusting the
             # live DoV
+            view_started = time.perf_counter()
             self.cal.mark_stale()
-            self.cal.remove_service(service.id)
-            view = self.cal.resource_view()
-            result = self._orchestrate(service, view)
-            if not result.success:
-                self.cal.restore_service(service.id, snapshot)
-                report = DeployReport(
-                    service_id=service.id, success=False,
-                    mapping=result,
-                    error=(f"update rejected, previous version kept: "
-                           f"{result.failure_reason}"))
+            # against the re-merged DoV (asking the one just dropped
+            # would merge twice), before the books are touched
+            collisions = self._id_collisions(service, own=snapshot[0])
+            if collisions:
+                report.error = ("update rejected, previous version kept: "
+                                + collisions)
                 intent.abort(report.error)
-                return report
-            effective = (result.service if result.service is not None
-                         else service)
-            self.cal.commit_mapping(service.id, effective, result)
-            adapter_reports = self.cal.push_planned()
-            intent.record_pushes(adapter_reports)
-            failures = [r for r in adapter_reports
-                        if not r.success and not r.skipped]
-            if failures:
-                # swap back to the previous version and reconcile
-                report = DeployReport(
-                    service_id=service.id, success=False,
-                    mapping=result, adapters=adapter_reports,
-                    error=("update push failed, previous version restored: "
-                           + "; ".join(f"{r.domain}: {r.error}"
-                                       for r in failures)))
-                self._rollback(service.id, report, intent, snapshot)
-                self.reports[service.id] = report
-                return report
-            if self.simulator is not None:
-                self._wait_activation(60_000.0)
-            report = DeployReport(
-                service_id=service.id, success=True, mapping=result,
-                adapters=adapter_reports,
-                domains_touched=len(self.cal.adapter_names_for(result)))
-            report.outcome = self._classify_push(result, adapter_reports)
-            intent.commit({service.id: self._service_record(service.id)})
-        self.reports[service.id] = report
-        return report
+                return
+            self.cal.remove_service(service.id)
+            try:
+                view = self.cal.resource_view()
+                report.view_time_s = time.perf_counter() - view_started
+                result = report.mapping = self._orchestrate(service, view)
+                report.mapping_time_s = result.runtime_s
+                if result.success:
+                    self.cal.commit_mapping(
+                        service.id, result.service if result.service
+                        is not None else service, result)
+                else:
+                    report.error = ("update rejected, previous version "
+                                    f"kept: {result.failure_reason}")
+            except Exception as exc:  # noqa: BLE001 - books before blame
+                # the live view may hold half a mapping: drop it too
+                self.cal.mark_stale()
+                report.error = ("update failed, previous version kept: "
+                                f"{type(exc).__name__}: {exc}")
+            if report.error:
+                self.cal.restore_service(service.id, snapshot)
+                intent.abort(report.error)
+                return
+            self._push_and_commit(service.id, result, report, intent,
+                                  snapshot=snapshot)
 
     def heal(self) -> dict[str, DeployReport]:
         """Re-map services broken by topology changes or domain
@@ -412,7 +432,11 @@ class EscapeOrchestrator:
         reconciliation push could not complete is marked ``degraded``.
         """
         with obs.span("heal") as root:
+            started = time.perf_counter()
             reports = self._heal()
+            total_time_s = time.perf_counter() - started
+            for report in reports.values():
+                report.total_time_s = total_time_s
             root.set(services=len(reports))
         return reports
 
@@ -452,24 +476,29 @@ class EscapeOrchestrator:
             for service_id in broken:
                 original_service, _ = snapshots[service_id]
                 with obs.span("heal/evacuate", service=service_id):
-                    result = self._orchestrate(original_service,
-                                               self.cal.resource_view())
+                    view_started = time.perf_counter()
+                    view = self.cal.resource_view()
+                    view_time_s = time.perf_counter() - view_started
+                    result = self._orchestrate(original_service, view)
+                reports[service_id] = report = DeployReport(
+                    service_id=service_id, success=result.success,
+                    mapping=result, view_time_s=view_time_s,
+                    mapping_time_s=result.runtime_s)
                 if result.success:
                     effective = (result.service if result.service is not None
                                  else original_service)
                     self.cal.commit_mapping(service_id, effective, result)
-                    reports[service_id] = DeployReport(
-                        service_id=service_id, success=True, mapping=result)
                 else:
-                    reports[service_id] = DeployReport(
-                        service_id=service_id, success=False, mapping=result,
-                        error=f"heal failed: {result.failure_reason}")
+                    report.error = f"heal failed: {result.failure_reason}"
+            push_started = time.perf_counter()
             adapter_reports = self.cal.push_planned()
+            push_time_s = time.perf_counter() - push_started
             intent.record_pushes(adapter_reports)
             by_domain = {r.domain: r for r in adapter_reports}
             for report in reports.values():
                 if not report.success:
                     continue  # never pushed: no adapter reports apply
+                report.push_time_s = push_time_s  # one push for them all
                 relevant = self.cal.adapter_names_for(report.mapping)
                 report.domains_touched = len(relevant)
                 report.adapters = [by_domain[name]
@@ -484,7 +513,13 @@ class EscapeOrchestrator:
                              if reports[service_id].success else None)
                 for service_id in broken})
         if self.simulator is not None:
-            self._wait_activation(60_000.0)
+            activation_started = time.perf_counter()
+            virtual_ms = self._wait_activation(60_000.0)
+            activation_time_s = time.perf_counter() - activation_started
+            for report in reports.values():
+                if report.success:
+                    report.activation_virtual_ms = virtual_ms
+                    report.activation_time_s = activation_time_s
         return reports
 
     # -- state persistence (controller restart / failover) -----------------

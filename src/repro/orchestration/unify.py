@@ -5,7 +5,8 @@ domains can be stacked into a multi-level control hierarchy similar to
 ONF's SDN architecture.  The recursive interface is the Unify
 interface."
 
-North side (:class:`UnifyAgent`): a NETCONF server in front of an
+North side (:class:`UnifyAgent`): the
+:class:`~repro.infra.orchestrator.LocalOrchestrator` in front of an
 :class:`~repro.orchestration.escape.EscapeOrchestrator`.  It advertises
 a virtual view (by default a single BiS-BiS) as a virtualizer tree and
 accepts edits of it, which it reads as a set of independent client
@@ -20,26 +21,17 @@ flowtable exactly as it would for any other domain, edit scripts and all.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Iterable, Optional
 
+from repro.infra.orchestrator import LocalOrchestrator
 from repro.netconf.messages import UNIFY_CAPABILITY
-from repro.netconf.server import NetconfServer
 from repro.nffg.graph import NFFG
 from repro.nffg.model import DomainType, Flowrule, NodeNF
 from repro.orchestration.adapters import _NetconfAdapter
 from repro.orchestration.escape import EscapeOrchestrator
-from repro.virtualizer.convert import (
-    flowrule_from_entry,
-    nf_from_instance,
-    nffg_to_virtualizer,
-    patch_virtualizer,
-    virtualizer_to_nffg,
-)
+from repro.virtualizer.convert import nffg_to_virtualizer, virtualizer_to_nffg
 from repro.virtualizer.model import Virtualizer
 from repro.virtualizer.views import SingleBiSBiSView, ViewPolicy
-from repro.yang.data import DataNode
-from repro.yang.diff import DiffEntry, find
 
 #: an SG hop as flow rules spell it: (src, dst, flowclass, bandwidth,
 #: delay), an end being (node id, port id) with port None at a SAP
@@ -139,38 +131,19 @@ def _split(nfs: dict[str, NodeNF], hops: dict[str, Hop],
         part_nfs, part_hops) for part_nfs, part_hops in groups.values()}
 
 
-#: what an edit-script path names of what the agent reads of a
-#: virtualizer: the virtual node, list (kind) and key of one NF instance
-#: or flow entry — or, without them, a node or list that came or went
-#: whole.  Paths to ports, resources and capabilities do not match.
-_NAMED = re.compile(
-    r"/virtualizer/nodes/node\[([^\]]*)\]"
-    r"/(NF_instances/node|flowtable/flowentry)\[([^\]]*)\]"
-    r"|/virtualizer/nodes(/node\[[^\]]*\](/NF_instances|/flowtable)?)?$")
-_DECODE = {"NF_instances/node": nf_from_instance,
-           "flowtable/flowentry": flowrule_from_entry}
-
-
-class UnifyAgent(NetconfServer):
+class UnifyAgent(LocalOrchestrator):
     """North-side Unify interface of an orchestrator."""
 
     def __init__(self, orchestrator: EscapeOrchestrator, *,
                  view_policy: Optional[ViewPolicy] = None):
-        super().__init__(f"{orchestrator.name}-unify",
-                         capabilities=[UNIFY_CAPABILITY])
+        super().__init__(f"{orchestrator.name}-unify")
         self.orchestrator = orchestrator
         self.view_policy = view_policy or SingleBiSBiSView(
             bisbis_id=f"{orchestrator.name}-bisbis")
-        self.edits_applied = 0
-        #: the running config, decoded: kind -> (virtual node, key) ->
-        #: NF / (ingress port, flow rule); only :meth:`_fold` writes it
-        self._decoded: dict[str, dict[tuple[str, str], Any]] = {
-            kind: {} for kind in _DECODE}
         #: part id -> content of the client services deployed below
         self._parts: dict[str, tuple] = {}
         #: what the last edit did: verb -> part ids
         self.last_edit: dict[str, list[str]] = {}
-        self.on_apply(self._apply_config)
         self.register_rpc("get-virtualizer",
                           lambda params: self.current_virtualizer().to_dict())
 
@@ -198,67 +171,22 @@ class UnifyAgent(NetconfServer):
 
     # -- configuration hooks ------------------------------------------------------
 
-    def validate_config(self, config: Any) -> list[str]:
-        """The store parsed ``config`` when it took it (leaf types,
-        unknown members); what is left to check is mandatory leaves."""
-        if config is None:
-            return []
-        tree = (self.candidate if config is self.candidate.config
-                else self.running).tree
-        if tree is None or tree.schema.name != "virtualizer":
-            return ["config is not a valid virtualizer"]
-        return tree.validate()
-
-    def validate_patch(self, entries: list[DiffEntry]) -> list[str]:
-        nodes = (find(self.candidate.tree, entry.path) for entry in entries)
-        return [problem for node in nodes if node is not None
-                for problem in node.validate()]
-
     def state_data(self) -> dict[str, Any]:
         return {"deployed_services": self.orchestrator.deployed_services(),
-                "edits": self.edits_applied, "last_edit": self.last_edit}
+                "edits": self.deploy_count, "last_edit": self.last_edit}
 
-    def _fold(self, change: Any) -> None:
-        """Bring :attr:`_decoded` up to the running tree by re-reading
-        what the committed ``change`` names: the NF instances and flow
-        entries of an edit script; all there are after a replace, or
-        when a script moved a whole node or list."""
-        tree = self.running.tree
-        if isinstance(change, list):
-            named = [match for entry in change
-                     if (match := _NAMED.match(entry.path))]
-            if all(match[2] for match in named):
-                for node_id, kind, key in dict.fromkeys(
-                        match.group(1, 2, 3) for match in named):
-                    instance = tree.find(f"nodes/node[{node_id}]/{kind}[{key}]")
-                    if instance is None:
-                        self._decoded[kind].pop((node_id, key), None)
-                    else:
-                        self._decoded[kind][node_id, key] = \
-                            _DECODE[kind](instance)
-                return
-        nodes = tree.find("nodes/node") if tree is not None else None
-        for kind, table in self._decoded.items():
-            table.clear()
-            for node in nodes.instances() if nodes is not None else ():
-                holder = node.find(kind)
-                for instance in holder.instances() if holder is not None else ():
-                    table[node.key_value, instance.key_value] = \
-                        _DECODE[kind](instance)
-
-    def _apply_config(self, change: Any) -> None:
+    def _reconcile(self, nfs, ports) -> None:
         """Reconcile the parts the orchestrator below runs with the ones
-        the committed config holds: a vanished part is one teardown, a
-        new one one deploy, a changed one one update, and an unchanged
-        one is not touched.  A part the orchestrator refuses raises — it
-        is not recorded, and every other part stays as it was."""
-        self._fold(change)
-        nfs = {nf.id: nf for nf in self._decoded["NF_instances/node"].values()}
+        the committed config holds — all of them, whatever the edit
+        named: what joins NFs and hops into a part is not local to it.
+        A vanished part is one teardown, a new one one deploy, a changed
+        one one update, and an unchanged one is not touched.  A part the
+        orchestrator refuses raises — it is not recorded, and every
+        other part stays as it was."""
+        by_id = {nf.id: nf for nf in self.nfs.values()}
         wanted = {
             f"{self.orchestrator.name}-client-{key}": part for key, part in
-            _split(nfs, _hops(self._decoded["flowtable/flowentry"].values(),
-                              nfs)).items()}
-        self.edits_applied += 1
+            _split(by_id, _hops(self.entries.values(), by_id)).items()}
         self.last_edit = edit = {"removed": [], "updated": [], "deployed": [],
                                  "kept": []}
         try:
@@ -298,14 +226,6 @@ class UnifyDomainAdapter(_NetconfAdapter):
         for infra in view.infras:
             infra.domain = DomainType.UNIFY
         return view
-
-    def _encode(self, install: NFFG, touched) -> tuple[None, DataNode]:
-        # as the base class; no config, a virtualizer is its own wire form
-        acked = self._acked_tree
-        if touched is None or acked is None:
-            return None, nffg_to_virtualizer(install, install.id).tree
-        return None, (patch_virtualizer(acked, install, touched)
-                      if touched else acked)
 
     def ready(self) -> bool:
         return self.agent.orchestrator.cal.ready()

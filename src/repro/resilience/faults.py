@@ -259,20 +259,19 @@ class FaultyAdapter(DomainAdapter):
         self.plan.before(self.name, "push")
         self.inner._push(install)
 
-    def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
-                 force_full: bool = False):
+    def _do_push(self, install: NFFG, touched: Optional[Touched] = None):
         # consult the plan first: a fault fires before any RPC reaches
         # the inner adapter, so its acknowledged-config state stays in
         # step with the (untouched) server
         self.plan.before(self.name, "push")
-        return self.inner._do_push(install, touched, force_full)
+        return self.inner._do_push(install, touched)
 
     def reset_delta_state(self) -> None:
         self.inner.reset_delta_state()
 
-    def install(self, install: NFFG, touched: Optional[Touched] = None, *,
-                force_full: bool = False) -> AdapterReport:
-        report = super().install(install, touched, force_full=force_full)
+    def install(self, install: NFFG,
+                touched: Optional[Touched] = None) -> AdapterReport:
+        report = super().install(install, touched)
         self.inner.installs = self.installs
         return report
 

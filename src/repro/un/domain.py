@@ -2,24 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.click.catalog import supported_functional_types
-from repro.infra.flowprog import (
-    FlowProgrammer,
-    PortKey,
-    install_rules,
-    rule_flow,
-)
+from repro.infra.flowprog import FlowProgrammer, PortKey, rule_flow
 from repro.infra.nfswitch import NFHostingSwitch
-from repro.infra.orchestrator import LocalOrchestrator
+from repro.infra.orchestrator import LocalOrchestrator, NFKey
 from repro.netem.network import Network
 from repro.netem.node import Host
-from repro.nffg.graph import NFFG, NodeObj
+from repro.nffg.graph import NFFG
 from repro.nffg.model import (
     DomainType,
     InfraType,
-    NodeInfra,
     NodeNF,
     ResourceVector,
 )
@@ -133,16 +127,14 @@ class UNLocalOrchestrator(LocalOrchestrator):
     # -- NETCONF hooks ------------------------------------------------------------
 
     @staticmethod
-    def _cpu(nodes: list[NodeObj]) -> float:
-        return sum(node.resources.cpu for node in nodes
-                   if isinstance(node, NodeNF))
+    def _cpu(nfs: Iterable[NodeNF]) -> float:
+        return sum(nf.resources.cpu for nf in nfs)
 
-    def _check_nodes(self, new: list[NodeObj],
-                     old: list[NodeObj]) -> list[str]:
-        problems = [f"unknown BiS-BiS {node.id!r}" for node in new
-                    if isinstance(node, NodeInfra)
-                    and node.id != self.domain.bisbis_id]
-        demand_cpu = (self._cpu(self.install.nodes) - self._cpu(old)
+    def _check(self, node_ids: Iterable[str], new: list[NodeNF],
+               old: list[NodeNF]) -> list[str]:
+        problems = [f"unknown BiS-BiS {node_id!r}" for node_id in node_ids
+                    if node_id != self.domain.bisbis_id]
+        demand_cpu = (self._cpu(self.nfs.values()) - self._cpu(old)
                       + self._cpu(new))
         if demand_cpu > self.domain.runtime.cpu_capacity + 1e-9:
             problems.append(
@@ -160,9 +152,9 @@ class UNLocalOrchestrator(LocalOrchestrator):
 
     # -- reconciliation -----------------------------------------------------------------
 
-    def _reconcile(self, nodes: Optional[set[str]],
-                   ports: Optional[list[PortKey]]) -> None:
-        scope, placed = self._placements(nodes, self._nf_containers)
+    def _reconcile(self, nfs: Optional[set[NFKey]],
+                   ports: Optional[set[PortKey]]) -> None:
+        scope, placed = self._placements(nfs, self._nf_containers)
         wanted = {nf_id: nf for nf_id, (host, nf) in placed.items()
                   if host == self.domain.bisbis_id}
         for nf_id in scope:
@@ -188,10 +180,10 @@ class UNLocalOrchestrator(LocalOrchestrator):
                 self._attach_container(nf_id, ctr, ports))
         dpid = self.domain.lsi.dpid
         self.flows.sync(
-            install_rules(self.install, ports),
+            self._wanted_rules(ports),
             lambda port, _, rule: (rule_flow(dpid, port[1], rule),),
             full=ports is None)
-        self.notify("deploy-finished", {"nffg": self.install.id})
+        self.notify("deploy-finished", {"nffg": self.running.tree.get("id")})
 
     def _attach_container(self, nf_id: str, container: Container,
                           nf_ports: list[int]) -> None:

@@ -24,7 +24,6 @@ from repro.nffg.model import (
 )
 from repro.nffg.ops import Touched
 from repro.virtualizer.model import Virtualizer
-from repro.yang.config import adopt_others
 from repro.yang.data import DataNode
 
 
@@ -104,7 +103,8 @@ def patch_virtualizer(base: DataNode, nffg: NFFG, touched: Touched) -> DataNode:
     ports it left name the old one), an (infra, port) pair as the port
     and its flow entries under ``touched.hops`` or none, a link; every
     other node, port, NF instance, flow entry and link is ``base``'s own
-    (:func:`adopt_others`), so the tree and its diff cost the edit."""
+    (:meth:`~repro.yang.data.DataNode.adopt_others`), so the tree and
+    its diff cost the edit."""
     virt = Virtualizer(nffg.id, name=nffg.name)
     opened: dict[str, tuple[set[str], list[str]]] = {}  # ports, NFs by infra
     for node_id, port_id in touched.ports:
@@ -112,27 +112,27 @@ def patch_virtualizer(base: DataNode, nffg: NFFG, touched: Touched) -> DataNode:
     for nf_id in touched.nodes:
         if host := nffg.host_of(nf_id):
             opened.setdefault(host, (set(), []))[1].append(nf_id)
-    adopt_others(virt.tree, base, "nodes/node", opened)
+    virt.tree.adopt_others(base, "nodes/node", opened)
     for node_id, (port_ids, nf_ids) in opened.items():
         infra, old = nffg.infra(node_id), base.resolve(f"nodes/node[{node_id}]")
         node = virt.tree.container("nodes").list_node("node").add_instance(
             node_id)
         node.adopt(*(child for child in old.children() if child.schema.name
                      not in ("id", "ports", "NF_instances", "flowtable")))
-        adopt_others(node, old, "ports/port", port_ids)
-        adopt_others(node, old, "NF_instances/node", touched.nodes)
+        node.adopt_others(old, "ports/port", port_ids)
+        node.adopt_others(old, "NF_instances/node", touched.nodes)
         gone = {f"{port_id}:{hop_id}" for port_id in port_ids
                 for hop_id in touched.hops}
         for port_id in port_ids:  # and its entries without a hop id
             gone.update(takewhile(
                 lambda key: old.find(f"flowtable/flowentry[{key}]"),
                 (f"{port_id}#{place}" for place in count(1))))
-        adopt_others(node, old, "flowtable/flowentry", gone)
+        node.adopt_others(old, "flowtable/flowentry", gone)
         for port_id in port_ids & infra.ports.keys():
             _encode_port(virt, node, infra.ports[port_id], touched.hops)
         for nf_id in nf_ids:
             _encode_nf(virt, nffg, node_id, nffg.nf(nf_id))
-    adopt_others(virt.tree, base, "links/link", touched.edges)
+    virt.tree.adopt_others(base, "links/link", touched.edges)
     for edge_id in filter(nffg.has_edge, touched.edges):
         _encode_link(virt, nffg, nffg.edge(edge_id))
     return virt.tree

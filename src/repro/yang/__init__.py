@@ -21,11 +21,6 @@ from repro.yang.schema import (
 )
 from repro.yang.data import DataNode, ValidationError, data_from_dict
 from repro.yang.diff import DiffEntry, DiffOp, apply_patch, diff_trees
-from repro.yang.config import (
-    config_to_tree,
-    install_config_schema,
-    tree_to_config,
-)
 
 __all__ = [
     "Container",
@@ -40,7 +35,4 @@ __all__ = [
     "DiffOp",
     "apply_patch",
     "diff_trees",
-    "config_to_tree",
-    "install_config_schema",
-    "tree_to_config",
 ]

@@ -22,7 +22,8 @@ class ValidationError(ValueError):
 
 #: what a leaf has for children and instances: a leaf is most of a tree,
 #: trees are kept for as long as a config is installed, and every dict of
-#: its own is one more object for each full garbage collection to visit
+#: its own is one more object for each full garbage collection to visit.
+#: (``node._children is _NO_MEMBERS``: the leaf test of the hot loops.)
 _NO_MEMBERS: dict[str, "DataNode"] = {}
 
 
@@ -73,40 +74,38 @@ class DataNode:
 
     def set_leaf(self, name: str, value: Any) -> "DataNode":
         """Create/overwrite a child leaf."""
-        schema = self._child_schema(name)
-        if not isinstance(schema, Leaf):
-            raise ValidationError(f"{self.path()}/{name} is not a leaf")
         node = self._children.get(name)
         if node is None:
+            schema = self._child_schema(name)
+            if not isinstance(schema, Leaf):
+                raise ValidationError(f"{self.path()}/{name} is not a leaf")
             node = DataNode(schema)
-            node.parent = self
+            node._parent = weakref.ref(self)
             self._children[name] = node
-        node.value = schema.check_value(value)
+        elif node._children is not _NO_MEMBERS:
+            raise ValidationError(f"{self.path()}/{name} is not a leaf")
+        node.value = node.schema.check_value(value)
         return node
 
     def container(self, name: str) -> "DataNode":
         """Get-or-create a child container."""
-        schema = self._child_schema(name)
-        if not isinstance(schema, Container):
-            raise ValidationError(f"{self.path()}/{name} is not a container")
-        node = self._children.get(name)
-        if node is None:
-            node = DataNode(schema)
-            node.parent = self
-            self._children[name] = node
-        return node
+        return self._member(name, Container, "container")
 
     def list_node(self, name: str) -> "DataNode":
         """Get-or-create the child *list* node (holder of instances)."""
-        schema = self._child_schema(name)
-        if not isinstance(schema, YangList):
-            raise ValidationError(f"{self.path()}/{name} is not a list")
+        return self._member(name, YangList, "list")
+
+    def _member(self, name: str, kind: type, what: str) -> "DataNode":
         node = self._children.get(name)
         if node is None:
-            node = DataNode(schema)
-            node.parent = self
-            self._children[name] = node
-        return node
+            schema = self._child_schema(name)
+            if isinstance(schema, kind):
+                node = self._children[name] = DataNode(schema)
+                node._parent = weakref.ref(self)
+                return node
+        elif isinstance(node.schema, kind):
+            return node
+        raise ValidationError(f"{self.path()}/{name} is not a {what}")
 
     def add_instance(self, key_value: str) -> "DataNode":
         """Add an instance to a list node (self must be the list holder)."""
@@ -134,6 +133,24 @@ class DataNode:
                 raise ValidationError(f"duplicate {key!r} at {self.path()}")
             member._parent = parent
             held[key] = member
+
+    def adopt_others(self, base: "DataNode", path: str, skip) -> None:
+        """Move into this node's list at ``path`` — a list name behind
+        the containers that lead to it — every instance ``base`` holds
+        there under a key outside ``skip``; ``base`` still lists them
+        and stays good to diff against and to read.  What an edit does
+        not name is moved, not encoded, so a patched tree costs the
+        edit."""
+        held = base.find(path)
+        kept = [] if held is None else [
+            instance for instance in held.instances()
+            if instance.key_value not in skip]
+        if kept:  # a list nothing is kept of is not created
+            *containers, name = path.split("/")
+            target = self
+            for container in containers:
+                target = target.container(container)
+            target.list_node(name).adopt(*kept)
 
     def instance(self, key_value: str) -> "DataNode":
         try:
@@ -184,12 +201,14 @@ class DataNode:
         return list(self._instances)
 
     def _child_schema(self, name: str) -> SchemaNode:
-        schema = self.schema
-        if isinstance(schema, (Container, YangList)):
-            if name not in schema.children:
-                raise ValidationError(f"schema has no child {name!r} at {self.path()}")
-            return schema.children[name]
-        raise ValidationError(f"{self.path()} cannot have children")
+        try:
+            return self.schema.children[name]
+        except KeyError:
+            raise ValidationError(
+                f"schema has no child {name!r} at {self.path()}") from None
+        except AttributeError:  # a leaf
+            raise ValidationError(
+                f"{self.path()} cannot have children") from None
 
     # -- paths ----------------------------------------------------------------
 
@@ -277,18 +296,15 @@ class DataNode:
         if path is None:
             path = self.path()
         if self.is_leaf:
-            if self.value is None:
-                return 0, 0
-            text = f"{path}={self.value}"
-            return int.from_bytes(blake2b(text.encode(), digest_size=8)
-                                  .digest(), "big"), len(text) - len(path)
-        members = ((f"{path}[{key}]", node)
-                   for key, node in self._instances.items()) \
-            if self.is_list else ((f"{path}/{name}", node)
-                                  for name, node in self._children.items())
+            return _measure_leaf(path, self.value)
+        keyed = self.is_list
         digest = size = 0
-        for member_path, node in members:
-            part, length = node.measure(member_path)
+        for key, node in (self._instances if keyed else self._children).items():
+            member_path = f"{path}[{key}]" if keyed else f"{path}/{key}"
+            # most of a tree is leaves: measured here, not one call down
+            part, length = (_measure_leaf(member_path, node.value)
+                            if node._children is _NO_MEMBERS
+                            else node.measure(member_path))
             digest ^= part
             size += length
         return digest, size
@@ -336,6 +352,14 @@ class DataNode:
         if self.is_leaf:
             return f"<DataLeaf {self.path()}={self.value!r}>"
         return f"<DataNode {self.path()}>"
+
+
+def _measure_leaf(path: str, value: Any) -> tuple[int, int]:
+    if value is None:
+        return 0, 0
+    text = f"{path}={value}"
+    return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(),
+                          "big"), len(text) - len(path)
 
 
 def data_from_dict(schema: SchemaNode, data: Any,

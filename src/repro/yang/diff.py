@@ -13,7 +13,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.yang.data import DataNode, ValidationError, _fill_from_dict
+from repro.yang.data import (
+    _NO_MEMBERS,
+    DataNode,
+    ValidationError,
+    _fill_from_dict,
+)
 
 
 class DiffOp(str, enum.Enum):
@@ -63,30 +68,37 @@ def _diff_node(old: DataNode, new: DataNode, entries: list[DiffEntry]) -> None:
         return
     if old.is_list and new.is_list:
         was, now = old._instances, new._instances
-        for key in sorted(was.keys() - now.keys()):
-            # the holder path already ends in the list name; the instance
-            # path just appends its key selector
-            entries.append(DiffEntry(DiffOp.DELETE, f"{new.path()}[{key}]"))
-        for key in sorted(now.keys() - was.keys()):
-            entries.append(DiffEntry(DiffOp.CREATE, now[key].path(),
-                                     now[key].to_dict()))
+        if was.keys() != now.keys():
+            for key in sorted(was.keys() - now.keys()):
+                # the holder path already ends in the list name; the
+                # instance path just appends its key selector
+                entries.append(DiffEntry(DiffOp.DELETE,
+                                         f"{new.path()}[{key}]"))
+            for key in sorted(now.keys() - was.keys()):
+                entries.append(DiffEntry(DiffOp.CREATE, now[key].path(),
+                                         now[key].to_dict()))
         for key in sorted(key for key, kept in now.items()
                           if was.get(key, kept) is not kept):
             _diff_node(was[key], now[key], entries)
         return
     # container or list instance
-    old_children = {child.schema.name: child for child in old.children()}
-    new_children = {child.schema.name: child for child in new.children()}
-    for name in sorted(set(old_children) - set(new_children)):
-        entries.append(DiffEntry(DiffOp.DELETE, f"{new.path()}/{name}"))
-    for name in sorted(set(new_children) - set(old_children)):
-        child = new_children[name]
-        if child.is_leaf:
-            entries.append(DiffEntry(DiffOp.SET, child.path(), child.value))
-        else:
-            _emit_creates(child, entries)
-    for name in sorted(set(old_children) & set(new_children)):
-        _diff_node(old_children[name], new_children[name], entries)
+    was, now = old._children, new._children
+    if was.keys() != now.keys():
+        for name in sorted(was.keys() - now.keys()):
+            entries.append(DiffEntry(DiffOp.DELETE, f"{new.path()}/{name}"))
+        for name in sorted(now.keys() - was.keys()):
+            child = now[name]
+            if child.is_leaf:
+                entries.append(DiffEntry(DiffOp.SET, child.path(),
+                                         child.value))
+            else:
+                _emit_creates(child, entries)
+    for name in sorted(name for name, kept in now.items()
+                       if was.get(name, kept) is not kept):
+        before, after = was[name], now[name]
+        # most of a tree is leaves: compared here, not one call down
+        if after._children is not _NO_MEMBERS or before.value != after.value:
+            _diff_node(before, after, entries)
 
 
 def _emit_creates(node: DataNode, entries: list[DiffEntry]) -> None:

@@ -50,15 +50,15 @@ from repro.topo import build_reference_multidomain
 class _StubNetconfAdapter(_NetconfAdapter):
     """NETCONF adapter over a plain in-memory server.
 
-    ``force_full`` turns the delta machinery off (the all-full control
-    run); ``fail_next`` makes the next N pushes raise before anything
-    reaches the server (breaker fodder)."""
+    ``full`` turns the delta machinery off (the all-full control run:
+    nothing stays acknowledged); ``fail_next`` makes the next N pushes
+    raise before anything reaches the server (breaker fodder)."""
 
     retry_policy = RetryPolicy(max_attempts=1)
 
-    def __init__(self, name, view, *, force_full=False):
+    def __init__(self, name, view, *, full=False):
         self._view = view
-        self.force_full = force_full
+        self.full = full
         self.fail_next = 0
         self.server = NetconfServer(f"{name}-server")
         super().__init__(name, DomainType.INTERNAL, self.server)
@@ -66,12 +66,13 @@ class _StubNetconfAdapter(_NetconfAdapter):
     def get_view(self):
         return self._view.copy()
 
-    def _do_push(self, install, touched=None, force_full=False):
+    def _do_push(self, install, touched=None):
         if self.fail_next > 0:
             self.fail_next -= 1
             raise RuntimeError("injected push failure")
-        return super()._do_push(install, touched,
-                                force_full or self.force_full)
+        if self.full:
+            self.reset_delta_state()
+        return super()._do_push(install, touched)
 
 
 def _chain_request(index: int, length: int):
@@ -87,12 +88,12 @@ def _chain_request(index: int, length: int):
 class _Universe:
     """One orchestration stack: CAL + stub NETCONF domain + RO."""
 
-    def __init__(self, *, force_full: bool):
+    def __init__(self, *, full: bool):
         mesh = mesh_substrate(12, degree=3, seed=5,
                               supported_types=["firewall"])
         self.cal = ControllerAdaptationLayer()
         self.adapter = self.cal.register(
-            _StubNetconfAdapter("dom", mesh, force_full=force_full))
+            _StubNetconfAdapter("dom", mesh, full=full))
         self.ro = ResourceOrchestrator()
 
     def apply(self, kind: str, index: int) -> None:
@@ -151,8 +152,8 @@ ops = st.lists(
 @given(ops, st.integers(0, 5))
 @settings(max_examples=15, deadline=None)
 def test_delta_sequence_matches_all_full_run(operations, trip_at):
-    delta = _Universe(force_full=False)
-    full = _Universe(force_full=True)
+    delta = _Universe(full=False)
+    full = _Universe(full=True)
     trip_step = min(trip_at, len(operations) - 1)
     for step, (kind, index) in enumerate(operations):
         delta.apply(kind, index)
@@ -176,8 +177,8 @@ def test_deploy_update_teardown_with_trip_uses_deltas():
     actually ships edit-config patches (this is not a vacuous pass
     where everything went out full), and still matches the full run."""
     perf.reset("push.")
-    delta = _Universe(force_full=False)
-    full = _Universe(force_full=True)
+    delta = _Universe(full=False)
+    full = _Universe(full=True)
     script = [("deploy", 0), ("deploy", 1), ("update", 0),
               ("teardown", 1), ("deploy", 2)]
     for step, (kind, index) in enumerate(script):
@@ -266,7 +267,8 @@ def _reinstalled_fabric(testbed, orchestrator, install) -> dict[str, Counter]:
                     ingress_dpid=ingress[0], ingress_port=ingress[1],
                     egress_dpid=egress[0], egress_port=egress[1],
                     flowclass=match.get("flowclass", ""),
-                    transport_vlan=orchestrator._transport_vlans[port_id][key],
+                    transport_vlan=orchestrator._transport_vlans[port_id][
+                        f"{port_id}:{key}"],  # by flow entry key
                     match_vlan=match_vlan, egress_vlan=egress_vlan,
                     cookie=rule.hop_id)
     return {dpid: _table(switch) for dpid, switch in switches.items()}
@@ -313,7 +315,7 @@ def _trip_and_resync(escape, name: str) -> None:
     adapter = cal.adapters[name]
     original = adapter._do_push
 
-    def failing(install, touched=None, force_full=False):
+    def failing(install, touched=None):
         raise RuntimeError("injected push failure")
 
     adapter._do_push = failing

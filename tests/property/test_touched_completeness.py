@@ -8,9 +8,8 @@ Along the seeded sequences of ``test_incremental_dov``,
 checked here: every member whose ``to_dict()`` differs from the
 previous successful install is named, each maintained view equals a
 fresh slice of the DoV, what the adapter holds afterwards (the direct
-adapter's record, the NETCONF adapter's acknowledged tree — install
-config or, on the south side of a Unify interface, virtualizer) equals
-the whole view encoded anew, and ``cal.verify()`` is empty.  After
+adapter's record, every NETCONF adapter's acknowledged virtualizer)
+equals the whole view encoded anew, and ``cal.verify()`` is empty.  After
 anything that leaves the domain's state in doubt — a raising adapter, an
 open breaker, dropped derived state, a refusing child, a drifted patch
 base — the next install gets ``None`` and a correct whole view.
@@ -27,7 +26,6 @@ from repro.emu import EmulatedDomain
 from repro.netem import Network
 from repro.nffg import NFFGBuilder
 from repro.nffg.model import NodeInfra
-from repro.nffg.serialize import nffg_to_dict
 from repro.orchestration import (
     EmuDomainAdapter,
     UnifyAgent,
@@ -37,7 +35,6 @@ from repro.orchestration.escape import EscapeOrchestrator
 from repro.resilience import BreakerState, FaultKind, FaultPlan, FaultyAdapter
 from repro.resilience.retry import RetryPolicy
 from repro.virtualizer import nffg_to_virtualizer
-from repro.yang.config import config_to_tree, install_config_schema
 
 from tests.property.test_delta_push_equiv import (
     _fig1_sequence,
@@ -101,7 +98,7 @@ class InstallWatch:
         self._install = adapter.install
         adapter.install = self
 
-    def __call__(self, install, touched=None, *, force_full=False):
+    def __call__(self, install, touched=None):
         now = _members(install)
         self.received.append(touched)
         if touched is not None:
@@ -112,7 +109,7 @@ class InstallWatch:
             unnamed = sorted(key for key in changed
                              if not _named(touched, key))
             assert not unnamed, f"{self.adapter.name}: changed, not named"
-        report = self._install(install, touched, force_full=force_full)
+        report = self._install(install, touched)
         self.base = now if report.success else None
         if report.success:
             self._holds(install)
@@ -127,9 +124,7 @@ class InstallWatch:
             assert canonical(record) == canonical(install)
         tree = getattr(inner, "_acked_tree", None)
         if tree is not None:
-            whole = (config_to_tree({"nffg": nffg_to_dict(install)})
-                     if tree.schema is install_config_schema()
-                     else nffg_to_virtualizer(install, install.id).tree)
+            whole = nffg_to_virtualizer(install, install.id).tree
             assert tree.digest() == whole.digest()
             assert tree.to_json() == whole.to_json()
 
@@ -337,7 +332,7 @@ def test_dropped_derived_state_gets_a_fresh_whole_view(drop):
 
 
 def test_reset_delta_state_sends_the_whole_config_next():
-    universe = _Universe(force_full=False)
+    universe = _Universe(full=False)
     cal, adapter = universe.cal, universe.adapter
     watch = _watch(cal)["dom"]
     universe.apply("deploy", 0)
@@ -349,7 +344,8 @@ def test_reset_delta_state_sends_the_whole_config_next():
     universe.apply("teardown", 0)
     (report,) = cal.push_planned()
     assert report.success and not report.delta
-    whole = config_to_tree({"nffg": nffg_to_dict(cal._install_for(adapter))})
+    view = cal._install_for(adapter)
+    whole = nffg_to_virtualizer(view, view.id).tree
     assert adapter.server.running.tree.digest() == whole.digest()
     assert adapter._acked_tree.digest() == whole.digest()
     _assert_views_current(cal)

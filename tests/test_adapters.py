@@ -61,7 +61,8 @@ class TestAdapterFaultIsolation:
         domain.add_sap("sap1", "bb0")
         adapter = EmuDomainAdapter("emu", domain)
         first = adapter.install(domain.domain_view())
-        second = adapter.install(domain.domain_view(), force_full=True)
+        adapter.reset_delta_state()
+        second = adapter.install(domain.domain_view())
         assert first.control_messages > 0
         assert second.control_messages > 0
         # deltas, not cumulative totals
@@ -96,7 +97,7 @@ class TestDeltaResync:
         orchestrator = adapter.orchestrator
         assert adapter.install(self._install(domain, ["h1"])).success
         reconcile = orchestrator._reconcile
-        orchestrator._reconcile = lambda nodes, ports: 1 / 0
+        orchestrator._reconcile = lambda nfs, ports: 1 / 0
         failed = adapter.install(self._install(domain, ["h1", "h2"]))
         assert not failed.success and "ZeroDivisionError" in failed.error
         orchestrator._reconcile = reconcile

@@ -18,9 +18,14 @@ from repro.netconf import NetconfClient
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder
-from repro.nffg.serialize import nffg_to_dict
 from repro.openflow.channel import ControlChannel
 from repro.sim import Simulator
+from repro.virtualizer import nffg_to_virtualizer
+
+
+def _config(install):
+    """``install`` as the config the local orchestrator is sent."""
+    return {"virtualizer": nffg_to_virtualizer(install).to_dict()}
 
 
 class TestScheduler:
@@ -155,7 +160,7 @@ class TestCloudDomain:
         the parent CAL's bookkeeping, not the view's (otherwise it
         would be subtracted twice)."""
         net, domain, orchestrator, client = cloud
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         view = domain.domain_view()
@@ -166,7 +171,7 @@ class TestCloudDomain:
 
     def test_deploy_boots_vm_and_attaches(self, cloud):
         net, domain, orchestrator, client = cloud
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         assert not orchestrator.all_vms_active()
@@ -178,7 +183,7 @@ class TestCloudDomain:
 
     def test_dataplane_through_vm(self, cloud):
         net, domain, orchestrator, client = cloud
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         orchestrator.wait_ready()
@@ -194,7 +199,7 @@ class TestCloudDomain:
 
     def test_teardown_deletes_vm(self, cloud):
         net, domain, orchestrator, client = cloud
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         orchestrator.wait_ready()
@@ -207,22 +212,18 @@ class TestCloudDomain:
     def test_validation_rejects_foreign_bisbis(self, cloud):
         net, domain, orchestrator, client = cloud
         install = _install_for(domain)
-        data = nffg_to_dict(install)
-        for node in data["nodes"]:
-            if node["id"] == "cloud-bisbis":
-                node["id"] = "other-bisbis"
-        for edge in data["edges"]:
-            for key in ("src_node", "dst_node"):
-                if edge[key] == "cloud-bisbis":
-                    edge[key] = "other-bisbis"
-        client.edit_config({"nffg": data}, operation="replace")
+        config = _config(install)
+        nodes = config["virtualizer"]["nodes"]["node"]
+        nodes["other-bisbis"] = {**nodes.pop("cloud-bisbis"),
+                                 "id": "other-bisbis"}
+        client.edit_config(config, operation="replace")
         from repro.netconf import NetconfError
         with pytest.raises(NetconfError):
             client.commit()
 
     def test_state_data(self, cloud):
         net, domain, orchestrator, client = cloud
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         state = client.get()["state"]
@@ -251,7 +252,7 @@ class TestTransportVlans:
         for hop_id, tp_dst, out in rules:
             port.add_flowrule(f"in_port=sap-in;flowclass=tp_dst={tp_dst}",
                               f"output=sap-{out}", hop_id=hop_id)
-        client.edit_config({"nffg": nffg_to_dict(view)}, operation="replace")
+        client.edit_config(_config(view), operation="replace")
         client.commit()
 
     def test_colliding_hop_ids_get_distinct_fabric_vlans(self, cloud):
@@ -263,7 +264,7 @@ class TestTransportVlans:
         hop_a, hop_b = self._collide()
         self._push(cloud, [(hop_a, 80, "out"), (hop_b, 81, "out2")])
         vlans = orchestrator._transport_vlans["sap-in"]
-        assert vlans[hop_a] != vlans[hop_b]
+        assert vlans[f"sap-in:{hop_a}"] != vlans[f"sap-in:{hop_b}"]
         h_in = domain.sap_hosts["in"]
         for tp_dst in (80, 81):
             h_in.send(tcp_packet(h_in.ip, domain.sap_hosts["out"].ip,
@@ -275,12 +276,13 @@ class TestTransportVlans:
     def test_vlan_survives_neighbours_and_returns_to_the_pool(self, cloud):
         net, domain, orchestrator, client = cloud
         self._push(cloud, [("h1", 80, "out"), ("h2", 81, "out")])
-        vlan = orchestrator._transport_vlans["sap-in"]["h2"]
+        vlan = orchestrator._transport_vlans["sap-in"]["sap-in:h2"]
         free = len(orchestrator._free_vlans)
         mods = domain.odl.endpoint.flow_mods_sent
         # h1 goes: h2, now first in the config, keeps its VLAN and its
         # entries; only h1's three entries are deleted
         self._push(cloud, [("h2", 81, "out")])
-        assert orchestrator._transport_vlans == {"sap-in": {"h2": vlan}}
+        assert orchestrator._transport_vlans == {
+            "sap-in": {"sap-in:h2": vlan}}
         assert len(orchestrator._free_vlans) == free + 1
         assert domain.odl.endpoint.flow_mods_sent == mods + 3

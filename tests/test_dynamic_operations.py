@@ -167,6 +167,49 @@ class TestUpdate:
             assert emu.switches[host].nf_process("svc-nf") is process_before
 
 
+    @pytest.mark.parametrize("how", ["collision", "exception"])
+    def test_update_that_cannot_commit_keeps_books_journal_and_domain(
+            self, triangle, how, monkeypatch):
+        """An update that takes another service's NF id (or raises for
+        any other reason once its old version left the books) is refused
+        with everything still holding the old version."""
+        net, emu, escape = triangle
+
+        def chain(service_id, nf_id):
+            return (NFFGBuilder(service_id).sap("sap1").sap("sap2")
+                    .nf(nf_id, "firewall")
+                    .chain("sap1", nf_id, "sap2", bandwidth=1.0).build())
+
+        assert escape.deploy(chain("A", "shared-fw")).success
+        assert escape.deploy(chain("B", "b-fw")).success
+        record = escape.export_state()["services"]["B"]
+        if how == "collision":
+            report = escape.update(chain("B", "shared-fw"))
+            assert "collide" in report.error and "shared-fw" in report.error
+        else:
+            def explode(*args):
+                raise ValueError("duplicate port 'x-1'")
+
+            monkeypatch.setattr(escape.cal, "commit_mapping", explode)
+            report = escape.update(chain("B", "b2-fw"))
+            monkeypatch.undo()
+            assert "ValueError: duplicate port" in report.error
+        assert not report.success
+        assert "previous version kept" in report.error
+        assert escape.reports["B"] is report
+        # books, derived state, journal and the domain: all the old B
+        assert sorted(escape.deployed_services()) == ["A", "B"]
+        assert escape.export_state()["services"]["B"] == record
+        assert escape.cal.verify() == []
+        assert escape.journal.replay().state["services"]["B"] == record
+        orchestrator = escape.cal.adapters["emu"].orchestrator
+        assert sorted(orchestrator._deployed_nfs) == ["b-fw", "shared-fw"]
+        assert all(r.success for r in escape.cal.push_all())
+        assert sorted(orchestrator._deployed_nfs) == ["b-fw", "shared-fw"]
+        # and its own ids are its to keep: the same chain again is fine
+        assert escape.update(chain("B", "b-fw")).success
+
+
 class TestTechnologyMigration:
     def test_update_migrates_nf_between_technologies(self):
         """Paper: "supports different even legacy technologies and

@@ -10,9 +10,14 @@ from repro.netconf import NetconfClient, NetconfError
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder
-from repro.nffg.serialize import nffg_to_dict
 from repro.openflow.channel import ControlChannel
 from repro.openflow.messages import ActionOutput, Match
+from repro.virtualizer import nffg_to_virtualizer
+
+
+def _config(install):
+    """``install`` as the config the local orchestrator is sent."""
+    return {"virtualizer": nffg_to_virtualizer(install).to_dict()}
 
 
 @pytest.fixture
@@ -117,7 +122,7 @@ class TestOrchestrator:
     def test_deploy_starts_nfs_and_installs_flows(self, managed):
         net, dom, orchestrator, client = managed
         mapped = _mapped_install(dom)
-        client.edit_config({"nffg": nffg_to_dict(mapped)},
+        client.edit_config(_config(mapped),
                            operation="replace")
         client.commit()
         assert orchestrator.deployed_nf_count() == 1
@@ -128,7 +133,7 @@ class TestOrchestrator:
     def test_dataplane_carries_chain(self, managed):
         net, dom, orchestrator, client = managed
         mapped = _mapped_install(dom)
-        client.edit_config({"nffg": nffg_to_dict(mapped)},
+        client.edit_config(_config(mapped),
                            operation="replace")
         client.commit()
         h1, h2 = dom.sap_hosts["sap1"], dom.sap_hosts["sap2"]
@@ -140,16 +145,10 @@ class TestOrchestrator:
     def test_validation_rejects_unknown_switch(self, managed):
         net, dom, orchestrator, client = managed
         mapped = _mapped_install(dom)
-        data = nffg_to_dict(mapped)
-        for node in data["nodes"]:
-            if node["id"] == "bb0":
-                node["id"] = "ghost"
-        # fix references so the NFFG itself parses
-        for edge in data["edges"]:
-            for key in ("src_node", "dst_node"):
-                if edge[key] == "bb0":
-                    edge[key] = "ghost"
-        client.edit_config({"nffg": data}, operation="replace")
+        config = _config(mapped)
+        nodes = config["virtualizer"]["nodes"]["node"]
+        nodes["ghost"] = {**nodes.pop("bb0"), "id": "ghost"}
+        client.edit_config(config, operation="replace")
         with pytest.raises(NetconfError):
             client.commit()
 
@@ -165,7 +164,7 @@ class TestOrchestrator:
             infra.supported_types = set()  # accept anything at mapping time
         result = GreedyEmbedder().map(service, dom2_view)
         assert result.success
-        client.edit_config({"nffg": nffg_to_dict(result.mapped)},
+        client.edit_config(_config(result.mapped),
                            operation="replace")
         with pytest.raises(NetconfError):
             client.commit()
@@ -173,12 +172,12 @@ class TestOrchestrator:
     def test_reconcile_removes_stale_nfs(self, managed):
         net, dom, orchestrator, client = managed
         mapped = _mapped_install(dom)
-        client.edit_config({"nffg": nffg_to_dict(mapped)},
+        client.edit_config(_config(mapped),
                            operation="replace")
         client.commit()
         assert orchestrator.deployed_nf_count() == 1
         empty = dom.domain_view()
-        client.edit_config({"nffg": nffg_to_dict(empty)},
+        client.edit_config(_config(empty),
                            operation="replace")
         client.commit()
         assert orchestrator.deployed_nf_count() == 0
@@ -186,12 +185,12 @@ class TestOrchestrator:
     def test_redeploy_same_nf_not_restarted(self, managed):
         net, dom, orchestrator, client = managed
         mapped = _mapped_install(dom)
-        client.edit_config({"nffg": nffg_to_dict(mapped)},
+        client.edit_config(_config(mapped),
                            operation="replace")
         client.commit()
         switch = dom.switches[orchestrator._deployed_nfs["fw"][0]]
         process_before = switch.nf_process("fw")
-        client.edit_config({"nffg": nffg_to_dict(mapped)},
+        client.edit_config(_config(mapped),
                            operation="replace")
         client.commit()
         assert switch.nf_process("fw") is process_before
@@ -206,7 +205,7 @@ class TestOrchestrator:
         net, dom, orchestrator, client = managed
         assert client.rpc("get-nf-status", id="fw")["status"] == "absent"
         mapped = _mapped_install(dom)
-        client.edit_config({"nffg": nffg_to_dict(mapped)},
+        client.edit_config(_config(mapped),
                            operation="replace")
         client.commit()
         status = client.rpc("get-nf-status", id="fw")
@@ -215,7 +214,7 @@ class TestOrchestrator:
     def test_notifications_emitted(self, managed):
         net, dom, orchestrator, client = managed
         mapped = _mapped_install(dom)
-        client.edit_config({"nffg": nffg_to_dict(mapped)},
+        client.edit_config(_config(mapped),
                            operation="replace")
         client.commit()
         events = [n.event for n in client.notifications]

@@ -167,13 +167,18 @@ class TestErrorsAndExtensions:
         assert channel.stats.messages_to_b >= 2
 
 
-# -- install configs: patched in place, guarded by the digest -------------------
+# -- virtualizers: patched in place, guarded by the digest ----------------------
+
+
+def _tree(config):
+    from repro.virtualizer import Virtualizer
+    return Virtualizer.from_dict(config["virtualizer"]).tree
 
 
 def _install_config(flowrules):
-    """A one-switch install config with ``flowrules`` (hop ids) on p1."""
+    """A one-switch virtualizer with ``flowrules`` (hop ids) on p1."""
     from repro.nffg import NFFG
-    from repro.nffg.serialize import nffg_to_dict
+    from repro.virtualizer import nffg_to_virtualizer
     nffg = NFFG(id="install")
     infra = nffg.add_infra("bb")
     port = infra.add_port("p1")
@@ -181,13 +186,13 @@ def _install_config(flowrules):
     for hop_id in flowrules:
         port.add_flowrule(f"in_port=p1;flowclass=tp_dst={hop_id[1:]}",
                           "output=p2", hop_id=hop_id)
-    return {"nffg": nffg_to_dict(nffg)}
+    return {"virtualizer": nffg_to_virtualizer(nffg).to_dict()}
 
 
 def _patch_between(old, new):
-    from repro.yang import config_to_tree, diff_trees
-    old_tree = config_to_tree(old)
-    entries = diff_trees(old_tree, config_to_tree(new))
+    from repro.yang import diff_trees
+    old_tree = _tree(old)
+    entries = diff_trees(old_tree, _tree(new))
     return f"{old_tree.digest():016x}", [e.to_dict() for e in entries]
 
 
@@ -203,7 +208,6 @@ def install_session(session):
 class TestInstallConfigPatches:
     def test_patch_commits_in_place_and_moves_the_digest(self, install_session):
         client, server, base = install_session
-        from repro.yang import config_to_tree
         applied = []
         server.on_apply(applied.append)
         tree = server.running.tree
@@ -211,12 +215,12 @@ class TestInstallConfigPatches:
         client.edit_config_delta(*_patch_between(base, new))
         client.commit()
         assert server.running.tree is tree  # patched, not rebuilt
-        assert server.running.digest == config_to_tree(new).digest()
+        assert server.running.digest == _tree(new).digest()
         assert client.get_config() == client.get_config("candidate")
         # the callback got the edit script, not the config
         (entries,) = applied
         assert [e.path for e in entries] == [
-            "/install-config/node[bb]/port[p1]/flowrule[h2]"]
+            "/virtualizer/nodes/node[bb]/flowtable/flowentry[p1:h2]"]
 
     def test_patch_on_a_drifted_base_is_refused(self, install_session):
         client, server, base = install_session
@@ -235,7 +239,8 @@ class TestInstallConfigPatches:
         with pytest.raises(NetconfError) as err:
             client.edit_config_delta(digest, [
                 {"op": "delete", "value": None,
-                 "path": "/install-config/node[bb]/port[p1]/flowrule[h1]"}])
+                 "path": "/virtualizer/nodes/node[bb]/flowtable"
+                         "/flowentry[p1:h1]"}])
         assert err.value.tag == "delta-mismatch"
         assert client.get_config() == running
 

@@ -519,6 +519,42 @@ class TestFailurePathObservability:
         assert "push.encode" in render_deploy_report(edit)
         assert "push.diff" in render_deploy_report(edit)
 
+    def test_update_and_heal_reports_carry_the_stage_timings(self, obs_off):
+        from repro.cli.render import render_deploy_report
+        from repro.topo import build_emulated_testbed
+
+        testbed = build_emulated_testbed(switches=3)
+        testbed.emu.add_link("emu-bb0", "emu-bb2")
+        escape = testbed.escape
+        escape.cal.mark_stale()
+
+        def chain(nf_type):
+            return (NFFGBuilder("svc").sap("sap1").sap("sap2")
+                    .nf("svc-nf", nf_type)
+                    .chain("sap1", "svc-nf", "sap2", bandwidth=1.0).build())
+
+        assert escape.deploy(chain("firewall")).success
+        update = escape.update(chain("nat"))
+        testbed.network.fail_link("emu-bb0", "emu-bb2")
+        healed = escape.heal()
+        testbed.network.restore_link("emu-bb0", "emu-bb2")
+        reports = [update, *healed.values()]
+        assert update.success and len(reports) == 2
+        for report in reports:
+            stages = report.stage_timings()
+            assert all(stages[stage] > 0.0 for stage in
+                       ("view", "map", "push", "push.slice", "activate"))
+            assert sum(stages[stage] for stage in
+                       ("lint", "view", "map", "push", "activate")) \
+                <= report.total_time_s
+            assert "stages:" in render_deploy_report(report)
+        assert update.lint_time_s > 0.0 and update.lint == []
+        # a refused update is timed as far as it got
+        refused = escape.update(chain("warpdrive"))
+        assert not refused.success and "previous version kept" in refused.error
+        assert refused.total_time_s >= refused.lint_time_s > 0.0
+        assert refused.push_time_s == 0.0
+
     def test_failure_spans_and_events(self, scoped_obs):
         escape, plan = self._failing_escape()
         plan.add("dom-b", "push", kind=FaultKind.FATAL, count=1)

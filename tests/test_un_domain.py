@@ -7,7 +7,6 @@ from repro.netconf import NetconfClient, NetconfError
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder
-from repro.nffg.serialize import nffg_to_dict
 from repro.openflow.channel import ControlChannel
 from repro.sim import Simulator
 from repro.un import (
@@ -16,6 +15,12 @@ from repro.un import (
     UNLocalOrchestrator,
     UniversalNodeDomain,
 )
+from repro.virtualizer import nffg_to_virtualizer
+
+
+def _config(install):
+    """``install`` as the config the local orchestrator is sent."""
+    return {"virtualizer": nffg_to_virtualizer(install).to_dict()}
 
 
 class TestContainerRuntime:
@@ -103,7 +108,7 @@ class TestUNDomain:
 
     def test_deploy_starts_container(self, un):
         net, domain, orchestrator, client = un
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         assert not orchestrator.all_containers_running()
@@ -115,7 +120,7 @@ class TestUNDomain:
 
     def test_dataplane_through_container(self, un):
         net, domain, orchestrator, client = un
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         net.run()
@@ -128,7 +133,7 @@ class TestUNDomain:
 
     def test_teardown_stops_container(self, un):
         net, domain, orchestrator, client = un
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         client.commit()
         net.run()
@@ -147,7 +152,7 @@ class TestUNDomain:
                    .chain("in", "big", "out").build())
         result = GreedyEmbedder().map(service, view)
         assert result.success
-        client.edit_config({"nffg": nffg_to_dict(result.mapped)},
+        client.edit_config(_config(result.mapped),
                            operation="replace")
         with pytest.raises(NetconfError):
             client.commit()
@@ -155,7 +160,7 @@ class TestUNDomain:
     def test_container_start_faster_than_cloud_vm(self, un):
         """The UN's pitch: container NF activation beats VM boots."""
         net, domain, orchestrator, client = un
-        client.edit_config({"nffg": nffg_to_dict(_install_for(domain))},
+        client.edit_config(_config(_install_for(domain)),
                            operation="replace")
         before = net.simulator.now
         client.commit()

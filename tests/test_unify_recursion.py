@@ -241,10 +241,10 @@ class TestEditScripts:
         _, _, _, parent = two_level
         assert parent.deploy(_service("a")).success
         agent = self._adapter(parent).agent
-        edits = agent.edits_applied
+        edits = agent.deploy_count
         (report,) = parent.cal.push_all()
         assert report.success and report.delta and report.messages == 0
-        assert agent.edits_applied == edits
+        assert agent.deploy_count == edits
 
     def test_drifted_base_resyncs_with_one_full_replace(self, two_level):
         from repro import perf
