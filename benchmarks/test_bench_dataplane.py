@@ -5,11 +5,15 @@ chains lengthen, throughput ceiling at a bottleneck link, and the UN's
 fast path vs the emulated software switches.
 """
 
+import itertools
+import time
+
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import SMOKE, emit
 from repro.cli import ScenarioRunner
 from repro.netem.packet import tcp_packet
+from repro.openflow import FlowTable, OpenFlowSwitch
 from repro.service import ServiceRequestBuilder
 from repro.topo import build_emulated_testbed, build_reference_multidomain
 
@@ -121,3 +125,99 @@ def test_bench_throughput_bottleneck(benchmark):
            "delivery_ratio": delivered / 60}])
     assert delivered < 60  # the 2 Mbit/s link cannot carry the burst
     assert delivered > 0
+
+
+def test_bench_per_packet_work_vs_resident_chains(benchmark):
+    """EXT-3: a packet costs what it does, not what the switches hold.
+
+    The Fig. 1 testbed at 6 / 24 / 48 resident 2-NF chains carries the
+    same 240-packet burst, round-robin over the chains (what the
+    ``chain_traffic`` workload of ``bench/`` sends at 24).  The flow
+    tables classify by tuple space search, so the hash probes a lookup
+    makes are bounded by the masks present — at most 2 here — while the
+    tables grow from 8 to 80 entries; a scan tried 3.3 / 11.3 / 25.9
+    entries per lookup on the same bursts.  Lookups per packet are the
+    route's length (chains 25-48 take longer routes) and exact.  Wall µs
+    per lookup is timed from outside, wrapper included (best of six
+    bursts), and may grow at most 1.5x from 6 to 48 chains (full size
+    only: smoke runs share their machine).
+    """
+    pairs = list(itertools.permutations(("sap1", "sap2", "sap3"), 2))
+    burst = 240
+
+    def chain(index: int):
+        src, dst = pairs[index % len(pairs)]
+        prefix = f"svc{index}"
+        return (ServiceRequestBuilder(prefix).sap(src).sap(dst)
+                .nf(f"{prefix}-fw", "firewall").nf(f"{prefix}-nat", "nat")
+                .chain(src, f"{prefix}-fw", f"{prefix}-nat", dst,
+                       bandwidth=1.0 + index % 8,
+                       flowclass=f"tp_dst={10000 + index}").build())
+
+    def measure(resident: int):
+        testbed = build_reference_multidomain()
+        for index in range(resident):
+            report = testbed.service_layer.submit(chain(index))
+            assert report.success, report.error
+        tables = [node.table for node in testbed.network.nodes.values()
+                  if isinstance(node, OpenFlowSwitch)]
+        hosts = [testbed.host(sap) for sap in ("sap1", "sap2", "sap3")]
+
+        def counted() -> list[int]:
+            return [sum(getattr(table, name) for table in tables)
+                    for name in ("lookups", "probes", "misses")]
+
+        def send() -> float:
+            """One burst; returns the wall µs a lookup took in it."""
+            spent_ns = calls = 0
+            lookup = FlowTable.lookup
+
+            def timed(*args, **kwargs):
+                nonlocal spent_ns, calls
+                started = time.perf_counter_ns()
+                try:
+                    return lookup(*args, **kwargs)
+                finally:
+                    spent_ns += time.perf_counter_ns() - started
+                    calls += 1
+
+            per_host: dict[str, list] = {}
+            for k in range(burst):
+                src, dst = pairs[(k % resident) % len(pairs)]
+                per_host.setdefault(src, []).append(tcp_packet(
+                    testbed.host(src).ip, testbed.host(dst).ip,
+                    tp_dst=10000 + k % resident, tp_src=20000 + k,
+                    size=200))
+            FlowTable.lookup = timed
+            try:
+                for src, packets in per_host.items():
+                    testbed.host(src).send_burst(packets, interval=1.5)
+                testbed.run()
+            finally:
+                FlowTable.lookup = lookup
+            return spent_ns / 1e3 / calls
+
+        before = counted()
+        first_us = send()
+        lookups, probes, misses = (
+            after - start for after, start in zip(counted(), before))
+        delivered = sum(len(host.received) for host in hosts)
+        # the counts are the first burst's; the time is the best of six
+        lookup_us = min([first_us] + [send() for _ in range(5)])
+        testbed.escape.cal.dispatcher.shutdown()
+        assert misses == 0
+        return {"resident": resident,
+                "largest_table": max(len(table) for table in tables),
+                "delivered": delivered,
+                "lookups_per_pkt": round(lookups / burst, 2),
+                "probes_per_lookup": probes / lookups,
+                "lookup_us": lookup_us}
+
+    rows = [measure(resident) for resident in (6, 24, 48)]
+    emit("EXT-3: per-packet work vs resident chains", rows)
+    assert [row["delivered"] for row in rows] == [burst] * 3, rows
+    assert [row["lookups_per_pkt"] for row in rows] == [9, 9, 11.33], rows
+    assert all(row["probes_per_lookup"] <= 2 for row in rows), rows
+    if not SMOKE:
+        assert rows[2]["lookup_us"] <= 1.5 * rows[0]["lookup_us"], rows
+    benchmark(lambda: measure(6))

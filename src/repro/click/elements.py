@@ -56,10 +56,8 @@ class ToPort(Element):
     def __init__(self, name: str, port: int = 1):
         super().__init__(name)
         self.port = port
-        self.emitted: list[Packet] = []
 
     def process(self, packet: Packet, in_gate: int) -> Emission:
-        self.emitted.append(packet)
         return []
 
 

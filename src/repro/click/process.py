@@ -167,7 +167,6 @@ class ClickProcess:
                 next_name, next_gate = target
                 next_element = self.elements[next_name]
                 if isinstance(next_element, ToPort):
-                    next_element.emitted.append(emitted)
                     outputs.append((next_element.port, emitted))
                 else:
                     queue.append((next_name, next_gate, emitted))

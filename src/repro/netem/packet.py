@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Optional
 
 _PACKET_SEQ = itertools.count(1)
@@ -70,23 +71,12 @@ class Packet:
         """Evaluate an NFFG flowclass spec (``k=v,k2=v2``) on headers."""
         if not flowclass:
             return True
-        for token in flowclass.split(","):
-            token = token.strip()
-            if not token or "=" not in token:
-                continue
-            key, _, value = token.partition("=")
-            key, value = key.strip(), value.strip()
-            actual = _FLOWCLASS_FIELDS.get(key, lambda p: None)(self)
+        for key, text, number in parse_flowclass(flowclass):
+            # an unknown key reads like an absent header (no vlan): refused
+            actual = getattr(self, HEADER_FIELDS.get(key, ""), None)
             if actual is None:
                 return False
-            if isinstance(actual, int):
-                try:
-                    wanted: Any = int(value, 0)
-                except ValueError:
-                    return False
-            else:
-                wanted = value
-            if actual != wanted:
+            if actual != (number if isinstance(actual, int) else text):
                 return False
         return True
 
@@ -96,16 +86,33 @@ class Packet:
                 f"{self.ip_dst}:{self.tp_dst} proto={self.ip_proto}{vlan}>")
 
 
-_FLOWCLASS_FIELDS = {
-    "dl_src": lambda p: p.eth_src,
-    "dl_dst": lambda p: p.eth_dst,
-    "dl_type": lambda p: int(p.eth_type),
-    "dl_vlan": lambda p: p.vlan,
-    "nw_src": lambda p: p.ip_src,
-    "nw_dst": lambda p: p.ip_dst,
-    "nw_proto": lambda p: int(p.ip_proto),
-    "tp_src": lambda p: p.tp_src,
-    "tp_dst": lambda p: p.tp_dst,
+@lru_cache(maxsize=128)
+def parse_flowclass(flowclass: str) -> tuple[
+        tuple[str, str, Optional[int]], ...]:
+    """The ``key=value`` tokens of a flowclass spec as ``(key, value,
+    value as an int or None)``, tokenised once per spec: NF elements
+    test the same few specs on every packet.  What an unknown key means
+    is the caller's call (:meth:`Packet.matches_flowclass` refuses the
+    packet, ``Match.from_flowclass`` ignores the token)."""
+    tokens = []
+    for token in flowclass.split(","):
+        key, equals, value = token.partition("=")
+        if not equals:
+            continue
+        value = value.strip()
+        try:
+            number: Optional[int] = int(value, 0)
+        except ValueError:
+            number = None
+        tokens.append((key.strip(), value, number))
+    return tuple(tokens)
+
+
+#: flowclass key / OpenFlow match field -> the header attribute it reads
+HEADER_FIELDS = {
+    "dl_src": "eth_src", "dl_dst": "eth_dst", "dl_type": "eth_type",
+    "dl_vlan": "vlan", "nw_src": "ip_src", "nw_dst": "ip_dst",
+    "nw_proto": "ip_proto", "tp_src": "tp_src", "tp_dst": "tp_dst",
 }
 
 

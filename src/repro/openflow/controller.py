@@ -136,9 +136,12 @@ class ControllerEndpoint:
                            command=FlowModCommand.DELETE, cookie=cookie)
 
     def send_packet_out(self, dpid: str, packet, in_port: str,
-                        actions: list[Action]) -> None:
+                        actions: list[Action],
+                        buffer_id: Optional[int] = None) -> None:
+        """``buffer_id`` is the xid of the PacketIn being answered."""
         self._channels[dpid].send_to_b(
-            PacketOut(packet=packet, in_port=in_port, actions=actions))
+            PacketOut(packet=packet, in_port=in_port, actions=actions,
+                      buffer_id=buffer_id))
 
     def barrier(self, dpid: str) -> int:
         message = BarrierRequest()

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.netem.packet import Packet
+from repro.netem.packet import Packet, parse_flowclass
 
 #: reserved port numbers (string-typed like all port ids in this repo)
 OFPP_CONTROLLER = "controller"
@@ -72,16 +72,11 @@ class Match:
         fields: dict[str, Any] = {}
         if in_port is not None:
             fields["in_port"] = in_port
-        for token in flowclass.split(","):
-            token = token.strip()
-            if not token or "=" not in token:
-                continue
-            key, _, value = token.partition("=")
-            key = key.strip()
+        for key, value, _ in parse_flowclass(flowclass):
             if key in ("dl_type", "dl_vlan", "nw_proto", "tp_src", "tp_dst"):
                 fields[key] = int(value, 0)
             elif key in ("dl_src", "dl_dst", "nw_src", "nw_dst"):
-                fields[key] = value.strip()
+                fields[key] = value
         return cls(**fields)
 
 
@@ -277,9 +272,13 @@ class PacketOut(OFMessage):
     packet: Optional[Packet] = None
     in_port: str = ""
     actions: list[Action] = field(default_factory=list)
+    #: xid of the PacketIn this answers (its buffer slot on the switch is
+    #: released); ``None`` for a packet the controller originates
+    buffer_id: Optional[int] = None
 
     def _payload(self) -> dict[str, Any]:
         return {"xid": self.xid, "in_port": self.in_port,
+                "buffer_id": self.buffer_id,
                 "actions": [a.to_dict() for a in self.actions],
                 "packet": self.packet.uid if self.packet else None}
 

@@ -73,11 +73,12 @@ class OpenFlowSwitch(NetworkNode):
             self.channel.send_to_a(message)
 
     def _handle_packet_out(self, message: PacketOut) -> None:
+        # the answered PacketIn's slot is freed whether or not the
+        # controller sent the packet back inline
+        buffered = self._buffered.pop(message.buffer_id, None)
         packet = message.packet
-        if packet is None and message.in_port:
-            buffered = self._buffered.pop(int(message.xid), None)
-            if buffered is not None:
-                packet = buffered[0]
+        if packet is None and buffered is not None:
+            packet = buffered[0]
         if packet is None:
             return
         in_port = message.in_port
@@ -91,15 +92,15 @@ class OpenFlowSwitch(NetworkNode):
     def receive(self, packet: Packet, in_port: str) -> None:
         self.rx_packets += 1
         packet.record(self.id)
-        expired = self.table.expire(self.simulator.now)
-        for entry in expired:
+        now = self.simulator.now
+        for entry in self.table.expire(now):
             if self.channel is not None:
                 self.channel.send_to_a(FlowRemoved(
                     dpid=self.dpid, cookie=entry.cookie,
                     reason=("hard_timeout" if entry.hard_timeout
-                            and self.simulator.now - entry.installed_at
-                            >= entry.hard_timeout else "idle_timeout")))
-        entry = self.table.lookup(packet, in_port, now=self.simulator.now)
+                            and now >= entry.installed_at + entry.hard_timeout
+                            else "idle_timeout")))
+        entry = self.table.lookup(packet, in_port, now=now)
         if entry is None:
             self._punt(packet, in_port)
             return

@@ -118,7 +118,8 @@ class L2LearningComponent(Component):
         if out_port is None:
             self.floods += 1
             endpoint.send_packet_out(dpid, packet, message.in_port,
-                                     [ActionOutput(OFPP_FLOOD)])
+                                     [ActionOutput(OFPP_FLOOD)],
+                                     buffer_id=message.xid)
             return
         self.installs += 1
         endpoint.send_flow_mod(
@@ -127,7 +128,8 @@ class L2LearningComponent(Component):
             priority=self.flow_priority, idle_timeout=self.idle_timeout,
             cookie="l2")
         endpoint.send_packet_out(dpid, packet, message.in_port,
-                                 [ActionOutput(out_port)])
+                                 [ActionOutput(out_port)],
+                                 buffer_id=message.xid)
 
 
 class TopologyComponent(Component):

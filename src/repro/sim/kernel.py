@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro import obs
@@ -28,13 +27,6 @@ class SimulationError(RuntimeError):
 
 class EventCancelled(Exception):
     """Delivered into a process whose pending event got cancelled."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: float
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -162,6 +154,11 @@ class Process:
 class Simulator:
     """Deterministic discrete-event simulator.
 
+    The queue is a heap of plain ``(time, seq, event)`` tuples, so
+    ``heapq`` orders it with the built-in tuple comparison — by time,
+    then by schedule order; ``seq`` is unique, so two events are never
+    compared — instead of calling a Python ``__lt__`` per sift step.
+
     >>> sim = Simulator()
     >>> seen = []
     >>> _ = sim.schedule(5.0, seen.append, "b")
@@ -173,7 +170,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[_QueueEntry] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self.events_processed = 0
@@ -192,7 +189,7 @@ class Simulator:
         with self._schedule_lock:
             event = Event(self.now + float(delay), callback, args)
             heapq.heappush(self._queue,
-                           _QueueEntry(event.time, next(self._seq), event))
+                           (event.time, next(self._seq), event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -210,8 +207,7 @@ class Simulator:
     def step(self) -> bool:
         """Run a single event.  Returns False when the queue is empty."""
         while self._queue:
-            entry = heapq.heappop(self._queue)
-            event = entry.event
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             if event.time < self.now - 1e-12:
@@ -250,7 +246,7 @@ class Simulator:
         try:
             fired = 0
             while self._queue:
-                if until is not None and self._queue[0].time > until:
+                if until is not None and self._queue[0][0] > until:
                     self.now = until
                     return
                 if not self.step():
@@ -264,14 +260,14 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for entry in self._queue if not entry.event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or None."""
-        for entry in sorted(self._queue):
-            if not entry.event.cancelled:
-                return entry.time
-        return None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def clock(self) -> SimClock:
         return SimClock(self)

@@ -77,7 +77,8 @@ class TestLatentOpenFlowControl:
             controller.send_flow_mod(dpid, match=Match(in_port="1"),
                                      actions=[ActionOutput("2")])
             controller.send_packet_out(dpid, msg.packet, msg.in_port,
-                                       [ActionOutput("2")])
+                                       [ActionOutput("2")],
+                                       buffer_id=msg.xid)
 
         controller.on_packet_in(on_packet_in)
         h1.send(tcp_packet(h1.ip, h2.ip))

@@ -1,5 +1,8 @@
 """Tests for the Click-style NF execution environment."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.click import (
@@ -168,6 +171,19 @@ class TestConfigCompiler:
         packet = tcp_packet("1.1.1.1", "2.2.2.2")
         process.push(packet, 0)
         assert "nf:nf7" in packet.trace
+
+    def test_process_keeps_no_packet(self):
+        """A packet that left an NF is garbage once the caller drops it:
+        no element (``ToPort`` least of all) holds on to traffic."""
+        for functional_type in supported_functional_types():
+            process = make_nf_process("leak", functional_type)
+            packet = tcp_packet("10.0.0.1", "10.0.0.2", payload="GET /")
+            gone = weakref.ref(packet)
+            outputs = process.push(packet, 0)
+            assert outputs, functional_type
+            del packet, outputs
+            gc.collect()
+            assert gone() is None, f"{functional_type} retains its packets"
 
     def test_stats(self):
         process = compile_config("p", "FromPort(0) -> Counter() -> ToPort(1)")

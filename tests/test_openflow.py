@@ -225,7 +225,8 @@ class TestSwitchControllerLoop:
             controller.send_flow_mod(dpid, match=Match(in_port="1"),
                                      actions=[ActionOutput("2")])
             controller.send_packet_out(dpid, msg.packet, msg.in_port,
-                                       [ActionOutput("2")])
+                                       [ActionOutput("2")],
+                                       buffer_id=msg.xid)
 
         controller.on_packet_in(handler)
         h1.send(tcp_packet(h1.ip, h2.ip))
@@ -237,6 +238,39 @@ class TestSwitchControllerLoop:
         net.run()
         assert switch.packet_ins_sent == punts_before
         assert len(h2.received) == 2
+
+    def test_answered_packet_in_frees_its_buffer(self, wired):
+        """A PacketOut names the PacketIn it answers and the switch
+        releases that slot, packet inline or not: a reactive switch keeps
+        punting after more misses than it has buffers."""
+        net, h1, h2, switch, controller = wired
+        inline = iter([True, False] * 300)
+
+        def flood(dpid, msg):
+            controller.send_packet_out(
+                dpid, msg.packet if next(inline) else None, msg.in_port,
+                [ActionOutput(OFPP_FLOOD)], buffer_id=msg.xid)
+
+        controller.on_packet_in(flood)
+        h1.send_burst([tcp_packet(h1.ip, h2.ip) for _ in range(600)],
+                      interval=1.0)
+        net.run()
+        assert switch.packet_ins_sent == 600 and switch.drops == 0
+        assert len(h2.received) == 600
+        assert not switch._buffered
+
+    def test_unanswered_packet_ins_fill_the_buffer(self):
+        net = Network()
+        h1 = net.add_host("h1")
+        switch = net.add(OpenFlowSwitch("s1", net.simulator,
+                                        buffer_packets=2))
+        net.connect("h1", "0", "s1", "1", delay_ms=0.5)
+        ControllerEndpoint("ctl", simulator=net.simulator) \
+            .connect_switch(switch)
+        for _ in range(3):
+            h1.send(tcp_packet(h1.ip, "2.2.2.2"))
+        net.run()
+        assert switch.packet_ins_sent == 2 and switch.drops == 1
 
     def test_flood(self, wired):
         net, h1, h2, switch, controller = wired

@@ -94,6 +94,25 @@ class TestCancellation:
         event.cancel()
         assert sim.peek_time() == 5.0
 
+    def test_peek_time_cancelled_head_and_tie(self):
+        """Cancelled events at the head — one of them tied with a live
+        one — are skipped; peeking neither fires nor loses anything."""
+        sim = Simulator()
+        seen = []
+        first = sim.schedule(1.0, seen.append, "cancelled-1")
+        tied = sim.schedule(2.0, seen.append, "cancelled-2")
+        sim.schedule(2.0, seen.append, "a")
+        sim.schedule(2.0, seen.append, "b")
+        sim.schedule(3.0, seen.append, "c")
+        first.cancel()
+        tied.cancel()
+        assert sim.peek_time() == 2.0
+        assert sim.peek_time() == 2.0 and sim.pending == 3
+        assert sim.now == 0.0 and seen == []
+        sim.run()
+        assert seen == ["a", "b", "c"]
+        assert sim.peek_time() is None
+
 
 class TestRunControl:
     def test_run_until_stops_clock(self):
