@@ -176,9 +176,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _sanitizer_smoke():
     """Exercise the instrumented control plane under a fresh sanitizer
-    state: concurrent deploys, a reconcile and a teardown drive every
-    tracked lock, ``cal.verify()`` checks the derived state they left,
-    then the state's report is the verdict."""
+    state: two deploys one after the other (each fans its pushes out
+    over the dispatcher's workers), a reconcile and a teardown drive
+    every tracked lock, ``cal.verify()`` checks the derived state they
+    left, then the state's report is the verdict."""
     from repro import sanitize
     from repro.service import ServiceRequestBuilder
 

@@ -418,6 +418,24 @@ class ControllerAdaptationLayer:
             self._rebuild_dov()
         return self._remaining
 
+    def resource_view_without(self, service_ids: Iterable[str]) -> NFFG:
+        """A private copy of the remaining view with the named services'
+        demands folded back in: what is free of everything *else*.  A
+        Unify agent advertises this to the client that owns them, which
+        replays its own books onto whatever it fetches: once per
+        get-virtualizer (a view refetch), never on the deploy path.  The
+        throwaway index counts as any other (``mapping.index.rebuild``,
+        ``.apply`` per service, ``nffg.copy``).  A service the client
+        rolled back but could not yet take down here is still folded
+        back, until the reconcile that removes it."""
+        view = self.resource_view().copy("dov-remaining")
+        index = SubstrateIndex().sync(view)
+        for service_id in service_ids:
+            # a deferred replay (None) was never netted out of the view
+            if self._deltas.get(service_id) is not None:
+                index.fold(*self._deployed[service_id], -1.0)
+        return view
+
     def verify(self) -> list[str]:
         """Re-derive every derived store — DoV, remaining view,
         substrate index, ownership, install views — from the cached

@@ -150,7 +150,9 @@ class UnifyAgent(LocalOrchestrator):
     # -- view generation ------------------------------------------------------
 
     def current_view(self) -> NFFG:
-        remaining = self.orchestrator.resource_view()
+        # free of everything except this client's own parts: it books
+        # those itself, so netting them out here would count them twice
+        remaining = self.orchestrator.cal.resource_view_without(self._parts)
         view = self.view_policy.build_view(
             remaining, view_id=f"{self.orchestrator.name}-virtual-view")
         # Advertise decomposable abstract NF types: "an NF mapped to a

@@ -442,6 +442,47 @@ class TestThreeLevel:
         net.run()
         assert len(h2.received) == 1
 
+    def test_refetched_view_counts_a_clients_services_once(self):
+        """An agent advertises what is free of everything except its own
+        client's parts: the parent replays its books onto whatever it
+        fetches, so a view that already netted them out would subtract
+        them a second time at every refetch, once per level."""
+        net = Network()
+        _, bottom, agent = _child_stack(net, "l0")
+        levels = [bottom]
+        for index in (1, 2):
+            parent = EscapeOrchestrator(f"l{index}", simulator=net.simulator)
+            parent.add_domain(UnifyDomainAdapter(
+                f"l{index - 1}-dom", UnifyAgent(levels[-1])))
+            levels.append(parent)
+        top = levels[-1]
+
+        def free_cpu():
+            return [sum(infra.resources.cpu
+                        for infra in level.resource_view().infras)
+                    for level in levels]
+
+        def refetch():
+            for level in levels[1:]:
+                level.cal.mark_stale()
+
+        total = free_cpu()[0]
+        assert free_cpu() == [total] * 3
+        assert top.deploy(_service("one")).success     # a 1-CPU firewall
+        assert free_cpu() == [total - 1] * 3
+        refetch()
+        assert free_cpu() == [total - 1] * 3
+        # update() refetches on its own (mark_stale), between two deploys
+        assert top.update(_service("one")).success
+        assert top.deploy(_service("two")).success
+        assert free_cpu() == [total - 2] * 3
+        assert top.teardown("two")
+        assert top.teardown("one")
+        assert free_cpu() == [total] * 3
+        refetch()
+        assert free_cpu() == [total] * 3
+        assert [level.cal.verify() for level in levels] == [[], [], []]
+
     def test_mixed_direct_and_recursive_domains(self):
         """A parent with one physical domain and one Unify child."""
         net = Network()
