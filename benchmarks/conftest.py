@@ -74,5 +74,31 @@ def _fmt(value) -> str:
 
 
 @pytest.fixture
+def encoded_datanodes(monkeypatch):
+    """A one-element counter of the ``DataNode``s constructed inside
+    ``_NetconfAdapter._encode`` — what an adapter builds to encode a
+    push — while the test runs."""
+    from repro.orchestration.adapters import _NetconfAdapter
+    from repro.yang.data import DataNode
+
+    built = [0]
+    construct, encode = DataNode.__init__, _NetconfAdapter._encode
+
+    def counted_construct(node, *args, **kwargs):
+        built[0] += 1
+        construct(node, *args, **kwargs)
+
+    def counted_encode(adapter, install, touched):
+        DataNode.__init__ = counted_construct
+        try:
+            return encode(adapter, install, touched)
+        finally:
+            DataNode.__init__ = construct
+
+    monkeypatch.setattr(_NetconfAdapter, "_encode", counted_encode)
+    return built
+
+
+@pytest.fixture
 def table_printer():
     return emit

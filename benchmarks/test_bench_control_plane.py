@@ -352,7 +352,8 @@ def _grid_domain(index: int, count: int, side: int):
     return view
 
 
-def test_bench_push_vs_domain_size_and_resident_chains(benchmark):
+def test_bench_push_vs_domain_size_and_resident_chains(benchmark,
+                                                       encoded_datanodes):
     """CP-5: what the *last* deploy's push costs the CAL against the
     size of the domains it lands in and the chains already installed
     there — push ms, its ``push.slice`` / ``push.encode`` / ``push.diff``
@@ -372,6 +373,18 @@ def test_bench_push_vs_domain_size_and_resident_chains(benchmark):
     acknowledged, and the push (the child's whole deploy included) stays
     within 1.5x from 16 to 256 BiS-BiS.  Each level reports the median
     of nine deploys of the request.
+
+    The ``update`` rows (8 resident) are nine ``update()``s of that
+    request, its bandwidth toggled.  ``update()`` drops the derived
+    state, so every install view is sliced anew — but compared with the
+    one it replaces and handed over as an edit: the ``DataNode``s the
+    Unify adapter constructs to encode it are the same at 16 and 256
+    BiS-BiS, and ``push.encode`` + ``push.diff`` stay within 2x (an
+    encode of the whole view read 11x): what is left between the sizes
+    is ``patch_virtualizer`` moving every kept list instance into the
+    new tree, ~0.2 of ~0.7 ms at 256.  ``push.slice`` and the elements
+    cloned are reported ungated: the re-fetch and re-slice after
+    ``mark_stale()`` are still O(domain).
     """
     import gc
 
@@ -379,15 +392,15 @@ def test_bench_push_vs_domain_size_and_resident_chains(benchmark):
 
     count = 4 if SMOKE else 8
 
-    def chain(prefix: str, src: str, dst: str, pin=None):
+    def chain(prefix: str, src: str, dst: str, pin=None, bandwidth=1.0):
         builder = ServiceRequestBuilder(prefix).sap(src).sap(dst)
         for kind in ("firewall", "nat"):
             builder.nf(f"{prefix}-{kind}", kind, cpu=0.05, mem=8.0,
                        pin_to=pin)
         return builder.chain(src, f"{prefix}-firewall", f"{prefix}-nat",
-                             dst, bandwidth=1.0).build().sg
+                             dst, bandwidth=bandwidth).build().sg
 
-    cloned = [0]
+    cloned, built = [0], encoded_datanodes
     clone_subgraph, clone_graph = NFFG.copy_subgraph, NFFG.copy
 
     def counting(clone):
@@ -417,44 +430,70 @@ def test_bench_push_vs_domain_size_and_resident_chains(benchmark):
                 chain(f"res{index}", saps[index % domains],
                       saps[index % domains + 1]), wait_activation=False)
             assert report.success, report.error
+        def sample(operation, bandwidth=1.0):
+            cloned[0] = built[0] = 0
+            report = operation(chain("last", saps[0], saps[1], pin="d0-n0",
+                                     bandwidth=bandwidth))
+            assert report.success, report.error
+            # an update re-derives the DoV: every domain is pushed
+            assert [r.domain for r in report.adapters][:2] == (
+                ["child"] if unify else ["d0", "d1"])
+            stages = report.stage_timings()
+            return (report.push_time_s * 1e3, cloned[0], *(
+                stages[stage] * 1e3
+                for stage in ("push.slice", "push.encode", "push.diff")),
+                built[0])
+
+        def row(op, samples):
+            return {"adapter": "unify" if unify else "direct", "op": op,
+                    "bisbis_per_domain": side * side, "resident": resident,
+                    **{column: statistics.median(s[at] for s in samples)
+                       for at, column in enumerate((
+                           "push_ms", "elements_cloned", "push_slice_ms",
+                           "push_encode_ms", "push_diff_ms",
+                           "datanodes_built"))}}
+
         samples = []
         gc.collect()
         for _ in range(9):
-            cloned[0] = 0
-            report = top.deploy(chain("last", saps[0], saps[1], pin="d0-n0"),
-                                wait_activation=False)
-            assert report.success, report.error
-            assert [r.domain for r in report.adapters] == (
-                ["child"] if unify else ["d0", "d1"])
-            stages = report.stage_timings()
-            samples.append((report.push_time_s * 1e3, cloned[0], *(
-                stages[stage] * 1e3
-                for stage in ("push.slice", "push.encode", "push.diff"))))
+            samples.append(sample(
+                lambda sg: top.deploy(sg, wait_activation=False)))
             assert top.teardown("last").success
+        rows = [row("deploy", samples)]
+        if resident == 8:
+            sample(lambda sg: top.deploy(sg, wait_activation=False))
+            rows.append(row("update", [
+                sample(top.update, bandwidth=1.0 + (turn + 1) % 2)
+                for turn in range(9)]))
         for orchestrator in {escape, top}:
             orchestrator.cal.dispatcher.shutdown()
             assert orchestrator.cal.verify() == []
-        return {"adapter": "unify" if unify else "direct",
-                "bisbis_per_domain": side * side, "resident": resident,
-                **{column: statistics.median(s[at] for s in samples)
-                   for at, column in enumerate((
-                       "push_ms", "elements_cloned", "push_slice_ms",
-                       "push_encode_ms", "push_diff_ms"))}}
+        return rows
 
     NFFG.copy_subgraph = counting(clone_subgraph)
     NFFG.copy = counting(clone_graph)
     try:
-        rows = [measure(side, resident) for side, resident
-                in ((4, 8), (8, 8), (16, 8), (8, 64))]
-        rows += [measure(side, 8, unify=True) for side in (4, 16)]
+        rows = [row for side, resident in ((4, 8), (8, 8), (16, 8), (8, 64))
+                for row in measure(side, resident)]
+        rows += [row for side in (4, 16)
+                 for row in measure(side, 8, unify=True)]
     finally:
         NFFG.copy_subgraph, NFFG.copy = clone_subgraph, clone_graph
     emit("CP-5: last-deploy push cost vs domain size and resident chains",
          rows, group="control_plane")
-    for adapter, column in itertools.product(
-            ("direct", "unify"), ("push_ms", "elements_cloned")):
-        readings = [row[column] for row in rows if row["adapter"] == adapter]
-        assert max(readings) <= 1.5 * min(readings), (adapter, column, rows)
+    for adapter in ("direct", "unify"):
+        deploys, updates = ([row for row in rows if row["adapter"] == adapter
+                             and row["op"] == op]
+                            for op in ("deploy", "update"))
+        for column in ("push_ms", "elements_cloned"):
+            readings = [row[column] for row in deploys]
+            assert max(readings) <= 1.5 * min(readings), (
+                adapter, column, rows)
+        assert len({row["datanodes_built"] for row in updates}) == 1, (
+            adapter, rows)
+        readings = [row["push_encode_ms"] + row["push_diff_ms"]
+                    for row in updates]
+        assert max(readings) <= 2.0 * min(readings), (adapter, rows)
     benchmark(lambda: measure(4, 8))
 
 

@@ -25,8 +25,6 @@ from repro.orchestration import (
     UnifyAgent,
     UnifyDomainAdapter,
 )
-from repro.orchestration.adapters import _NetconfAdapter
-from repro.yang.data import DataNode
 
 LEVELS = [1, 2, 3, 4]
 
@@ -112,7 +110,7 @@ def test_bench_recursion_overhead_table(benchmark):
     benchmark(top.resource_view)
 
 
-def test_bench_last_deploy_vs_resident_chains(benchmark, monkeypatch):
+def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
     """DEMO-iii(a), second row: the *last* deploy through three levels
     against the number of chains already installed (2 / 8 / 32).
 
@@ -123,24 +121,10 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, monkeypatch):
     reading — each agent's notification names the parts it kept).  Every
     adapter of the stack — the two Unify ones and the emulated domain's,
     one encoder — patches the virtualizer it holds: the ``DataNode``s
-    they construct to encode the deploy (counted here, around
-    ``_NetconfAdapter._encode``) are the same at every level.
+    they construct to encode the deploy (the ``encoded_datanodes``
+    fixture) are the same at every level.
     """
-    built = [0]
-    construct, encode = DataNode.__init__, _NetconfAdapter._encode
-
-    def counted_construct(node, *args, **kwargs):
-        built[0] += 1
-        construct(node, *args, **kwargs)
-
-    def counted_encode(adapter, install, touched):
-        DataNode.__init__ = counted_construct
-        try:
-            return encode(adapter, install, touched)
-        finally:
-            DataNode.__init__ = construct
-
-    monkeypatch.setattr(_NetconfAdapter, "_encode", counted_encode)
+    built = encoded_datanodes
 
     def measure(resident: int):
         net, domain, top, adapters = _stack(3, cpu_per_node=64.0)

@@ -125,8 +125,11 @@ def _check_capacities(service: NFFG, resource: NFFG,
 def _check_routes(service: NFFG, resource: NFFG,
                   result: MappingResult) -> list[Diagnostic]:
     problems = []
-    # one scan of the view's ports for all SAP-terminated hops
-    bindings = resource.sap_bindings()
+    # a SAP resolves through its own link; the scan of every port of the
+    # view is for SAPs the view holds no (linked) node of, once for all
+    bindings = (resource.sap_bindings() if any(
+        _linked_infra(resource, sap.id) is None for sap in service.saps)
+        else {})
     for hop in service.sg_hops:
         route = result.hop_routes.get(hop.id)
         if route is None:
@@ -243,6 +246,10 @@ def _endpoint_infra(service: NFFG, resource: NFFG, result: MappingResult,
         return result.nf_placement.get(node_id)
     if node_id in bindings:
         return bindings[node_id][0]
+    return _linked_infra(resource, node_id)
+
+
+def _linked_infra(resource: NFFG, node_id: str):
     for edge in resource.edges_of(node_id):
         if isinstance(edge, EdgeLink):
             other = edge.dst_node if edge.src_node == node_id else edge.src_node

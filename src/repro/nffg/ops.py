@@ -13,7 +13,10 @@
   order-independent form two graphs are compared in;
 - :func:`refresh_members` re-reads the members a :class:`Touched` set
   names from one graph into another — how an install view follows the
-  DoV at the cost of an edit.
+  DoV at the cost of an edit;
+- :func:`differing_members` finds that set between two graphs nobody
+  recorded an edit for: a re-derived install view against the one it
+  replaces.
 """
 
 from __future__ import annotations
@@ -280,6 +283,46 @@ def refresh_members(target: NFFG, source: NFFG, touched: Touched) -> set[str]:
         if source.has_edge(edge_id):
             reread_link(source.edge(edge_id))
     return moved
+
+
+def differing_members(old: NFFG, new: NFFG) -> Optional[Touched]:
+    """The :class:`Touched` set an edit from ``old`` to ``new`` would
+    have recorded: NFs and SAPs whose record or host differs or that
+    only one graph has, infra ports that differ (with the hop ids of
+    exactly the flow rules that came or went on them) and edges that
+    differ.  None when no such edit exists — the graphs go by different
+    ids, or an infra came, went or changed besides its ports."""
+    if old.id != new.id:
+        return None
+    touched = Touched()
+    gone = {node.id: node for node in old.nodes}
+    for node in new.nodes:
+        was = gone.pop(node.id, None)
+        if not isinstance(node, NodeInfra):
+            if (was is None or was.__dict__ != node.__dict__
+                    or old.host_of(node.id) != new.host_of(node.id)):
+                touched.nodes.add(node.id)
+            continue
+        if not isinstance(was, NodeInfra) or (
+                {**was.__dict__, "ports": None}
+                != {**node.__dict__, "ports": None}):
+            return None
+        for port_id in was.ports.keys() | node.ports.keys():
+            before, after = was.ports.get(port_id), node.ports.get(port_id)
+            if before != after:
+                touched.ports.add((node.id, port_id))
+                touched.hops.update(
+                    rule.hop_id for rule in
+                    set(before.flowrules if before else ())
+                    ^ set(after.flowrules if after else ()) if rule.hop_id)
+    if any(isinstance(node, NodeInfra) for node in gone.values()):
+        return None
+    touched.nodes.update(gone)
+    left = {edge.id: edge for edge in old.edges}
+    touched.edges.update(edge.id for edge in new.edges
+                         if left.pop(edge.id, None) != edge)
+    touched.edges.update(left)
+    return touched
 
 
 def nffg_facts(what: str, graph: NFFG) -> dict[str, object]:

@@ -126,8 +126,8 @@ class DomainAdapter(abc.ABC):
         the CAL keeps for it (read it, never keep or write it: the CAL
         edits it in place).  ``touched`` names the members that differ
         from the graph of this adapter's last successful install; None —
-        first contact, a re-derived graph, a push after a failed one —
-        means any member may."""
+        first contact, a push after a failed one, a domain whose infras
+        moved — means any member may."""
         # adapter I/O may block on the domain; it must never run while
         # the caller holds a shared-state lock
         sanitize.note_blocking(f"adapter.install({self.name})")

@@ -31,7 +31,8 @@ else is **derived**, with one writer and one place it is dropped each
   of the DoV by ``_install_for`` at the adapter's first push of a
   topology epoch; the folds record which of its members they wrote
   and ``_current_view`` re-reads exactly those before each later push,
-  handing the adapter the view and the ids;
+  handing the adapter the view and the ids; a dropped view's graph
+  waits in ``_replaced`` for the next slice to be compared with it;
 - ``topology_generation`` is the only epoch: it moves when the substrate
   topology may have and is what ``PathCache.sync`` and
   ``SubstrateIndex.sync`` take.
@@ -70,6 +71,7 @@ from repro.nffg.model import DomainType, NodeNF, NodeSAP
 from repro.orchestration.adapters import DomainAdapter
 from repro.nffg.ops import (
     Touched,
+    differing_members,
     merge_nffgs,
     nffg_facts,
     refresh_members,
@@ -187,6 +189,10 @@ class ControllerAdaptationLayer:
         #: written by the folds on the orchestrator's thread, taken by
         #: ``_current_view`` (no fold runs during a fan-out)
         self._touched: dict[str, Touched] = {}
+        #: adapter name -> the graph it was last handed, of an install
+        #: view ``_invalidate`` dropped: what its next slice is an edit
+        #: of, taken by ``_current_view`` as soon as that slice exists
+        self._replaced: dict[str, NFFG] = {}
 
     # -- adapter registry ---------------------------------------------------
 
@@ -363,9 +369,11 @@ class ControllerAdaptationLayer:
         """The one place derived state is dropped: live DoV, inverse
         records, remaining view (the index unbinds with it) and the
         install views go together; ``shards`` are marked for a refetch
-        first."""
+        first; an install view's graph stays behind in ``_replaced``."""
         for shard in shards:
             shard.stale = True
+        for name, held in self._views.items():
+            self._replaced.setdefault(name, held.graph)
         self._dov = None
         self._deltas.clear()
         self._remaining = None
@@ -689,6 +697,8 @@ class ControllerAdaptationLayer:
                     # is in doubt, not just the ones written since
                     adapter.reset_delta_state()
                     touched = None
+                if touched is None:
+                    counters.incr("cal.view.whole")
                 report = adapter.install(held.graph, touched)
                 report.slice_time_s = sliced - started
                 report.nfs_requested = held.nfs
@@ -807,7 +817,9 @@ class ControllerAdaptationLayer:
         """The adapter's install view brought up to date with the DoV,
         and what that changed in it since the view was last handed out:
         the members the folds recorded plus the links that came and went
-        with them — or None when the view was only just sliced.  Runs
+        with them; for a view only just sliced, the members on which it
+        differs from the graph of the view it replaces — None when
+        there is none, or no edit leads from one to the other.  Runs
         under the domain's dispatcher mutex, which is what makes this
         the single writer of the adapter's ``_views`` entry."""
         name = adapter.name
@@ -818,7 +830,11 @@ class ControllerAdaptationLayer:
             graph = self._install_for(adapter)
             self._views[name] = held = _InstallView(
                 graph, *_requested(graph, None))
-            return held, None
+            replaced = self._replaced.pop(name, None)
+            if replaced is None:
+                return held, None
+            counters.incr("cal.view.compare")
+            return held, differing_members(replaced, graph)
         counters.incr("cal.view.refresh")
         before = _requested(held.graph, touched)
         touched.edges |= refresh_members(held.graph, self._dov, touched)

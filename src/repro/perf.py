@@ -49,6 +49,11 @@ Sharded-CAL counters (scale-aware view maintenance + push planning)::
                              (a domain's first push of a topology epoch)
     cal.view.refresh         pushes whose install view only re-read the
                              members touched since the push before
+    cal.view.compare         re-slices compared with the view they
+                             replace, so that push too carries an edit
+    cal.view.whole           views handed to an adapter with no telling
+                             what changed (``touched=None``: first
+                             contact, a domain in doubt, moved infras)
 
 Mapping-index counters (the CAL-owned :class:`SubstrateIndex` that
 seeds embedding runs — candidate sets, capacity buckets, copy-on-write

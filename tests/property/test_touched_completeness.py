@@ -9,10 +9,18 @@ checked here: every member whose ``to_dict()`` differs from the
 previous successful install is named, each maintained view equals a
 fresh slice of the DoV, what the adapter holds afterwards (the direct
 adapter's record, every NETCONF adapter's acknowledged virtualizer)
-equals the whole view encoded anew, and ``cal.verify()`` is empty.  After
+equals the whole view encoded anew, and ``cal.verify()`` is empty; and
+between any two graphs an adapter is handed in a row,
+``differing_members`` names an edit that ``refresh_members`` can replay.
+Day-2 sequences — ``mark_stale()``, ``rebuild()``, a link flap with
+``heal()``, ``update()`` — are drawn over a ring, flat and under a
+parent orchestrator, where a healthy domain never sees ``None`` after
+first contact.  After
 anything that leaves the domain's state in doubt — a raising adapter, an
-open breaker, dropped derived state, a refusing child, a drifted patch
-base — the next install gets ``None`` and a correct whole view.
+open breaker, a refusing child, a drifted patch base — or a refetch
+that moved the domain's infras, the next install gets ``None`` and a
+correct whole view; dropped derived state alone gets the members on
+which the new slice differs from the old.
 """
 
 import json
@@ -25,7 +33,8 @@ from repro import sanitize
 from repro.emu import EmulatedDomain
 from repro.netem import Network
 from repro.nffg import NFFGBuilder
-from repro.nffg.model import NodeInfra
+from repro.nffg.model import NodeInfra, ResourceVector
+from repro.nffg.ops import differing_members, refresh_members
 from repro.orchestration import (
     EmuDomainAdapter,
     UnifyAgent,
@@ -94,6 +103,7 @@ class InstallWatch:
     def __init__(self, adapter):
         self.adapter = adapter
         self.base = None       # members at the last successful install
+        self.last = None       # a copy of the graph of the last install
         self.received = []     # the ``touched`` of every install
         self._install = adapter.install
         adapter.install = self
@@ -109,6 +119,12 @@ class InstallWatch:
             unnamed = sorted(key for key in changed
                              if not _named(touched, key))
             assert not unnamed, f"{self.adapter.name}: changed, not named"
+        if self.last is not None:
+            edit = differing_members(self.last, install)
+            if edit is not None:
+                refresh_members(self.last, install, edit)
+                assert canonical(self.last) == canonical(install)
+        self.last = install.copy()
         report = self._install(install, touched)
         self.base = now if report.success else None
         if report.success:
@@ -209,6 +225,72 @@ def test_fig1_sequence_is_sanitizer_clean():
     report = state.report()
     assert report.acquisitions > 0
     assert report.ok(), report.render_text()
+
+
+day2_ops = st.lists(
+    st.tuples(st.sampled_from(["deploy", "update", "teardown", "mark_stale",
+                               "rebuild", "fail", "restore"]),
+              st.integers(0, 2)),
+    min_size=3, max_size=10)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@given(day2_ops)
+@settings(max_examples=12, deadline=None)
+def test_day2_operations_push_edits_over_a_ring(levels, operations):
+    """A three-switch ring whose sap1 - sap2 link can fail: whatever is
+    dropped and re-derived in between, a healthy domain is handed
+    ``None`` once (the watches hold every edit against what changed)."""
+    net = Network()
+    ring = [f"emu-bb{i}" for i in range(3)]
+    domain = EmulatedDomain("emu", net, node_ids=ring, links=[
+        (ring[0], ring[1]), (ring[1], ring[2]), (ring[0], ring[2])])
+    domain.add_sap("sap1", ring[0])
+    domain.add_sap("sap2", ring[1])
+    stack = [EscapeOrchestrator("level0", simulator=net.simulator)]
+    stack[0].add_domain(EmuDomainAdapter("emu", domain))
+    if levels == 2:
+        stack.append(EscapeOrchestrator("level1", simulator=net.simulator))
+        stack[1].add_domain(UnifyDomainAdapter("level0-dom",
+                                               UnifyAgent(stack[0])))
+    top = stack[-1]
+    watches = [watch for escape in stack
+               for watch in _watch(escape.cal).values()]
+    flapped = False
+    kinds: dict[str, str] = {}
+    link_up = True
+    try:
+        for kind, index in operations:
+            name = f"r{index}"
+            if kind == "deploy" and name not in kinds:
+                kinds[name] = "firewall"
+                assert top.deploy(_chain(name)).success
+            elif kind == "update" and name in kinds:
+                kinds[name] = "nat" if kinds[name] == "firewall" else "firewall"
+                assert top.update(_chain(name, kinds[name])).success
+            elif kind == "teardown" and name in kinds:
+                del kinds[name]
+                assert top.teardown(name).success
+            elif kind in ("mark_stale", "rebuild"):
+                cal = stack[index % levels].cal
+                getattr(cal, kind)()
+                assert all(report.success for report in cal.push_planned())
+            elif kind in ("fail", "restore") and link_up == (kind == "fail"):
+                (net.fail_link if link_up else net.restore_link)(*ring[:2])
+                link_up, flapped = not link_up, True
+                for escape in stack:
+                    assert all(report.success
+                               for report in escape.heal().values())
+            for escape in stack:
+                _assert_views_current(escape.cal)
+                assert len(escape.deployed_services()) == len(kinds)
+    finally:
+        for escape in stack:
+            escape.cal.dispatcher.shutdown()
+    # a flap moves the diameter delay of the one BiS-BiS the parent is
+    # shown: an infra changed, its next view goes out whole
+    for watch in watches[:1 if flapped else levels]:
+        assert None not in watch.received[1:], watch.adapter.name
 
 
 def test_nf_moving_between_domains_leaves_the_old_view():
@@ -319,16 +401,89 @@ def test_refused_push_leaves_the_record_alone():
 
 
 @pytest.mark.parametrize("drop", ["mark_stale", "rebuild"])
-def test_dropped_derived_state_gets_a_fresh_whole_view(drop):
+def test_dropped_derived_state_gets_what_differs(drop):
     escape, adapters, watches = _two_domains()
     cal = escape.cal
     held = cal._views["a"].graph
     getattr(cal, drop)()
     assert cal._views == {} and cal._touched == {}
     cal.remove_service("s0")
+    sent = adapters["a"].installs
+    assert all(report.success for report in cal.push_planned())
+    assert cal._views["a"].graph is not held and cal._replaced == {}
+    # the watch holds what is named against what changed; nothing else
+    received = watches["a"].received[-1]
+    assert received.nodes == {"s0-fw"} and received.hops == {
+        "s0-hop1", "s0-hop2"}
+    assert {port for _, port in received.ports} == {
+        "s0-fw-1", "s0-fw-2", "to-a-sap1"}
+    assert all("s0" in edge_id for edge_id in received.edges)
+    assert not adapters["a"].installed.has_node("s0-fw")
+    assert adapters["a"].installs == sent + 1
+    # dropped again with nothing changed in between: an empty edit
+    replaced = cal._views["a"].graph
+    getattr(cal, drop)()
+    getattr(cal, drop)()
+    assert cal._replaced["a"] is replaced
+    assert all(report.success for report in cal.push_planned())
+    for watch in watches.values():
+        assert watch.received[-1] is not None and not watch.received[-1]
+    assert canonical(adapters["a"].installed) == canonical(
+        cal._install_for(cal.adapters["a"]))
+    _assert_views_current(cal)
+
+
+def test_unchanged_reslice_sends_no_rpc():
+    universe = _Universe(full=False)
+    cal, adapter = universe.cal, universe.adapter
+    watch = _watch(cal)["dom"]
+    universe.apply("deploy", 0)
+    universe.push()
+    sent = adapter.channel.stats.messages
+    cal.mark_stale()
+    (report,) = cal.push_planned()
+    assert report.success and report.delta
+    assert watch.received[-1] is not None and not watch.received[-1]
+    assert adapter.channel.stats.messages == sent
+
+
+@pytest.mark.parametrize("moved", ["one infra more", "capacity changed"])
+def test_moved_infra_set_gets_the_whole_view_next(moved):
+    escape, adapters, watches = _two_domains()
+    view = adapters["a"]._view
+    if moved == "one infra more":
+        view.add_infra("a-bb1", supported_types=["firewall"])
+    else:
+        view.infra("a-bb0").resources = ResourceVector(
+            cpu=16.0, mem=8192.0, storage=64.0, bandwidth=10_000.0, delay=0.1)
+    escape.cal.mark_stale()
+    _assert_next_is_whole(escape, watches["a"], escape.cal.push_planned)
+    # b's infras are what they were: an empty edit
+    assert watches["b"].received[-1] is not None
+    assert not watches["b"].received[-1]
+
+
+def test_quarantined_domain_gets_its_empty_graph_whole_and_returns_whole():
+    escape, adapters, watches = _two_domains()
+    cal = escape.cal
+
+    def unreachable():
+        raise RuntimeError("a unreachable")
+
+    fetch, adapters["a"].get_view = adapters["a"].get_view, unreachable
+    cal.mark_stale()
+    sent = len(watches["a"].received)
+    assert all(report.success for report in cal.push_planned())
+    # left out of the merge: nothing of a's is in the DoV to slice
+    assert cal.last_view_failures == {"a"}
+    assert watches["a"].received[sent:] == [None]
+    assert cal._views["a"].graph.id == "a-empty"
+    assert not adapters["a"].installed.nodes
+    assert watches["b"].received[-1] is not None
+    assert not watches["b"].received[-1]
+    adapters["a"].get_view = fetch
     _assert_next_is_whole(escape, watches["a"], cal.push_planned)
-    assert cal._views["a"].graph is not held
-    assert watches["b"].received[-1] is None
+    assert adapters["a"].installed.has_node("s0-fw")
 
 
 def test_reset_delta_state_sends_the_whole_config_next():
@@ -401,7 +556,7 @@ def test_unify_boundary_deploy_update_teardown_refusal_resync():
             live.add(name)
             settled(name, whole=name == "a")  # first contact
         assert parent.update(_chain("b", "nat")).success
-        settled("b", whole=True)  # update() re-derives every view
+        settled("b")  # update() re-derives every view: compared, an edit
         assert parent.teardown("a").success
         live.discard("a")
         settled("a")

@@ -8,7 +8,9 @@ fall and its traffic never drops.  And after every step of a seeded
 deploy / update / teardown / heal sequence the bottom switch tables
 equal those of a fresh stack that was only ever given the live
 services, every level's derived state verifies, and a drain leaves no
-level with a service.
+level with a service.  The same holds when a bottom link flaps and every
+level heals in turn — with the whole topology advertised upwards each
+level re-embeds and sends its heal's edit through the boundary below it.
 
 The bottom domain is built so that mapping does not depend on history
 (one switch has all the CPU, the primary path is strictly shorter than
@@ -33,7 +35,9 @@ from repro.orchestration import (
     UnifyAgent,
     UnifyDomainAdapter,
 )
+from repro.perf import counters
 from repro.service import ServiceRequestBuilder
+from repro.virtualizer.views import FullTopologyView
 
 LEVELS = 3
 PRIMARY = ("emu-bb1", "emu-bb2")
@@ -43,7 +47,7 @@ class _Stack:
     """emu-bb0 (all the CPU, sap1) - bb1 - bb2 (sap2), with the detour
     bb0 - bb3 - bb4 - bb2, under ``LEVELS`` orchestrators."""
 
-    def __init__(self, failed_links=()):
+    def __init__(self, failed_links=(), view_policy=None):
         self.net = Network()
         ids = [f"emu-bb{i}" for i in range(5)]
         self.domain = EmulatedDomain(
@@ -72,7 +76,9 @@ class _Stack:
             parent = EscapeOrchestrator(f"level{level}",
                                         simulator=self.net.simulator)
             parent.add_domain(UnifyDomainAdapter(
-                f"level{level - 1}-dom", UnifyAgent(self.levels[-1])))
+                f"level{level - 1}-dom", UnifyAgent(
+                    self.levels[-1],
+                    view_policy=view_policy and view_policy())))
             self.levels.append(parent)
         self.top = self.levels[-1]
 
@@ -155,6 +161,61 @@ def test_bottom_tables_equal_a_fresh_stack_given_the_live_services(seed):
         assert [escape.deployed_services() for escape in stack.levels] \
             == [[]] * LEVELS
         assert not any(stack.tables().values())
+    finally:
+        stack.close()
+
+
+@pytest.mark.parametrize("view_policy", [None, FullTopologyView],
+                         ids=["one BiS-BiS", "whole topology"])
+def test_every_level_heals_a_bottom_link_flap(view_policy):
+    """Above a single BiS-BiS a heal only re-fetches; shown the whole
+    topology, every level finds its routes broken, re-embeds them and
+    pushes that as an edit of what the level below runs."""
+    stack = _Stack(view_policy=view_policy)
+    live = {0: (False, 2, 2.0), 1: (True, 1, 3.0), 2: (False, 2, 1.0)}
+
+    def settled(failed, label):
+        fresh = _Stack(failed, view_policy)
+        try:
+            for index in sorted(live):
+                assert fresh.top.deploy(_service(index, *live[index])).success
+            assert stack.tables() == fresh.tables(), label
+        finally:
+            fresh.close()
+        for escape in stack.levels:
+            assert escape.cal.verify() == [], (label, escape.name)
+            assert len(escape.deployed_services()) == len(live)
+
+    try:
+        for index in sorted(live):
+            assert stack.top.deploy(_service(index, *live[index])).success
+        stack.net.fail_link(*PRIMARY)
+        for level, escape in enumerate(stack.levels):
+            whole = counters.get("cal.view.whole")
+            healed = escape.heal()
+            # every domain is healthy: re-derived views go out as edits
+            assert counters.get("cal.view.whole") == whole
+            sees_links = level == 0 or view_policy is not None
+            assert len(healed) == (len(live) if sees_links else 0)
+            for report in healed.values():
+                assert report.success, report.error
+                assert all(pushed.delta for pushed in report.adapters)
+            settled([PRIMARY], f"failed, healed level {level}")
+        stack.net.restore_link(*PRIMARY)
+        for level, escape in enumerate(stack.levels):
+            # the detour still stands: nothing to re-embed
+            assert escape.heal() == {}
+            settled([PRIMARY], f"restored, healed level {level}")
+        # the first pushes over the restored topology, back onto the
+        # primary path at every level
+        whole = counters.get("cal.view.whole")
+        for index, (reverse, nfs, bandwidth) in sorted(live.items()):
+            live[index] = (reverse, 3 - nfs, 5.0 - bandwidth)
+            report = stack.top.update(_service(index, *live[index]))
+            assert report.success, report.error
+            assert all(pushed.delta for pushed in report.adapters)
+        assert counters.get("cal.view.whole") == whole
+        settled([], "updated over the restored link")
     finally:
         stack.close()
 
