@@ -1,16 +1,15 @@
 """The NFFG container: a typed multigraph of NFs, SAPs and BiS-BiS nodes.
 
-Built on :mod:`networkx` (MultiDiGraph) so embedding algorithms can use
-standard graph routines, but exposing a typed API so orchestration code
-never touches raw attribute dictionaries.
+The adjacency is plain dicts the NFFG keeps itself, so a dropped graph is
+freed by reference counting; :meth:`NFFG.infra_topology` hands a fresh
+:mod:`networkx` graph to the code that runs graph algorithms on it.
+Orchestration code goes through the typed API, never raw dictionaries.
 """
 
 from __future__ import annotations
 
 import copy as _copy
-from typing import Any, Callable, Iterable, Iterator, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro.perf import counters
 from repro.nffg.model import (
@@ -26,8 +25,15 @@ from repro.nffg.model import (
     ResourceVector,
 )
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 NodeObj = NodeNF | NodeSAP | NodeInfra
 EdgeObj = EdgeLink | EdgeSGHop | EdgeReq
+
+
+def _is_dynamic(edge: EdgeObj) -> bool:
+    return isinstance(edge, EdgeLink) and edge.link_type == LinkType.DYNAMIC
 
 
 class NFFGError(ValueError):
@@ -50,9 +56,12 @@ class NFFG:
         self.name = name or id
         self.version = version
         self.metadata: dict[str, Any] = {}
-        self._graph = nx.MultiDiGraph()
         self._nodes: dict[str, NodeObj] = {}
         self._edges: dict[str, EdgeObj] = {}
+        # _succ[u][v] and _pred[v][u] are one {edge id: edge} dict per
+        # node pair, in insertion order, dropped when it empties
+        self._succ: dict[str, dict[str, dict[str, EdgeObj]]] = {}
+        self._pred: dict[str, dict[str, dict[str, EdgeObj]]] = {}
         self._id_seq = 0
 
     # ------------------------------------------------------------------
@@ -63,7 +72,8 @@ class NFFG:
         if node.id in self._nodes:
             raise NFFGError(f"duplicate node id {node.id!r} in NFFG {self.id!r}")
         self._nodes[node.id] = node
-        self._graph.add_node(node.id, obj=node)
+        self._succ[node.id] = {}
+        self._pred[node.id] = {}
         return node
 
     def add_nf(self, id: str, functional_type: str, *, name: str = "",
@@ -109,8 +119,7 @@ class NFFG:
             raise NFFGError(f"unknown node {node_id!r}")
         for edge in list(self.edges_of(node_id)):
             self.remove_edge(edge.id)
-        del self._nodes[node_id]
-        self._graph.remove_node(node_id)
+        del self._nodes[node_id], self._succ[node_id], self._pred[node_id]
 
     # -- typed accessors ------------------------------------------------
 
@@ -178,14 +187,17 @@ class NFFG:
         if not node.has_port(port_id):
             raise NFFGError(f"node {node_id!r} has no port {port_id!r}")
 
-    def _register_edge(self, edge: EdgeObj, link_type: LinkType) -> EdgeObj:
+    def _register_edge(self, edge: EdgeObj) -> EdgeObj:
         if edge.id in self._edges:
             raise NFFGError(f"duplicate edge id {edge.id!r}")
-        self._check_endpoint(edge.src_node, edge.src_port)
-        self._check_endpoint(edge.dst_node, edge.dst_port)
+        src, dst = edge.src_node, edge.dst_node
+        self._check_endpoint(src, edge.src_port)
+        self._check_endpoint(dst, edge.dst_port)
         self._edges[edge.id] = edge
-        self._graph.add_edge(edge.src_node, edge.dst_node, key=edge.id,
-                             obj=edge, link_type=link_type)
+        pair = self._succ[src].get(dst)
+        if pair is None:
+            pair = self._succ[src][dst] = self._pred[dst][src] = {}
+        pair[edge.id] = edge
         return edge
 
     def add_link(self, src_node: str, src_port: str, dst_node: str, dst_port: str,
@@ -198,13 +210,13 @@ class NFFG:
         link = EdgeLink(id=link_id, src_node=src_node, src_port=str(src_port),
                         dst_node=dst_node, dst_port=str(dst_port),
                         link_type=link_type, delay=delay, bandwidth=bandwidth)
-        self._register_edge(link, link_type)
+        self._register_edge(link)
         if bidirectional:
             back = EdgeLink(id=f"{link_id}-back", src_node=dst_node,
                             dst_node=src_node, src_port=str(dst_port),
                             dst_port=str(src_port), link_type=link_type,
                             delay=delay, bandwidth=bandwidth)
-            self._register_edge(back, link_type)
+            self._register_edge(back)
         return link
 
     def add_sg_hop(self, src_node: str, src_port: str, dst_node: str, dst_port: str,
@@ -214,7 +226,7 @@ class NFFG:
                         src_node=src_node, src_port=str(src_port),
                         dst_node=dst_node, dst_port=str(dst_port),
                         flowclass=flowclass, bandwidth=bandwidth, delay=delay)
-        self._register_edge(hop, LinkType.SG)
+        self._register_edge(hop)
         return hop
 
     def add_requirement(self, src_node: str, src_port: str, dst_node: str,
@@ -229,22 +241,21 @@ class NFFG:
         for hop_id in req.sg_path:
             if hop_id not in self._edges:
                 raise NFFGError(f"requirement {req.id!r} references unknown hop {hop_id!r}")
-        self._register_edge(req, LinkType.REQUIREMENT)
+        self._register_edge(req)
         return req
 
     def add_edge_copy(self, edge: EdgeObj) -> EdgeObj:
-        edge = edge.clone()
-        if isinstance(edge, EdgeLink):
-            return self._register_edge(edge, edge.link_type)
-        if isinstance(edge, EdgeSGHop):
-            return self._register_edge(edge, LinkType.SG)
-        return self._register_edge(edge, LinkType.REQUIREMENT)
+        return self._register_edge(edge.clone())
 
     def remove_edge(self, edge_id: str) -> None:
         edge = self._edges.pop(edge_id, None)
         if edge is None:
             raise NFFGError(f"unknown edge {edge_id!r}")
-        self._graph.remove_edge(edge.src_node, edge.dst_node, key=edge_id)
+        src, dst = edge.src_node, edge.dst_node
+        pair = self._succ[src][dst]
+        del pair[edge_id]
+        if not pair:
+            del self._succ[src][dst], self._pred[dst][src]
 
     # -- typed edge accessors -------------------------------------------
 
@@ -280,26 +291,28 @@ class NFFG:
         return list(self._edges.values())
 
     def edges_of(self, node_id: str) -> Iterator[EdgeObj]:
-        """All edges incident to a node, via the graph adjacency (O(deg)
-        instead of a scan over every edge)."""
-        if node_id not in self._graph:
+        """All edges incident to a node in O(deg): out-edges, then in-edges,
+        each by neighbour, then by edge, in insertion order."""
+        if node_id not in self._succ:
             return
-        seen: set[str] = set()
-        for _, _, key in list(self._graph.out_edges(node_id, keys=True)):
-            seen.add(key)
-            yield self._edges[key]
-        for _, _, key in list(self._graph.in_edges(node_id, keys=True)):
-            if key not in seen:  # self-loops appear on both sides
-                yield self._edges[key]
+        yield from [edge for pair in self._succ[node_id].values()
+                    for edge in pair.values()]
+        # a self-loop's pair is on both sides: it was yielded above
+        yield from [edge for src, pair in self._pred[node_id].items()
+                    if src != node_id for edge in pair.values()]
 
     def out_links(self, node_id: str) -> list[EdgeLink]:
-        return [e for e in self.links if e.src_node == node_id]
+        if node_id not in self._succ:
+            return []
+        return [edge for pair in self._succ[node_id].values()
+                for edge in pair.values() if isinstance(edge, EdgeLink)
+                and edge.link_type == LinkType.STATIC]
 
     def link_between(self, src_node: str, dst_node: str) -> Optional[EdgeLink]:
-        for edge in self.links:
-            if edge.src_node == src_node and edge.dst_node == dst_node:
-                return edge
-        return None
+        pair = self._succ.get(src_node, {}).get(dst_node, {})
+        return next((edge for edge in pair.values()
+                     if isinstance(edge, EdgeLink)
+                     and edge.link_type == LinkType.STATIC), None)
 
     # ------------------------------------------------------------------
     # deployment bookkeeping (NF placement)
@@ -333,43 +346,31 @@ class NFFG:
 
     def host_of(self, nf_id: str) -> Optional[str]:
         """The infra node hosting ``nf_id``, or None if unplaced."""
-        if nf_id not in self._graph:
+        if nf_id not in self._succ:
             return None
-        for _, dst, key in self._graph.out_edges(nf_id, keys=True):
-            edge = self._edges[key]
-            if (isinstance(edge, EdgeLink)
-                    and edge.link_type == LinkType.DYNAMIC
-                    and isinstance(self._nodes.get(dst), NodeInfra)):
+        for dst, pair in self._succ[nf_id].items():
+            if (isinstance(self._nodes[dst], NodeInfra)
+                    and any(map(_is_dynamic, pair.values()))):
                 return dst
         return None
 
     def nfs_on(self, infra_id: str) -> list[NodeNF]:
-        hosted: list[NodeNF] = []
-        seen: set[str] = set()
-        if infra_id not in self._graph:
-            return hosted
-        for src, _, key in self._graph.in_edges(infra_id, keys=True):
-            edge = self._edges[key]
-            if (not isinstance(edge, EdgeLink)
-                    or edge.link_type != LinkType.DYNAMIC or src in seen):
-                continue
-            node = self._nodes.get(src)
-            if isinstance(node, NodeNF):
-                seen.add(src)
-                hosted.append(node)
-        return hosted
+        if infra_id not in self._pred:
+            return []
+        return [self._nodes[src]
+                for src, pair in self._pred[infra_id].items()
+                if isinstance(self._nodes[src], NodeNF)
+                and any(map(_is_dynamic, pair.values()))]
 
     def infra_port_of_nf(self, nf_id: str, nf_port_id: str) -> Optional[tuple[str, str]]:
         """(infra_id, infra_port_id) bound to the given NF port."""
         nf_port_id = str(nf_port_id)
-        if nf_id not in self._graph:
+        if nf_id not in self._succ:
             return None
-        for _, _, key in self._graph.out_edges(nf_id, keys=True):
-            edge = self._edges[key]
-            if (isinstance(edge, EdgeLink)
-                    and edge.link_type == LinkType.DYNAMIC
-                    and edge.src_port == nf_port_id):
-                return edge.dst_node, edge.dst_port
+        for pair in self._succ[nf_id].values():
+            for edge in pair.values():
+                if _is_dynamic(edge) and edge.src_port == nf_port_id:
+                    return edge.dst_node, edge.dst_port
         return None
 
     # ------------------------------------------------------------------
@@ -381,42 +382,27 @@ class NFFG:
 
         Hand-rolled fast path: nodes, ports, flowrules and edges are
         cloned field-by-field (see ``clone()`` on the model classes)
-        and the networkx adjacency dicts are filled directly — an order
-        of magnitude cheaper than ``copy.deepcopy``'s generic memo walk
-        on control-plane-sized views.
+        and the adjacency dicts are filled directly — an order of
+        magnitude cheaper than ``copy.deepcopy``'s generic memo walk on
+        control-plane-sized views.
         """
         clone = NFFG(id=self.id if new_id is None else new_id,
                      name=self.name, version=self.version)
         clone.metadata = _copy.deepcopy(self.metadata) if self.metadata else {}
         clone._id_seq = self._id_seq
-        graph = clone._graph
-        node_attr, succ, pred = graph._node, graph._succ, graph._pred
-        nodes = clone._nodes
+        nodes, succ, pred = clone._nodes, clone._succ, clone._pred
         for node_id, node in self._nodes.items():
-            cloned = node.clone()
-            nodes[node_id] = cloned
-            node_attr[node_id] = {"obj": cloned}
+            nodes[node_id] = node.clone()
             succ[node_id] = {}
             pred[node_id] = {}
         edges = clone._edges
         for edge_id, edge in self._edges.items():
-            cloned_edge = edge.clone()
-            edges[edge_id] = cloned_edge
-            if isinstance(cloned_edge, EdgeLink):
-                link_type = cloned_edge.link_type
-            elif isinstance(cloned_edge, EdgeSGHop):
-                link_type = LinkType.SG
-            else:
-                link_type = LinkType.REQUIREMENT
-            # straight into the MultiDiGraph adjacency: _succ[u][v] and
-            # _pred[v][u] share one key dict, keyed by edge id
-            src, dst = cloned_edge.src_node, cloned_edge.dst_node
-            keydict = succ[src].get(dst)
-            if keydict is None:
-                keydict = {}
-                succ[src][dst] = keydict
-                pred[dst][src] = keydict
-            keydict[edge_id] = {"obj": cloned_edge, "link_type": link_type}
+            cloned = edges[edge_id] = edge.clone()
+            src, dst = cloned.src_node, cloned.dst_node
+            pair = succ[src].get(dst)
+            if pair is None:
+                pair = succ[src][dst] = pred[dst][src] = {}
+            pair[edge_id] = cloned
         counters.incr("nffg.copy.calls")
         counters.incr("nffg.copy.nodes", len(nodes))
         counters.incr("nffg.copy.edges", len(edges))
@@ -436,31 +422,23 @@ class NFFG:
         """
         clone = NFFG(id=new_id, name=name or new_id, version=self.version)
         clone._id_seq = self._id_seq
-        graph = clone._graph
-        node_attr, succ, pred = graph._node, graph._succ, graph._pred
-        nodes = clone._nodes
+        nodes, succ, pred = clone._nodes, clone._succ, clone._pred
         for node_id in node_ids:
-            cloned = self._nodes[node_id].clone()
-            nodes[node_id] = cloned
-            node_attr[node_id] = {"obj": cloned}
+            nodes[node_id] = self._nodes[node_id].clone()
             succ[node_id] = {}
             pred[node_id] = {}
         edges = clone._edges
-        own_succ = self._graph._succ
         for src in nodes:
-            for dst, own_keydict in own_succ[src].items():
+            for dst, own_pair in self._succ[src].items():
                 if dst not in nodes:
                     continue
-                keydict = None
-                for edge_id, data in own_keydict.items():
-                    edge = data["obj"]
+                pair = None
+                for edge_id, edge in own_pair.items():
                     if not isinstance(edge, EdgeLink):
                         continue
-                    if keydict is None:
-                        keydict = succ[src][dst] = pred[dst][src] = {}
-                    cloned_edge = edges[edge_id] = edge.clone()
-                    keydict[edge_id] = {"obj": cloned_edge,
-                                        "link_type": cloned_edge.link_type}
+                    if pair is None:
+                        pair = succ[src][dst] = pred[dst][src] = {}
+                    pair[edge_id] = edges[edge_id] = edge.clone()
         return clone
 
     def placed_nfs(self) -> list[tuple[str, NodeNF]]:
@@ -486,7 +464,10 @@ class NFFG:
                 port.clear_flowrules()
 
     def infra_topology(self) -> nx.MultiDiGraph:
-        """Subgraph of infra nodes and static links (for path finding)."""
+        """Subgraph of infra nodes and static links, as a fresh networkx
+        graph for the callers that run graph algorithms on it."""
+        import networkx as nx
+
         topo = nx.MultiDiGraph()
         for infra in self.infras:
             topo.add_node(infra.id, obj=infra)

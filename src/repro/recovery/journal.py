@@ -19,7 +19,8 @@ Checkpoints bound replay cost: every ``checkpoint_every`` commits the
 journal asks its bound ``state_provider`` (the orchestrator's
 ``export_state``) for a full snapshot, folds it into a single
 ``checkpoint`` record, and truncates the log — atomically via a temp
-file + ``os.replace`` when file-backed.
+file + ``os.replace`` when file-backed.  A bound-method provider is held
+weakly, so the journal never keeps its orchestrator alive.
 
 The journal is an in-memory ring by default; pass ``path=`` (or set
 ``REPRO_JOURNAL``) for a file-backed JSONL log.  Constructing a
@@ -32,9 +33,11 @@ with the trace that wrote it.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
@@ -205,9 +208,7 @@ class IntentJournal:
         self.path = Path(path) if path else None
         self.checkpoint_every = max(1, int(checkpoint_every))
         self.crash_plan = None
-        #: bound by the orchestrator to its ``export_state`` so commits
-        #: can trigger checkpoints without the journal knowing about it
-        self.state_provider: Optional[Callable[[], dict]] = None
+        self.state_provider = None
         self._lock = make_lock("recovery.journal")
         self._records: list[dict] = []  # guarded-by: _lock
         self._seq = 0  # guarded-by: _lock
@@ -217,6 +218,21 @@ class IntentJournal:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "w", encoding="utf-8")
+
+    @property
+    def state_provider(self) -> Optional[Callable[[], dict]]:
+        """Bound by the orchestrator to its ``export_state`` so commits
+        can trigger checkpoints without the journal knowing about it;
+        None once the orchestrator of a bound method is gone."""
+        provider = self._state_provider
+        if isinstance(provider, weakref.WeakMethod):
+            return provider()
+        return provider
+
+    @state_provider.setter
+    def state_provider(self, provider: Optional[Callable[[], dict]]) -> None:
+        self._state_provider = (weakref.WeakMethod(provider)
+                                if inspect.ismethod(provider) else provider)
 
     # ------------------------------------------------------------------
     # appending
@@ -272,13 +288,14 @@ class IntentJournal:
 
     def maybe_checkpoint(self) -> bool:
         """Checkpoint when enough commits accumulated and a state
-        provider is bound; returns True when one was taken."""
-        if self.state_provider is None:
+        provider is bound and alive; returns True when one was taken."""
+        provider = self.state_provider
+        if provider is None:
             return False
         with self._lock:
             if self._commits_since_checkpoint < self.checkpoint_every:
                 return False
-        self.checkpoint(self.state_provider())
+        self.checkpoint(provider())
         return True
 
     def checkpoint(self, state: dict) -> dict:

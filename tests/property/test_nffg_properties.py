@@ -1,6 +1,7 @@
 """Property-based tests for the NFFG model (hypothesis)."""
 
 import hypothesis.strategies as st
+import networkx as nx
 from hypothesis import given, settings
 
 from repro.nffg import (
@@ -14,7 +15,7 @@ from repro.nffg import (
     remaining_nffg,
     split_per_domain,
 )
-from repro.nffg.model import DomainType, EdgeLink
+from repro.nffg.model import DomainType, EdgeLink, LinkType, NodeInfra, NodeNF
 from repro.nffg.ops import Touched, nffg_facts, refresh_members
 
 from tests.property.test_incremental_dov import canonical
@@ -169,6 +170,126 @@ def test_refresh_members_follows_the_named_edits(nffg, data):
     assert all(edge is not nffg.edge(edge.id) for edge in follower.edges)
     assert all(port is not nffg.node(node.id).ports[port.id]
                for node in follower.nodes for port in node.ports.values())
+
+
+def _queries(graph, node_ids):
+    """What the adjacency-walking accessors answer, per node."""
+    return {node_id: ([edge.id for edge in graph.edges_of(node_id)],
+                      graph.host_of(node_id),
+                      [nf.id for nf in graph.nfs_on(node_id)],
+                      graph.infra_port_of_nf(node_id, "1"),
+                      graph.infra_port_of_nf(node_id, "2"))
+            for node_id in node_ids}
+
+
+def _dynamic(edge):
+    return isinstance(edge, EdgeLink) and edge.link_type == LinkType.DYNAMIC
+
+
+def _nx_queries(ref, graph, node_ids):
+    """The same accessors as they read a networkx ``MultiDiGraph`` that
+    holds ``graph``'s adjacency: the order they must keep."""
+    answers = {}
+    for node_id in node_ids:
+        if node_id not in ref:
+            answers[node_id] = ([], None, [], None, None)
+            continue
+        out = [(dst, key) for _, dst, key in ref.out_edges(node_id, keys=True)]
+        into = [(src, key) for src, _, key in ref.in_edges(node_id, keys=True)]
+        out_ids = [key for _, key in out]
+        hosts = [dst for dst, key in out if _dynamic(graph.edge(key))
+                 and isinstance(graph.node(dst), NodeInfra)]
+        hosted = [src for src, key in into if _dynamic(graph.edge(key))
+                  and isinstance(graph.node(src), NodeNF)]
+        bound = {}
+        for _, key in out:
+            edge = graph.edge(key)
+            if _dynamic(edge):
+                bound.setdefault(edge.src_port, (edge.dst_node, edge.dst_port))
+        answers[node_id] = (
+            out_ids + [key for _, key in into if key not in out_ids],
+            hosts[0] if hosts else None,
+            list(dict.fromkeys(hosted)),
+            bound.get("1"), bound.get("2"))
+    return answers
+
+
+def _nx_rebuilt(node_ids, edge_ids, graph):
+    """A ``MultiDiGraph`` filled node by node, then edge by edge."""
+    ref = nx.MultiDiGraph()
+    ref.add_nodes_from(node_ids)
+    for edge_id in edge_ids:
+        edge = graph.edge(edge_id)
+        ref.add_edge(edge.src_node, edge.dst_node, key=edge_id)
+    return ref
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_adjacency_walks_in_networkx_order(data):
+    """The NFFG's own adjacency, driven through the same adds and
+    removals as a networkx ``MultiDiGraph`` (self-loops and parallel
+    edges included), answers every adjacency walk in the order networkx
+    does — neighbour by first insertion, then edge by insertion — and so
+    do its copies.  Encode order and mapping tie-breaks rest on it."""
+    pool = [f"n{index}" for index in range(5)]
+    nffg, ref = NFFG(id="o"), nx.MultiDiGraph()
+    for step in range(data.draw(st.integers(1, 30))):
+        present = [node_id for node_id in pool if nffg.has_node(node_id)]
+        op = data.draw(st.sampled_from(
+            ["node", "edge", "edge", "edge", "drop node", "drop edge"]))
+        if op == "node" or not present:
+            absent = [node_id for node_id in pool if node_id not in present]
+            if absent:
+                node_id = data.draw(st.sampled_from(absent))
+                kind = data.draw(st.sampled_from(["nf", "sap", "infra"]))
+                if kind == "nf":
+                    nffg.add_nf(node_id, "firewall", num_ports=2)
+                elif kind == "sap":
+                    nffg.add_sap(node_id, num_ports=2)
+                else:
+                    nffg.add_infra(node_id, num_ports=2)
+                ref.add_node(node_id)
+        elif op == "edge":
+            src, dst = (data.draw(st.sampled_from(present)) for _ in "sd")
+            src_port, dst_port = (data.draw(st.sampled_from(["1", "2"]))
+                                  for _ in "sd")
+            kind = data.draw(st.sampled_from(["static", "dynamic", "hop"]))
+            edge_id = f"e{step}"
+            if kind == "hop":
+                nffg.add_sg_hop(src, src_port, dst, dst_port, id=edge_id)
+            else:
+                nffg.add_link(src, src_port, dst, dst_port, id=edge_id,
+                              link_type=LinkType(kind.upper()),
+                              bidirectional=False)
+            ref.add_edge(src, dst, key=edge_id)
+        elif op == "drop node":
+            node_id = data.draw(st.sampled_from(present))
+            nffg.remove_node(node_id)
+            ref.remove_node(node_id)
+        elif nffg.edges:
+            edge = data.draw(st.sampled_from(nffg.edges))
+            nffg.remove_edge(edge.id)
+            ref.remove_edge(edge.src_node, edge.dst_node, key=edge.id)
+        assert _queries(nffg, pool) == _nx_queries(ref, nffg, pool)
+
+        edge_ids = [edge.id for edge in nffg.edges]
+        clone = nffg.copy()
+        assert [edge.id for edge in clone.edges] == edge_ids
+        assert _queries(clone, pool) == _nx_queries(
+            _nx_rebuilt([node.id for node in nffg.nodes], edge_ids, nffg),
+            clone, pool)
+
+        kept = data.draw(st.lists(st.sampled_from(
+            [node.id for node in nffg.nodes]), unique=True)
+            if nffg.nodes else st.just([]))
+        walk = [key for src in kept
+                for _, dst, key in ref.out_edges(src, keys=True)
+                if dst in kept and isinstance(nffg.edge(key), EdgeLink)]
+        sub = nffg.copy_subgraph("sub", kept)
+        assert [edge.id for edge in sub.edges] == walk
+        assert _queries(sub, pool) == _nx_queries(
+            _nx_rebuilt(kept, walk, nffg), sub, pool)
 
 
 @given(random_nffg())

@@ -8,7 +8,9 @@ replay restore, ``import_state(reconcile=True)``), and the ``repro
 recover`` CLI entry point.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -183,6 +185,25 @@ class TestCheckpoint:
             intent.commit({"b": {}})  # second commit triggers checkpoint
         assert [r["kind"] for r in journal.records()] == ["checkpoint"]
         assert journal.replay().state["services"] == {"snap": {}}
+
+    def test_journal_holds_its_orchestrator_weakly(self):
+        journal = IntentJournal(checkpoint_every=1)
+        escape, _ = _direct_escape(journal)
+        assert escape.deploy(_chain_service(0)).success
+        # the bound export_state still fires while the orchestrator lives
+        assert [r["kind"] for r in journal.records()] == ["checkpoint"]
+        assert list(journal.replay().state["services"]) == ["r0"]
+        orchestrator = weakref.ref(escape)
+        gc.disable()
+        try:
+            del escape
+            assert orchestrator() is None
+        finally:
+            gc.enable()
+        assert journal.state_provider is None
+        with journal.intent("deploy", "late") as intent:
+            intent.commit({"late": {}})
+        assert [r["kind"] for r in journal.records()][-1] == "commit"
 
     def test_checkpoint_file_truncation_is_atomic(self, tmp_path):
         path = tmp_path / "journal.jsonl"
