@@ -375,16 +375,16 @@ def test_bench_push_vs_domain_size_and_resident_chains(benchmark,
     of nine deploys of the request.
 
     The ``update`` rows (8 resident) are nine ``update()``s of that
-    request, its bandwidth toggled.  ``update()`` drops the derived
-    state, so every install view is sliced anew — but compared with the
-    one it replaces and handed over as an edit: the ``DataNode``s the
-    Unify adapter constructs to encode it are the same at 16 and 256
-    BiS-BiS, and ``push.encode`` + ``push.diff`` stay within 2x (an
-    encode of the whole view read 11x): what is left between the sizes
-    is ``patch_virtualizer`` moving every kept list instance into the
-    new tree, ~0.2 of ~0.7 ms at 256.  ``push.slice`` and the elements
-    cloned are reported ungated: the re-fetch and re-slice after
-    ``mark_stale()`` are still O(domain).
+    request, its bandwidth toggled.  ``update()`` re-fetches every view
+    but keeps the derived state when none moved, so the install views
+    are edited, not sliced anew, and handed over as an edit of the hops
+    that changed: the ``DataNode``s the Unify adapter constructs to
+    encode it are the same at 16 and 256 BiS-BiS, and ``push.encode`` +
+    ``push.diff`` stay within 2x (an encode of the whole view read 11x):
+    what is left between the sizes is ``patch_virtualizer`` moving every
+    kept list instance into the new tree, ~0.2 of ~0.7 ms at 256.
+    ``push.slice`` and the elements cloned are reported ungated: the
+    re-fetch is still O(domain).
     """
     import gc
 
@@ -435,7 +435,7 @@ def test_bench_push_vs_domain_size_and_resident_chains(benchmark,
             report = operation(chain("last", saps[0], saps[1], pin="d0-n0",
                                      bandwidth=bandwidth))
             assert report.success, report.error
-            # an update re-derives the DoV: every domain is pushed
+            # the request's two domains come first either way
             assert [r.domain for r in report.adapters][:2] == (
                 ["child"] if unify else ["d0", "d1"])
             stages = report.stage_timings()

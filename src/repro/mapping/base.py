@@ -353,23 +353,21 @@ def touched_infra_ids(placement: dict[str, str],
 @dataclass
 class ServiceDelta:
     """Everything one :func:`apply_mapping` added to a graph (the
-    inverse record :func:`remove_mapping` undoes exactly)."""
+    inverse record :func:`remove_mapping` undoes exactly), per NF and hop."""
 
     #: NF node ids added (removal also drops their dynamic links)
     nf_ids: list[str] = field(default_factory=list)
-    #: infra-side ports created by ``place_nf``: (infra_id, port_id)
-    nf_ports: list[tuple[str, str]] = field(default_factory=list)
+    #: NF id -> infra-side ports ``place_nf`` created: (infra_id, port_id)
+    nf_ports: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     #: SAP nodes this apply introduced (shared SAPs are only removed
     #: once no other service's edges still touch them)
     sap_ids: list[str] = field(default_factory=list)
     #: SG hop + requirement edge ids added
     edge_ids: list[str] = field(default_factory=list)
-    #: bandwidth reservations: (link_ids, bandwidth)
-    reservations: list[tuple[tuple[str, ...], float]] = field(default_factory=list)
-    #: ports that received flow rules: (infra_id, port_id)
-    flow_ports: list[tuple[str, str]] = field(default_factory=list)
-    #: hop ids whose flow rules must go on removal
-    hop_ids: set[str] = field(default_factory=set)
+    #: hop id -> its bandwidth reservation: (link_ids, bandwidth)
+    reservations: dict[str, tuple[tuple[str, ...], float]] = field(default_factory=dict)
+    #: hop id -> the ports that received its flow rules: (infra_id, port_id)
+    flow_ports: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
 
 
 def apply_mapping(graph: NFFG, service: NFFG, placement: dict[str, str],
@@ -386,15 +384,15 @@ def apply_mapping(graph: NFFG, service: NFFG, placement: dict[str, str],
         if not graph.has_node(nf_id):
             graph.add_node_copy(service.nf(nf_id))
             delta.nf_ids.append(nf_id)
-        for link in graph.place_nf(nf_id, infra_id):
-            delta.nf_ports.append((link.dst_node, link.dst_port))
+        delta.nf_ports[nf_id] = [(link.dst_node, link.dst_port)
+                                 for link in graph.place_nf(nf_id, infra_id)]
         graph.nf(nf_id).status = "deployed"
-    for route in routes.values():
+    for hop_id, route in routes.items():
         if route.bandwidth > 1e-9 and route.link_ids:
             for link_id in route.link_ids:
                 graph.edge(link_id).reserved += route.bandwidth
-            delta.reservations.append(
-                (tuple(route.link_ids), route.bandwidth))
+            delta.reservations[hop_id] = (tuple(route.link_ids),
+                                          route.bandwidth)
 
     def endpoint_port(node_id: str, port_id: str) -> str:
         """The infra-side port where a service endpoint attaches."""
@@ -414,11 +412,10 @@ def apply_mapping(graph: NFFG, service: NFFG, placement: dict[str, str],
         route = routes.get(hop.id)
         if route is None:
             continue
-        delta.flow_ports.extend(install_hop_flowrules(
+        delta.flow_ports[hop.id] = install_hop_flowrules(
             graph, hop, route,
             endpoint_port(hop.src_node, hop.src_port),
-            endpoint_port(hop.dst_node, hop.dst_port)))
-        delta.hop_ids.add(hop.id)
+            endpoint_port(hop.dst_node, hop.dst_port))
     for sap in service.saps:
         if not graph.has_node(sap.id):
             graph.add_node_copy(sap)
@@ -432,14 +429,14 @@ def apply_mapping(graph: NFFG, service: NFFG, placement: dict[str, str],
 
 def remove_mapping(graph: NFFG, delta: ServiceDelta) -> None:
     """Undo exactly what :func:`apply_mapping` recorded in ``delta``."""
-    for infra_id, port_id in set(delta.flow_ports):
+    for infra_id, port_id in set().union(*delta.flow_ports.values()):
         if not graph.has_node(infra_id):
             continue
         port = graph.infra(infra_id).ports.get(port_id)
         if port is not None:
             port.flowrules = [rule for rule in port.flowrules
-                              if rule.hop_id not in delta.hop_ids]
-    for link_ids, bandwidth in delta.reservations:
+                              if rule.hop_id not in delta.flow_ports]
+    for link_ids, bandwidth in delta.reservations.values():
         for link_id in link_ids:
             if graph.has_edge(link_id):
                 link = graph.edge(link_id)
@@ -450,7 +447,7 @@ def remove_mapping(graph: NFFG, delta: ServiceDelta) -> None:
     for nf_id in delta.nf_ids:
         if graph.has_node(nf_id):
             graph.remove_node(nf_id)  # also drops its dynamic links
-    for infra_id, port_id in delta.nf_ports:
+    for infra_id, port_id in itertools.chain(*delta.nf_ports.values()):
         if graph.has_node(infra_id):
             graph.infra(infra_id).ports.pop(port_id, None)
     for sap_id in delta.sap_ids:

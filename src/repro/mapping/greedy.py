@@ -19,7 +19,7 @@ from collections import deque
 from typing import Optional
 
 from repro.mapping.base import (Embedder, MappingContext, MappingError,
-                                placement_allowed)
+                                MappingResult, placement_allowed)
 from repro.nffg.graph import NFFG
 from repro.nffg.model import NodeNF
 from repro.perf import counters
@@ -109,6 +109,39 @@ def route_ready_hops(ctx: MappingContext, routed: set[str],
         routed.add(hop.id)
 
 
+def route_remaining_hops(ctx: MappingContext, routed: set[str]) -> None:
+    """Route every hop not in ``routed``, or raise: all NFs are placed."""
+    route_ready_hops(ctx, routed)
+    unrouted = [hop.id for hop in ctx.sg_hop_list() if hop.id not in routed]
+    if unrouted:
+        raise MappingError(f"unrouted SG hops: {unrouted}")
+
+
+class RerouteEmbedder(Embedder):
+    """Repairs ``kept``: its placements (a gone host fails the run) and
+    the routes the view still holds stay, the other hops are routed
+    with greedy's delay budgets.  Examines no host."""
+
+    name = "reroute"
+
+    def __init__(self, kept: MappingResult):
+        self.kept = kept
+
+    def _run(self, ctx: MappingContext) -> None:
+        resource, kept = ctx.resource, self.kept
+        if not all(map(resource.has_node, kept.nf_placement.values())):
+            raise MappingError("an NF host of the kept mapping is gone")
+        for nf_id, infra_id in kept.nf_placement.items():
+            ctx.place(nf_id, infra_id)
+        ctx.decompositions.update(kept.decompositions)
+        routes = {hop_id: route for hop_id, route in kept.hop_routes.items()
+                  if all(map(resource.has_node, route.infra_path))
+                  and all(map(resource.has_edge, route.link_ids))}
+        for route in routes.values():
+            ctx.record_route(route)
+        route_remaining_hops(ctx, set(routes))
+
+
 class GreedyEmbedder(Embedder):
     """Place NFs chain-first on locally cheapest feasible hosts."""
 
@@ -142,11 +175,7 @@ class GreedyEmbedder(Embedder):
                     f"(type {nf.functional_type!r})")
             ctx.place(nf_id, best_host)
             self._route_ready_hops(ctx, routed, around=nf_id)
-        self._route_ready_hops(ctx, routed)
-        unrouted = [hop.id for hop in ctx.sg_hop_list()
-                    if hop.id not in routed]
-        if unrouted:
-            raise MappingError(f"unrouted SG hops: {unrouted}")
+        route_remaining_hops(ctx, routed)
 
     def _best_host(self, ctx: MappingContext, nf: NodeNF,
                    anchor: Optional[str],

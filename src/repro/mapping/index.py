@@ -26,7 +26,8 @@ The index is owned by the CAL and bound to its remaining-capacity view:
 ``topology_generation`` exactly like ``PathCache.sync()`` (any epoch or
 identity change triggers a full :meth:`rebuild`), and :meth:`fold` is
 the single writer of residual capacities — it nets a deploy/teardown
-delta out of the index maps *and* the bound view in one pass.  An id
+delta out of the index maps *and* the bound view in one pass, as
+:meth:`relink` moves links that came or went in both.  An id
 that no longer resolves marks the index stale and tells the caller to
 drop the view; ``ControllerAdaptationLayer.verify()`` rebuilds both
 from scratch and compares :meth:`facts`.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.mapping.base import build_sap_attachments
 from repro.nffg.graph import NFFG, NFFGError
@@ -237,6 +238,21 @@ class SubstrateIndex:
         self.applies += 1
         counters.incr("mapping.index.apply")
         return True
+
+    def relink(self, gone: Iterable[str], came: Iterable[EdgeLink],
+               epoch: Optional[int]) -> None:
+        """Move links out of and (copies) into the bound view and the
+        ledger seed, and to the topology ``epoch``, without a rebuild:
+        the topology tables and the delay memo derive again on use."""
+        for link_id in gone:
+            self.resource.remove_edge(link_id)
+            del self.link_free[link_id]
+        for link in came:
+            self.link_free[link.id] = self.resource.add_edge_copy(
+                link).available_bandwidth
+        self._epoch = epoch
+        self._adjacency = self._sap_attach = None
+        self.delay_memo = {}
 
     # -- ledger seeding ----------------------------------------------------
 

@@ -22,8 +22,9 @@ else is **derived**, with one writer and one place it is dropped each
   ``commit_mapping``/``remove_service``/``restore_service`` fold one
   ``(service, mapping, +-1)`` at a time through the same two writers:
   :func:`~repro.mapping.base.apply_mapping` (or its recorded inverse)
-  on the DoV, :meth:`SubstrateIndex.fold` on index + remaining view.
-  ``_invalidate`` is the only place they are dropped;
+  on the DoV, :meth:`SubstrateIndex.fold` on index + remaining view;
+  a links-only refetch is folded in too.  ``_invalidate`` is the only
+  place they are dropped;
 - **dirty set** — the folds record the domains a mapping touches and
   :meth:`push_planned`, the one fan-out, consumes it (:meth:`push_all`
   dirties everything first, :meth:`reconcile` replays queued domains);
@@ -67,7 +68,7 @@ from repro.mapping.base import (
 )
 from repro.mapping.index import SubstrateIndex
 from repro.nffg.graph import NFFG, NFFGError
-from repro.nffg.model import DomainType, NodeNF, NodeSAP
+from repro.nffg.model import DomainType, EdgeLink, NodeNF, NodeSAP
 from repro.orchestration.adapters import DomainAdapter
 from repro.nffg.ops import (
     Touched,
@@ -193,6 +194,8 @@ class ControllerAdaptationLayer:
         #: view ``_invalidate`` dropped: what its next slice is an edit
         #: of, taken by ``_current_view`` as soon as that slice exists
         self._replaced: dict[str, NFFG] = {}
+        #: service id -> (graph, mapping, delta) withdrawn since the last push
+        self._withdrawn: dict[str, tuple] = {}
 
     # -- adapter registry ---------------------------------------------------
 
@@ -248,9 +251,8 @@ class ControllerAdaptationLayer:
         first: direct callers — ``heal()`` probing for outages — expect
         current domain truth, not caches; the rebuild path passes
         ``refresh=False`` and pays only for shards something
-        invalidated.  A refetch that returns other nodes or edges than
-        the cached sub-view drops the derived state and moves
-        ``topology_generation``.
+        invalidated.  A refetch that differs from the cached sub-view
+        moves ``topology_generation`` (see ``_refresh_shards``).
 
         Degrades gracefully: a domain whose breaker is open is not even
         asked, one whose fetch fails after retries is left out of the
@@ -307,12 +309,13 @@ class ControllerAdaptationLayer:
         in parallel), re-merge each sub-view and rewrite the members'
         ownership entries.  A shard that lost a member stays stale —
         only complete sub-views are cached, so the next stitch retries
-        the missing domain."""
+        the missing domain.  A refetch that differs moves the topology
+        generation and drops the derived state, or folds links-only moves."""
         names = [name for shard in shards for name in shard.adapter_names]
         fetched = dict(zip(names, self.dispatcher.run(
             (name, lambda adapter=self.adapters[name]:
              self._fetch_view(adapter)) for name in names)))
-        moved = False
+        moves = []
         for shard in shards:
             with obs.span(f"merge/shard{shard.index}", shard=shard.index):
                 views: list[NFFG] = []
@@ -332,12 +335,44 @@ class ControllerAdaptationLayer:
                 shard.view = merge_nffgs(
                     views, merged_id=f"dov-shard{shard.index}",
                     stitch=False) if views else None
-            moved = moved or not _same_elements(previous, shard.view)
+            moves.append(_link_moves(previous, shard.view))
             shard.stale = bool(shard.view_failures)
-        if moved:
-            # the live DoV was built from sub-views that no longer exist
-            self._invalidate()
+        if None in moves or any(map(any, moves)):
             self.topology_generation += 1
+            if None in moves or self._dov is None:
+                # the live DoV was built from sub-views that no longer exist
+                self._invalidate()
+            else:
+                self._fold_links(set().union(*(gone for gone, _ in moves)),
+                                 [link for _, came in moves for link in came])
+
+    def _fold_links(self, gone: set[str], came: list[EdgeLink]) -> None:
+        """Fold a links-only refetch into the live views as a rebuild would
+        change them: a service routed over a lost link leaves (until
+        ``heal()`` re-routes it), a deferred one whose links are all back
+        re-enters; each install view is owed the links of its own."""
+        counters.incr("cal.fold_links")
+        for service_id, (service, result) in self._deployed.items():
+            delta = self._deltas.get(service_id)
+            if delta is not None and not gone.isdisjoint(
+                    link_id for route in result.hop_routes.values()
+                    for link_id in route.link_ids):
+                self._deltas[service_id] = None
+                self._withdraw(service_id, service, result, delta)
+        for link in [*map(self._dov.edge, gone), *came]:
+            name = (self._owner.get(link.src_node)
+                    or self._owner.get(link.dst_node))
+            if name is not None:
+                self._touched.setdefault(name, Touched()).edges.add(link.id)
+        for link_id in gone:
+            self._dov.remove_edge(link_id)
+        for link in came:
+            self._dov.add_edge_copy(link)
+        self.substrate_index.relink(gone, came, self.topology_generation)
+        for service_id in self._deployed:
+            if self._deltas[service_id] is None:
+                self._rejoin(service_id)
+        self._settle()
 
     @property
     def dov(self) -> NFFG:
@@ -379,6 +414,7 @@ class ControllerAdaptationLayer:
         self._remaining = None
         self._views.clear()
         self._touched.clear()
+        self._withdrawn.clear()
 
     def _derive(self, dov: NFFG,
                 index: SubstrateIndex) -> tuple[NFFG, dict]:
@@ -463,6 +499,7 @@ class ControllerAdaptationLayer:
              if shard.view is not None for infra in shard.view.infras})
         if self._dov is None:
             return problems
+        self._owe_withdrawn()
         dov, index = self._stitch(), SubstrateIndex()
         remaining, _ = self._derive(dov, index)
         for name, held in self._views.items():
@@ -488,7 +525,8 @@ class ControllerAdaptationLayer:
     # -- deployment ---------------------------------------------------------------------
 
     def _mark_dirty(self, result: MappingResult,
-                    delta: Optional[ServiceDelta] = None) -> None:
+                    delta: Optional[ServiceDelta] = None,
+                    moved: Optional[set[str]] = None) -> None:
         """Record a mapping's touched domains for the push planner; a
         mapping whose owners cannot be resolved (ownership map not
         built yet, foreign replay) dirties everything — correctness
@@ -496,29 +534,69 @@ class ControllerAdaptationLayer:
         out of) the live DoV, also record which members of which
         domain's install view that was: its NFs and SAPs, the infra
         ports that gained or lost an NF attachment or a flow rule (and
-        under which hop ids), the links whose reservation moved."""
+        under which hop ids), the links the DoV still has whose
+        reservation moved — of the NFs and hops in ``moved`` only."""
         touched = self.adapter_names_for(result)
         self._dirty.update(touched if touched else self.adapters)
         if delta is None:
             return
+
+        def kept(table: dict) -> Iterable:
+            return table.items() if moved is None else [
+                (key, value) for key, value in table.items() if key in moved]
+
         attach = self.substrate_index.sap_attachments()
+        flow_ports = kept(delta.flow_ports)
         for infra_id, kind, member in (
                 *((host, "nodes", nf_id)
-                  for nf_id, host in result.nf_placement.items()),
+                  for nf_id, host in kept(result.nf_placement)),
                 *((attach[sap_id][0], "nodes", sap_id)
                   for sap_id in delta.sap_ids if sap_id in attach),
-                *((port[0], "ports", port)
-                  for port in (*delta.nf_ports, *delta.flow_ports)),
+                *((port[0], "ports", port) for _, ports in (
+                    *kept(delta.nf_ports), *flow_ports) for port in ports),
                 *((self._dov.edge(link_id).src_node, "edges", link_id)
-                  for link_ids, _ in delta.reservations
-                  for link_id in link_ids)):
+                  for _, (link_ids, _) in kept(delta.reservations)
+                  for link_id in link_ids if self._dov.has_edge(link_id))):
             name = self._owner.get(infra_id)
             if name is not None:
                 getattr(self._touched.setdefault(name, Touched()),
                         kind).add(member)
-        for name in {self._owner.get(port[0]) for port in delta.flow_ports}:
+        for name in {self._owner.get(port[0])
+                     for _, ports in flow_ports for port in ports}:
             if name is not None:
-                self._touched[name].hops |= delta.hop_ids
+                self._touched[name].hops.update(hop for hop, _ in flow_ports)
+
+    def _mark_committed(self, service_id: str, service: NFFG,
+                        result: MappingResult, delta: Optional[ServiceDelta]) -> None:
+        """Mark what a (re-)commit wrote — of a service withdrawn since the
+        last push, in both versions, only the NFs and hops that moved."""
+        withdrawn = (self._withdrawn.pop(service_id, None)
+                     if delta is not None else None)
+        moved = None
+        if withdrawn is not None:
+            now = (service, result)
+            moved = {nf_id for nf_id in withdrawn[1].nf_placement.keys()
+                     | result.nf_placement
+                     if _state(withdrawn, nf_id) != _state(now, nf_id)}
+            moved |= {hop.id for graph in (withdrawn[0], service)
+                      for hop in graph.sg_hops
+                      if _state(withdrawn, hop.id) != _state(now, hop.id)
+                      or not moved.isdisjoint((hop.src_node, hop.dst_node))}
+            self._mark_dirty(*withdrawn[1:], moved)
+        self._mark_dirty(result, delta, moved)
+
+    def _withdraw(self, service_id: str, service: NFFG,
+                  result: MappingResult, delta: ServiceDelta) -> None:
+        """Take a service out of the live DoV and index; owe its members."""
+        remove_mapping(self._dov, delta)
+        self.substrate_index.fold(service, result, -1.0)
+        self._withdrawn[service_id] = (service, result, delta)
+
+    def _owe_withdrawn(self) -> None:
+        """No re-commit came: owe the install views all they wrote."""
+        for _, result, delta in self._withdrawn.values():
+            self._mark_dirty(result, delta)
+        self._withdrawn.clear()
 
     def commit_mapping(self, service_id: str, service: NFFG,
                        result: MappingResult) -> None:
@@ -529,7 +607,7 @@ class ControllerAdaptationLayer:
                             "substrate missing from the DoV")
         self._deltas[service_id] = delta
         self._deployed[service_id] = (service, result)
-        self._mark_dirty(result, delta)
+        self._mark_committed(service_id, service, result, delta)
         counters.incr("dov.apply_inplace")
         self._settle()
 
@@ -537,18 +615,12 @@ class ControllerAdaptationLayer:
         if service_id not in self._deployed:
             return False
         service, result = self._deployed.pop(service_id)
-        self._mark_dirty(result, self._deltas.get(service_id))
-        if service_id in self._deltas:  # only a live DoV has records
-            delta = self._deltas.pop(service_id)
-            # None: its replay was deferred, it never entered the view
-            if delta is not None:
-                remove_mapping(self._dov, delta)
-                self.substrate_index.fold(service, result, -1.0)
-                counters.incr("dov.remove_inplace")
-        else:
-            # no live view (or no record for it): rebuild on next access
-            self._invalidate()
-            counters.incr("dov.fallback")
+        self._mark_dirty(result)
+        # None: a deferred replay never entered the (dropped) DoV
+        delta = self._deltas.pop(service_id, None)
+        if delta is not None:
+            self._withdraw(service_id, service, result, delta)
+            counters.incr("dov.remove_inplace")
         self._settle()
         return True
 
@@ -560,16 +632,20 @@ class ControllerAdaptationLayer:
                         snapshot: tuple[NFFG, MappingResult]) -> None:
         """Put a previously snapshotted service back (rollback path)."""
         self._deployed[service_id] = snapshot
-        delta = None
         if self._dov is not None:
-            # None: its substrate is gone from a degraded view — booked,
-            # the replay deferred to the next refresh
-            delta = self._deltas[service_id] = _replay(
-                self._dov, self.substrate_index, *snapshot)
-            counters.incr("dov.apply_inplace" if delta is not None
-                          else "dov.replay_skipped")
-        self._mark_dirty(snapshot[1], delta)
+            self._rejoin(service_id)
+        else:
+            self._mark_dirty(snapshot[1])
         self._settle()
+
+    def _rejoin(self, service_id: str) -> None:
+        """Replay a booked service into the live DoV, or defer it (None)."""
+        booked = self._deployed[service_id]
+        delta = self._deltas[service_id] = _replay(
+            self._dov, self.substrate_index, *booked)
+        counters.incr("dov.apply_inplace" if delta is not None
+                      else "dov.replay_skipped")
+        self._mark_committed(service_id, *booked, delta)
 
     def _settle(self) -> None:
         """After a fold: an id that no longer resolved left the index
@@ -643,6 +719,7 @@ class ControllerAdaptationLayer:
             self._invalidate(self.shards)
         if self._dov is None:
             self._rebuild_dov()
+        self._owe_withdrawn()
 
     def _push_one(self, adapter: DomainAdapter) -> AdapterReport:
         """One domain's push, traced: the ``push/<domain>`` span covers
@@ -934,13 +1011,31 @@ def _replay(dov: NFFG, index: SubstrateIndex, service: NFFG,
     return delta
 
 
-def _same_elements(old: Optional[NFFG], new: Optional[NFFG]) -> bool:
-    """Do two fetches of a sub-view hold the same node and edge ids?"""
+def _link_moves(old: Optional[NFFG], new: Optional[NFFG],
+                ) -> Optional[tuple[set[str], list[EdgeLink]]]:
+    """(ids of the links gone, the links that came) between two fetches
+    of a sub-view; None when anything else differs — a node came, went
+    or changed its record, or an edge both hold changed."""
     if old is None or new is None:
-        return old is new
-    return ({node.id for node in old.nodes} == {node.id for node in new.nodes}
-            and {edge.id for edge in old.edges}
-            == {edge.id for edge in new.edges})
+        return (set(), []) if old is new else None
+    if ({node.id: node.__dict__ for node in old.nodes}
+            != {node.id: node.__dict__ for node in new.nodes}):
+        return None
+    gone = {edge.id: edge for edge in old.edges}
+    came = [edge for edge in new.edges if edge.id not in gone]
+    if any(gone.pop(edge.id, edge) != edge for edge in new.edges):
+        return None
+    return set(gone), came
+
+
+def _state(booked: tuple, element_id: str) -> tuple:
+    """(host or route, record) of an NF or a hop in a booked service."""
+    graph, result = booked[:2]
+    if graph.has_node(element_id):
+        return result.nf_placement.get(element_id), vars(
+            graph.node(element_id))
+    return (result.hop_routes.get(element_id), graph.edge(element_id)
+            if graph.has_edge(element_id) else None)
 
 
 def _differences(live: dict[str, object],

@@ -18,6 +18,7 @@ from repro import obs
 from repro.lint import DiagnosticList, Severity, lint_nffg
 from repro.mapping.base import Embedder, touched_infra_ids
 from repro.mapping.decomposition import DecompositionLibrary
+from repro.mapping.greedy import RerouteEmbedder
 from repro.mapping.pathcache import PathCache
 from repro.nffg.graph import NFFG
 from repro.orchestration.cal import ControllerAdaptationLayer
@@ -83,14 +84,14 @@ class EscapeOrchestrator:
         consumers (the CAL's own is live and read-only)."""
         return self.cal.resource_view().copy("dov-remaining")
 
-    def _orchestrate(self, service: NFFG, view: NFFG):
-        """Run the RO with the shared path cache and the CAL's
-        substrate index, both synced to the current substrate topology
-        generation (the index ignores itself when ``view`` is a copy
-        it does not cover)."""
+    def _orchestrate(self, service: NFFG, view: NFFG, ro=None):
+        """Run the RO (``ro``: another one) with the shared path cache
+        and the CAL's substrate index, both synced to the current
+        substrate topology generation (the index ignores itself when
+        ``view`` is a copy it does not cover)."""
         cache = self.path_cache.sync(self.cal.topology_generation)
-        return self.ro.orchestrate(service, view, path_cache=cache,
-                                   index=self.cal.substrate_index)
+        return (ro or self.ro).orchestrate(service, view, path_cache=cache,
+                                           index=self.cal.substrate_index)
 
     # -- service lifecycle -----------------------------------------------------
 
@@ -380,12 +381,11 @@ class EscapeOrchestrator:
                 payload={"service": nffg_to_dict(service)}) as intent:
             snapshot = self.cal.snapshot_service(service.id)
             # an update is a reconciliation point: re-fetch the domain
-            # views (capacity may have drifted) instead of trusting the
-            # live DoV
+            # views (capacity may have drifted); the derived state goes
+            # only if a view differs, and not for links alone
             view_started = time.perf_counter()
-            self.cal.mark_stale()
-            # against the re-merged DoV (asking the one just dropped
-            # would merge twice), before the books are touched
+            self.cal.pristine_view()
+            # against the refreshed DoV, before the books are touched
             collisions = self._id_collisions(service, own=snapshot[0])
             if collisions:
                 report.error = ("update rejected, previous version kept: "
@@ -426,7 +426,8 @@ class EscapeOrchestrator:
         retries) is excluded from the merge, so its substrate simply
         disappears.  Any deployed service whose routes use a link that
         no longer exists, *or whose placements/routes sit on a vanished
-        domain*, is re-embedded onto the surviving substrate — the
+        domain*, is re-mapped onto the surviving substrate: re-routed
+        where all its NF hosts survive, else re-embedded whole — the
         domain-outage case is an evacuation.  Returns per-service
         reports for everything re-mapped; a service whose relevant
         reconciliation push could not complete is marked ``degraded``.
@@ -468,18 +469,28 @@ class EscapeOrchestrator:
                 "heal", None, payload={"services": sorted(broken)}) as intent:
             snapshots = {service_id: self.cal.snapshot_service(service_id)
                          for service_id in broken}
-            # the pristine_view() above already dropped the live DoV
-            # and moved the topology generation (path cache) if the
-            # substrate changed under us
+            # the pristine_view() above already folded a links-only move
+            # into the live DoV (or dropped it) and moved the path cache
             for service_id in broken:
                 self.cal.remove_service(service_id)
             for service_id in broken:
-                original_service, _ = snapshots[service_id]
+                original_service, old = snapshots[service_id]
                 with obs.span("heal/evacuate", service=service_id):
                     view_started = time.perf_counter()
                     view = self.cal.resource_view()
                     view_time_s = time.perf_counter() - view_started
-                    result = self._orchestrate(original_service, view)
+                    # an RO of its own: the repair is verified like a map
+                    repair = ResourceOrchestrator(RerouteEmbedder(old))
+                    result = self._orchestrate(original_service, view, repair)
+                    routes = result.hop_routes.items()
+                    obs.event("heal.reroute", service=service_id,
+                              error=result.failure_reason, hops=[
+                                  hop_id for hop_id, route in routes
+                                  if route != old.hop_routes.get(hop_id)])
+                    counters.incr("resilience.heal.rerouted" if result.success
+                                  else "resilience.heal.reembedded")
+                    if not result.success:
+                        result = self._orchestrate(original_service, view)
                 reports[service_id] = report = DeployReport(
                     service_id=service_id, success=result.success,
                     mapping=result, view_time_s=view_time_s,

@@ -13,7 +13,6 @@ Counter names are dotted strings, grouped by subsystem::
     dov.rebuild              full merge_nffgs rebuilds of the global view
     dov.apply_inplace        incremental per-service applies
     dov.remove_inplace       incremental per-service removals
-    dov.fallback             in-place maintenance bailed out to a rebuild
     dov.replay_skipped       booked services left out of a degraded merge
                              (their domain's substrate was unreachable)
     nffg.copy.calls          NFFG.copy() fast-path invocations
@@ -54,6 +53,7 @@ Sharded-CAL counters (scale-aware view maintenance + push planning)::
     cal.view.whole           views handed to an adapter with no telling
                              what changed (``touched=None``: first
                              contact, a domain in doubt, moved infras)
+    cal.fold_links           links-only refetches folded into live views
 
 Mapping-index counters (the CAL-owned :class:`SubstrateIndex` that
 seeds embedding runs — candidate sets, capacity buckets, copy-on-write
@@ -90,6 +90,8 @@ Resilience counters (all zero on a fault-free run)::
     resilience.rollback.failures  rollback pushes that themselves failed
     resilience.heal.domains_lost  domains absent when heal() ran
     resilience.heal.evacuations   services evacuated off a lost domain
+    resilience.heal.rerouted      broken services healed keeping placements
+    resilience.heal.reembedded    broken services re-embedded whole instead
 
 Recovery counters (write-ahead intent journal + crash recovery; the
 ``recovery.journal.*`` and ``recovery.intent.*`` names tick on every

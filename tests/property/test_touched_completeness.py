@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from repro import sanitize
 from repro.emu import EmulatedDomain
 from repro.netem import Network
+from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder
 from repro.nffg.model import NodeInfra, ResourceVector
 from repro.nffg.ops import differing_members, refresh_members
@@ -240,7 +241,10 @@ day2_ops = st.lists(
 def test_day2_operations_push_edits_over_a_ring(levels, operations):
     """A three-switch ring whose sap1 - sap2 link can fail: whatever is
     dropped and re-derived in between, a healthy domain is handed
-    ``None`` once (the watches hold every edit against what changed)."""
+    ``None`` once (the watches hold every edit against what changed).
+    A link flap moves no NF host, so its heal starts and stops no NF;
+    a chain none of whose routes crossed the link gets no FlowMod under
+    its hop ids, and its packet counters never go down."""
     net = Network()
     ring = [f"emu-bb{i}" for i in range(3)]
     domain = EmulatedDomain("emu", net, node_ids=ring, links=[
@@ -256,6 +260,22 @@ def test_day2_operations_push_edits_over_a_ring(levels, operations):
     top = stack[-1]
     watches = [watch for escape in stack
                for watch in _watch(escape.cal).values()]
+    bottom = stack[0]
+    emu = bottom.cal.adapters["emu"].orchestrator
+    nf_events, cookies = [], []
+    notify, send_flow_mod = emu.notify, emu.controller.send_flow_mod
+
+    def noting(event, data):
+        if event in ("vnf-started", "vnf-stopped"):
+            nf_events.append((event, data["id"]))
+        notify(event, data)
+
+    def sending(dpid, **fields):
+        cookies.append(fields.get("cookie", ""))
+        send_flow_mod(dpid, **fields)
+
+    emu.notify, emu.controller.send_flow_mod = noting, sending
+    h1, h2 = domain.sap_hosts["sap1"], domain.sap_hosts["sap2"]
     flapped = False
     kinds: dict[str, str] = {}
     link_up = True
@@ -276,11 +296,29 @@ def test_day2_operations_push_edits_over_a_ring(levels, operations):
                 getattr(cal, kind)()
                 assert all(report.success for report in cal.push_planned())
             elif kind in ("fail", "restore") and link_up == (kind == "fail"):
+                h1.send(tcp_packet(h1.ip, h2.ip))
+                net.run()
+                routes = {service_id: bottom.cal.snapshot_service(
+                    service_id)[1].hop_routes.values()
+                    for service_id in bottom.deployed_services()}
+                untouched = {service_id: bottom.service_flow_stats(service_id)
+                             for service_id, hops in routes.items()
+                             if not any(_crosses(route, *ring[:2])
+                                        for route in hops)}
+                running, events, sent = (dict(emu._deployed_nfs),
+                                         len(nf_events), len(cookies))
                 (net.fail_link if link_up else net.restore_link)(*ring[:2])
                 link_up, flapped = not link_up, True
                 for escape in stack:
                     assert all(report.success
                                for report in escape.heal().values())
+                assert emu._deployed_nfs == running
+                assert len(nf_events) == events
+                for service_id, counted in untouched.items():
+                    assert not counted.keys() & set(cookies[sent:])
+                    now = bottom.service_flow_stats(service_id)
+                    assert all(now[hop]["packets"] >= stats["packets"]
+                               for hop, stats in counted.items())
             for escape in stack:
                 _assert_views_current(escape.cal)
                 assert len(escape.deployed_services()) == len(kinds)
@@ -504,6 +542,12 @@ def test_reset_delta_state_sends_the_whole_config_next():
     assert adapter.server.running.tree.digest() == whole.digest()
     assert adapter._acked_tree.digest() == whole.digest()
     _assert_views_current(cal)
+
+
+def _crosses(route, a, b) -> bool:
+    """Does a hop route use a link between infras ``a`` and ``b``?"""
+    return any({here, there} == {a, b} for here, there
+               in zip(route.infra_path, route.infra_path[1:]))
 
 
 # -- through the Unify interface ------------------------------------------------

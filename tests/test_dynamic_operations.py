@@ -10,8 +10,10 @@ import pytest
 from repro.emu import EmulatedDomain
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
-from repro.nffg import NFFGBuilder
+from repro.nffg import NFFG, NFFGBuilder, ResourceVector
 from repro.orchestration import EmuDomainAdapter, EscapeOrchestrator
+from repro.orchestration.adapters import DirectDomainAdapter
+from repro.perf import counters
 from repro.topo import build_reference_multidomain
 from repro.cli import ScenarioRunner
 from repro.service import ServiceRequestBuilder
@@ -36,6 +38,50 @@ def _service(service_id="svc", nf_type="firewall"):
             .nf(f"{service_id}-nf", nf_type)
             .chain("sap1", f"{service_id}-nf", "sap2", bandwidth=5.0)
             .build())
+
+
+def _static_domain():
+    """A static-view domain: sap1 on d-bb0, sap2 on d-bb1 and two
+    firewall hosts between them — d-bb2, the cheaper, entered from d-bb0
+    directly or over a 1 Mbps detour through d-bb4 and left only towards
+    d-bb1, and d-bb3."""
+    view = NFFG(id="d")
+    for name, kind, cost in (("bb0", "monitor", 1.0), ("bb1", "monitor", 1.0),
+                             ("bb2", "firewall", 1.0), ("bb3", "firewall", 2.0),
+                             ("bb4", "monitor", 1.0)):
+        view.add_infra(f"d-{name}", supported_types=[kind], cost_per_cpu=cost,
+                       resources=ResourceVector(cpu=8.0, mem=8192.0,
+                                                storage=64.0, delay=0.1,
+                                                bandwidth=10_000.0))
+    for sap_id, infra_id in (("sap1", "d-bb0"), ("sap2", "d-bb1")):
+        sap = view.add_sap(sap_id)
+        port = view.infra(infra_id).add_port(f"to-{sap_id}", sap_tag=sap_id)
+        view.add_link(sap_id, next(iter(sap.ports)), infra_id, port.id,
+                      bandwidth=1000.0)
+    for src, dst, delay, bandwidth, both in (
+            ("bb0", "bb2", 1.0, 100.0, True), ("bb2", "bb1", 1.0, 100.0, False),
+            ("bb0", "bb3", 1.0, 100.0, True), ("bb3", "bb1", 1.0, 100.0, True),
+            ("bb0", "bb4", 10.0, 1.0, True), ("bb4", "bb2", 10.0, 1.0, True)):
+        a, b = view.infra(f"d-{src}"), view.infra(f"d-{dst}")
+        view.add_link(a.id, a.add_port(f"to-{dst}").id,
+                      b.id, b.add_port(f"to-{src}").id, id=f"d-{src}-{dst}",
+                      delay=delay, bandwidth=bandwidth, bidirectional=both)
+    escape = EscapeOrchestrator("static")
+    adapter = escape.add_domain(DirectDomainAdapter("d", view))
+    assert escape.deploy(_service(), wait_activation=False).success
+    assert _host(escape) == "d-bb2"
+    return escape, adapter
+
+
+def _host(escape, service_id="svc"):
+    """Where the service's one NF is placed."""
+    _, result = escape.cal.snapshot_service(service_id)
+    return result.nf_placement[f"{service_id}-nf"]
+
+
+def _moved(before, *names):
+    """How far each named counter moved since the ``before`` snapshot."""
+    return [counters.get(name) - before.get(name, 0) for name in names]
 
 
 class TestLinkFailure:
@@ -73,10 +119,15 @@ class TestHealing:
         report = escape.deploy(_service())
         assert report.success
         h1, h2 = emu.sap_hosts["sap1"], emu.sap_hosts["sap2"]
+        host = _host(escape)
+        process = emu.switches[host].nf_process("svc-nf")
         net.fail_link("bb0", "bb1")
         reports = escape.heal()
         assert reports["svc"].success
         assert reports["svc"].domains_touched == 1
+        # the NF stayed where it was, and kept running through the heal
+        assert _host(escape) == host
+        assert emu.switches[host].nf_process("svc-nf") is process
         h1.send(tcp_packet(h1.ip, h2.ip, tp_dst=80))
         net.run()
         assert len(h2.received) == 1
@@ -115,6 +166,49 @@ class TestHealing:
         net.fail_link("bb0", "bb1")
         reports = escape.heal()
         assert set(reports) == {"svc-a"}
+
+    def test_vanished_infra_drops_derived_state_and_evacuates(self):
+        escape, adapter = _static_domain()
+        before = counters.snapshot()
+        adapter._view.remove_node("d-bb2")
+        assert escape.heal()["svc"].success
+        assert _host(escape) == "d-bb3"
+        assert _moved(before, "dov.rebuild", "cal.fold_links",
+                      "resilience.heal.evacuations",
+                      "resilience.heal.reembedded") == [1, 0, 1, 1]
+        assert escape.cal.verify() == []
+
+    @pytest.mark.parametrize("refetch", ["update", "heal"])
+    def test_capacity_change_drops_derived_state(self, refetch):
+        """A view whose ids are all the same but a capacity moved is not
+        a links-only move: the derived state goes, the capacity shows."""
+        escape, adapter = _static_domain()
+        adapter._view.infra("d-bb3").resources = ResourceVector(
+            cpu=4.0, mem=8192.0, storage=64.0, bandwidth=10_000.0, delay=0.1)
+        before = counters.snapshot()
+        if refetch == "update":
+            assert escape.update(_service()).success
+        else:
+            assert escape.heal() == {}
+        assert escape.cal.resource_view().infra("d-bb3").resources.cpu == 4.0
+        assert _moved(before, "dov.rebuild", "cal.fold_links") == [1, 0]
+        assert escape.cal.verify() == []
+
+    def test_reroute_short_of_bandwidth_falls_back_to_a_whole_reembed(self):
+        """The only way left into d-bb2 is the 1 Mbps detour: its chain
+        cannot keep the NF there, so it moves to d-bb3 — the links-only
+        move still folded, nothing rebuilt."""
+        escape, adapter = _static_domain()
+        before = counters.snapshot()
+        for link_id in ("d-bb0-bb2", "d-bb0-bb2-back"):
+            adapter._view.remove_edge(link_id)
+        report = escape.heal()["svc"]
+        assert report.success, report.error
+        assert _host(escape) == "d-bb3"
+        assert _moved(before, "dov.rebuild", "cal.fold_links",
+                      "resilience.heal.rerouted",
+                      "resilience.heal.reembedded") == [0, 1, 0, 1]
+        assert escape.cal.verify() == []
 
 
 class TestUpdate:
