@@ -11,8 +11,10 @@ SG hops, requirements) and a *resource view* (BiS-BiS topology), decide
    bandwidths and end-to-end delay requirements),
 
 then express the decision as NF placements + flow rules.  ESCAPEv2
-treats the algorithm as a plugin; three are provided here, plus the
-NF-decomposition machinery of ref [2] (Sahhaf et al.).
+treats the algorithm as a plugin (:mod:`repro.mapping.registry`); two
+are provided here — greedy, the default, which protects scarce NF types
+itself, and backtracking search — plus the NF-decomposition machinery
+of ref [2] (Sahhaf et al.).
 """
 
 from repro.mapping.base import (
@@ -24,12 +26,6 @@ from repro.mapping.base import (
 )
 from repro.mapping.greedy import GreedyEmbedder
 from repro.mapping.backtrack import BacktrackingEmbedder
-from repro.mapping.delay_aware import DelayAwareEmbedder
-from repro.mapping.allocators import (
-    BalancedAllocator,
-    HybridAllocator,
-    WeightedAllocator,
-)
 from repro.mapping.index import SubstrateIndex
 from repro.mapping.registry import (
     EMBEDDERS,
@@ -54,10 +50,6 @@ __all__ = [
     "ResourceLedger",
     "GreedyEmbedder",
     "BacktrackingEmbedder",
-    "DelayAwareEmbedder",
-    "BalancedAllocator",
-    "WeightedAllocator",
-    "HybridAllocator",
     "SubstrateIndex",
     "EMBEDDERS",
     "embedder_names",

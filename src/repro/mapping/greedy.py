@@ -11,6 +11,12 @@ context the per-NF host scan runs over a pruned candidate set instead
 of the whole substrate; when the pruned set yields no feasible host the
 scan widens to the full supporting set, so pruning never costs
 acceptance.
+
+Scarce NF types are protected (the AccaSim "balanced" dispatcher): a
+host that supports a scarce type other than the NF's own is a second
+candidate tier, taken only when no other candidate is feasible, so a
+firewall never burns the last DPI-capable box while plain boxes sit
+idle.
 """
 
 from __future__ import annotations
@@ -21,8 +27,12 @@ from typing import Optional
 from repro.mapping.base import (Embedder, MappingContext, MappingError,
                                 MappingResult, placement_allowed)
 from repro.nffg.graph import NFFG
-from repro.nffg.model import NodeNF
+from repro.nffg.model import InfraType, NodeNF
 from repro.perf import counters
+
+#: a functional type is scarce when its supporters (explicit plus
+#: wildcard hosts) number at most this share of the NF-capable hosts
+SCARCE_RATIO = 0.25
 
 
 def service_order(service: NFFG) -> list[str]:
@@ -54,6 +64,34 @@ def service_order(service: NFFG) -> list[str]:
         if nf.id not in seen:
             order.append(nf.id)
     return order
+
+
+def scarce_specialists(resource: NFFG) -> dict[str, frozenset[str]]:
+    """Infra id -> the scarce functional types it supports, for every
+    NF-capable infra that supports one (empty when nothing is scarce).
+
+    A type is scarce when its explicit supporters plus the wildcard
+    hosts number at most ``SCARCE_RATIO`` of the NF-capable hosts."""
+    supporters: dict[str, int] = {}
+    hosts = wildcard = 0
+    for infra in resource.infras:
+        if infra.infra_type == InfraType.SDN_SWITCH:
+            continue
+        hosts += 1
+        if not infra.supported_types:
+            wildcard += 1
+        for functional_type in infra.supported_types:
+            supporters[functional_type] = \
+                supporters.get(functional_type, 0) + 1
+    scarce = frozenset(
+        functional_type for functional_type, count in supporters.items()
+        if count + wildcard <= SCARCE_RATIO * hosts)
+    if not scarce:
+        return {}
+    return {infra.id: scarce.intersection(infra.supported_types)
+            for infra in resource.infras
+            if infra.infra_type != InfraType.SDN_SWITCH
+            and not scarce.isdisjoint(infra.supported_types)}
 
 
 def hop_delay_budget(service: NFFG, ctx: MappingContext, hop_id: str) -> float:
@@ -146,40 +184,57 @@ class GreedyEmbedder(Embedder):
     """Place NFs chain-first on locally cheapest feasible hosts."""
 
     name = "greedy"
-
-    def __init__(self, bandwidth_weight: float = 0.01,
-                 delay_weight: float = 1.0, cost_weight: float = 1.0,
-                 candidate_k: int = 32):
-        self.bandwidth_weight = bandwidth_weight
-        self.delay_weight = delay_weight
-        self.cost_weight = cost_weight
-        #: pruned candidate-set size per NF when an index is attached
-        self.candidate_k = candidate_k
+    delay_weight = 1.0
+    cost_weight = 1.0
+    #: pruned candidate-set size per NF when an index is attached
+    candidate_k = 32
 
     def _run(self, ctx: MappingContext) -> None:
         service = ctx.service
+        specialists = (ctx.index.scarce_specialists()
+                       if ctx.index is not None
+                       else scarce_specialists(ctx.resource))
         routed: set[str] = set()
         for nf_id in service_order(service):
             nf = service.nf(nf_id)
-            anchor = self._anchor_infra(ctx, nf_id)
+            anchor = anchor_infra(ctx, nf_id)
             pruned = ctx.candidates(nf, self.candidate_k, anchor=anchor)
-            best_host = self._best_host(ctx, nf, anchor, pruned)
+            best_host = self._best_host(ctx, nf, anchor, pruned, specialists)
             if best_host is None and ctx.index is not None:
                 # pruned set infeasible: widen to the full supporting set
                 counters.incr("mapping.index.fallback")
                 best_host = self._best_host(ctx, nf, anchor,
-                                            ctx.candidates(nf))
+                                            ctx.candidates(nf), specialists)
             if best_host is None:
                 raise MappingError(
                     f"no feasible host for NF {nf_id!r} "
                     f"(type {nf.functional_type!r})")
             ctx.place(nf_id, best_host)
-            self._route_ready_hops(ctx, routed, around=nf_id)
+            route_ready_hops(ctx, routed, around=nf_id)
         route_remaining_hops(ctx, routed)
 
     def _best_host(self, ctx: MappingContext, nf: NodeNF,
-                   anchor: Optional[str],
-                   candidate_ids: list[str]) -> Optional[str]:
+                   anchor: Optional[str], candidate_ids: list[str],
+                   specialists: dict[str, frozenset[str]]) -> Optional[str]:
+        """The cheapest feasible candidate, hosts that would burn a
+        scarce type other than ``nf``'s own taken only when no other
+        candidate is feasible."""
+        if not specialists:
+            return self._cheapest(ctx, nf, anchor, candidate_ids)
+        own = {nf.functional_type}
+        spare: list[str] = []
+        burning: list[str] = []
+        for infra_id in candidate_ids:
+            if specialists.get(infra_id, own) - own:
+                burning.append(infra_id)
+            else:
+                spare.append(infra_id)
+        return (self._cheapest(ctx, nf, anchor, spare)
+                or self._cheapest(ctx, nf, anchor, burning))
+
+    def _cheapest(self, ctx: MappingContext, nf: NodeNF,
+                  anchor: Optional[str],
+                  candidate_ids: list[str]) -> Optional[str]:
         resource = ctx.resource
         best_host = None
         best_score = float("inf")
@@ -200,10 +255,3 @@ class GreedyEmbedder(Embedder):
                 best_score = score
                 best_host = infra.id
         return best_host
-
-    def _anchor_infra(self, ctx: MappingContext, nf_id: str):
-        return anchor_infra(ctx, nf_id)
-
-    def _route_ready_hops(self, ctx: MappingContext, routed: set[str],
-                          around: Optional[str] = None) -> None:
-        route_ready_hops(ctx, routed, around=around)

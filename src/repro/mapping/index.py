@@ -19,7 +19,10 @@ of that out of the run and keeps it alive across requests:
 - **cached topology tables**: infra adjacency, node delays, SAP
   attachments, and a shared single-source delay memo that persists
   across mapping runs (it depends on topology only, never on the
-  ledger).
+  ledger);
+- **scarce specialists**: which hosts support a scarce functional type
+  (:func:`~repro.mapping.greedy.scarce_specialists`), the facts greedy's
+  scarcity tier reads — built on first use like the topology tables.
 
 The index is owned by the CAL and bound to its remaining-capacity view:
 :meth:`sync` is called with the current view and the CAL's
@@ -45,14 +48,15 @@ from collections import deque
 from typing import Iterable, Optional
 
 from repro.mapping.base import build_sap_attachments
+from repro.mapping.greedy import scarce_specialists
 from repro.nffg.graph import NFFG, NFFGError
 from repro.nffg.model import EdgeLink, InfraType, ResourceVector
 from repro.perf import counters
 
 _EMPTY_SET: frozenset[str] = frozenset()
 
-#: consumable ResourceVector dimensions tracked in the totals (node
-#: bandwidth and delay are capabilities, not allocations)
+#: consumable ResourceVector dimensions :meth:`SubstrateIndex.facts`
+#: states (node bandwidth and delay are capabilities, not allocations)
 _DIMS = ("cpu", "mem", "storage")
 
 
@@ -86,14 +90,13 @@ class SubstrateIndex:
         #: [(cost_per_cpu, infra_id)]; walked high class -> low for top-K
         self._buckets: dict[int, list[tuple[float, str]]] = {}
         self._bucket_of: dict[str, int] = {}
-        #: per-dimension totals over NF-capable infras: snapshot at
-        #: rebuild time (``capacity_totals``) vs live (``free_totals``)
-        self.capacity_totals: dict[str, float] = {}
-        self.free_totals: dict[str, float] = {}
         #: lazily built topology tables, dropped on rebuild
         self._adjacency: Optional[dict[str, list[EdgeLink]]] = None
         self._node_delays: Optional[dict[str, float]] = None
         self._sap_attach: Optional[dict[str, tuple[str, str]]] = None
+        #: lazily built, dropped on rebuild; supported types never move
+        #: in a fold or relink
+        self._specialists: Optional[dict[str, frozenset[str]]] = None
         #: shared single-source delay memo (topology-only, so it is
         #: valid across mapping runs until the next rebuild)
         self.delay_memo: dict[str, dict[str, float]] = {}
@@ -134,10 +137,10 @@ class SubstrateIndex:
         self._cost_of = {}
         self._buckets = {}
         self._bucket_of = {}
-        self.capacity_totals = {dim: 0.0 for dim in _DIMS}
         self._adjacency = None
         self._node_delays = None
         self._sap_attach = None
+        self._specialists = None
         self.delay_memo = {}
         # net out placed NFs in one edge-table pass (ledger idiom);
         # remaining-capacity views carry none, raw DoVs may
@@ -162,11 +165,8 @@ class SubstrateIndex:
             else:
                 self._wildcard.add(infra.id)
             self._bucket_add(infra.id)
-            for dim in _DIMS:
-                self.capacity_totals[dim] += getattr(free, dim)
         for link in resource.links:
             self.link_free[link.id] = link.available_bandwidth
-        self.free_totals = dict(self.capacity_totals)
         self.rebuilds += 1
         counters.incr("mapping.index.rebuild")
 
@@ -193,8 +193,8 @@ class SubstrateIndex:
 
     def fold(self, service: NFFG, result, sign: float) -> bool:
         """Fold a mapping deployed to (``sign=1``) or removed from
-        (``sign=-1``) the substrate into the free maps, buckets and
-        totals *and* into the capacities of the bound view — the one
+        (``sign=-1``) the substrate into the free maps and buckets
+        *and* into the capacities of the bound view — the one
         place residuals are computed, so view and index cannot drift
         apart.  Touches only the placed infras and routed links.
         Returns False, with the index marked stale, when an id no
@@ -215,15 +215,12 @@ class SubstrateIndex:
                 demand = service.nf(nf_id).resources
                 infra = view.infra(infra_id)
                 infra.resources = net(infra.resources, demand)
-                free = self.free[infra_id]
-                updated = self.free[infra_id] = net(free, demand)
-                if infra_id in self._bucket_of:
-                    for dim in _DIMS:
-                        self.free_totals[dim] += (getattr(updated, dim)
-                                                  - getattr(free, dim))
-                    if cpu_class(updated.cpu) != self._bucket_of[infra_id]:
-                        self._bucket_remove(infra_id)
-                        self._bucket_add(infra_id)
+                updated = self.free[infra_id] = net(self.free[infra_id],
+                                                    demand)
+                if (infra_id in self._bucket_of and cpu_class(updated.cpu)
+                        != self._bucket_of[infra_id]):
+                    self._bucket_remove(infra_id)
+                    self._bucket_add(infra_id)
             for route in result.hop_routes.values():
                 for link_id in route.link_ids:
                     link = view.edge(link_id)
@@ -282,25 +279,17 @@ class SubstrateIndex:
             self._sap_attach = build_sap_attachments(self.resource)
         return self._sap_attach
 
+    def scarce_specialists(self) -> dict[str, frozenset[str]]:
+        if self._specialists is None:
+            self._specialists = scarce_specialists(self.resource)
+        return self._specialists
+
     # -- candidate queries -------------------------------------------------
 
     def supporters(self, functional_type: str) -> int:
         """How many NF-capable infras can run this type."""
         return (len(self._by_type.get(functional_type, _EMPTY_SET))
                 + len(self._wildcard))
-
-    def support_census(self) -> tuple[int, dict[str, int], int]:
-        """(NF-capable host count, explicit supporters per type,
-        wildcard host count) — the scarcity facts the balanced/hybrid
-        allocators group by."""
-        return (len(self._bucket_of),
-                {functional_type: len(members)
-                 for functional_type, members in self._by_type.items()},
-                len(self._wildcard))
-
-    def explicit_members(self, functional_type: str) -> frozenset[str]:
-        """Infras that list this type in ``supported_types``."""
-        return frozenset(self._by_type.get(functional_type, _EMPTY_SET))
 
     def candidate_ids(self, functional_type: str, *,
                       domain: Optional[str] = None,
@@ -376,9 +365,7 @@ class SubstrateIndex:
             "index candidate types": {
                 functional_type: sorted(members)
                 for functional_type, members in self._by_type.items()},
-            "index wildcard hosts": sorted(self._wildcard),
-            "index free totals": tuple(self.free_totals[dim]
-                                       for dim in _DIMS)}
+            "index wildcard hosts": sorted(self._wildcard)}
         for infra_id, free in self.free.items():
             facts[f"index free capacity of {infra_id}"] = tuple(
                 getattr(free, dim) for dim in _DIMS)

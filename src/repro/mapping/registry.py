@@ -4,27 +4,21 @@ ESCAPEv2 treats the embedding algorithm as a plugin selected by name;
 this registry is that seam.  Out-of-tree embedders register with
 :func:`register_embedder` and become constructible everywhere an
 embedder name is accepted (``ResourceOrchestrator(embedder="greedy")``,
-``repro perf --embedder hybrid``, ...).
+``repro perf --embedder backtrack``, ...).  Two are built in: ``greedy``
+(the default) and ``backtrack``.
 """
 
 from __future__ import annotations
 
 from typing import Type
 
-from repro.mapping.allocators import (BalancedAllocator, HybridAllocator,
-                                      WeightedAllocator)
 from repro.mapping.backtrack import BacktrackingEmbedder
 from repro.mapping.base import Embedder
-from repro.mapping.delay_aware import DelayAwareEmbedder
 from repro.mapping.greedy import GreedyEmbedder
 
 EMBEDDERS: dict[str, Type[Embedder]] = {
     GreedyEmbedder.name: GreedyEmbedder,
     BacktrackingEmbedder.name: BacktrackingEmbedder,
-    DelayAwareEmbedder.name: DelayAwareEmbedder,
-    BalancedAllocator.name: BalancedAllocator,
-    WeightedAllocator.name: WeightedAllocator,
-    HybridAllocator.name: HybridAllocator,
 }
 
 
@@ -41,7 +35,7 @@ def embedder_names() -> list[str]:
     return sorted(EMBEDDERS)
 
 
-def make_embedder(name: str, **kwargs) -> Embedder:
+def make_embedder(name: str) -> Embedder:
     """Construct a registered embedder by name."""
     try:
         cls = EMBEDDERS[name]
@@ -49,4 +43,4 @@ def make_embedder(name: str, **kwargs) -> Embedder:
         raise ValueError(
             f"unknown embedder {name!r}; registered: "
             f"{', '.join(embedder_names())}") from None
-    return cls(**kwargs)
+    return cls()

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from repro.mapping import (
     BacktrackingEmbedder,
-    DelayAwareEmbedder,
     GreedyEmbedder,
     validate_mapping,
 )
@@ -46,8 +45,7 @@ def substrate_and_service(draw):
 
 
 @given(substrate_and_service(),
-       st.sampled_from([GreedyEmbedder, BacktrackingEmbedder,
-                        DelayAwareEmbedder]))
+       st.sampled_from([GreedyEmbedder, BacktrackingEmbedder]))
 @settings(max_examples=40, deadline=None)
 def test_successful_mappings_are_always_valid(case, embedder_cls):
     substrate, service = case

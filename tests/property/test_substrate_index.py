@@ -10,17 +10,17 @@ Three invariants, matching the index's three promises:
 2. **Pruning is quality-safe** — the index-backed (pruned) greedy run
    must stay feasible wherever the full scan is, with cost inside a
    fixed tolerance, on seeded 200-node substrates.
-3. **Allocators protect acceptance** — on a scarce-resource scenario
+3. **Greedy protects scarce types** — on a scarce-resource scenario
    (few DPI-capable hosts, placed where greedy's detour score loves
-   them) the balanced/weighted/hybrid allocators must never accept
-   fewer services than greedy.
+   them) greedy's scarcity tier keeps the DPI hosts for DPI and accepts
+   every service, with and without an index.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.emu import EmulatedDomain
-from repro.mapping import GreedyEmbedder, SubstrateIndex, make_embedder
+from repro.mapping import GreedyEmbedder, SubstrateIndex
 from repro.netem import Network
 from repro.nffg import NFFGBuilder
 from repro.nffg.builder import mesh_substrate
@@ -121,7 +121,7 @@ def test_pruned_greedy_feasible_and_cost_bounded(seed, chain_length):
         (pruned.cost, full.cost)
 
 
-def _scarce_substrate() -> NFFG:
+def scarce_substrate() -> NFFG:
     """Two DPI-capable hosts sitting exactly where greedy's detour
     score prefers them (on the SAP attachment points), six generic
     hosts one hop further out."""
@@ -161,32 +161,35 @@ def _scarce_substrate() -> NFFG:
     return view
 
 
-def _acceptance(embedder_name: str, services) -> int:
-    """Sequential admission: map with a live index, fold accepted
-    mappings back in (the CAL's deploy loop in miniature)."""
-    substrate = _scarce_substrate()
+def scarce_services() -> list[NFFG]:
+    """Six fat firewall services, then two DPI services: a detour-only
+    score burns both DPI-capable hosts on firewalls."""
+    services = [_chain(f"fw{position}", "firewall", cpu=4.0)
+                for position in range(6)]
+    services += [_chain(f"dpi{position}", "dpi", cpu=2.0)
+                 for position in range(2)]
+    return services
+
+
+def scarce_acceptance(embedder, indexed: bool = True) -> int:
+    """Sequential admission of :func:`scarce_services`: map (with the
+    live index, or by full scan), fold accepted mappings back in (the
+    CAL's deploy loop in miniature)."""
+    substrate = scarce_substrate()
     index = SubstrateIndex()
     index.sync(substrate, epoch=0)
     accepted = 0
-    for service in services:
-        result = make_embedder(embedder_name).map(service, substrate,
-                                                  index=index)
+    for service in scarce_services():
+        result = embedder.map(service, substrate,
+                              index=index if indexed else None)
         if result.success:
             index.fold(service, result, 1.0)
             accepted += 1
     return accepted
 
 
-def test_allocators_never_regress_acceptance_on_scarce_types():
-    """Six fat firewall services then two DPI services: greedy burns
-    the DPI-capable hosts on firewalls (they minimize its detour
-    score), the scarce-aware allocators must not."""
-    services = [_chain(f"fw{position}", "firewall", cpu=4.0)
-                for position in range(6)]
-    services += [_chain(f"dpi{position}", "dpi", cpu=2.0)
-                 for position in range(2)]
-    greedy = _acceptance("greedy", services)
-    assert greedy < len(services)  # the trap actually catches greedy
-    for name in ("balanced", "weighted", "hybrid"):
-        assert _acceptance(name, services) >= greedy, name
-    assert _acceptance("balanced", services) == len(services)
+def test_greedy_protects_scarce_types():
+    """Greedy keeps the DPI-capable hosts for the DPI services."""
+    total = len(scarce_services())
+    assert scarce_acceptance(GreedyEmbedder(), indexed=True) == total
+    assert scarce_acceptance(GreedyEmbedder(), indexed=False) == total

@@ -18,7 +18,8 @@ from repro.mapping.decomposition import (
     DecompositionLibrary,
     DecompositionRule,
 )
-from repro.mapping.greedy import GreedyEmbedder, service_order
+from repro.mapping.greedy import (GreedyEmbedder, route_ready_hops,
+                                  service_order)
 from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder, ResourceVector
 from repro.orchestration import EmuDomainAdapter, EscapeOrchestrator
@@ -89,8 +90,8 @@ class TestCustomEmbedder:
                                                ctx.resource.infra(target)):
                         raise MappingError("last node full")
                     ctx.place(nf_id, target)
-                    self._route_ready_hops(ctx, set(ctx.routes))
-                self._route_ready_hops(ctx, set(ctx.routes))
+                    route_ready_hops(ctx, set(ctx.routes))
+                route_ready_hops(ctx, set(ctx.routes))
 
         escape.ro.embedder = LastNodeEmbedder()
         service = (NFFGBuilder("emb").sap("xsap1").sap("xsap2")

@@ -1,11 +1,10 @@
-"""Tests for the three embedding algorithms (shared behaviours +
+"""Tests for the two built-in embedding algorithms (shared behaviours +
 algorithm-specific ones)."""
 
 import pytest
 
 from repro.mapping import (
     BacktrackingEmbedder,
-    DelayAwareEmbedder,
     GreedyEmbedder,
     validate_mapping,
 )
@@ -13,7 +12,7 @@ from repro.mapping.greedy import service_order
 from repro.nffg import NFFG, NFFGBuilder, ResourceVector
 from repro.nffg.builder import linear_substrate, mesh_substrate
 
-ALL_EMBEDDERS = [GreedyEmbedder, BacktrackingEmbedder, DelayAwareEmbedder]
+ALL_EMBEDDERS = [GreedyEmbedder, BacktrackingEmbedder]
 
 
 def simple_service(bandwidth=10.0, max_delay=None):
@@ -127,28 +126,26 @@ class TestServiceOrder:
 
 class TestBacktracking:
     def test_finds_solution_greedy_misses(self):
-        """Two NFs, two nodes; the greedy-preferred node can host only
-        one NF, and the far node is reachable only through a
-        bandwidth-limited link that forces fw onto the near node."""
-        view = NFFG(id="trap")
-        near = view.add_infra("near", resources=ResourceVector(
-            cpu=1.0, mem=4096, storage=50), supported_types=["firewall", "nat"])
-        far = view.add_infra("far", resources=ResourceVector(
-            cpu=8.0, mem=4096, storage=50), supported_types=["firewall", "nat"],
-            cost_per_cpu=5.0)
-        port_n = near.add_port("to-far")
-        port_f = far.add_port("to-near")
-        view.add_link("near", port_n.id, "far", port_f.id, bandwidth=100.0,
-                      delay=1.0)
-        sap = view.add_sap("sap1")
-        sap_port = near.add_port("sap-sap1", sap_tag="sap1")
-        view.add_link("sap1", "1", "near", sap_port.id, bandwidth=100.0)
-        service = (NFFGBuilder("svc").sap("sap1")
-                   .nf("fw", "firewall", cpu=1.0).nf("nat", "nat", cpu=1.0)
-                   .chain("sap1", "fw", "nat", bandwidth=10.0).build())
-        result = BacktrackingEmbedder().map(service, view)
+        """A delay-tight chain on a 4-node mesh: greedy's locally
+        cheapest hosts leave the last hop no path inside the budget,
+        backtracking re-places NFs until the whole chain fits."""
+        substrate = mesh_substrate(
+            4, degree=3, seed=22, cpu=3.83, link_bw=1395.6,
+            supported_types=["firewall", "nat", "dpi", "monitor"])
+        service = (NFFGBuilder("svc").sap("sap1").sap("sap2")
+                   .nf("nat1", "nat", cpu=2.2).nf("nat2", "nat", cpu=3.05)
+                   .nf("dpi", "dpi", cpu=1.07)
+                   .nf("fw", "firewall", cpu=1.9)
+                   .chain("sap1", "nat1", "nat2", "dpi", "fw", "sap2",
+                          bandwidth=19.5)
+                   .requirement("sap1", "sap2", max_delay=2.88).build())
+        greedy = GreedyEmbedder().map(service, substrate)
+        assert not greedy.success
+        assert "svc-hop5" in greedy.failure_reason
+        result = BacktrackingEmbedder().map(service, substrate)
         assert result.success, result.failure_reason
-        assert validate_mapping(service, view, result) == []
+        assert result.backtracks == 10
+        assert validate_mapping(service, substrate, result) == []
 
     def test_backtrack_budget_respected(self):
         substrate = linear_substrate(2, cpu=0.1)
@@ -158,26 +155,33 @@ class TestBacktracking:
         assert result.backtracks <= 6
 
 
-class TestDelayAware:
-    def test_respects_tight_budget_better_than_greedy(self):
-        """Delay-aware places the NF between the SAPs instead of at the
-        cheap end when an end-to-end delay requirement is tight."""
-        substrate = linear_substrate(5, id="line", link_delay=5.0,
-                                     supported_types=["firewall"])
-        # make the far end cheap so greedy drifts there
-        for index, infra in enumerate(substrate.infras):
-            infra.cost_per_cpu = 5.0 - index
-        service = (NFFGBuilder("svc").sap("sap1").sap("sap2")
-                   .nf("fw", "firewall")
-                   .chain("sap1", "fw", "sap2", bandwidth=1.0)
-                   .requirement("sap1", "sap2", max_delay=60.0).build())
-        result = DelayAwareEmbedder(alpha=0.1, beta=5.0).map(service, substrate)
-        assert result.success, result.failure_reason
-        assert validate_mapping(service, substrate, result) == []
+class TestScarcityTier:
+    """Greedy keeps hosts of a scarce type (here DPI: 1 of 4 hosts)
+    for NFs of that type while any other host is feasible."""
 
-    def test_cost_metrics_populated(self):
-        substrate = linear_substrate(3, supported_types=["firewall", "nat"])
-        result = DelayAwareEmbedder().map(simple_service(), substrate)
-        assert result.cost > 0
-        assert result.nodes_examined > 0
-        assert result.runtime_s >= 0
+    @staticmethod
+    def _substrate():
+        substrate = linear_substrate(4, id="s", supported_types=["firewall"])
+        specialist = substrate.infra("s-bb0")  # where sap1 attaches
+        specialist.supported_types.add("dpi")
+        specialist.cost_per_cpu = 0.1
+        return substrate
+
+    @staticmethod
+    def _firewall():
+        return (NFFGBuilder("svc").sap("sap1").sap("sap2")
+                .nf("fw", "firewall", cpu=2.0)
+                .chain("sap1", "fw", "sap2", bandwidth=1.0).build())
+
+    def test_generic_host_spares_the_specialist(self):
+        result = GreedyEmbedder().map(self._firewall(), self._substrate())
+        assert result.success, result.failure_reason
+        assert result.nf_placement["fw"] == "s-bb1"
+
+    def test_specialist_taken_when_only_feasible(self):
+        substrate = self._substrate()
+        for infra_id in ("s-bb1", "s-bb2", "s-bb3"):
+            substrate.infra(infra_id).resources = ResourceVector(cpu=1.0)
+        result = GreedyEmbedder().map(self._firewall(), substrate)
+        assert result.success, result.failure_reason
+        assert result.nf_placement["fw"] == "s-bb0"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mapping import DelayAwareEmbedder, GreedyEmbedder
+from repro.mapping import BacktrackingEmbedder, GreedyEmbedder
 from repro.mapping.decomposition import default_decomposition_library
 from repro.nffg import NFFG, NFFGBuilder
 from repro.nffg.builder import linear_substrate
@@ -184,8 +184,8 @@ class TestEscapeSingleDomain:
         # earlier services unaffected
         assert len(testbed.escape.deployed_services()) == index
 
-    def test_delay_aware_embedder_pluggable(self):
+    def test_backtracking_embedder_pluggable(self):
         testbed = build_emulated_testbed(switches=3,
-                                         embedder=DelayAwareEmbedder())
+                                         embedder=BacktrackingEmbedder())
         report = testbed.escape.deploy(simple_service())
         assert report.success

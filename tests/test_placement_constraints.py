@@ -5,7 +5,6 @@ import pytest
 
 from repro.mapping import (
     BacktrackingEmbedder,
-    DelayAwareEmbedder,
     GreedyEmbedder,
     validate_mapping,
 )
@@ -14,7 +13,7 @@ from repro.service import ServiceRequestBuilder
 from repro.topo import build_reference_multidomain
 from repro.cli import ScenarioRunner
 
-ALL_EMBEDDERS = [GreedyEmbedder, BacktrackingEmbedder, DelayAwareEmbedder]
+ALL_EMBEDDERS = [GreedyEmbedder, BacktrackingEmbedder]
 
 
 def _substrate():

@@ -1,12 +1,11 @@
-"""Unit tests for the substrate index, the embedder registry, and the
-index-backed allocators (PR 10).
+"""Unit tests for the substrate index and the embedder registry.
 
 The deeper equivalence/acceptance properties live in
 ``tests/property/test_substrate_index.py``; these tests pin the
 individual mechanisms: bucket maintenance, the residual fold (index and
 bound view move together; ``cal.verify()`` is the drift check and is
 tested in ``tests/test_cal_shards.py``), copy-on-write ledger seeding,
-candidate pruning, and registry plumbing.
+candidate pruning, the scarce-specialist memo, and registry plumbing.
 """
 
 import types
@@ -14,15 +13,13 @@ import types
 import pytest
 
 from repro.mapping import (
+    EMBEDDERS,
     BacktrackingEmbedder,
-    DelayAwareEmbedder,
     GreedyEmbedder,
     MappingContext,
     SubstrateIndex,
-    embedder_names,
     make_embedder,
     register_embedder,
-    validate_mapping,
 )
 from repro.mapping.base import Embedder
 from repro.mapping.index import cpu_class
@@ -113,6 +110,19 @@ class TestLifecycle:
         index.mark_stale()
         ctx = MappingContext(_chain(), substrate, index=index)
         assert ctx.index is None  # fell back to the full-rescan path
+
+    def test_scarce_specialists_memoised_until_rebuild(self):
+        substrate = _substrate()
+        index = _synced(substrate)
+        assert index.scarce_specialists() == {}  # every host runs all
+        specialist = substrate.infras[0]
+        for infra in substrate.infras[1:]:
+            infra.supported_types.discard("dpi")
+        assert index.scarce_specialists() == {}  # memo kept
+        index.relink((), (), epoch=2)
+        assert index.scarce_specialists() == {}  # relink keeps it
+        index.rebuild(substrate, epoch=3)
+        assert index.scarce_specialists() == {specialist.id: {"dpi"}}
 
     def test_switches_are_excluded_from_candidates(self):
         substrate = _substrate()
@@ -216,47 +226,23 @@ class TestCandidates:
 
 class TestRegistry:
     def test_all_embedders_registered(self):
-        assert {"greedy", "backtrack", "delay-aware",
-                "balanced", "weighted", "hybrid"} <= set(embedder_names())
+        built_in = {name for name, cls in EMBEDDERS.items()
+                    if cls.__module__.startswith("repro.")}
+        assert built_in == {"greedy", "backtrack"}
 
     def test_make_embedder_unknown_name(self):
         with pytest.raises(ValueError, match="registered"):
             make_embedder("no-such-embedder")
-
-    def test_make_embedder_forwards_kwargs(self):
-        embedder = make_embedder("greedy", candidate_k=7)
-        assert embedder.candidate_k == 7
 
     def test_register_rejects_abstract(self):
         with pytest.raises(ValueError):
             register_embedder(Embedder)
 
 
-class TestAllocators:
-    @pytest.mark.parametrize("name", ["balanced", "weighted", "hybrid"])
-    def test_allocators_produce_valid_mappings(self, name):
-        substrate = _substrate(size=16)
-        service = _chain(length=4)
-        result = make_embedder(name).map(service, substrate)
-        assert result.success, result.failure_reason
-        assert result.embedder == name
-        assert validate_mapping(service, substrate, result) == []
-
-    @pytest.mark.parametrize("name", ["balanced", "weighted", "hybrid"])
-    def test_allocators_work_with_index(self, name):
-        substrate = _substrate(size=16)
-        index = _synced(substrate)
-        service = _chain(length=4)
-        result = make_embedder(name).map(service, substrate, index=index)
-        assert result.success, result.failure_reason
-        assert validate_mapping(service, substrate, result) == []
-
-
 class TestEmbedderAttribution:
     def test_result_carries_embedder_name(self):
         substrate = _substrate()
         service = _chain()
-        for cls in (GreedyEmbedder, BacktrackingEmbedder,
-                    DelayAwareEmbedder):
+        for cls in (GreedyEmbedder, BacktrackingEmbedder):
             result = cls().map(service, substrate)
             assert result.embedder == cls.name

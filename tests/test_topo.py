@@ -1,7 +1,7 @@
 """Tests for the reference testbeds."""
 
 
-from repro.mapping import DelayAwareEmbedder
+from repro.mapping import BacktrackingEmbedder
 from repro.nffg.model import DomainType
 from repro.topo import build_emulated_testbed, build_reference_multidomain
 
@@ -31,8 +31,8 @@ class TestReferenceMultidomain:
         assert len(sdn_nodes) == 3
 
     def test_custom_embedder(self):
-        testbed = build_reference_multidomain(embedder=DelayAwareEmbedder())
-        assert testbed.escape.ro.embedder.name == "delay-aware"
+        testbed = build_reference_multidomain(embedder=BacktrackingEmbedder())
+        assert testbed.escape.ro.embedder.name == "backtrack"
 
     def test_decompositions_default_on(self):
         testbed = build_reference_multidomain()
