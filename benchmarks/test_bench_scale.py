@@ -1,7 +1,7 @@
-"""CP-3 — deploy latency vs domain count under the sharded CAL.
+"""CP-3 — deploy latency vs domain count.
 
-The scaling claim behind the sharded registry and the touched-set push
-planner: per-deploy control-plane work is proportional to the domains a
+The scaling claim behind the per-domain view cache and the touched-set
+push planner: per-deploy control-plane work is proportional to the domains a
 service *touches*, not to the domains the orchestrator *manages*.  We
 sweep the domain count with a fixed single-domain service shape; every
 deploy touches exactly one domain, so a flat CAL's full fan-out (and
@@ -57,8 +57,7 @@ def _service(index: int, domain: str) -> NFFG:
 
 
 def _measure(domains: int) -> dict:
-    escape = EscapeOrchestrator(f"scale{domains}",
-                                cal_shards=max(1, domains // 8))
+    escape = EscapeOrchestrator(f"scale{domains}")
     names = [f"d{index}" for index in range(domains)]
     for name in names:
         escape.add_domain(DirectDomainAdapter(name, _domain_view(name)))
@@ -80,21 +79,20 @@ def _measure(domains: int) -> dict:
     snapshot = perf.snapshot()
 
     # planner effectiveness: one push per deploy, everything else
-    # skipped; steady state never re-merges a shard
+    # skipped; steady state never refetches a domain view
     assert snapshot.get("cal.push.planned", 0) == TIMED_DEPLOYS
     assert snapshot.get("cal.push.skipped", 0) \
         == TIMED_DEPLOYS * (domains - 1)
-    assert snapshot.get("cal.shard.refresh", 0) == 0
+    assert snapshot.get("cal.fetch", 0) == 0
     assert snapshot.get("dov.rebuild", 0) == 0
 
     return {
         "domains": domains,
-        "shards": len(escape.cal.shards),
         "deploys": TIMED_DEPLOYS,
         "ms_per_deploy": elapsed_ms / TIMED_DEPLOYS,
         "pushes": snapshot.get("cal.push.planned", 0),
         "skipped": snapshot.get("cal.push.skipped", 0),
-        "shard_refreshes": snapshot.get("cal.shard.refresh", 0),
+        "fetches": snapshot.get("cal.fetch", 0),
     }
 
 

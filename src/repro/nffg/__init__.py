@@ -40,8 +40,6 @@ from repro.nffg.ops import (
     available_resources,
     merge_nffgs,
     remaining_nffg,
-    split_per_domain,
-    strip_deployment,
 )
 from repro.nffg.serialize import nffg_from_dict, nffg_from_json, nffg_to_dict, nffg_to_json
 
@@ -65,8 +63,6 @@ __all__ = [
     "available_resources",
     "merge_nffgs",
     "remaining_nffg",
-    "split_per_domain",
-    "strip_deployment",
     "nffg_from_dict",
     "nffg_from_json",
     "nffg_to_dict",

@@ -414,8 +414,8 @@ class NFFG:
         *links* (static/dynamic) whose both endpoints are kept.
 
         SG hops and requirement edges are dropped: the result is a
-        deployment-only view — exactly what ``split_per_domain`` hands
-        to a domain adapter.  Same direct-fill fast path as
+        deployment-only view — exactly what the CAL's ``_install_for``
+        hands to a domain adapter.  Same direct-fill fast path as
         :meth:`copy`; the links are found by walking the kept nodes'
         adjacency, so the clone costs the subgraph and not this graph
         (edges come out in that walk's order).

@@ -3,8 +3,6 @@
 - :func:`merge_nffgs` stitches per-domain views into one global view
   (inter-domain SAP ports carrying the same ``sap_tag`` are fused with
   an inter-domain static link);
-- :func:`split_per_domain` slices a mapped global NFFG back into one
-  install-NFFG per technology domain;
 - :func:`available_resources` / :func:`remaining_nffg` compute what is
   left of a resource view after the currently placed NFs and reserved
   SG hops are subtracted — this is what a virtualizer advertises
@@ -26,17 +24,15 @@ from typing import Iterable, Optional
 
 from repro.nffg.graph import NFFG, NFFGError
 from repro.nffg.model import (
-    DomainType,
     EdgeLink,
-    LinkType,
     NodeInfra,
     NodeNF,
     ResourceVector,
 )
 
 
-def merge_nffgs(views: Iterable[NFFG], merged_id: str = "global-view", *,
-                stitch: bool = True) -> NFFG:
+def merge_nffgs(views: Iterable[NFFG],
+                merged_id: str = "global-view") -> NFFG:
     """Merge domain views into a single global resource view.
 
     Node ids must be globally unique across domains (domain managers
@@ -45,12 +41,6 @@ def merge_nffgs(views: Iterable[NFFG], merged_id: str = "global-view", *,
     ``sap_tag`` on *different* nodes are connected with an inter-domain
     link of zero cost; the tag is treated as the physical hand-off
     between providers.
-
-    With ``stitch=False`` the tag pairing is skipped: the merge is a
-    pure union and tagged ports stay open.  The sharded CAL merges each
-    shard's member views this way — a tag pair may span two shards, so
-    only the final shard-of-shards merge is allowed to stitch (pairing
-    twice would mint duplicate ``interdomain-*`` link ids).
     """
     merged = NFFG(id=merged_id, name="merged global view")
     tag_endpoints: dict[str, list[tuple[str, str]]] = {}
@@ -72,7 +62,7 @@ def merge_nffgs(views: Iterable[NFFG], merged_id: str = "global-view", *,
                 if port.sap_tag is not None:
                     tag_endpoints.setdefault(port.sap_tag, []).append(
                         (infra.id, port.id))
-    for tag, endpoints in sorted(tag_endpoints.items()) if stitch else ():
+    for tag, endpoints in sorted(tag_endpoints.items()):
         if len(endpoints) < 2:
             continue
         if len(endpoints) > 2:
@@ -90,49 +80,6 @@ def merge_nffgs(views: Iterable[NFFG], merged_id: str = "global-view", *,
 #: from BGP-LS / peering contracts, the prototype hard-wires the peering.
 _INTERDOMAIN_DELAY = 1.0
 _INTERDOMAIN_BW = 10_000.0
-
-
-def split_per_domain(mapped: NFFG) -> dict[DomainType, NFFG]:
-    """Slice a mapped global NFFG into per-domain install graphs.
-
-    Each domain receives its own infra nodes, the NFs placed on them,
-    the dynamic links binding those NFs, intra-domain static links and
-    the flow rules already resident on its infra ports.  Inter-domain
-    links (endpoints in different domains) are dropped — the hand-off
-    is represented by sap-tagged ports on both sides.
-
-    A domain's membership set (its infras + hosted NFs + SAPs tagged on
-    its ports) is computed first, then materialized with the subgraph
-    fast path: a link survives exactly when both endpoints are members,
-    SG hops and requirements never enter an install view.  This runs on
-    every ``push_all`` and is kept off the generic per-element copy API
-    on purpose.
-    """
-    # per-domain node membership: infras first, then hosted NFs, then
-    # SAPs (insertion order of the member lists is the install order)
-    members: dict[DomainType, list[str]] = {}
-    infra_domain: dict[str, DomainType] = {}
-    for infra in mapped.infras:
-        infra_domain[infra.id] = infra.domain
-        members.setdefault(infra.domain, []).append(infra.id)
-
-    for host, nf in mapped.placed_nfs():
-        members[infra_domain[host]].append(nf.id)
-
-    sap_ids = {sap.id for sap in mapped.saps}
-    tagged: dict[DomainType, set[str]] = {}
-    for infra in mapped.infras:
-        for port in infra.ports.values():
-            if port.sap_tag in sap_ids:
-                domain_tags = tagged.setdefault(infra.domain, set())
-                if port.sap_tag not in domain_tags:
-                    domain_tags.add(port.sap_tag)
-                    members[infra.domain].append(port.sap_tag)
-
-    return {domain: mapped.copy_subgraph(
-                f"{mapped.id}@{domain.value}", node_ids,
-                name=f"install view for {domain.value}")
-            for domain, node_ids in members.items()}
 
 
 def consumed_resources(view: NFFG, infra_id: str) -> ResourceVector:
@@ -192,38 +139,6 @@ def remaining_nffg(view: NFFG, new_id: Optional[str] = None, *,
         link.bandwidth = max(link.available_bandwidth, 0.0)
         link.reserved = 0.0
     return result
-
-
-def strip_deployment(view: NFFG, new_id: Optional[str] = None) -> NFFG:
-    """Remove NFs, dynamic links, SG hops and flow rules: bare topology."""
-    result = view.copy(new_id or f"{view.id}-bare")
-    for req in list(result.requirements):
-        result.remove_edge(req.id)
-    for hop in list(result.sg_hops):
-        result.remove_edge(hop.id)
-    for edge in list(result.dynamic_links):
-        result.remove_edge(edge.id)
-    for nf in list(result.nfs):
-        result.remove_node(nf.id)
-    result.clear_flowrules()
-    for link in result.links:
-        link.reserved = 0.0
-    # drop NF-binding ports created by place_nf
-    for infra in result.infras:
-        dangling = [pid for pid, port in infra.ports.items()
-                    if pid.count("-") and not port.sap_tag
-                    and not _port_used(result, infra.id, pid)]
-        for pid in dangling:
-            del infra.ports[pid]
-    return result
-
-
-def _port_used(view: NFFG, node_id: str, port_id: str) -> bool:
-    for edge in view.edges:
-        if ((edge.src_node == node_id and edge.src_port == port_id)
-                or (edge.dst_node == node_id and edge.dst_port == port_id)):
-            return True
-    return False
 
 
 @dataclass

@@ -96,7 +96,11 @@ class DomainAdapter(abc.ABC):
 
     @abc.abstractmethod
     def get_view(self) -> NFFG:
-        """The domain's pristine resource view (capacity, topology)."""
+        """The domain's pristine resource view (capacity, topology).
+
+        The caller owns the returned graph: the CAL caches it as the
+        domain's view until the domain is refetched, so it must be a
+        copy or freshly built, never a graph the adapter keeps editing."""
 
     @abc.abstractmethod
     def _push(self, install: NFFG) -> None:

@@ -11,12 +11,11 @@ journaled books ``service id -> (service graph, mapping)``.  Everything
 else is **derived**, with one writer and one place it is dropped each
 (table in ``docs/architecture.md``):
 
-- **shard sub-views + ownership map** — adapters are partitioned into
-  :class:`CALShard` buckets (explicit shard map, else a stable hash of
-  the name); ``_refresh_shards`` refetches only stale shards, merges
-  each sub-view *unstitched* (sap-tag pairs are fused once, at the
-  global stitch — a pair may span two shards) and records which
-  adapter contributed which infra;
+- **domain views + ownership map** — the view each adapter's last
+  fetch returned is cached (None: that fetch failed); ``_refresh``
+  refetches only the stale domains, in one dispatcher batch, and
+  records which adapter contributed which infra; the pristine view is
+  one stitch of the cached views in registration order;
 - **live DoV + inverse records, remaining view + substrate index** —
   ``_derive`` replays the books onto a fresh stitch; afterwards
   ``commit_mapping``/``remove_service``/``restore_service`` fold one
@@ -38,23 +37,22 @@ else is **derived**, with one writer and one place it is dropped each
   topology may have and is what ``PathCache.sync`` and
   ``SubstrateIndex.sync`` take.
 
-:meth:`verify` re-derives all of it from the cached sub-views plus the
-books — no adapter I/O — and names every difference.
+:meth:`verify` re-derives all of it from the cached domain views plus
+the books — no adapter I/O — and names every difference.
 
 Fan-out is **concurrent**: pushes and view fetches go through a
 :class:`~repro.orchestration.dispatch.DomainDispatcher` (distinct
 domains in parallel, one in-flight op per domain).  Shared bookkeeping
-(per-shard reconciliation queues, perf counters, fault plans) is
-locked; breakers, adapter delta state and a domain's install view are
-only touched by that domain's in-flight operation; all other derived
-state is only written on the orchestrator's thread, before any fan-out
+(the reconciliation queue, perf counters, fault plans) is locked;
+breakers, adapter delta state and a domain's install view are only
+touched by that domain's in-flight operation; all other derived state
+is only written on the orchestrator's thread, before any fan-out
 starts.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -85,60 +83,29 @@ from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.sanitize import make_lock
 
 
-class CALShard:
-    """One partition of the adapter registry.
-
-    Holds the shard's member adapters (registration order), its cached
-    merged, *unstitched* sub-view and the per-shard resilience
-    bookkeeping.  ``stale`` marks the sub-view for a refetch at the next
-    stitch.  Only complete sub-views are cached: a shard whose fetch
-    lost a member stays stale so every later stitch retries the domain.
-    """
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        #: member adapter names in registration order
-        self.adapter_names: list[str] = []
-        #: cached merged sub-view (None until first refresh, or when
-        #: every member view was unavailable)
-        self.view: Optional[NFFG] = None
-        #: the cached sub-view no longer reflects the member domains
-        self.stale = True
-        #: members excluded from the cached sub-view (breaker open, or
-        #: fetch failed after retries)
-        self.view_failures: set[str] = set()
-        #: members holding stale configuration (push skipped/failed),
-        #: replayed by reconcile; mutated by concurrent ``_push_one``
-        #: calls on dispatcher workers, hence the per-shard lock
-        self.pending: set[str] = set()  # guarded-by: lock
-        self.lock = make_lock(f"cal.shard{index}.pending")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (f"<CALShard {self.index}: {len(self.adapter_names)} "
-                f"adapters{' stale' if self.stale else ''}>")
-
-
 class ControllerAdaptationLayer:
     """Adapter registry + incremental DoV maintenance + install fan-out."""
 
     def __init__(self, *, breaker_failure_threshold: int = 3,
                  breaker_recovery_s: float = 30.0,
                  breaker_clock: Callable[[], float] = time.monotonic,
-                 push_workers: int = DEFAULT_MAX_WORKERS,
-                 shards: int = 1,
-                 shard_map: Optional[dict[str, int]] = None) -> None:
+                 push_workers: int = DEFAULT_MAX_WORKERS) -> None:
         self.adapters: dict[str, DomainAdapter] = {}
         #: concurrent per-domain fan-out; ``push_workers <= 1`` degrades
         #: to strictly serial pushes on the caller's thread
         self.dispatcher = DomainDispatcher(push_workers,
                                            serial=push_workers <= 1)
-        #: adapter partition: ``shard_map`` pins names, the rest hash
-        count = max(1, int(shards))
-        if shard_map:
-            count = max(count, max(shard_map.values()) + 1)
-        self.shards: list[CALShard] = [CALShard(i) for i in range(count)]
-        self._shard_map = dict(shard_map or {})
-        self._shard_of: dict[str, CALShard] = {}
+        #: adapter name -> the view its last fetch returned (None: that
+        #: fetch failed); the pristine view is stitched from these
+        self._fetched: dict[str, Optional[NFFG]] = {}
+        #: domains whose cached view is refetched at the next stitch; a
+        #: failed fetch stays here, so every later stitch retries it
+        self._stale: set[str] = set()
+        #: domains holding stale configuration (push skipped/failed),
+        #: replayed by reconcile; mutated by concurrent ``_push_one``
+        #: calls on dispatcher workers, hence the lock
+        self._pending: set[str] = set()  # guarded-by: _pending_lock
+        self._pending_lock = make_lock("cal.pending")
         #: adapters grouped by DomainType, maintained at register time
         self._adapters_by_type: dict[DomainType, list[DomainAdapter]] = {}
         self._dov: Optional[NFFG] = None
@@ -173,12 +140,9 @@ class ControllerAdaptationLayer:
         #: on the orchestrator's thread only (before any fan-out starts)
         self._dirty: set[str] = set()
         #: infra id -> owning adapter name and its inverse (adapter ->
-        #: its infra ids in view order), written by ``_refresh_shards``
+        #: its infra ids in view order), written by ``_refresh``
         self._owner: dict[str, str] = {}
         self._owned: dict[str, list[str]] = {}
-        #: domains whose view could not enter the latest pristine merge
-        #: (breaker open, or fetch failed after retries)
-        self.last_view_failures: set[str] = set()
         #: adapter name -> its install view: what ``_install_for``
         #: slices out of the DoV, made at the adapter's first push of a
         #: topology epoch and edited in place from then on.  An entry is
@@ -205,54 +169,32 @@ class ControllerAdaptationLayer:
         self.adapters[adapter.name] = adapter
         self._adapters_by_type.setdefault(
             adapter.domain_type, []).append(adapter)
-        shard = self.shards[self._shard_index(adapter.name)]
-        shard.adapter_names.append(adapter.name)
-        self._shard_of[adapter.name] = shard
         self.breakers[adapter.name] = CircuitBreaker(
             adapter.name,
             failure_threshold=self.breaker_failure_threshold,
             recovery_time_s=self.breaker_recovery_s,
             clock=self.breaker_clock)
-        # topology changed, but only the new adapter's shard needs a
-        # refetch — the other sub-views are still current
+        # topology changed, but only the new domain needs a fetch — the
+        # other cached views are still current
         self.mark_stale(domains=(adapter.name,))
         return adapter
-
-    def _shard_index(self, name: str) -> int:
-        explicit = self._shard_map.get(name)
-        if explicit is not None:
-            if not 0 <= explicit < len(self.shards):
-                raise ValueError(
-                    f"shard_map pins {name!r} to shard {explicit}, but "
-                    f"only shards 0..{len(self.shards) - 1} exist")
-            return explicit
-        return zlib.crc32(name.encode("utf-8")) % len(self.shards)
-
-    def shard_of(self, name: str) -> int:
-        """The shard index an adapter name lives in (registered or not)."""
-        shard = self._shard_of.get(name)
-        return shard.index if shard is not None else self._shard_index(name)
-
-    def adapters_for(self, domain_type: DomainType) -> list[DomainAdapter]:
-        return list(self._adapters_by_type.get(domain_type, ()))
 
     # -- global view --------------------------------------------------------------
 
     def pristine_view(self, *, refresh: bool = True) -> NFFG:
         """Merge of all current adapter views (no deployment state).
 
-        The merge is shard-wise: every *stale* shard refetches its
-        member views (one concurrent dispatcher batch across all stale
-        shards) and re-merges its cached sub-view; fresh shards are
-        reused as-is.  The global view is then stitched from the
-        sub-views (sap-tag pairs fused here, and only here).
+        Every *stale* domain is refetched (one concurrent dispatcher
+        batch); the others are served from the cache.  The global view
+        is then stitched from the cached views (sap-tag pairs fused
+        here, and only here).
 
-        With ``refresh`` (the default) every shard is marked stale
+        With ``refresh`` (the default) every domain is marked stale
         first: direct callers — ``heal()`` probing for outages — expect
         current domain truth, not caches; the rebuild path passes
-        ``refresh=False`` and pays only for shards something
-        invalidated.  A refetch that differs from the cached sub-view
-        moves ``topology_generation`` (see ``_refresh_shards``).
+        ``refresh=False`` and pays only for domains something
+        invalidated.  A refetch that differs from the cached view moves
+        ``topology_generation`` (see ``_refresh``).
 
         Degrades gracefully: a domain whose breaker is open is not even
         asked, one whose fetch fails after retries is left out of the
@@ -260,29 +202,31 @@ class ControllerAdaptationLayer:
         can evacuate their services.
         """
         if refresh:
-            for shard in self.shards:
-                shard.stale = True
-        populated = [shard for shard in self.shards if shard.adapter_names]
-        stale = [shard for shard in populated if shard.stale]
+            self._stale.update(self.adapters)
+        stale = [name for name in self.adapters if name in self._stale]
         if stale:
-            counters.incr("cal.shard.refresh", len(stale))
-        if len(populated) > len(stale):
-            counters.incr("cal.shard.reuse", len(populated) - len(stale))
-        self._refresh_shards(stale)
-        self.last_view_failures = set().union(
-            *(shard.view_failures for shard in populated))
+            counters.incr("cal.fetch", len(stale))
+        if len(self.adapters) > len(stale):
+            counters.incr("cal.fetch.reused", len(self.adapters) - len(stale))
+        self._refresh(stale)
         return self._stitch()
 
+    @property
+    def last_view_failures(self) -> set[str]:
+        """Domains whose view could not enter the latest pristine merge
+        (breaker open, or fetch failed after retries)."""
+        return {name for name, view in self._fetched.items() if view is None}
+
     def _stitch(self) -> NFFG:
-        """The global pristine view fused from the cached sub-views."""
-        views = [shard.view for shard in self.shards
-                 if shard.view is not None]
+        """The global pristine view fused from the cached domain views."""
+        views = [view for view in map(self._fetched.get, self.adapters)
+                 if view is not None]
         if not views:
             return NFFG(id="dov-empty")
         started = time.perf_counter()
-        counters.incr("cal.shard.stitch")
+        counters.incr("cal.stitch")
         merged = merge_nffgs(views, merged_id="dov")
-        observe("cal.shard.stitch_s", time.perf_counter() - started)
+        observe("cal.stitch_s", time.perf_counter() - started)
         return merged
 
     def _fetch_view(self, adapter: DomainAdapter) -> Optional[NFFG]:
@@ -303,44 +247,30 @@ class ControllerAdaptationLayer:
                 breaker.record_success()
             return view
 
-    def _refresh_shards(self, shards: list[CALShard]) -> None:
-        """Refetch the member views of the given shards (one dispatcher
-        batch spanning all of them, so distinct domains still fan out
-        in parallel), re-merge each sub-view and rewrite the members'
-        ownership entries.  A shard that lost a member stays stale —
-        only complete sub-views are cached, so the next stitch retries
-        the missing domain.  A refetch that differs moves the topology
-        generation and drops the derived state, or folds links-only moves."""
-        names = [name for shard in shards for name in shard.adapter_names]
-        fetched = dict(zip(names, self.dispatcher.run(
+    def _refresh(self, names: list[str]) -> None:
+        """Refetch the named domains' views (one dispatcher batch, so
+        distinct domains fan out in parallel), cache them and rewrite
+        their ownership entries.  A failed fetch stays stale, so the
+        next stitch retries the domain.  A refetch that differs moves
+        the topology generation and drops the derived state, or folds
+        links-only moves."""
+        fetched = self.dispatcher.run(
             (name, lambda adapter=self.adapters[name]:
-             self._fetch_view(adapter)) for name in names)))
+             self._fetch_view(adapter)) for name in names)
         moves = []
-        for shard in shards:
-            with obs.span(f"merge/shard{shard.index}", shard=shard.index):
-                views: list[NFFG] = []
-                shard.view_failures = set()
-                for name in shard.adapter_names:
-                    for infra_id in self._owned.pop(name, ()):
-                        self._owner.pop(infra_id, None)
-                    view = fetched[name]
-                    if view is None:
-                        shard.view_failures.add(name)
-                        continue
-                    owned = self._owned[name] = [
-                        infra.id for infra in view.infras]
-                    self._owner.update(dict.fromkeys(owned, name))
-                    views.append(view)
-                previous = shard.view
-                shard.view = merge_nffgs(
-                    views, merged_id=f"dov-shard{shard.index}",
-                    stitch=False) if views else None
-            moves.append(_link_moves(previous, shard.view))
-            shard.stale = bool(shard.view_failures)
+        for name, view in zip(names, fetched):
+            for infra_id in self._owned.pop(name, ()):
+                self._owner.pop(infra_id, None)
+            if view is not None:  # a failed fetch stays stale
+                self._stale.discard(name)
+                owned = self._owned[name] = [infra.id for infra in view.infras]
+                self._owner.update(dict.fromkeys(owned, name))
+            moves.append(_link_moves(self._fetched.get(name), view))
+            self._fetched[name] = view
         if None in moves or any(map(any, moves)):
             self.topology_generation += 1
             if None in moves or self._dov is None:
-                # the live DoV was built from sub-views that no longer exist
+                # the live DoV was built from views that no longer exist
                 self._invalidate()
             else:
                 self._fold_links(set().union(*(gone for gone, _ in moves)),
@@ -386,27 +316,25 @@ class ControllerAdaptationLayer:
         failure observed): drop the derived state so the next access
         re-merges fresh domain views.
 
-        ``domains`` narrows the refetch to the shards owning the named
-        domains (the other cached sub-views are reused at the next
-        stitch); ``None`` — location unknown — stales every shard.
+        ``domains`` narrows the refetch to the named domains (the other
+        cached views are reused at the next stitch); ``None`` — location
+        unknown — stales every domain.
         """
         names = self.adapters if domains is None else domains
-        self._invalidate(self._shard_of[name] for name in names
-                         if name in self._shard_of)
+        self._invalidate(name for name in names if name in self.adapters)
         self.topology_generation += 1
 
     def rebuild(self) -> NFFG:
-        """Force a from-scratch re-merge (every shard refetched) now."""
-        self._invalidate(self.shards)
+        """Force a from-scratch re-merge (every domain refetched) now."""
+        self._invalidate(self.adapters)
         return self.dov
 
-    def _invalidate(self, shards: Iterable[CALShard] = ()) -> None:
+    def _invalidate(self, stale: Iterable[str] = ()) -> None:
         """The one place derived state is dropped: live DoV, inverse
         records, remaining view (the index unbinds with it) and the
-        install views go together; ``shards`` are marked for a refetch
+        install views go together; ``stale`` domains are marked for a refetch
         first; an install view's graph stays behind in ``_replaced``."""
-        for shard in shards:
-            shard.stale = True
+        self._stale.update(stale)
         for name, held in self._views.items():
             self._replaced.setdefault(name, held.graph)
         self._dov = None
@@ -483,7 +411,7 @@ class ControllerAdaptationLayer:
     def verify(self) -> list[str]:
         """Re-derive every derived store — DoV, remaining view,
         substrate index, ownership, install views — from the cached
-        shard sub-views plus the books and name each difference from
+        domain views plus the books and name each difference from
         the live one (empty = consistent).  An install view is held
         against a fresh slice of the live DoV, after a copy of it took
         the re-reads still owed to it.  No adapter I/O and no repair; a
@@ -493,10 +421,11 @@ class ControllerAdaptationLayer:
         problems = ([] if by_inverse == self._owner else
                     ["ownership map and its inverse disagree"])
         problems += _differences(
-            {f"owner of {infra_id}": self._shard_of[name].index
+            {f"owner of {infra_id}": name
              for infra_id, name in self._owner.items()},
-            {f"owner of {infra.id}": shard.index for shard in self.shards
-             if shard.view is not None for infra in shard.view.infras})
+            {f"owner of {infra.id}": name
+             for name, view in self._fetched.items()
+             if view is not None for infra in view.infras})
         if self._dov is None:
             return problems
         self._owe_withdrawn()
@@ -716,7 +645,7 @@ class ControllerAdaptationLayer:
             # merged without some domain, or a booking's replay was
             # deferred: re-merge, so a returned domain's substrate and
             # its stranded services re-enter the view
-            self._invalidate(self.shards)
+            self._invalidate(self.adapters)
         if self._dov is None:
             self._rebuild_dov()
         self._owe_withdrawn()
@@ -743,10 +672,9 @@ class ControllerAdaptationLayer:
         return report
 
     def _push_one_traced(self, adapter: DomainAdapter) -> AdapterReport:
-        shard = self._shard_of[adapter.name]
         breaker = self.breakers[adapter.name]
-        with shard.lock:
-            was_pending = adapter.name in shard.pending
+        with self._pending_lock:
+            was_pending = adapter.name in self._pending
         if not breaker.allow():
             counters.incr("resilience.breaker.skip")
             report = AdapterReport(
@@ -785,20 +713,16 @@ class ControllerAdaptationLayer:
                 # server state unknown: never diff against it again
                 # until a full push re-establishes the base
                 adapter.reset_delta_state()
-        with shard.lock:
+        with self._pending_lock:
             if report.success:
-                shard.pending.discard(adapter.name)
+                self._pending.discard(adapter.name)
                 if was_pending:
                     counters.incr("resilience.breaker.reconcile")
             else:
-                shard.pending.add(adapter.name)
-        set_gauge("cal.pending_reconcile", self._pending_total())
+                self._pending.add(adapter.name)
+            depth = len(self._pending)
+        set_gauge("cal.pending_reconcile", depth)
         return report
-
-    def _pending_total(self) -> int:
-        """Advisory queue depth for the gauge, read without the shard
-        locks (len() is atomic; the gauge may lag by one push anyway)."""
-        return sum(len(shard.pending) for shard in self.shards)
 
     def reconcile(self, *, force_probe: bool = False) -> list[AdapterReport]:
         """Replay the cumulative configuration to every domain whose
@@ -825,18 +749,15 @@ class ControllerAdaptationLayer:
 
     def pending_reconciliation(self) -> set[str]:
         """Domains holding stale configuration (push skipped/failed)."""
-        queued: set[str] = set()
-        for shard in self.shards:
-            with shard.lock:
-                queued |= shard.pending
-        return queued
+        with self._pending_lock:
+            return set(self._pending)
 
     def quarantined_domains(self) -> set[str]:
         """Domains currently unusable: breaker open, or excluded from
         the latest pristine merge because their view was unreachable."""
         quarantined = {name for name, breaker in self.breakers.items()
                        if breaker.state is BreakerState.OPEN}
-        return quarantined | set(self.last_view_failures)
+        return quarantined | self.last_view_failures
 
     # -- resilience state persistence ---------------------------------------
 
@@ -865,17 +786,14 @@ class ControllerAdaptationLayer:
             breaker = self.breakers.get(name)
             if breaker is not None:
                 breaker.import_state(record)
-        restored = 0
-        for name in data.get("pending") or ():
-            shard = self._shard_of.get(name)
-            if shard is None:
-                continue
-            with shard.lock:
-                shard.pending.add(name)
-            restored += 1
+        restored = [name for name in data.get("pending") or ()
+                    if name in self.adapters]
+        with self._pending_lock:
+            self._pending.update(restored)
+            depth = len(self._pending)
         if restored:
-            counters.incr("recovery.pending.restored", restored)
-        set_gauge("cal.pending_reconcile", self._pending_total())
+            counters.incr("recovery.pending.restored", len(restored))
+        set_gauge("cal.pending_reconcile", depth)
 
     def adapter_names_for(self, result: MappingResult) -> set[str]:
         """The adapters whose substrate a mapping actually touches
@@ -1014,7 +932,7 @@ def _replay(dov: NFFG, index: SubstrateIndex, service: NFFG,
 def _link_moves(old: Optional[NFFG], new: Optional[NFFG],
                 ) -> Optional[tuple[set[str], list[EdgeLink]]]:
     """(ids of the links gone, the links that came) between two fetches
-    of a sub-view; None when anything else differs — a node came, went
+    of a domain's view; None when anything else differs — a node came, went
     or changed its record, or an edge both hold changed."""
     if old is None or new is None:
         return (set(), []) if old is new else None

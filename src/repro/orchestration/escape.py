@@ -41,7 +41,6 @@ class EscapeOrchestrator:
                  lint_gate: Optional[Severity] = Severity.ERROR,
                  push_workers: int = DEFAULT_MAX_WORKERS,
                  cal_shards: int = 1,
-                 cal_shard_map: Optional[dict[str, int]] = None,
                  journal: Optional[IntentJournal] = None,
                  journal_path: Optional[str] = None):
         self.name = name
@@ -49,11 +48,9 @@ class EscapeOrchestrator:
             embedder=embedder, decomposition_library=decomposition_library)
         # push_workers bounds the CAL's concurrent domain fan-out;
         # 1 (or 0) forces strictly serial pushes on the caller's thread.
-        # cal_shards/cal_shard_map partition the adapter registry so
-        # view refreshes touch only the shards something invalidated.
-        self.cal = ControllerAdaptationLayer(
-            push_workers=push_workers, shards=cal_shards,
-            shard_map=cal_shard_map)
+        # cal_shards is accepted and ignored: the CAL caches one view per
+        # domain, and an existing benchmark workload still passes it.
+        self.cal = ControllerAdaptationLayer(push_workers=push_workers)
         #: substrate path memo shared across all mapping requests;
         #: invalidated whenever the CAL's topology generation moves
         self.path_cache = PathCache()

@@ -34,13 +34,14 @@ Push-pipeline counters (concurrent delta-based domain programming)::
     dispatch.inline          dispatcher batches run on the caller thread
                              (single op, or serial mode)
 
-Sharded-CAL counters (scale-aware view maintenance + push planning)::
+CAL counters (per-domain view cache + push planning)::
 
-    cal.shard.refresh        shard sub-views refetched and re-merged
-                             (the shard was stale at a stitch)
-    cal.shard.reuse          shard sub-views served from the cache at a
-                             stitch (no member refetched)
-    cal.shard.stitch         global DoV stitches from shard sub-views
+    cal.fetch                domain views refetched for a stitch (the
+                             domain was stale)
+    cal.fetch.reused         domain views served from the cache at a
+                             stitch (the domain was not refetched)
+    cal.stitch               global pristine views stitched from the
+                             cached domain views
     cal.push.planned         domain pushes submitted by the push planner
     cal.push.skipped         registered domains the planner did not
                              contact (their config cannot have changed)
@@ -133,8 +134,8 @@ registry and — like the counters — stay enabled everywhere (an
     dov.rebuild_s            from-scratch DoV merge time (histogram)
     map.latency_s            RO orchestrate() wall clock, labelled by
                              {embedder=...} (histogram)
-    cal.shard.stitch_s       global stitch time over shard sub-views
-                             (histogram)
+    cal.stitch_s             global stitch time over the cached domain
+                             views (histogram)
     recovery.latency_s       recover() end-to-end wall clock (histogram)
     cal.services_deployed    services currently booked in the CAL (gauge)
     cal.pending_reconcile    domains holding stale config (gauge)

@@ -10,7 +10,7 @@ orchestrator process died:
    the journal, re-register the surviving domain adapters, and import
    the folded state (placements and routes replayed verbatim, breaker
    and pending-replay state restored from the last checkpoint).
-3. **Anti-entropy** — fetch live domain views through the sharded CAL,
+3. **Anti-entropy** — fetch live domain views through the CAL,
    diff them against the recovered desired state, then push the full
    desired configuration to every domain.  A full push *replaces* the
    domain's cumulative config, so it simultaneously finishes partially
@@ -132,8 +132,8 @@ def recover(journal: IntentJournal,
     against the live ``adapters``.  Returns a :class:`RecoveryReport`
     whose ``orchestrator`` is the ready successor controller.
 
-    Extra keyword arguments (``embedder``, ``cal_shards``,
-    ``push_workers``, ...) are forwarded to the successor's
+    Extra keyword arguments (``embedder``, ``push_workers``,
+    ``lint_gate``, ...) are forwarded to the successor's
     constructor.
     """
     from repro.orchestration.escape import EscapeOrchestrator
@@ -189,7 +189,7 @@ def recover(journal: IntentJournal,
 
 
 def _diff_domains(escape, inflight_domains: set[str]) -> dict[str, DomainDiff]:
-    """Fetch live views through the sharded CAL and diff each domain
+    """Fetch live views through the CAL and diff each domain
     against the recovered desired state."""
     cal = escape.cal
     live = cal.pristine_view()

@@ -50,11 +50,7 @@ def _chain_service(index: int, length: int = 1):
 
 
 def _chaos_escape(plan: FaultPlan, journal: IntentJournal | None = None):
-    # REPRO_CHAOS_SHARDS runs the same storm over a sharded CAL (the
-    # CI chaos-smoke job sets 4): the invariants must hold regardless
-    # of how the registry is partitioned
-    shards = int(os.environ.get("REPRO_CHAOS_SHARDS", "1"))
-    escape = EscapeOrchestrator("chaos", cal_shards=shards, journal=journal)
+    escape = EscapeOrchestrator("chaos", journal=journal)
     escape.cal.breaker_failure_threshold = 2
     inner = DirectDomainAdapter(
         "dom", view=mesh_substrate(12, degree=3, seed=5,

@@ -29,9 +29,8 @@ from repro.orchestration.ro import ResourceOrchestrator
 from repro.service import ServiceRequestBuilder
 
 # -- canonical comparison ---------------------------------------------------
-# Two orchestrators driven through the same operations (sharded vs flat)
-# insert elements in different orders; compare graphs on sorted canonical
-# dicts.  One orchestrator against its own rebuild is ``cal.verify()``.
+# Compare graphs on sorted canonical dicts, independent of insertion
+# order.  One orchestrator against its own rebuild is ``cal.verify()``.
 
 
 def canonical(nffg: NFFG) -> dict:

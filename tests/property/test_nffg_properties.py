@@ -13,7 +13,6 @@ from repro.nffg import (
     nffg_to_dict,
     nffg_to_json,
     remaining_nffg,
-    split_per_domain,
 )
 from repro.nffg.model import DomainType, EdgeLink, LinkType, NodeInfra, NodeNF
 from repro.nffg.ops import Touched, nffg_facts, refresh_members
@@ -290,31 +289,6 @@ def test_adjacency_walks_in_networkx_order(data):
         assert [edge.id for edge in sub.edges] == walk
         assert _queries(sub, pool) == _nx_queries(
             _nx_rebuilt(kept, walk, nffg), sub, pool)
-
-
-@given(random_nffg())
-@settings(max_examples=30, deadline=None)
-def test_split_partitions_infras(nffg):
-    parts = split_per_domain(nffg)
-    seen: set[str] = set()
-    for domain, part in parts.items():
-        ids = {infra.id for infra in part.infras}
-        assert not (ids & seen)
-        seen |= ids
-        for infra in part.infras:
-            assert infra.domain == domain
-    assert seen == {infra.id for infra in nffg.infras}
-
-
-@given(random_nffg())
-@settings(max_examples=30, deadline=None)
-def test_split_keeps_every_placed_nf_exactly_once(nffg):
-    parts = split_per_domain(nffg)
-    placed = {nf.id for nf in nffg.nfs if nffg.host_of(nf.id) is not None}
-    found: list[str] = []
-    for part in parts.values():
-        found.extend(nf.id for nf in part.nfs)
-    assert sorted(found) == sorted(placed)
 
 
 @given(random_nffg())

@@ -3,15 +3,16 @@
 An adapter brings its domain from the graph of its last successful
 install to the current one by looking at the ``touched`` members only,
 so a member that changed without being named is a silent divergence.
-Along the seeded sequences of ``test_incremental_dov``,
-``test_shard_equiv`` and ``test_delta_push_equiv`` every install is
-checked here: every member whose ``to_dict()`` differs from the
-previous successful install is named, each maintained view equals a
-fresh slice of the DoV, what the adapter holds afterwards (the direct
-adapter's record, every NETCONF adapter's acknowledged virtualizer)
-equals the whole view encoded anew, and ``cal.verify()`` is empty; and
-between any two graphs an adapter is handed in a row,
-``differing_members`` names an edit that ``refresh_members`` can replay.
+Along the seeded sequences of ``test_incremental_dov``, a deploy /
+teardown / heal churn over five domains and ``test_delta_push_equiv``
+every install is checked here: every member whose ``to_dict()``
+differs from the previous successful install is named, each
+maintained view equals a fresh slice of the DoV, what the adapter holds
+afterwards (the direct adapter's record, every NETCONF adapter's
+acknowledged virtualizer) equals the whole view encoded anew, and
+``cal.verify()`` is empty; and between any two graphs an adapter is
+handed in a row, ``differing_members`` names an edit that
+``refresh_members`` can replay.
 Day-2 sequences — ``mark_stale()``, ``rebuild()``, a link flap with
 ``heal()``, ``update()`` — are drawn over a ring, flat and under a
 parent orchestrator, where a healthy domain never sees ``None`` after
@@ -56,8 +57,38 @@ from tests.property.test_incremental_dov import (
     canonical,
     ops,
 )
-from tests.property.test_shard_equiv import _escape, _run_churn, churn
-from tests.test_cal_shards import CountingAdapter, _pinned_service, domain_view
+from tests.test_cal import CountingAdapter, _pinned_service, domain_view
+
+DOMAINS = ["d0", "d1", "d2", "d3", "d4"]
+
+
+def _escape():
+    escape = EscapeOrchestrator("churn")
+    escape.cal.breaker_failure_threshold = 2
+    adapters = {name: escape.add_domain(
+        CountingAdapter(name, domain_view(name))) for name in DOMAINS}
+    return escape, adapters
+
+
+def _run_churn(escape, operations):
+    for kind, index, domain_index in operations:
+        service_id = f"s{index}"
+        deployed = service_id in escape.cal.deployed_services()
+        if kind == "deploy" and not deployed:
+            escape.deploy(_pinned_service(index, DOMAINS[domain_index]),
+                          wait_activation=False)
+        elif kind == "teardown" and deployed:
+            escape.teardown(service_id)
+        elif kind == "heal":
+            escape.heal()
+        assert escape.cal.verify() == []
+
+
+churn = st.lists(
+    st.tuples(st.sampled_from(["deploy", "teardown", "heal"]),
+              st.integers(0, 3),
+              st.integers(0, len(DOMAINS) - 1)),
+    min_size=2, max_size=10)
 
 
 def _frozen(data) -> str:
@@ -196,8 +227,8 @@ def test_single_domain_deploy_update_teardown(operations):
 
 @given(churn)
 @settings(max_examples=15, deadline=None)
-def test_sharded_churn_with_heal(operations):
-    escape, _ = _escape(3)
+def test_churn_with_heal(operations):
+    escape, _ = _escape()
     _watch(escape.cal)
     for operation in operations:
         _run_churn(escape, [operation])
@@ -212,6 +243,62 @@ def test_fig1_deploy_update_teardown_heal_trip_crash(seed):
         watches = watches or _watch(escape.cal)
         _assert_views_current(escape.cal)
     assert all(None in watch.received[1:] for watch in watches.values())
+
+
+def test_breaker_trip_queues_only_its_own_domain():
+    previous = sanitize.disable()
+    state = sanitize.enable(fresh=True)
+    try:
+        escape = EscapeOrchestrator("isolation")
+        escape.cal.breaker_failure_threshold = 2
+        adapters = {name: escape.add_domain(
+            CountingAdapter(name, domain_view(name)))
+            for name in ("d0", "d1", "d2")}
+        cal = escape.cal
+
+        # hammer d2 until its breaker opens, deploying into d0 between
+        # failures so the healthy domains keep taking planned pushes
+        adapters["d2"].broken = True
+        assert not escape.deploy(_pinned_service(0, "d2"),
+                                 wait_activation=False)
+        assert escape.deploy(_pinned_service(1, "d0"),
+                             wait_activation=False)
+        assert cal.breakers["d2"].state is BreakerState.OPEN
+
+        # only d2 holds replay debt; the other breakers never moved
+        assert cal.pending_reconciliation() == {"d2"}
+        for name in ("d0", "d1"):
+            assert cal.breakers[name].state is BreakerState.CLOSED
+
+        # recovery drains the queue
+        adapters["d2"].broken = False
+        cal.reconcile(force_probe=True)
+        assert cal.pending_reconciliation() == set()
+        assert cal.breakers["d2"].state is BreakerState.CLOSED
+    finally:
+        sanitize.disable()
+        sanitize.restore(previous)
+    report = state.report()
+    assert report.acquisitions > 0
+    assert report.ok(), report.render_text()
+
+
+def test_churn_is_sanitizer_clean():
+    previous = sanitize.disable()
+    state = sanitize.enable(fresh=True)
+    try:
+        escape, _ = _escape()
+        _run_churn(escape, [("deploy", i, i % len(DOMAINS))
+                            for i in range(4)]
+                   + [("heal", 0, 0), ("teardown", 1, 0),
+                      ("deploy", 1, 2)])
+    finally:
+        sanitize.disable()
+        sanitize.restore(previous)
+    report = state.report()
+    assert report.acquisitions > 0
+    assert report.locks_seen >= 3
+    assert report.ok(), report.render_text()
 
 
 def test_fig1_sequence_is_sanitizer_clean():

@@ -1,14 +1,9 @@
-"""Tests for the sharded CAL: registry partitioning, per-shard
-staleness/refresh, two-level stitching, touched-set push planning, the
-ownership map that keeps pushes O(domain), and ``verify()`` — the one
-check of every derived store."""
-
-import zlib
-
-import pytest
+"""Tests for the CAL: the per-domain view cache and its staleness,
+sap-tag stitching, touched-set push planning, the ownership map that
+keeps pushes O(domain), and ``verify()`` — the one check of every
+derived store."""
 
 from repro.nffg import NFFG, ResourceVector
-from repro.nffg.model import DomainType
 from repro.orchestration.adapters import DirectDomainAdapter
 from repro.orchestration.cal import ControllerAdaptationLayer
 from repro.orchestration.escape import EscapeOrchestrator
@@ -75,129 +70,80 @@ def _pinned_service(index, domain):
             .build().sg)
 
 
-class TestShardAssignment:
-    def test_hash_sharding_partitions_the_registry(self):
-        names = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        cal, _ = _cal(names, shards=3)
-        for name in names:
-            assert cal.shard_of(name) == zlib.crc32(
-                name.encode("utf-8")) % 3
-        members = [set(shard.adapter_names) for shard in cal.shards]
-        assert set().union(*members) == set(names)
-        # partition: no adapter lives in two shards
-        assert sum(len(m) for m in members) == len(names)
-
-    def test_hash_is_stable_across_registration_order(self):
-        names = ["alpha", "beta", "gamma", "delta"]
-        forward, _ = _cal(names, shards=4)
-        backward, _ = _cal(list(reversed(names)), shards=4)
-        assert {n: forward.shard_of(n) for n in names} \
-            == {n: backward.shard_of(n) for n in names}
-
-    def test_explicit_shard_map_pins_adapters(self):
-        cal, _ = _cal(["a", "b", "c"], shards=2,
-                      shard_map={"a": 1, "b": 0})
-        assert cal.shard_of("a") == 1
-        assert cal.shard_of("b") == 0
-        assert 0 <= cal.shard_of("c") < 2     # unpinned names still hash
-
-    def test_shard_map_grows_the_shard_count(self):
-        cal, _ = _cal(["a"], shards=1, shard_map={"a": 3})
-        assert len(cal.shards) == 4
-        assert cal.shard_of("a") == 3
-
-    def test_negative_shard_map_entry_is_rejected(self):
-        cal = ControllerAdaptationLayer(shards=2, shard_map={"bad": -1})
-        with pytest.raises(ValueError, match="shard_map"):
-            cal.register(CountingAdapter("bad", domain_view("bad")))
-
-
-class TestShardStaleness:
-    def test_mark_stale_refreshes_only_the_owning_shard(self):
-        cal, adapters = _cal(["a", "b"], shards=2,
-                             shard_map={"a": 0, "b": 1})
+class TestDomainStaleness:
+    def test_mark_stale_refetches_only_the_named_domain(self):
+        cal, adapters = _cal(["a", "b"])
         cal.dov                               # first merge fetches both
         base = {n: a.view_fetches for n, a in adapters.items()}
-        cal.mark_stale(domains=["a"])
+        cal.mark_stale(domains=("a",))
         cal.dov
         assert adapters["a"].view_fetches == base["a"] + 1
         assert adapters["b"].view_fetches == base["b"]
 
-    def test_fresh_shards_are_reused_between_rebuilds(self):
-        cal, _ = _cal(["a", "b"], shards=2, shard_map={"a": 0, "b": 1})
+    def test_fresh_domains_are_reused_across_a_rebuild_of_another(self):
+        cal, _ = _cal(["a", "b"])
         cal.dov
-        before = counters.snapshot("cal.shard.")
-        cal.mark_stale(domains=["b"])
+        before = counters.snapshot("cal.fetch")
+        cal.mark_stale(domains=("b",))
         cal.dov
-        after = counters.snapshot("cal.shard.")
-        assert after.get("cal.shard.refresh", 0) \
-            - before.get("cal.shard.refresh", 0) == 1
-        assert after.get("cal.shard.reuse", 0) \
-            - before.get("cal.shard.reuse", 0) == 1
+        after = counters.snapshot("cal.fetch")
+        assert after.get("cal.fetch", 0) - before.get("cal.fetch", 0) == 1
+        assert after.get("cal.fetch.reused", 0) \
+            - before.get("cal.fetch.reused", 0) == 1
 
-    def test_pristine_view_refetches_every_shard(self):
-        cal, adapters = _cal(["a", "b"], shards=2,
-                             shard_map={"a": 0, "b": 1})
+    def test_pristine_view_refetches_every_domain(self):
+        cal, adapters = _cal(["a", "b"])
         cal.dov
         base = {n: a.view_fetches for n, a in adapters.items()}
         cal.pristine_view()                   # heal semantics: all fresh
         assert all(a.view_fetches == base[n] + 1
                    for n, a in adapters.items())
 
-    def test_failed_fetch_keeps_the_shard_stale(self):
-        cal, adapters = _cal(["a", "b"], shards=2,
-                             shard_map={"a": 0, "b": 1})
+    def test_registering_a_domain_fetches_only_that_domain(self):
+        cal, adapters = _cal(["a", "b"])
+        cal.dov
+        adapters["c"] = cal.register(CountingAdapter("c", domain_view("c")))
+        cal.dov
+        assert {n: a.view_fetches for n, a in adapters.items()} == {
+            "a": 1, "b": 1, "c": 1}
+
+    def test_failed_fetch_stays_stale_and_is_retried(self):
+        cal, adapters = _cal(["a", "b"])
         original = adapters["a"].get_view
 
         def boom():
             raise RuntimeError("view unavailable")
         adapters["a"].get_view = boom
-        cal.rebuild()
+        cal.dov
         assert cal.last_view_failures == {"a"}
-        assert cal.shards[0].stale            # retried at next stitch
-        assert not cal.shards[1].stale
+        assert not cal.dov.has_node("a-bb0")
+        fetches = {n: a.view_fetches for n, a in adapters.items()}
         adapters["a"].get_view = original
-        cal.rebuild()
+        cal.mark_stale(domains=())            # drop derived state only
+        assert cal.dov.has_node("a-bb0")      # retried at the next stitch
         assert cal.last_view_failures == set()
-        assert not cal.shards[0].stale
+        assert adapters["a"].view_fetches == fetches["a"] + 1
+        assert adapters["b"].view_fetches == fetches["b"]
 
 
 class TestStitching:
-    def test_cross_shard_sap_tag_pairs_stitch_once(self):
-        cal = ControllerAdaptationLayer(shards=2,
-                                        shard_map={"a": 0, "b": 1})
+    def test_sap_tag_pairs_stitch_once(self):
+        cal = ControllerAdaptationLayer()
         cal.register(CountingAdapter("a", domain_view("a", peer_tag="ab")))
         cal.register(CountingAdapter("b", domain_view("b", peer_tag="ab")))
         dov = cal.dov
         stitched = [edge for edge in dov.links
                     if edge.id == "interdomain-ab"]
         assert len(stitched) == 1
-        # the unstitched sub-views must not have consumed the pair
-        for shard in cal.shards:
-            if shard.view is not None:
-                assert not any(edge.id.startswith("interdomain-")
-                               for edge in shard.view.links)
-
-    def test_sharded_dov_matches_single_shard_dov(self):
-        names = ["a", "b", "c", "d"]
-        sharded = ControllerAdaptationLayer(shards=3)
-        flat = ControllerAdaptationLayer()
-        for name in names:
-            sharded.register(
-                CountingAdapter(name, domain_view(name, peer_tag="x"
-                                if name in ("a", "b") else None)))
-            flat.register(
-                CountingAdapter(name, domain_view(name, peer_tag="x"
-                                if name in ("a", "b") else None)))
-
-        from tests.property.test_incremental_dov import canonical
-        assert canonical(sharded.dov) == canonical(flat.dov)
+        # the cached domain views are never stitched themselves
+        for view in cal._fetched.values():
+            assert not any(edge.id.startswith("interdomain-")
+                           for edge in view.links)
 
 
 class TestPushPlanning:
     def _escape(self):
-        escape = EscapeOrchestrator("planner", cal_shards=2,
-                                    cal_shard_map={"dom-a": 0, "dom-b": 1})
+        escape = EscapeOrchestrator("planner")
         adapters = {}
         for name in ("dom-a", "dom-b"):
             adapters[name] = CountingAdapter(name, domain_view(name))
@@ -287,17 +233,6 @@ class TestPushPlanning:
 
 
 class TestInstallCaches:
-    def test_adapters_for_uses_the_type_index(self):
-        cal = ControllerAdaptationLayer()
-        internal = CountingAdapter("int-a", domain_view("int-a"))
-        sdn = DirectDomainAdapter("sdn-a", domain_view("sdn-a"),
-                                  domain_type=DomainType.SDN)
-        cal.register(internal)
-        cal.register(sdn)
-        assert cal.adapters_for(DomainType.INTERNAL) == [internal]
-        assert cal.adapters_for(DomainType.SDN) == [sdn]
-        assert cal.adapters_for(DomainType.UNIFY) == []
-
     def test_push_never_fetches_a_view(self):
         """Slicing reads the ownership map the merge wrote: the only
         ``get_view()`` calls are the merges themselves."""
@@ -334,7 +269,7 @@ class TestInstallCaches:
             assert all(nf.id.endswith("-fw") for nf in last.nfs)
 
     def _escape_pair(self):
-        escape = EscapeOrchestrator("slices", cal_shards=2)
+        escape = EscapeOrchestrator("slices")
         adapters = {}
         for name in ("dom-a", "dom-b"):
             adapters[name] = CountingAdapter(name, domain_view(name))
@@ -346,8 +281,7 @@ class TestVerify:
     """``verify()`` names each seeded drift — and nothing else."""
 
     def _deployed(self):
-        escape = EscapeOrchestrator("verify", cal_shards=2,
-                                    cal_shard_map={"dom-a": 0, "dom-b": 1})
+        escape = EscapeOrchestrator("verify")
         for name in ("dom-a", "dom-b"):
             escape.add_domain(CountingAdapter(name, domain_view(name)))
         for index, name in enumerate(("dom-a", "dom-b")):

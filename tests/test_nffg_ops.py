@@ -1,4 +1,4 @@
-"""Tests for whole-graph NFFG operations (merge/split/remaining/strip)."""
+"""Tests for whole-graph NFFG operations (merge/remaining)."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.nffg import (
     ResourceVector,
     merge_nffgs,
     remaining_nffg,
-    split_per_domain,
-    strip_deployment,
 )
 from repro.nffg.builder import linear_substrate
 from repro.nffg.model import DomainType
@@ -80,41 +78,6 @@ class TestMerge:
         assert len(merged.saps) == 2
 
 
-class TestSplit:
-    def test_split_by_domain(self):
-        a = _domain_view("a", DomainType.INTERNAL, "x")
-        b = _domain_view("b", DomainType.SDN, "x")
-        merged = merge_nffgs([a, b])
-        merged.add_nf("fw", "firewall", num_ports=1)
-        merged.place_nf("fw", "a-bb")
-        parts = split_per_domain(merged)
-        assert set(parts) == {DomainType.INTERNAL, DomainType.SDN}
-        internal = parts[DomainType.INTERNAL]
-        assert internal.has_node("fw")
-        assert internal.host_of("fw") == "a-bb"
-        assert not parts[DomainType.SDN].has_node("fw")
-
-    def test_split_drops_interdomain_links(self):
-        a = _domain_view("a", DomainType.INTERNAL, "x")
-        b = _domain_view("b", DomainType.SDN, "x")
-        merged = merge_nffgs([a, b])
-        parts = split_per_domain(merged)
-        for part in parts.values():
-            assert not part.has_edge("interdomain-x")
-
-    def test_split_keeps_intradomain_links(self):
-        sub = linear_substrate(3, id="s")
-        parts = split_per_domain(sub)
-        part = parts[DomainType.INTERNAL]
-        assert len(part.links) == len(sub.links)
-
-    def test_split_includes_saps_with_tagged_ports(self):
-        sub = linear_substrate(2, id="s")
-        parts = split_per_domain(sub)
-        assert {s.id for s in parts[DomainType.INTERNAL].saps} == \
-            {"sap1", "sap2"}
-
-
 class TestResources:
     def test_consumed_and_available(self):
         sub = linear_substrate(2, id="s", cpu=8)
@@ -147,29 +110,3 @@ class TestResources:
         sub.place_nf("big", "s-bb0")
         remaining = remaining_nffg(sub)
         assert remaining.infra("s-bb0").resources.cpu == 0.0
-
-
-class TestStrip:
-    def test_strip_removes_deployment_state(self):
-        sub = linear_substrate(2, id="s")
-        sub.add_nf("fw", "firewall", num_ports=2)
-        sub.place_nf("fw", "s-bb0")
-        sub.add_sg_hop("sap1", "1", "fw", "1", id="h1", bandwidth=5)
-        sub.infra("s-bb0").port("sap-sap1").add_flowrule(
-            "in_port=sap-sap1", "output=fw-1", hop_id="h1")
-        sub.links[0].reserved = 10.0
-        bare = strip_deployment(sub)
-        summary = bare.summary()
-        assert summary["nfs"] == 0
-        assert summary["sg_hops"] == 0
-        assert summary["dynamic_links"] == 0
-        assert summary["flowrules"] == 0
-        assert all(link.reserved == 0 for link in bare.links)
-        assert not bare.infra("s-bb0").has_port("fw-1")
-
-    def test_strip_keeps_topology(self):
-        sub = linear_substrate(3, id="s")
-        bare = strip_deployment(sub)
-        assert len(bare.infras) == 3
-        assert len(bare.links) == len(sub.links)
-        assert {s.id for s in bare.saps} == {"sap1", "sap2"}

@@ -4,7 +4,7 @@ The deeper equivalence/acceptance properties live in
 ``tests/property/test_substrate_index.py``; these tests pin the
 individual mechanisms: bucket maintenance, the residual fold (index and
 bound view move together; ``cal.verify()`` is the drift check and is
-tested in ``tests/test_cal_shards.py``), copy-on-write ledger seeding,
+tested in ``tests/test_cal.py``), copy-on-write ledger seeding,
 candidate pruning, the scarce-specialist memo, and registry plumbing.
 """
 
