@@ -369,8 +369,8 @@ def test_bench_push_vs_domain_size_and_resident_chains(benchmark,
     domains at every level, from install views the CAL keeps and edits
     in place, so nothing is cloned for the push and every reading stays
     within 1.5x of the smallest.  So is the hand-off through the Unify
-    interface: the adapter patches the virtualizer the child
-    acknowledged, and the push (the child's whole deploy included) stays
+    interface: the adapter edits the virtualizer the child
+    acknowledged in place, and the push (the child's whole deploy included) stays
     within 1.5x from 16 to 256 BiS-BiS.  Each level reports the median
     of nine deploys of the request.
 
@@ -380,9 +380,9 @@ def test_bench_push_vs_domain_size_and_resident_chains(benchmark,
     are edited, not sliced anew, and handed over as an edit of the hops
     that changed: the ``DataNode``s the Unify adapter constructs to
     encode it are the same at 16 and 256 BiS-BiS, and ``push.encode`` +
-    ``push.diff`` stay within 2x (an encode of the whole view read 11x):
-    what is left between the sizes is ``patch_virtualizer`` moving every
-    kept list instance into the new tree, ~0.2 of ~0.7 ms at 256.
+    ``push.diff`` stay within 2x (an encode of the whole view read 11x;
+    the adapter edits the acknowledged tree in place, so nothing of it
+    grows with the domain).
     ``push.slice`` and the elements cloned are reported ungated: the
     re-fetch is still O(domain).
     """

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit
+from repro import perf
 from repro.emu import EmulatedDomain
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
@@ -27,6 +28,9 @@ from repro.orchestration import (
 )
 
 LEVELS = [1, 2, 3, 4]
+
+#: the exact units of tree work a deploy costs (``repro.perf`` counters)
+WORK = ("yang.measured", "yang.resolved", "unify.parts_rederived")
 
 
 def _stack(levels: int, cpu_per_node: float = 8.0):
@@ -120,9 +124,13 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
     the Unify channels stay flat (gate: at most 1.5x the 2-resident
     reading — each agent's notification names the parts it kept).  Every
     adapter of the stack — the two Unify ones and the emulated domain's,
-    one encoder — patches the virtualizer it holds: the ``DataNode``s
-    they construct to encode the deploy (the ``encoded_datanodes``
-    fixture) are the same at every level.
+    one encoder — edits the virtualizer it holds in place: the
+    ``DataNode``s they construct to encode the deploy (the
+    ``encoded_datanodes`` fixture) are the same at every level.  So is
+    the tree work of the whole deploy, counted exactly in ``repro.perf``:
+    the subtrees measured for digests (client and server), the paths
+    resolved, and the client services the Unify agents re-derive (only
+    those holding a member the edit named).
     """
     built = encoded_datanodes
 
@@ -136,12 +144,13 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
 
         def counts():
             """(bottom FlowMods, control messages at every level,
-            DataNodes the adapters encoded, bytes on the Unify
-            channels) so far."""
+            DataNodes the adapters encoded, subtrees measured, paths
+            resolved, parts re-derived, bytes on the Unify channels) so
+            far."""
             return (emu.orchestrator.controller.flow_mods_sent,
                     emu.control_stats()[0] + sum(
                         adapter.control_stats()[0] for adapter in adapters),
-                    built[0],
+                    built[0], *(perf.counters.get(name) for name in WORK),
                     sum(adapter.channel.stats.bytes for adapter in adapters))
 
         samples = []
@@ -160,13 +169,14 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
             net.run()
             assert len(h2.received) == before + 1
             assert top.teardown("last").success
-        assert len({sample[1:4] for sample in samples}) == 1, samples
+        assert len({sample[1:7] for sample in samples}) == 1, samples
         return {"resident": resident,
                 "deploy_ms": sorted(s[0] for s in samples)[1],
                 "flow_mods": samples[0][1],
                 "control_messages": samples[0][2],
                 "datanodes_encoded": samples[0][3],
-                "unify_ctrl_bytes": sorted(s[4] for s in samples)[1]}
+                **dict(zip(WORK, samples[0][4:7])),
+                "unify_ctrl_bytes": sorted(s[7] for s in samples)[1]}
 
     rows = [measure(resident) for resident in (2, 8, 32)]
     emit("DEMO-iii(a): last deploy through 3 levels vs resident chains",
@@ -175,7 +185,15 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
     for row in rows[1:]:
         for column in ("flow_mods", "control_messages", "unify_ctrl_bytes"):
             assert row[column] <= 1.5 * low[column], rows
-        assert row["datanodes_encoded"] == low["datanodes_encoded"], rows
+        for column in ("datanodes_encoded", *WORK):
+            assert row[column] == low[column], rows
+    # and exactly: each of the 16 members the deploy creates over the
+    # three levels (an NF, its two ports and two flow entries per Unify
+    # level, six members at the bottom) is measured once by each end,
+    # and one client service is re-derived per agent.  Measuring each
+    # entry by path before and after it applies again (two resolutions
+    # more per entry), or re-deriving every part, moves these readings
+    assert tuple(low[column] for column in WORK) == (32, 106, 2), rows
     benchmark(lambda: measure(2))
 
 

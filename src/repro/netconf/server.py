@@ -25,7 +25,7 @@ from repro.netconf.messages import (
 from repro.openflow.channel import ControlChannel
 from repro.virtualizer.model import virtualizer_schema
 from repro.yang.data import DataNode, ValidationError, data_from_dict
-from repro.yang.diff import DiffEntry, apply_patch, find
+from repro.yang.diff import DiffEntry, apply_patch
 
 _SESSION_ID = itertools.count(1)
 
@@ -82,27 +82,19 @@ class Datastore:
 
     def patch(self, entries: list[DiffEntry],
               digest: Optional[int] = None) -> None:
-        """Apply an edit script to the tree in place.  The digest follows
-        entry by entry — unless the caller knows what the script leads
-        to, having applied it to a store equal to this one.  A script
-        that does not apply leaves the digest unset."""
+        """Apply an edit script to the tree in place.  The digest moves
+        by what the script measured as it applied — unless the caller
+        knows what the script leads to, having applied it to a store
+        equal to this one.  A script that does not apply leaves the
+        digest unset."""
         if self.tree is None:
             raise ValidationError(f"{self.name} holds no config tree")
         before, self.digest, self._json = self.digest, None, None
         if digest is None:
-            digest = before
-            for entry in entries:
-                digest ^= _digest_at(self.tree, entry.path)
-                apply_patch(self.tree, [entry])
-                digest ^= _digest_at(self.tree, entry.path)
+            digest = before ^ apply_patch(self.tree, entries)
         else:
-            apply_patch(self.tree, entries)
+            apply_patch(self.tree, entries, measure=False)
         self.digest = digest
-
-
-def _digest_at(tree: DataNode, path: str) -> int:
-    node = find(tree, path)
-    return 0 if node is None else node.measure(path)[0]
 
 
 class NetconfServer:
@@ -133,9 +125,9 @@ class NetconfServer:
         channel.bind_b(self._on_message)
 
     def on_apply(self, callback: ApplyCallback) -> None:
-        """Called after each commit or successful edit of the running
-        store with the change: the list of :class:`DiffEntry` when
-        running was patched, else the new running config."""
+        """Called after each commit (an edit of running is one) with the
+        change: the list of :class:`DiffEntry` when running was patched,
+        else the new running config."""
         self._apply_callbacks.append(callback)
 
     def register_rpc(self, op: str, handler: RpcHandler) -> None:
@@ -184,8 +176,7 @@ class NetconfServer:
         if op == "commit":
             return self._commit()
         if op == "discard-changes":
-            self.candidate.take(self.running)
-            self._pending = []
+            self._discard()
             return {"ok": True}
         if op == "validate":
             problems = self._problems(
@@ -219,30 +210,45 @@ class NetconfServer:
         raise NetconfServerError("invalid-value", f"unknown datastore {name!r}")
 
     def _edit_config(self, params: dict) -> Any:
-        target = self._store(params.get("target", "candidate"))
+        """Edit the candidate.  An edit of running is the same edit of a
+        candidate fresh from running, committed (test-then-set): one the
+        validator refuses leaves running, its digest and the domain as
+        they were."""
+        if self._store(params.get("target", "candidate")) is self.candidate:
+            self._edit_candidate(params)
+            return {"ok": True}
+        self._discard()
+        try:
+            self._edit_candidate(params)
+            return self._commit()
+        except NetconfServerError:
+            self._discard()
+            raise
+
+    def _edit_candidate(self, params: dict) -> None:
         operation = params.get("operation", "merge")
         config = params.get("config")
         entries = None
         if operation == "replace":
-            target.set(copy.deepcopy(config))
+            self.candidate.set(copy.deepcopy(config))
         elif operation == "merge":
-            target.set(_merge(target.config, config))
+            self.candidate.set(_merge(self.candidate.config, config))
         elif operation == "delete":
-            target.set(None)
+            self.candidate.set(None)
         elif operation == "patch":
-            entries = self._patch(target, config)
+            entries = self._patch(config)
         else:
             raise NetconfServerError("bad-attribute",
                                      f"unknown operation {operation!r}")
-        if target is self.running:
-            self._pending = None
-            self._apply(entries)
-        else:
-            self._pending = entries
-        return {"ok": True}
+        self._pending = entries
 
-    def _patch(self, target: Datastore, patch: Any) -> list[DiffEntry]:
-        """Apply a delta edit script on top of the *running* config.
+    def _discard(self) -> None:
+        """Make the candidate a copy of running again."""
+        self.candidate.take(self.running)
+        self._pending = []
+
+    def _patch(self, patch: Any) -> list[DiffEntry]:
+        """Stage a delta edit script on top of the *running* config.
 
         The patch carries the digest of the base the client diffed
         against; if it no longer matches our running config (restart,
@@ -263,10 +269,10 @@ class NetconfServer:
                 f"patch base {patch.get('base_digest')!r} != running "
                 f"{digest:016x}")
         entries = [DiffEntry.from_dict(entry) for entry in patch["entries"]]
-        if target is self.candidate and self._pending != []:
-            target.take(self.running)  # drop whatever was staged
+        if self._pending != []:
+            self.candidate.take(self.running)  # drop whatever was staged
         try:
-            target.patch(entries)
+            self.candidate.patch(entries)
         except ValueError as exc:  # ValidationError, or a leaf's SchemaError
             self._pending = None
             raise NetconfServerError("delta-mismatch",

@@ -301,6 +301,12 @@ class NFFG:
         yield from [edge for src, pair in self._pred[node_id].items()
                     if src != node_id for edge in pair.values()]
 
+    def edges_between(self, node_a: str, node_b: str) -> Iterator[EdgeObj]:
+        """The edges joining two nodes, either way round, by lookup."""
+        yield from self._succ.get(node_a, {}).get(node_b, {}).values()
+        if node_b != node_a:
+            yield from self._succ.get(node_b, {}).get(node_a, {}).values()
+
     def out_links(self, node_id: str) -> list[EdgeLink]:
         if node_id not in self._succ:
             return []

@@ -42,9 +42,13 @@ from repro.resilience.retry import RetryPolicy
 from repro import obs, sanitize
 from repro.sdnnet.domain import SDNDomain
 from repro.un.domain import UniversalNodeDomain, UNLocalOrchestrator
-from repro.virtualizer.convert import nffg_to_virtualizer, patch_virtualizer
-from repro.yang.data import DataNode
-from repro.yang.diff import DiffEntry, diff_trees, find, patch_size_bytes
+from repro.virtualizer.convert import (
+    edit_virtualizer,
+    encode_members,
+    nffg_to_virtualizer,
+)
+from repro.yang.data import DataNode, take_work
+from repro.yang.diff import diff_trees, patch_size_bytes
 
 #: library-default retry budget applied when an adapter has no policy
 #: of its own: 3 attempts, exponential seeded-jitter backoff, transient
@@ -58,11 +62,12 @@ class PushProfile:
     """How one successful push went out on the wire.
 
     ``messages``/``bytes`` count only the config exchange itself (the
-    edit/validate/commit RPCs and the config payload), not channel-level
+    edit/commit RPCs and the config payload), not channel-level
     framing; ``delta`` marks an edit-config patch, ``noop`` an install
     whose diff against the acknowledged config was empty and that was
     therefore skipped entirely; ``encode_s``/``diff_s`` are what an edit
-    spent on this side building the new tree and the script."""
+    spent on this side encoding the members it names and editing them
+    into the acknowledged tree (comparing, scripting, measuring)."""
 
     messages: int = 0
     bytes: int = 0
@@ -226,22 +231,6 @@ def _payload_bytes(config: Any) -> int:
     return len(json.dumps(config, sort_keys=True, default=str).encode())
 
 
-def _patch_effect(old: DataNode, new: DataNode,
-                  entries: list[DiffEntry]) -> tuple[int, int]:
-    """What the edit script between two trees does to the digest (an XOR
-    mask) and to the payload size (bytes of leaf values), read off the
-    subtrees the entries address and nothing else."""
-    mask = growth = 0
-    for entry in entries:
-        for tree, sign in ((old, -1), (new, 1)):
-            node = find(tree, entry.path)
-            if node is not None:
-                digest, size = node.measure(entry.path)
-                mask ^= digest
-                growth += sign * size
-    return mask, growth
-
-
 class _NetconfAdapter(DomainAdapter):
     """A domain programmed over NETCONF through the one tree the Unify
     interface speaks, the virtualizer: an emulated, cloud or UN domain's
@@ -249,15 +238,17 @@ class _NetconfAdapter(DomainAdapter):
 
     Delta pushes: the adapter remembers the last *acknowledged*
     virtualizer (the one that made it through commit) with its digest
-    and payload size.  Subsequent installs diff against it — ``_encode``
-    encodes the ``touched`` members and takes every other from the
-    acknowledged tree — and ship a digest-guarded edit-config patch;
-    digest and size move by what it changed.  A full replace goes out
-    when nothing is acknowledged — first contact, after
-    :meth:`reset_delta_state` (reconcile, half-open probes, pushes after
-    a failure) — or on a refused patch base.  Any exception mid-push
-    leaves the server state unknown: the acknowledged config is dropped,
-    the next attempt full.
+    and payload size, and edits it: ``_encode`` encodes the ``touched``
+    members anew, and each one that differs from the acknowledged
+    member takes its place, emits its part of the edit script and moves
+    digest and size by what it changed.  The script goes out as a
+    digest-guarded edit-config patch, and ``commit`` validates it.  A
+    full replace goes out when nothing is acknowledged — first contact,
+    after :meth:`reset_delta_state` (reconcile, half-open probes, pushes
+    after a failure) — or on a refused patch base.  Any exception
+    mid-push, the edit's own included, leaves the acknowledged tree and
+    the server state unknown: the acknowledged config is dropped, the
+    next attempt full.
     """
 
     def __init__(self, name: str, domain_type: DomainType,
@@ -275,19 +266,12 @@ class _NetconfAdapter(DomainAdapter):
     def reset_delta_state(self) -> None:
         self._acked_tree = self._acked_digest = None
 
-    def _ack(self, tree: DataNode, digest: int, size: int) -> None:
-        self._acked_tree = tree
-        self._acked_digest = digest
-        self._acked_bytes = size
-
     def _encode(self, install: NFFG, touched: Optional[Touched]) -> DataNode:
-        """``install`` as the virtualizer tree pushes are diffed by: the
-        acknowledged tree with the ``touched`` members encoded anew, or
-        — nothing acknowledged, or no telling what changed — all of it."""
-        acked = self._acked_tree
-        if touched is None or acked is None:
+        """``install`` as a virtualizer tree: all of it or, given what
+        changed, the ``touched`` members only (:func:`encode_members`)."""
+        if touched is None:
             return nffg_to_virtualizer(install, install.id).tree
-        return patch_virtualizer(acked, install, touched) if touched else acked
+        return encode_members(install, touched)
 
     def _push(self, install: NFFG) -> None:
         """Full-config replace; re-establishes the delta base.  Also the
@@ -298,49 +282,61 @@ class _NetconfAdapter(DomainAdapter):
         try:
             self.client.edit_config(wire, target="candidate",
                                     operation="replace")
-            self.client.validate("candidate")
             self.client.commit()
         except BaseException:
             self.reset_delta_state()
             raise
-        self._ack(tree, tree.digest(), _payload_bytes(wire))
+        self._acked_tree = tree
+        self._acked_digest = tree.digest()
+        self._acked_bytes = _payload_bytes(wire)
 
     def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
                  ) -> Optional[PushProfile]:
-        messages = 3
-        if (self._acked_tree is not None
-                and self.client.has_capability(DELTA_CAPABILITY)):
-            profile = self._push_delta(install, touched)
-            if profile is not None:
-                return profile
-            messages = 4  # the refused patch, then the resync
-        self.reset_delta_state()
-        self._push(install)
-        # a _push override may acknowledge nothing
-        return PushProfile(messages=messages,
-                           bytes=self._acked_bytes if self._acked_tree else 0)
+        try:
+            messages = 2
+            if (self._acked_tree is not None
+                    and self.client.has_capability(DELTA_CAPABILITY)):
+                profile = self._push_delta(install, touched)
+                if profile is not None:
+                    return profile
+                messages = 3  # the refused patch, then the resync
+            self.reset_delta_state()
+            self._push(install)
+            # a _push override may acknowledge nothing
+            return PushProfile(messages=messages, bytes=self._acked_bytes
+                               if self._acked_tree else 0)
+        finally:
+            measured, resolved = take_work()
+            counters.incr("yang.measured", measured)
+            counters.incr("yang.resolved", resolved)
 
     def _push_delta(self, install: NFFG,
                     touched: Optional[Touched]) -> Optional[PushProfile]:
-        """Ship the edit script from the acknowledged config to
-        ``install``; None when the server refused the patch base."""
-        old_tree = self._acked_tree
-        started = time.perf_counter()
-        new_tree = self._encode(install, touched)
-        encoded = time.perf_counter()
-        entries = diff_trees(old_tree, new_tree)
-        spent = {"encode_s": encoded - started,
-                 "diff_s": time.perf_counter() - encoded}
-        if not entries:
-            # already acknowledged: the domain runs this exact config
-            return PushProfile(delta=True, noop=True,
-                               bytes_saved=self._acked_bytes, **spent)
-        patch = [entry.to_dict() for entry in entries]
-        mask, growth = _patch_effect(old_tree, new_tree, entries)
+        """Edit the acknowledged config into ``install`` and ship the
+        edit script; None when the server refused the patch base."""
+        base = f"{self._acked_digest:016x}"
         try:
+            started = time.perf_counter()
+            fresh = self._encode(install, touched)
+            encoded = time.perf_counter()
+            if touched is None:  # no telling what changed: all of it
+                entries = diff_trees(self._acked_tree, fresh)
+                (was, before), (now, after) = (
+                    self._acked_tree.measure(), fresh.measure())
+                mask, growth = was ^ now, after - before
+                self._acked_tree = fresh
+            else:
+                entries, mask, growth = edit_virtualizer(
+                    self._acked_tree, fresh, touched)
+            spent = {"encode_s": encoded - started,
+                     "diff_s": time.perf_counter() - encoded}
+            if not entries:
+                # already acknowledged: the domain runs this exact config
+                return PushProfile(delta=True, noop=True,
+                                   bytes_saved=self._acked_bytes, **spent)
             try:
-                self.client.edit_config_delta(f"{self._acked_digest:016x}",
-                                              patch)
+                self.client.edit_config_delta(
+                    base, [entry.to_dict() for entry in entries])
             except NetconfError as exc:
                 if exc.tag != "delta-mismatch":
                     raise
@@ -348,15 +344,14 @@ class _NetconfAdapter(DomainAdapter):
                 counters.incr("push.delta_fallback")
                 obs.event("push.fallback", domain=self.name)
                 return None
-            self.client.validate("candidate")
             self.client.commit()
         except BaseException:
             self.reset_delta_state()
             raise
-        self._ack(new_tree, self._acked_digest ^ mask,
-                  self._acked_bytes + growth)
+        self._acked_digest ^= mask
+        self._acked_bytes += growth
         delta_bytes = patch_size_bytes(entries)
-        return PushProfile(messages=3, bytes=delta_bytes, delta=True,
+        return PushProfile(messages=2, bytes=delta_bytes, delta=True,
                            bytes_saved=max(0, self._acked_bytes - delta_bytes),
                            **spent)
 

@@ -30,6 +30,15 @@ Push-pipeline counters (concurrent delta-based domain programming)::
     push.bytes_saved         full-config bytes minus delta bytes, summed
     push.delta_fallback      delta attempts the server rejected
                              (stale base digest -> full resync)
+    yang.measured            subtrees whose digest and size were measured
+                             (``DataNode.measure``), client and server
+                             side, added once per NETCONF push
+    yang.resolved            tree paths resolved (``DataNode.find`` /
+                             ``resolve`` and the patch applier's walks),
+                             added once per NETCONF push
+    unify.parts_rederived    client services a Unify agent re-derived
+                             from its running config, added once per edit
+                             (the parts that hold a member it named)
     dispatch.parallel        dispatcher fan-outs that used worker threads
     dispatch.inline          dispatcher batches run on the caller thread
                              (single op, or serial mode)

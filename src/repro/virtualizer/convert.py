@@ -11,6 +11,7 @@ supported NF sets, placed NF instances, flow entries, links, and SAPs
 from __future__ import annotations
 
 from itertools import count, takewhile
+from typing import Iterable, Optional
 
 from repro.nffg.graph import NFFG, EdgeObj
 from repro.nffg.model import (
@@ -24,7 +25,8 @@ from repro.nffg.model import (
 )
 from repro.nffg.ops import Touched
 from repro.virtualizer.model import Virtualizer
-from repro.yang.data import DataNode
+from repro.yang.data import DataNode, ValidationError
+from repro.yang.diff import DiffEntry, DiffOp, diff_trees
 
 
 def nffg_to_virtualizer(nffg: NFFG, virtualizer_id: str | None = None) -> Virtualizer:
@@ -90,52 +92,172 @@ def _encode_link(virt: Virtualizer, nffg: NFFG, link: EdgeObj) -> None:
            for node_id, _ in ends) and not any(
             twin.id < link.id and ends == {(twin.src_node, twin.src_port),
                                            (twin.dst_node, twin.dst_port)}
-            for twin in nffg.edges_of(link.src_node)):
+            for twin in nffg.edges_between(link.src_node, link.dst_node)):
         virt.add_link(link.id, src_node=link.src_node, src_port=link.src_port,
                       dst_node=link.dst_node, dst_port=link.dst_port,
                       delay=link.delay, bandwidth=link.bandwidth)
 
 
-def patch_virtualizer(base: DataNode, nffg: NFFG, touched: Touched) -> DataNode:
-    """``nffg_to_virtualizer(nffg).tree``, leaf for leaf, given the tree
-    ``base`` of a graph that differed in the ``touched`` members only.
-    Those are encoded anew — an NF on its current host (the attachment
-    ports it left name the old one), an (infra, port) pair as the port
-    and its flow entries under ``touched.hops`` or none, a link; every
-    other node, port, NF instance, flow entry and link is ``base``'s own
-    (:meth:`~repro.yang.data.DataNode.adopt_others`), so the tree and
-    its diff cost the edit."""
+def encode_members(nffg: NFFG, touched: Touched) -> DataNode:
+    """A virtualizer tree of just the members of ``nffg`` that
+    ``touched`` names, each as :func:`nffg_to_virtualizer` encodes it:
+    under every BiS-BiS that holds one — of an NF its current host (the
+    attachment ports it left name the old one), of an infra port its
+    node — the named ports with their flow entries under
+    ``touched.hops`` or none, and the named NFs; and the named links.
+    No other leaf or member of a node is encoded: the tree is what
+    :func:`edit_virtualizer` edits a whole encode with."""
     virt = Virtualizer(nffg.id, name=nffg.name)
-    opened: dict[str, tuple[set[str], list[str]]] = {}  # ports, NFs by infra
+    nodes = virt.tree.container("nodes").list_node("node")
+    opened: dict[str, DataNode] = {}
+    hosts = [(nffg.host_of(nf_id), nf_id) for nf_id in touched.nodes]
+    for node_id in {node_id for node_id, _ in touched.ports}.union(
+            host for host, _ in hosts if host):
+        opened[node_id] = nodes.add_instance(node_id)
     for node_id, port_id in touched.ports:
-        opened.setdefault(node_id, (set(), []))[0].add(port_id)
-    for nf_id in touched.nodes:
-        if host := nffg.host_of(nf_id):
-            opened.setdefault(host, (set(), []))[1].append(nf_id)
-    virt.tree.adopt_others(base, "nodes/node", opened)
-    for node_id, (port_ids, nf_ids) in opened.items():
-        infra, old = nffg.infra(node_id), base.resolve(f"nodes/node[{node_id}]")
-        node = virt.tree.container("nodes").list_node("node").add_instance(
-            node_id)
-        node.adopt(*(child for child in old.children() if child.schema.name
-                     not in ("id", "ports", "NF_instances", "flowtable")))
-        node.adopt_others(old, "ports/port", port_ids)
-        node.adopt_others(old, "NF_instances/node", touched.nodes)
-        gone = {f"{port_id}:{hop_id}" for port_id in port_ids
-                for hop_id in touched.hops}
-        for port_id in port_ids:  # and its entries without a hop id
-            gone.update(takewhile(
-                lambda key: old.find(f"flowtable/flowentry[{key}]"),
-                (f"{port_id}#{place}" for place in count(1))))
-        node.adopt_others(old, "flowtable/flowentry", gone)
-        for port_id in port_ids & infra.ports.keys():
-            _encode_port(virt, node, infra.ports[port_id], touched.hops)
-        for nf_id in nf_ids:
-            _encode_nf(virt, nffg, node_id, nffg.nf(nf_id))
-    virt.tree.adopt_others(base, "links/link", touched.edges)
+        port = nffg.infra(node_id).ports.get(port_id)
+        if port is not None:
+            _encode_port(virt, opened[node_id], port, touched.hops)
+    for host, nf_id in hosts:
+        if host:
+            _encode_nf(virt, nffg, host, nffg.nf(nf_id))
     for edge_id in filter(nffg.has_edge, touched.edges):
         _encode_link(virt, nffg, nffg.edge(edge_id))
     return virt.tree
+
+
+def edit_virtualizer(tree: DataNode, fresh: DataNode, touched: Touched,
+                     ) -> tuple[list[DiffEntry], int, int]:
+    """Edit ``tree`` — :func:`nffg_to_virtualizer` of a graph that
+    differed from one in the ``touched`` members only — in place into
+    the encode of that graph, given ``fresh``, its
+    :func:`encode_members`.  Each named member is compared with the one
+    ``tree`` holds and, where they differ, takes its place; nothing else
+    is visited.  Returns what :func:`~repro.yang.diff.diff_trees` of the
+    tree before and after returns, entry for entry and in order, and
+    what the edit moved the tree's digest by (an XOR mask) and its size
+    by (:meth:`~repro.yang.data.DataNode.measure`).  Everything is read
+    before anything is written."""
+    ports: dict[str, set[str]] = {}
+    for node_id, port_id in touched.ports:
+        ports.setdefault(node_id, set()).add(port_id)
+    edits = [_ListEdit(tree, fresh, None, "links", "link", touched.edges)]
+    for node in fresh.find("nodes/node").instances():
+        node_id = node.key_value
+        held = tree.find(f"nodes/node[{node_id}]")
+        if held is None:
+            raise ValidationError(f"no BiS-BiS {node_id!r} to edit")
+        port_ids = ports.get(node_id, set())
+        entries = {f"{port_id}:{hop_id}" for port_id in port_ids
+                   for hop_id in touched.hops}
+        held_entries = held.find("flowtable/flowentry")
+        for port_id in port_ids if held_entries is not None else ():
+            entries.update(takewhile(  # and its entries without a hop id
+                lambda key: held_entries.get_instance(key) is not None,
+                (f"{port_id}#{place}" for place in count(1))))
+        fresh_entries = node.find("flowtable/flowentry")
+        if fresh_entries is not None:
+            entries.update(fresh_entries.instance_keys())
+        edits += [_ListEdit(held, node, node_id, "NF_instances", "node",
+                            touched.nodes),
+                  _ListEdit(held, node, node_id, "flowtable", "flowentry",
+                            entries),
+                  _ListEdit(held, node, node_id, "ports", "port", port_ids)]
+    script = [part for edit in edits for part in edit.script]
+    leaves = {leaf: fresh.get(leaf) for leaf in ("id", "name")
+              if tree.get(leaf) != fresh.get(leaf)}
+    script += [((2, leaf), [DiffEntry(DiffOp.SET, f"/virtualizer/{leaf}",
+                                      value)])
+               for leaf, value in leaves.items()]
+    mask = growth = 0
+    for edit in edits:
+        edit.write()
+        mask ^= edit.mask
+        growth += edit.growth
+    for leaf, value in leaves.items():
+        path = f"/virtualizer/{leaf}"
+        was, before = tree.child(leaf).measure(path)
+        now, after = tree.set_leaf(leaf, value).measure(path)
+        mask ^= was ^ now
+        growth += after - before
+    script.sort(key=lambda part: part[0])
+    return [entry for _, part in script for entry in part], mask, growth
+
+
+class _ListEdit:
+    """What an edit does to one list, ``container/name`` under ``held``
+    — BiS-BiS ``node_id`` of the tree, or its root — of the members
+    ``keys`` names: which ``fresh`` (the same place in the fresh tree)
+    holds anew, no more or for the first time, what that moves the
+    digest and size by, and the script :func:`~repro.yang.diff.diff_trees`
+    emits for it, under a key that sorts it where that walk visits the
+    list.  The walk visits a node's children (the root's; of the root,
+    the ``nodes`` last, node by node) by name: first those that go,
+    then those that come, then those that stay and differ — and so a
+    list's container goes or comes whole with its last or first
+    member."""
+
+    def __init__(self, held: DataNode, fresh: DataNode,
+                 node_id: Optional[str], container: str, name: str,
+                 keys: Iterable[str]):
+        self.held, self.container, self.name = held, container, name
+        self.holder = held.find(f"{container}/{name}")
+        anew = fresh.find(f"{container}/{name}")
+        if node_id is None:
+            path, place = f"/virtualizer/{container}", ()
+        else:
+            path = f"/virtualizer/nodes/node[{node_id}]/{container}"
+            place = (2, "nodes", node_id)
+        self.gone: list[str] = []
+        self.put: list[DataNode] = []
+        self.mask = self.growth = 0
+        deleted, created, changed = [], [], []
+        for key in sorted(keys):
+            old = (self.holder.get_instance(key)
+                   if self.holder is not None else None)
+            new = anew.get_instance(key) if anew is not None else None
+            member = f"{path}/{name}[{key}]"
+            if old is not None and new is not None:
+                script = diff_trees(old, new)
+                if not script:
+                    continue
+                changed += script
+            elif old is not None:
+                deleted.append(DiffEntry(DiffOp.DELETE, member))
+            elif new is not None:
+                created.append(DiffEntry(DiffOp.CREATE, member, new.to_dict()))
+            else:
+                continue
+            for node, sign in ((old, -1), (new, 1)):
+                if node is not None:
+                    digest, size = node.measure(member)
+                    self.mask ^= digest
+                    self.growth += sign * size
+            if new is None:
+                self.gone.append(key)
+            else:
+                self.put.append(new)
+        was = self.holder.instance_count() if self.holder is not None else 0
+        now = was - len(deleted) + len(created)
+        phase, entries = ((0, [DiffEntry(DiffOp.DELETE, path)])
+                          if was and not now else (1, created)
+                          if now and not was else
+                          (2, deleted + created + changed))
+        self.script = [((*place, phase, container), entries)] if entries \
+            else []
+
+    def write(self) -> None:
+        if not (self.gone or self.put):
+            return
+        holder = self.holder
+        if holder is None:
+            holder = self.held.container(self.container).list_node(self.name)
+        for key in self.gone:
+            holder.remove_instance(key)
+        for instance in self.put:
+            holder.put(instance)
+        if not holder.instance_count():
+            self.held.remove_child(self.container)
 
 
 def virtualizer_to_nffg(virt: Virtualizer) -> NFFG:

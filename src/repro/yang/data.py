@@ -9,6 +9,8 @@ a canonicalized value.  Paths use the compact form
 from __future__ import annotations
 
 import json
+import struct
+import threading
 import weakref
 from hashlib import blake2b
 from typing import Any, Iterator, Optional
@@ -25,6 +27,26 @@ class ValidationError(ValueError):
 #: its own is one more object for each full garbage collection to visit.
 #: (``node._children is _NO_MEMBERS``: the leaf test of the hot loops.)
 _NO_MEMBERS: dict[str, "DataNode"] = {}
+
+class _Work(threading.local):
+    """Tree work this thread did since :func:`take_work` last read it:
+    subtrees measured (:meth:`DataNode.measure` calls) and paths
+    resolved (:meth:`DataNode.find`, :meth:`DataNode.resolve` and the
+    patch applier's walks).  Per thread, so that concurrent pushes
+    neither lose nor swap counts."""
+
+    measured = resolved = 0
+
+
+_work = _Work()
+
+
+def take_work() -> tuple[int, int]:
+    """``(subtrees measured, paths resolved)`` by this thread since the
+    last call."""
+    work = (_work.measured, _work.resolved)
+    _work.measured = _work.resolved = 0
+    return work
 
 
 class DataNode:
@@ -79,12 +101,18 @@ class DataNode:
             schema = self._child_schema(name)
             if not isinstance(schema, Leaf):
                 raise ValidationError(f"{self.path()}/{name} is not a leaf")
-            node = DataNode(schema)
-            node._parent = weakref.ref(self)
-            self._children[name] = node
-        elif node._children is not _NO_MEMBERS:
+            return self._add_leaf(schema, value)
+        if node._children is not _NO_MEMBERS:
             raise ValidationError(f"{self.path()}/{name} is not a leaf")
         node.value = node.schema.check_value(value)
+        return node
+
+    def _add_leaf(self, schema: Leaf, value: Any) -> "DataNode":
+        """A new child leaf of schema ``schema`` (in place of any there)."""
+        node = DataNode(schema)
+        node._parent = weakref.ref(self)
+        self._children[schema.name] = node
+        node.value = schema.check_value(value)
         return node
 
     def container(self, name: str) -> "DataNode":
@@ -121,36 +149,12 @@ class DataNode:
         self._instances[key_value] = instance
         return instance
 
-    def adopt(self, *members: "DataNode") -> None:
-        """Take over finished members — instances of this list, children
-        of this container or instance — from another tree (which keeps
-        listing them, but is no longer their parent)."""
-        keyed, parent = self.is_list, weakref.ref(self)
-        held = self._instances if keyed else self._children
-        for member in members:
-            key = member.key_value if keyed else member.schema.name
-            if key in held:
-                raise ValidationError(f"duplicate {key!r} at {self.path()}")
-            member._parent = parent
-            held[key] = member
-
-    def adopt_others(self, base: "DataNode", path: str, skip) -> None:
-        """Move into this node's list at ``path`` — a list name behind
-        the containers that lead to it — every instance ``base`` holds
-        there under a key outside ``skip``; ``base`` still lists them
-        and stays good to diff against and to read.  What an edit does
-        not name is moved, not encoded, so a patched tree costs the
-        edit."""
-        held = base.find(path)
-        kept = [] if held is None else [
-            instance for instance in held.instances()
-            if instance.key_value not in skip]
-        if kept:  # a list nothing is kept of is not created
-            *containers, name = path.split("/")
-            target = self
-            for container in containers:
-                target = target.container(container)
-            target.list_node(name).adopt(*kept)
+    def put(self, instance: "DataNode") -> None:
+        """Put a finished instance — encoded in another tree, which is
+        no longer its parent — into this list under its key, in place of
+        the one held there."""
+        instance._parent = weakref.ref(self)
+        self._instances[instance.key_value] = instance
 
     def instance(self, key_value: str) -> "DataNode":
         try:
@@ -161,6 +165,13 @@ class DataNode:
 
     def has_instance(self, key_value: str) -> bool:
         return str(key_value) in self._instances
+
+    def get_instance(self, key_value: str) -> Optional["DataNode"]:
+        """The instance under ``key_value``, or None."""
+        return self._instances.get(key_value)
+
+    def instance_count(self) -> int:
+        return len(self._instances)
 
     def remove_instance(self, key_value: str) -> None:
         if str(key_value) not in self._instances:
@@ -227,6 +238,7 @@ class DataNode:
     def find(self, path: str) -> Optional["DataNode"]:
         """The node at a path relative to this node, or None; unlike
         :meth:`resolve` a miss neither raises nor creates anything."""
+        _work.resolved += 1
         node: Optional[DataNode] = self
         for token in [t for t in path.strip("/").split("/") if t]:
             name, _, rest = token.partition("[")
@@ -239,6 +251,7 @@ class DataNode:
 
     def resolve(self, path: str) -> "DataNode":
         """Resolve a path relative to this node ('' or '/' = self)."""
+        _work.resolved += 1
         node: DataNode = self
         for token in [t for t in path.strip("/").split("/") if t]:
             if "[" in token:
@@ -293,18 +306,20 @@ class DataNode:
         new`` and its size by ``new - old`` — which is how both ends of
         a delta push keep the digest of a config that neither of them
         re-encodes."""
-        if path is None:
-            path = self.path()
-        if self.is_leaf:
+        _work.measured += 1
+        return self._measure(self.path() if path is None else path)
+
+    def _measure(self, path: str) -> tuple[int, int]:
+        if self._children is _NO_MEMBERS:
             return _measure_leaf(path, self.value)
-        keyed = self.is_list
+        keyed = self.key_value is None and isinstance(self.schema, YangList)
         digest = size = 0
         for key, node in (self._instances if keyed else self._children).items():
             member_path = f"{path}[{key}]" if keyed else f"{path}/{key}"
             # most of a tree is leaves: measured here, not one call down
             part, length = (_measure_leaf(member_path, node.value)
                             if node._children is _NO_MEMBERS
-                            else node.measure(member_path))
+                            else node._measure(member_path))
             digest ^= part
             size += length
         return digest, size
@@ -312,16 +327,23 @@ class DataNode:
     # -- copy / serialization ------------------------------------------------------
 
     def copy(self) -> "DataNode":
-        clone = DataNode(self.schema, key_value=self.key_value)
-        clone.value = self.value
-        for name, child in self._children.items():
-            child_clone = child.copy()
-            child_clone.parent = clone
-            clone._children[name] = child_clone
-        for key, instance in self._instances.items():
-            instance_clone = instance.copy()
-            instance_clone.parent = clone
-            clone._instances[key] = instance_clone
+        """A deep copy, held by nothing."""
+        return self._clone(None)
+
+    def _clone(self, parent: Optional[weakref.ref]) -> "DataNode":
+        # every field is copied: set directly, and one weak reference to
+        # the clone serves all of its members
+        clone = DataNode.__new__(DataNode)
+        clone.schema, clone.key_value, clone.value, clone._parent = (
+            self.schema, self.key_value, self.value, parent)
+        if self._children is _NO_MEMBERS:
+            clone._children = clone._instances = _NO_MEMBERS
+            return clone
+        held = weakref.ref(clone)
+        clone._children = {name: child._clone(held)
+                           for name, child in self._children.items()}
+        clone._instances = {key: instance._clone(held)
+                            for key, instance in self._instances.items()}
         return clone
 
     def to_dict(self) -> Any:
@@ -354,12 +376,18 @@ class DataNode:
         return f"<DataNode {self.path()}>"
 
 
+#: an empty 64-bit blake2b, copied per leaf (cheaper than a new one)
+_BLAKE2B_64 = blake2b(digest_size=8)
+_UINT64 = struct.Struct(">Q")
+
+
 def _measure_leaf(path: str, value: Any) -> tuple[int, int]:
     if value is None:
         return 0, 0
     text = f"{path}={value}"
-    return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(),
-                          "big"), len(text) - len(path)
+    hashed = _BLAKE2B_64.copy()
+    hashed.update(text.encode())
+    return _UINT64.unpack(hashed.digest())[0], len(text) - len(path)
 
 
 def data_from_dict(schema: SchemaNode, data: Any,
@@ -387,7 +415,7 @@ def _fill_from_dict(node: DataNode, data: Any) -> None:
         if child_schema is None:
             raise ValidationError(f"unknown child {name!r} at {node.path()}")
         if isinstance(child_schema, Leaf):
-            node.set_leaf(name, child_data)
+            node._add_leaf(child_schema, child_data)
         elif isinstance(child_schema, Container):
             _fill_from_dict(node.container(name), child_data)
         else:

@@ -18,6 +18,7 @@ from repro.yang.data import (
     DataNode,
     ValidationError,
     _fill_from_dict,
+    _work,
 )
 
 
@@ -56,7 +57,6 @@ def diff_trees(old: DataNode, new: DataNode) -> list[DiffEntry]:
 
 
 def _diff_node(old: DataNode, new: DataNode, entries: list[DiffEntry]) -> None:
-    # paths come off ``new``: ``old`` may have lent members to a dead tree
     if old is new:  # a subtree both trees share
         return
     if old.is_leaf:
@@ -118,30 +118,51 @@ def _emit_creates(node: DataNode, entries: list[DiffEntry]) -> None:
         _emit_creates(child, entries)
 
 
-def apply_patch(tree: DataNode, entries: list[DiffEntry]) -> DataNode:
-    """Apply an edit script (in place); returns ``tree`` for chaining."""
+def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
+                measure: bool = True) -> int:
+    """Apply an edit script to ``tree`` in place.  Returns the XOR mask
+    by which it moved the tree's :meth:`~DataNode.digest`: each entry
+    measures the node it replaces or removes before it goes, and the one
+    it leaves at its path after — on the nodes it resolved anyway.  A
+    caller that knows where the script leads passes ``measure=False``
+    (and gets 0)."""
     root_name = tree.schema.name
+    mask = 0
     for entry in entries:
-        relative = _strip_root(entry.path, root_name)
+        parent_path, token = _split_leaf(_strip_root(entry.path, root_name))
+        name, _, rest = token.partition("[")
+        key = rest.rstrip("]") if rest else None
         if entry.op == DiffOp.SET:
-            parent_path, leaf_name = _split_leaf(relative)
             parent = _resolve_creating(tree, parent_path)
-            parent.set_leaf(leaf_name, entry.value)
+            leaf = parent._children.get(token)
+            if measure and leaf is not None:  # before it takes the value
+                mask ^= leaf.measure(entry.path)[0]
+            old, new = None, parent.set_leaf(token, entry.value)
         elif entry.op == DiffOp.DELETE:
-            _apply_delete(tree, relative)
+            parent = tree.resolve(parent_path) if parent_path else tree
+            if key is None:
+                new, old = None, parent.child(token)
+                parent.remove_child(token)
+            else:
+                holder = parent.list_node(name)
+                new, old = None, holder.instance(key)
+                holder.remove_instance(key)
         elif entry.op == DiffOp.CREATE:
-            parent_path, instance_token = _split_leaf(relative)
-            name, _, rest = instance_token.partition("[")
-            key = rest.rstrip("]")
             parent = _resolve_creating(tree, parent_path) if parent_path else tree
             holder = parent.list_node(name)
-            if holder.has_instance(key):
+            old = holder.get_instance(key)
+            if old is not None:
                 holder.remove_instance(key)
-            instance = holder.add_instance(key)
-            _fill_from_dict(instance, entry.value)
+            new = holder.add_instance(key)
+            _fill_from_dict(new, entry.value)
         else:  # pragma: no cover - enum is exhaustive
             raise ValidationError(f"unknown diff op {entry.op}")
-    return tree
+        if measure:
+            if old is not None:
+                mask ^= old.measure(entry.path)[0]
+            if new is not None:
+                mask ^= new.measure(entry.path)[0]
+    return mask
 
 
 def find(tree: DataNode, path: str) -> Optional[DataNode]:
@@ -155,6 +176,7 @@ def _resolve_creating(tree: DataNode, path: str) -> DataNode:
     must arrive via explicit CREATE entries."""
     from repro.yang.schema import Container
 
+    _work.resolved += 1
     node = tree
     for token in [t for t in path.strip("/").split("/") if t]:
         if "[" in token:
@@ -168,17 +190,6 @@ def _resolve_creating(tree: DataNode, path: str) -> DataNode:
             else:
                 node = node.list_node(token)
     return node
-
-
-def _apply_delete(tree: DataNode, relative: str) -> None:
-    parent_path, token = _split_leaf(relative)
-    parent = tree.resolve(parent_path) if parent_path else tree
-    if "[" in token:
-        name, _, rest = token.partition("[")
-        key = rest.rstrip("]")
-        parent.list_node(name).remove_instance(key)
-    else:
-        parent.remove_child(token)
 
 
 def _strip_root(path: str, root_name: str) -> str:

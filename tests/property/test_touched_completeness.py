@@ -706,7 +706,7 @@ def test_unify_boundary_deploy_update_teardown_refusal_resync():
         settled("e")  # an edit was handed over; a replace went out
         agent.running.digest ^= 1  # another writer got in: delta-mismatch
         (pushed,) = parent.teardown("c").adapters
-        assert pushed.success and not pushed.delta and pushed.messages == 4
+        assert pushed.success and not pushed.delta and pushed.messages == 3
         live.discard("c")
         settled("c")
         assert parent.teardown("b").adapters[0].delta

@@ -7,8 +7,10 @@ bottom switches are never deleted or replaced, their counters never
 fall and its traffic never drops.  And after every step of a seeded
 deploy / update / teardown / heal sequence the bottom switch tables
 equal those of a fresh stack that was only ever given the live
-services, every level's derived state verifies, and a drain leaves no
-level with a service.  The same holds when a bottom link flaps and every
+services, every level's derived state verifies, every agent's parts —
+re-derived only where an edit named a member — are what re-deriving
+all of its running config gives, and a drain leaves no level with a
+service.  The same holds when a bottom link flaps and every
 level heals in turn — with the whole topology advertised upwards each
 level re-embeds and sends its heal's edit through the boundary below it.
 
@@ -35,6 +37,7 @@ from repro.orchestration import (
     UnifyAgent,
     UnifyDomainAdapter,
 )
+from repro.orchestration.unify import _hops, _split
 from repro.perf import counters
 from repro.service import ServiceRequestBuilder
 from repro.virtualizer.views import FullTopologyView
@@ -93,6 +96,15 @@ class _Stack:
     def close(self) -> None:
         for escape in self.levels:
             escape.cal.dispatcher.shutdown()
+
+
+def _rederived(agent: UnifyAgent) -> dict[str, tuple]:
+    """An agent's parts as a re-derivation of all it runs makes them."""
+    by_id = {nf.id: nf for nf in agent.nfs.values()}
+    return {f"{agent.orchestrator.name}-client-{key}": (
+        [nf.to_dict() for nf in part_nfs], part_hops)
+        for key, (part_nfs, part_hops) in _split(
+            by_id, _hops(agent.entries.values(), by_id)).items()}
 
 
 def _service(index: int, reverse: bool, nfs: int, bandwidth: float):
@@ -156,6 +168,10 @@ def test_bottom_tables_equal_a_fresh_stack_given_the_live_services(seed):
             for escape in stack.levels:
                 assert escape.cal.verify() == [], (step, kind, escape.name)
                 assert len(escape.deployed_services()) == len(live)
+            for escape in stack.levels[1:]:
+                (agent,) = (adapter.agent
+                            for adapter in escape.cal.adapters.values())
+                assert agent._parts == _rederived(agent), (step, kind)
         for index in sorted(live):
             assert stack.top.teardown(f"svc{index}").success
         assert [escape.deployed_services() for escape in stack.levels] \

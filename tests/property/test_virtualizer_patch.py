@@ -1,26 +1,39 @@
-"""``patch_virtualizer`` is the whole encode, for the cost of the edit.
+"""The acknowledged virtualizer is edited in place into the whole
+encode, for the cost of the edit.
 
 The south side of the Unify interface keeps the virtualizer tree its
-child acknowledged and brings it to the parent's current install view
-by encoding the ``touched`` members only.  For drawn views — a substrate
-seen as one BiS-BiS, one per domain or its whole topology, with chains
-on it — and drawn edits folded in the way the CAL folds them (the DoV is
-written, ``refresh_members`` re-reads the named members into the install
-view, which moves them to the back of the graph), the patched tree is
-``nffg_to_virtualizer`` of the whole view leaf for leaf, it validates,
-its edit script against the acknowledged tree is the whole encode's
-entry for entry, and every instance the edit did not name *is* the
-acknowledged tree's object — which is what makes encode and diff cost
-the edit.
+domain acknowledged and brings it to the current install view by
+encoding the ``touched`` members only (``encode_members``) and putting
+each one that differs in the place of the one the tree holds
+(``edit_virtualizer``).  For drawn views — a substrate seen as one
+BiS-BiS, one per domain or its whole topology, with chains on it — and
+drawn edits folded in the way the CAL folds them (the DoV is written,
+``refresh_members`` re-reads the named members into the install view,
+which moves them to the back of the graph), the edited tree is
+``nffg_to_virtualizer`` of the whole view leaf for leaf; the script it
+returns is ``diff_trees`` of the tree before and that whole encode,
+entry for entry and in order (so the wire is what a diff would send);
+the digest mask and size growth it returns move the old tree's digest
+and size to the whole encode's; and every instance the edit did not
+name is the object the tree held before.  An adapter whose edit raises
+part-way forgets the tree it was editing: its next push is a replace.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.emu import EmulatedDomain
+from repro.netem import Network
 from repro.nffg.builder import linear_substrate
 from repro.nffg.model import DomainType
 from repro.nffg.ops import Touched, refresh_members
-from repro.virtualizer.convert import nffg_to_virtualizer, patch_virtualizer
+from repro.orchestration import EmuDomainAdapter
+from repro.virtualizer import convert
+from repro.virtualizer.convert import (
+    edit_virtualizer,
+    encode_members,
+    nffg_to_virtualizer,
+)
 from repro.virtualizer.views import (
     FullTopologyView,
     PerDomainBiSBiSView,
@@ -166,7 +179,7 @@ def _named(touched, opened, path) -> bool:
 
 @given(views(), st.data())
 @settings(max_examples=120, deadline=None)
-def test_patched_tree_is_the_whole_encode_and_shares_the_rest(view, data):
+def test_edited_tree_is_the_whole_encode_and_the_script_its_diff(view, data):
     dov, install = view, view.copy()
     acked = nffg_to_virtualizer(install, install.id).tree
     counter = iter(range(1000))
@@ -175,16 +188,61 @@ def test_patched_tree_is_the_whole_encode_and_shares_the_rest(view, data):
         for _ in range(data.draw(st.integers(1, 3))):      # folds between
             _edit(dov, touched, data, counter)
         touched.edges |= refresh_members(install, dov, touched)
-        before = dict(_instances(acked))
-        patched = patch_virtualizer(acked, install, touched)
+        before, old = dict(_instances(acked)), acked.copy()
+        (digest, size) = acked.measure()
+        script, mask, growth = edit_virtualizer(
+            acked, encode_members(install, touched), touched)
         whole = nffg_to_virtualizer(install, install.id).tree
-        assert patched.to_json() == whole.to_json()
-        assert patched.digest() == whole.digest()
-        assert patched.validate() == []
-        assert diff_trees(acked, patched) == diff_trees(acked, whole)
+        assert acked.to_json() == whole.to_json()
+        assert acked.validate() == []
+        assert script == diff_trees(old, whole)
+        assert (digest ^ mask, size + growth) == whole.measure()
         opened = ({node_id for node_id, _ in touched.ports}
                   | {install.host_of(nf_id) for nf_id in touched.nodes})
-        for path, instance in _instances(patched):
+        for path, instance in _instances(acked):
             if not _named(touched, opened, path):
                 assert instance is before[path], path
-        acked = patched
+
+
+def test_an_edit_that_raises_part_way_forgets_the_acknowledged_tree(
+        monkeypatch):
+    net = Network()
+    domain = EmulatedDomain("emu", net, node_ids=["bb0"])
+    domain.add_sap("sap1", "bb0")
+    domain.add_sap("sap2", "bb0")
+    adapter = EmuDomainAdapter("emu", domain)
+
+    def install(*hops):
+        view = domain.domain_view()
+        for hop_id in hops:
+            view.infra("bb0").port("sap-sap1").add_flowrule(
+                f"in_port=sap-sap1;flowclass=tp_dst={hop_id[1:]}",
+                "output=sap-sap2", hop_id=hop_id)
+        return view
+
+    assert adapter.install(install("h1")).success
+    assert adapter._acked_tree is not None
+    # the edit has written its first list when the second one fails
+    written, write = [], convert._ListEdit.write
+
+    def failing(edit):
+        if written:
+            raise RuntimeError("edit failed part-way")
+        written.append(edit)
+        write(edit)
+
+    monkeypatch.setattr(convert._ListEdit, "write", failing)
+    touched = Touched(ports={("bb0", "sap-sap1"), ("bb0", "loose")},
+                      hops={"h1", "h2"})
+    view = install("h2")
+    view.infra("bb0").add_port("loose")
+    report = adapter.install(view, touched)
+    assert not report.success and "part-way" in report.error
+    assert written and adapter._acked_tree is None
+    monkeypatch.undo()
+    resync = adapter.install(view, touched)
+    assert resync.success and not resync.delta and resync.messages == 2
+    assert adapter._acked_tree.digest() == nffg_to_virtualizer(
+        view, view.id).tree.digest()
+    assert [entry.cookie for entry in domain.switches["bb0"].table.entries()
+            ] == ["h2"]

@@ -5,7 +5,8 @@ The generic tree-pair properties in ``test_yang_properties.py`` only
 exercise CREATE/DELETE when two independently drawn trees happen to
 disagree on list keys; here the second tree is derived from the first
 by explicit entry removal/insertion, so every example is guaranteed to
-produce a patch containing both ops.
+produce a patch containing both ops.  Every application also checks the
+XOR mask ``apply_patch`` returns against the digests of the two trees.
 """
 
 import hypothesis.strategies as st
@@ -71,7 +72,11 @@ def churned_trees(draw):
 def test_patch_reproduces_churned_tree(case):
     old, new, doomed, fresh = case
     script = diff_trees(old, new)
-    assert apply_patch(old.copy(), script).to_dict() == new.to_dict()
+    patched = old.copy()
+    # the mask is what the script moved the digest by, measured as it
+    # applied: a store keeps its digest without re-measuring its tree
+    assert apply_patch(patched, script) == old.digest() ^ new.digest()
+    assert patched.to_dict() == new.to_dict()
 
 
 @given(churned_trees())
@@ -105,7 +110,9 @@ def test_reverse_patch_restores_original(case):
     old, new, _, _ = case
     forward = diff_trees(old, new)
     backward = diff_trees(new, old)
-    roundtrip = apply_patch(apply_patch(old.copy(), forward), backward)
+    roundtrip = old.copy()
+    masks = apply_patch(roundtrip, forward), apply_patch(roundtrip, backward)
+    assert masks == (old.digest() ^ new.digest(),) * 2
     assert roundtrip.to_dict() == old.to_dict()
 
 
@@ -122,4 +129,8 @@ def test_nested_port_churn_roundtrips(case, data):
             ports.remove_instance(key)
         ports.add_instance(data.draw(keys, label="new-port"))
     script = diff_trees(old, new)
-    assert apply_patch(old.copy(), script).to_dict() == new.to_dict()
+    patched = old.copy()
+    # the mask is what the script moved the digest by, measured as it
+    # applied: a store keeps its digest without re-measuring its tree
+    assert apply_patch(patched, script) == old.digest() ^ new.digest()
+    assert patched.to_dict() == new.to_dict()

@@ -1,5 +1,5 @@
 """Property-based tests for the YANG diff/patch engine: for arbitrary
-tree pairs, ``apply_patch(a, diff(a, b)) == b``."""
+tree pairs, ``apply_patch(a, diff(a, b))`` makes ``a`` into ``b``."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -51,7 +51,8 @@ def random_tree(draw):
 @settings(max_examples=80, deadline=None)
 def test_patch_transforms_a_into_b(a, b):
     entries = diff_trees(a, b)
-    patched = apply_patch(a.copy(), entries)
+    patched = a.copy()
+    apply_patch(patched, entries)
     assert patched.to_dict() == b.to_dict()
 
 
@@ -67,7 +68,9 @@ def test_diff_is_antisymmetric_in_size(a, b):
     forward = diff_trees(a, b)
     backward = diff_trees(b, a)
     # applying forward then backward returns to a
-    roundtrip = apply_patch(apply_patch(a.copy(), forward), backward)
+    roundtrip = a.copy()
+    apply_patch(roundtrip, forward)
+    apply_patch(roundtrip, backward)
     assert roundtrip.to_dict() == a.to_dict()
 
 
@@ -75,10 +78,12 @@ def test_diff_is_antisymmetric_in_size(a, b):
 @settings(max_examples=40, deadline=None)
 def test_patch_is_idempotent_for_sets_and_creates(a, b):
     entries = [e for e in diff_trees(a, b)]
-    patched_once = apply_patch(a.copy(), entries)
+    patched_once = a.copy()
+    apply_patch(patched_once, entries)
     # re-applying CREATE entries replaces-by-key, SET entries overwrite;
     # DELETE entries would fail on second application, so filter them
     from repro.yang import DiffOp
     repeatable = [e for e in entries if e.op != DiffOp.DELETE]
-    patched_twice = apply_patch(patched_once.copy(), repeatable)
+    patched_twice = patched_once.copy()
+    apply_patch(patched_twice, repeatable)
     assert patched_twice.to_dict() == patched_once.to_dict()

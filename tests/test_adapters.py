@@ -120,9 +120,47 @@ class TestDeltaResync:
         assert domain.switches["bb0"].flow_count() == 0
         report = adapter.install(self._install(domain, ["h1", "h2"]))
         assert report.success and not report.delta
-        assert report.messages == 4  # refused patch + replace/validate/commit
+        assert report.messages == 3  # refused patch + replace/commit
         assert domain.switches["bb0"].flow_count() == 2
         assert adapter.install(self._install(domain, ["h1", "h2"])).delta
+
+
+    def test_one_validation_per_push_and_a_refusal_at_commit(self):
+        domain, adapter = self._emu()
+        orchestrator = adapter.orchestrator
+        assert adapter.install(self._install(domain, ["h1"])).success
+        handled = orchestrator.rpcs_handled
+        report = adapter.install(self._install(domain, ["h1", "h2"]))
+        # edit-config + commit: commit is where the patch is validated
+        assert report.success and report.delta and report.messages == 2
+        assert orchestrator.rpcs_handled - handled == 2
+        running = orchestrator.running.snapshot()
+        digest, nfs = orchestrator.running.digest, dict(orchestrator.nfs)
+        flows = [entry.cookie
+                 for entry in domain.switches["bb0"].table.entries()]
+        checked = []
+
+        def refuse(entries):
+            checked.append(entries)
+            return ["refused"]
+
+        orchestrator.validate_patch = refuse
+        refused = adapter.install(self._install(domain, ["h1", "h3"]))
+        assert not refused.success and "invalid-value" in refused.error
+        assert len(checked) == 1
+        assert orchestrator.running.snapshot() == running
+        assert orchestrator.running.digest == digest
+        assert orchestrator.nfs == nfs
+        assert [entry.cookie for entry in
+                domain.switches["bb0"].table.entries()] == flows
+        assert adapter._acked_tree is None
+        del orchestrator.validate_patch
+        handled = orchestrator.rpcs_handled
+        resync = adapter.install(self._install(domain, ["h1", "h3"]))
+        assert resync.success and not resync.delta and resync.messages == 2
+        assert orchestrator.rpcs_handled - handled == 2
+        assert sorted(entry.cookie for entry in
+                      domain.switches["bb0"].table.entries()) == ["h1", "h3"]
 
 
 class TestSdnAdapter:

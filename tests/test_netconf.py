@@ -85,6 +85,48 @@ class TestDatastores:
         client.edit_config({"x": 9}, target="running")
         assert applied == [{"a": 1, "x": 9}]
 
+    def test_refused_edit_of_running_changes_nothing(self, session):
+        # an edit of running is validated as a commit is: test-then-set
+        client, server, _ = session
+        applied = []
+        server.on_apply(applied.append)
+        server.validate_config = lambda cfg: (["bad config"]
+                                              if cfg and "bad" in cfg else [])
+        with pytest.raises(NetconfError) as refused:
+            client.edit_config({"bad": True}, target="running")
+        assert refused.value.tag == "invalid-value"
+        assert applied == []
+        assert client.get_config("running") == {"a": 1}
+        assert client.get_config("candidate") == {"a": 1}
+
+    def test_refused_patch_of_running_keeps_its_digest(self):
+        from repro.virtualizer import Virtualizer
+        from repro.yang import diff_trees
+
+        virt = Virtualizer("v")
+        virt.add_node("bb0")
+        edited = virt.copy()
+        edited.add_nf_instance("bb0", "fw", type="firewall")
+        server = NetconfServer("device", capabilities=[UNIFY_CAPABILITY],
+                               initial_config={"virtualizer": virt.to_dict()})
+        channel = ControlChannel("mgmt")
+        server.bind(channel)
+        client = NetconfClient("manager", channel)
+        client.hello()
+        applied = []
+        server.on_apply(applied.append)
+        server.validate_patch = lambda entries: ["no firewalls here"]
+        digest = server.running.digest
+        with pytest.raises(NetconfError) as refused:
+            client.edit_config_delta(
+                f"{digest:016x}",
+                [entry.to_dict()
+                 for entry in diff_trees(virt.tree, edited.tree)],
+                target="running")
+        assert refused.value.tag == "invalid-value"
+        assert applied == [] and server.running.digest == digest
+        assert client.get_config("running") == {"virtualizer": virt.to_dict()}
+
 
 class TestCommitSemantics:
     def test_commit_fires_apply(self, session):

@@ -234,7 +234,7 @@ class TestEditScripts:
         first = parent.deploy(_service("a")).adapters[0]
         second = parent.deploy(_service("b")).adapters[0]
         assert not first.delta and second.delta
-        assert second.messages == 3 and second.bytes < first.bytes
+        assert second.messages == 2 and second.bytes < first.bytes
         assert len(child.deployed_services()) == 2
 
     def test_unchanged_install_is_a_noop(self, two_level):
@@ -255,7 +255,7 @@ class TestEditScripts:
         perf.reset("push.")
         report = parent.deploy(_service("b")).adapters[0]
         assert report.success and not report.delta
-        assert report.messages == 4  # the refused patch, then the resync
+        assert report.messages == 3  # the refused patch, then the resync
         assert perf.snapshot("push.")["push.delta_fallback"] == 1
         # the replace redeployed nothing that was there already
         assert agent.last_edit["kept"] == ["child-client-a-hop1"]

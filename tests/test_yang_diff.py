@@ -100,7 +100,8 @@ def test_patch_roundtrip_complex(schema):
     new_entry.set_leaf("value", "nine")
     new_entry.list_node("port").add_instance("px").set_leaf("speed", "100G")
     entries = diff_trees(a, b)
-    patched = apply_patch(a.copy(), entries)
+    patched = a.copy()
+    assert apply_patch(patched, entries) == a.digest() ^ b.digest()
     assert patched.to_dict() == b.to_dict()
 
 
@@ -108,8 +109,8 @@ def test_patch_create_replaces_existing(schema):
     a = _base(schema)
     entries = [DiffEntry(DiffOp.CREATE, "/cfg/entry[e1]",
                          {"id": "e1", "value": "replaced"})]
-    patched = apply_patch(a, entries)
-    assert patched.list_node("entry").instance("e1").get("value") == "replaced"
+    apply_patch(a, entries)
+    assert a.list_node("entry").instance("e1").get("value") == "replaced"
 
 
 def test_patch_rejects_foreign_root(schema):
@@ -146,7 +147,8 @@ def test_new_container_content_emits_sets(schema):
     b.container("box").set_leaf("v", 5)
     entries = diff_trees(a, b)
     assert any(e.op == DiffOp.SET and e.path == "/cfg/box/v" for e in entries)
-    patched = apply_patch(a.copy(), entries)
+    patched = a.copy()
+    assert apply_patch(patched, entries) == a.digest() ^ b.digest()
     assert patched.to_dict() == b.to_dict()
 
 
@@ -156,5 +158,6 @@ def test_deleted_container_emits_delete(schema):
     b.remove_child("box")
     entries = diff_trees(a, b)
     assert DiffEntry(DiffOp.DELETE, "/cfg/box") in entries
-    patched = apply_patch(a.copy(), entries)
+    patched = a.copy()
+    apply_patch(patched, entries)
     assert not patched.has_child("box")
