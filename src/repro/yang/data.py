@@ -288,7 +288,11 @@ class DataNode:
                 if name not in self._children or self._children[name].value is None:
                     problems.append(f"{self.path()}/{name}: mandatory leaf missing")
         for child in self._children.values():
-            child._validate_into(problems)
+            if child._children is not _NO_MEMBERS:
+                child._validate_into(problems)
+            elif child.value is None and child.schema.mandatory:
+                # a leaf: checked here, not one call down
+                problems.append(f"{child.path()}: mandatory leaf unset")
 
     # -- digest ---------------------------------------------------------------------
 
