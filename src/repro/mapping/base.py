@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,13 +53,21 @@ class HopRoute:
 
 @dataclass
 class MappingResult:
-    """Outcome of an embedding run."""
+    """Outcome of an embedding run.
+
+    Only a direct :meth:`Embedder.map` caller gets the graphs
+    (``mapped``, ``touched``); the RO hands everyone else
+    :meth:`without_graphs`, the plain record the books, reports and
+    journal keep for as long as the service is installed."""
 
     success: bool
     mapped: Optional[NFFG] = None
     #: the mapped graph restricted to the infras this mapping writes to
-    #: (NF hosts + routed BiS-BiSes): what the validator checks flow
-    #: rules against, at O(service) instead of O(substrate) cost
+    #: (NF hosts + routed BiS-BiSes): what the validator dry-runs flow
+    #: rules against, at O(service) instead of O(substrate) cost.  The
+    #: RO drops it once that check passed: kept per resident service it
+    #: would hold a copy of every infra the service writes to, with
+    #: their ports and links
     touched: Optional[NFFG] = None
     #: the (possibly decomposition-expanded) service graph that was mapped
     service: Optional[NFFG] = None
@@ -79,18 +87,26 @@ class MappingResult:
     def __bool__(self) -> bool:
         return self.success
 
+    def without_graphs(self) -> "MappingResult":
+        """This result with placement, routes, decompositions, cost and
+        search effort but no graph and no factory: O(service) plain
+        data, the same facts a journal record holds."""
+        return MappingResult(**{
+            f.name: getattr(self, f.name) for f in fields(MappingResult)
+            if f.name not in ("mapped", "touched")})
+
 
 class _LazyMappedResult(MappingResult):
     """A successful result whose full ``mapped`` graph is materialized
     on first access.
 
-    The orchestration hot loop only reads ``touched`` (flow-rule
-    validation) and the placement/route tables, so the O(substrate)
-    copy behind ``mapped`` is usually never paid — callers that do ask
-    (renderers, virtualizer exports, tests) get the same graph the
-    eager commit used to produce.  Materialize promptly: the factory
-    reads the context's resource view, which the orchestrator mutates
-    between deployments."""
+    Only direct :meth:`Embedder.map` callers (renderers, virtualizer
+    exports, tests) ever see this class, and they get the same graph
+    the eager commit used to produce; the O(substrate) copy behind
+    ``mapped`` is paid only if they ask.  The factory holds the whole
+    mapping context, its resource view included, and reads that view
+    when called: materialize promptly, and never keep this result past
+    the request — the RO returns :meth:`without_graphs` instead."""
 
     def __init__(self, *args, **kwargs):
         self._mapped_factory = None

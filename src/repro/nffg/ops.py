@@ -157,22 +157,36 @@ class Touched:
         return bool(self.nodes or self.ports or self.edges)
 
 
+def _differs_only_in(held: object, fresh: object, name: str) -> bool:
+    """``held`` and ``fresh`` are records of one type whose fields agree
+    on everything but ``name``."""
+    return (type(held) is type(fresh) and {**held.__dict__, name: None}
+            == {**fresh.__dict__, name: None})
+
+
 def refresh_members(target: NFFG, source: NFFG, touched: Touched) -> set[str]:
     """Re-read the members ``touched`` names from ``source`` into
-    ``target``, in place and as copies; a member ``source`` does not
-    have leaves ``target``.  A re-read node brings the links that join
-    it to nodes ``target`` holds, and an NF goes where its host is: one
-    hosted outside ``target`` leaves it too.  Returns the ids of the
-    links that left or entered with a node."""
+    ``target``, in place; a member ``source`` does not have leaves
+    ``target``.  A port that differs only in its flow rules keeps its
+    object and takes a copy of the rule list (rules are immutable and
+    shared), a link that differs only in ``reserved`` takes that value,
+    anything else is replaced by a copy.  A re-read node brings the
+    links that join it to nodes ``target`` holds, and an NF goes where
+    its host is: one hosted outside ``target`` leaves it too.  Returns
+    the ids of the links that left or entered with a node."""
     for node_id, port_id in touched.ports:
         if not target.has_node(node_id):
             continue
         fresh = (source.node(node_id).ports.get(port_id)
                  if source.has_node(node_id) else None)
+        ports = target.node(node_id).ports
+        held = ports.get(port_id)
         if fresh is None:
-            target.node(node_id).ports.pop(port_id, None)
+            ports.pop(port_id, None)
+        elif held is not None and _differs_only_in(held, fresh, "flowrules"):
+            held.flowrules = list(fresh.flowrules)
         else:
-            target.node(node_id).ports[port_id] = fresh.clone()
+            ports[port_id] = fresh.clone()
 
     def reread_link(edge: object) -> bool:
         if (isinstance(edge, EdgeLink) and edge.src_node in target
@@ -193,10 +207,16 @@ def refresh_members(target: NFFG, source: NFFG, touched: Touched) -> set[str]:
             moved.update(edge.id for edge in source.edges_of(node_id)
                          if reread_link(edge))
     for edge_id in touched.edges - moved:
+        fresh = source.edge(edge_id) if source.has_edge(edge_id) else None
         if target.has_edge(edge_id):
+            held = target.edge(edge_id)
+            if isinstance(fresh, EdgeLink) and _differs_only_in(
+                    held, fresh, "reserved"):
+                held.reserved = fresh.reserved
+                continue
             target.remove_edge(edge_id)
-        if source.has_edge(edge_id):
-            reread_link(source.edge(edge_id))
+        if fresh is not None:
+            reread_link(fresh)
     return moved
 
 

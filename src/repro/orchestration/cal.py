@@ -110,10 +110,12 @@ class ControllerAdaptationLayer:
         self._adapters_by_type: dict[DomainType, list[DomainAdapter]] = {}
         self._dov: Optional[NFFG] = None
         #: deployed services: service id -> (service graph, mapping
-        #: result).  This map IS the desired state the write-ahead
-        #: intent journal protects — only the annotated mutators may
-        #: write it, and their callers must hold an open intent scope
-        #: (lint rule CC007).
+        #: result); the result is the RO's graph-free record —
+        #: placement and routes, what a journal record holds — so a
+        #: resident service costs O(service).  This map IS the desired
+        #: state the write-ahead intent journal protects — only the
+        #: annotated mutators may write it, and their callers must hold
+        #: an open intent scope (lint rule CC007).
         self._deployed: dict[str, tuple[NFFG, MappingResult]] = (
             {}  # journaled: commit_mapping remove_service restore_service
         )

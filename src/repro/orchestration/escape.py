@@ -58,6 +58,10 @@ class EscapeOrchestrator:
         #: severity at/above which the pre-deploy static-analysis gate
         #: refuses a service graph; None disables the gate entirely
         self.lint_gate = lint_gate
+        #: the last deploy / update report per installed service, kept
+        #: until its teardown: its ``mapping`` is the RO's graph-free
+        #: record (placement, routes), never a graph — only direct
+        #: ``Embedder.map()`` callers hold those
         self.reports: dict[str, DeployReport] = {}
         #: write-ahead intent journal (see :mod:`repro.recovery`):
         #: every lifecycle operation books two-phase records here, and

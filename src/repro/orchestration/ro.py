@@ -45,7 +45,10 @@ class ResourceOrchestrator:
         When a decomposition library is configured, abstract NFs are
         expanded and alternatives tried cheapest-first.  The winning
         mapping is re-validated from scratch (defense against embedder
-        bugs) before being returned as successful.  ``path_cache`` — a
+        bugs) before being returned as successful; the graphs that
+        check dry-ran flow rules in are dropped with it, so what comes
+        back is :meth:`MappingResult.without_graphs` — what the CAL's
+        books, the reports and heal's repairs keep.  ``path_cache`` — a
         :class:`repro.mapping.pathcache.PathCache` owned by the caller —
         is shared across requests hitting the same substrate, and
         ``index`` — the CAL's :class:`repro.mapping.index.SubstrateIndex`
@@ -83,7 +86,7 @@ class ResourceOrchestrator:
             self.mappings_succeeded += 1
         observe("map.latency_s", result.runtime_s,
                 embedder=self.embedder.name)
-        return result
+        return result.without_graphs()
 
     @property
     def acceptance_ratio(self) -> float:

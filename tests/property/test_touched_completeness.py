@@ -12,7 +12,10 @@ afterwards (the direct adapter's record, every NETCONF adapter's
 acknowledged virtualizer) equals the whole view encoded anew, and
 ``cal.verify()`` is empty; and between any two graphs an adapter is
 handed in a row, ``differing_members`` names an edit that
-``refresh_members`` can replay.
+``refresh_members`` can replay.  Both the maintained view and the
+direct adapter's record are edited in place: a named port whose only
+change was its flow rules, and a named link whose only change was its
+reservation, is the object it was before the edit.
 Day-2 sequences — ``mark_stale()``, ``rebuild()``, a link flap with
 ``heal()``, ``update()`` — are drawn over a ring, flat and under a
 parent orchestrator, where a healthy domain never sees ``None`` after
@@ -25,6 +28,7 @@ which the new slice differs from the old.
 """
 
 import json
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -35,9 +39,11 @@ from repro.emu import EmulatedDomain
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder
-from repro.nffg.model import NodeInfra, ResourceVector
+from repro.nffg.builder import mesh_substrate
+from repro.nffg.model import EdgeLink, NodeInfra, ResourceVector
 from repro.nffg.ops import differing_members, refresh_members
 from repro.orchestration import (
+    DirectDomainAdapter,
     EmuDomainAdapter,
     UnifyAgent,
     UnifyDomainAdapter,
@@ -116,6 +122,48 @@ def _members(install) -> dict[tuple, str]:
     return members
 
 
+def _records(graph) -> tuple:
+    """``graph`` and, for each infra port and link in it, the object
+    and its data without the one field an edit may change in place
+    (flow rules; ``reserved``)."""
+    records = {}
+    for infra in graph.infras:
+        for port in infra.ports.values():
+            data = port.to_dict()
+            data.pop("flowrules", None)
+            records["port", infra.id, port.id] = (port, _frozen(data))
+    for edge in graph.edges:
+        if isinstance(edge, EdgeLink):
+            data = edge.to_dict()
+            data.pop("reserved")
+            records["edge", edge.id] = (edge, _frozen(data))
+    return graph, records
+
+
+def _kept_in_place(before, graph, touched) -> Counter:
+    """Assert that each port and link ``touched`` names that ``graph``
+    already had at ``before`` (a :func:`_records` of it), and whose only
+    change since is its flow rules or reservation, is the same object;
+    returns how many were checked, by kind.  A link joined to a re-read
+    node left and came back with it, so is not checked."""
+    held, records = before
+    kept = Counter()
+    if touched is None or graph is not held:
+        return kept
+    now = _records(graph)[1]
+    named = ({("port", *port) for port in touched.ports}
+             | {("edge", edge_id) for edge_id in touched.edges})
+    for key in named & records.keys() & now.keys():
+        (was, data), (member, now_data) = records[key], now[key]
+        if key[0] == "edge" and touched.nodes & {member.src_node,
+                                                 member.dst_node}:
+            continue
+        if data == now_data:
+            assert member is was, f"{key} was replaced, not edited"
+            kept[key[0]] += 1
+    return kept
+
+
 def _named(touched, key) -> bool:
     kind, member_id = key[0], key[1]
     if kind == "edge":
@@ -137,12 +185,18 @@ class InstallWatch:
         self.base = None       # members at the last successful install
         self.last = None       # a copy of the graph of the last install
         self.received = []     # the ``touched`` of every install
+        #: _records of the last graph handed over / the adapter's record
+        self.view = self.record = (None, {})
+        #: members checked to have been edited in place, per graph held
+        self.kept = {"view": Counter(), "record": Counter()}
         self._install = adapter.install
         adapter.install = self
 
     def __call__(self, install, touched=None):
         now = _members(install)
         self.received.append(touched)
+        self.kept["view"] += _kept_in_place(self.view, install, touched)
+        self.view = _records(install)
         if touched is not None:
             assert self.base is not None, (
                 f"{self.adapter.name}: an edit over no agreed base")
@@ -170,6 +224,9 @@ class InstallWatch:
         if record is not None:
             assert record is not install
             assert canonical(record) == canonical(install)
+            self.kept["record"] += _kept_in_place(
+                self.record, record, self.received[-1])
+            self.record = _records(record)
         tree = getattr(inner, "_acked_tree", None)
         if tree is not None:
             whole = nffg_to_virtualizer(install, install.id).tree
@@ -243,6 +300,34 @@ def test_fig1_deploy_update_teardown_heal_trip_crash(seed):
         watches = watches or _watch(escape.cal)
         _assert_views_current(escape.cal)
     assert all(None in watch.received[1:] for watch in watches.values())
+    assert all(sum((watch.kept["view"] for watch in watches.values()),
+                   Counter())[kind] for kind in ("port", "edge"))
+
+
+def test_deploy_update_teardown_heal_edit_in_place():
+    """Over a mesh whose routes cross links, the maintained view and the
+    direct adapter's record keep every port an edit only re-rules and
+    every link it only re-reserves."""
+    escape = EscapeOrchestrator("in-place")
+    adapter = escape.add_domain(DirectDomainAdapter("dom", mesh_substrate(
+        12, degree=3, seed=5, supported_types=["firewall"])))
+    watch = _watch(escape.cal)["dom"]
+    for index in range(4):
+        assert escape.deploy(_chain_request(index, 2),
+                             wait_activation=False).success
+    assert escape.update(_chain_request(1, 1)).success
+    assert escape.teardown("p2").success
+    # a link p0 is routed over goes: heal re-routes what crossed it
+    routes = escape.cal.snapshot_service("p0")[1].hop_routes.values()
+    adapter._view.remove_edge(next(link_id for route in routes
+                                   for link_id in route.link_ids))
+    escape.cal.mark_stale(("dom",))
+    healed = escape.heal()
+    assert "p0" in healed and all(map(bool, healed.values()))
+    assert escape.deploy(_chain_request(4, 2), wait_activation=False).success
+    _assert_views_current(escape.cal)
+    assert all(watch.kept[check][kind] for check in ("view", "record")
+               for kind in ("port", "edge")), watch.kept
 
 
 def test_breaker_trip_queues_only_its_own_domain():
