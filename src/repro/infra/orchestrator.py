@@ -103,7 +103,7 @@ class LocalOrchestrator(NetconfServer):
         if config is None:
             return []
         tree = (self.candidate if config is self.candidate.config
-                else self.running).tree
+                else self.running).read_tree()
         if tree is None:
             return ["config is not a valid virtualizer"]
         nodes = tree.find("nodes/node")

@@ -1,11 +1,17 @@
 """NETCONF server: datastores + RPC dispatch.
 
 The server owns a *running* and a *candidate* datastore (arbitrary
-JSON-compatible configs — in practice virtualizers).  Domain
-orchestrators subclass or register apply-callbacks: a
-successful ``commit`` hands the committed change to the callback — the
-edit script when the candidate was a patch of running, the new running
-config otherwise — which reconfigures the domain.
+JSON-compatible configs — in practice virtualizers) over one config
+tree.  A patch is staged on running's tree in place, which logs what
+each entry replaced: the candidate is running plus the staged edit,
+running still reads as it was, ``commit`` keeps the edit (it is not
+applied a second time) and ``discard-changes`` rolls the log back in
+O(edit).  A replace, merge or delete gives the candidate a tree of its
+own, which running shares from the commit on.  Domain orchestrators
+subclass or register apply-callbacks: a successful ``commit`` hands the
+committed change to the callback — the edit script when the candidate
+was a patch of running, the new running config otherwise — which
+reconfigures the domain.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from repro.netconf.messages import (
 from repro.openflow.channel import ControlChannel
 from repro.virtualizer.model import virtualizer_schema
 from repro.yang.data import DataNode, ValidationError, data_from_dict
-from repro.yang.diff import DiffEntry, apply_patch
+from repro.yang.diff import DiffEntry, apply_patch, redo_patch, undo_patch
 
 _SESSION_ID = itertools.count(1)
 
@@ -37,24 +43,33 @@ class Datastore:
     """One named configuration datastore.
 
     The content is any JSON value.  A Unify config (``{"virtualizer":
-    ...}``) is held as its yang tree plus the tree's digest: an edit
-    script applies to the tree in place and moves the digest by what it
-    changed, so a delta commit neither copies nor re-encodes the store.
-    The JSON form of such a store is kept from the last :meth:`set` and
-    otherwise rebuilt on demand.
+    ...}``) is held as its yang tree plus the tree's digest.  Stores
+    share trees instead of copying them: :meth:`take` shares another
+    store's content, and :meth:`stage` makes a store another one plus
+    an edit script, applied in place to the tree the two then share.
+    The other store — the *base* — logs what each entry replaced
+    (:func:`~repro.yang.diff.apply_patch`'s undo log), so it still reads
+    as it was; it takes the edit by :meth:`take`, which drops the log,
+    or rolls it back in O(edit).  The JSON form of a store is kept from
+    the last :meth:`set` and otherwise rebuilt on demand.
     """
 
     def __init__(self, name: str, config: Any = None):
         self.name = name
+        #: what the edit another store staged on :attr:`tree` replaced
+        #: (empty: none is staged)
+        self._undo: list[list] = []
         self.set(config)
 
     def set(self, config: Any) -> None:
         """Replace the content with ``config``, which the store keeps
         (callers hand over a private value)."""
         self._json = config
+        #: shared with the stores that took this one, and with an edit
+        #: staged on it: :meth:`read_tree` is this store's content
         self.tree: Optional[DataNode] = None
-        #: of :attr:`tree`; None without one, or when a failed patch or
-        #: apply left the content in doubt — no edit script matches then
+        #: of :attr:`tree`; None without one, or when a failed apply
+        #: left the content in doubt — no edit script matches then
         self.digest: Optional[int] = None
         if isinstance(config, dict) and set(config) == {"virtualizer"}:
             try:
@@ -68,33 +83,50 @@ class Datastore:
     def config(self) -> Any:
         """The content in JSON form (shared: not to be mutated)."""
         if self._json is None and self.tree is not None:
-            self._json = {"virtualizer": self.tree.to_dict()}
+            self._json = {"virtualizer": self.read_tree().to_dict()}
         return self._json
+
+    def read_tree(self) -> Optional[DataNode]:
+        """The content as a tree: :attr:`tree` or, while another store
+        has an edit staged on it, a copy with that edit rolled back —
+        O(config), on reads that no push makes."""
+        if not self._undo:
+            return self.tree
+        undo_patch(self._undo)
+        try:
+            return self.tree.copy()
+        finally:
+            redo_patch(self._undo)
 
     def snapshot(self) -> Any:
         return copy.deepcopy(self.config)
 
     def take(self, other: "Datastore") -> None:
-        """Become a copy of ``other``."""
-        self._json = other._json
-        self.tree = other.tree.copy() if other.tree is not None else None
-        self.digest = other.digest
+        """Share ``other``'s content; an edit staged on this store's
+        tree stays made (its log is dropped)."""
+        self._json, self.tree, self.digest = other._json, other.tree, other.digest
+        self._undo = []
 
-    def patch(self, entries: list[DiffEntry],
-              digest: Optional[int] = None) -> None:
-        """Apply an edit script to the tree in place.  The digest moves
-        by what the script measured as it applied — unless the caller
-        knows what the script leads to, having applied it to a store
-        equal to this one.  A script that does not apply leaves the
-        digest unset."""
-        if self.tree is None:
-            raise ValidationError(f"{self.name} holds no config tree")
-        before, self.digest, self._json = self.digest, None, None
-        if digest is None:
-            digest = before ^ apply_patch(self.tree, entries)
-        else:
-            apply_patch(self.tree, entries, measure=False)
-        self.digest = digest
+    def stage(self, base: "Datastore", entries: list[DiffEntry]) -> None:
+        """Become ``base`` plus an edit script, applied in place to the
+        tree the two then share; ``base`` has nothing staged yet.  The
+        digest moves by what the script measured as it applied.  A
+        script that does not apply is rolled back: this store is
+        ``base`` again."""
+        if base.tree is None:
+            raise ValidationError(f"{base.name} holds no config tree")
+        self.take(base)
+        try:
+            mask = apply_patch(self.tree, entries, undo=base._undo)
+        except BaseException:
+            base.roll_back()
+            raise
+        self._json, self.digest = None, base.digest ^ mask
+
+    def roll_back(self) -> None:
+        """Take back the edit staged on this store's tree, in O(edit)."""
+        undo_patch(self._undo)
+        self._undo = []
 
 
 class NetconfServer:
@@ -107,8 +139,9 @@ class NetconfServer:
         self.running = Datastore("running", initial_config)
         self.candidate = Datastore("candidate")
         self.candidate.take(self.running)
-        #: the edit script that made the candidate out of a copy of
-        #: running; None once the candidate was edited any other way
+        #: the edit script that made the candidate out of running, staged
+        #: on running's tree; None once the candidate was edited any
+        #: other way
         self._pending: Optional[list[DiffEntry]] = []
         self.session_id = 0
         self.channel: Optional[ControlChannel] = None
@@ -228,22 +261,26 @@ class NetconfServer:
     def _edit_candidate(self, params: dict) -> None:
         operation = params.get("operation", "merge")
         config = params.get("config")
-        entries = None
+        if operation == "patch":
+            self._pending = self._patch(config)
+            return
         if operation == "replace":
-            self.candidate.set(copy.deepcopy(config))
+            config = copy.deepcopy(config)
         elif operation == "merge":
-            self.candidate.set(_merge(self.candidate.config, config))
+            config = _merge(self.candidate.config, config)
         elif operation == "delete":
-            self.candidate.set(None)
-        elif operation == "patch":
-            entries = self._patch(config)
+            config = None
         else:
             raise NetconfServerError("bad-attribute",
                                      f"unknown operation {operation!r}")
-        self._pending = entries
+        self._discard()
+        self.candidate.set(config)
+        self._pending = None
 
     def _discard(self) -> None:
-        """Make the candidate a copy of running again."""
+        """Make the candidate running again: roll back what was staged
+        on running's tree, in O(edit)."""
+        self.running.roll_back()
         self.candidate.take(self.running)
         self._pending = []
 
@@ -269,12 +306,10 @@ class NetconfServer:
                 f"patch base {patch.get('base_digest')!r} != running "
                 f"{digest:016x}")
         entries = [DiffEntry.from_dict(entry) for entry in patch["entries"]]
-        if self._pending != []:
-            self.candidate.take(self.running)  # drop whatever was staged
+        self._discard()  # drop whatever was staged
         try:
-            self.candidate.patch(entries)
+            self.candidate.stage(self.running, entries)
         except ValueError as exc:  # ValidationError, or a leaf's SchemaError
-            self._pending = None
             raise NetconfServerError("delta-mismatch",
                                      f"patch does not apply: {exc}") from exc
         return entries
@@ -290,10 +325,7 @@ class NetconfServer:
             raise NetconfServerError("invalid-value",
                                      "validation failed: " + "; ".join(problems))
         entries, self._pending = self._pending or None, []
-        if entries:
-            self.running.patch(entries, self.candidate.digest)
-        else:
-            self.running.take(self.candidate)
+        self.running.take(self.candidate)  # a staged edit stays made
         self._apply(entries)
         return {"ok": True}
 

@@ -2,8 +2,10 @@
 
 The Unify interface is diff-based: a manager fetches a view, edits it
 locally and sends only the delta.  :func:`diff_trees` produces an
-ordered edit script; :func:`apply_patch` replays it on another copy.
-Deletes are emitted before creates so that replace-by-key works.
+ordered edit script; :func:`apply_patch` replays it on another copy,
+in place, and can log what each entry replaced, so that
+:func:`undo_patch` takes the edit back in O(edit).  Deletes are emitted
+before creates so that replace-by-key works.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.yang.data import (
     _NO_MEMBERS,
@@ -118,14 +120,22 @@ def _emit_creates(node: DataNode, entries: list[DiffEntry]) -> None:
         _emit_creates(child, entries)
 
 
+#: what an undo record holds for a member that was not there
+_ABSENT: Any = object()
+
+
 def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
-                measure: bool = True) -> int:
+                undo: Optional[list[list]] = None) -> int:
     """Apply an edit script to ``tree`` in place.  Returns the XOR mask
     by which it moved the tree's :meth:`~DataNode.digest`: each entry
     measures the node it replaces or removes before it goes, and the one
-    it leaves at its path after — on the nodes it resolved anyway.  A
-    caller that knows where the script leads passes ``measure=False``
-    (and gets 0)."""
+    it leaves at its path after — on the nodes it resolved anyway.
+
+    Given an ``undo`` list, each change is logged there before it is
+    made: the leaf value or member an entry replaced or removed, and
+    each container or list it created on the way.  :func:`undo_patch`
+    then takes the edit back in O(edit), also when an entry raised
+    part-way through the script."""
     root_name = tree.schema.name
     mask = 0
     for entry in entries:
@@ -133,36 +143,74 @@ def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
         name, _, rest = token.partition("[")
         key = rest.rstrip("]") if rest else None
         if entry.op == DiffOp.SET:
-            parent = _resolve_creating(tree, parent_path)
+            parent = _resolve_creating(tree, parent_path, undo)
             leaf = parent._children.get(token)
-            if measure and leaf is not None:  # before it takes the value
+            if leaf is not None:  # measured before it takes the value
                 mask ^= leaf.measure(entry.path)[0]
+            if undo is not None:
+                undo.append([parent._children, token, _ABSENT]
+                            if leaf is None else [leaf, None, leaf.value])
             old, new = None, parent.set_leaf(token, entry.value)
         elif entry.op == DiffOp.DELETE:
-            parent = tree.resolve(parent_path) if parent_path else tree
-            if key is None:
-                new, old = None, parent.child(token)
-                parent.remove_child(token)
-            else:
-                holder = parent.list_node(name)
-                new, old = None, holder.instance(key)
-                holder.remove_instance(key)
+            # a delete creates nothing, not even on its way
+            parent = tree.find(parent_path)
+            if parent is None:
+                raise ValidationError(f"no parent node for {entry.path!r}")
+            members, member = ((parent._children, token) if key is None else
+                               (parent.child(name)._instances, key))
+            new, old = None, members.get(member)
+            if old is None:
+                raise ValidationError(f"nothing to delete at {entry.path!r}")
+            if undo is not None:
+                undo.append([members, member, old])
+            del members[member]
         elif entry.op == DiffOp.CREATE:
-            parent = _resolve_creating(tree, parent_path) if parent_path else tree
+            parent = (_resolve_creating(tree, parent_path, undo)
+                      if parent_path else tree)
+            if undo is not None and name not in parent._children:
+                undo.append([parent._children, name, _ABSENT])
             holder = parent.list_node(name)
             old = holder.get_instance(key)
+            if undo is not None:
+                undo.append([holder._instances, key,
+                             _ABSENT if old is None else old])
             if old is not None:
                 holder.remove_instance(key)
             new = holder.add_instance(key)
             _fill_from_dict(new, entry.value)
         else:  # pragma: no cover - enum is exhaustive
             raise ValidationError(f"unknown diff op {entry.op}")
-        if measure:
-            if old is not None:
-                mask ^= old.measure(entry.path)[0]
-            if new is not None:
-                mask ^= new.measure(entry.path)[0]
+        if old is not None:
+            mask ^= old.measure(entry.path)[0]
+        if new is not None:
+            mask ^= new.measure(entry.path)[0]
     return mask
+
+
+def undo_patch(undo: list[list]) -> None:
+    """Take back the edit :func:`apply_patch` logged in ``undo``, latest
+    change first.  Each record swaps what it holds with what the tree
+    holds, so the log then holds the edit: :func:`redo_patch` makes it
+    again, without resolving a path."""
+    _swap(reversed(undo))
+
+
+def redo_patch(undo: list[list]) -> None:
+    """Make again the edit that :func:`undo_patch` took back."""
+    _swap(undo)
+
+
+def _swap(records: Iterable[list]) -> None:
+    for record in records:
+        held, key, saved = record
+        if key is None:  # a leaf's value
+            record[2], held.value = held.value, saved
+            continue
+        record[2] = held.get(key, _ABSENT)
+        if saved is _ABSENT:
+            held.pop(key, None)  # (a create that raised made nothing)
+        else:
+            held[key] = saved
 
 
 def find(tree: DataNode, path: str) -> Optional[DataNode]:
@@ -170,25 +218,26 @@ def find(tree: DataNode, path: str) -> Optional[DataNode]:
     return tree.find(_strip_root(path, tree.schema.name))
 
 
-def _resolve_creating(tree: DataNode, path: str) -> DataNode:
+def _resolve_creating(tree: DataNode, path: str,
+                      undo: Optional[list[list]]) -> DataNode:
     """Resolve a path, creating missing *containers* on the way (NETCONF
-    merge semantics).  Missing list instances are still errors — they
-    must arrive via explicit CREATE entries."""
+    merge semantics), each logged to ``undo`` (see :func:`apply_patch`).
+    Missing list instances are still errors — they must arrive via
+    explicit CREATE entries."""
     from repro.yang.schema import Container
 
     _work.resolved += 1
     node = tree
     for token in [t for t in path.strip("/").split("/") if t]:
-        if "[" in token:
-            name, _, rest = token.partition("[")
-            key = rest.rstrip("]")
-            node = node.list_node(name).instance(key)
+        name, _, rest = token.partition("[")
+        if undo is not None and name not in node._children:
+            undo.append([node._children, name, _ABSENT])
+        if rest:
+            node = node.list_node(name).instance(rest.rstrip("]"))
+        elif isinstance(node._child_schema(token), Container):
+            node = node.container(token)
         else:
-            child_schema = node._child_schema(token)
-            if isinstance(child_schema, Container):
-                node = node.container(token)
-            else:
-                node = node.list_node(token)
+            node = node.list_node(token)
     return node
 
 

@@ -1,8 +1,10 @@
 """Tests for the domain adapter layer (install accounting, teardown,
 failure isolation)."""
 
+import pytest
 
 from repro.emu import EmulatedDomain
+from repro.netconf import NetconfError
 from repro.netem import Network
 from repro.nffg import NFFG
 from repro.nffg.builder import linear_substrate
@@ -161,6 +163,26 @@ class TestDeltaResync:
         assert orchestrator.rpcs_handled - handled == 2
         assert sorted(entry.cookie for entry in
                       domain.switches["bb0"].table.entries()) == ["h1", "h3"]
+
+    def test_running_validates_as_it_was_while_a_patch_is_staged(self):
+        domain, adapter = self._emu()
+        orchestrator = adapter.orchestrator
+        assert adapter.install(self._install(domain, ["h1"])).success
+        # a flow entry without its mandatory port, staged on the tree
+        # running and candidate share
+        adapter.client.edit_config_delta(
+            f"{orchestrator.running.digest:016x}",
+            [{"op": "create", "value": {"id": "sap-sap1:h9"},
+              "path": "/virtualizer/nodes/node[bb0]/flowtable"
+                      "/flowentry[sap-sap1:h9]"}])
+        assert adapter.client.validate("running") == {"ok": True}
+        with pytest.raises(NetconfError) as refused:
+            adapter.client.validate("candidate")
+        assert "mandatory" in str(refused.value)
+        adapter.client.discard_changes()
+        again = adapter.install(self._install(domain, ["h1", "h2"]))
+        assert again.success and again.delta
+        assert domain.switches["bb0"].flow_count() == 2
 
 
 class TestSdnAdapter:

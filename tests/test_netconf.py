@@ -1,5 +1,7 @@
 """Tests for the NETCONF-like management protocol."""
 
+import json
+
 import pytest
 
 from repro.netconf import NetconfClient, NetconfError, NetconfServer
@@ -327,3 +329,109 @@ class TestInstallConfigPatches:
         client.edit_config_delta(
             *_patch_between(new, _install_config(["h3"])))
         client.commit()
+
+    # -- one tree: a patch is staged on running's tree, which still
+    # reads as it was -------------------------------------------------------
+
+    @staticmethod
+    def _commit_patch(client, old, new):
+        """Commit a patch from ``old`` to ``new``: running's JSON form is
+        then rebuilt from its tree, not kept from a replace."""
+        client.edit_config_delta(*_patch_between(old, new))
+        client.commit()
+
+    def test_running_reads_as_it_was_while_a_patch_is_staged(
+            self, install_session):
+        client, server, base = install_session
+        # as a domain's: a patch is validated by what its entries name,
+        # so nothing builds the JSON form of the candidate (or running)
+        server.validate_patch = lambda entries: [
+            entry.path for entry in entries if "h3" in entry.path]
+        server.validate_config = lambda cfg: (
+            ["h3 is staged"] if "p1:h3" in json.dumps(cfg) else [])
+        running = _install_config(["h1", "h2"])
+        self._commit_patch(client, base, running)
+        digest = server.running.digest
+        staged = _install_config(["h1", "h2", "h3"])
+        client.edit_config_delta(*_patch_between(running, staged))
+        assert client.get_config() == running
+        assert client.get()["config"] == running
+        assert client.validate("running") == {"ok": True}
+        with pytest.raises(NetconfError) as refused:
+            client.validate("candidate")
+        assert refused.value.tag == "invalid-value"
+        assert client.get_config("candidate") == staged
+        assert server.running.digest == digest
+        assert server.candidate.digest == _tree(staged).digest()
+        assert server.candidate.tree is server.running.tree  # one tree
+
+    def test_a_patch_failing_part_way_leaves_running(self, install_session):
+        client, server, base = install_session
+        running = _install_config(["h1", "h2"])
+        self._commit_patch(client, base, running)
+        digest, entries = _patch_between(running, _install_config(["h2"]))
+        # the first entries apply, the last does not
+        entries += [{"op": "create", "value": {"id": "p1:h4"},
+                     "path": "/virtualizer/nodes/node[bb]/flowtable"
+                             "/flowentry[p1:h4]"},
+                    {"op": "set", "value": 1,
+                     "path": "/virtualizer/nodes/node[bb]/bogus"}]
+        with pytest.raises(NetconfError) as err:
+            client.edit_config_delta(digest, entries)
+        assert err.value.tag == "delta-mismatch"
+        assert server.running.digest == server.running.tree.digest()
+        assert server.running.digest == _tree(running).digest()
+        assert client.get_config() == running
+        assert client.get_config("candidate") == running
+        new = _install_config(["h2", "h3"])
+        self._commit_patch(client, running, new)
+        assert client.get_config() == new
+        assert server.running.digest == _tree(new).digest()
+
+    def test_a_refused_commit_keeps_the_edit_staged(self, install_session):
+        client, server, base = install_session
+        running = _install_config(["h1", "h2"])
+        self._commit_patch(client, base, running)
+        digest = server.running.digest
+        applied = []
+        server.on_apply(applied.append)
+        server.validate_patch = lambda entries: ["refused"]
+        staged = _install_config(["h2", "h3"])
+        client.edit_config_delta(*_patch_between(running, staged))
+        with pytest.raises(NetconfError) as refused:
+            client.commit()
+        assert refused.value.tag == "invalid-value"
+        assert applied == []
+        assert server.running.digest == digest
+        assert client.get_config() == running
+        assert client.get_config("candidate") == staged
+        client.discard_changes()
+        assert client.get_config("candidate") == running
+        assert server.running.tree.digest() == digest
+        assert client.get_config() == running and applied == []
+
+    def test_a_replace_after_a_staged_patch_leaves_running(
+            self, install_session):
+        client, server, base = install_session
+        running = _install_config(["h1", "h2"])
+        self._commit_patch(client, base, running)
+        digest = server.running.digest
+        client.edit_config_delta(
+            *_patch_between(running, _install_config(["h1", "h2", "h3"])))
+        replaced = _install_config(["h7"])
+        client.edit_config(replaced, operation="replace")
+        assert client.get_config() == running
+        assert server.running.digest == digest
+        assert server.running.tree.digest() == digest
+        client.commit()
+        assert client.get_config() == replaced
+        assert server.running.digest == _tree(replaced).digest()
+
+    def test_a_commit_leaves_one_tree(self, install_session):
+        client, server, base = install_session
+        assert server.candidate.tree is server.running.tree  # a replace
+        new = _install_config(["h1", "h2"])
+        client.edit_config_delta(*_patch_between(base, new))
+        client.commit()
+        assert server.candidate.tree is server.running.tree
+        assert server.candidate.digest == server.running.digest

@@ -7,7 +7,10 @@ proportional to what each operation leaves behind.  So a resident
 service must hold O(service) plain data — the booked result carries no
 substrate copy and no closure over the mapping context — and a rebuild
 of the derived views must free the remaining view it replaced instead
-of leaving it pinned by the services mapped against it.
+of leaving it pinned by the services mapped against it.  Likewise a
+NETCONF server holds one config tree: its candidate is running plus an
+edit staged on running's tree, and a commit keeps that edit, so no
+second copy of the config stays installed at any recursion level.
 """
 
 import gc
@@ -15,11 +18,21 @@ import weakref
 
 import pytest
 
+from repro.emu import EmulatedDomain
+from repro.netconf import NetconfServer
+from repro.netem import Network
 from repro.nffg import NFFG, ResourceVector
 from repro.nffg.model import NodeInfra
-from repro.orchestration import DirectDomainAdapter, EscapeOrchestrator
+from repro.orchestration import (
+    DirectDomainAdapter,
+    EmuDomainAdapter,
+    EscapeOrchestrator,
+    UnifyAgent,
+    UnifyDomainAdapter,
+)
 from repro.service import ServiceRequestBuilder
 from repro.topo import build_reference_multidomain
+from repro.yang.data import DataNode
 
 from tests.test_cyclic_garbage import chain
 
@@ -102,6 +115,34 @@ class Fig1:
         assert report.success, report.error
 
 
+class UnifyStack:
+    """Three orchestrator levels joined by Unify agents over one
+    emulated domain, chains deployed through the top."""
+
+    def __init__(self) -> None:
+        network = Network()
+        ids = [f"emu-bb{i}" for i in range(3)]
+        domain = EmulatedDomain("emu", network, node_ids=ids,
+                                links=list(zip(ids, ids[1:])))
+        domain.add_sap("sap1", ids[0])
+        domain.add_sap("sap2", ids[-1])
+        self.escape = EscapeOrchestrator("level0",
+                                         simulator=network.simulator)
+        self.escape.add_domain(EmuDomainAdapter("emu", domain))
+        for level in (1, 2):
+            parent = EscapeOrchestrator(f"level{level}",
+                                        simulator=network.simulator)
+            parent.add_domain(UnifyDomainAdapter(f"level{level - 1}-dom",
+                                                 UnifyAgent(self.escape)))
+            self.escape = parent
+
+    def deploy(self, index: int) -> None:
+        report = self.escape.deploy(chain(
+            f"uni{index}", "sap1", "sap2", NF_TYPES, bandwidth=1.0,
+            tp_dst=10000 + index).sg)
+        assert report.success, report.error
+
+
 SYSTEMS = {"fig1": Fig1, "federation": Federation}
 
 
@@ -142,3 +183,50 @@ def test_a_rebuild_frees_the_view_it_replaced(system):
         + ", ".join(sorted({type(holder).__name__ for holder in
                             gc.get_referrers(replaced())})))
     assert cal.verify() == []
+
+
+def netconf_servers(escape: EscapeOrchestrator) -> list[NetconfServer]:
+    """The NETCONF servers of ``escape``'s domains and, behind a Unify
+    agent, of every level below it."""
+    servers = []
+    for adapter in escape.cal.adapters.values():
+        server = getattr(adapter, "agent", getattr(adapter, "orchestrator",
+                                                   None))
+        if isinstance(server, NetconfServer):
+            servers.append(server)
+        if isinstance(server, UnifyAgent):
+            servers += netconf_servers(server.orchestrator)
+    return servers
+
+
+def datanodes(*trees: DataNode) -> int:
+    """The distinct nodes of ``trees``."""
+    seen: set[int] = set()
+    stack = [tree for tree in trees if tree is not None]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [*node.children(), *node.instances()]
+    return len(seen)
+
+
+@pytest.mark.parametrize("system", [Fig1, UnifyStack],
+                         ids=["fig1", "unify_stack3"])
+def test_each_netconf_server_holds_one_config_tree(system):
+    built = system()
+    for index in range(4):
+        built.deploy(index)
+    servers = netconf_servers(built.escape)
+    # Fig. 1: the emu, cloud and UN domains'; the stack: one per level
+    assert len(servers) == 3, servers
+    one_tree = sum(datanodes(server.running.tree) for server in servers)
+    held = sum(datanodes(server.running.tree, server.candidate.tree)
+               for server in servers)
+    assert held == one_tree, (
+        f"the servers hold {held} DataNodes for {one_tree} of config: "
+        + ", ".join(f"{server.name} {datanodes(server.candidate.tree)}"
+                    for server in servers
+                    if server.candidate.tree is not server.running.tree)
+        + " more in a candidate copy")
+    assert built.escape.cal.verify() == []
