@@ -30,12 +30,13 @@ Push-pipeline counters (concurrent delta-based domain programming)::
     push.bytes_saved         full-config bytes minus delta bytes, summed
     push.delta_fallback      delta attempts the server rejected
                              (stale base digest -> full resync)
-    yang.measured            subtrees whose digest and size were measured
-                             (``DataNode.measure``), client and server
-                             side, added once per NETCONF push
-    yang.resolved            tree paths resolved (``DataNode.find`` /
-                             ``resolve`` and the patch applier's walks),
+    yang.measured            subtrees and leaves whose digest and size
+                             were measured (``DataNode.measure`` /
+                             ``measure_leaf``), client and server side,
                              added once per NETCONF push
+    yang.resolved            tree paths resolved (``DataNode.find`` and
+                             the patch applier's walks), added once per
+                             NETCONF push
     unify.parts_rederived    client services a Unify agent re-derived
                              from its running config, added once per edit
                              (the parts that hold a member it named)

@@ -25,7 +25,7 @@ from repro.nffg.model import (
 )
 from repro.nffg.ops import Touched
 from repro.virtualizer.model import Virtualizer
-from repro.yang.data import DataNode, ValidationError
+from repro.yang.data import DataNode, ValidationError, measure_leaf
 from repro.yang.diff import DiffEntry, DiffOp, diff_trees
 
 
@@ -176,8 +176,9 @@ def edit_virtualizer(tree: DataNode, fresh: DataNode, touched: Touched,
         growth += edit.growth
     for leaf, value in leaves.items():
         path = f"/virtualizer/{leaf}"
-        was, before = tree.child(leaf).measure(path)
-        now, after = tree.set_leaf(leaf, value).measure(path)
+        was, before = measure_leaf(path, tree.get(leaf))
+        tree.set_leaf(leaf, value)
+        now, after = measure_leaf(path, value)
         mask ^= was ^ now
         growth += after - before
     script.sort(key=lambda part: part[0])

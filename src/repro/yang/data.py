@@ -1,8 +1,12 @@
 """Data-side classes of the YANG-like engine.
 
-A :class:`DataNode` instantiates a schema node: containers hold child
-data nodes by name, list nodes hold instances by key value, leaves hold
-a canonicalized value.  Paths use the compact form
+A :class:`DataNode` instantiates a container, a list or a list instance
+of a schema: containers and instances hold child data nodes by name,
+list nodes hold instances by key value.  A leaf is not a node: it is
+its canonical value (:meth:`~repro.yang.schema.Leaf.check_value`),
+held by name in a dict of its parent.  Values are immutable, so copies
+of a tree share them, and a dict of them is nothing for the cyclic
+collector to visit.  Paths use the compact form
 ``/virtualizer/nodes/node[un1]/flowtable/flowentry[f3]/match``.
 """
 
@@ -22,18 +26,12 @@ class ValidationError(ValueError):
     """Raised when data does not conform to its schema."""
 
 
-#: what a leaf has for children and instances: a leaf is most of a tree,
-#: trees are kept for as long as a config is installed, and every dict of
-#: its own is one more object for each full garbage collection to visit.
-#: (``node._children is _NO_MEMBERS``: the leaf test of the hot loops.)
-_NO_MEMBERS: dict[str, "DataNode"] = {}
-
 class _Work(threading.local):
     """Tree work this thread did since :func:`take_work` last read it:
-    subtrees measured (:meth:`DataNode.measure` calls) and paths
-    resolved (:meth:`DataNode.find`, :meth:`DataNode.resolve` and the
-    patch applier's walks).  Per thread, so that concurrent pushes
-    neither lose nor swap counts."""
+    subtrees and leaves measured (:meth:`DataNode.measure` and
+    :func:`measure_leaf` calls) and paths resolved
+    (:meth:`DataNode.find` and the patch applier's walks).  Per thread,
+    so that concurrent pushes neither lose nor swap counts."""
 
     measured = resolved = 0
 
@@ -50,9 +48,10 @@ def take_work() -> tuple[int, int]:
 
 
 class DataNode:
-    """One node of a data tree, bound to its schema node."""
+    """A container, list or list instance of a data tree, bound to its
+    schema node."""
 
-    __slots__ = ("schema", "key_value", "_parent", "value", "_children",
+    __slots__ = ("schema", "key_value", "_parent", "_leaves", "_children",
                  "_instances", "__weakref__")
 
     def __init__(self, schema: SchemaNode, key_value: Optional[str] = None):
@@ -60,12 +59,11 @@ class DataNode:
         #: for list *instances*: the key value addressing this instance
         self.key_value = key_value
         self._parent: Optional[weakref.ref] = None
-        self.value: Any = None                      # leaves only
-        leaf = isinstance(schema, Leaf)
-        #: containers & instances
-        self._children: dict[str, DataNode] = _NO_MEMBERS if leaf else {}
+        #: containers & instances: leaf values and child nodes by name
+        self._leaves: dict[str, Any] = {}
+        self._children: dict[str, DataNode] = {}
         #: list nodes only
-        self._instances: dict[str, DataNode] = _NO_MEMBERS if leaf else {}
+        self._instances: dict[str, DataNode] = {}
 
     @property
     def parent(self) -> Optional["DataNode"]:
@@ -81,10 +79,6 @@ class DataNode:
     # -- classification ---------------------------------------------------
 
     @property
-    def is_leaf(self) -> bool:
-        return isinstance(self.schema, Leaf)
-
-    @property
     def is_list(self) -> bool:
         return isinstance(self.schema, YangList) and self.key_value is None
 
@@ -94,26 +88,12 @@ class DataNode:
 
     # -- structure building -------------------------------------------------
 
-    def set_leaf(self, name: str, value: Any) -> "DataNode":
+    def set_leaf(self, name: str, value: Any) -> None:
         """Create/overwrite a child leaf."""
-        node = self._children.get(name)
-        if node is None:
-            schema = self._child_schema(name)
-            if not isinstance(schema, Leaf):
-                raise ValidationError(f"{self.path()}/{name} is not a leaf")
-            return self._add_leaf(schema, value)
-        if node._children is not _NO_MEMBERS:
+        schema = self._child_schema(name)
+        if not isinstance(schema, Leaf):
             raise ValidationError(f"{self.path()}/{name} is not a leaf")
-        node.value = node.schema.check_value(value)
-        return node
-
-    def _add_leaf(self, schema: Leaf, value: Any) -> "DataNode":
-        """A new child leaf of schema ``schema`` (in place of any there)."""
-        node = DataNode(schema)
-        node._parent = weakref.ref(self)
-        self._children[schema.name] = node
-        node.value = schema.check_value(value)
-        return node
+        self._leaves[name] = schema.check_value(value)
 
     def container(self, name: str) -> "DataNode":
         """Get-or-create a child container."""
@@ -180,29 +160,31 @@ class DataNode:
         del self._instances[str(key_value)]
 
     def remove_child(self, name: str) -> None:
-        if name not in self._children:
+        """Remove child leaf or node ``name``."""
+        members = self._leaves if name in self._leaves else self._children
+        if name not in members:
             raise ValidationError(f"no child {name!r} at {self.path()}")
-        del self._children[name]
+        del members[name]
 
     # -- navigation ---------------------------------------------------------
 
     def child(self, name: str) -> "DataNode":
+        """Child node (container or list) ``name``."""
         try:
             return self._children[name]
         except KeyError:
             raise ValidationError(f"no child {name!r} at {self.path()}") from None
 
     def has_child(self, name: str) -> bool:
-        return name in self._children
+        """Whether child leaf or node ``name`` is there."""
+        return name in self._leaves or name in self._children
 
     def get(self, name: str, default: Any = None) -> Any:
         """Value of child leaf ``name`` or ``default``."""
-        node = self._children.get(name)
-        if node is None or not node.is_leaf:
-            return default
-        return node.value
+        return self._leaves.get(name, default)
 
     def children(self) -> Iterator["DataNode"]:
+        """The child nodes (containers and lists; not the leaves)."""
         return iter(self._children.values())
 
     def instances(self) -> Iterator["DataNode"]:
@@ -217,9 +199,6 @@ class DataNode:
         except KeyError:
             raise ValidationError(
                 f"schema has no child {name!r} at {self.path()}") from None
-        except AttributeError:  # a leaf
-            raise ValidationError(
-                f"{self.path()} cannot have children") from None
 
     # -- paths ----------------------------------------------------------------
 
@@ -236,8 +215,8 @@ class DataNode:
         return "/" + "/".join(reversed(parts))
 
     def find(self, path: str) -> Optional["DataNode"]:
-        """The node at a path relative to this node, or None; unlike
-        :meth:`resolve` a miss neither raises nor creates anything."""
+        """The node at a path relative to this node, or None: a miss
+        neither raises nor creates anything, and a leaf is no node."""
         _work.resolved += 1
         node: Optional[DataNode] = self
         for token in [t for t in path.strip("/").split("/") if t]:
@@ -249,21 +228,6 @@ class DataNode:
                 return None
         return node
 
-    def resolve(self, path: str) -> "DataNode":
-        """Resolve a path relative to this node ('' or '/' = self)."""
-        _work.resolved += 1
-        node: DataNode = self
-        for token in [t for t in path.strip("/").split("/") if t]:
-            if "[" in token:
-                name, _, rest = token.partition("[")
-                key = rest.rstrip("]")
-                node = node.list_node(name) if name not in node._children \
-                    else node._children[name]
-                node = node.instance(key)
-            else:
-                node = node.child(token)
-        return node
-
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -273,26 +237,17 @@ class DataNode:
         return problems
 
     def _validate_into(self, problems: list[str]) -> None:
-        schema = self.schema
-        if isinstance(schema, Leaf):
-            if self.value is None and schema.mandatory:
-                problems.append(f"{self.path()}: mandatory leaf unset")
-            return
-        if isinstance(schema, YangList) and self.is_list:
+        if self.is_list:
             for instance in self._instances.values():
                 instance._validate_into(problems)
             return
         # container or list instance: check mandatory leaves exist
-        for name, child_schema in schema.children.items():
-            if isinstance(child_schema, Leaf) and child_schema.mandatory:
-                if name not in self._children or self._children[name].value is None:
-                    problems.append(f"{self.path()}/{name}: mandatory leaf missing")
+        for name, child_schema in self.schema.children.items():
+            if (isinstance(child_schema, Leaf) and child_schema.mandatory
+                    and name not in self._leaves):
+                problems.append(f"{self.path()}/{name}: mandatory leaf missing")
         for child in self._children.values():
-            if child._children is not _NO_MEMBERS:
-                child._validate_into(problems)
-            elif child.value is None and child.schema.mandatory:
-                # a leaf: checked here, not one call down
-                problems.append(f"{child.path()}: mandatory leaf unset")
+            child._validate_into(problems)
 
     # -- digest ---------------------------------------------------------------------
 
@@ -302,8 +257,8 @@ class DataNode:
 
     def measure(self, path: Optional[str] = None) -> tuple[int, int]:
         """``(hash, size)`` of this subtree: the XOR of one 64-bit hash
-        per set leaf, taken over the leaf's path and value, and the
-        summed length of the values.
+        per leaf, taken over the leaf's path and value, and the summed
+        length of the values (:func:`measure_leaf` of each leaf).
 
         Neither depends on member order, and both move incrementally —
         replacing a subtree changes the whole tree's hash by ``old ^
@@ -314,16 +269,22 @@ class DataNode:
         return self._measure(self.path() if path is None else path)
 
     def _measure(self, path: str) -> tuple[int, int]:
-        if self._children is _NO_MEMBERS:
-            return _measure_leaf(path, self.value)
-        keyed = self.key_value is None and isinstance(self.schema, YangList)
         digest = size = 0
-        for key, node in (self._instances if keyed else self._children).items():
-            member_path = f"{path}[{key}]" if keyed else f"{path}/{key}"
-            # most of a tree is leaves: measured here, not one call down
-            part, length = (_measure_leaf(member_path, node.value)
-                            if node._children is _NO_MEMBERS
-                            else node._measure(member_path))
+        if self.key_value is None and isinstance(self.schema, YangList):
+            for key, instance in self._instances.items():
+                part, length = instance._measure(f"{path}[{key}]")
+                digest ^= part
+                size += length
+            return digest, size
+        # most of a tree is leaves: hashed here, not one call down
+        for name, value in self._leaves.items():
+            text = f"{path}/{name}={value}"
+            hashed = _BLAKE2B_64.copy()
+            hashed.update(text.encode())
+            digest ^= _UINT64.unpack(hashed.digest())[0]
+            size += len(text) - len(path) - len(name) - 1
+        for name, child in self._children.items():
+            part, length = child._measure(f"{path}/{name}")
             digest ^= part
             size += length
         return digest, size
@@ -335,13 +296,13 @@ class DataNode:
         return self._clone(None)
 
     def _clone(self, parent: Optional[weakref.ref]) -> "DataNode":
-        # every field is copied: set directly, and one weak reference to
-        # the clone serves all of its members
+        # every field is copied: set directly, leaf values shared, and
+        # one weak reference to the clone serves all of its members
         clone = DataNode.__new__(DataNode)
-        clone.schema, clone.key_value, clone.value, clone._parent = (
-            self.schema, self.key_value, self.value, parent)
-        if self._children is _NO_MEMBERS:
-            clone._children = clone._instances = _NO_MEMBERS
+        clone.schema, clone.key_value, clone._parent, clone._leaves = (
+            self.schema, self.key_value, parent, self._leaves.copy())
+        if not (self._children or self._instances):
+            clone._children, clone._instances = {}, {}
             return clone
         held = weakref.ref(clone)
         clone._children = {name: child._clone(held)
@@ -351,32 +312,31 @@ class DataNode:
         return clone
 
     def to_dict(self) -> Any:
-        if self.is_leaf:
-            return self.value
         if self.is_list:
             return {key: inst.to_dict() for key, inst in sorted(self._instances.items())}
-        return {name: child.to_dict() for name, child in sorted(self._children.items())}
+        return dict(sorted([*self._leaves.items(),
+                            *((name, child.to_dict())
+                              for name, child in self._children.items())]))
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def to_xml(self, indent: int = 0) -> str:
-        """Compact XML-ish rendering (for logs and byte-count metrics)."""
-        pad = "  " * indent
-        name = self.schema.name
-        if self.is_leaf:
-            return f"{pad}<{name}>{self.value}</{name}>"
+        """Compact XML-ish rendering (for logs and byte-count metrics):
+        a node's leaves, then its child nodes."""
         if self.is_list:
             return "\n".join(inst.to_xml(indent) for inst in self._instances.values())
-        inner = [child.to_xml(indent + 1) for child in self._children.values()]
+        pad = "  " * indent
+        name = self.schema.name
+        inner = [f"{pad}  <{leaf}>{value}</{leaf}>"
+                 for leaf, value in self._leaves.items()]
+        inner += [child.to_xml(indent + 1) for child in self._children.values()]
         if not inner:
             return f"{pad}<{name}/>"
         body = "\n".join(inner)
         return f"{pad}<{name}>\n{body}\n{pad}</{name}>"
 
     def __repr__(self) -> str:
-        if self.is_leaf:
-            return f"<DataLeaf {self.path()}={self.value!r}>"
         return f"<DataNode {self.path()}>"
 
 
@@ -385,9 +345,10 @@ _BLAKE2B_64 = blake2b(digest_size=8)
 _UINT64 = struct.Struct(">Q")
 
 
-def _measure_leaf(path: str, value: Any) -> tuple[int, int]:
-    if value is None:
-        return 0, 0
+def measure_leaf(path: str, value: Any) -> tuple[int, int]:
+    """``(hash, size)`` of a leaf holding ``value`` at ``path``: what
+    it adds to the :meth:`~DataNode.measure` of every subtree it is in."""
+    _work.measured += 1
     text = f"{path}={value}"
     hashed = _BLAKE2B_64.copy()
     hashed.update(text.encode())
@@ -403,23 +364,17 @@ def data_from_dict(schema: SchemaNode, data: Any,
 
 
 def _fill_from_dict(node: DataNode, data: Any) -> None:
-    if node.is_leaf:
-        if data is not None:
-            assert isinstance(node.schema, Leaf)
-            node.value = node.schema.check_value(data)
-        return
     if node.is_list:
         for key, instance_data in data.items():
-            instance = node.add_instance(key)
-            _fill_from_dict(instance, instance_data)
+            _fill_from_dict(node.add_instance(key), instance_data)
         return
     schema = node.schema
     for name, child_data in data.items():
         child_schema = schema.children.get(name)
         if child_schema is None:
             raise ValidationError(f"unknown child {name!r} at {node.path()}")
-        if isinstance(child_schema, Leaf):
-            node._add_leaf(child_schema, child_data)
+        if isinstance(child_schema, Leaf):  # (a null leaf is refused)
+            node._leaves[name] = child_schema.check_value(child_data)
         elif isinstance(child_schema, Container):
             _fill_from_dict(node.container(name), child_data)
         else:

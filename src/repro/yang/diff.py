@@ -6,6 +6,12 @@ ordered edit script; :func:`apply_patch` replays it on another copy,
 in place, and can log what each entry replaced, so that
 :func:`undo_patch` takes the edit back in O(edit).  Deletes are emitted
 before creates so that replace-by-key works.
+
+A script SETs leaves and CREATEs or DELETEs list instances (and
+DELETEs a leaf or container that went).  Both sides read a node's
+leaves where they are, in its dict of values, and the undo log records
+the member — a value, a node — that one of a node's dicts held under a
+name.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.yang.data import (
-    _NO_MEMBERS,
     DataNode,
     ValidationError,
     _fill_from_dict,
     _work,
+    measure_leaf,
 )
 
 
@@ -61,63 +67,65 @@ def diff_trees(old: DataNode, new: DataNode) -> list[DiffEntry]:
 def _diff_node(old: DataNode, new: DataNode, entries: list[DiffEntry]) -> None:
     if old is new:  # a subtree both trees share
         return
-    if old.is_leaf:
-        if old.value != new.value:
-            if new.value is None:
-                entries.append(DiffEntry(DiffOp.DELETE, new.path()))
-            else:
-                entries.append(DiffEntry(DiffOp.SET, new.path(), new.value))
-        return
-    if old.is_list and new.is_list:
+    path = new.path()
+    if new.is_list:
         was, now = old._instances, new._instances
         if was.keys() != now.keys():
             for key in sorted(was.keys() - now.keys()):
-                # the holder path already ends in the list name; the
-                # instance path just appends its key selector
-                entries.append(DiffEntry(DiffOp.DELETE,
-                                         f"{new.path()}[{key}]"))
+                entries.append(DiffEntry(DiffOp.DELETE, f"{path}[{key}]"))
             for key in sorted(now.keys() - was.keys()):
-                entries.append(DiffEntry(DiffOp.CREATE, now[key].path(),
+                entries.append(DiffEntry(DiffOp.CREATE, f"{path}[{key}]",
                                          now[key].to_dict()))
         for key in sorted(key for key, kept in now.items()
                           if was.get(key, kept) is not kept):
             _diff_node(was[key], now[key], entries)
         return
-    # container or list instance
+    # container or list instance: its leaves and child nodes, by name
+    was_leaves, leaves = old._leaves, new._leaves
     was, now = old._children, new._children
+    gone: list[str] = []
+    came: list[str] = []
+    changed: list[str] = []
+    if was_leaves != leaves:
+        if was_leaves.keys() != leaves.keys():
+            gone += was_leaves.keys() - leaves.keys()
+            came += leaves.keys() - was_leaves.keys()
+        changed += [name for name, value in leaves.items()
+                    if was_leaves.get(name, value) != value]
     if was.keys() != now.keys():
-        for name in sorted(was.keys() - now.keys()):
-            entries.append(DiffEntry(DiffOp.DELETE, f"{new.path()}/{name}"))
-        for name in sorted(now.keys() - was.keys()):
-            child = now[name]
-            if child.is_leaf:
-                entries.append(DiffEntry(DiffOp.SET, child.path(),
-                                         child.value))
-            else:
-                _emit_creates(child, entries)
-    for name in sorted(name for name, kept in now.items()
-                       if was.get(name, kept) is not kept):
-        before, after = was[name], now[name]
-        # most of a tree is leaves: compared here, not one call down
-        if after._children is not _NO_MEMBERS or before.value != after.value:
-            _diff_node(before, after, entries)
+        gone += was.keys() - now.keys()
+        came += now.keys() - was.keys()
+    changed += [name for name, kept in now.items()
+                if was.get(name, kept) is not kept]
+    for name in sorted(gone):
+        entries.append(DiffEntry(DiffOp.DELETE, f"{path}/{name}"))
+    for name in sorted(came):
+        if name in leaves:
+            entries.append(DiffEntry(DiffOp.SET, f"{path}/{name}",
+                                     leaves[name]))
+        else:
+            _emit_creates(now[name], f"{path}/{name}", entries)
+    for name in sorted(changed):
+        if name in leaves:
+            entries.append(DiffEntry(DiffOp.SET, f"{path}/{name}",
+                                     leaves[name]))
+        else:
+            _diff_node(was[name], now[name], entries)
 
 
-def _emit_creates(node: DataNode, entries: list[DiffEntry]) -> None:
-    """Emit CREATEs for every list instance reachable under a fresh node,
-    and SETs for loose leaves under fresh containers."""
-    if node.is_leaf:
-        if node.value is not None:
-            entries.append(DiffEntry(DiffOp.SET, node.path(), node.value))
-        return
+def _emit_creates(node: DataNode, path: str, entries: list[DiffEntry]) -> None:
+    """Emit CREATEs for every list instance reachable under a fresh node
+    at ``path``, and SETs for loose leaves under fresh containers."""
     if node.is_list:
         # by key, as everywhere: not in the order the tree was filled in
-        for instance in sorted(node.instances(), key=lambda i: i.key_value):
-            entries.append(DiffEntry(DiffOp.CREATE, instance.path(),
+        for key, instance in sorted(node._instances.items()):
+            entries.append(DiffEntry(DiffOp.CREATE, f"{path}[{key}]",
                                      instance.to_dict()))
         return
-    for child in node.children():
-        _emit_creates(child, entries)
+    for name, value in node._leaves.items():
+        entries.append(DiffEntry(DiffOp.SET, f"{path}/{name}", value))
+    for name, child in node._children.items():
+        _emit_creates(child, f"{path}/{name}", entries)
 
 
 #: what an undo record holds for a member that was not there
@@ -128,12 +136,13 @@ def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
                 undo: Optional[list[list]] = None) -> int:
     """Apply an edit script to ``tree`` in place.  Returns the XOR mask
     by which it moved the tree's :meth:`~DataNode.digest`: each entry
-    measures the node it replaces or removes before it goes, and the one
-    it leaves at its path after — on the nodes it resolved anyway.
+    measures the leaf or node it replaces or removes before it goes,
+    and the one it leaves at its path after — on the nodes it resolved
+    anyway.
 
     Given an ``undo`` list, each change is logged there before it is
-    made: the leaf value or member an entry replaced or removed, and
-    each container or list it created on the way.  :func:`undo_patch`
+    made: the member (leaf value or node) an entry replaced or removed,
+    and each container or list it created on the way.  :func:`undo_patch`
     then takes the edit back in O(edit), also when an entry raised
     part-way through the script."""
     root_name = tree.schema.name
@@ -144,26 +153,31 @@ def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
         key = rest.rstrip("]") if rest else None
         if entry.op == DiffOp.SET:
             parent = _resolve_creating(tree, parent_path, undo)
-            leaf = parent._children.get(token)
-            if leaf is not None:  # measured before it takes the value
-                mask ^= leaf.measure(entry.path)[0]
+            leaves = parent._leaves
+            old = leaves.get(token, _ABSENT)
+            if old is not _ABSENT:  # measured before it takes the value
+                mask ^= measure_leaf(entry.path, old)[0]
             if undo is not None:
-                undo.append([parent._children, token, _ABSENT]
-                            if leaf is None else [leaf, None, leaf.value])
-            old, new = None, parent.set_leaf(token, entry.value)
+                undo.append([leaves, token, old])
+            parent.set_leaf(token, entry.value)
+            mask ^= measure_leaf(entry.path, leaves[token])[0]
         elif entry.op == DiffOp.DELETE:
             # a delete creates nothing, not even on its way
             parent = tree.find(parent_path)
             if parent is None:
                 raise ValidationError(f"no parent node for {entry.path!r}")
-            members, member = ((parent._children, token) if key is None else
-                               (parent.child(name)._instances, key))
-            new, old = None, members.get(member)
+            members, member = (
+                (parent.child(name)._instances, key) if key is not None else
+                (parent._leaves, token) if token in parent._leaves else
+                (parent._children, token))
+            old = members.get(member)
             if old is None:
                 raise ValidationError(f"nothing to delete at {entry.path!r}")
             if undo is not None:
                 undo.append([members, member, old])
             del members[member]
+            mask ^= (measure_leaf(entry.path, old) if members is parent._leaves
+                     else old.measure(entry.path))[0]
         elif entry.op == DiffOp.CREATE:
             parent = (_resolve_creating(tree, parent_path, undo)
                       if parent_path else tree)
@@ -178,20 +192,19 @@ def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
                 holder.remove_instance(key)
             new = holder.add_instance(key)
             _fill_from_dict(new, entry.value)
+            if old is not None:
+                mask ^= old.measure(entry.path)[0]
+            mask ^= new.measure(entry.path)[0]
         else:  # pragma: no cover - enum is exhaustive
             raise ValidationError(f"unknown diff op {entry.op}")
-        if old is not None:
-            mask ^= old.measure(entry.path)[0]
-        if new is not None:
-            mask ^= new.measure(entry.path)[0]
     return mask
 
 
 def undo_patch(undo: list[list]) -> None:
     """Take back the edit :func:`apply_patch` logged in ``undo``, latest
-    change first.  Each record swaps what it holds with what the tree
-    holds, so the log then holds the edit: :func:`redo_patch` makes it
-    again, without resolving a path."""
+    change first.  Each record swaps the member it holds with what the
+    tree holds, so the log then holds the edit: :func:`redo_patch` makes
+    it again, without resolving a path."""
     _swap(reversed(undo))
 
 
@@ -203,9 +216,6 @@ def redo_patch(undo: list[list]) -> None:
 def _swap(records: Iterable[list]) -> None:
     for record in records:
         held, key, saved = record
-        if key is None:  # a leaf's value
-            record[2], held.value = held.value, saved
-            continue
         record[2] = held.get(key, _ABSENT)
         if saved is _ABSENT:
             held.pop(key, None)  # (a create that raised made nothing)

@@ -131,7 +131,3 @@ class YangList(_ParentNode):
     def __init__(self, name: str, key: str, children: Iterable[SchemaNode] = ()):
         super().__init__(name, children)
         self.key = key
-
-    def add(self, child: SchemaNode) -> SchemaNode:
-        super().add(child)
-        return child

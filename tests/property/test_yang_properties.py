@@ -1,5 +1,9 @@
 """Property-based tests for the YANG diff/patch engine: for arbitrary
-tree pairs, ``apply_patch(a, diff(a, b))`` makes ``a`` into ``b``."""
+tree pairs, ``apply_patch(a, diff(a, b))`` makes ``a`` into ``b``; and
+for arbitrary trees, the digest is what its definition says, whatever
+the tree's representation."""
+
+from hashlib import blake2b
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -87,3 +91,36 @@ def test_patch_is_idempotent_for_sets_and_creates(a, b):
     patched_twice = patched_once.copy()
     apply_patch(patched_twice, repeatable)
     assert patched_twice.to_dict() == patched_once.to_dict()
+
+
+def reference_measure(schema, data, path):
+    """``(hash, size)`` of ``to_dict()`` output ``data`` of a container or
+    list instance of ``schema`` at ``path``, straight from the digest's
+    definition: the XOR over every leaf of the 64-bit blake2b of
+    ``path/name=value``, and the summed length of ``=value``."""
+    digest = size = 0
+    for name, value in data.items():
+        child = schema.children[name]
+        if isinstance(child, Leaf):
+            text = f"{path}/{name}={value}"
+            digest ^= int.from_bytes(
+                blake2b(text.encode(), digest_size=8).digest(), "big")
+            size += len(f"={value}")
+            continue
+        members = ({f"{name}[{key}]": instance
+                    for key, instance in value.items()}
+                   if isinstance(child, YangList) else {name: value})
+        for token, member in members.items():
+            part, length = reference_measure(child, member, f"{path}/{token}")
+            digest ^= part
+            size += length
+    return digest, size
+
+
+@given(random_tree())
+@settings(max_examples=300, deadline=None)
+def test_measure_is_the_digest_definition(tree):
+    assert tree.measure() == reference_measure(SCHEMA, tree.to_dict(), "/cfg")
+    for entry in tree.list_node("entry").instances():
+        assert entry.measure() == reference_measure(
+            SCHEMA.children["entry"], entry.to_dict(), entry.path())

@@ -134,20 +134,8 @@ class TestDataTree:
         tree = DataNode(schema)
         sub = tree.list_node("item").add_instance("k1").container("sub")
         sub.set_leaf("x", 5)
-        assert sub.child("x").path() == "/root/item[k1]/sub/x"
-
-    def test_resolve(self, schema):
-        tree = DataNode(schema)
-        tree.list_node("item").add_instance("k1").container("sub") \
-            .set_leaf("x", 7)
-        assert tree.resolve("item[k1]/sub/x").value == 7
-        assert tree.resolve("") is tree
-
-    def test_resolve_missing_instance(self, schema):
-        tree = DataNode(schema)
-        tree.list_node("item")
-        with pytest.raises(ValidationError):
-            tree.resolve("item[nope]")
+        assert sub.path() == "/root/item[k1]/sub"
+        assert sub.get("x") == 5
 
     def test_validation_mandatory_leaf(self, schema):
         tree = DataNode(schema)
