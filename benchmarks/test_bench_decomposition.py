@@ -19,6 +19,7 @@ from repro.nffg import NFFGBuilder
 from repro.nffg.builder import mesh_substrate
 from repro.orchestration import ResourceOrchestrator
 from repro.sim import SeededRandom
+from tests.mapped import mapped_graph
 
 ABSTRACT_TYPES = ["vCPE", "dpi", "lb-web"]
 #: per-node supported component images: intentionally heterogeneous so
@@ -56,7 +57,6 @@ def _run_workload(decomposition: bool, tenants: int = 30, seed: int = 7):
     rng = SeededRandom(seed)
     accepted = 0
     total_cost = 0.0
-    from repro.mapping.base import MappingContext
     view = substrate
     for index in range(tenants):
         service = _tenant(index, rng)
@@ -65,13 +65,7 @@ def _run_workload(decomposition: bool, tenants: int = 30, seed: int = 7):
             accepted += 1
             total_cost += result.cost
             # consume resources for subsequent tenants
-            effective = result.service or service
-            ctx = MappingContext(effective, view)
-            for nf_id, infra_id in result.nf_placement.items():
-                ctx.place(nf_id, infra_id)
-            for route in result.hop_routes.values():
-                ctx.record_route(route)
-            view = ctx.commit()
+            view = mapped_graph(view, result)
     return accepted, total_cost, tenants
 
 
@@ -124,7 +118,6 @@ def test_bench_alternative_choice_under_pressure(benchmark):
     substrate = _substrate(num_nodes=8, cpu=4.0)
     library = default_decomposition_library()
     view = substrate
-    from repro.mapping.base import MappingContext
     rng = SeededRandom(11)
     for index in range(20):
         request_id = f"vcpe{index}"
@@ -138,13 +131,7 @@ def test_bench_alternative_choice_under_pressure(benchmark):
             continue
         option = list(result.decompositions.values())[0]
         accepted_options[option] = accepted_options.get(option, 0) + 1
-        effective = result.service or service
-        ctx = MappingContext(effective, view)
-        for nf_id, infra_id in result.nf_placement.items():
-            ctx.place(nf_id, infra_id)
-        for route in result.hop_routes.values():
-            ctx.record_route(route)
-        view = ctx.commit()
+        view = mapped_graph(view, result)
     emit("DEMO-iii(b): decomposition options chosen under load",
          [{"option": option, "times_chosen": count}
           for option, count in sorted(accepted_options.items())])

@@ -1,12 +1,13 @@
 """Shared machinery of the embedding algorithms.
 
 :class:`ResourceLedger` tracks tentative allocations against a resource
-view without mutating it — embedders allocate/release while searching
-and only :meth:`MappingContext.commit` materializes the winning solution
-into a mapped NFFG copy.  :func:`apply_mapping` is the one writer of a
-mapping (NF placements, link reservations, flow rules, carried service
-edges) into any graph — the context's copy and the CAL's live DoV both
-go through it — and :func:`remove_mapping` its exact inverse.
+view without mutating it — embedders allocate/release while searching,
+and :meth:`MappingContext.to_result` hands back the winning placement
+and routes as plain data, writing no graph.  :func:`apply_mapping` is
+the one writer of a mapping (NF placements, link reservations, flow
+rules, carried service edges) into a graph — the CAL's live DoV, where
+the mapping's flow rules are also checked — and :func:`remove_mapping`
+its exact inverse.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import abc
 import itertools
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,22 +54,14 @@ class HopRoute:
 
 @dataclass
 class MappingResult:
-    """Outcome of an embedding run.
-
-    Only a direct :meth:`Embedder.map` caller gets the graphs
-    (``mapped``, ``touched``); the RO hands everyone else
-    :meth:`without_graphs`, the plain record the books, reports and
-    journal keep for as long as the service is installed."""
+    """Outcome of an embedding run: placement, routes, decompositions,
+    cost and search effort — O(service) plain data, the same facts a
+    journal record holds and the books keep for as long as the service
+    is installed.  No graph: the CAL writes a mapping into its live DoV
+    with :func:`apply_mapping`, and a caller that wants the mapped graph
+    applies it to a copy of the view the same way."""
 
     success: bool
-    mapped: Optional[NFFG] = None
-    #: the mapped graph restricted to the infras this mapping writes to
-    #: (NF hosts + routed BiS-BiSes): what the validator dry-runs flow
-    #: rules against, at O(service) instead of O(substrate) cost.  The
-    #: RO drops it once that check passed: kept per resident service it
-    #: would hold a copy of every infra the service writes to, with
-    #: their ports and links
-    touched: Optional[NFFG] = None
     #: the (possibly decomposition-expanded) service graph that was mapped
     service: Optional[NFFG] = None
     nf_placement: dict[str, str] = field(default_factory=dict)
@@ -86,46 +79,6 @@ class MappingResult:
 
     def __bool__(self) -> bool:
         return self.success
-
-    def without_graphs(self) -> "MappingResult":
-        """This result with placement, routes, decompositions, cost and
-        search effort but no graph and no factory: O(service) plain
-        data, the same facts a journal record holds."""
-        return MappingResult(**{
-            f.name: getattr(self, f.name) for f in fields(MappingResult)
-            if f.name not in ("mapped", "touched")})
-
-
-class _LazyMappedResult(MappingResult):
-    """A successful result whose full ``mapped`` graph is materialized
-    on first access.
-
-    Only direct :meth:`Embedder.map` callers (renderers, virtualizer
-    exports, tests) ever see this class, and they get the same graph
-    the eager commit used to produce; the O(substrate) copy behind
-    ``mapped`` is paid only if they ask.  The factory holds the whole
-    mapping context, its resource view included, and reads that view
-    when called: materialize promptly, and never keep this result past
-    the request — the RO returns :meth:`without_graphs` instead."""
-
-    def __init__(self, *args, **kwargs):
-        self._mapped_factory = None
-        super().__init__(*args, **kwargs)
-
-    @property
-    def mapped(self) -> Optional[NFFG]:
-        if self._mapped is None and self._mapped_factory is not None:
-            self._mapped = self._mapped_factory()
-            self._mapped_factory = None
-        return self._mapped
-
-    @mapped.setter
-    def mapped(self, value: Optional[NFFG]) -> None:
-        self._mapped = value
-
-    def __repr__(self) -> str:  # the dataclass repr would materialize
-        return (f"<MappingResult success={self.success} "
-                f"nfs={len(self.nf_placement)} hops={len(self.hop_routes)}>")
 
 
 #: NF metadata keys understood by the placement machinery
@@ -395,6 +348,7 @@ def apply_mapping(graph: NFFG, service: NFFG, placement: dict[str, str],
     audit).  ``sap_attach`` is the graph's SAP attachment table
     (:func:`build_sap_attachments`, or the substrate index's per-epoch
     copy of it).  Returns the record that undoes exactly this apply."""
+    counters.incr("mapping.apply")
     delta = ServiceDelta()
     for nf_id, infra_id in placement.items():
         if not graph.has_node(nf_id):
@@ -475,9 +429,9 @@ def remove_mapping(graph: NFFG, delta: ServiceDelta) -> None:
 class MappingContext:
     """Mutable state of one embedding run.
 
-    Holds the service graph, the pristine resource view, a ledger, the
-    placements/routes decided so far, and materializes everything into a
-    mapped NFFG on :meth:`commit`.
+    Holds the service graph, the pristine resource view, a ledger and
+    the placements/routes decided so far; :meth:`to_result` returns
+    them as a :class:`MappingResult`.
     """
 
     def __init__(self, service: NFFG, resource: NFFG,
@@ -706,7 +660,7 @@ class MappingContext:
     def partial_delay(self, req_sg_path: list[str]) -> float:
         return sum(self.routes[h].delay for h in req_sg_path if h in self.routes)
 
-    # -- solution materialization --------------------------------------------------
+    # -- the result --------------------------------------------------------------
 
     def total_cost(self) -> float:
         """Cost = weighted CPU placement cost + bandwidth-hops."""
@@ -719,43 +673,19 @@ class MappingContext:
             cost += route.bandwidth * len(route.link_ids) * 0.01
         return cost
 
-    def commit(self, mapped_id: Optional[str] = None, *,
-               touched_only: bool = False) -> NFFG:
-        """Write placements, reservations and flow rules into a copy of
-        the resource view and return it.
-
-        With ``touched_only`` the copy is restricted to the infras the
-        mapping actually writes to (O(service), not O(substrate)) — the
-        validator checks flow rules against it, and the full mapped
-        graph is only materialized if someone asks for it."""
-        if touched_only:
-            mapped = self.resource.copy_subgraph(
-                mapped_id or f"{self.resource.id}-mapped",
-                touched_infra_ids(self.placement, self.routes))
-        else:
-            mapped = self.resource.copy(
-                mapped_id or f"{self.resource.id}-mapped")
-        apply_mapping(mapped, self.service, self.placement, self.routes,
-                      self._sap_attach)
-        return mapped
-
     def to_result(self, success: bool, runtime_s: float,
-                  failure_reason: str = "",
-                  mapped_id: Optional[str] = None) -> MappingResult:
+                  failure_reason: str = "") -> MappingResult:
         if not success:
             return MappingResult(success=False, failure_reason=failure_reason,
                                  runtime_s=runtime_s, service=self.service,
                                  nodes_examined=self.nodes_examined,
                                  backtracks=self.backtracks)
-        result = _LazyMappedResult(
+        return MappingResult(
             success=True, service=self.service,
-            touched=self.commit(mapped_id, touched_only=True),
             nf_placement=dict(self.placement),
             hop_routes=dict(self.routes), decompositions=dict(self.decompositions),
             cost=self.total_cost(), runtime_s=runtime_s,
             nodes_examined=self.nodes_examined, backtracks=self.backtracks)
-        result._mapped_factory = lambda: self.commit(mapped_id)
-        return result
 
 
 class Embedder(abc.ABC):
@@ -768,7 +698,6 @@ class Embedder(abc.ABC):
         """Fill ``ctx.placement`` and ``ctx.routes`` or raise MappingError."""
 
     def map(self, service: NFFG, resource: NFFG,
-            mapped_id: Optional[str] = None,
             path_cache: Optional["PathCache"] = None,
             index: Optional["SubstrateIndex"] = None) -> MappingResult:
         """Embed ``service`` into ``resource``; never raises on mapping
@@ -777,13 +706,12 @@ class Embedder(abc.ABC):
         path searches; ``index`` (the CAL's :class:`SubstrateIndex`)
         seeds the run's ledger and candidate sets when it covers
         ``resource``."""
-        result = self._map(service, resource, mapped_id=mapped_id,
-                           path_cache=path_cache, index=index)
+        result = self._map(service, resource, path_cache=path_cache,
+                           index=index)
         result.embedder = self.name
         return result
 
     def _map(self, service: NFFG, resource: NFFG,
-             mapped_id: Optional[str],
              path_cache: Optional["PathCache"],
              index: Optional["SubstrateIndex"]) -> MappingResult:
         started = time.perf_counter()
@@ -800,18 +728,7 @@ class Embedder(abc.ABC):
         except ValueError as exc:  # NFFGError and port/graph conflicts
             return ctx.to_result(False, time.perf_counter() - started,
                                  failure_reason=f"graph error: {exc}")
-        try:
-            return ctx.to_result(True, time.perf_counter() - started,
-                                 mapped_id=mapped_id)
-        except ValueError as exc:
-            # materialization can still fail (e.g. port-name conflicts
-            # with foreign state in the resource view)
-            return MappingResult(
-                success=False, service=ctx.service,
-                failure_reason=f"commit error: {exc}",
-                runtime_s=time.perf_counter() - started,
-                nodes_examined=ctx.nodes_examined,
-                backtracks=ctx.backtracks)
+        return ctx.to_result(True, time.perf_counter() - started)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"

@@ -2,7 +2,9 @@
 
 Used by tests, property-based checks and the orchestrator's "verify
 before deploy" step: re-derives every constraint from scratch instead of
-trusting the embedder's own bookkeeping.
+trusting the embedder's own bookkeeping.  It reads the placement, the
+routes and the resource view only; the flow rules a mapping installs are
+counted where it is written, by the CAL (``orchestration/cal.py``).
 
 Violations are reported as structured
 :class:`~repro.lint.diagnostics.Diagnostic` objects (rule ids ``MP0xx``,
@@ -27,7 +29,6 @@ MP_CAPACITY = "MP020"        #: infra capacity overcommitted
 MP_ROUTE = "MP030"           #: hop route missing or disconnected
 MP_BANDWIDTH = "MP040"       #: link bandwidth oversubscribed
 MP_REQUIREMENT = "MP050"     #: end-to-end delay requirement violated
-MP_FLOWRULES = "MP060"       #: installed flow rules inconsistent
 
 
 def _diag(rule_id: str, message: str, *, node: Optional[str] = None,
@@ -49,7 +50,6 @@ def validate_mapping(service: NFFG, resource: NFFG,
     problems += _check_routes(service, resource, result)
     problems += _check_bandwidth(service, resource, result)
     problems += _check_requirements(service, result)
-    problems += _check_flowrules(service, result)
     return problems
 
 
@@ -206,36 +206,6 @@ def _check_requirements(service: NFFG,
                 MP_REQUIREMENT,
                 f"requirement {req.id!r}: delay {total:.3f} > "
                 f"{req.max_delay:.3f}", edge=req.id))
-    return problems
-
-
-def _check_flowrules(service: NFFG,
-                     result: MappingResult) -> list[Diagnostic]:
-    """Every routed hop must have one flow rule per traversed BiS-BiS."""
-    problems = []
-    # the touched-subgraph commit carries every installed flow rule
-    # (rules only land on touched infras) at O(service) size; fall
-    # back to the full mapped graph for hand-built results
-    mapped = result.touched if result.touched is not None else result.mapped
-    if mapped is None:
-        return [_diag(MP_FLOWRULES, "mapped NFFG missing")]
-    rules_per_hop: dict[str, int] = {}
-    for infra in mapped.infras:
-        for _, flowrule in infra.iter_flowrules():
-            if flowrule.hop_id:
-                rules_per_hop[flowrule.hop_id] = \
-                    rules_per_hop.get(flowrule.hop_id, 0) + 1
-    for hop in service.sg_hops:
-        route = result.hop_routes.get(hop.id)
-        if route is None:
-            continue
-        expected = len(route.infra_path)
-        actual = rules_per_hop.get(hop.id, 0)
-        if actual != expected:
-            problems.append(_diag(
-                MP_FLOWRULES,
-                f"hop {hop.id!r}: {actual} flow rules installed, "
-                f"expected {expected}", edge=hop.id))
     return problems
 
 

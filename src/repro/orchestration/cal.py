@@ -22,7 +22,9 @@ else is **derived**, with one writer and one place it is dropped each
   ``(service, mapping, +-1)`` at a time through the same two writers:
   :func:`~repro.mapping.base.apply_mapping` (or its recorded inverse)
   on the DoV, :meth:`SubstrateIndex.fold` on index + remaining view;
-  a links-only refetch is folded in too.  ``_invalidate`` is the only
+  a links-only refetch is folded in too.  Each apply's flow rules are
+  counted per hop where they were written, before the index fold — the
+  one flow-rule check a mapping gets.  ``_invalidate`` is the only
   place they are dropped;
 - **dirty set** — the folds record the domains a mapping touches and
   :meth:`push_planned`, the one fan-out, consumes it (:meth:`push_all`
@@ -58,6 +60,7 @@ from typing import Callable, Iterable, Optional
 
 from repro import obs
 from repro.mapping.base import (
+    MappingError,
     MappingResult,
     ServiceDelta,
     apply_mapping,
@@ -531,7 +534,11 @@ class ControllerAdaptationLayer:
 
     def commit_mapping(self, service_id: str, service: NFFG,
                        result: MappingResult) -> None:
-        """Record a successful mapping into the DoV (in place)."""
+        """Record a successful mapping into the DoV (in place).  Raises,
+        with nothing written, :class:`NFFGError` when the mapping
+        references substrate missing from the DoV and
+        :class:`MappingError` when a hop's flow rules did not come out
+        one per traversed BiS-BiS."""
         delta = _replay(self.dov, self.substrate_index, service, result)
         if delta is None:
             raise NFFGError(f"mapping of {service_id!r} references "
@@ -919,7 +926,11 @@ def _replay(dov: NFFG, index: SubstrateIndex, service: NFFG,
     ``index`` and the remaining view bound to it.  Returns the inverse
     record, or None — nothing written — when substrate the mapping
     references is absent from ``dov`` (its domain is missing from a
-    degraded merge)."""
+    degraded merge).
+
+    Every routed hop must leave one flow rule per BiS-BiS it traverses,
+    counted on the ports the apply wrote; otherwise the apply is undone
+    and :class:`MappingError` names the hop, with nothing written."""
     touched = touched_infra_ids(result.nf_placement, result.hop_routes)
     if not (all(map(dov.has_node, touched)) and all(
             dov.has_edge(link_id) for route in result.hop_routes.values()
@@ -927,6 +938,15 @@ def _replay(dov: NFFG, index: SubstrateIndex, service: NFFG,
         return None
     delta = apply_mapping(dov, service, result.nf_placement,
                           result.hop_routes, index.sap_attachments())
+    for hop_id, ports in delta.flow_ports.items():
+        installed = sum(rule.hop_id == hop_id for infra_id, port_id in set(ports)
+                        for rule in dov.infra(infra_id).port(port_id).flowrules)
+        expected = len(result.hop_routes[hop_id].infra_path)
+        if installed != expected:
+            remove_mapping(dov, delta)
+            raise MappingError(
+                f"mapping of {service.id!r}, hop {hop_id!r}: {installed} "
+                f"flow rules installed, expected {expected}")
     index.fold(service, result, 1.0)
     return delta
 

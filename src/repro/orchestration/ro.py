@@ -3,8 +3,10 @@
 "The task of the resource orchestrator is to map the configurations of
 different client virtualizations to a configuration at the underlying
 domain virtualizer."  The RO wraps a pluggable embedder and (optionally)
-the NF decomposition library, and validates every mapping independently
-before it is allowed to reach any domain.
+the NF decomposition library, and validates every mapping's placement
+and routes independently before it is allowed to reach any domain.  It
+returns plain data and writes no graph: the CAL writes the mapping into
+the DoV and counts its flow rules there.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ class ResourceOrchestrator:
         When a decomposition library is configured, abstract NFs are
         expanded and alternatives tried cheapest-first.  The winning
         mapping is re-validated from scratch (defense against embedder
-        bugs) before being returned as successful; the graphs that
-        check dry-ran flow rules in are dropped with it, so what comes
-        back is :meth:`MappingResult.without_graphs` — what the CAL's
-        books, the reports and heal's repairs keep.  ``path_cache`` — a
+        bugs) before being returned as successful.  The result is the
+        graph-free record the CAL's books, the reports and heal's
+        repairs keep.  ``path_cache`` — a
         :class:`repro.mapping.pathcache.PathCache` owned by the caller —
         is shared across requests hitting the same substrate, and
         ``index`` — the CAL's :class:`repro.mapping.index.SubstrateIndex`
@@ -64,14 +65,8 @@ class ResourceOrchestrator:
                     max_options=self.max_decomposition_options,
                     path_cache=path_cache, index=index)
             else:
-                # only forward set kwargs — embedder subclasses
-                # predating the path cache / index keep working
-                kwargs = {}
-                if path_cache is not None:
-                    kwargs["path_cache"] = path_cache
-                if index is not None:
-                    kwargs["index"] = index
-                result = self.embedder.map(service, resource_view, **kwargs)
+                result = self.embedder.map(service, resource_view,
+                                           path_cache=path_cache, index=index)
         if result.success:
             effective_service = result.service if result.service is not None \
                 else service
@@ -86,7 +81,7 @@ class ResourceOrchestrator:
             self.mappings_succeeded += 1
         observe("map.latency_s", result.runtime_s,
                 embedder=self.embedder.name)
-        return result.without_graphs()
+        return result
 
     @property
     def acceptance_ratio(self) -> float:

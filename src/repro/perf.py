@@ -15,6 +15,10 @@ Counter names are dotted strings, grouped by subsystem::
     dov.remove_inplace       incremental per-service removals
     dov.replay_skipped       booked services left out of a degraded merge
                              (their domain's substrate was unreachable)
+    mapping.apply            mappings written into a graph by
+                             ``apply_mapping``: one per commit into the
+                             DoV (deploy, update, heal) and per booked
+                             service a rebuild or ``verify()`` replays
     nffg.copy.calls          NFFG.copy() fast-path invocations
     nffg.copy.nodes          total nodes cloned by NFFG.copy()
     nffg.copy.edges          total edges cloned by NFFG.copy()

@@ -15,6 +15,8 @@ from repro.nffg import NFFGBuilder
 from repro.nffg.builder import single_bisbis_view
 from repro.orchestration import service_from_virtual_install
 
+from tests.mapped import mapped_graph
+
 NF_TYPES = ["firewall", "nat", "dpi", "monitor", "forwarder"]
 
 
@@ -41,7 +43,7 @@ def test_recursion_boundary_is_lossless(service):
     view = single_bisbis_view(cpu=128.0, sap_tags=["sap1", "sap2"])
     result = GreedyEmbedder().map(service, view)
     assert result.success, result.failure_reason
-    rebuilt = service_from_virtual_install(result.mapped, "rebuilt")
+    rebuilt = service_from_virtual_install(mapped_graph(view, result), "rebuilt")
 
     assert {nf.id for nf in rebuilt.nfs} == {nf.id for nf in service.nfs}
     assert {sap.id for sap in rebuilt.saps} == \
@@ -65,7 +67,7 @@ def test_rebuilt_service_remaps_identically(service):
     view = single_bisbis_view(cpu=128.0, sap_tags=["sap1", "sap2"])
     first = GreedyEmbedder().map(service, view)
     assert first.success
-    rebuilt = service_from_virtual_install(first.mapped, "rebuilt")
+    rebuilt = service_from_virtual_install(mapped_graph(view, first), "rebuilt")
     second = GreedyEmbedder().map(rebuilt, view)
     assert second.success, second.failure_reason
     assert set(second.nf_placement) == set(first.nf_placement)

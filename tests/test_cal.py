@@ -3,7 +3,11 @@ sap-tag stitching, touched-set push planning, the ownership map that
 keeps pushes O(domain), and ``verify()`` — the one check of every
 derived store."""
 
-from repro.nffg import NFFG, ResourceVector
+import pytest
+
+from repro.mapping import base as mapping_base
+from repro.mapping.base import MappingError
+from repro.nffg import NFFG, ResourceVector, nffg_to_dict
 from repro.orchestration.adapters import DirectDomainAdapter
 from repro.orchestration.cal import ControllerAdaptationLayer
 from repro.orchestration.escape import EscapeOrchestrator
@@ -408,3 +412,56 @@ class TestDerivedStateFollowsItsSources:
         assert escape.cal.dov.has_edge("d-spare")
         assert escape.cal.verify() == []
 
+
+class TestFlowRuleCheck:
+    """The CAL counts the flow rules a mapping wrote into the DoV, hop by
+    hop, and refuses the commit with nothing written when one is short."""
+
+    def _escape(self):
+        view = domain_view("d")
+        far = view.add_infra("d-bb1", resources=ResourceVector(
+            cpu=8.0, mem=8192.0, storage=64.0, bandwidth=10_000.0,
+            delay=0.1), supported_types=["firewall"])
+        view.add_link("d-bb0", view.infra("d-bb0").add_port("to-bb1").id,
+                      "d-bb1", far.add_port("to-bb0").id, id="d-far",
+                      bandwidth=1_000.0)
+        escape = EscapeOrchestrator("flowrules")
+        escape.add_domain(CountingAdapter("d", view))
+        assert escape.deploy(_pinned_service(0, "d"), wait_activation=False)
+        return escape
+
+    def test_a_hop_short_of_a_rule_is_refused_with_nothing_written(
+            self, monkeypatch):
+        escape = self._escape()
+        cal = escape.cal
+        service = (ServiceRequestBuilder("s1").sap("d-sap1").sap("d-sap2")
+                   .nf("s1-fw", "firewall", cpu=0.5, mem=32.0,
+                       pin_to="d-bb1")
+                   .chain("d-sap1", "s1-fw", "d-sap2", bandwidth=1.0)
+                   .build().sg)
+        result = escape._orchestrate(service, cal.resource_view())
+        assert result.success, result.failure_reason
+        assert all(len(route.infra_path) == 2
+                   for route in result.hop_routes.values())
+        install = mapping_base.install_hop_flowrules
+
+        def skip_last_bisbis(graph, hop, route, in_port, out_port_final):
+            ports = install(graph, hop, route, in_port, out_port_final)
+            infra_id, port_id = ports[-1]
+            graph.infra(infra_id).port(port_id).flowrules.pop()
+            return ports
+
+        dov = nffg_to_dict(cal.dov)
+        index = cal.substrate_index.facts()
+        monkeypatch.setattr(mapping_base, "install_hop_flowrules",
+                            skip_last_bisbis)
+        first_hop = service.sg_hops[0].id
+        with pytest.raises(MappingError,
+                           match=f"hop {first_hop!r}: 1 flow rules "
+                                 "installed, expected 2"):
+            cal.commit_mapping("s1", service, result)
+        monkeypatch.undo()  # verify replays the books with the writer
+        assert cal.verify() == []
+        assert cal.deployed_services() == ["s0"]
+        assert cal.substrate_index.facts() == index
+        assert nffg_to_dict(cal.dov) == dov

@@ -15,6 +15,8 @@ from repro.nffg.builder import linear_substrate
 from repro.service import ServiceRequestBuilder
 from repro.topo import build_emulated_testbed
 
+from tests.mapped import mapped_graph
+
 
 def _mapped():
     substrate = linear_substrate(3, supported_types=["firewall"])
@@ -28,7 +30,7 @@ def _mapped():
 class TestRenderers:
     def test_render_nffg_mentions_everything(self):
         substrate, service, result = _mapped()
-        text = render_nffg(result.mapped, show_flowrules=True)
+        text = render_nffg(mapped_graph(substrate, result), show_flowrules=True)
         assert "fw" in text and "BiSBiS" in text and "sap1" in text
         assert "->" in text  # flow rules shown
 
@@ -63,17 +65,18 @@ class TestRenderers:
 class TestDotRenderer:
     def test_dot_is_structurally_valid(self):
         substrate, service, result = _mapped()
-        dot = render_dot(result.mapped, title="mapped")
+        dot = render_dot(mapped_graph(substrate, result), title="mapped")
         assert dot.startswith('digraph "mapped" {')
         assert dot.rstrip().endswith("}")
         assert dot.count("{") == dot.count("}")
 
     def test_dot_contains_all_elements(self):
         substrate, service, result = _mapped()
-        dot = render_dot(result.mapped)
-        for sap in result.mapped.saps:
+        mapped = mapped_graph(substrate, result)
+        dot = render_dot(mapped)
+        for sap in mapped.saps:
             assert f'"{sap.id}"' in dot
-        for infra in result.mapped.infras:
+        for infra in mapped.infras:
             assert f'"{infra.id}"' in dot
         assert '"fw"' in dot
         assert "style=dashed" in dot  # SG hops present

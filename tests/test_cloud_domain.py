@@ -22,6 +22,8 @@ from repro.openflow.channel import ControlChannel
 from repro.sim import Simulator
 from repro.virtualizer import nffg_to_virtualizer
 
+from tests.mapped import mapped_graph
+
 
 def _config(install):
     """``install`` as the config the local orchestrator is sent."""
@@ -142,7 +144,7 @@ def _install_for(domain, nf_type="firewall"):
                .chain("in", "fw", "out", bandwidth=10.0).build())
     result = GreedyEmbedder().map(service, view)
     assert result.success, result.failure_reason
-    return result.mapped
+    return mapped_graph(view, result)
 
 
 class TestCloudDomain:

@@ -14,6 +14,8 @@ from repro.openflow.channel import ControlChannel
 from repro.openflow.messages import ActionOutput, Match
 from repro.virtualizer import nffg_to_virtualizer
 
+from tests.mapped import mapped_graph
+
 
 def _config(install):
     """``install`` as the config the local orchestrator is sent."""
@@ -48,7 +50,7 @@ def _mapped_install(dom):
                .chain("sap1", "fw", "sap2", bandwidth=10.0).build())
     result = GreedyEmbedder().map(service, view)
     assert result.success, result.failure_reason
-    return result.mapped
+    return mapped_graph(view, result)
 
 
 class TestNFHostingSwitch:
@@ -164,7 +166,7 @@ class TestOrchestrator:
             infra.supported_types = set()  # accept anything at mapping time
         result = GreedyEmbedder().map(service, dom2_view)
         assert result.success
-        client.edit_config(_config(result.mapped),
+        client.edit_config(_config(mapped_graph(dom2_view, result)),
                            operation="replace")
         with pytest.raises(NetconfError):
             client.commit()

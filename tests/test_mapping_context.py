@@ -191,3 +191,30 @@ class TestApplyRemove:
         assert substrate.nfs and nffg_to_dict(substrate) != before
         remove_mapping(substrate, delta)
         assert nffg_to_dict(substrate) == before
+
+
+class TestInstallHopFlowrules:
+    def test_one_rule_per_traversed_bisbis_tagged_then_untagged(self, case):
+        """A hop routed over three BiS-BiS gets one rule on each, on the
+        port it enters by: the first tags, the last untags."""
+        from repro.mapping.base import install_hop_flowrules
+
+        service, substrate = case
+        hop = service.sg_hops[0]
+        route = HopRoute(hop_id=hop.id,
+                         infra_path=["s-bb0", "s-bb1", "s-bb2"],
+                         link_ids=["s:link1", "s:link2"], delay=2.3,
+                         bandwidth=10.0)
+        ports = install_hop_flowrules(substrate, hop, route, "sap-sap1",
+                                      "sap-sap2")
+        assert ports == [("s-bb0", "sap-sap1"), ("s-bb1", "to-s-bb0"),
+                         ("s-bb2", "to-s-bb1")]
+        rules = [substrate.infra(infra_id).port(port_id).flowrules
+                 for infra_id, port_id in ports]
+        assert [(rule.match, rule.action) for rule, in rules] == [
+            ("in_port=sap-sap1", f"output=to-s-bb1;tag={hop.id}"),
+            (f"in_port=to-s-bb0;tag={hop.id}", "output=to-s-bb2"),
+            (f"in_port=to-s-bb1;tag={hop.id}", "output=sap-sap2;untag")]
+        assert {rule.hop_id for rule, in rules} == {hop.id}
+        assert sum(len(port.flowrules) for infra in substrate.infras
+                   for port in infra.ports.values()) == 3

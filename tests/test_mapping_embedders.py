@@ -12,6 +12,8 @@ from repro.mapping.greedy import service_order
 from repro.nffg import NFFG, NFFGBuilder, ResourceVector
 from repro.nffg.builder import linear_substrate, mesh_substrate
 
+from tests.mapped import mapped_graph
+
 ALL_EMBEDDERS = [GreedyEmbedder, BacktrackingEmbedder]
 
 
@@ -81,7 +83,7 @@ class TestSharedBehaviour:
     def test_mapped_graph_carries_flowrules(self, embedder_cls, substrate):
         service = simple_service()
         result = embedder_cls().map(service, substrate)
-        total_rules = result.mapped.summary()["flowrules"]
+        total_rules = mapped_graph(substrate, result).summary()["flowrules"]
         expected = sum(len(route.infra_path)
                        for route in result.hop_routes.values())
         assert total_rules == expected

@@ -116,16 +116,6 @@ def test_detects_delay_violation(scenario):
                validate_mapping(service, substrate, result).as_strings())
 
 
-def test_detects_missing_flowrules(scenario):
-    substrate, service, result = scenario
-    # corrupt the graph the validator inspects (the touched-subgraph
-    # commit when present, the full mapped graph otherwise)
-    (result.touched if result.touched is not None
-     else result.mapped).clear_flowrules()
-    assert any("flow rules installed" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
-
-
 def test_detects_foreign_nf_in_placement(scenario):
     substrate, service, result = scenario
     result.nf_placement["alien"] = "s-bb0"

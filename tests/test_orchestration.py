@@ -50,8 +50,8 @@ class TestResourceOrchestrator:
 
     def test_verification_catches_bad_embedder(self):
         class LyingEmbedder(GreedyEmbedder):
-            def map(self, service, resource, mapped_id=None):
-                result = super().map(service, resource, mapped_id)
+            def map(self, service, resource, path_cache=None, index=None):
+                result = super().map(service, resource, path_cache, index)
                 if result.success:
                     result.nf_placement["svc-fw"] = "ghost-node"
                 return result

@@ -13,7 +13,8 @@ edit staged on running's tree, and a commit keeps that edit, so no
 second copy of the config stays installed at any recursion level.  And
 a config tree is small for what it holds: a leaf is a value in a dict
 of its parent, not a node, so copying a tree makes few objects for the
-collector to track.
+collector to track.  And a mapping is written once, into the DoV, where
+its flow rules are checked: mapping copies no infra of the view.
 """
 
 import gc
@@ -34,6 +35,7 @@ from repro.orchestration import (
     UnifyAgent,
     UnifyDomainAdapter,
 )
+from repro.perf import counters
 from repro.service import ServiceRequestBuilder
 from repro.topo import build_reference_multidomain
 from repro.yang.data import DataNode
@@ -92,7 +94,8 @@ class Federation:
             self.escape.add_domain(
                 DirectDomainAdapter(f"d{d}", _federation_domain(d)))
 
-    def deploy(self, index: int) -> None:
+    @staticmethod
+    def request(index: int) -> NFFG:
         src, dst = f"d{index % DOMAINS}-sap", f"d{(index + 2) % DOMAINS}-sap"
         prefix = f"fed{index}"
         builder = ServiceRequestBuilder(prefix).sap(src).sap(dst)
@@ -100,7 +103,10 @@ class Federation:
         for name, nf_type in zip(names, NF_TYPES):
             builder.nf(name, nf_type, cpu=0.5, mem=64.0)
         builder.chain(src, *names, dst, bandwidth=1.0)
-        report = self.escape.deploy(builder.build().sg,
+        return builder.build().sg
+
+    def deploy(self, index: int) -> None:
+        report = self.escape.deploy(self.request(index),
                                     wait_activation=False)
         assert report.success, report.error
 
@@ -170,6 +176,38 @@ def test_resident_services_hold_no_substrate_copy(system):
         f"{at_eight - at_two} NodeInfra objects more at 8 resident "
         f"chains than at 2 on {system}")
     assert built.escape.cal.verify() == []
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_a_deploy_writes_its_mapping_once(system):
+    """Into the DoV, and into no copy of the view beside it."""
+    built = SYSTEMS[system]()
+    built.deploy(0)
+    before = counters.get("mapping.apply")
+    for index in range(1, 5):
+        built.deploy(index)
+    assert counters.get("mapping.apply") - before == 4
+    assert built.escape.cal.verify() == []
+
+
+def test_mapping_clones_no_infra(monkeypatch):
+    """The RO returns placement and routes: mapping a chain onto the
+    remaining view copies none of its infras."""
+    built = Federation()
+    built.deploy(0)
+    escape = built.escape
+    view = escape.cal.resource_view()
+    cloned: list[str] = []
+    clone = NodeInfra.clone
+
+    def counted(infra: NodeInfra) -> NodeInfra:
+        cloned.append(infra.id)
+        return clone(infra)
+
+    monkeypatch.setattr(NodeInfra, "clone", counted)
+    result = escape._orchestrate(Federation.request(1), view)
+    assert result.success, result.failure_reason
+    assert cloned == []
 
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))

@@ -17,6 +17,8 @@ from repro.un import (
 )
 from repro.virtualizer import nffg_to_virtualizer
 
+from tests.mapped import mapped_graph
+
 
 def _config(install):
     """``install`` as the config the local orchestrator is sent."""
@@ -95,7 +97,7 @@ def _install_for(domain):
                .chain("in", "fw", "out", bandwidth=10.0).build())
     result = GreedyEmbedder().map(service, view)
     assert result.success, result.failure_reason
-    return result.mapped
+    return mapped_graph(view, result)
 
 
 class TestUNDomain:
@@ -152,7 +154,7 @@ class TestUNDomain:
                    .chain("in", "big", "out").build())
         result = GreedyEmbedder().map(service, view)
         assert result.success
-        client.edit_config(_config(result.mapped),
+        client.edit_config(_config(mapped_graph(view, result)),
                            operation="replace")
         with pytest.raises(NetconfError):
             client.commit()

@@ -16,6 +16,8 @@ from repro.orchestration import (
 from repro.mapping import GreedyEmbedder
 from repro.nffg.model import DomainType
 
+from tests.mapped import mapped_graph
+
 
 def _child_stack(net, name="child", switches=2, sap_ids=("sap1", "sap2")):
     domain = EmulatedDomain(
@@ -45,7 +47,7 @@ class TestServiceReconstruction:
         service = _service()
         result = GreedyEmbedder().map(service, view)
         assert result.success
-        rebuilt = service_from_virtual_install(result.mapped, "rebuilt")
+        rebuilt = service_from_virtual_install(mapped_graph(view, result), "rebuilt")
         assert {nf.id for nf in rebuilt.nfs} == {"rsvc-fw"}
         assert {sap.id for sap in rebuilt.saps} == {"sap1", "sap2"}
         assert {hop.id for hop in rebuilt.sg_hops} == \
@@ -62,7 +64,7 @@ class TestServiceReconstruction:
                    .hop("sap1", "s-fw", flowclass="tp_dst=80", bandwidth=1.0)
                    .hop("s-fw", "sap2", bandwidth=1.0).build())
         result = GreedyEmbedder().map(service, view)
-        rebuilt = service_from_virtual_install(result.mapped, "r")
+        rebuilt = service_from_virtual_install(mapped_graph(view, result), "r")
         classes = {hop.id: hop.flowclass for hop in rebuilt.sg_hops}
         assert "tp_dst=80" in classes.values()
 
