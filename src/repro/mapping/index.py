@@ -24,20 +24,22 @@ of that out of the run and keeps it alive across requests:
   (:func:`~repro.mapping.greedy.scarce_specialists`), the facts greedy's
   scarcity tier reads — built on first use like the topology tables.
 
-The index is owned by the CAL and bound to its remaining-capacity view:
-:meth:`sync` is called with the current view and the CAL's
-``topology_generation`` exactly like ``PathCache.sync()`` (any epoch or
-identity change triggers a full :meth:`rebuild`), and :meth:`fold` is
-the single writer of residual capacities — it nets a deploy/teardown
-delta out of the index maps *and* the bound view in one pass, as
-:meth:`relink` moves links that came or went in both.  An id
-that no longer resolves marks the index stale and tells the caller to
-drop the view; ``ControllerAdaptationLayer.verify()`` rebuilds both
-from scratch and compares :meth:`facts`.
+The index is owned by the CAL and bound to its live DoV, the view the
+embedders map against: :meth:`sync` is called with a pristine stitch
+and the CAL's ``topology_generation`` exactly like ``PathCache.sync()``
+(any epoch or identity change triggers a full :meth:`rebuild`) before
+the books are replayed onto it.  The view then holds topology and
+capacities, the index every *free* amount: :meth:`fold` is the single
+writer of residual capacities — it nets a deploy/teardown delta out of
+the free maps and writes no graph, as :meth:`relink` moves the free
+bandwidth of links that came or went in the view.  An id that no longer
+resolves marks the index stale and tells the caller to drop the view;
+``ControllerAdaptationLayer.verify()`` rebuilds both from scratch and
+compares :meth:`facts`.
 
-Thread-safety: like the CAL's cached remaining view, the index is only
-mutated on the orchestrator thread (commits/removals/rebuilds happen
-before any push fan-out starts), so it takes no locks.
+Thread-safety: like the CAL's live DoV, the index is only mutated on
+the orchestrator thread (commits/removals/rebuilds happen before any
+push fan-out starts), so it takes no locks.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ _EMPTY_SET: frozenset[str] = frozenset()
 #: consumable ResourceVector dimensions :meth:`SubstrateIndex.facts`
 #: states (node bandwidth and delay are capabilities, not allocations)
 _DIMS = ("cpu", "mem", "storage")
+
+
+def net_free(free: ResourceVector, demand: ResourceVector,
+             sign: float) -> ResourceVector:
+    """``free`` less ``sign`` times the consumable part of ``demand``,
+    each dimension clamped at 0."""
+    return ResourceVector(
+        cpu=max(free.cpu - sign * demand.cpu, 0.0),
+        mem=max(free.mem - sign * demand.mem, 0.0),
+        storage=max(free.storage - sign * demand.storage, 0.0),
+        bandwidth=free.bandwidth, delay=free.delay)
 
 
 def cpu_class(cpu: float) -> int:
@@ -142,8 +155,8 @@ class SubstrateIndex:
         self._sap_attach = None
         self._specialists = None
         self.delay_memo = {}
-        # net out placed NFs in one edge-table pass (ledger idiom);
-        # remaining-capacity views carry none, raw DoVs may
+        # net out placed NFs in one edge-table pass (ledger idiom); the
+        # CAL's pristine stitch carries none, a mapped graph may
         consumed: dict[str, ResourceVector] = {}
         for infra_id, nf in resource.placed_nfs():
             total = consumed.get(infra_id)
@@ -193,39 +206,24 @@ class SubstrateIndex:
 
     def fold(self, service: NFFG, result, sign: float) -> bool:
         """Fold a mapping deployed to (``sign=1``) or removed from
-        (``sign=-1``) the substrate into the free maps and buckets
-        *and* into the capacities of the bound view — the one
-        place residuals are computed, so view and index cannot drift
-        apart.  Touches only the placed infras and routed links.
-        Returns False, with the index marked stale, when an id no
-        longer resolves: the caller must drop the view with it."""
-        view = self.resource
-        if view is None or self._stale:
+        (``sign=-1``) the substrate into the free maps and buckets —
+        the one place residuals are computed; the bound view holds
+        capacities and is not written.  Touches only the placed infras
+        and routed links.  Returns False, with the index marked stale,
+        when an id no longer resolves: the caller must drop the view
+        with it."""
+        if self.resource is None or self._stale:
             return False
-
-        def net(free: ResourceVector, demand: ResourceVector):
-            return ResourceVector(
-                cpu=max(free.cpu - sign * demand.cpu, 0.0),
-                mem=max(free.mem - sign * demand.mem, 0.0),
-                storage=max(free.storage - sign * demand.storage, 0.0),
-                bandwidth=free.bandwidth, delay=free.delay)
-
         try:
             for nf_id, infra_id in result.nf_placement.items():
-                demand = service.nf(nf_id).resources
-                infra = view.infra(infra_id)
-                infra.resources = net(infra.resources, demand)
-                updated = self.free[infra_id] = net(self.free[infra_id],
-                                                    demand)
+                updated = self.free[infra_id] = net_free(
+                    self.free[infra_id], service.nf(nf_id).resources, sign)
                 if (infra_id in self._bucket_of and cpu_class(updated.cpu)
                         != self._bucket_of[infra_id]):
                     self._bucket_remove(infra_id)
                     self._bucket_add(infra_id)
             for route in result.hop_routes.values():
                 for link_id in route.link_ids:
-                    link = view.edge(link_id)
-                    link.bandwidth = max(
-                        link.bandwidth - sign * route.bandwidth, 0.0)
                     self.link_free[link_id] = max(
                         self.link_free[link_id] - sign * route.bandwidth, 0.0)
         except (KeyError, NFFGError):
@@ -238,15 +236,14 @@ class SubstrateIndex:
 
     def relink(self, gone: Iterable[str], came: Iterable[EdgeLink],
                epoch: Optional[int]) -> None:
-        """Move links out of and (copies) into the bound view and the
-        ledger seed, and to the topology ``epoch``, without a rebuild:
-        the topology tables and the delay memo derive again on use."""
+        """Follow links that left and entered the bound view into the
+        ledger seed, and move to the topology ``epoch``, without a
+        rebuild: the topology tables and the delay memo derive again on
+        use."""
         for link_id in gone:
-            self.resource.remove_edge(link_id)
             del self.link_free[link_id]
         for link in came:
-            self.link_free[link.id] = self.resource.add_edge_copy(
-                link).available_bandwidth
+            self.link_free[link.id] = link.available_bandwidth
         self._epoch = epoch
         self._adjacency = self._sap_attach = None
         self.delay_memo = {}

@@ -83,11 +83,17 @@ _INTERDOMAIN_BW = 10_000.0
 
 
 def consumed_resources(view: NFFG, infra_id: str) -> ResourceVector:
-    """Sum of resource demands of NFs currently placed on ``infra_id``."""
-    total = ResourceVector()
+    """Sum of resource demands of NFs currently placed on ``infra_id``
+    (summed per field: the RO validates every mapping against the live
+    DoV, whose hosts carry every resident NF)."""
+    cpu = mem = storage = bandwidth = delay = 0.0
     for nf in view.nfs_on(infra_id):
-        total = total + nf.resources
-    return total
+        demand = nf.resources
+        cpu, mem, storage = (cpu + demand.cpu, mem + demand.mem,
+                             storage + demand.storage)
+        bandwidth, delay = bandwidth + demand.bandwidth, delay + demand.delay
+    return ResourceVector(cpu=cpu, mem=mem, storage=storage,
+                          bandwidth=bandwidth, delay=delay)
 
 
 def available_resources(view: NFFG, infra_id: str) -> ResourceVector:
@@ -105,13 +111,9 @@ def remaining_nffg(view: NFFG, new_id: Optional[str] = None, *,
     against what is actually left.
 
     With ``include_deployed=False`` the deployed NFs, their dynamic
-    links and the carried SG hop/requirement edges are left out: the
-    advertised view is substrate + SAPs + net capacities only.  That is
-    what a real virtualizer shows a client (tenant internals are not
-    advertised), it keeps the view's size independent of how much has
-    been deployed, and it makes downstream accounting correct — a
-    ledger built over a view that nets out the deployed NFs *and* still
-    contains them would subtract their demands a second time.
+    links and the carried SG hop/requirement edges are left out: net
+    capacities over substrate + SAPs only, so a ledger built over the
+    result does not subtract the deployed demands a second time.
     """
     if include_deployed:
         result = view.copy(new_id or f"{view.id}-remaining")
@@ -121,7 +123,7 @@ def remaining_nffg(view: NFFG, new_id: Optional[str] = None, *,
             [node.id for node in view.nodes if not isinstance(node, NodeNF)],
             name=f"{view.name} (remaining)")
     # one pass over the edge table for all placements instead of a
-    # per-infra nfs_on scan (this runs on every resource_view call)
+    # per-infra nfs_on scan
     consumed: dict[str, ResourceVector] = {}
     for infra_id, nf in view.placed_nfs():
         total = consumed.get(infra_id)

@@ -16,16 +16,17 @@ else is **derived**, with one writer and one place it is dropped each
   refetches only the stale domains, in one dispatcher batch, and
   records which adapter contributed which infra; the pristine view is
   one stitch of the cached views in registration order;
-- **live DoV + inverse records, remaining view + substrate index** —
-  ``_derive`` replays the books onto a fresh stitch; afterwards
-  ``commit_mapping``/``remove_service``/``restore_service`` fold one
-  ``(service, mapping, +-1)`` at a time through the same two writers:
-  :func:`~repro.mapping.base.apply_mapping` (or its recorded inverse)
-  on the DoV, :meth:`SubstrateIndex.fold` on index + remaining view;
-  a links-only refetch is folded in too.  Each apply's flow rules are
-  counted per hop where they were written, before the index fold — the
-  one flow-rule check a mapping gets.  ``_invalidate`` is the only
-  place they are dropped;
+- **live DoV + inverse records + substrate index** — ``_derive`` binds
+  the index to a fresh stitch and replays the books onto both;
+  afterwards ``commit_mapping``/``remove_service``/``restore_service``
+  fold one ``(service, mapping, +-1)`` at a time through the same two
+  writers: :func:`~repro.mapping.base.apply_mapping` (or its recorded
+  inverse) on the DoV, :meth:`SubstrateIndex.fold` on the index's free
+  maps; a links-only refetch is folded in too.  The embedders map
+  against the DoV and read free capacity from the index — one ledger.
+  Each apply's flow rules are counted per hop where they were written,
+  before the index fold — the one flow-rule check a mapping gets.
+  ``_invalidate`` is the only place they are dropped;
 - **dirty set** — the folds record the domains a mapping touches and
   :meth:`push_planned`, the one fan-out, consumes it (:meth:`push_all`
   dirties everything first, :meth:`reconcile` replays queued domains);
@@ -67,7 +68,7 @@ from repro.mapping.base import (
     remove_mapping,
     touched_infra_ids,
 )
-from repro.mapping.index import SubstrateIndex
+from repro.mapping.index import SubstrateIndex, net_free
 from repro.nffg.graph import NFFG, NFFGError
 from repro.nffg.model import DomainType, EdgeLink, NodeNF, NodeSAP
 from repro.orchestration.adapters import DomainAdapter
@@ -77,7 +78,6 @@ from repro.nffg.ops import (
     merge_nffgs,
     nffg_facts,
     refresh_members,
-    remaining_nffg,
 )
 from repro.orchestration.dispatch import DEFAULT_MAX_WORKERS, DomainDispatcher
 from repro.orchestration.report import AdapterReport
@@ -125,12 +125,10 @@ class ControllerAdaptationLayer:
         #: per-service inverse records, valid for the *live* ``_dov``
         #: only; None marks a booking whose replay was deferred
         self._deltas: dict[str, Optional[ServiceDelta]] = {}
-        #: northbound remaining-capacity view: derived together with
-        #: the DoV, then maintained by the index's fold
-        self._remaining: Optional[NFFG] = None
-        #: mapping-layer index bound to ``_remaining`` (candidate sets,
-        #: capacity buckets, ledger seed maps, topology tables); handed
-        #: to the RO so embedders skip their O(substrate) rescans
+        #: mapping-layer index bound to ``_dov``: the free capacity of
+        #: every infra and link (candidate sets, capacity buckets,
+        #: ledger seed maps, topology tables); handed to the RO so
+        #: embedders skip their O(substrate) rescans
         self.substrate_index = SubstrateIndex()
         #: substrate topology version, the only epoch: bumped whenever
         #: the domain views may have changed
@@ -222,15 +220,15 @@ class ControllerAdaptationLayer:
         (breaker open, or fetch failed after retries)."""
         return {name for name, view in self._fetched.items() if view is None}
 
-    def _stitch(self) -> NFFG:
+    def _stitch(self, merged_id: str = "dov") -> NFFG:
         """The global pristine view fused from the cached domain views."""
         views = [view for view in map(self._fetched.get, self.adapters)
                  if view is not None]
         if not views:
-            return NFFG(id="dov-empty")
+            return NFFG(id=f"{merged_id}-empty")
         started = time.perf_counter()
         counters.incr("cal.stitch")
-        merged = merge_nffgs(views, merged_id="dov")
+        merged = merge_nffgs(views, merged_id=merged_id)
         observe("cal.stitch_s", time.perf_counter() - started)
         return merged
 
@@ -336,39 +334,33 @@ class ControllerAdaptationLayer:
 
     def _invalidate(self, stale: Iterable[str] = ()) -> None:
         """The one place derived state is dropped: live DoV, inverse
-        records, remaining view (the index unbinds with it) and the
-        install views go together; ``stale`` domains are marked for a refetch
+        records (the index unbinds with them) and the install views go
+        together; ``stale`` domains are marked for a refetch
         first; an install view's graph stays behind in ``_replaced``."""
         self._stale.update(stale)
         for name, held in self._views.items():
             self._replaced.setdefault(name, held.graph)
         self._dov = None
         self._deltas.clear()
-        self._remaining = None
         self._views.clear()
         self._touched.clear()
         self._withdrawn.clear()
 
-    def _derive(self, dov: NFFG,
-                index: SubstrateIndex) -> tuple[NFFG, dict]:
-        """Turn a pristine stitch into the DoV by replaying the books
-        onto it; derive the remaining view next to it and bind ``index``
-        to that.  Returns (remaining view, inverse records) and writes
-        nothing on ``self`` — the rebuild and :meth:`verify` share it."""
-        remaining = remaining_nffg(dov, new_id="dov-remaining",
-                                   include_deployed=False)
-        index.sync(remaining, epoch=self.topology_generation)
-        return remaining, {
-            service_id: _replay(dov, index, service, result)
-            for service_id, (service, result) in self._deployed.items()}
+    def _derive(self, dov: NFFG, index: SubstrateIndex) -> dict:
+        """Turn a pristine stitch into the DoV: bind ``index`` to it and
+        replay the books onto both.  Returns the inverse records and
+        writes nothing on ``self`` — the rebuild and :meth:`verify`
+        share it."""
+        index.sync(dov, epoch=self.topology_generation)
+        return {service_id: _replay(dov, index, service, result)
+                for service_id, (service, result) in self._deployed.items()}
 
     def _rebuild_dov(self) -> None:
         counters.incr("dov.rebuild")
         started = time.perf_counter()
         with obs.span("dov/rebuild"):
             dov = self.pristine_view(refresh=False)
-            self._remaining, self._deltas = self._derive(
-                dov, self.substrate_index)
+            self._deltas = self._derive(dov, self.substrate_index)
             self._dov = dov
         # a None delta: the service's substrate vanished from the merge
         # (domain quarantined or unreachable) — booked, but left out of
@@ -382,42 +374,47 @@ class ControllerAdaptationLayer:
         observe("dov.rebuild_s", time.perf_counter() - started)
 
     def resource_view(self) -> NFFG:
-        """What the RO should map against: the substrate with remaining
-        resources.  Deployed NFs are netted out of the capacities but
-        not advertised themselves — the northbound view stays
-        substrate-sized no matter how much is deployed.
-
-        This is the live view the substrate index is bound to, kept
-        current by the commit/remove folds at O(service) cost: treat it
-        as read-only (embedders do: reservations live in the mapping
-        ledger) and copy it for anyone who might not."""
-        if self._dov is None:
-            self._rebuild_dov()
-        return self._remaining
+        """What the RO maps against: the live DoV, which the substrate
+        index covers.  Embedders read topology, delays and NF support
+        from it and every free capacity from the index; path search
+        walks infra-infra links only, so deployed NFs and SG hops never
+        reach it.  Read-only: northbound callers get
+        :meth:`resource_view_without`."""
+        return self.dov
 
     def resource_view_without(self, service_ids: Iterable[str]) -> NFFG:
-        """A private copy of the remaining view with the named services'
-        demands folded back in: what is free of everything *else*.  A
-        Unify agent advertises this to the client that owns them, which
-        replays its own books onto whatever it fetches: once per
-        get-virtualizer (a view refetch), never on the deploy path.  The
-        throwaway index counts as any other (``mapping.index.rebuild``,
-        ``.apply`` per service, ``nffg.copy``).  A service the client
-        rolled back but could not yet take down here is still folded
-        back, until the reconcile that removes it."""
-        view = self.resource_view().copy("dov-remaining")
-        index = SubstrateIndex().sync(view)
+        """A private northbound view of what is free of everything but
+        the named services: the pristine stitch, each capacity the
+        index's free value with the named services' booked demands
+        added back — substrate and SAPs only, however much is deployed.
+        A Unify agent names the services of the client it advertises
+        to, which replays its own books onto what it fetches.  A
+        deferred replay was never netted out, so it is not added back."""
+        index = self.substrate_index
+        if self._dov is None:
+            self._rebuild_dov()
+        view = self._stitch("dov-remaining")
+        for infra in view.infras:
+            infra.resources = index.free[infra.id]
+        for link in view.links:
+            link.bandwidth, link.reserved = index.link_free[link.id], 0.0
         for service_id in service_ids:
-            # a deferred replay (None) was never netted out of the view
             if self._deltas.get(service_id) is not None:
-                index.fold(*self._deployed[service_id], -1.0)
+                service, result = self._deployed[service_id]
+                for nf_id, infra_id in result.nf_placement.items():
+                    infra = view.infra(infra_id)
+                    infra.resources = net_free(
+                        infra.resources, service.nf(nf_id).resources, -1.0)
+                for route in result.hop_routes.values():
+                    for link_id in route.link_ids:
+                        view.edge(link_id).bandwidth += route.bandwidth
         return view
 
     def verify(self) -> list[str]:
-        """Re-derive every derived store — DoV, remaining view,
-        substrate index, ownership, install views — from the cached
-        domain views plus the books and name each difference from
-        the live one (empty = consistent).  An install view is held
+        """Re-derive every derived store — DoV, substrate index,
+        ownership, install views — from the cached domain views plus
+        the books and name each difference from the live one (empty =
+        consistent).  An install view is held
         against a fresh slice of the live DoV, after a copy of it took
         the re-reads still owed to it.  No adapter I/O and no repair; a
         dropped (not yet re-derived) DoV has nothing to compare."""
@@ -435,7 +432,7 @@ class ControllerAdaptationLayer:
             return problems
         self._owe_withdrawn()
         dov, index = self._stitch(), SubstrateIndex()
-        remaining, _ = self._derive(dov, index)
+        self._derive(dov, index)
         for name, held in self._views.items():
             view, owed = held.graph, self._touched.get(name)
             what = f"install view of {name}"
@@ -450,11 +447,8 @@ class ControllerAdaptationLayer:
                 {**recounted, **nffg_facts(what, self._install_for(
                     self.adapters[name], dov))})
         return problems + _differences(
-            {**nffg_facts("DoV", self._dov),
-             **nffg_facts("remaining view", self._remaining),
-             **self.substrate_index.facts()},
-            {**nffg_facts("DoV", dov),
-             **nffg_facts("remaining view", remaining), **index.facts()})
+            {**nffg_facts("DoV", self._dov), **self.substrate_index.facts()},
+            {**nffg_facts("DoV", dov), **index.facts()})
 
     # -- deployment ---------------------------------------------------------------------
 
@@ -589,7 +583,7 @@ class ControllerAdaptationLayer:
         """After a fold: an id that no longer resolved left the index
         stale — drop it with everything derived alongside instead of
         serving a wrong capacity."""
-        if not self.substrate_index.covers(self._remaining):
+        if not self.substrate_index.covers(self._dov):
             self._invalidate()
         set_gauge("cal.services_deployed", len(self._deployed))
 
@@ -922,8 +916,8 @@ def _requested(graph: NFFG, touched: Optional[Touched]) -> tuple[int, int]:
 def _replay(dov: NFFG, index: SubstrateIndex, service: NFFG,
             result: MappingResult) -> Optional[ServiceDelta]:
     """Fold one booked mapping into derived state: placements,
-    reservations and flow rules into ``dov``, its demands out of
-    ``index`` and the remaining view bound to it.  Returns the inverse
+    reservations and flow rules into ``dov``, its demands out of the
+    free maps of ``index``, which is bound to it.  Returns the inverse
     record, or None — nothing written — when substrate the mapping
     references is absent from ``dov`` (its domain is missing from a
     degraded merge).

@@ -81,9 +81,9 @@ class EscapeOrchestrator:
         return self.cal.dov
 
     def resource_view(self) -> NFFG:
-        """A private copy of the remaining-capacity view for northbound
-        consumers (the CAL's own is live and read-only)."""
-        return self.cal.resource_view().copy("dov-remaining")
+        """A private remaining-capacity view for northbound consumers
+        (the CAL's own is the live DoV, read-only)."""
+        return self.cal.resource_view_without(())
 
     def _orchestrate(self, service: NFFG, view: NFFG, ro=None):
         """Run the RO (``ro``: another one) with the shared path cache

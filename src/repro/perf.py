@@ -78,8 +78,8 @@ ledger bases; see :mod:`repro.mapping.index`)::
                              (shared topology tables + O(1) ledger)
     mapping.index.skip       an index was offered but covered a different
                              view object (full per-run rescan fallback)
-    mapping.index.apply      deploy/teardown deltas folded into the index
-                             and its bound remaining view in place
+    mapping.index.apply      deploy/teardown deltas folded into the index's
+                             free maps in place (no graph is written)
     mapping.index.rebuild    full index rebuilds from a resource view
     mapping.index.stale      inconsistencies that marked the index stale
                              (next sync rebuilds)

@@ -307,10 +307,11 @@ class TestVerify:
     def test_names_a_link_residual_tampered_in_the_view_only(self):
         cal = self._deployed()
         link = cal.resource_view().links[0]
-        link.bandwidth -= 5.0
+        link.reserved += 5.0
         assert cal.verify() == [
-            f"remaining view bandwidth of {link.id}: live "
-            f"({link.bandwidth}, 0.0) != rebuilt ({link.bandwidth + 5.0}, 0.0)"]
+            f"DoV bandwidth of {link.id}: live ({link.bandwidth}, "
+            f"{link.reserved}) != rebuilt ({link.bandwidth}, "
+            f"{link.reserved - 5.0})"]
 
     def test_names_a_link_residual_tampered_in_the_index_only(self):
         cal = self._deployed()
@@ -382,7 +383,7 @@ class TestDerivedStateFollowsItsSources:
         escape.add_domain(CountingAdapter("d", domain_view("d")))
         assert escape.deploy(_pinned_service(0, "d"), wait_activation=False)
         escape.cal.rebuild()                  # re-derive with s0 deployed
-        assert set(escape.cal.resource_view().infra("d-bb0").ports) \
+        assert set(escape.resource_view().infra("d-bb0").ports) \
             == {"to-d-sap1", "to-d-sap2"}
         assert escape.teardown("s0")
         again = escape.deploy(_pinned_service(0, "d"), wait_activation=False)
@@ -411,6 +412,55 @@ class TestDerivedStateFollowsItsSources:
         assert escape.heal() == {}
         assert escape.cal.dov.has_edge("d-spare")
         assert escape.cal.verify() == []
+
+
+def _twin_path_view():
+    """``domain_view("d")`` plus a second BiS-BiS behind two parallel
+    links, so a links-only move can cut one path and keep the other."""
+    view = domain_view("d")
+    near = view.infra("d-bb0")
+    far = view.add_infra("d-bb1", resources=ResourceVector(
+        cpu=8.0, mem=8192.0, storage=64.0, bandwidth=10_000.0,
+        delay=0.1), supported_types=["firewall"])
+    for link_id in ("d-x", "d-y"):
+        view.add_link(near.id, near.add_port(f"to-{link_id}").id, far.id,
+                      far.add_port(f"to-{link_id}").id, id=link_id,
+                      bandwidth=1_000.0)
+    return view
+
+
+def _on_far_bisbis(service_id):
+    return (ServiceRequestBuilder(service_id).sap("d-sap1").sap("d-sap2")
+            .nf(f"{service_id}-fw", "firewall", cpu=6.0, mem=32.0,
+                pin_to="d-bb1")
+            .chain("d-sap1", f"{service_id}-fw", "d-sap2", bandwidth=1.0)
+            .build().sg)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_a_deferred_service_rejoins_onto_capacity_another_took():
+    """A service whose links went is deferred, still booked; a second one
+    takes the CPU it books; the links come back and the first rejoins.
+    The index clamps the over-subscription at 0, so the teardown of the
+    first hands back CPU the second still holds."""
+    full = _twin_path_view()
+    adapter = CountingAdapter("d", full)
+    escape = EscapeOrchestrator("oversubscribed")
+    escape.add_domain(adapter)
+    assert escape.deploy(_on_far_bisbis("a"), wait_activation=False)
+    _, booked = escape.cal.snapshot_service("a")
+    cut = full.copy()
+    for route in booked.hop_routes.values():
+        for link_id in route.link_ids:
+            cut.remove_edge(link_id)
+    adapter._view = cut
+    escape.cal.pristine_view()               # a links-only move: a defers
+    assert escape.deploy(_on_far_bisbis("b"), wait_activation=False)
+    adapter._view = full
+    escape.cal.pristine_view()               # a's links are back: it rejoins
+    assert escape.cal.verify() == []
+    assert escape.teardown("a")
+    assert escape.cal.verify() == []
 
 
 class TestFlowRuleCheck:

@@ -190,7 +190,7 @@ class TestHealing:
             assert escape.update(_service()).success
         else:
             assert escape.heal() == {}
-        assert escape.cal.resource_view().infra("d-bb3").resources.cpu == 4.0
+        assert escape.resource_view().infra("d-bb3").resources.cpu == 4.0
         assert _moved(before, "dov.rebuild", "cal.fold_links") == [1, 0]
         assert escape.cal.verify() == []
 

@@ -102,9 +102,8 @@ class TestCAL:
         assert result.success
         cal.commit_mapping("svc", service, result)
         assert cal.dov.has_node("svc-fw")
-        remaining = cal.resource_view()
         host = result.nf_placement["svc-fw"]
-        assert remaining.infra(host).resources.cpu < 16.0
+        assert cal.substrate_index.free[host].cpu < 16.0
 
     def test_remove_service_restores_resources(self):
         cal = ControllerAdaptationLayer()

@@ -6,8 +6,10 @@ the long-lived heap has grown by a quarter: their amortised cost is
 proportional to what each operation leaves behind.  So a resident
 service must hold O(service) plain data — the booked result carries no
 substrate copy and no closure over the mapping context — and a rebuild
-of the derived views must free the remaining view it replaced instead
-of leaving it pinned by the services mapped against it.  Likewise a
+of the derived views must free the DoV it replaced instead of leaving
+it pinned by the services mapped against it.  The CAL keeps one
+substrate graph, the DoV, with the free capacity in its index beside
+it: no second, remaining-capacity graph of the whole substrate.  Likewise a
 NETCONF server holds one config tree: its candidate is running plus an
 edit staged on running's tree, and a commit keeps that edit, so no
 second copy of the config stays installed at any recursion level.  And
@@ -216,15 +218,44 @@ def test_a_rebuild_frees_the_view_it_replaced(system):
     for index in range(4):
         built.deploy(index)
     cal = built.escape.cal
-    replaced = weakref.ref(cal._remaining)
+    replaced = weakref.ref(cal.dov)
     cal.mark_stale()
     assert cal.resource_view() is not replaced()
     gc.collect()
     assert replaced() is None, (
-        "the remaining view a rebuild replaced is still alive; held by "
+        "the DoV a rebuild replaced is still alive; held by "
         + ", ".join(sorted({type(holder).__name__ for holder in
                             gc.get_referrers(replaced())})))
     assert cal.verify() == []
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_the_cal_holds_one_substrate_graph(system):
+    """Beyond the domain views (the cached fetches, the adapters' own)
+    and the install views sliced from the DoV, every live NodeInfra is
+    one of the DoV's.  While the CAL kept a remaining view next to the
+    DoV, the count was twice that: 12 for 6 on Fig. 1, 72 for 36 on the
+    federation."""
+    gc.collect()
+    before = [obj for obj in gc.get_objects() if type(obj) is NodeInfra]
+    built = SYSTEMS[system]()
+    for index in range(4):
+        built.deploy(index)
+    cal = built.escape.cal
+    graphs = [*cal._fetched.values(), *cal._replaced.values(),
+              *(held.graph for held in cal._views.values()),
+              *(value for adapter in cal.adapters.values()
+                for value in vars(adapter).values()
+                if isinstance(value, NFFG))]
+    known = {id(obj) for obj in before} | {
+        id(infra) for graph in graphs if graph is not None
+        for infra in graph.infras}
+    gc.collect()
+    count = sum(1 for obj in gc.get_objects()
+                if type(obj) is NodeInfra and id(obj) not in known)
+    assert count == len(cal.dov.infras), (
+        f"{count} NodeInfra objects beside the domain and install views "
+        f"for a DoV of {len(cal.dov.infras)} infras on {system}")
 
 
 def netconf_servers(escape: EscapeOrchestrator) -> list[NetconfServer]:

@@ -2,9 +2,9 @@
 
 The deeper equivalence/acceptance properties live in
 ``tests/property/test_substrate_index.py``; these tests pin the
-individual mechanisms: bucket maintenance, the residual fold (index and
-bound view move together; ``cal.verify()`` is the drift check and is
-tested in ``tests/test_cal.py``), copy-on-write ledger seeding,
+individual mechanisms: bucket maintenance, the residual fold (the free
+maps move, the bound view is not written; ``cal.verify()`` is the drift
+check and is tested in ``tests/test_cal.py``), copy-on-write ledger seeding,
 candidate pruning, the scarce-specialist memo, and registry plumbing.
 """
 
@@ -26,6 +26,9 @@ from repro.mapping.index import cpu_class
 from repro.nffg import NFFGBuilder
 from repro.nffg.builder import mesh_substrate
 from repro.nffg.model import InfraType, ResourceVector
+from repro.nffg.ops import remaining_nffg
+
+from tests.mapped import mapped_graph
 
 NF_TYPES = ["firewall", "nat", "dpi", "monitor"]
 
@@ -52,10 +55,15 @@ def _synced(substrate, epoch=1):
     return index
 
 
-def _matches_rescan(index, substrate):
-    """The live index states exactly what a fresh one over the same
-    view would (up to float noise in the capacities)."""
-    fresh, live = _synced(substrate).facts(), index.facts()
+def _matches_rescan(index, substrate, *results):
+    """The live index states exactly what a fresh one would over the
+    view with ``results`` written into it and netted out — placed NFs
+    and link reservations subtracted by ``remaining_nffg`` (up to float
+    noise in the capacities)."""
+    for result in results:
+        substrate = mapped_graph(substrate, result)
+    fresh = _synced(remaining_nffg(substrate, include_deployed=False))
+    fresh, live = fresh.facts(), index.facts()
     return fresh.keys() == live.keys() and all(
         fresh[name] == pytest.approx(live[name]) for name in fresh)
 
@@ -145,9 +153,9 @@ class TestApplyAndVerify:
         assert index.fold(service, result, 1.0)
         host = result.nf_placement[f"svc-nf0"]
         assert index.free[host].cpu < before[host].cpu
-        # the fold writes the bound view in the same pass
-        assert substrate.infra(host).resources == index.free[host]
-        assert _matches_rescan(index, substrate)
+        # the fold writes no graph: the bound view keeps capacities
+        assert substrate.infra(host).resources == before[host]
+        assert _matches_rescan(index, substrate, result)
         assert index.fold(service, result, -1.0)
         for infra_id, expected in before.items():
             assert index.free[infra_id].cpu == \
@@ -172,8 +180,9 @@ class TestApplyAndVerify:
         host = result.nf_placement["svc-nf0"]
         index.fold(service, result, 1.0)
         assert index._bucket_of[host] == cpu_class(16.0 - 12.0)
-        assert substrate.infra(host).resources.cpu == 4.0
-        assert _matches_rescan(index, substrate)
+        assert index.free[host].cpu == 4.0
+        assert substrate.infra(host).resources.cpu == 16.0
+        assert _matches_rescan(index, substrate, result)
 
 
 class TestCandidates:
