@@ -17,7 +17,7 @@ from repro.nffg import NFFGBuilder
 from repro.nffg.builder import mesh_substrate
 from repro.mapping import GreedyEmbedder
 from repro.orchestration import UnifyAgent, UnifyDomainAdapter
-from repro.orchestration.adapters import DirectDomainAdapter
+from repro.orchestration.adapters import DirectDomainAdapter, _NetconfAdapter
 from repro.orchestration.escape import EscapeOrchestrator
 from repro.service import ServiceRequestBuilder
 from repro.topo import build_reference_multidomain
@@ -114,11 +114,14 @@ def test_bench_full_vs_delta_push(benchmark):
     # full mode stayed full; and both modes acknowledged byte-identical
     # configs (canonical digests agree per NETCONF domain)
     assert not any(r.delta for r in full_report.adapters)
-    for name, full_adapter in full_bed.escape.cal.adapters.items():
-        digest = getattr(full_adapter, "_acked_digest", None)
-        if digest is not None:
-            delta_adapter = delta_bed.escape.cal.adapters[name]
-            assert delta_adapter._acked_digest == digest, name
+    netconf = [r.domain for r in delta_report.adapters if isinstance(
+        delta_bed.escape.cal.adapters[r.domain], _NetconfAdapter)]
+    assert netconf
+    for name in netconf:
+        full_tree, delta_tree = (bed.escape.cal.adapters[name]._acked_tree
+                                 for bed in (full_bed, delta_bed))
+        assert full_tree is not None and delta_tree is not None, name
+        assert full_tree.digest() == delta_tree.digest(), name
     benchmark(lambda: run(full=False))
 
 

@@ -10,6 +10,7 @@ resident chains: what an edit costs must not depend on what is
 installed.
 """
 
+import itertools
 import time
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro import perf
 from repro.emu import EmulatedDomain
+from repro.netconf import messages
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder
@@ -30,7 +32,8 @@ from repro.orchestration import (
 LEVELS = [1, 2, 3, 4]
 
 #: the exact units of tree work a deploy costs (``repro.perf`` counters)
-WORK = ("yang.measured", "yang.resolved", "unify.parts_rederived")
+WORK = ("yang.measured", "yang.hashed", "yang.resolved",
+        "unify.parts_rederived")
 
 
 def _stack(levels: int, cpu_per_node: float = 8.0):
@@ -114,25 +117,30 @@ def test_bench_recursion_overhead_table(benchmark):
     benchmark(top.resource_view)
 
 
-def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
+def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes,
+                                              monkeypatch):
     """DEMO-iii(a), second row: the *last* deploy through three levels
     against the number of chains already installed (2 / 8 / 32).
 
     Every level reconciles per client service and ships edit scripts, so
     the same request sends the same FlowMods to the bottom switches and
-    the same control messages at every resident level, and the bytes on
-    the Unify channels stay flat (gate: at most 1.5x the 2-resident
-    reading — each agent's notification names the parts it kept).  Every
-    adapter of the stack — the two Unify ones and the emulated domain's,
-    one encoder — edits the virtualizer it holds in place: the
-    ``DataNode``s they construct to encode the deploy (the
-    ``encoded_datanodes`` fixture) are the same at every level.  So is
-    the tree work of the whole deploy, counted exactly in ``repro.perf``:
-    the subtrees measured for digests (client and server), the paths
-    resolved, and the client services the Unify agents re-derive (only
-    those holding a member the edit named).
+    the same control messages at every resident level, and the same
+    bytes on the Unify channels: each agent's notification names what
+    the edit changed, not the parts it kept.  Every adapter of the stack
+    — the two Unify ones and the emulated domain's, one encoder — edits
+    the virtualizer it holds in place: the ``DataNode``s they construct
+    to encode the deploy (the ``encoded_datanodes`` fixture) are the same
+    at every level.  So is the tree work of the whole deploy, counted
+    exactly in ``repro.perf``: the subtrees measured afresh for digests
+    and the leaves hashed (client and server), the paths resolved, and
+    the client services the Unify agents re-derive (only those holding a
+    member the edit named).  The teardown that follows hashes nothing:
+    what it removes carries its digest.
     """
     built = encoded_datanodes
+    # RPC message ids count every message of the process: give them one
+    # width, so that the bytes compare what the messages say
+    monkeypatch.setattr(messages, "_MSG_ID", itertools.count(10 ** 6))
 
     def measure(resident: int):
         net, domain, top, adapters = _stack(3, cpu_per_node=64.0)
@@ -168,35 +176,40 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
             h1.send(tcp_packet(h1.ip, h2.ip, tp_dst=9999))
             net.run()
             assert len(h2.received) == before + 1
+            hashed = perf.counters.get("yang.hashed")
             assert top.teardown("last").success
-        assert len({sample[1:7] for sample in samples}) == 1, samples
+            assert perf.counters.get("yang.hashed") == hashed
+        assert len({sample[1:] for sample in samples}) == 1, samples
         return {"resident": resident,
                 "deploy_ms": sorted(s[0] for s in samples)[1],
                 "flow_mods": samples[0][1],
                 "control_messages": samples[0][2],
                 "datanodes_encoded": samples[0][3],
-                **dict(zip(WORK, samples[0][4:7])),
-                "unify_ctrl_bytes": sorted(s[7] for s in samples)[1]}
+                **dict(zip(WORK, samples[0][4:-1])),
+                "unify_ctrl_bytes": samples[0][-1]}
 
     rows = [measure(resident) for resident in (2, 8, 32)]
     emit("DEMO-iii(a): last deploy through 3 levels vs resident chains",
          rows, group="control_plane")
     low = rows[0]
     for row in rows[1:]:
-        for column in ("flow_mods", "control_messages", "unify_ctrl_bytes"):
+        for column in ("flow_mods", "control_messages"):
             assert row[column] <= 1.5 * low[column], rows
-        for column in ("datanodes_encoded", *WORK):
+        for column in ("datanodes_encoded", *WORK, "unify_ctrl_bytes"):
             assert row[column] == low[column], rows
     # and exactly: each of the 16 members the deploy creates over the
     # three levels (an NF, its two ports and two flow entries per Unify
     # level, six members at the bottom) is measured once by each end,
-    # each server resolves its entries' paths once, staging them on its
-    # one tree (commit keeps the edit), and one client service is
-    # re-derived per agent.  Applying the entries again at commit (one
-    # resolution more per entry: 106), measuring each entry by path
-    # before and after it applies (two more), or re-deriving every
+    # where it lands, hashing its 113 leaves there; each server resolves
+    # each parent path of its entries once, staging them on its one tree
+    # (commit keeps the edit), and then each list the edit names once;
+    # each client looks each list up once per tree; and one client
+    # service is re-derived per agent.  Resolving every entry's parent
+    # (63), re-resolving every entry to validate it and every named
+    # instance to fold it (90), applying the entries again at commit
+    # (106), measuring a member again as it leaves, or re-deriving every
     # part, moves these readings
-    assert tuple(low[column] for column in WORK) == (32, 90, 2), rows
+    assert tuple(low[column] for column in WORK) == (32, 226, 57, 2), rows
     benchmark(lambda: measure(2))
 
 

@@ -22,7 +22,7 @@ from repro.netconf.server import NetconfServer
 from repro.nffg.model import Flowrule, NodeNF
 from repro.virtualizer.convert import flowrule_from_entry, nf_from_instance
 from repro.yang.data import DataNode
-from repro.yang.diff import DiffEntry, find
+from repro.yang.diff import DiffEntry
 
 #: the lists of a virtual node an orchestrator reads
 NFS, ENTRIES = "NF_instances/node", "flowtable/flowentry"
@@ -49,6 +49,21 @@ def _members(tree: Optional[DataNode], kind: str, node_id: Optional[str] = None,
         holder = node.find(kind) if node_id in (None, node.key_value) else None
         for instance in holder.instances() if holder is not None else ():
             yield node.key_value, instance
+
+
+def _resolve(tree: DataNode, named: Iterable[tuple[str, str, str]],
+             ) -> dict[tuple[str, str, str], Optional[DataNode]]:
+    """The instance in ``tree`` of each ``(virtual node, kind, key)``
+    (None: there is none), in order, each list resolved once."""
+    lists: dict[tuple[str, str], Optional[DataNode]] = {}
+    found: dict[tuple[str, str, str], Optional[DataNode]] = {}
+    for node_id, kind, key in named:
+        if (node_id, kind) not in lists:
+            lists[node_id, kind] = tree.find(f"nodes/node[{node_id}]/{kind}")
+        holder = lists[node_id, kind]
+        found[node_id, kind, key] = (holder.get_instance(key)
+                                     if holder is not None else None)
+    return found
 
 
 class LocalOrchestrator(NetconfServer):
@@ -114,19 +129,19 @@ class LocalOrchestrator(NetconfServer):
             list(self.nfs.values()))
 
     def validate_patch(self, entries: list[DiffEntry]) -> list[str]:
+        """The instances the patch created (as it created them), and
+        the NF instances and nodes it names."""
         tree = self.candidate.tree
-        found = (find(tree, entry.path) for entry in entries)
         named, node_ids = self._named(entries, tree)
-        keys = [(node_id, key) for node_id, kind, key in named if kind == NFS]
-        instances = (tree.find(f"nodes/node[{node_id}]/{NFS}[{key}]")
-                     for node_id, key in keys)
-        return [problem for node in found if node is not None
+        nfs = _resolve(tree, [name for name in named if name[1] == NFS])
+        return [problem for node in self._created
                 for problem in node.validate()] + self._check(
             [node_id for node_id in node_ids
              if tree.find(f"nodes/node[{node_id}]") is not None],
-            [nf_from_instance(instance) for instance in instances
+            [nf_from_instance(instance) for instance in nfs.values()
              if instance is not None],
-            [self.nfs[key] for key in keys if key in self.nfs])
+            [self.nfs[node_id, key] for node_id, _, key in nfs
+             if (node_id, key) in self.nfs])
 
     def _named(self, entries: list[DiffEntry], tree: DataNode,
                ) -> tuple[dict[tuple[str, str, str], None], list[str]]:
@@ -200,9 +215,9 @@ class LocalOrchestrator(NetconfServer):
         if isinstance(change, list):
             nfs: set[NFKey] = set()
             ports: set[PortKey] = set()
-            for node_id, kind, key in self._named(change, tree)[0]:
-                ports.update(self._read(node_id, kind, key, tree.find(
-                    f"nodes/node[{node_id}]/{kind}[{key}]")))
+            named = _resolve(tree, self._named(change, tree)[0])
+            for (node_id, kind, key), instance in named.items():
+                ports.update(self._read(node_id, kind, key, instance))
                 if kind == NFS:
                     nfs.add((node_id, key))
             return nfs, ports

@@ -43,7 +43,7 @@ class Datastore:
     """One named configuration datastore.
 
     The content is any JSON value.  A Unify config (``{"virtualizer":
-    ...}``) is held as its yang tree plus the tree's digest.  Stores
+    ...}``) is held as its yang tree, which carries its digest.  Stores
     share trees instead of copying them: :meth:`take` shares another
     store's content, and :meth:`stage` makes a store another one plus
     an edit script, applied in place to the tree the two then share.
@@ -68,8 +68,9 @@ class Datastore:
         #: shared with the stores that took this one, and with an edit
         #: staged on it: :meth:`read_tree` is this store's content
         self.tree: Optional[DataNode] = None
-        #: of :attr:`tree`; None without one, or when a failed apply
-        #: left the content in doubt — no edit script matches then
+        #: of :attr:`tree` (as it was while another store has an edit
+        #: staged on it); None without one, or when a failed apply left
+        #: the content in doubt — no edit script matches then
         self.digest: Optional[int] = None
         if isinstance(config, dict) and set(config) == {"virtualizer"}:
             try:
@@ -107,21 +108,22 @@ class Datastore:
         self._json, self.tree, self.digest = other._json, other.tree, other.digest
         self._undo = []
 
-    def stage(self, base: "Datastore", entries: list[DiffEntry]) -> None:
+    def stage(self, base: "Datastore", entries: list[DiffEntry],
+              ) -> list[DataNode]:
         """Become ``base`` plus an edit script, applied in place to the
-        tree the two then share; ``base`` has nothing staged yet.  The
-        digest moves by what the script measured as it applied.  A
-        script that does not apply is rolled back: this store is
-        ``base`` again."""
+        tree the two then share; ``base`` has nothing staged yet.
+        Returns the instances the script created.  A script that does
+        not apply is rolled back: this store is ``base`` again."""
         if base.tree is None:
             raise ValidationError(f"{base.name} holds no config tree")
         self.take(base)
         try:
-            mask = apply_patch(self.tree, entries, undo=base._undo)
+            created = apply_patch(self.tree, entries, undo=base._undo)
         except BaseException:
             base.roll_back()
             raise
-        self._json, self.digest = None, base.digest ^ mask
+        self._json, self.digest = None, self.tree.digest()
+        return created
 
     def roll_back(self) -> None:
         """Take back the edit staged on this store's tree, in O(edit)."""
@@ -140,9 +142,10 @@ class NetconfServer:
         self.candidate = Datastore("candidate")
         self.candidate.take(self.running)
         #: the edit script that made the candidate out of running, staged
-        #: on running's tree; None once the candidate was edited any
-        #: other way
+        #: on running's tree (and the instances it created); None once
+        #: the candidate was edited any other way
         self._pending: Optional[list[DiffEntry]] = []
+        self._created: list[DataNode] = []
         self.session_id = 0
         self.channel: Optional[ControlChannel] = None
         self._apply_callbacks: list[ApplyCallback] = []
@@ -308,7 +311,7 @@ class NetconfServer:
         entries = [DiffEntry.from_dict(entry) for entry in patch["entries"]]
         self._discard()  # drop whatever was staged
         try:
-            self.candidate.stage(self.running, entries)
+            self._created = self.candidate.stage(self.running, entries)
         except ValueError as exc:  # ValidationError, or a leaf's SchemaError
             raise NetconfServerError("delta-mismatch",
                                      f"patch does not apply: {exc}") from exc

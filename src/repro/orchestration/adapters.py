@@ -226,23 +226,18 @@ def _collect_endpoint_stats(endpoint) -> dict[str, tuple[int, int]]:
     return stats
 
 
-def _payload_bytes(config: Any) -> int:
-    """Wire size of a config payload (mirrors RpcRequest.to_wire)."""
-    return len(json.dumps(config, sort_keys=True, default=str).encode())
-
-
 class _NetconfAdapter(DomainAdapter):
     """A domain programmed over NETCONF through the one tree the Unify
     interface speaks, the virtualizer: an emulated, cloud or UN domain's
     local orchestrator, or a whole child orchestrator.
 
     Delta pushes: the adapter remembers the last *acknowledged*
-    virtualizer (the one that made it through commit) with its digest
-    and payload size, and edits it: ``_encode`` encodes the ``touched``
-    members anew, and each one that differs from the acknowledged
-    member takes its place, emits its part of the edit script and moves
-    digest and size by what it changed.  The script goes out as a
-    digest-guarded edit-config patch, and ``commit`` validates it.  A
+    virtualizer (the one that made it through commit), which carries
+    its own digest and size, and edits it: ``_encode`` encodes the
+    ``touched`` members anew, and each one that differs from the
+    acknowledged member takes its place and emits its part of the edit
+    script.  The script goes out as a patch guarded by the tree's digest
+    before the edit, and ``commit`` validates it.  A
     full replace goes out when nothing is acknowledged — first contact,
     after :meth:`reset_delta_state` (reconcile, half-open probes, pushes
     after a failure) — or on a refused patch base.  Any exception
@@ -259,12 +254,15 @@ class _NetconfAdapter(DomainAdapter):
         self.client = NetconfClient(f"{name}-client", self.channel)
         self.client.hello()
         self._acked_tree: Optional[DataNode] = None
-        self._acked_digest: Optional[int] = None
-        #: payload bytes of the acknowledged config (accounting only)
-        self._acked_bytes = 0
+        #: payload bytes of the last full push less its tree's size: plus
+        #: the size now, the acknowledged config's (accounting only)
+        self._framing = 0
 
     def reset_delta_state(self) -> None:
-        self._acked_tree = self._acked_digest = None
+        self._acked_tree = None
+
+    def _acked_bytes(self) -> int:
+        return self._framing + self._acked_tree.measure()[1]
 
     def _encode(self, install: NFFG, touched: Optional[Touched]) -> DataNode:
         """``install`` as a virtualizer tree: all of it or, given what
@@ -287,8 +285,8 @@ class _NetconfAdapter(DomainAdapter):
             self.reset_delta_state()
             raise
         self._acked_tree = tree
-        self._acked_digest = tree.digest()
-        self._acked_bytes = _payload_bytes(wire)
+        self._framing = len(json.dumps(  # as RpcRequest.to_wire has it
+            wire, sort_keys=True, default=str).encode()) - tree.measure()[1]
 
     def _do_push(self, install: NFFG, touched: Optional[Touched] = None,
                  ) -> Optional[PushProfile]:
@@ -303,37 +301,33 @@ class _NetconfAdapter(DomainAdapter):
             self.reset_delta_state()
             self._push(install)
             # a _push override may acknowledge nothing
-            return PushProfile(messages=messages, bytes=self._acked_bytes
+            return PushProfile(messages=messages, bytes=self._acked_bytes()
                                if self._acked_tree else 0)
         finally:
-            measured, resolved = take_work()
-            counters.incr("yang.measured", measured)
-            counters.incr("yang.resolved", resolved)
+            for name, count in zip(("yang.measured", "yang.hashed",
+                                    "yang.resolved"), take_work()):
+                counters.incr(name, count)
 
     def _push_delta(self, install: NFFG,
                     touched: Optional[Touched]) -> Optional[PushProfile]:
         """Edit the acknowledged config into ``install`` and ship the
         edit script; None when the server refused the patch base."""
-        base = f"{self._acked_digest:016x}"
+        base = f"{self._acked_tree.digest():016x}"
         try:
             started = time.perf_counter()
             fresh = self._encode(install, touched)
             encoded = time.perf_counter()
             if touched is None:  # no telling what changed: all of it
                 entries = diff_trees(self._acked_tree, fresh)
-                (was, before), (now, after) = (
-                    self._acked_tree.measure(), fresh.measure())
-                mask, growth = was ^ now, after - before
                 self._acked_tree = fresh
             else:
-                entries, mask, growth = edit_virtualizer(
-                    self._acked_tree, fresh, touched)
+                entries = edit_virtualizer(self._acked_tree, fresh, touched)
             spent = {"encode_s": encoded - started,
                      "diff_s": time.perf_counter() - encoded}
             if not entries:
                 # already acknowledged: the domain runs this exact config
                 return PushProfile(delta=True, noop=True,
-                                   bytes_saved=self._acked_bytes, **spent)
+                                   bytes_saved=self._acked_bytes(), **spent)
             try:
                 self.client.edit_config_delta(
                     base, [entry.to_dict() for entry in entries])
@@ -348,11 +342,9 @@ class _NetconfAdapter(DomainAdapter):
         except BaseException:
             self.reset_delta_state()
             raise
-        self._acked_digest ^= mask
-        self._acked_bytes += growth
         delta_bytes = patch_size_bytes(entries)
         return PushProfile(messages=2, bytes=delta_bytes, delta=True,
-                           bytes_saved=max(0, self._acked_bytes - delta_bytes),
+                           bytes_saved=max(0, self._acked_bytes() - delta_bytes),
                            **spent)
 
     def control_stats(self) -> tuple[int, int]:

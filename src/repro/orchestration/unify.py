@@ -328,7 +328,10 @@ class UnifyAgent(LocalOrchestrator):
             changed = {*edit["removed"], *edit["updated"], *edit["deployed"]}
             edit["kept"] = sorted(part_id for part_id in self._parts
                                   if part_id not in changed)
-            self.notify("deploy-finished", edit)
+            # what changed, not what stays: no larger with more resident
+            self.notify("deploy-finished", {
+                verb: edit[verb] for verb in ("removed", "updated",
+                                              "deployed")})
 
     def _members(self, part_id: str) -> Iterable[str]:
         """The NF ids and hop keys of a recorded part."""

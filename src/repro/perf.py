@@ -34,10 +34,15 @@ Push-pipeline counters (concurrent delta-based domain programming)::
     push.bytes_saved         full-config bytes minus delta bytes, summed
     push.delta_fallback      delta attempts the server rejected
                              (stale base digest -> full resync)
-    yang.measured            subtrees and leaves whose digest and size
-                             were measured (``DataNode.measure`` /
-                             ``measure_leaf``), client and server side,
-                             added once per NETCONF push
+    yang.measured            subtrees measured afresh: a
+                             ``DataNode.measure`` its cache did not
+                             answer (a tree read whole, a member where it
+                             lands), client and server side, added once
+                             per NETCONF push
+    yang.hashed              leaves hashed: in those measures, and a leaf
+                             set or removed under a measured node;
+                             nothing a tree already measured leaves, so 0
+                             for a teardown; added once per NETCONF push
     yang.resolved            tree paths resolved (``DataNode.find`` and
                              the patch applier's walks), added once per
                              NETCONF push

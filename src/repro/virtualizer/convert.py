@@ -25,7 +25,7 @@ from repro.nffg.model import (
 )
 from repro.nffg.ops import Touched
 from repro.virtualizer.model import Virtualizer
-from repro.yang.data import DataNode, ValidationError, measure_leaf
+from repro.yang.data import DataNode, ValidationError
 from repro.yang.diff import DiffEntry, DiffOp, diff_trees
 
 
@@ -127,132 +127,116 @@ def encode_members(nffg: NFFG, touched: Touched) -> DataNode:
 
 
 def edit_virtualizer(tree: DataNode, fresh: DataNode, touched: Touched,
-                     ) -> tuple[list[DiffEntry], int, int]:
+                     ) -> list[DiffEntry]:
     """Edit ``tree`` — :func:`nffg_to_virtualizer` of a graph that
     differed from one in the ``touched`` members only — in place into
     the encode of that graph, given ``fresh``, its
     :func:`encode_members`.  Each named member is compared with the one
     ``tree`` holds and, where they differ, takes its place; nothing else
-    is visited.  Returns what :func:`~repro.yang.diff.diff_trees` of the
-    tree before and after returns, entry for entry and in order, and
-    what the edit moved the tree's digest by (an XOR mask) and its size
-    by (:meth:`~repro.yang.data.DataNode.measure`).  Everything is read
-    before anything is written."""
+    is visited, and each list is looked up once in each tree.  Returns
+    what :func:`~repro.yang.diff.diff_trees` of the tree before and
+    after returns, entry for entry and in order.  Everything is read
+    before anything is written; a fresh member lands at the path it has
+    in ``fresh`` (:meth:`~repro.yang.data.DataNode.put`), where a
+    measured ``tree`` measures it."""
     ports: dict[str, set[str]] = {}
     for node_id, port_id in touched.ports:
         ports.setdefault(node_id, set()).add(port_id)
-    edits = [_ListEdit(tree, fresh, None, "links", "link", touched.edges)]
+    edits = [_ListEdit(tree, fresh, None, "links", "link").compare(
+        touched.edges)]
     for node in fresh.find("nodes/node").instances():
         node_id = node.key_value
         held = tree.find(f"nodes/node[{node_id}]")
         if held is None:
             raise ValidationError(f"no BiS-BiS {node_id!r} to edit")
         port_ids = ports.get(node_id, set())
+        flows = _ListEdit(held, node, node_id, "flowtable", "flowentry")
         entries = {f"{port_id}:{hop_id}" for port_id in port_ids
                    for hop_id in touched.hops}
-        held_entries = held.find("flowtable/flowentry")
-        for port_id in port_ids if held_entries is not None else ():
+        for port_id in port_ids if flows.holder is not None else ():
             entries.update(takewhile(  # and its entries without a hop id
-                lambda key: held_entries.get_instance(key) is not None,
+                lambda key: flows.holder.get_instance(key) is not None,
                 (f"{port_id}#{place}" for place in count(1))))
-        fresh_entries = node.find("flowtable/flowentry")
-        if fresh_entries is not None:
-            entries.update(fresh_entries.instance_keys())
-        edits += [_ListEdit(held, node, node_id, "NF_instances", "node",
-                            touched.nodes),
-                  _ListEdit(held, node, node_id, "flowtable", "flowentry",
-                            entries),
-                  _ListEdit(held, node, node_id, "ports", "port", port_ids)]
+        if flows.anew is not None:
+            entries.update(flows.anew.instance_keys())
+        edits += [_ListEdit(held, node, node_id, "NF_instances", "node"
+                            ).compare(touched.nodes), flows.compare(entries),
+                  _ListEdit(held, node, node_id, "ports", "port"
+                            ).compare(port_ids)]
     script = [part for edit in edits for part in edit.script]
     leaves = {leaf: fresh.get(leaf) for leaf in ("id", "name")
               if tree.get(leaf) != fresh.get(leaf)}
     script += [((2, leaf), [DiffEntry(DiffOp.SET, f"/virtualizer/{leaf}",
                                       value)])
                for leaf, value in leaves.items()]
-    mask = growth = 0
     for edit in edits:
         edit.write()
-        mask ^= edit.mask
-        growth += edit.growth
     for leaf, value in leaves.items():
-        path = f"/virtualizer/{leaf}"
-        was, before = measure_leaf(path, tree.get(leaf))
         tree.set_leaf(leaf, value)
-        now, after = measure_leaf(path, value)
-        mask ^= was ^ now
-        growth += after - before
     script.sort(key=lambda part: part[0])
-    return [entry for _, part in script for entry in part], mask, growth
+    return [entry for _, part in script for entry in part]
 
 
 class _ListEdit:
     """What an edit does to one list, ``container/name`` under ``held``
     — BiS-BiS ``node_id`` of the tree, or its root — of the members
     ``keys`` names: which ``fresh`` (the same place in the fresh tree)
-    holds anew, no more or for the first time, what that moves the
-    digest and size by, and the script :func:`~repro.yang.diff.diff_trees`
-    emits for it, under a key that sorts it where that walk visits the
-    list.  The walk visits a node's children (the root's; of the root,
-    the ``nodes`` last, node by node) by name: first those that go,
-    then those that come, then those that stay and differ — and so a
-    list's container goes or comes whole with its last or first
-    member."""
+    holds anew, no more or for the first time, and the script
+    :func:`~repro.yang.diff.diff_trees` emits for it, under a key that
+    sorts it where that walk visits the list.  The walk visits a node's
+    children (the root's; of the root, the ``nodes`` last, node by node)
+    by name: first those that go, then those that come, then those that
+    stay and differ — and so a list's container goes or comes whole with
+    its last or first member.  The lists are looked up first, the
+    members compared (:meth:`compare`) once ``keys`` is known."""
 
     def __init__(self, held: DataNode, fresh: DataNode,
-                 node_id: Optional[str], container: str, name: str,
-                 keys: Iterable[str]):
+                 node_id: Optional[str], container: str, name: str):
         self.held, self.container, self.name = held, container, name
         self.holder = held.find(f"{container}/{name}")
-        anew = fresh.find(f"{container}/{name}")
+        self.anew = fresh.find(f"{container}/{name}")
         if node_id is None:
-            path, place = f"/virtualizer/{container}", ()
+            self.path, self.place = f"/virtualizer/{container}", ()
         else:
-            path = f"/virtualizer/nodes/node[{node_id}]/{container}"
-            place = (2, "nodes", node_id)
+            self.path = f"/virtualizer/nodes/node[{node_id}]/{container}"
+            self.place = (2, "nodes", node_id)
+
+    def compare(self, keys: Iterable[str]) -> "_ListEdit":
+        holder, anew, path = self.holder, self.anew, self.path
         self.gone: list[str] = []
         self.put: list[DataNode] = []
-        self.mask = self.growth = 0
         deleted, created, changed = [], [], []
         for key in sorted(keys):
-            old = (self.holder.get_instance(key)
-                   if self.holder is not None else None)
+            old = holder.get_instance(key) if holder is not None else None
             new = anew.get_instance(key) if anew is not None else None
-            member = f"{path}/{name}[{key}]"
+            member = f"{path}/{self.name}[{key}]"
             if old is not None and new is not None:
                 script = diff_trees(old, new)
                 if not script:
                     continue
                 changed += script
+                self.put.append(new)
             elif old is not None:
                 deleted.append(DiffEntry(DiffOp.DELETE, member))
+                self.gone.append(key)
             elif new is not None:
                 created.append(DiffEntry(DiffOp.CREATE, member, new.to_dict()))
-            else:
-                continue
-            for node, sign in ((old, -1), (new, 1)):
-                if node is not None:
-                    digest, size = node.measure(member)
-                    self.mask ^= digest
-                    self.growth += sign * size
-            if new is None:
-                self.gone.append(key)
-            else:
                 self.put.append(new)
-        was = self.holder.instance_count() if self.holder is not None else 0
+        was = holder.instance_count() if holder is not None else 0
         now = was - len(deleted) + len(created)
         phase, entries = ((0, [DiffEntry(DiffOp.DELETE, path)])
                           if was and not now else (1, created)
                           if now and not was else
                           (2, deleted + created + changed))
-        self.script = [((*place, phase, container), entries)] if entries \
-            else []
+        self.script = ([((*self.place, phase, self.container), entries)]
+                       if entries else [])
+        return self
 
     def write(self) -> None:
         if not (self.gone or self.put):
             return
-        holder = self.holder
-        if holder is None:
-            holder = self.held.container(self.container).list_node(self.name)
+        holder = self.holder or self.held.container(
+            self.container).list_node(self.name)
         for key in self.gone:
             holder.remove_instance(key)
         for instance in self.put:

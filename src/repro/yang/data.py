@@ -28,63 +28,63 @@ class ValidationError(ValueError):
 
 class _Work(threading.local):
     """Tree work this thread did since :func:`take_work` last read it:
-    subtrees and leaves measured (:meth:`DataNode.measure` and
-    :func:`measure_leaf` calls) and paths resolved
-    (:meth:`DataNode.find` and the patch applier's walks).  Per thread,
-    so that concurrent pushes neither lose nor swap counts."""
+    subtrees measured afresh (a :meth:`DataNode.measure` no cache
+    answered), leaves hashed, and paths resolved (:meth:`DataNode.find`
+    and the patch applier's walks).  Per thread, so that concurrent
+    pushes neither lose nor swap counts."""
 
-    measured = resolved = 0
+    measured = hashed = resolved = 0
 
 
 _work = _Work()
 
 
-def take_work() -> tuple[int, int]:
-    """``(subtrees measured, paths resolved)`` by this thread since the
-    last call."""
-    work = (_work.measured, _work.resolved)
-    _work.measured = _work.resolved = 0
+def take_work() -> tuple[int, int, int]:
+    """``(subtrees measured, leaves hashed, paths resolved)`` by this
+    thread since the last call."""
+    work = (_work.measured, _work.hashed, _work.resolved)
+    _work.measured = _work.hashed = _work.resolved = 0
     return work
+
+
+#: what a member slot holds when it holds nothing
+_ABSENT: Any = object()
 
 
 class DataNode:
     """A container, list or list instance of a data tree, bound to its
-    schema node."""
+    schema node.  Once measured, a node caches its subtree's ``(hash,
+    size)``, kept right in O(depth) by :meth:`_replace`.  A hash is taken
+    over the path, so a node moves only back to its slot (an undo log)
+    or as an instance :meth:`put` at its own path (checked there)."""
 
     __slots__ = ("schema", "key_value", "_parent", "_leaves", "_children",
-                 "_instances", "__weakref__")
+                 "_instances", "_measured", "_path", "__weakref__")
 
     def __init__(self, schema: SchemaNode, key_value: Optional[str] = None):
         self.schema = schema
         #: for list *instances*: the key value addressing this instance
         self.key_value = key_value
+        #: the node holding this one, held weakly: a subtree that left
+        #: its tree is freed with its last reference instead of waiting,
+        #: as a reference cycle, for a full collection
         self._parent: Optional[weakref.ref] = None
         #: containers & instances: leaf values and child nodes by name
         self._leaves: dict[str, Any] = {}
         self._children: dict[str, DataNode] = {}
         #: list nodes only
         self._instances: dict[str, DataNode] = {}
-
-    @property
-    def parent(self) -> Optional["DataNode"]:
-        """The node holding this one.  Held weakly, so a subtree that
-        left its tree is freed with its last reference instead of
-        waiting, as a reference cycle, for a full collection."""
-        return None if self._parent is None else self._parent()
-
-    @parent.setter
-    def parent(self, node: Optional["DataNode"]) -> None:
-        self._parent = None if node is None else weakref.ref(node)
+        #: ``(hash, size)`` of this subtree, or None: not measured yet
+        self._measured: Optional[tuple[int, int]] = None
+        #: :meth:`path`, once asked (a node leaves its place only to
+        #: come back to it, so it holds)
+        self._path: Optional[str] = None
 
     # -- classification ---------------------------------------------------
 
     @property
     def is_list(self) -> bool:
         return isinstance(self.schema, YangList) and self.key_value is None
-
-    @property
-    def is_list_instance(self) -> bool:
-        return isinstance(self.schema, YangList) and self.key_value is not None
 
     # -- structure building -------------------------------------------------
 
@@ -93,7 +93,10 @@ class DataNode:
         schema = self._child_schema(name)
         if not isinstance(schema, Leaf):
             raise ValidationError(f"{self.path()}/{name} is not a leaf")
-        self._leaves[name] = schema.check_value(value)
+        if self._measured is None:  # (most writes: a tree being built)
+            self._leaves[name] = schema.check_value(value)
+        else:
+            self._replace(self._leaves, name, schema.check_value(value))
 
     def container(self, name: str) -> "DataNode":
         """Get-or-create a child container."""
@@ -110,31 +113,38 @@ class DataNode:
             if isinstance(schema, kind):
                 node = self._children[name] = DataNode(schema)
                 node._parent = weakref.ref(self)
+                if self._measured is not None:  # empty: moves nothing
+                    node._measured = (0, 0)
                 return node
         elif isinstance(node.schema, kind):
             return node
         raise ValidationError(f"{self.path()}/{name} is not a {what}")
 
-    def add_instance(self, key_value: str) -> "DataNode":
-        """Add an instance to a list node (self must be the list holder)."""
+    def add_instance(self, key_value: str, data: Any = None) -> "DataNode":
+        """Add an instance to a list node (self must be the list holder),
+        filled from ``data`` (:meth:`to_dict` output) before it joins."""
         if not self.is_list:
             raise ValidationError(f"{self.path()} is not a list node")
         key_value = str(key_value)
         if key_value in self._instances:
             raise ValidationError(f"duplicate list key {key_value!r} at {self.path()}")
         instance = DataNode(self.schema, key_value=key_value)
-        instance.parent = self
         assert isinstance(self.schema, YangList)
-        instance.set_leaf(self.schema.key, key_value)
-        self._instances[key_value] = instance
+        if data is None or self.schema.key not in data:
+            instance.set_leaf(self.schema.key, key_value)
+        if data is not None:
+            _fill_from_dict(instance, data)
+        self._replace(self._instances, key_value, instance)
         return instance
 
     def put(self, instance: "DataNode") -> None:
         """Put a finished instance — encoded in another tree, which is
         no longer its parent — into this list under its key, in place of
-        the one held there."""
-        instance._parent = weakref.ref(self)
-        self._instances[instance.key_value] = instance
+        the one held there — at the path it has there, where any cache it
+        carries was taken."""
+        if instance.path() != f"{self.path()}[{instance.key_value}]":
+            raise ValidationError(f"{instance.path()} is not in {self.path()}")
+        self._replace(self._instances, instance.key_value, instance)
 
     def instance(self, key_value: str) -> "DataNode":
         try:
@@ -157,14 +167,42 @@ class DataNode:
         if str(key_value) not in self._instances:
             raise ValidationError(
                 f"no instance {key_value!r} in list {self.path()}")
-        del self._instances[str(key_value)]
+        self._replace(self._instances, str(key_value))
 
     def remove_child(self, name: str) -> None:
         """Remove child leaf or node ``name``."""
         members = self._leaves if name in self._leaves else self._children
         if name not in members:
             raise ValidationError(f"no child {name!r} at {self.path()}")
-        del members[name]
+        self._replace(members, name)
+
+    def _replace(self, members: dict, name: str, new: Any = _ABSENT) -> Any:
+        """Hold ``new`` (a value, a node; ``_ABSENT``: none) under
+        ``name`` in ``members``, a dict of this node's; returns what it
+        held.  The one writer of members: a measured node and its
+        ancestors move by what left (its cache) and what came (measured
+        where it now sits), so a measured node has measured members."""
+        old = members.pop(name, _ABSENT)
+        if type(old) is DataNode:  # out of the tree: its writes stay in it
+            old._parent = None
+        if new is not _ABSENT:
+            members[name] = new
+            if type(new) is DataNode:
+                new._parent = weakref.ref(self)
+        if self._measured is None:
+            return old
+        digest = size = 0
+        for member, sign in ((old, -1), (new, 1)):
+            if member is not _ABSENT:
+                part, length = (member.measure() if type(member) is DataNode
+                                else _hash_leaf(f"{self.path()}/{name}", member))
+                digest, size = digest ^ part, size + sign * length
+        node, measured = self, self._measured
+        while measured is not None:
+            node._measured = (measured[0] ^ digest, measured[1] + size)
+            node = node._parent and node._parent()
+            measured = node and node._measured
+        return old
 
     # -- navigation ---------------------------------------------------------
 
@@ -203,16 +241,13 @@ class DataNode:
     # -- paths ----------------------------------------------------------------
 
     def path(self) -> str:
-        parts: list[str] = []
-        node: Optional[DataNode] = self
-        while node is not None:
-            if node.is_list_instance:
-                parts.append(f"{node.schema.name}[{node.key_value}]")
-                node = node.parent.parent if node.parent else None
-            else:
-                parts.append(node.schema.name)
-                node = node.parent
-        return "/" + "/".join(reversed(parts))
+        if self._path is None:  # (a node moves only to where it was)
+            parent = self._parent and self._parent()
+            base = parent.path() if parent is not None else ""
+            self._path = (f"{base}/{self.schema.name}"
+                          if self.key_value is None else
+                          f"{base or '/' + self.schema.name}[{self.key_value}]")
+        return self._path
 
     def find(self, path: str) -> Optional["DataNode"]:
         """The node at a path relative to this node, or None: a miss
@@ -255,44 +290,53 @@ class DataNode:
         """Order-independent 64-bit content hash (see :meth:`measure`)."""
         return self.measure()[0]
 
-    def measure(self, path: Optional[str] = None) -> tuple[int, int]:
+    def measure(self) -> tuple[int, int]:
         """``(hash, size)`` of this subtree: the XOR of one 64-bit hash
         per leaf, taken over the leaf's path and value, and the summed
-        length of the values (:func:`measure_leaf` of each leaf).
+        length of the values.
 
         Neither depends on member order, and both move incrementally —
         replacing a subtree changes the whole tree's hash by ``old ^
-        new`` and its size by ``new - old`` — which is how both ends of
-        a delta push keep the digest of a config that neither of them
-        re-encodes."""
-        _work.measured += 1
-        return self._measure(self.path() if path is None else path)
+        new`` and its size by ``new - old`` — which is how a tree keeps
+        its cache (see the class), and both ends of a delta push the
+        digest of a config that neither of them re-encodes."""
+        if self._measured is None:
+            _work.measured += 1
+            _work.hashed += self._measure(self.path())
+        return self._measured
 
-    def _measure(self, path: str) -> tuple[int, int]:
-        digest = size = 0
-        if self.key_value is None and isinstance(self.schema, YangList):
-            for key, instance in self._instances.items():
-                part, length = instance._measure(f"{path}[{key}]")
-                digest ^= part
-                size += length
-            return digest, size
-        # most of a tree is leaves: hashed here, not one call down
+    def _measure(self, path: str) -> int:
+        # caches this subtree's measure (and its unmeasured members'),
+        # returns the leaves it hashed; a list holds instances only, a
+        # container or instance none; leaves are hashed here, inline
+        hashed = len(self._leaves)
+        digest, size = 0, -hashed * (len(path) + 1)  # a leaf's size: "=value"
         for name, value in self._leaves.items():
             text = f"{path}/{name}={value}"
-            hashed = _BLAKE2B_64.copy()
-            hashed.update(text.encode())
-            digest ^= _UINT64.unpack(hashed.digest())[0]
-            size += len(text) - len(path) - len(name) - 1
+            leaf = _BLAKE2B_64.copy()
+            leaf.update(text.encode())
+            digest ^= _UINT64.unpack(leaf.digest())[0]
+            size += len(text) - len(name)
         for name, child in self._children.items():
-            part, length = child._measure(f"{path}/{name}")
+            if child._measured is None:
+                hashed += child._measure(f"{path}/{name}")
+            part, length = child._measured
             digest ^= part
             size += length
-        return digest, size
+        for key, instance in self._instances.items():
+            if instance._measured is None:
+                hashed += instance._measure(f"{path}[{key}]")
+            part, length = instance._measured
+            digest ^= part
+            size += length
+        self._measured = (digest, size)
+        return hashed
 
     # -- copy / serialization ------------------------------------------------------
 
     def copy(self) -> "DataNode":
-        """A deep copy, held by nothing."""
+        """A deep copy, held by nothing, with the measures (which hold
+        where the original sits)."""
         return self._clone(None)
 
     def _clone(self, parent: Optional[weakref.ref]) -> "DataNode":
@@ -301,6 +345,7 @@ class DataNode:
         clone = DataNode.__new__(DataNode)
         clone.schema, clone.key_value, clone._parent, clone._leaves = (
             self.schema, self.key_value, parent, self._leaves.copy())
+        clone._measured, clone._path = self._measured, None
         if not (self._children or self._instances):
             clone._children, clone._instances = {}, {}
             return clone
@@ -345,10 +390,10 @@ _BLAKE2B_64 = blake2b(digest_size=8)
 _UINT64 = struct.Struct(">Q")
 
 
-def measure_leaf(path: str, value: Any) -> tuple[int, int]:
+def _hash_leaf(path: str, value: Any) -> tuple[int, int]:
     """``(hash, size)`` of a leaf holding ``value`` at ``path``: what
     it adds to the :meth:`~DataNode.measure` of every subtree it is in."""
-    _work.measured += 1
+    _work.hashed += 1
     text = f"{path}={value}"
     hashed = _BLAKE2B_64.copy()
     hashed.update(text.encode())
@@ -364,9 +409,10 @@ def data_from_dict(schema: SchemaNode, data: Any,
 
 
 def _fill_from_dict(node: DataNode, data: Any) -> None:
+    # node is not measured: its leaves are written where they are held
     if node.is_list:
         for key, instance_data in data.items():
-            _fill_from_dict(node.add_instance(key), instance_data)
+            node.add_instance(key, instance_data)
         return
     schema = node.schema
     for name, child_data in data.items():

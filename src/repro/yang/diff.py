@@ -11,7 +11,8 @@ A script SETs leaves and CREATEs or DELETEs list instances (and
 DELETEs a leaf or container that went).  Both sides read a node's
 leaves where they are, in its dict of values, and the undo log records
 the member — a value, a node — that one of a node's dicts held under a
-name.
+name, and writes it back through that node, so that a measured tree's
+digest moves with the edit both ways.
 """
 
 from __future__ import annotations
@@ -21,13 +22,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from repro.yang.data import (
-    DataNode,
-    ValidationError,
-    _fill_from_dict,
-    _work,
-    measure_leaf,
-)
+from repro.yang.data import _ABSENT, DataNode, ValidationError, _work
+from repro.yang.schema import Container
 
 
 class DiffOp(str, enum.Enum):
@@ -128,17 +124,12 @@ def _emit_creates(node: DataNode, path: str, entries: list[DiffEntry]) -> None:
         _emit_creates(child, f"{path}/{name}", entries)
 
 
-#: what an undo record holds for a member that was not there
-_ABSENT: Any = object()
-
-
 def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
-                undo: Optional[list[list]] = None) -> int:
-    """Apply an edit script to ``tree`` in place.  Returns the XOR mask
-    by which it moved the tree's :meth:`~DataNode.digest`: each entry
-    measures the leaf or node it replaces or removes before it goes,
-    and the one it leaves at its path after — on the nodes it resolved
-    anyway.
+                undo: Optional[list[list]] = None) -> list[DataNode]:
+    """Apply an edit script to ``tree`` in place, resolving a parent
+    path only where it differs from the entry before's; returns the
+    instances its CREATEs made, in order.  The tree's own mutators keep
+    its measured nodes' digests right.
 
     Given an ``undo`` list, each change is logged there before it is
     made: the member (leaf value or node) an entry replaced or removed,
@@ -146,58 +137,50 @@ def apply_patch(tree: DataNode, entries: list[DiffEntry], *,
     then takes the edit back in O(edit), also when an entry raised
     part-way through the script."""
     root_name = tree.schema.name
-    mask = 0
+    created: list[DataNode] = []
+    # the parent resolved last: an entry removes or replaces a member of
+    # its parent only, so the parent stays in the tree for the next one
+    resolved, parent = None, tree
     for entry in entries:
-        parent_path, token = _split_leaf(_strip_root(entry.path, root_name))
+        parent_path, _, token = _strip_root(
+            entry.path, root_name).rpartition("/")
         name, _, rest = token.partition("[")
         key = rest.rstrip("]") if rest else None
-        if entry.op == DiffOp.SET:
-            parent = _resolve_creating(tree, parent_path, undo)
-            leaves = parent._leaves
-            old = leaves.get(token, _ABSENT)
-            if old is not _ABSENT:  # measured before it takes the value
-                mask ^= measure_leaf(entry.path, old)[0]
-            if undo is not None:
-                undo.append([leaves, token, old])
-            parent.set_leaf(token, entry.value)
-            mask ^= measure_leaf(entry.path, leaves[token])[0]
-        elif entry.op == DiffOp.DELETE:
+        if parent_path != resolved:
             # a delete creates nothing, not even on its way
-            parent = tree.find(parent_path)
+            parent = (tree.find(parent_path) if entry.op == DiffOp.DELETE
+                      else _resolve_creating(tree, parent_path, undo))
             if parent is None:
                 raise ValidationError(f"no parent node for {entry.path!r}")
+            resolved = parent_path
+        if entry.op == DiffOp.SET:
+            if undo is not None:
+                undo.append([parent, parent._leaves, token,
+                             parent._leaves.get(token, _ABSENT)])
+            parent.set_leaf(token, entry.value)
+        elif entry.op == DiffOp.DELETE:
+            node = parent.child(name) if key is not None else parent
             members, member = (
-                (parent.child(name)._instances, key) if key is not None else
-                (parent._leaves, token) if token in parent._leaves else
-                (parent._children, token))
-            old = members.get(member)
-            if old is None:
+                (node._instances, key) if key is not None else
+                (node._leaves, token) if token in node._leaves else
+                (node._children, token))
+            if member not in members:
                 raise ValidationError(f"nothing to delete at {entry.path!r}")
             if undo is not None:
-                undo.append([members, member, old])
-            del members[member]
-            mask ^= (measure_leaf(entry.path, old) if members is parent._leaves
-                     else old.measure(entry.path))[0]
-        elif entry.op == DiffOp.CREATE:
-            parent = (_resolve_creating(tree, parent_path, undo)
-                      if parent_path else tree)
+                undo.append([node, members, member, members[member]])
+            node._replace(members, member)
+        else:  # CREATE
             if undo is not None and name not in parent._children:
-                undo.append([parent._children, name, _ABSENT])
+                undo.append([parent, parent._children, name, _ABSENT])
             holder = parent.list_node(name)
             old = holder.get_instance(key)
             if undo is not None:
-                undo.append([holder._instances, key,
+                undo.append([holder, holder._instances, key,
                              _ABSENT if old is None else old])
             if old is not None:
                 holder.remove_instance(key)
-            new = holder.add_instance(key)
-            _fill_from_dict(new, entry.value)
-            if old is not None:
-                mask ^= old.measure(entry.path)[0]
-            mask ^= new.measure(entry.path)[0]
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValidationError(f"unknown diff op {entry.op}")
-    return mask
+            created.append(holder.add_instance(key, entry.value))
+    return created
 
 
 def undo_patch(undo: list[list]) -> None:
@@ -214,18 +197,11 @@ def redo_patch(undo: list[list]) -> None:
 
 
 def _swap(records: Iterable[list]) -> None:
+    # through the node's writer, which keeps the digests right; a
+    # create that raised made nothing, and puts nothing back
     for record in records:
-        held, key, saved = record
-        record[2] = held.get(key, _ABSENT)
-        if saved is _ABSENT:
-            held.pop(key, None)  # (a create that raised made nothing)
-        else:
-            held[key] = saved
-
-
-def find(tree: DataNode, path: str) -> Optional[DataNode]:
-    """The node an entry path addresses in ``tree``, or None."""
-    return tree.find(_strip_root(path, tree.schema.name))
+        node, members, key, saved = record
+        record[3] = node._replace(members, key, saved)
 
 
 def _resolve_creating(tree: DataNode, path: str,
@@ -234,14 +210,12 @@ def _resolve_creating(tree: DataNode, path: str,
     merge semantics), each logged to ``undo`` (see :func:`apply_patch`).
     Missing list instances are still errors — they must arrive via
     explicit CREATE entries."""
-    from repro.yang.schema import Container
-
     _work.resolved += 1
     node = tree
     for token in [t for t in path.strip("/").split("/") if t]:
         name, _, rest = token.partition("[")
         if undo is not None and name not in node._children:
-            undo.append([node._children, name, _ABSENT])
+            undo.append([node, node._children, name, _ABSENT])
         if rest:
             node = node.list_node(name).instance(rest.rstrip("]"))
         elif isinstance(node._child_schema(token), Container):
@@ -253,24 +227,15 @@ def _resolve_creating(tree: DataNode, path: str,
 
 def _strip_root(path: str, root_name: str) -> str:
     path = path.strip("/")
-    prefix = root_name
-    if path == prefix:
+    if path == root_name:
         return ""
-    if path.startswith(prefix + "/"):
-        return path[len(prefix) + 1:]
+    if path.startswith(root_name + "/"):
+        return path[len(root_name) + 1:]
     # root may itself be a list instance token like "virtualizer[v1]"
-    if path.startswith(prefix + "["):
+    if path.startswith(root_name + "["):
         _, _, rest = path.partition("/")
         return rest
     raise ValidationError(f"path {path!r} does not start at root {root_name!r}")
-
-
-def _split_leaf(path: str) -> tuple[str, str]:
-    path = path.strip("/")
-    if "/" not in path:
-        return "", path
-    parent, _, last = path.rpartition("/")
-    return parent, last
 
 
 def patch_size_bytes(entries: list[DiffEntry]) -> int:

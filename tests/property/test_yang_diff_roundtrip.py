@@ -5,8 +5,9 @@ The generic tree-pair properties in ``test_yang_properties.py`` only
 exercise CREATE/DELETE when two independently drawn trees happen to
 disagree on list keys; here the second tree is derived from the first
 by explicit entry removal/insertion, so every example is guaranteed to
-produce a patch containing both ops.  Every application also checks the
-XOR mask ``apply_patch`` returns against the digests of the two trees.
+produce a patch containing both ops.  Every application is made to a
+measured tree, and also checks the digest and size the tree carries
+through it against a fresh measure of the target.
 """
 
 import hypothesis.strategies as st
@@ -22,6 +23,12 @@ from repro.yang import (
     apply_patch,
     diff_trees,
 )
+from repro.yang.data import data_from_dict
+
+
+def fresh_measure(tree):
+    """``(hash, size)`` of a rebuild of ``tree``, which caches nothing."""
+    return data_from_dict(tree.schema, tree.to_dict()).measure()
 
 SCHEMA = Container("cfg", [
     Leaf("name"),
@@ -73,9 +80,11 @@ def test_patch_reproduces_churned_tree(case):
     old, new, doomed, fresh = case
     script = diff_trees(old, new)
     patched = old.copy()
-    # the mask is what the script moved the digest by, measured as it
-    # applied: a store keeps its digest without re-measuring its tree
-    assert apply_patch(patched, script) == old.digest() ^ new.digest()
+    # the tree carries its digest through the script: a store keeps its
+    # digest without re-measuring its tree
+    assert patched.measure() == fresh_measure(old)
+    apply_patch(patched, script)
+    assert patched.measure() == fresh_measure(new)
     assert patched.to_dict() == new.to_dict()
 
 
@@ -111,8 +120,11 @@ def test_reverse_patch_restores_original(case):
     forward = diff_trees(old, new)
     backward = diff_trees(new, old)
     roundtrip = old.copy()
-    masks = apply_patch(roundtrip, forward), apply_patch(roundtrip, backward)
-    assert masks == (old.digest() ^ new.digest(),) * 2
+    assert roundtrip.measure() == fresh_measure(old)
+    apply_patch(roundtrip, forward)
+    assert roundtrip.measure() == fresh_measure(new)
+    apply_patch(roundtrip, backward)
+    assert roundtrip.measure() == fresh_measure(old)
     assert roundtrip.to_dict() == old.to_dict()
 
 
@@ -130,7 +142,7 @@ def test_nested_port_churn_roundtrips(case, data):
         ports.add_instance(data.draw(keys, label="new-port"))
     script = diff_trees(old, new)
     patched = old.copy()
-    # the mask is what the script moved the digest by, measured as it
-    # applied: a store keeps its digest without re-measuring its tree
-    assert apply_patch(patched, script) == old.digest() ^ new.digest()
+    assert patched.measure() == fresh_measure(old)
+    apply_patch(patched, script)
+    assert patched.measure() == fresh_measure(new)
     assert patched.to_dict() == new.to_dict()

@@ -13,7 +13,13 @@ from repro.yang import (
     apply_patch,
     diff_trees,
 )
+from repro.yang.data import data_from_dict
 from repro.yang.diff import DiffEntry, patch_size_bytes
+
+
+def _rebuilt(tree):
+    """A fresh tree of the same content, which caches nothing."""
+    return data_from_dict(tree.schema, tree.to_dict())
 
 
 @pytest.fixture
@@ -101,7 +107,10 @@ def test_patch_roundtrip_complex(schema):
     new_entry.list_node("port").add_instance("px").set_leaf("speed", "100G")
     entries = diff_trees(a, b)
     patched = a.copy()
-    assert apply_patch(patched, entries) == a.digest() ^ b.digest()
+    assert patched.measure() == a.measure()  # the patch moves the cache
+    created = apply_patch(patched, entries)
+    assert [node.path() for node in created] == ["/cfg/entry[e9]"]
+    assert patched.measure() == b.measure() == _rebuilt(patched).measure()
     assert patched.to_dict() == b.to_dict()
 
 
@@ -148,7 +157,9 @@ def test_new_container_content_emits_sets(schema):
     entries = diff_trees(a, b)
     assert any(e.op == DiffOp.SET and e.path == "/cfg/box/v" for e in entries)
     patched = a.copy()
-    assert apply_patch(patched, entries) == a.digest() ^ b.digest()
+    assert patched.measure() == a.measure()  # the patch moves the cache
+    assert apply_patch(patched, entries) == []
+    assert patched.measure() == b.measure() == _rebuilt(patched).measure()
     assert patched.to_dict() == b.to_dict()
 
 
