@@ -10,7 +10,6 @@ resident chains: what an edit costs must not depend on what is
 installed.
 """
 
-import itertools
 import time
 
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from benchmarks.conftest import emit
 from repro import perf
 from repro.emu import EmulatedDomain
-from repro.netconf import messages
 from repro.netem import Network
 from repro.netem.packet import tcp_packet
 from repro.nffg import NFFGBuilder
@@ -117,8 +115,7 @@ def test_bench_recursion_overhead_table(benchmark):
     benchmark(top.resource_view)
 
 
-def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes,
-                                              monkeypatch):
+def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes):
     """DEMO-iii(a), second row: the *last* deploy through three levels
     against the number of chains already installed (2 / 8 / 32).
 
@@ -138,9 +135,6 @@ def test_bench_last_deploy_vs_resident_chains(benchmark, encoded_datanodes,
     what it removes carries its digest.
     """
     built = encoded_datanodes
-    # RPC message ids count every message of the process: give them one
-    # width, so that the bytes compare what the messages say
-    monkeypatch.setattr(messages, "_MSG_ID", itertools.count(10 ** 6))
 
     def measure(resident: int):
         net, domain, top, adapters = _stack(3, cpu_per_node=64.0)

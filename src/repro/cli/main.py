@@ -8,10 +8,9 @@ Subcommands:
 - ``topology``   — print the merged global view (ASCII or DOT);
 - ``lint``       — static-analyze NFFG JSON files (exit 0 clean,
                    1 findings at/above the fail level, 2 parse error);
-- ``check``      — the concurrency gate: code-scope CC rules over this
-                   repo's own source (``--self`` or explicit ``.py``
-                   paths), NFFG graph lint for ``.json`` paths, and a
-                   runtime sanitizer smoke (same exit contract);
+- ``check``      — the runtime sanitizer smoke: deploys, a reconcile
+                   and a teardown under tracked locks, ending in
+                   ``cal.verify()`` (exit 0 clean, 1 findings, 2 crash);
 - ``scale``      — run one elastic load/idle cycle;
 - ``perf``       — deploy a few services and print the push-pipeline
                    counters (delta vs full pushes, dispatcher fan-out);
@@ -121,28 +120,26 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro lint`` / ``repro check`` exit codes (conventional linter
-#: contract): 0 = clean, 1 = findings at/above the fail level,
-#: 2 = input could not be analyzed (parse error, missing file)
+#: ``repro lint`` exit codes (conventional linter contract): 0 = clean,
+#: 1 = findings at/above the fail level, 2 = input could not be analyzed
+#: (parse error, missing file); ``repro check`` answers 1 for sanitizer
+#: findings and 2 when the smoke itself fails
 LINT_CLEAN = 0
 LINT_FINDINGS = 1
 LINT_PARSE_ERROR = 2
 
 
-def _render(diagnostics, fmt: str, source: str) -> str:
-    from repro.lint import render_json, render_sarif, render_text
-
-    if fmt == "json":
-        return render_json(diagnostics, source=source)
-    if fmt == "sarif":
-        return render_sarif(diagnostics, source=source)
-    return render_text(diagnostics, source=source)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.lint import Severity, lint_nffg, render_rule_catalog
+    from repro.lint import (
+        Severity,
+        lint_nffg,
+        render_json,
+        render_rule_catalog,
+        render_sarif,
+        render_text,
+    )
     from repro.mapping.decomposition import default_decomposition_library
     from repro.nffg.graph import NFFGError
     from repro.nffg.serialize import nffg_from_dict
@@ -157,6 +154,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return LINT_PARSE_ERROR
 
     threshold = Severity.from_name(args.fail_level)
+    render = {"json": render_json, "sarif": render_sarif}.get(
+        args.format, render_text)
     library = default_decomposition_library()
     worst = LINT_CLEAN
     for path in args.files:
@@ -168,7 +167,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{path}: cannot load NFFG: {exc}", file=sys.stderr)
             return LINT_PARSE_ERROR
         diagnostics = lint_nffg(nffg, decomposition_library=library)
-        print(_render(diagnostics, args.format, path))
+        print(render(diagnostics, source=path))
         if diagnostics.at_least(threshold):
             worst = LINT_FINDINGS
     return worst
@@ -211,62 +210,13 @@ def _sanitizer_smoke():
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.lint import CodeModule, Severity, lint_code, self_lint
-
-    threshold = Severity.from_name(args.fail_level)
-    if not args.files and not args.self:
-        print("repro check: no input (pass .py/.json paths or --self)",
-              file=sys.stderr)
+    try:
+        report = _sanitizer_smoke()
+    except Exception as exc:  # noqa: BLE001 - smoke must not crash CI silently
+        print(f"repro check: sanitizer smoke failed: {exc}", file=sys.stderr)
         return LINT_PARSE_ERROR
-
-    worst = LINT_CLEAN
-
-    def account(diagnostics, source):
-        nonlocal worst
-        print(_render(diagnostics, args.format, source))
-        if diagnostics.at_least(threshold):
-            worst = LINT_FINDINGS
-
-    if args.self:
-        try:
-            account(self_lint(), "src/repro (self-lint)")
-        except SyntaxError as exc:
-            print(f"repro check: cannot parse {exc.filename}: {exc}",
-                  file=sys.stderr)
-            return LINT_PARSE_ERROR
-
-    for path in args.files:
-        if path.endswith(".py"):
-            try:
-                module = CodeModule.from_file(path)
-            except (OSError, SyntaxError) as exc:
-                print(f"{path}: cannot parse: {exc}", file=sys.stderr)
-                return LINT_PARSE_ERROR
-            account(lint_code(module), path)
-        else:
-            code = _cmd_lint(argparse.Namespace(
-                files=[path], format=args.format,
-                fail_level=args.fail_level, list_rules=False))
-            if code == LINT_PARSE_ERROR:
-                return code
-            worst = max(worst, code)
-
-    if args.self and not args.no_smoke:
-        try:
-            report = _sanitizer_smoke()
-        except Exception as exc:  # noqa: BLE001 - smoke must not crash CI silently
-            print(f"repro check: sanitizer smoke failed: {exc}",
-                  file=sys.stderr)
-            return LINT_PARSE_ERROR
-        if args.format == "text":
-            print(report.render_text())
-        else:
-            import json
-
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        if not report.ok():
-            worst = LINT_FINDINGS
-    return worst
+    print(report.render_text())
+    return LINT_CLEAN if report.ok() else LINT_FINDINGS
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
@@ -565,21 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="concurrency gate: code-scope lint + sanitizer smoke")
-    check.add_argument("files", nargs="*", metavar="PATH",
-                       help="Python sources (code-scope CC rules) and/or "
-                            "NFFG JSON files (graph rules)")
-    check.add_argument("--self", action="store_true",
-                       help="lint the installed repro package itself and "
-                            "run the runtime sanitizer smoke")
-    check.add_argument("--no-smoke", action="store_true",
-                       help="skip the runtime sanitizer smoke (--self)")
-    check.add_argument("--format", choices=("text", "json", "sarif"),
-                       default="text")
-    check.add_argument("--fail-level",
-                       choices=("info", "warning", "error"),
-                       default="warning",
-                       help="lowest severity that causes exit code 1")
+        help="sanitizer smoke: deploy, reconcile and tear down under "
+             "tracked locks, then cal.verify()")
     check.set_defaults(func=_cmd_check)
 
     scale = sub.add_parser("scale", help="run an elastic scaling cycle")

@@ -1,29 +1,17 @@
-"""Static analysis for NFFGs, virtualizer views, flow-rule tables —
-and, through the ``code`` scope, this repo's own source.
+"""Static analysis for NFFGs, virtualizer views and flow-rule tables.
 
 A rule-based analyzer in the tradition of compiler linters: every check
 is a registered :class:`~repro.lint.registry.LintRule` with a stable ID
-(``NF001``, ``RS002``, ``CC001``, ...), a default severity and a
-category; running a rule set over an NFFG (or a
-:class:`~repro.lint.codescope.CodeModule`) yields structured
+(``NF001``, ``RS002``, ...), a default severity and a category; running
+a rule set over an NFFG yields structured
 :class:`~repro.lint.diagnostics.Diagnostic` results that pinpoint the
-offending node/port/edge/flow rule — or file/line for code-scope
-findings.  The ESCAPE orchestrator runs the engine as a pre-deploy
-verification gate; ``repro lint`` exposes the graph rules and
-``repro check`` the code rules on the command line.
+offending node/port/edge/flow rule.  The ESCAPE orchestrator runs the
+engine as a pre-deploy verification gate; ``repro lint`` exposes it on
+the command line.
 """
 
-from repro.lint.codescope import CodeModule, iter_package_modules
 from repro.lint.diagnostics import Diagnostic, DiagnosticList, Severity
-from repro.lint.engine import (
-    LintContext,
-    LintEngine,
-    lint_code,
-    lint_nffg,
-    lint_source,
-    lint_views,
-    self_lint,
-)
+from repro.lint.engine import LintContext, LintEngine, lint_nffg, lint_views
 from repro.lint.registry import (
     RESERVED_PREFIXES,
     LintRule,
@@ -37,12 +25,10 @@ from repro.lint.report import (
     render_text,
 )
 
-# importing the rules modules populates the default registry
+# importing the rules module populates the default registry
 from repro.lint import rules as _rules  # noqa: F401  (registration side effect)
-from repro.lint import code_rules as _code_rules  # noqa: F401
 
 __all__ = [
-    "CodeModule",
     "Diagnostic",
     "DiagnosticList",
     "LintContext",
@@ -52,14 +38,10 @@ __all__ = [
     "RuleRegistry",
     "Severity",
     "default_registry",
-    "iter_package_modules",
-    "lint_code",
     "lint_nffg",
-    "lint_source",
     "lint_views",
     "render_json",
     "render_rule_catalog",
     "render_sarif",
     "render_text",
-    "self_lint",
 ]

@@ -4,8 +4,7 @@ A :class:`Diagnostic` is one finding of one rule: severity, stable rule
 id, category and an exact location inside the analyzed graph (node,
 port, edge, flow-rule index).  :class:`DiagnosticList` is the container
 every analysis entry point returns; it behaves like a plain list but
-adds severity filtering and the ``as_strings()`` shim that keeps older
-string-based assertions working.
+adds severity filtering.
 """
 
 from __future__ import annotations
@@ -49,11 +48,8 @@ class Diagnostic:
     port: Optional[str] = None
     edge: Optional[str] = None
     flowrule: Optional[int] = None
-    #: id of the NFFG/view — or, for code-scope rules, the file path —
-    #: the finding belongs to
+    #: id of the NFFG/view the finding belongs to
     graph: Optional[str] = None
-    #: source line (code-scope rules only)
-    line: Optional[int] = None
 
     def location(self) -> str:
         """Human-readable location string, empty when unlocated."""
@@ -66,8 +62,6 @@ class Diagnostic:
             parts.append(f"flowrule #{self.flowrule}")
         if self.edge is not None:
             parts.append(f"edge {self.edge}")
-        if self.line is not None:
-            parts.append(f"line {self.line}")
         return ", ".join(parts)
 
     def to_dict(self) -> dict[str, Any]:
@@ -77,7 +71,7 @@ class Diagnostic:
             "category": self.category,
             "message": self.message,
         }
-        for key in ("node", "port", "edge", "flowrule", "graph", "line"):
+        for key in ("node", "port", "edge", "flowrule", "graph"):
             value = getattr(self, key)
             if value is not None:
                 data[key] = value
@@ -93,21 +87,12 @@ class Diagnostic:
 class DiagnosticList(list):
     """A list of :class:`Diagnostic` with severity helpers."""
 
-    def as_strings(self) -> list[str]:
-        """Bare messages — compatibility shim for string-based callers."""
-        return [diag.message for diag in self]
-
     def at_least(self, severity: Severity) -> "DiagnosticList":
         return DiagnosticList(d for d in self if d.severity >= severity)
 
     @property
     def errors(self) -> "DiagnosticList":
         return self.at_least(Severity.ERROR)
-
-    @property
-    def warnings(self) -> "DiagnosticList":
-        return DiagnosticList(d for d in self
-                              if d.severity == Severity.WARNING)
 
     def worst(self) -> Optional[Severity]:
         return max((d.severity for d in self), default=None)
@@ -145,7 +130,6 @@ class Finding:
     flowrule: Optional[int] = None
     severity: Optional[Severity] = None
     graph: Optional[str] = None
-    line: Optional[int] = None
 
 
 def make_diagnostics(rule_id: str, category: str, default: Severity,
@@ -157,6 +141,5 @@ def make_diagnostics(rule_id: str, category: str, default: Severity,
                        category=category, message=finding.message,
                        node=finding.node, port=finding.port,
                        edge=finding.edge, flowrule=finding.flowrule,
-                       graph=finding.graph or graph_id,
-                       line=finding.line)
+                       graph=finding.graph or graph_id)
             for finding in findings]

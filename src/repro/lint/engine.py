@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.lint.codescope import CodeModule, iter_package_modules
 from repro.lint.diagnostics import DiagnosticList, make_diagnostics
-from repro.lint.registry import LintRule, RuleRegistry, default_registry
+from repro.lint.registry import LintRule, default_registry
 from repro.nffg.graph import NFFG
 
 
@@ -23,24 +22,21 @@ class LintContext:
     """Everything a rule may inspect.
 
     ``nffg`` is set for graph-scope rules, ``views`` for views-scope
-    rules, ``module`` for code-scope rules.  ``decomposition_library``
-    (duck-typed: ``is_abstract`` / ``options_for``) enables the
-    decomposition-coverage rules; they stay silent without one.
+    rules.  ``decomposition_library`` (duck-typed: ``is_abstract`` /
+    ``options_for``) enables the decomposition-coverage rules; they stay
+    silent without one.
     """
 
     nffg: Optional[NFFG] = None
     views: Sequence[NFFG] = field(default_factory=tuple)
     decomposition_library: Optional[object] = None
-    module: Optional[CodeModule] = None
 
 
 class LintEngine:
     """Run a rule selection over graphs and view sets."""
 
-    def __init__(self, rules: Optional[Iterable[LintRule]] = None,
-                 registry: Optional[RuleRegistry] = None):
-        self.registry = registry or default_registry()
-        self.rules = list(rules) if rules is not None else list(self.registry)
+    def __init__(self, rules: Optional[Iterable[LintRule]] = None):
+        self.rules = list(rules if rules is not None else default_registry())
 
     def _run_rules(self, scope: str, ctx: LintContext,
                    graph_id: Optional[str]) -> DiagnosticList:
@@ -75,11 +71,6 @@ class LintEngine:
         diagnostics.extend(self._run_rules("views", ctx, None))
         return _sorted(diagnostics)
 
-    def run_code(self, module: CodeModule) -> DiagnosticList:
-        """Analyze one parsed Python module with the code-scope rules."""
-        ctx = LintContext(module=module)
-        return _sorted(self._run_rules("code", ctx, module.path))
-
 
 def _sorted(diagnostics: DiagnosticList) -> DiagnosticList:
     return DiagnosticList(sorted(
@@ -99,28 +90,3 @@ def lint_views(views: Sequence[NFFG], *,
     """Convenience wrapper: run the default rule set over domain views."""
     return LintEngine(rules=rules).run_views(
         views, decomposition_library=decomposition_library)
-
-
-def lint_code(module: CodeModule, *,
-              rules: Optional[Iterable[LintRule]] = None) -> DiagnosticList:
-    """Convenience wrapper: run the code-scope rules over one module."""
-    return LintEngine(rules=rules).run_code(module)
-
-
-def lint_source(source: str, path: str = "<memory>", *,
-                rules: Optional[Iterable[LintRule]] = None) -> DiagnosticList:
-    """Run the code-scope rules over a source string (tests, tooling)."""
-    return lint_code(CodeModule.from_source(source, path), rules=rules)
-
-
-def self_lint(root: Optional[str] = None, *,
-              rules: Optional[Iterable[LintRule]] = None) -> DiagnosticList:
-    """Run the code-scope rules over every module of the repro package
-    (or any directory/file): the ``repro check --self`` gate."""
-    engine = LintEngine(rules=rules)
-    diagnostics = DiagnosticList()
-    for module in iter_package_modules(root):
-        diagnostics.extend(engine.run_code(module))
-    return DiagnosticList(sorted(
-        diagnostics,
-        key=lambda d: (d.graph or "", d.line or 0, d.rule_id)))

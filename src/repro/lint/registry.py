@@ -6,18 +6,15 @@ severity and a check function.  Check functions receive a
 :class:`~repro.lint.diagnostics.Finding` objects; the engine stamps
 rule id / category / severity onto each finding.
 
-Three scopes exist:
+Two scopes exist:
 
 - ``graph`` rules analyze one NFFG (the vast majority);
 - ``views`` rules analyze a *set* of domain views together, catching
   problems that only materialize when :func:`repro.nffg.ops.merge_nffgs`
-  stitches them (duplicate node ids, mismatched hand-off tags);
-- ``code`` rules analyze a parsed Python module of this code base
-  itself (:class:`~repro.lint.codescope.CodeModule`) — the CC
-  concurrency rules.
+  stitches them (duplicate node ids, mismatched hand-off tags).
 
 Rule ids are namespaced: two uppercase letters plus three digits, and
-the prefixes this project has assigned a meaning (NF/RS/FR/MD/DC/CC,
+the prefixes this project has assigned a meaning (NF/RS/FR/MD/DC,
 plus MP which the mapping validator emits outside the registry) are
 **reserved** — registering a rule under a reserved prefix with the
 wrong category, or under MP at all, is rejected so the catalog stays
@@ -43,11 +40,10 @@ RESERVED_PREFIXES: dict[str, Optional[str]] = {
     "FR": "flowrules",        # flow-rule analysis
     "MD": "multidomain",      # multi-domain consistency
     "DC": "decomposition",    # decomposition coverage
-    "CC": "code",             # code-scope concurrency rules
     "MP": None,               # repro.mapping.validate (post-mapping)
 }
 
-VALID_SCOPES = ("graph", "views", "code")
+VALID_SCOPES = ("graph", "views")
 
 _ID_PATTERN = re.compile(r"^([A-Z]{2})(\d{3})$")
 
@@ -130,9 +126,8 @@ class RuleRegistry:
         return len(self._rules)
 
     def select(self, *, ids: Optional[Iterable[str]] = None,
-               categories: Optional[Iterable[str]] = None,
-               scope: Optional[str] = None) -> list[LintRule]:
-        """Rules filtered by id, category and/or scope."""
+               categories: Optional[Iterable[str]] = None) -> list[LintRule]:
+        """Rules filtered by id and/or category."""
         wanted_ids = set(ids) if ids is not None else None
         wanted_categories = set(categories) if categories is not None else None
         selected = []
@@ -141,8 +136,6 @@ class RuleRegistry:
                 continue
             if (wanted_categories is not None
                     and rule.category not in wanted_categories):
-                continue
-            if scope is not None and rule.scope != scope:
                 continue
             selected.append(rule)
         return selected

@@ -6,7 +6,7 @@ import json
 from typing import Optional
 
 from repro.lint.diagnostics import DiagnosticList
-from repro.lint.registry import RuleRegistry, default_registry
+from repro.lint.registry import default_registry
 
 #: Diagnostic severity label -> SARIF result level
 _SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
@@ -39,13 +39,11 @@ def render_json(diagnostics: DiagnosticList, *,
 
 
 def render_sarif(diagnostics: DiagnosticList, *,
-                 source: Optional[str] = None,
-                 registry: Optional[RuleRegistry] = None) -> str:
+                 source: Optional[str] = None) -> str:
     """SARIF 2.1.0 report — the shape CI annotators (GitHub code
-    scanning) ingest.  ``graph`` doubles as the artifact URI: the file
-    path for code-scope findings, the NFFG/view id (or ``source``)
-    otherwise."""
-    registry = registry or default_registry()
+    scanning) ingest.  ``graph`` doubles as the artifact URI: the
+    NFFG/view id, or ``source``."""
+    registry = default_registry()
     rules_meta: dict[str, dict] = {}
     results = []
     for diag in diagnostics:
@@ -63,10 +61,8 @@ def render_sarif(diagnostics: DiagnosticList, *,
         }
         uri = diag.graph or source
         if uri is not None:
-            location = {"artifactLocation": {"uri": uri}}
-            if diag.line is not None:
-                location["region"] = {"startLine": diag.line}
-            result["locations"] = [{"physicalLocation": location}]
+            result["locations"] = [{"physicalLocation": {
+                "artifactLocation": {"uri": uri}}}]
         results.append(result)
     payload = {
         "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
@@ -84,9 +80,9 @@ def render_sarif(diagnostics: DiagnosticList, *,
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_rule_catalog(registry: Optional[RuleRegistry] = None) -> str:
-    """The rule catalog, grouped by category."""
-    registry = registry or default_registry()
+def render_rule_catalog() -> str:
+    """The default registry's rule catalog, grouped by category."""
+    registry = default_registry()
     lines = []
     for category in registry.categories():
         lines.append(f"{category}:")

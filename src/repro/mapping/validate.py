@@ -9,8 +9,7 @@ counted where it is written, by the CAL (``orchestration/cal.py``).
 Violations are reported as structured
 :class:`~repro.lint.diagnostics.Diagnostic` objects (rule ids ``MP0xx``,
 category ``mapping``) so they compose with the static-analysis
-subsystem; :meth:`~repro.lint.diagnostics.DiagnosticList.as_strings`
-recovers the bare messages for callers that only want text.
+subsystem; each one's ``message`` is the bare text.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Optional
 
 from repro.netconf.messages import Hello, Notification, RpcReply, RpcRequest
@@ -36,7 +37,11 @@ class NetconfClient:
         #: with the operation name before each RPC; may raise to
         #: simulate a lost/failed exchange
         self.fault_hook: Optional[Callable[[str], None]] = None
-        self._replies: dict[int, RpcReply] = {}
+        self._replies: dict[str, RpcReply] = {}
+        #: numbers this session's requests 1, 2, ...; RFC 6241 §4.1
+        #: makes the message-id the client's string, and one width keeps
+        #: the bytes of a request independent of how many came before it
+        self._message_ids = itertools.count(1)
 
     # -- session ------------------------------------------------------------
 
@@ -68,7 +73,8 @@ class NetconfClient:
     def rpc(self, op: str, **params: Any) -> Any:
         if self.fault_hook is not None:
             self.fault_hook(op)
-        request = RpcRequest(op=op, params=params)
+        message_id = f"{next(self._message_ids):06d}"
+        request = RpcRequest(op=op, message_id=message_id, params=params)
         self.channel.send_to_b(request)
         reply = self._replies.pop(request.message_id, None)
         if reply is None:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-_MSG_ID = itertools.count(1)
 
 
 @dataclass
@@ -24,11 +21,13 @@ class Hello:
 
 @dataclass
 class RpcRequest:
-    """An <rpc> envelope: operation name + params dict."""
+    """An <rpc> envelope: operation name + params dict.  The
+    ``message_id`` is the sending client's (RFC 6241 §4.1): see
+    :class:`~repro.netconf.client.NetconfClient`."""
 
     op: str
+    message_id: str
     params: dict[str, Any] = field(default_factory=dict)
-    message_id: int = field(default_factory=lambda: next(_MSG_ID))
 
     def to_wire(self) -> str:
         return json.dumps({"rpc": {"message_id": self.message_id,
@@ -49,7 +48,7 @@ class RpcError:
 
 @dataclass
 class RpcReply:
-    message_id: int
+    message_id: str
     ok: bool = True
     data: Any = None
     error: Optional[RpcError] = None

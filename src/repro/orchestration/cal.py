@@ -118,7 +118,7 @@ class ControllerAdaptationLayer:
         #: resident service costs O(service).  This map IS the desired
         #: state the write-ahead intent journal protects — only the
         #: annotated mutators may write it, and their callers must hold
-        #: an open intent scope (lint rule CC007).
+        #: an open intent scope (code rule CC007, a tier-1 test).
         self._deployed: dict[str, tuple[NFFG, MappingResult]] = (
             {}  # journaled: commit_mapping remove_service restore_service
         )

@@ -75,8 +75,8 @@ class ResourceOrchestrator:
                                             resource_view, result)
             if problems:
                 result.success = False
-                result.failure_reason = ("mapping verification failed: "
-                                         + "; ".join(problems.as_strings()))
+                result.failure_reason = "mapping verification failed: " \
+                    + "; ".join(d.message for d in problems)
         if result.success:
             self.mappings_succeeded += 1
         observe("map.latency_s", result.runtime_s,

@@ -189,10 +189,12 @@ def recover(journal: IntentJournal,
 
 
 def _diff_domains(escape, inflight_domains: set[str]) -> dict[str, DomainDiff]:
-    """Fetch live views through the CAL and diff each domain
-    against the recovered desired state."""
+    """Diff each domain's live view against the recovered desired
+    state.  The views are the ones ``import_state`` just fetched into
+    this fresh CAL; a domain nothing fetched yet (an empty journal) or
+    whose fetch failed is still stale and is fetched here."""
     cal = escape.cal
-    live = cal.pristine_view()
+    live = cal.pristine_view(refresh=False)
     placed = {nf_id: infra_id
               for service_id in cal.deployed_services()
               for nf_id, infra_id in cal.snapshot_service(

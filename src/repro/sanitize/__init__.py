@@ -12,9 +12,9 @@ Two pieces:
   :class:`SanitizerReport`: lock-order inversions (potential deadlock
   cycles), blocking calls under a lock, and hold-time outliers.
 
-The static counterpart — AST rules catching the same bug classes at
-review time — lives in :mod:`repro.lint.code_rules` (``CC0xx``); both
-surface through the ``repro check`` CLI.
+The static counterpart — AST rules catching the same bug classes in
+the source — is the tier-1 test module ``tests/test_code_rules.py``
+(``CC001``–``CC007``); the ``repro check`` CLI runs the sanitizer smoke.
 """
 
 from repro.sanitize.locks import (

@@ -343,4 +343,3 @@ class TestEngineAndReporting:
         assert diagnostics.worst() is Severity.ERROR
         assert diagnostics.at_least(Severity.ERROR) == diagnostics.errors
         assert set(diagnostics.by_rule()) == diagnostics.rule_ids()
-        assert len(diagnostics.as_strings()) == len(diagnostics)

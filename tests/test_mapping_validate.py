@@ -32,7 +32,7 @@ def test_failed_mapping_reports_reason():
     result = MappingResult(success=False, failure_reason="nope")
     problems = validate_mapping(NFFGBuilder("x").sap("sap1").build(),
                                 substrate, result)
-    assert problems.as_strings() == ["mapping failed: nope"]
+    assert [d.message for d in problems] == ["mapping failed: nope"]
     assert problems[0].rule_id == "MP001"
     assert problems[0].severity is Severity.ERROR
 
@@ -40,22 +40,22 @@ def test_failed_mapping_reports_reason():
 def test_detects_unplaced_nf(scenario):
     substrate, service, result = scenario
     del result.nf_placement["fw"]
-    assert any("unplaced" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("unplaced" in d.message for d in
+               validate_mapping(service, substrate, result))
 
 
 def test_detects_unknown_host(scenario):
     substrate, service, result = scenario
     result.nf_placement["fw"] = "ghost"
-    assert any("unknown infra" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("unknown infra" in d.message for d in
+               validate_mapping(service, substrate, result))
 
 
 def test_detects_unsupporting_host(scenario):
     substrate, service, result = scenario
     substrate.infra(result.nf_placement["fw"]).supported_types = {"nat"}
-    assert any("unsupporting" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("unsupporting" in d.message for d in
+               validate_mapping(service, substrate, result))
 
 
 def test_detects_overcommit(scenario):
@@ -63,16 +63,16 @@ def test_detects_overcommit(scenario):
     host = result.nf_placement["fw"]
     substrate.infra(host).resources = \
         substrate.infra(host).resources.scaled(0.0)
-    assert any("over-committed" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("over-committed" in d.message for d in
+               validate_mapping(service, substrate, result))
 
 
 def test_detects_unrouted_hop(scenario):
     substrate, service, result = scenario
     first_hop = service.sg_hops[0].id
     del result.hop_routes[first_hop]
-    assert any("unrouted" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("unrouted" in d.message for d in
+               validate_mapping(service, substrate, result))
 
 
 def test_detects_wrong_endpoint(scenario):
@@ -81,8 +81,8 @@ def test_detects_wrong_endpoint(scenario):
     route = result.hop_routes[hop.id]
     route.infra_path[0] = "s-bb2"
     problems = validate_mapping(service, substrate, result)
-    strings = problems.as_strings()
-    assert any("starts at" in p or "does not connect" in p for p in strings)
+    assert any("starts at" in d.message or "does not connect" in d.message
+               for d in problems)
     assert all(d.rule_id == "MP030" for d in problems)
 
 
@@ -96,28 +96,28 @@ def test_detects_disconnected_link_chain(scenario):
         wrong_link = substrate.links[-2].id
     multi[0].link_ids[0] = wrong_link
     problems = validate_mapping(service, substrate, result)
-    assert any("does not connect" in p or "unknown link" in p
-               for p in problems.as_strings())
+    assert any("does not connect" in d.message or "unknown link" in d.message
+               for d in problems)
 
 
 def test_detects_bandwidth_oversubscription(scenario):
     substrate, service, result = scenario
     for route in result.hop_routes.values():
         route.bandwidth = 10_000.0
-    assert any("over-subscribed" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("over-subscribed" in d.message for d in
+               validate_mapping(service, substrate, result))
 
 
 def test_detects_delay_violation(scenario):
     substrate, service, result = scenario
     for route in result.hop_routes.values():
         route.delay = 100.0
-    assert any("delay" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("delay" in d.message for d in
+               validate_mapping(service, substrate, result))
 
 
 def test_detects_foreign_nf_in_placement(scenario):
     substrate, service, result = scenario
     result.nf_placement["alien"] = "s-bb0"
-    assert any("non-service NF" in p for p in
-               validate_mapping(service, substrate, result).as_strings())
+    assert any("non-service NF" in d.message for d in
+               validate_mapping(service, substrate, result))

@@ -103,7 +103,7 @@ class TestValidatorChecksConstraints:
         result = GreedyEmbedder().map(request.sg, substrate)
         result.nf_placement["v-fw"] = "s-bb0"  # violate post-hoc
         problems = validate_mapping(request.sg, substrate, result)
-        assert any("pinned" in p for p in problems.as_strings())
+        assert any("pinned" in d.message for d in problems)
 
     def test_validator_flags_violated_anti_affinity(self):
         substrate = _substrate()
@@ -117,4 +117,4 @@ class TestValidatorChecksConstraints:
         assert result.success
         result.nf_placement["v2-nat"] = result.nf_placement["v2-fw"]
         problems = validate_mapping(request.sg, substrate, result)
-        assert any("anti-affinity" in p for p in problems.as_strings())
+        assert any("anti-affinity" in d.message for d in problems)

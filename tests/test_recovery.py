@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.nffg.builder import mesh_substrate
 from repro.orchestration import DirectDomainAdapter, EscapeOrchestrator
+from repro.perf import counters
 from repro.recovery import (
     CrashPlan,
     IntentJournal,
@@ -28,6 +29,7 @@ from repro.recovery.journal import fold_records
 from repro.resilience import BreakerState
 from repro.resilience.breaker import CircuitBreaker
 from repro.service import ServiceRequestBuilder
+from repro.topo import build_reference_multidomain
 
 
 def _chain_service(index: int, length: int = 1):
@@ -387,6 +389,48 @@ class TestRecoverEndToEnd:
                          list(escape.cal.adapters.values()))
         cal = report.orchestrator.cal
         assert cal.dov.nfs and cal.verify() == []
+
+
+class TestRecoverFetches:
+    """A recovery reads each domain's view once: the diff reuses what
+    the import's DoV build fetched into the fresh CAL."""
+
+    @staticmethod
+    def _fetches(journal, adapters, **kwargs):
+        before = counters.get("cal.fetch")
+        report = recover(journal, adapters, **kwargs)
+        assert report.ok()
+        report.orchestrator.cal.dispatcher.shutdown()
+        return counters.get("cal.fetch") - before
+
+    def test_static_view_domain(self):
+        escape, _ = _direct_escape()
+        for index in range(3):
+            assert escape.deploy(_chain_service(index),
+                                 wait_activation=False).success
+        adapters = list(escape.cal.adapters.values())
+        assert self._fetches(escape.journal, adapters) == 1
+
+    def test_fig1_testbed(self):
+        testbed = build_reference_multidomain()
+        escape = testbed.escape
+        for index in range(2):
+            request = (ServiceRequestBuilder(f"f{index}")
+                       .sap("sap1").sap("sap2")
+                       .nf(f"f{index}-fw", "firewall")
+                       .chain("sap1", f"f{index}-fw", "sap2",
+                              bandwidth=1.0).build())
+            assert testbed.service_layer.submit(request).success
+        escape.cal.dispatcher.shutdown()
+        adapters = list(escape.cal.adapters.values())
+        assert len(adapters) == 4
+        assert self._fetches(escape.journal, adapters,
+                             simulator=testbed.network.simulator) == 4
+
+    def test_empty_journal(self):
+        escape, _ = _direct_escape()
+        adapters = list(escape.cal.adapters.values())
+        assert self._fetches(IntentJournal(), adapters) == 1
 
 
 def journal_kinds(journal):
