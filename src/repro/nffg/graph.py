@@ -1,8 +1,9 @@
 """The NFFG container: a typed multigraph of NFs, SAPs and BiS-BiS nodes.
 
-The adjacency is plain dicts the NFFG keeps itself, so a dropped graph is
-freed by reference counting; :meth:`NFFG.infra_topology` hands a fresh
-:mod:`networkx` graph to the code that runs graph algorithms on it.
+The adjacency is plain dicts of per-pair edge tuples the NFFG keeps
+itself, so a dropped graph is freed by reference counting;
+:meth:`NFFG.infra_topology` hands a fresh :mod:`networkx` graph to the
+code that runs graph algorithms on it.
 Orchestration code goes through the typed API, never raw dictionaries.
 """
 
@@ -58,10 +59,11 @@ class NFFG:
         self.metadata: dict[str, Any] = {}
         self._nodes: dict[str, NodeObj] = {}
         self._edges: dict[str, EdgeObj] = {}
-        # _succ[u][v] and _pred[v][u] are one {edge id: edge} dict per
-        # node pair, in insertion order, dropped when it empties
-        self._succ: dict[str, dict[str, dict[str, EdgeObj]]] = {}
-        self._pred: dict[str, dict[str, dict[str, EdgeObj]]] = {}
+        # _succ[u][v] and _pred[v][u] are one tuple of the pair's edges
+        # in insertion order, replaced on every add and remove and
+        # dropped when it empties
+        self._succ: dict[str, dict[str, tuple[EdgeObj, ...]]] = {}
+        self._pred: dict[str, dict[str, tuple[EdgeObj, ...]]] = {}
         self._id_seq = 0
 
     # ------------------------------------------------------------------
@@ -194,10 +196,8 @@ class NFFG:
         self._check_endpoint(src, edge.src_port)
         self._check_endpoint(dst, edge.dst_port)
         self._edges[edge.id] = edge
-        pair = self._succ[src].get(dst)
-        if pair is None:
-            pair = self._succ[src][dst] = self._pred[dst][src] = {}
-        pair[edge.id] = edge
+        self._succ[src][dst] = self._pred[dst][src] = (
+            *self._succ[src].get(dst, ()), edge)
         return edge
 
     def add_link(self, src_node: str, src_port: str, dst_node: str, dst_port: str,
@@ -252,9 +252,10 @@ class NFFG:
         if edge is None:
             raise NFFGError(f"unknown edge {edge_id!r}")
         src, dst = edge.src_node, edge.dst_node
-        pair = self._succ[src][dst]
-        del pair[edge_id]
-        if not pair:
+        pair = tuple(kept for kept in self._succ[src][dst] if kept is not edge)
+        if pair:
+            self._succ[src][dst] = self._pred[dst][src] = pair
+        else:
             del self._succ[src][dst], self._pred[dst][src]
 
     # -- typed edge accessors -------------------------------------------
@@ -296,27 +297,27 @@ class NFFG:
         if node_id not in self._succ:
             return
         yield from [edge for pair in self._succ[node_id].values()
-                    for edge in pair.values()]
+                    for edge in pair]
         # a self-loop's pair is on both sides: it was yielded above
         yield from [edge for src, pair in self._pred[node_id].items()
-                    if src != node_id for edge in pair.values()]
+                    if src != node_id for edge in pair]
 
     def edges_between(self, node_a: str, node_b: str) -> Iterator[EdgeObj]:
         """The edges joining two nodes, either way round, by lookup."""
-        yield from self._succ.get(node_a, {}).get(node_b, {}).values()
+        yield from self._succ.get(node_a, {}).get(node_b, ())
         if node_b != node_a:
-            yield from self._succ.get(node_b, {}).get(node_a, {}).values()
+            yield from self._succ.get(node_b, {}).get(node_a, ())
 
     def out_links(self, node_id: str) -> list[EdgeLink]:
         if node_id not in self._succ:
             return []
         return [edge for pair in self._succ[node_id].values()
-                for edge in pair.values() if isinstance(edge, EdgeLink)
+                for edge in pair if isinstance(edge, EdgeLink)
                 and edge.link_type == LinkType.STATIC]
 
     def link_between(self, src_node: str, dst_node: str) -> Optional[EdgeLink]:
-        pair = self._succ.get(src_node, {}).get(dst_node, {})
-        return next((edge for edge in pair.values()
+        pair = self._succ.get(src_node, {}).get(dst_node, ())
+        return next((edge for edge in pair
                      if isinstance(edge, EdgeLink)
                      and edge.link_type == LinkType.STATIC), None)
 
@@ -356,7 +357,7 @@ class NFFG:
             return None
         for dst, pair in self._succ[nf_id].items():
             if (isinstance(self._nodes[dst], NodeInfra)
-                    and any(map(_is_dynamic, pair.values()))):
+                    and any(map(_is_dynamic, pair))):
                 return dst
         return None
 
@@ -366,7 +367,7 @@ class NFFG:
         return [self._nodes[src]
                 for src, pair in self._pred[infra_id].items()
                 if isinstance(self._nodes[src], NodeNF)
-                and any(map(_is_dynamic, pair.values()))]
+                and any(map(_is_dynamic, pair))]
 
     def infra_port_of_nf(self, nf_id: str, nf_port_id: str) -> Optional[tuple[str, str]]:
         """(infra_id, infra_port_id) bound to the given NF port."""
@@ -374,7 +375,7 @@ class NFFG:
         if nf_id not in self._succ:
             return None
         for pair in self._succ[nf_id].values():
-            for edge in pair.values():
+            for edge in pair:
                 if _is_dynamic(edge) and edge.src_port == nf_port_id:
                     return edge.dst_node, edge.dst_port
         return None
@@ -387,10 +388,11 @@ class NFFG:
         """Structured clone of the whole graph.
 
         Hand-rolled fast path: nodes, ports, flowrules and edges are
-        cloned field-by-field (see ``clone()`` on the model classes)
-        and the adjacency dicts are filled directly — an order of
-        magnitude cheaper than ``copy.deepcopy``'s generic memo walk on
-        control-plane-sized views.
+        slotted records cloned field by field (see ``clone()`` on the
+        model classes), and each node pair's tuple of edges is built in
+        edge order directly — an order of magnitude cheaper than
+        ``copy.deepcopy``'s generic memo walk on control-plane-sized
+        views.
         """
         clone = NFFG(id=self.id if new_id is None else new_id,
                      name=self.name, version=self.version)
@@ -405,10 +407,8 @@ class NFFG:
         for edge_id, edge in self._edges.items():
             cloned = edges[edge_id] = edge.clone()
             src, dst = cloned.src_node, cloned.dst_node
-            pair = succ[src].get(dst)
-            if pair is None:
-                pair = succ[src][dst] = pred[dst][src] = {}
-            pair[edge_id] = cloned
+            succ[src][dst] = pred[dst][src] = (*succ[src].get(dst, ()),
+                                               cloned)
         counters.incr("nffg.copy.calls")
         counters.incr("nffg.copy.nodes", len(nodes))
         counters.incr("nffg.copy.edges", len(edges))
@@ -421,10 +421,11 @@ class NFFG:
 
         SG hops and requirement edges are dropped: the result is a
         deployment-only view — exactly what the CAL's ``_install_for``
-        hands to a domain adapter.  Same direct-fill fast path as
+        hands to a domain adapter.  Same field-by-field clones as
         :meth:`copy`; the links are found by walking the kept nodes'
         adjacency, so the clone costs the subgraph and not this graph
-        (edges come out in that walk's order).
+        (edges come out in that walk's order, and each pair's tuple
+        keeps its links in this graph's order).
         """
         clone = NFFG(id=new_id, name=name or new_id, version=self.version)
         clone._id_seq = self._id_seq
@@ -438,13 +439,12 @@ class NFFG:
             for dst, own_pair in self._succ[src].items():
                 if dst not in nodes:
                     continue
-                pair = None
-                for edge_id, edge in own_pair.items():
-                    if not isinstance(edge, EdgeLink):
-                        continue
-                    if pair is None:
-                        pair = succ[src][dst] = pred[dst][src] = {}
-                    pair[edge_id] = edges[edge_id] = edge.clone()
+                pair = tuple(edge.clone() for edge in own_pair
+                             if isinstance(edge, EdgeLink))
+                if pair:
+                    succ[src][dst] = pred[dst][src] = pair
+                    for edge in pair:
+                        edges[edge.id] = edge
         return clone
 
     def placed_nfs(self) -> list[tuple[str, NodeNF]]:

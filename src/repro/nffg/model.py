@@ -5,8 +5,13 @@ The model follows the UNIFY NFFG used by ESCAPEv2: three node types
 SG hop, requirement), ports on every node and flow rules attached to
 infra ports.
 
-Every element exposes ``clone()``: a structured deep copy that walks
-the known fields directly instead of going through ``copy.deepcopy``'s
+Every element is a slotted record: its fields live in fixed slots and
+it carries no instance ``__dict__``, so the many copies of a substrate
+the stack holds (domain views, the DoV, install slices) cost little
+each; edges also take weak references.  :func:`record` reads an
+element's field values — what two elements are compared by.  Every
+element exposes ``clone()``: a structured deep copy that writes the
+known fields one by one instead of going through ``copy.deepcopy``'s
 generic memo machinery — the basis of the :meth:`NFFG.copy` fast path.
 """
 
@@ -14,12 +19,14 @@ from __future__ import annotations
 
 import copy as _copy
 import enum
+import functools
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 
 def _clone_payload(data: dict) -> dict:
-    """Copy a metadata/capabilities dict.
+    """Copy a metadata dict.
 
     Values are almost always scalars or small lists; ``deepcopy`` is
     only paid when the dict is non-empty.
@@ -60,7 +67,21 @@ class LinkType(str, enum.Enum):
     REQUIREMENT = "REQ"      #: end-to-end requirement edge
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _fields_getter(cls: type, skip: str) -> Callable[[object], tuple]:
+    return operator.attrgetter(*(
+        name for klass in reversed(cls.__mro__)
+        for name in getattr(klass, "__slots__", ())
+        if name not in ("__weakref__", skip)))
+
+
+def record(element: object, skip: str = "") -> tuple:
+    """The values of a model element's fields but ``skip``: two elements
+    of one type hold the same record when these tuples are equal."""
+    return _fields_getter(type(element), skip)(element)
+
+
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     """Joint compute + network resource vector.
 
@@ -130,7 +151,7 @@ class ResourceVector:
         return cls(**{key: float(value) for key, value in data.items()})
 
 
-@dataclass
+@dataclass(slots=True)
 class Port:
     """A port on an NFFG node.
 
@@ -143,7 +164,6 @@ class Port:
     node_id: str = ""
     name: str = ""
     sap_tag: Optional[str] = None
-    capabilities: dict[str, Any] = field(default_factory=dict)
     flowrules: list["Flowrule"] = field(default_factory=list)
 
     def add_flowrule(self, match: str, action: str, bandwidth: float = 0.0,
@@ -157,16 +177,9 @@ class Port:
         self.flowrules.clear()
 
     def clone(self) -> "Port":
-        # bypasses __init__: Port.clone dominates NFFG.copy, which is
-        # the control-plane hot loop (one copy per resource view /
-        # mapped graph / install slice)
-        port = Port.__new__(Port)
-        data = port.__dict__
-        data.update(self.__dict__)
-        data["capabilities"] = _clone_payload(self.capabilities)
         # Flowrule is immutable: share the instances, copy the list
-        data["flowrules"] = list(self.flowrules) if self.flowrules else []
-        return port
+        return Port(self.id, self.node_id, self.name, self.sap_tag,
+                    list(self.flowrules))
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {"id": self.id}
@@ -174,8 +187,6 @@ class Port:
             data["name"] = self.name
         if self.sap_tag is not None:
             data["sap_tag"] = self.sap_tag
-        if self.capabilities:
-            data["capabilities"] = dict(self.capabilities)
         if self.flowrules:
             data["flowrules"] = [rule.to_dict() for rule in self.flowrules]
         return data
@@ -183,14 +194,13 @@ class Port:
     @classmethod
     def from_dict(cls, data: dict[str, Any], node_id: str = "") -> "Port":
         port = cls(id=str(data["id"]), node_id=node_id,
-                   name=data.get("name", ""), sap_tag=data.get("sap_tag"),
-                   capabilities=dict(data.get("capabilities", {})))
+                   name=data.get("name", ""), sap_tag=data.get("sap_tag"))
         for rule_data in data.get("flowrules", []):
             port.flowrules.append(Flowrule.from_dict(rule_data))
         return port
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flowrule:
     """A flow rule inside a BiS-BiS: steering between two of its ports.
 
@@ -255,6 +265,7 @@ def _parse_kv(spec: str) -> dict[str, str]:
 class _NodeBase:
     """Shared behaviour for the three node classes."""
 
+    __slots__ = ("id", "name", "ports", "metadata")
     type: NodeType
 
     def __init__(self, id: str, name: str = ""):
@@ -300,21 +311,16 @@ class _NodeBase:
             self.ports[port.id] = port
         self.metadata.update(data.get("metadata", {}))
 
-    def _clone_base_into(self, clone: "_NodeBase") -> None:
-        # inlined Port.clone: node cloning is the hot path of NFFG.copy
-        # and pays one function call per port otherwise
-        ports: dict[str, Port] = {}
-        new = Port.__new__
-        for port_id, port in self.ports.items():
-            cloned = new(Port)
-            data = cloned.__dict__
-            data.update(port.__dict__)
-            data["capabilities"] = _clone_payload(port.capabilities)
-            data["flowrules"] = (list(port.flowrules)
-                                 if port.flowrules else [])
-            ports[port_id] = cloned
-        clone.ports = ports
-        clone.metadata = _clone_payload(self.metadata)
+    def _clone_base(self):
+        """A new node of this one's class with its base fields copied;
+        the subclass's ``clone`` copies the rest."""
+        node = object.__new__(type(self))
+        node.id = self.id
+        node.name = self.name
+        node.ports = {port_id: port.clone()
+                      for port_id, port in self.ports.items()}
+        node.metadata = _clone_payload(self.metadata)
+        return node
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.id}>"
@@ -328,6 +334,8 @@ class NodeNF(_NodeBase):
     "vm") — domains advertise which deployment types they support.
     """
 
+    __slots__ = ("functional_type", "deployment_type", "resources",
+                 "status")
     type = NodeType.NF
 
     def __init__(self, id: str, functional_type: str, name: str = "",
@@ -340,9 +348,11 @@ class NodeNF(_NodeBase):
         self.status: str = "initialized"
 
     def clone(self) -> "NodeNF":
-        node = NodeNF.__new__(NodeNF)
-        node.__dict__.update(self.__dict__)  # resources stay shared
-        self._clone_base_into(node)
+        node = self._clone_base()
+        node.functional_type = self.functional_type
+        node.deployment_type = self.deployment_type
+        node.resources = self.resources  # immutable: shared
+        node.status = self.status
         return node
 
     def to_dict(self) -> dict[str, Any]:
@@ -368,6 +378,7 @@ class NodeNF(_NodeBase):
 class NodeSAP(_NodeBase):
     """Service access point: where user traffic enters/leaves the chain."""
 
+    __slots__ = ("binding",)
     type = NodeType.SAP
 
     def __init__(self, id: str, name: str = "", binding: Optional[str] = None):
@@ -376,9 +387,8 @@ class NodeSAP(_NodeBase):
         self.binding = binding
 
     def clone(self) -> "NodeSAP":
-        node = NodeSAP.__new__(NodeSAP)
-        node.__dict__.update(self.__dict__)
-        self._clone_base_into(node)
+        node = self._clone_base()
+        node.binding = self.binding
         return node
 
     def to_dict(self) -> dict[str, Any]:
@@ -403,6 +413,8 @@ class NodeInfra(_NodeBase):
     internal forwarding ``delay`` / ``bandwidth`` of the big switch.
     """
 
+    __slots__ = ("infra_type", "domain", "resources", "supported_types",
+                 "cost_per_cpu")
     type = NodeType.INFRA
 
     def __init__(self, id: str, name: str = "",
@@ -420,10 +432,12 @@ class NodeInfra(_NodeBase):
         self.cost_per_cpu = cost_per_cpu
 
     def clone(self) -> "NodeInfra":
-        node = NodeInfra.__new__(NodeInfra)
-        node.__dict__.update(self.__dict__)  # resources stay shared
+        node = self._clone_base()
+        node.infra_type = self.infra_type
+        node.domain = self.domain
+        node.resources = self.resources  # immutable: shared
         node.supported_types = set(self.supported_types)
-        self._clone_base_into(node)
+        node.cost_per_cpu = self.cost_per_cpu
         return node
 
     def supports(self, functional_type: str) -> bool:
@@ -454,7 +468,7 @@ class NodeInfra(_NodeBase):
         return node
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class EdgeLink:
     """Static (substrate) or dynamic (NF binding) link between two ports."""
 
@@ -474,9 +488,9 @@ class EdgeLink:
         return self.bandwidth - self.reserved
 
     def clone(self) -> "EdgeLink":
-        clone = EdgeLink.__new__(EdgeLink)
-        clone.__dict__.update(self.__dict__)
-        return clone
+        return EdgeLink(self.id, self.src_node, self.src_port, self.dst_node,
+                        self.dst_port, self.link_type, self.delay,
+                        self.bandwidth, self.reserved)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -498,7 +512,7 @@ class EdgeLink:
                    reserved=float(data.get("reserved", 0.0)))
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class EdgeSGHop:
     """A hop of the requested service chain (NF/SAP graph level).
 
@@ -517,9 +531,9 @@ class EdgeSGHop:
     delay: float = 0.0
 
     def clone(self) -> "EdgeSGHop":
-        clone = EdgeSGHop.__new__(EdgeSGHop)
-        clone.__dict__.update(self.__dict__)
-        return clone
+        return EdgeSGHop(self.id, self.src_node, self.src_port, self.dst_node,
+                         self.dst_port, self.flowclass, self.bandwidth,
+                         self.delay)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -540,7 +554,7 @@ class EdgeSGHop:
                    delay=float(data.get("delay", 0.0)))
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class EdgeReq:
     """End-to-end requirement over a sequence of SG hops.
 
@@ -559,10 +573,9 @@ class EdgeReq:
     max_delay: float = float("inf")
 
     def clone(self) -> "EdgeReq":
-        clone = EdgeReq.__new__(EdgeReq)
-        clone.__dict__.update(self.__dict__)
-        clone.sg_path = list(self.sg_path)
-        return clone
+        return EdgeReq(self.id, self.src_node, self.src_port, self.dst_node,
+                       self.dst_port, list(self.sg_path), self.bandwidth,
+                       self.max_delay)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -28,6 +28,7 @@ from repro.nffg.model import (
     NodeInfra,
     NodeNF,
     ResourceVector,
+    record,
 )
 
 
@@ -162,8 +163,8 @@ class Touched:
 def _differs_only_in(held: object, fresh: object, name: str) -> bool:
     """``held`` and ``fresh`` are records of one type whose fields agree
     on everything but ``name``."""
-    return (type(held) is type(fresh) and {**held.__dict__, name: None}
-            == {**fresh.__dict__, name: None})
+    return (type(held) is type(fresh)
+            and record(held, name) == record(fresh, name))
 
 
 def refresh_members(target: NFFG, source: NFFG, touched: Touched) -> set[str]:
@@ -236,13 +237,12 @@ def differing_members(old: NFFG, new: NFFG) -> Optional[Touched]:
     for node in new.nodes:
         was = gone.pop(node.id, None)
         if not isinstance(node, NodeInfra):
-            if (was is None or was.__dict__ != node.__dict__
+            if (was is None or record(was) != record(node)
                     or old.host_of(node.id) != new.host_of(node.id)):
                 touched.nodes.add(node.id)
             continue
         if not isinstance(was, NodeInfra) or (
-                {**was.__dict__, "ports": None}
-                != {**node.__dict__, "ports": None}):
+                record(was, "ports") != record(node, "ports")):
             return None
         for port_id in was.ports.keys() | node.ports.keys():
             before, after = was.ports.get(port_id), node.ports.get(port_id)

@@ -3,7 +3,8 @@ flow-mods, dispatches packet-ins to registered handlers."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import itertools
+from typing import Callable, Iterator, Optional
 
 from repro.openflow.channel import ChannelStats, ControlChannel
 from repro.openflow.messages import (
@@ -43,8 +44,10 @@ class ControllerEndpoint:
         self._packet_in_handlers: list[PacketInHandler] = []
         self._flow_removed_handlers: list[Callable[[str, "FlowRemoved"], None]] = []
         self._stats_replies: dict[str, FlowStatsReply] = {}
-        self._pending_barriers: set[int] = set()
-        self._pending_echoes: dict[int, float] = {}
+        #: dpid -> the xids of that connection's messages
+        self._xids: dict[str, Iterator[int]] = {}
+        self._pending_barriers: set[tuple[str, int]] = set()
+        self._pending_echoes: dict[tuple[str, int], float] = {}
         #: dpid -> last echo round-trip in virtual ms
         self.echo_rtt_ms: dict[str, float] = {}
         self.flow_mods_sent = 0
@@ -61,7 +64,8 @@ class ControllerEndpoint:
         channel.bind_a(lambda msg, dpid=switch.dpid: self._on_message(dpid, msg))
         switch.connect_controller(channel)
         self._channels[switch.dpid] = channel
-        channel.send_to_b(FeaturesRequest())
+        self._xids[switch.dpid] = itertools.count(1)
+        channel.send_to_b(self._numbered(switch.dpid, FeaturesRequest()))
         return channel
 
     def connected_dpids(self) -> list[str]:
@@ -88,14 +92,14 @@ class ControllerEndpoint:
             for handler in self._packet_in_handlers:
                 handler(dpid, message)
         elif isinstance(message, BarrierReply):
-            self._pending_barriers.discard(message.xid)
+            self._pending_barriers.discard((dpid, message.xid))
         elif isinstance(message, FlowStatsReply):
             self._stats_replies[dpid] = message
         elif isinstance(message, FlowRemoved):
             for handler in self._flow_removed_handlers:
                 handler(dpid, message)
         elif isinstance(message, EchoReply):
-            sent_at = self._pending_echoes.pop(message.xid, None)
+            sent_at = self._pending_echoes.pop((dpid, message.xid), None)
             if sent_at is not None and self.simulator is not None:
                 self.echo_rtt_ms[dpid] = self.simulator.now - sent_at
 
@@ -108,8 +112,8 @@ class ControllerEndpoint:
 
     def ping(self, dpid: str, data: str = "keepalive") -> int:
         """Send an echo request; RTT lands in :attr:`echo_rtt_ms`."""
-        message = EchoRequest(data=data)
-        self._pending_echoes[message.xid] = (
+        message = self._numbered(dpid, EchoRequest(data=data))
+        self._pending_echoes[dpid, message.xid] = (
             self.simulator.now if self.simulator is not None else 0.0)
         self._channels[dpid].send_to_b(message)
         return message.xid
@@ -118,6 +122,11 @@ class ControllerEndpoint:
         return self._features.get(dpid)
 
     # -- control actions -------------------------------------------------------
+
+    def _numbered(self, dpid: str, message: OFMessage) -> OFMessage:
+        """``message`` with the next xid of ``dpid``'s connection."""
+        message.xid = next(self._xids[dpid])
+        return message
 
     def send_flow_mod(self, dpid: str, *, match: Match, actions: list[Action],
                       priority: int = 100,
@@ -128,7 +137,7 @@ class ControllerEndpoint:
                           priority=priority, idle_timeout=idle_timeout,
                           hard_timeout=hard_timeout, cookie=cookie)
         self.flow_mods_sent += 1
-        self._channels[dpid].send_to_b(message)
+        self._channels[dpid].send_to_b(self._numbered(dpid, message))
 
     def delete_flows(self, dpid: str, *, match: Optional[Match] = None,
                      cookie: str = "") -> None:
@@ -139,21 +148,22 @@ class ControllerEndpoint:
                         actions: list[Action],
                         buffer_id: Optional[int] = None) -> None:
         """``buffer_id`` is the xid of the PacketIn being answered."""
-        self._channels[dpid].send_to_b(
-            PacketOut(packet=packet, in_port=in_port, actions=actions,
-                      buffer_id=buffer_id))
+        self._channels[dpid].send_to_b(self._numbered(dpid, PacketOut(
+            packet=packet, in_port=in_port, actions=actions,
+            buffer_id=buffer_id)))
 
     def barrier(self, dpid: str) -> int:
-        message = BarrierRequest()
-        self._pending_barriers.add(message.xid)
+        message = self._numbered(dpid, BarrierRequest())
+        self._pending_barriers.add((dpid, message.xid))
         self._channels[dpid].send_to_b(message)
         return message.xid
 
-    def barrier_pending(self, xid: int) -> bool:
-        return xid in self._pending_barriers
+    def barrier_pending(self, dpid: str, xid: int) -> bool:
+        return (dpid, xid) in self._pending_barriers
 
     def request_flow_stats(self, dpid: str) -> None:
-        self._channels[dpid].send_to_b(FlowStatsRequest())
+        self._channels[dpid].send_to_b(
+            self._numbered(dpid, FlowStatsRequest()))
 
     def flow_stats(self, dpid: str) -> Optional[FlowStatsReply]:
         return self._stats_replies.get(dpid)

@@ -2,13 +2,14 @@
 
 Messages serialize to JSON for the channel byte counters; the field set
 follows OpenFlow 1.0 with a VLAN push/pop extension (enough for chain
-tagging across BiS-BiS boundaries).
+tagging across BiS-BiS boundaries).  The sending endpoint numbers its
+messages' ``xid`` per connection and a reply carries its request's, so
+a message's bytes do not depend on what other connections sent.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -19,8 +20,6 @@ from repro.netem.packet import Packet, parse_flowclass
 OFPP_CONTROLLER = "controller"
 OFPP_FLOOD = "flood"
 OFPP_IN_PORT = "in_port"
-
-_XID = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ class FlowModCommand(str, enum.Enum):
 class OFMessage:
     """Base message; subclasses add payload fields."""
 
-    xid: int = field(default_factory=lambda: next(_XID))
+    xid: int = 0
 
     @property
     def msg_type(self) -> str:

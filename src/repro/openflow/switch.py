@@ -3,6 +3,7 @@ misses to its controller over a control channel."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from repro.netem.node import NetworkNode
@@ -41,6 +42,9 @@ class OpenFlowSwitch(NetworkNode):
         self.table = FlowTable()
         self.forwarding_delay_ms = forwarding_delay_ms
         self.channel: Optional[ControlChannel] = None
+        #: xids of the messages the switch originates (PacketIn,
+        #: FlowRemoved) on its one controller connection
+        self._xids = itertools.count(1)
         self._buffered: dict[int, tuple[Packet, str]] = {}
         self._buffer_limit = buffer_packets
         self.packet_ins_sent = 0
@@ -96,7 +100,7 @@ class OpenFlowSwitch(NetworkNode):
         for entry in self.table.expire(now):
             if self.channel is not None:
                 self.channel.send_to_a(FlowRemoved(
-                    dpid=self.dpid, cookie=entry.cookie,
+                    xid=next(self._xids), dpid=self.dpid, cookie=entry.cookie,
                     reason=("hard_timeout" if entry.hard_timeout
                             and now >= entry.installed_at + entry.hard_timeout
                             else "idle_timeout")))
@@ -134,8 +138,8 @@ class OpenFlowSwitch(NetworkNode):
         if len(self._buffered) >= self._buffer_limit:
             self.drops += 1
             return
-        message = PacketIn(dpid=self.dpid, in_port=in_port, packet=packet,
-                           reason=reason)
+        message = PacketIn(xid=next(self._xids), dpid=self.dpid,
+                           in_port=in_port, packet=packet, reason=reason)
         self._buffered[message.xid] = (packet, in_port)
         self.packet_ins_sent += 1
         self.channel.send_to_a(message)

@@ -70,7 +70,7 @@ from repro.mapping.base import (
 )
 from repro.mapping.index import SubstrateIndex, net_free
 from repro.nffg.graph import NFFG, NFFGError
-from repro.nffg.model import DomainType, EdgeLink, NodeNF, NodeSAP
+from repro.nffg.model import DomainType, EdgeLink, NodeNF, NodeSAP, record
 from repro.orchestration.adapters import DomainAdapter
 from repro.nffg.ops import (
     Touched,
@@ -952,8 +952,8 @@ def _link_moves(old: Optional[NFFG], new: Optional[NFFG],
     or changed its record, or an edge both hold changed."""
     if old is None or new is None:
         return (set(), []) if old is new else None
-    if ({node.id: node.__dict__ for node in old.nodes}
-            != {node.id: node.__dict__ for node in new.nodes}):
+    if ({node.id: record(node) for node in old.nodes}
+            != {node.id: record(node) for node in new.nodes}):
         return None
     gone = {edge.id: edge for edge in old.edges}
     came = [edge for edge in new.edges if edge.id not in gone]
@@ -966,7 +966,7 @@ def _state(booked: tuple, element_id: str) -> tuple:
     """(host or route, record) of an NF or a hop in a booked service."""
     graph, result = booked[:2]
     if graph.has_node(element_id):
-        return result.nf_placement.get(element_id), vars(
+        return result.nf_placement.get(element_id), record(
             graph.node(element_id))
     return (result.hop_routes.get(element_id), graph.edge(element_id)
             if graph.has_edge(element_id) else None)

@@ -283,7 +283,7 @@ class TestSwitchControllerLoop:
     def test_barrier(self, wired):
         _, _, _, _, controller = wired
         xid = controller.barrier("s1")
-        assert not controller.barrier_pending(xid)
+        assert not controller.barrier_pending("s1", xid)
 
     def test_flow_stats(self, wired):
         net, h1, h2, _, controller = wired
@@ -346,3 +346,27 @@ class TestSwitchControllerLoop:
         assert removed and removed[0][0] == "s1"
         assert removed[0][1] == "temp"
         assert removed[0][2] == "hard_timeout"
+
+
+def test_xids_are_numbered_per_connection():
+    """The sending endpoint numbers a connection's messages itself, so a
+    FlowMod's bytes (its xid is JSON-encoded) do not depend on how many
+    messages the process sent on other connections before it."""
+    def connected() -> ControllerEndpoint:
+        simulator = Simulator()
+        controller = ControllerEndpoint("ctl", simulator=simulator)
+        controller.connect_switch(OpenFlowSwitch("s1", simulator))
+        return controller
+
+    def first_flow_mod(controller: ControllerEndpoint) -> tuple[int, int]:
+        before = controller.channel_stats("s1").bytes_to_b
+        controller.send_flow_mod("s1", match=Match(in_port="1"),
+                                 actions=[ActionOutput("2")])
+        return (controller.channel_stats("s1").bytes_to_b - before,
+                controller.barrier("s1"))
+
+    first = first_flow_mod(connected())
+    busy = connected()
+    for index in range(1000):
+        busy.send_flow_mod("s1", match=Match(tp_dst=index), actions=[])
+    assert first_flow_mod(connected()) == first
