@@ -4,7 +4,9 @@ Reproduces the OpenStack scheduling pipeline at the fidelity the UNIFY
 local orchestrator exercises: flavors and images, hypervisor hosts with
 vCPU/RAM/disk inventories, a FilterScheduler (filters prune, weighers
 rank) and VM lifecycle (BUILD -> ACTIVE after a boot delay on the
-virtual clock, DELETED on teardown).
+virtual clock, DELETED on teardown).  The compute service keeps only
+live instances: a delete forgets the VM, whose record the caller may
+still hold, reading DELETED.
 """
 
 from __future__ import annotations
@@ -220,15 +222,14 @@ class NovaCompute:
             callback(vm)
 
     def delete(self, vm_id: str) -> None:
-        vm = self.instances.get(vm_id)
-        if vm is None or vm.state == VMState.DELETED:
+        vm = self.instances.pop(vm_id, None)
+        if vm is None:
             return
         self.hosts[vm.host].release(vm.flavor)
         vm.state = VMState.DELETED
 
-    def list_instances(self, include_deleted: bool = False) -> list[VMInstance]:
-        return [vm for vm in self.instances.values()
-                if include_deleted or vm.state != VMState.DELETED]
+    def list_instances(self) -> list[VMInstance]:
+        return list(self.instances.values())
 
     def capacity(self) -> tuple[float, float, float]:
         """(free vcpus, free ram, free disk) across the cell."""

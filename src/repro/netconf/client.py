@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Any, Callable, Optional
 
 from repro.netconf.messages import Hello, Notification, RpcReply, RpcRequest
 from repro.openflow.channel import ControlChannel
+
+#: how many of the newest notifications a client keeps
+NOTIFICATION_RING = 64
 
 
 class NetconfError(RuntimeError):
@@ -22,7 +26,9 @@ class NetconfClient:
 
     Channels in this reproduction deliver synchronously (or via the
     simulator, in which case callers run the simulator between request
-    and reply); replies are correlated by message id.
+    and reply); replies are correlated by message id.  ``notifications``
+    keeps the newest :data:`NOTIFICATION_RING` notifications, not every
+    one the session has received; ``on_notification`` sees each.
     """
 
     def __init__(self, name: str, channel: ControlChannel):
@@ -31,7 +37,8 @@ class NetconfClient:
         channel.bind_a(self._on_message)
         self.server_capabilities: list[str] = []
         self.session_id: Optional[int] = None
-        self.notifications: list[Notification] = []
+        self.notifications: collections.deque[Notification] = \
+            collections.deque(maxlen=NOTIFICATION_RING)
         self.on_notification: Optional[Callable[[Notification], None]] = None
         #: fault-injection hook (see repro.resilience.faults): called
         #: with the operation name before each RPC; may raise to

@@ -427,7 +427,8 @@ class NodeInfra(_NodeBase):
         self.infra_type = infra_type
         self.domain = domain
         self.resources = resources or ResourceVector()
-        self.supported_types: set[str] = set(supported_types)
+        #: immutable and shared by copies: a writer rebinds it
+        self.supported_types: frozenset[str] = frozenset(supported_types)
         #: relative monetary/energy cost used by cost-aware embedders
         self.cost_per_cpu = cost_per_cpu
 
@@ -436,7 +437,7 @@ class NodeInfra(_NodeBase):
         node.infra_type = self.infra_type
         node.domain = self.domain
         node.resources = self.resources  # immutable: shared
-        node.supported_types = set(self.supported_types)
+        node.supported_types = self.supported_types  # immutable: shared
         node.cost_per_cpu = self.cost_per_cpu
         return node
 

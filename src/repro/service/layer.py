@@ -18,7 +18,13 @@ from repro.service.request import ServiceRequest, ServiceState
 
 
 class ServiceLayer:
-    """Request lifecycle management on top of an orchestrator."""
+    """Request lifecycle management on top of an orchestrator.
+
+    ``requests`` holds the deployed requests only: a request that
+    failed or was terminated is dropped, so the layer's memory follows
+    what is resident, not every request it has served.  The caller's
+    :class:`ServiceRequest` keeps its final state and error.
+    """
 
     def __init__(self, orchestrator: EscapeOrchestrator,
                  name: str = "service-layer"):
@@ -29,13 +35,10 @@ class ServiceLayer:
     # -- lifecycle ----------------------------------------------------------
 
     def submit(self, request: ServiceRequest) -> DeployReport:
-        """Validate, store and deploy a request."""
-        if request.id in self.requests and \
-                self.requests[request.id].state == ServiceState.DEPLOYED:
-            report = DeployReport(service_id=request.id, success=False,
-                                  error="already deployed")
-            return report
-        self.requests[request.id] = request
+        """Validate and deploy a request; keep it while it is deployed."""
+        if request.id in self.requests:
+            return DeployReport(service_id=request.id, success=False,
+                                error="already deployed")
         problems = request.sg.validate()
         if problems:
             request.state = ServiceState.FAILED
@@ -45,6 +48,7 @@ class ServiceLayer:
         report = self.orchestrator.deploy(request.sg)
         if report.success:
             request.state = ServiceState.DEPLOYED
+            self.requests[request.id] = request
         else:
             request.state = ServiceState.FAILED
             request.error = report.error
@@ -52,20 +56,19 @@ class ServiceLayer:
 
     def terminate(self, request_id: str) -> bool:
         request = self.requests.get(request_id)
-        if request is None or request.state != ServiceState.DEPLOYED:
+        if request is None or not self.orchestrator.teardown(request_id):
             return False
-        if self.orchestrator.teardown(request_id):
-            request.state = ServiceState.TERMINATED
-            return True
-        return False
+        request.state = ServiceState.TERMINATED
+        del self.requests[request_id]
+        return True
 
     def status(self, request_id: str) -> Optional[ServiceState]:
+        """DEPLOYED for a resident request, None for any other."""
         request = self.requests.get(request_id)
         return request.state if request is not None else None
 
     def active_requests(self) -> list[ServiceRequest]:
-        return [request for request in self.requests.values()
-                if request.state == ServiceState.DEPLOYED]
+        return list(self.requests.values())
 
     # -- introspection -----------------------------------------------------------
 
@@ -74,6 +77,4 @@ class ServiceLayer:
         return self.orchestrator.resource_view()
 
     def __repr__(self) -> str:
-        deployed = len(self.active_requests())
-        return (f"<ServiceLayer {self.name}: {len(self.requests)} requests, "
-                f"{deployed} deployed>")
+        return f"<ServiceLayer {self.name}: {len(self.requests)} deployed>"

@@ -42,7 +42,8 @@ class ContainerRuntime:
     """Container lifecycle with start latency on the virtual clock.
 
     Containers start an order of magnitude faster than cloud VMs —
-    the UN's selling point for high-churn NFs.
+    the UN's selling point for high-churn NFs.  ``containers`` holds
+    the created and running ones: a stop forgets the container.
     """
 
     def __init__(self, simulator: Simulator, *, node_name: str = "un",
@@ -61,13 +62,11 @@ class ContainerRuntime:
 
     @property
     def cpu_used(self) -> float:
-        return sum(c.cpu_limit for c in self.containers.values()
-                   if c.state != ContainerState.STOPPED)
+        return sum(c.cpu_limit for c in self.containers.values())
 
     @property
     def mem_used(self) -> float:
-        return sum(c.mem_limit_mb for c in self.containers.values()
-                   if c.state != ContainerState.STOPPED)
+        return sum(c.mem_limit_mb for c in self.containers.values())
 
     def can_run(self, cpu: float, mem_mb: float) -> bool:
         return (self.cpu_used + cpu <= self.cpu_capacity + 1e-9
@@ -102,8 +101,8 @@ class ContainerRuntime:
             callback(container)
 
     def stop(self, container_id: str) -> None:
-        container = self.containers.get(container_id)
-        if container is None or container.state == ContainerState.STOPPED:
+        container = self.containers.pop(container_id, None)
+        if container is None:
             return
         if container.process is not None:
             container.process.stop()
@@ -111,7 +110,7 @@ class ContainerRuntime:
 
     def by_name(self, name: str) -> Optional[Container]:
         for container in self.containers.values():
-            if container.name == name and container.state != ContainerState.STOPPED:
+            if container.name == name:
                 return container
         return None
 

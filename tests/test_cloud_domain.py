@@ -119,7 +119,11 @@ class TestNovaLifecycle:
         vm = nova.boot("vm1", Flavor("f", 1, 512, 1), Image("img", "x"))
         nova.delete(vm.id)
         assert nova.list_instances() == []
-        assert len(nova.list_instances(include_deleted=True)) == 1
+        # a delete forgets the instance; the caller's record reads DELETED
+        assert nova.instances == {}
+        assert vm.state == VMState.DELETED
+        sim.run()
+        assert vm.state == VMState.DELETED
 
 
 @pytest.fixture

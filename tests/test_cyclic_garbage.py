@@ -96,17 +96,24 @@ def test_fig1_submit_probe_terminate():
     assert testbed.escape.cal.verify() == []
 
 
-def test_ring_update_heal_recover():
+def ring(journal=None):
+    """A 6-switch emulated ring with its SAPs on opposite switches:
+    the network, its orchestrator and the ring's links."""
     network = Network()
     ids = [f"ring-bb{i}" for i in range(6)]
     links = [(ids[i], ids[(i + 1) % 6]) for i in range(6)]
     domain = EmulatedDomain("emu", network, node_ids=ids, links=links)
     domain.add_sap("sap1", ids[0])
     domain.add_sap("sap2", ids[3])
-    journal = IntentJournal(checkpoint_every=4)
     escape = EscapeOrchestrator("ring", simulator=network.simulator,
                                 journal=journal)
     escape.add_domain(EmuDomainAdapter("emu", domain))
+    return network, escape, links
+
+
+def test_ring_update_heal_recover():
+    journal = IntentJournal(checkpoint_every=4)
+    network, escape, links = ring(journal)
     versions = {index: 1 for index in range(4)}
 
     def service(index: int):

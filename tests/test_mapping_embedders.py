@@ -165,7 +165,7 @@ class TestScarcityTier:
     def _substrate():
         substrate = linear_substrate(4, id="s", supported_types=["firewall"])
         specialist = substrate.infra("s-bb0")  # where sap1 attaches
-        specialist.supported_types.add("dpi")
+        specialist.supported_types |= {"dpi"}
         specialist.cost_per_cpu = 0.1
         return substrate
 

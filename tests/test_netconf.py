@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.netconf import NetconfClient, NetconfError, NetconfServer
+from repro.netconf.client import NOTIFICATION_RING
 from repro.netconf.messages import UNIFY_CAPABILITY
 from repro.openflow.channel import ControlChannel
 
@@ -202,6 +203,19 @@ class TestErrorsAndExtensions:
         server.notify("alarm", {"severity": "minor"})
         assert client.notifications[0].event == "alarm"
         assert events[0].data == {"severity": "minor"}
+
+    def test_notification_ring_keeps_the_newest(self, session):
+        client, server, _ = session
+        seen = []
+        client.on_notification = seen.append
+        total = NOTIFICATION_RING + 10
+        for index in range(total):
+            server.notify("alarm", {"index": index})
+        # the handler sees every notification, once
+        assert [n.data["index"] for n in seen] == list(range(total))
+        # the client keeps exactly the newest ring's worth
+        assert [n.data["index"] for n in client.notifications] == \
+            list(range(10, total))
 
     def test_channel_counts_bytes(self, session):
         client, _, channel = session

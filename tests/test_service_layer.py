@@ -71,8 +71,11 @@ class TestServiceLayerLifecycle:
         request.sg.nf("bad-fw").functional_type = "warpdrive"
         report = layer.submit(request)
         assert not report.success
-        assert layer.status("bad") == ServiceState.FAILED
-        assert layer.requests["bad"].error
+        assert request.state == ServiceState.FAILED
+        assert request.error == report.error
+        # a failed request is not kept
+        assert layer.status("bad") is None
+        assert "bad" not in layer.requests
 
     def test_duplicate_submit_rejected(self, layer):
         layer.submit(_request())
@@ -81,9 +84,13 @@ class TestServiceLayerLifecycle:
         assert "already deployed" in report.error
 
     def test_terminate(self, layer):
-        layer.submit(_request())
+        request = _request()
+        assert layer.submit(request).success
         assert layer.terminate("req1")
-        assert layer.status("req1") == ServiceState.TERMINATED
+        assert request.state == ServiceState.TERMINATED
+        # a terminated request is not kept
+        assert layer.status("req1") is None
+        assert layer.requests == {}
         assert layer.active_requests() == []
         assert not layer.terminate("req1")
 
@@ -111,4 +118,6 @@ class TestServiceLayerLifecycle:
         request.sg.remove_edge(hop.id)
         report = layer.submit(request)
         assert not report.success
-        assert layer.status("broken") == ServiceState.FAILED
+        assert request.state == ServiceState.FAILED
+        assert request.error == report.error
+        assert layer.status("broken") is None

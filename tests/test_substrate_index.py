@@ -125,7 +125,7 @@ class TestLifecycle:
         assert index.scarce_specialists() == {}  # every host runs all
         specialist = substrate.infras[0]
         for infra in substrate.infras[1:]:
-            infra.supported_types.discard("dpi")
+            infra.supported_types -= {"dpi"}
         assert index.scarce_specialists() == {}  # memo kept
         index.relink((), (), epoch=2)
         assert index.scarce_specialists() == {}  # relink keeps it

@@ -60,6 +60,19 @@ class TestContainerRuntime:
         runtime.stop(container.id)
         assert runtime.cpu_used == 0.0
         assert not container.process.running
+        # a stop forgets the container; the caller's record reads STOPPED
+        assert runtime.containers == {}
+        assert container.state == ContainerState.STOPPED
+
+    def test_a_container_stopped_before_it_starts_never_runs(self):
+        sim = Simulator()
+        runtime = ContainerRuntime(sim)
+        container = runtime.run("fw", "firewall")
+        runtime.stop(container.id)
+        sim.run()
+        assert container.state == ContainerState.STOPPED
+        assert container.process is None
+        assert runtime.containers == {}
 
     def test_unknown_image_rejected(self):
         sim = Simulator()

@@ -14,6 +14,7 @@ from repro.orchestration import (
     service_from_virtual_install,
 )
 from repro.mapping import GreedyEmbedder
+from repro.netconf.client import NOTIFICATION_RING
 from repro.nffg.model import DomainType
 
 from tests.mapped import mapped_graph
@@ -186,6 +187,32 @@ class TestTwoLevel:
         _, _, _, parent = two_level
         report = parent.deploy(_service())
         assert report.control_bytes > 0
+
+
+    def test_deploy_finished_reaches_the_handler_on_every_deploy(
+            self, two_level):
+        """Past the client's notification ring, too: the ring bounds
+        what the client keeps, not what its handler sees."""
+        _, _, child, parent = two_level
+        client = parent.cal.adapters["child-dom"].client
+        finished = []
+
+        def on_notification(notification):
+            if notification.event == "deploy-finished":
+                finished.append(notification.data)
+
+        client.on_notification = on_notification
+        cycles = NOTIFICATION_RING // 2 + 4
+        for index in range(cycles):
+            assert parent.deploy(_service(f"s{index}")).success
+            assert parent.teardown(f"s{index}")
+        part = "child-client-s{}-hop1".format
+        assert finished == [
+            edit for index in range(cycles) for edit in (
+                {"removed": [], "updated": [], "deployed": [part(index)]},
+                {"removed": [part(index)], "updated": [], "deployed": []})]
+        assert len(client.notifications) == NOTIFICATION_RING
+        assert child.deployed_services() == []
 
 
 class TestUpdateThroughRecursion:
